@@ -22,6 +22,11 @@
 //! Results are bit-identical to a from-scratch [`rta::analyse_core`] over
 //! the same tasks (property-tested in `tests/cache_equivalence.rs`).
 //!
+//! The converged responses also make split carving a single read:
+//! [`max_prioritised_wcet`] scans each entry's time demand once and returns
+//! the exact largest `C = D` piece the core accepts — where a bisection
+//! would spend a probe per halving.
+//!
 //! Task ids must be unique within one core — every partitioner in the
 //! workspace guarantees this (a split chain places at most one piece of a
 //! parent per core).
@@ -30,6 +35,7 @@
 //! [`analysis`]: CachedCoreAnalysis::analysis
 //! [`accepts_candidate`]: CachedCoreAnalysis::accepts_candidate
 //! [`accepts_prioritised`]: CachedCoreAnalysis::accepts_prioritised
+//! [`max_prioritised_wcet`]: CachedCoreAnalysis::max_prioritised_wcet
 
 use spms_task::{Priority, Task, TaskId, Time};
 
@@ -593,87 +599,184 @@ impl CachedCoreAnalysis {
         )
     }
 
-    /// [`accepts_prioritised`](Self::accepts_prioritised) with a
-    /// **cross-probe warm start**: the split-budget binary search probes
-    /// this core repeatedly with the same template at growing WCETs, and
-    /// each accepted probe's converged response times are valid lower
-    /// bounds for every later probe with a larger WCET (interference only
-    /// grows with the candidate's `C`). `warmth` carries that state between
-    /// probes; the verdict is bit-identical to the cold probe — only the
-    /// number of fixed-point iterations changes.
+    /// The **exact split-budget frontier**: the largest WCET `c` in
+    /// `[smallest.wcet(), cap]` for which a `C = D = c` candidate shaped
+    /// like `smallest` (its id, period and priority; `c` never exceeds the
+    /// period) still passes [`accepts_prioritised`](Self::accepts_prioritised),
+    /// or [`Time::ZERO`] when `smallest` itself does not.
     ///
-    /// `warmth` must only ever be reused against the *same* cache state and
-    /// candidate template (same id, period, priority); the
-    /// [`ProbeWarmth::reset`] guard drops state recorded for a different
-    /// entry count defensively.
-    pub fn accepts_prioritised_warm(&self, candidate: &Task, warmth: &mut ProbeWarmth) -> bool {
-        if !self.is_schedulable() {
-            return false;
-        }
-        let level = rta::effective_priority(candidate).level();
-        let outranked = |t: &Task| rta::effective_priority(t).level() > level;
-        let peer = |t: &Task| rta::effective_priority(t).level() == level;
-        // State from a probe of a larger candidate would be an upper bound,
-        // not a lower bound: only smaller-or-equal WCETs warm-start.
-        let usable = warmth.entry_responses.len() == self.entries.len()
-            && warmth.wcet.is_some_and(|w| w <= candidate.wcet());
-        if !usable {
-            warmth.reset();
-        }
-
-        let candidate_warm = if usable {
-            warmth.candidate_response
-        } else {
-            None
-        };
-        let candidate_response = rta::converge(
-            candidate.wcet(),
-            candidate.deadline(),
-            candidate_warm,
-            |r| {
-                self.entries
-                    .iter()
-                    .filter(|e| !outranked(&e.task))
-                    .map(|e| interference_term(&e.task, r))
-                    .sum()
-            },
-        );
-        let Some(candidate_response) = candidate_response else {
-            return false;
-        };
-
-        let mut responses = Vec::with_capacity(self.entries.len());
-        for (i, entry) in self.entries.iter().enumerate() {
-            if !outranked(&entry.task) && !peer(&entry.task) {
-                responses.push(entry.response);
-                continue;
-            }
-            // The cached baseline is always a valid lower bound; a previous
-            // smaller probe's converged response is a tighter one.
-            let warm = if usable {
-                warmth.entry_responses[i].or(entry.response)
-            } else {
-                entry.response
-            };
-            let survived = rta::converge(entry.task.wcet(), entry.task.deadline(), warm, |r| {
-                self.own_interference(i, r) + interference_term(candidate, r)
-            });
-            let Some(survived) = survived else {
-                return false;
-            };
-            responses.push(Some(survived));
-        }
-        // Fully converged: this probe becomes the warm start for the next
-        // (larger) one.
-        warmth.wcet = Some(candidate.wcet());
-        warmth.candidate_response = Some(candidate_response);
-        warmth.entry_responses = responses;
-        true
+    /// One time-demand scan per core replaces a bisection over probes. A
+    /// candidate whose deadline equals its WCET tolerates no interference,
+    /// so any entry at or above its level rejects every `c`. An entry `i`
+    /// below it stays schedulable with the candidate added iff some
+    /// `t ∈ [R_i, D_i]` satisfies `W_i(t) + c·⌈t/T⌉ ≤ t`, where `W_i` is
+    /// the entry's demand without the candidate and `R_i` its converged
+    /// response (below `R_i`, `W_i(t) > t` already). So entry `i` admits
+    /// exactly the `c ≤ max_t ⌊(t − W_i(t)) / ⌈t/T⌉⌋`, and the maximum is
+    /// reached where a demand step is about to happen (a period multiple of
+    /// an interferer or of the candidate) or at `D_i`. The frontier is the
+    /// least of these per-entry maxima; `D_i − R_i` bounds each of them,
+    /// which settles full cores without scanning at all.
+    ///
+    /// `None` when the scan cannot vouch for the probe: an entry whose
+    /// demand could step more often than the RTA's iteration cap allows
+    /// might be rejected by the capped probe at a WCET the scan admits.
+    /// Callers then search with probes instead.
+    pub fn max_prioritised_wcet(&self, smallest: &Task, cap: Time) -> Option<Time> {
+        let cap = cap.min(smallest.period());
+        let frontier = self.scan_frontier(smallest, cap)?;
+        self.debug_assert_frontier(smallest, frontier, cap);
+        Some(frontier)
     }
 
     // ------------------------------------------------------------------
     // internals
     // ------------------------------------------------------------------
+
+    /// [`max_prioritised_wcet`](Self::max_prioritised_wcet) with `cap`
+    /// already clamped to the candidate's period.
+    fn scan_frontier(&self, smallest: &Task, cap: Time) -> Option<Time> {
+        let level = rta::effective_priority(smallest).level();
+        let floor = smallest.wcet().as_nanos();
+        let period = smallest.period().as_nanos();
+        let interferes_with_candidate = self
+            .entries
+            .first()
+            .is_some_and(|e| sort_key(&e.task).0 <= level);
+        if interferes_with_candidate || !self.is_schedulable() {
+            return Some(Time::ZERO);
+        }
+        let (mut frontier, min_period, max_deadline) = self.entries.iter().fold(
+            (cap.as_nanos(), period, 0),
+            |(bound, min_period, max_deadline), e| {
+                let deadline = e.task.deadline().as_nanos();
+                let response = e.response.expect("checked schedulable above").as_nanos();
+                (
+                    bound.min(deadline.saturating_sub(response)),
+                    min_period.min(e.task.period().as_nanos()),
+                    max_deadline.max(deadline),
+                )
+            },
+        );
+        if frontier < floor {
+            return Some(Time::ZERO);
+        }
+        // Each RTA iteration crosses at least one demand step below the
+        // deadline, and each of the n + 1 interferers steps at most
+        // D / T_min + 1 times there.
+        let step_bound =
+            (max_deadline / min_period + 1).saturating_mul(self.entries.len() as u64 + 1);
+        if step_bound >= rta::MAX_ITERATIONS as u64 {
+            return None;
+        }
+
+        let mut steps = Vec::with_capacity(self.entries.len());
+        for i in 0..self.entries.len() {
+            frontier = self.entry_frontier(i, period, floor, frontier, &mut steps);
+            if frontier < floor {
+                return Some(Time::ZERO);
+            }
+        }
+        Some(Time::from_nanos(frontier))
+    }
+
+    /// The largest candidate WCET entry `i` tolerates (see
+    /// [`max_prioritised_wcet`](Self::max_prioritised_wcet)): `bound` as
+    /// soon as some point admits `bound`, and anything below `floor` once
+    /// the entry cannot reach `floor`. The candidate has period `period`;
+    /// `steps` is scratch space for the interferers' next demand steps.
+    fn entry_frontier(
+        &self,
+        i: usize,
+        period: u64,
+        floor: u64,
+        bound: u64,
+        steps: &mut Vec<u64>,
+    ) -> u64 {
+        let entry = &self.entries[i];
+        let deadline = entry.task.deadline().as_nanos();
+        // Any lower bound on the response works as the start: no point
+        // below the fixed point is a witness.
+        let start = entry
+            .response
+            .expect("checked schedulable above")
+            .as_nanos();
+        let level = sort_key(&entry.task).0;
+        let interferers = self
+            .entries
+            .iter()
+            .take_while(|e| sort_key(&e.task).0 <= level)
+            .count();
+        // The demand is recomputed rather than taken to be `start`, so a
+        // response an injected fault nudged down still scans soundly.
+        let mut demand = entry.task.wcet().as_nanos();
+        steps.clear();
+        for (j, e) in self.entries[..interferers].iter().enumerate() {
+            if j == i {
+                steps.push(u64::MAX);
+                continue;
+            }
+            let (wcet, t) = (e.task.wcet().as_nanos(), e.task.period().as_nanos());
+            let jobs = start.div_ceil(t);
+            demand = demand.saturating_add(wcet.saturating_mul(jobs));
+            steps.push(jobs.saturating_mul(t));
+        }
+        let mut jobs = start.div_ceil(period);
+        let mut next_job = jobs.saturating_mul(period);
+        let mut best = 0;
+        loop {
+            // Demand and candidate jobs are flat up to and including `t`.
+            let t = steps.iter().copied().fold(next_job.min(deadline), u64::min);
+            if let Some(room) = t.checked_sub(demand) {
+                let fits = room / jobs;
+                if fits >= bound {
+                    return bound;
+                }
+                best = best.max(fits);
+            }
+            // Later points only see more demand and more candidate jobs.
+            let reachable = deadline.saturating_sub(demand) / jobs;
+            if t == deadline || reachable <= best || reachable < floor {
+                return best;
+            }
+            for (step, e) in steps.iter_mut().zip(&self.entries) {
+                if *step == t {
+                    demand = demand.saturating_add(e.task.wcet().as_nanos());
+                    *step = step.saturating_add(e.task.period().as_nanos());
+                }
+            }
+            if next_job == t {
+                jobs += 1;
+                next_job = next_job.saturating_add(period);
+            }
+        }
+    }
+
+    /// Debug-build guard: the frontier is exactly where the probe flips
+    /// from accepting to rejecting.
+    fn debug_assert_frontier(&self, smallest: &Task, frontier: Time, cap: Time) {
+        if cfg!(debug_assertions) {
+            let probe = |wcet: Time| {
+                let mut builder = Task::builder(smallest.id())
+                    .wcet(wcet)
+                    .period(smallest.period())
+                    .deadline(wcet);
+                if let Some(priority) = smallest.priority() {
+                    builder = builder.priority(priority);
+                }
+                builder
+                    .build()
+                    .is_ok_and(|piece| self.accepts_prioritised(&piece))
+            };
+            if !frontier.is_zero() {
+                debug_assert!(probe(frontier), "frontier {frontier:?} rejected");
+            }
+            let above = frontier.max(smallest.wcet() - Time::from_nanos(1)) + Time::from_nanos(1);
+            if above <= cap {
+                debug_assert!(!probe(above), "{above:?} above the frontier accepted");
+            }
+        }
+    }
 
     /// Re-converges entries `from..`, in order. With `warm`, each entry
     /// starts from its previous response (valid only when interference has
@@ -721,37 +824,6 @@ impl CachedCoreAnalysis {
             .filter(|(j, _)| *j != i && *j != removed_idx)
             .map(|(_, e)| interference_term(&e.task, r))
             .sum()
-    }
-}
-
-/// Cross-probe warm-start state for
-/// [`CachedCoreAnalysis::accepts_prioritised_warm`]: the converged response
-/// times of the last *accepted* probe, valid as lower-bound warm starts for
-/// every later probe of the same core with a larger candidate WCET. One
-/// instance lives for the duration of one split-budget binary search.
-#[derive(Debug, Clone, Default)]
-pub struct ProbeWarmth {
-    /// Candidate WCET of the last accepted probe (`None` = no state yet).
-    wcet: Option<Time>,
-    /// The candidate's converged response at that WCET.
-    candidate_response: Option<Time>,
-    /// Converged per-entry responses at that WCET, parallel to the cache's
-    /// entries (entries above the candidate keep their cached baselines).
-    entry_responses: Vec<Option<Time>>,
-}
-
-impl ProbeWarmth {
-    /// A fresh, empty warm-start state.
-    pub fn new() -> Self {
-        ProbeWarmth::default()
-    }
-
-    /// Drops all recorded state (the next probe runs from the cache's
-    /// baselines).
-    pub fn reset(&mut self) {
-        self.wcet = None;
-        self.candidate_response = None;
-        self.entry_responses.clear();
     }
 }
 
@@ -1216,33 +1288,86 @@ mod tests {
         );
     }
 
-    #[test]
-    fn warm_probe_matches_cold_probe_across_growing_budgets() {
-        // The split-budget search probes the same core with C = D pieces of
-        // growing budget; warm and cold probes must agree bit-for-bit.
-        let cache = CachedCoreAnalysis::from_tasks(&[task(0, 2, 10, 2), task(1, 3, 20, 3)]);
-        let mut warmth = ProbeWarmth::new();
-        for budget_us in [1u64, 5, 3, 8, 6, 14, 2, 20] {
-            let piece = Task::builder(9)
-                .wcet(Time::from_micros(budget_us))
-                .period(Time::from_micros(20))
-                .deadline(Time::from_micros(budget_us))
-                .priority(Priority::new(0))
-                .build()
-                .unwrap();
-            assert_eq!(
-                cache.accepts_prioritised_warm(&piece, &mut warmth),
-                cache.accepts_prioritised(&piece),
-                "warm probe diverged at budget {budget_us}"
-            );
-        }
+    fn piece(wcet_ns: u64, period_us: u64) -> Task {
+        Task::builder(9)
+            .wcet(Time::from_nanos(wcet_ns))
+            .period(Time::from_micros(period_us))
+            .deadline(Time::from_nanos(wcet_ns))
+            .priority(Priority::new(0))
+            .build()
+            .unwrap()
     }
 
     #[test]
-    fn warm_probe_rejects_on_unschedulable_core() {
-        let cache = CachedCoreAnalysis::from_tasks(&[task(0, 6, 10, 2), task(1, 6, 10, 3)]);
-        let mut warmth = ProbeWarmth::new();
-        assert!(!cache.accepts_prioritised_warm(&task(2, 1, 1000, 9), &mut warmth));
+    fn frontier_matches_probes_across_growing_budgets() {
+        // τ0 (2/10) absorbs a C = D = c piece of period 20 iff 2 + c ≤ 10;
+        // τ1 (3/20, R = 5) still has 13 µs of room at t = 20. The frontier
+        // is τ0's 8 µs, to the nanosecond.
+        let cache = CachedCoreAnalysis::from_tasks(&[task(0, 2, 10, 2), task(1, 3, 20, 3)]);
+        let template = piece(1, 20);
+        let frontier = cache
+            .max_prioritised_wcet(&template, Time::from_micros(20))
+            .unwrap();
+        assert_eq!(frontier, Time::from_micros(8));
+        for wcet_ns in [1, 1_000, 5_000, 7_999, 8_000, 8_001, 14_000, 20_000] {
+            assert_eq!(
+                cache.accepts_prioritised(&piece(wcet_ns, 20)),
+                Time::from_nanos(wcet_ns) <= frontier,
+                "probe and frontier disagree at {wcet_ns} ns"
+            );
+        }
+        // A floor above the frontier finds nothing; one on it finds it.
+        assert_eq!(
+            cache.max_prioritised_wcet(&piece(8_001, 20), Time::from_micros(20)),
+            Some(Time::ZERO)
+        );
+        assert_eq!(
+            cache.max_prioritised_wcet(&piece(8_000, 20), Time::from_micros(20)),
+            Some(frontier)
+        );
+        // The cap binds when the core has more room than asked for.
+        assert_eq!(
+            cache.max_prioritised_wcet(&template, Time::from_micros(3)),
+            Some(Time::from_micros(3))
+        );
+        // An empty core takes a piece as long as its period.
+        assert_eq!(
+            CachedCoreAnalysis::new().max_prioritised_wcet(&template, Time::from_secs(1)),
+            Some(Time::from_micros(20))
+        );
+    }
+
+    #[test]
+    fn frontier_is_zero_on_unschedulable_core() {
+        let doomed = CachedCoreAnalysis::from_tasks(&[task(0, 6, 10, 2), task(1, 6, 10, 3)]);
+        assert_eq!(
+            doomed.max_prioritised_wcet(&piece(1, 1000), Time::from_micros(1000)),
+            Some(Time::ZERO)
+        );
+        // A peer at the candidate's level interferes with a piece whose
+        // deadline equals its WCET: nothing fits.
+        let peer = CachedCoreAnalysis::from_tasks(&[task(0, 1, 100, 0)]);
+        assert_eq!(
+            peer.max_prioritised_wcet(&piece(1, 1000), Time::from_micros(1000)),
+            Some(Time::ZERO)
+        );
+    }
+
+    #[test]
+    fn frontier_declines_when_the_probe_could_hit_its_iteration_cap() {
+        // 1 ns of demand every 2 ns under a 1 ms deadline: far more demand
+        // steps than the capped recurrence may take.
+        let tiny = Task::builder(0)
+            .wcet(Time::from_nanos(1))
+            .period(Time::from_nanos(2))
+            .priority(Priority::new(2))
+            .build()
+            .unwrap();
+        let cache = CachedCoreAnalysis::from_tasks(&[tiny, task(1, 1, 1000, 3)]);
+        assert_eq!(
+            cache.max_prioritised_wcet(&piece(1, 1000), Time::from_micros(1000)),
+            None
+        );
     }
 
     #[test]

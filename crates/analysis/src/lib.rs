@@ -7,8 +7,8 @@
 //!   fixed-priority tasks on one processor,
 //! * [`CachedCoreAnalysis`] — incremental per-core RTA: memoized response
 //!   times with insert/remove invalidating only the priority levels at or
-//!   below the mutation point, and allocation-free what-if probes for the
-//!   online admission fast path,
+//!   below the mutation point, allocation-free what-if probes for the
+//!   online admission fast path, and the exact split-budget frontier,
 //! * [`OverheadModel`] — the paper's measured run-time overheads (§3,
 //!   Table 1) and their integration into the analysis via WCET inflation,
 //! * [`UniprocessorTest`] — the pluggable per-core acceptance test used by
@@ -50,6 +50,6 @@ mod overhead;
 pub mod rta;
 mod uniprocessor_test;
 
-pub use cached::{CachedCoreAnalysis, ProbeWarmth, RefreshMode, RefreshUndo};
+pub use cached::{CachedCoreAnalysis, RefreshMode, RefreshUndo};
 pub use overhead::{OverheadModel, OverheadScenario};
 pub use uniprocessor_test::UniprocessorTest;

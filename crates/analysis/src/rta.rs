@@ -35,7 +35,7 @@ use spms_task::{Priority, Task, Time};
 use spms_telemetry::{scoped, HotCounter};
 
 /// Defensive bound on fixed-point iterations; see [`cap_exhaustions`].
-const MAX_ITERATIONS: usize = 10_000;
+pub(crate) const MAX_ITERATIONS: usize = 10_000;
 
 /// Number of times the defensive iteration cap was exhausted since process
 /// start (or the last [`reset_cap_exhaustions`]).

@@ -8,15 +8,16 @@
 //! level-scoped invalidation are pure optimizations. These tests drive
 //! random operation sequences (with deliberately colliding priority levels,
 //! the case the priority-tie fix makes interfere) and check the equivalence
-//! after every step; a companion property pins the non-mutating placement
-//! probes against scratch analysis of the combined assignment.
+//! after every step; companion properties pin the non-mutating placement
+//! probes and the split-budget frontier against scratch analysis of the
+//! combined assignment.
 //!
 //! The vendored proptest runner is deterministically seeded, so failures
 //! reproduce identically.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use spms_analysis::{rta, CachedCoreAnalysis, ProbeWarmth};
+use spms_analysis::{rta, CachedCoreAnalysis};
 use spms_task::{Priority, Task, TaskId, Time};
 
 /// A compact task spec the strategies generate: `(wcet_us, extra_period_us,
@@ -186,14 +187,17 @@ proptest! {
         }
     }
 
-    /// Warm-started probes of a growing-then-shrinking budget sequence
-    /// agree with cold probes on every step (the warm start is a pure
-    /// iteration-count optimization).
+    /// The split-budget frontier is exactly where a from-scratch analysis
+    /// of the combined core flips: a `C = D` piece of the frontier WCET is
+    /// schedulable, one nanosecond more is not (below the cap), and a zero
+    /// frontier means even the smallest piece is rejected.
     #[test]
-    fn warm_probe_equals_cold_probe(
+    fn frontier_is_the_exact_acceptance_boundary(
         existing in vec(spec(), 0..8),
-        budgets in vec(1u64..60, 1..12),
-        period_extra in 0u64..200,
+        candidate_level in 0u32..3,
+        floor_ns in 1u64..1_000,
+        cap_us in 1u64..200,
+        period_us in 1u64..100,
     ) {
         let tasks: Vec<Task> = existing
             .iter()
@@ -201,24 +205,35 @@ proptest! {
             .map(|(i, s)| build_task(i as u32, *s))
             .collect();
         let cache = CachedCoreAnalysis::from_tasks(&tasks);
-        let period = budgets.iter().max().unwrap() + period_extra + 1;
-        let mut warmth = ProbeWarmth::new();
-        for &budget in &budgets {
-            // A C = D body piece at the promoted level, like the split
-            // search carves.
-            let piece = Task::builder(1000)
-                .wcet(Time::from_micros(budget))
-                .period(Time::from_micros(period))
-                .deadline(Time::from_micros(budget))
-                .priority(Priority::new(0))
+        // Short candidate periods make entries see several of its jobs.
+        let period = Time::from_micros(period_us);
+        let piece = |wcet: Time| {
+            Task::builder(1000)
+                .wcet(wcet)
+                .period(period)
+                .deadline(wcet)
+                .priority(Priority::new(candidate_level))
                 .build()
-                .expect("constructible by construction");
-            prop_assert_eq!(
-                cache.accepts_prioritised_warm(&piece, &mut warmth),
-                cache.accepts_prioritised(&piece),
-                "warm probe diverged at budget {}",
-                budget
-            );
+                .expect("constructible by construction")
+        };
+        let cap = Time::from_micros(cap_us);
+        let floor = Time::from_nanos(floor_ns);
+        let frontier = cache
+            .max_prioritised_wcet(&piece(floor), cap)
+            .expect("microsecond periods stay far below the iteration cap");
+        let schedulable_with = |wcet: Time| {
+            let mut combined = tasks.clone();
+            combined.push(piece(wcet));
+            rta::is_core_schedulable(&combined)
+        };
+        prop_assert!(frontier <= cap.min(period));
+        if !frontier.is_zero() {
+            prop_assert!(frontier >= floor);
+            prop_assert!(schedulable_with(frontier), "frontier {} rejected", frontier);
+        }
+        let above = frontier.max(floor - Time::from_nanos(1)) + Time::from_nanos(1);
+        if above <= cap.min(period) {
+            prop_assert!(!schedulable_with(above), "{} above the frontier accepted", above);
         }
     }
 

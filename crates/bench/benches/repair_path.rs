@@ -1,5 +1,5 @@
 //! The admission cascade's repair/split hot path: journal rollback vs.
-//! clone-snapshot rollback, and warm vs. cold split-budget probes.
+//! clone-snapshot rollback, and one split admission.
 //!
 //! PR 4 made the *analysis* incremental; this bench pins the cascade
 //! *around* it. `repair_admit_*` drives an arrival that needs one bounded-
@@ -8,11 +8,11 @@
 //! every attempt must be undone. The `*_journal` variants rewind the
 //! partition's mutation journal (O(moves)); the `*_clone` variants restore
 //! snapshot clones (O(tasks), the PR 3 behaviour kept behind
-//! `OnlineConfig::builder().journal(false)`). `split_probe_{warm,cold}` admits a
-//! task that must be split, with and without cross-probe warm starts in
-//! the budget binary search. Decisions are byte-identical across all
-//! variants (asserted here and by the `rtabench` CI smoke); only the
-//! latency moves. The journal variants are additionally asserted to
+//! `OnlineConfig::builder().journal(false)`). `split_frontier` admits a
+//! task that must be split, its body budget read off the exact frontier
+//! scan. Decisions are byte-identical across the rollback variants
+//! (asserted here and by the `rtabench` CI smoke); only the latency
+//! moves. The journal variants are additionally asserted to
 //! perform zero partition clones.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -68,9 +68,8 @@ fn unrepairable_probe() -> Task {
 }
 
 /// A controller with six diverse-period tasks per core (~80% each core),
-/// so a 45% arrival must split — and every budget probe of the binary
-/// search re-converges six multi-iteration fixed points, the work the
-/// cross-probe warm starts cut.
+/// so a 45% arrival must split, and each frontier scan walks six entries'
+/// diverse-period demand steps.
 fn warm_split_controller(config: OnlineConfig) -> AdmissionController {
     const PERIODS_US: [u64; 6] = [1_000, 1_700, 2_900, 4_300, 7_100, 9_700];
     let mut controller = AdmissionController::new(config).expect("cores > 0");
@@ -168,40 +167,23 @@ fn bench_repair_path(c: &mut Criterion) {
         );
     });
 
-    let warm = warm_split_controller(OnlineConfig::builder().cores(CORES).build());
-    let cold = warm_split_controller(
-        OnlineConfig::builder()
-            .cores(CORES)
-            .probe_warm_start(false)
-            .build(),
+    let splitting = warm_split_controller(OnlineConfig::builder().cores(CORES).build());
+    assert!(
+        matches!(
+            splitting
+                .clone()
+                .handle(WorkloadEvent::Arrive(split_probe()))
+                .kind,
+            DecisionKind::Admitted {
+                path: DecisionPath::FastSplit,
+                ..
+            }
+        ),
+        "split probe did not split"
     );
-    {
-        let mut w = warm.clone();
-        let mut c2 = cold.clone();
-        let a = w.handle(WorkloadEvent::Arrive(split_probe()));
-        let b = c2.handle(WorkloadEvent::Arrive(split_probe()));
-        assert_eq!(a, b, "warm and cold probes decided differently");
-        assert!(
-            matches!(
-                a.kind,
-                DecisionKind::Admitted {
-                    path: DecisionPath::FastSplit,
-                    ..
-                }
-            ),
-            "split probe did not split"
-        );
-    }
-    group.bench_function("split_probe_warm", |b| {
+    group.bench_function("split_frontier", |b| {
         b.iter_batched(
-            || warm.clone(),
-            |mut controller| black_box(controller.handle(WorkloadEvent::Arrive(split_probe()))),
-            BatchSize::SmallInput,
-        );
-    });
-    group.bench_function("split_probe_cold", |b| {
-        b.iter_batched(
-            || cold.clone(),
+            || splitting.clone(),
             |mut controller| black_box(controller.handle(WorkloadEvent::Arrive(split_probe()))),
             BatchSize::SmallInput,
         );

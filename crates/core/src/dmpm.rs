@@ -21,7 +21,7 @@
 //! analysis, the simulator and the experiments.
 
 use serde::{Deserialize, Serialize};
-use spms_analysis::{OverheadModel, UniprocessorTest};
+use spms_analysis::{CachedCoreAnalysis, OverheadModel, UniprocessorTest};
 use spms_task::{Priority, PriorityAssignment, Task, TaskSet, Time};
 
 use crate::{
@@ -98,10 +98,8 @@ impl SemiPartitionedDmPm {
         self
     }
 
-    /// Priority level reserved for promoted body subtasks.
-    const BODY_PRIORITY: Priority = Priority::new(0);
     /// Priority level reserved for promoted tail subtasks.
-    const TAIL_PRIORITY: Priority = Priority::new(1);
+    const TAIL_PRIORITY: Priority = crate::TAIL_PRIORITY;
 
     fn shifted_priority(task: &Task) -> Priority {
         Priority::new(
@@ -120,7 +118,8 @@ impl SemiPartitionedDmPm {
     }
 
     /// Largest pure execution budget the acceptance test still admits as a
-    /// promoted body piece on a core currently holding `core_tasks`.
+    /// promoted body piece on a core currently holding `core_tasks` (the
+    /// exact frontier, shared with FP-TS through the `split_budget` module).
     fn max_body_budget(
         &self,
         core_tasks: &[Task],
@@ -128,42 +127,20 @@ impl SemiPartitionedDmPm {
         max_budget: Time,
         piece_index: usize,
     ) -> Time {
-        let overhead = self.body_piece_overhead(piece_index);
-        let fits = |budget: Time| -> bool {
-            if budget.is_zero() {
-                return true;
-            }
-            let wcet = budget + overhead;
-            let Ok(piece) = Task::builder(template.id())
-                .wcet(wcet)
-                .period(template.period())
-                .deadline(wcet.min(template.period()))
-                .priority(Self::BODY_PRIORITY)
-                .build()
-            else {
-                return false;
-            };
-            let mut candidate = core_tasks.to_vec();
-            candidate.push(piece);
-            self.test.accepts(&candidate)
-        };
-        if !fits(self.min_split_budget.max(Time::from_nanos(1))) {
-            return Time::ZERO;
-        }
-        if fits(max_budget) {
-            return max_budget;
-        }
-        let mut lo = self.min_split_budget.max(Time::from_nanos(1));
-        let mut hi = max_budget;
-        while hi.saturating_sub(lo) > Time::from_nanos(100) {
-            let mid = Time::from_nanos((lo.as_nanos() + hi.as_nanos()) / 2);
-            if fits(mid) {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        let exact = (self.test == UniprocessorTest::ResponseTime)
+            .then(|| CachedCoreAnalysis::from_tasks(core_tasks));
+        crate::split_budget::max_body_budget(
+            exact.as_ref(),
+            template,
+            self.body_piece_overhead(piece_index),
+            self.min_split_budget,
+            max_budget,
+            |piece| {
+                let mut candidate = core_tasks.to_vec();
+                candidate.push(piece.clone());
+                self.test.accepts(&candidate)
+            },
+        )
     }
 
     /// Analysis task for the final (tail) piece of a split task.
@@ -232,15 +209,9 @@ impl SemiPartitionedDmPm {
             if budget < self.min_split_budget || budget.is_zero() {
                 continue;
             }
-            let wcet = budget + piece_overhead;
-            let piece = Task::builder(task.id())
-                .wcet(wcet)
-                .period(task.period())
-                .deadline(wcet.min(task.period()))
-                .priority(Self::BODY_PRIORITY)
-                .build()
-                .map_err(|e| format!("internal error building body subtask: {e}"))?;
-            offset += wcet;
+            let piece = crate::split_budget::body_piece(task, budget, piece_overhead)
+                .ok_or_else(|| format!("internal error building body subtask of {}", task.id()))?;
+            offset += piece.wcet();
             remaining -= budget;
             pieces.push((core, piece, budget));
         }

@@ -258,9 +258,8 @@ impl SemiPartitionedFpTs {
     /// The largest body budget (pure execution, excluding any overhead) that
     /// the acceptance test still admits on `core`, bounded by `max_budget`.
     /// Returns `Time::ZERO` when not even the smallest budget fits. The
-    /// `C = D` piece construction and the binary search over the acceptance
-    /// frontier are shared with the online incremental placer
-    /// (`split_budget` module).
+    /// `C = D` piece construction and the exact frontier search are shared
+    /// with the online incremental placer (`split_budget` module).
     fn max_body_budget(
         &self,
         bins: &Bins,
@@ -269,13 +268,14 @@ impl SemiPartitionedFpTs {
         max_budget: Time,
         piece_index: usize,
     ) -> Time {
-        let overhead = self.body_piece_overhead(piece_index);
-        crate::split_budget::max_accepted_budget(self.min_split_budget, max_budget, |budget| {
-            match crate::split_budget::body_piece(template, budget, overhead) {
-                Some(piece) => bins.accepts(self.test, core, &piece),
-                None => false,
-            }
-        })
+        crate::split_budget::max_body_budget(
+            bins.caches.as_ref().map(|caches| &caches[core]),
+            template,
+            self.body_piece_overhead(piece_index),
+            self.min_split_budget,
+            max_budget,
+            |piece| bins.accepts(self.test, core, piece),
+        )
     }
 
     /// Builds the analysis task for the final (tail or whole) placement of

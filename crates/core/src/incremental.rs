@@ -37,7 +37,7 @@
 //! [`PartitionedFixedPriority`]: crate::PartitionedFixedPriority
 
 use serde::{Deserialize, Serialize};
-use spms_analysis::{rta, OverheadModel, ProbeWarmth, UniprocessorTest};
+use spms_analysis::{rta, CachedCoreAnalysis, OverheadModel, UniprocessorTest};
 use spms_task::{Task, TaskId, Time};
 use spms_telemetry::{scoped, HotCounter};
 
@@ -108,12 +108,6 @@ pub struct IncrementalPlacer {
     pub overhead: OverheadModel,
     /// Smallest body-subtask budget worth carving.
     pub min_split_budget: Time,
-    /// Whether the split-budget binary search threads a
-    /// [`ProbeWarmth`] across its probes of one core (each probe
-    /// warm-starts from the last accepted smaller-budget probe). Verdicts
-    /// are bit-identical either way; disabling exists for benchmarking the
-    /// cold probes the warm starts replace.
-    pub probe_warm_start: bool,
 }
 
 impl Default for IncrementalPlacer {
@@ -122,7 +116,6 @@ impl Default for IncrementalPlacer {
             test: UniprocessorTest::ResponseTime,
             overhead: OverheadModel::zero(),
             min_split_budget: Time::from_micros(100),
-            probe_warm_start: true,
         }
     }
 }
@@ -149,13 +142,6 @@ impl IncrementalPlacer {
     /// Sets the smallest admissible body-subtask budget (builder style).
     pub fn with_min_split_budget(mut self, budget: Time) -> Self {
         self.min_split_budget = budget;
-        self
-    }
-
-    /// Enables or disables cross-probe warm starts in the split-budget
-    /// search (builder style).
-    pub fn with_probe_warm_start(mut self, enabled: bool) -> Self {
-        self.probe_warm_start = enabled;
         self
     }
 
@@ -212,8 +198,8 @@ impl IncrementalPlacer {
 
     /// Plans an FP-TS-style split of a single task across the residual
     /// capacity of the partition: body pieces are carved on the cores with
-    /// the most residual utilization (largest budget the acceptance test
-    /// still admits, found by binary search), and the tail lands on the
+    /// the most residual utilization (the exact largest budget the
+    /// acceptance test still admits), and the tail lands on the
     /// first core that accepts what remains. Does not modify the partition.
     ///
     /// Returns `None` when no split placement exists under the constraints
@@ -578,9 +564,8 @@ impl IncrementalPlacer {
 
     /// The largest body budget (pure execution) the acceptance test still
     /// admits on `core`, bounded by `max_budget`; `Time::ZERO` when not even
-    /// the minimum budget fits. The piece construction and the binary search
-    /// over the acceptance frontier are shared with the offline FP-TS pass
-    /// (`split_budget` module); only the acceptance predicate differs.
+    /// the minimum budget fits. The piece construction and the frontier
+    /// search are shared with the offline passes (`split_budget` module).
     fn max_body_budget(
         &self,
         partition: &Partition,
@@ -598,6 +583,10 @@ impl IncrementalPlacer {
     /// overhead already resolved — the form the cross-shard planner uses,
     /// whose charging rule (every cross-shard piece absorbs one charge)
     /// differs from the intra-shard chain rule.
+    ///
+    /// Under the exact RTA the budget is one frontier scan of the core's
+    /// converged analysis (the partition's cache, or a scratch analysis of
+    /// the core), counted as one split probe.
     fn max_body_budget_with_overhead(
         &self,
         partition: &Partition,
@@ -606,28 +595,36 @@ impl IncrementalPlacer {
         max_budget: Time,
         overhead: Time,
     ) -> Time {
-        // Every probe of this search hits the same core with the same
-        // template at a different budget: thread one warm-start state
-        // through them so each probe resumes from the last accepted
-        // (smaller) budget's converged response times. Bit-identical to
-        // cold probes; only the iteration count drops.
-        let mut warmth = ProbeWarmth::new();
-        let warm_cache = (self.probe_warm_start && self.test == UniprocessorTest::ResponseTime)
-            .then(|| partition.cached_core(core))
-            .flatten();
-        crate::split_budget::max_accepted_budget(self.min_split_budget, max_budget, |budget| {
-            match crate::split_budget::body_piece(template, budget, overhead) {
-                Some(piece) => match warm_cache {
-                    Some(cache) => {
-                        scoped::bump(HotCounter::SplitProbes);
-                        scoped::bump(HotCounter::CacheProbeHits);
-                        cache.accepts_prioritised_warm(&piece, &mut warmth)
-                    }
-                    None => self.core_accepts(partition, core, &piece, true),
-                },
-                None => false,
+        let scratch;
+        let exact = if self.test == UniprocessorTest::ResponseTime {
+            scoped::bump(HotCounter::SplitProbes);
+            match partition.cached_core(core) {
+                Some(cache) => {
+                    scoped::bump(HotCounter::CacheProbeHits);
+                    Some(cache)
+                }
+                None => {
+                    scoped::bump(HotCounter::CacheProbeMisses);
+                    scratch = CachedCoreAnalysis::from_tasks(&normalized_tasks(
+                        partition
+                            .core(core)
+                            .iter()
+                            .map(|p| (p.task.clone(), p.is_split())),
+                    ));
+                    Some(&scratch)
+                }
             }
-        })
+        } else {
+            None
+        };
+        crate::split_budget::max_body_budget(
+            exact,
+            template,
+            overhead,
+            self.min_split_budget,
+            max_budget,
+            |piece| self.core_accepts(partition, core, piece, true),
+        )
     }
 
     /// Plans the **body half** of a shard-spanning split on this (donor)
@@ -769,15 +766,23 @@ fn has_reserved_level(task: &Task) -> bool {
 
 /// The per-core analysis task list with `candidate` included and whole-task
 /// priorities renormalized (split pieces keep their reserved levels) — the
-/// exact ranking [`Partition::renormalize_core_priorities`] will commit,
-/// via the shared `assign_whole_priorities` helper.
+/// exact ranking [`Partition::renormalize_core_priorities`] will commit.
 fn normalized_candidate_tasks(
     bin: &[PlacedTask],
     candidate: Task,
     candidate_is_split: bool,
 ) -> Vec<Task> {
-    let mut tasks: Vec<(Task, bool)> = bin.iter().map(|p| (p.task.clone(), p.is_split())).collect();
-    tasks.push((candidate, candidate_is_split));
+    normalized_tasks(
+        bin.iter()
+            .map(|p| (p.task.clone(), p.is_split()))
+            .chain([(candidate, candidate_is_split)]),
+    )
+}
+
+/// Renormalizes the whole tasks among `(task, is_split)` pairs through the
+/// shared `assign_whole_priorities` helper; split pieces keep their levels.
+fn normalized_tasks(tasks: impl IntoIterator<Item = (Task, bool)>) -> Vec<Task> {
+    let mut tasks: Vec<(Task, bool)> = tasks.into_iter().collect();
     crate::placement::assign_whole_priorities(
         tasks
             .iter_mut()

@@ -1,16 +1,20 @@
 //! Shared body-piece construction and budget search for task splitting.
 //!
-//! Both the offline FP-TS pass ([`SemiPartitionedFpTs`]) and the online
-//! [`IncrementalPlacer`] carve body subtasks the same way: a `C = D` piece
-//! at the promoted body priority, sized to the largest budget the per-core
-//! acceptance test still admits (found by binary search over the monotone
-//! acceptance frontier). This module is the single implementation both call
-//! — only the acceptance predicate differs (a plain task list offline, a
-//! priority-normalized partition core online).
+//! The offline FP-TS and DM-PM passes ([`SemiPartitionedFpTs`],
+//! [`SemiPartitionedDmPm`]) and the online [`IncrementalPlacer`] carve body
+//! subtasks the same way: a `C = D` piece at the promoted body priority,
+//! sized to the largest budget the per-core acceptance test still admits.
+//! This module is the single implementation all three call. Under the
+//! exact RTA the budget is read off the core's analysis in one time-demand
+//! scan ([`CachedCoreAnalysis::max_prioritised_wcet`]); other tests search
+//! the monotone acceptance frontier by bisection. Both return the exact
+//! frontier, so which one runs never changes a plan.
 //!
 //! [`SemiPartitionedFpTs`]: crate::SemiPartitionedFpTs
+//! [`SemiPartitionedDmPm`]: crate::SemiPartitionedDmPm
 //! [`IncrementalPlacer`]: crate::IncrementalPlacer
 
+use spms_analysis::CachedCoreAnalysis;
 use spms_task::{Task, Time};
 
 /// Builds the analysis task of a body piece: `budget` pure execution plus
@@ -29,21 +33,47 @@ pub(crate) fn body_piece(template: &Task, budget: Time, overhead: Time) -> Optio
 }
 
 /// The largest pure-execution budget in `[min_split_budget, max_budget]`
-/// that `accepts` still admits, or [`Time::ZERO`] when not even the minimum
-/// fits. `accepts` must be monotone (a smaller budget never fails where a
-/// larger one passes); the frontier is located by binary search to 100 ns.
+/// whose body piece (`template`'s period, `overhead` on top) the core still
+/// admits, or [`Time::ZERO`] when not even the minimum fits.
 ///
-/// The predicate is `FnMut` so callers can thread state *across* probes:
-/// the online placer carries a [`ProbeWarmth`](spms_analysis::ProbeWarmth)
-/// that warm-starts each probe's fixed points from the last accepted
-/// (smaller-budget) probe, cutting the re-convergence work of the search
-/// roughly in half without changing any verdict.
-pub(crate) fn max_accepted_budget(
+/// `exact` is the core's converged RTA state when the acceptance test is
+/// the exact RTA: the budget is then the frontier its scan reports. Without
+/// it, or when the scan declines, the frontier is bisected to the
+/// nanosecond with `accepts` probing one body piece per step.
+pub(crate) fn max_body_budget(
+    exact: Option<&CachedCoreAnalysis>,
+    template: &Task,
+    overhead: Time,
     min_split_budget: Time,
+    max_budget: Time,
+    mut accepts: impl FnMut(&Task) -> bool,
+) -> Time {
+    let floor = min_split_budget.max(Time::from_nanos(1));
+    if floor > max_budget {
+        return Time::ZERO;
+    }
+    let Some(smallest) = body_piece(template, floor, overhead) else {
+        return Time::ZERO;
+    };
+    if let Some(wcet) =
+        exact.and_then(|core| core.max_prioritised_wcet(&smallest, max_budget + overhead))
+    {
+        return wcet.saturating_sub(overhead);
+    }
+    max_accepted_budget(floor, max_budget, |budget| {
+        body_piece(template, budget, overhead).is_some_and(|piece| accepts(&piece))
+    })
+}
+
+/// The largest budget in `[floor, max_budget]` that `accepts` still admits,
+/// or [`Time::ZERO`] when not even `floor` does. `accepts` must be monotone
+/// (a smaller budget never fails where a larger one passes); the frontier
+/// is bisected to the nanosecond.
+fn max_accepted_budget(
+    floor: Time,
     max_budget: Time,
     mut accepts: impl FnMut(Time) -> bool,
 ) -> Time {
-    let floor = min_split_budget.max(Time::from_nanos(1));
     if !accepts(floor) {
         return Time::ZERO;
     }
@@ -52,7 +82,7 @@ pub(crate) fn max_accepted_budget(
     }
     let mut lo = floor;
     let mut hi = max_budget;
-    while hi.saturating_sub(lo) > Time::from_nanos(100) {
+    while hi.saturating_sub(lo) > Time::from_nanos(1) {
         let mid = Time::from_nanos((lo.as_nanos() + hi.as_nanos()) / 2);
         if accepts(mid) {
             lo = mid;
@@ -66,15 +96,16 @@ pub(crate) fn max_accepted_budget(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spms_analysis::rta;
+    use spms_task::Priority;
 
     #[test]
     fn budget_search_finds_the_frontier() {
-        let threshold = Time::from_micros(700);
+        let threshold = Time::from_nanos(700_123);
         let budget = max_accepted_budget(Time::from_micros(100), Time::from_millis(5), |b| {
             b <= threshold
         });
-        assert!(budget <= threshold);
-        assert!(threshold.saturating_sub(budget) <= Time::from_nanos(100));
+        assert_eq!(budget, threshold);
     }
 
     #[test]
@@ -83,6 +114,39 @@ mod tests {
         assert_eq!(all, Time::from_millis(1));
         let none = max_accepted_budget(Time::from_micros(100), Time::from_millis(1), |_| false);
         assert_eq!(none, Time::ZERO);
+    }
+
+    #[test]
+    fn scan_and_bisection_carve_the_same_budget() {
+        // A core at 75% with three harmonic-ish periods; the body piece has
+        // a 40 µs overhead on top of its budget.
+        let mut tasks = Vec::new();
+        for (id, wcet_ms, period_ms) in [(0u32, 2u64, 10u64), (1, 5, 20), (2, 12, 50)] {
+            let mut t =
+                Task::new(id, Time::from_millis(wcet_ms), Time::from_millis(period_ms)).unwrap();
+            t.set_priority(Priority::new(crate::WHOLE_PRIORITY_BASE + id));
+            tasks.push(t);
+        }
+        let cache = CachedCoreAnalysis::from_tasks(&tasks);
+        let template = Task::new(7, Time::from_millis(9), Time::from_millis(25)).unwrap();
+        let overhead = Time::from_micros(40);
+        let accepts = |piece: &Task| {
+            let mut combined = tasks.clone();
+            combined.push(piece.clone());
+            rta::is_core_schedulable(&combined)
+        };
+        for max_budget in [
+            Time::from_micros(500),
+            Time::from_millis(5),
+            Time::from_millis(9),
+        ] {
+            let min = Time::from_micros(100);
+            let scanned =
+                max_body_budget(Some(&cache), &template, overhead, min, max_budget, accepts);
+            let bisected = max_body_budget(None, &template, overhead, min, max_budget, accepts);
+            assert_eq!(scanned, bisected, "max budget {max_budget}");
+            assert!(!scanned.is_zero());
+        }
     }
 
     #[test]

@@ -1,19 +1,17 @@
 //! The admission-cascade regression bench: cached vs. from-scratch RTA,
-//! journal vs. clone rollback, warm vs. cold split probes.
+//! journal vs. clone rollback.
 //!
 //! For every point of a target-utilization sweep this driver generates churn
-//! traces and drives **four** controllers over each:
+//! traces and drives **three** controllers over each:
 //!
 //! * `cached` — the production configuration (incremental RTA cache,
-//!   journal-based rollback, cross-probe warm starts),
+//!   journal-based rollback),
 //! * `scratch` — RTA cache disabled
 //!   (`OnlineConfig::builder().rta_cache(false)`),
 //! * `clone` — journal disabled (`.journal(false)`): repair/split
-//!   rollback snapshots the whole partition per attempt, the PR 3 baseline,
-//! * `cold` — cross-probe warm starts disabled
-//!   (`.probe_warm_start(false)`).
+//!   rollback snapshots the whole partition per attempt.
 //!
-//! All four must produce byte-identical serialized decision logs (the three
+//! All three must produce byte-identical serialized decision logs (the two
 //! optimisations are pure mechanism; only the policy knob
 //! `OnlineConfig::repair_ranking` may change decisions, and it is held
 //! fixed here). The correctness half of the output (decision counts, the
@@ -47,7 +45,6 @@ struct TraceOutcome {
     cached: Duration,
     scratch: Duration,
     clone_rollback: Duration,
-    cold_probe: Duration,
 }
 
 /// Aggregated behaviour at one target-utilization point (deterministic
@@ -71,21 +68,17 @@ pub struct RtaCachePoint {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct RtaCacheTiming {
     /// Total nanoseconds deciding every trace with the full cascade
-    /// (cache + journal + warm probes).
+    /// (cache + journal).
     pub cached_ns: u64,
     /// Total nanoseconds deciding every trace with from-scratch RTA.
     pub scratch_ns: u64,
     /// Total nanoseconds with clone-based rollback instead of the journal.
     pub clone_rollback_ns: u64,
-    /// Total nanoseconds with cold split probes instead of warm starts.
-    pub cold_probe_ns: u64,
     /// `scratch_ns / cached_ns` — how many times faster the cached fast
     /// path answered (> 1.0 means the cache wins).
     pub speedup: f64,
     /// `clone_rollback_ns / cached_ns` — what journal rollback buys.
     pub journal_speedup: f64,
-    /// `cold_probe_ns / cached_ns` — what cross-probe warm starts buy.
-    pub warm_probe_speedup: f64,
 }
 
 /// Results of a cascade comparison sweep.
@@ -93,8 +86,8 @@ pub struct RtaCacheTiming {
 pub struct RtaCacheResults {
     points: Vec<RtaCachePoint>,
     /// Whether every trace produced byte-identical serialized decision logs
-    /// from all four controller variants (cached / scratch / clone-rollback
-    /// / cold-probe).
+    /// from all three controller variants (cached / scratch /
+    /// clone-rollback).
     pub decision_logs_identical: bool,
     /// Whether the cached (journal-based) controller decided every trace
     /// without a single partition snapshot clone.
@@ -134,8 +127,7 @@ impl RtaCacheResults {
             "\ndecision logs identical: {} (digest {:#018x})\n\
              journal hot path clone-free: {}\n\
              cached {} ns vs scratch {} ns — speedup {:.2}x\n\
-             journal vs clone rollback: {} ns vs {} ns — {:.2}x\n\
-             warm vs cold split probes: {} ns vs {} ns — {:.2}x\n",
+             journal vs clone rollback: {} ns vs {} ns — {:.2}x\n",
             self.decision_logs_identical,
             self.decisions_digest,
             self.journal_clone_free,
@@ -145,9 +137,6 @@ impl RtaCacheResults {
             self.timing.cached_ns,
             self.timing.clone_rollback_ns,
             self.timing.journal_speedup,
-            self.timing.cached_ns,
-            self.timing.cold_probe_ns,
-            self.timing.warm_probe_speedup,
         ));
         out
     }
@@ -290,11 +279,9 @@ impl RtaCacheBenchmark {
                         drive(base().rta_cache(false).build(), &events)?;
                     let (clone_rollback, clone_elapsed) =
                         drive(base().journal(false).build(), &events)?;
-                    let (cold_probe, cold_elapsed) =
-                        drive(base().probe_warm_start(false).build(), &events)?;
 
                     let cached_log = serialize_log(cached.decisions());
-                    let log_identical = [&scratch, &clone_rollback, &cold_probe]
+                    let log_identical = [&scratch, &clone_rollback]
                         .iter()
                         .all(|c| serialize_log(c.decisions()) == cached_log);
                     Some(TraceOutcome {
@@ -307,7 +294,6 @@ impl RtaCacheBenchmark {
                         cached: cached_elapsed,
                         scratch: scratch_elapsed,
                         clone_rollback: clone_elapsed,
-                        cold_probe: cold_elapsed,
                     })
                 },
             );
@@ -331,7 +317,6 @@ impl RtaCacheBenchmark {
                 timing.cached_ns += outcome.cached.as_nanos() as u64;
                 timing.scratch_ns += outcome.scratch.as_nanos() as u64;
                 timing.clone_rollback_ns += outcome.clone_rollback.as_nanos() as u64;
-                timing.cold_probe_ns += outcome.cold_probe.as_nanos() as u64;
             }
             points.push(RtaCachePoint {
                 normalized_utilization: target,
@@ -349,7 +334,6 @@ impl RtaCacheBenchmark {
         };
         timing.speedup = ratio(timing.scratch_ns, timing.cached_ns);
         timing.journal_speedup = ratio(timing.clone_rollback_ns, timing.cached_ns);
-        timing.warm_probe_speedup = ratio(timing.cold_probe_ns, timing.cached_ns);
         RtaCacheResults {
             points,
             decision_logs_identical: identical,
@@ -413,7 +397,7 @@ mod tests {
         let results = quick().run();
         assert!(
             results.decision_logs_identical,
-            "cached / scratch / clone-rollback / cold-probe logs diverged"
+            "cached / scratch / clone-rollback logs diverged"
         );
         assert!(
             results.journal_clone_free,
@@ -453,7 +437,6 @@ mod tests {
         assert!(md.contains("decision logs identical: true"));
         assert!(md.contains("journal hot path clone-free: true"));
         assert!(md.contains("journal vs clone rollback"));
-        assert!(md.contains("warm vs cold split probes"));
         assert!(md.contains("speedup"));
         let csv = results.render_csv();
         assert!(csv.starts_with("normalized_utilization,arrivals,admitted,rta_cap_exhaustions"));

@@ -25,17 +25,17 @@
 //! analysis cache
 //! ([`Partition::enable_analysis_cache`](spms_core::Partition::enable_analysis_cache)):
 //! one [`CachedCoreAnalysis`](spms_analysis::CachedCoreAnalysis) per core
-//! threads through all four stages — placement and split probes answer from
-//! memoized response times (with warm starts carried *across* the split
-//! planner's budget-search probes), and a full-repartition adoption
+//! threads through all four stages — placement probes answer from memoized
+//! response times, split bodies are read off the exact budget frontier of
+//! those responses in one scan, and a full-repartition adoption
 //! re-attaches a fresh cache. Speculative stages run inside the partition's
 //! mutation journal ([`Partition::enable_journal`](spms_core::Partition::enable_journal)):
 //! a failed repair attempt rewinds placements, priorities and cache state
 //! in O(moves) instead of restoring a full-partition snapshot, so the
 //! whole cascade is clone-free (`Partition::clone_count` proves it).
-//! Decisions are bit-identical with the cache, journal and warm starts on
-//! or off ([`OnlineConfig::use_rta_cache`], [`OnlineConfig::use_journal`],
-//! [`OnlineConfig::probe_warm_start`]); only the latency changes. The one
+//! Decisions are bit-identical with the cache and journal on or off
+//! ([`OnlineConfig::use_rta_cache`], [`OnlineConfig::use_journal`]); only
+//! the latency changes. The one
 //! *policy* knob is the repair victim ranking
 //! ([`OnlineConfig::repair_ranking`], slack-guided by default).
 //!
@@ -128,11 +128,6 @@ pub struct OnlineConfig {
     /// disabling it exists for benchmarking the clone-based rollback the
     /// journal replaces.
     pub use_journal: bool,
-    /// Whether the split-budget binary search carries warm starts across
-    /// its probes of one core (effective only with the RTA cache).
-    /// Decisions are bit-identical either way; disabling it exists for
-    /// benchmarking the cold probes the warm starts replace.
-    pub probe_warm_start: bool,
     /// How the bounded-repair pass ranks eviction victims. This is a
     /// *policy* knob: the two rankings can make genuinely different (both
     /// sound) admit/reject decisions.
@@ -225,7 +220,6 @@ impl Default for OnlineConfig {
             allow_fallback: true,
             use_rta_cache: true,
             use_journal: true,
-            probe_warm_start: true,
             repair_ranking: RepairRanking::Slack,
             cost_model: CostModelSpec::Zero,
             cross_shard_split: false,
@@ -302,13 +296,6 @@ impl OnlineConfig {
         self
     }
 
-    /// Enables or disables cross-probe warm starts (builder style).
-    #[deprecated(note = "use OnlineConfig::builder().probe_warm_start(..)")]
-    pub fn with_probe_warm_start(mut self, enabled: bool) -> Self {
-        self.probe_warm_start = enabled;
-        self
-    }
-
     /// Sets the repair victim-ranking policy (builder style).
     #[deprecated(note = "use OnlineConfig::builder().repair_ranking(..)")]
     pub fn with_repair_ranking(mut self, ranking: RepairRanking) -> Self {
@@ -372,12 +359,6 @@ impl OnlineConfigBuilder {
     /// Enables or disables journal-based rollback.
     pub fn journal(mut self, enabled: bool) -> Self {
         self.config.use_journal = enabled;
-        self
-    }
-
-    /// Enables or disables cross-probe warm starts.
-    pub fn probe_warm_start(mut self, enabled: bool) -> Self {
-        self.config.probe_warm_start = enabled;
         self
     }
 
@@ -701,8 +682,7 @@ impl AdmissionController {
         let placer = IncrementalPlacer::new()
             .with_test(config.test)
             .with_overhead(config.overhead)
-            .with_min_split_budget(config.min_split_budget)
-            .with_probe_warm_start(config.probe_warm_start);
+            .with_min_split_budget(config.min_split_budget);
         let mut partition = Partition::new(config.cores);
         // The cache pays off only under the exact RTA (the utilization
         // bounds are already O(n) per probe).
@@ -1037,8 +1017,7 @@ impl AdmissionController {
     /// the core needing the least utilization shed is tried first, so the
     /// common case commits on the first attempt and rejected-target rewinds
     /// drop. Ties break on core index, keeping the order deterministic and
-    /// independent of every pure-mechanism knob (cache / journal / warm
-    /// probes).
+    /// independent of every pure-mechanism knob (cache / journal).
     fn repair_target_order(&self, task: &Task) -> Vec<CoreId> {
         let utilizations = self.partition.core_utilizations();
         let mut scored: Vec<(bool, f64, usize)> = (0..self.config.cores)
@@ -1767,9 +1746,10 @@ mod tests {
     }
 
     #[test]
-    fn warm_and_cold_probes_decide_identically() {
-        // Cross-probe warm starts only change iteration counts, never
-        // verdicts: identical decisions on a split-heavy trace.
+    fn split_bodies_sit_on_the_exact_frontier() {
+        // Every body a fast split carves is as large as its core allows:
+        // either it used all the budget the chain offered, or one more
+        // nanosecond makes the core unschedulable from scratch.
         let events = crate::ChurnGenerator::new()
             .cores(4)
             .target_normalized_utilization(0.95)
@@ -1777,20 +1757,52 @@ mod tests {
             .seed(13)
             .generate()
             .unwrap();
-        let mut warm = AdmissionController::new(OnlineConfig::new(4)).unwrap();
-        let mut cold = AdmissionController::new(
-            OnlineConfig::builder()
-                .cores(4)
-                .probe_warm_start(false)
-                .build(),
-        )
-        .unwrap();
-        assert_eq!(warm.handle_all(&events), cold.handle_all(&events));
-        assert_eq!(warm.partition(), cold.partition());
-        assert!(
-            warm.stats().fast_split > 0,
-            "the trace never exercised the split path"
-        );
+        let mut controller = AdmissionController::new(OnlineConfig::new(4)).unwrap();
+        let mut bodies = 0;
+        for event in &events {
+            let decision = controller.handle_event(event);
+            let (
+                DecisionKind::Admitted {
+                    path: DecisionPath::FastSplit,
+                    ..
+                },
+                WorkloadEvent::Arrive(task),
+            ) = (decision.kind, event)
+            else {
+                continue;
+            };
+            let partition = controller.partition();
+            let placements = partition.placements_of(task.id());
+            let (core, body) = placements
+                .iter()
+                .find(|(_, p)| p.split.as_ref().is_some_and(|s| s.part_index == 0))
+                .expect("a split admission carves a first body");
+            let offered = (task.wcet() - Time::from_nanos(1)).min(task.deadline());
+            if body.execution == offered {
+                continue;
+            }
+            let wider = Task::builder(task.id())
+                .wcet(body.task.wcet() + Time::from_nanos(1))
+                .period(task.period())
+                .deadline(body.task.wcet() + Time::from_nanos(1))
+                .priority(spms_core::BODY_PRIORITY)
+                .build()
+                .unwrap();
+            let mut core_tasks: Vec<Task> = partition
+                .core(*core)
+                .iter()
+                .filter(|p| p.parent != task.id())
+                .map(|p| p.task.clone())
+                .collect();
+            core_tasks.push(wider);
+            assert!(
+                !spms_analysis::rta::is_core_schedulable(&core_tasks),
+                "body of task {} stopped short of its frontier",
+                task.id()
+            );
+            bodies += 1;
+        }
+        assert!(bodies > 0, "the trace never carved a frontier-bound body");
     }
 
     #[test]
@@ -2174,7 +2186,6 @@ mod tests {
             .fallback(false)
             .rta_cache(false)
             .journal(false)
-            .probe_warm_start(false)
             .repair_ranking(RepairRanking::Utilization)
             .build();
         let via_shims = OnlineConfig::new(3)
@@ -2184,7 +2195,6 @@ mod tests {
             .with_fallback(false)
             .with_rta_cache(false)
             .with_journal(false)
-            .with_probe_warm_start(false)
             .with_repair_ranking(RepairRanking::Utilization);
         assert_eq!(via_builder, via_shims);
     }

@@ -142,7 +142,7 @@ const COMMANDS: &[(&str, &str, &str)] = &[
     ),
     (
         "rtabench",
-        "Admission-cascade bench: cache, journal rollback, warm probes (E12/E13)",
+        "Admission-cascade bench: cache, journal rollback (E12/E13)",
         "    --cores <N>             Number of processors [default: 4]
     --events <N>            Arrive/depart events per churn trace [default: 120]
     --points <a,b,..>       Target normalized-utilization sweep points
