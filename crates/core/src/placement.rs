@@ -299,21 +299,23 @@ pub enum CacheAuditVerdict {
 ///
 /// # The mutation journal
 ///
-/// [`enable_journal`](Self::enable_journal) attaches a mutation journal;
-/// [`journal_begin`](Self::journal_begin) opens a rollback scope in which
-/// every [`place`](Self::place), [`remove_parent`](Self::remove_parent) and
-/// [`renormalize_core_priorities`](Self::renormalize_core_priorities)
+/// Every partition carries a mutation journal. It is idle — records
+/// nothing and costs nothing — until
+/// [`journal_begin`](Self::journal_begin) opens a rollback scope; inside
+/// one, every [`place`](Self::place), [`remove_parent`](Self::remove_parent)
+/// and [`renormalize_core_priorities`](Self::renormalize_core_priorities)
 /// records an undo entry (including the touched analysis-cache state), and
 /// [`rewind`](Self::rewind) restores the partition to a mark in O(recorded
 /// moves) instead of the O(tasks) full-partition clone a snapshot would
-/// cost. The online controller's bounded repair and split rollback run on
-/// this journal; [`clone_count`](Self::clone_count) proves the hot path
-/// stays clone-free.
+/// cost. The journal is the one rollback mechanism: the online
+/// controller's bounded repair, split and cross-shard planning all run on
+/// it, and [`clone_count`](Self::clone_count) proves the hot path stays
+/// clone-free.
 #[derive(Debug, Default)]
 pub struct Partition {
     cores: Vec<Vec<PlacedTask>>,
     cache: Option<Vec<CoreCacheSlot>>,
-    journal: Option<Journal>,
+    journal: Journal,
     /// Whether split chains may end at a shard boundary: a body piece with
     /// `next_core: None` whose later pieces live in *another* shard's
     /// partition. Off by default; the cross-shard split planner opts in.
@@ -322,7 +324,7 @@ pub struct Partition {
 
 /// Clones the placements and the attached analysis cache. The mutation
 /// journal is instance-local rollback state and does *not* travel: the clone
-/// gets a fresh, empty journal (still enabled when the source had one).
+/// gets a fresh, idle journal.
 /// Every clone increments the calling thread's counter behind
 /// [`Partition::clone_count`] so rollback paths can prove they stopped
 /// snapshotting.
@@ -332,7 +334,7 @@ impl Clone for Partition {
         Partition {
             cores: self.cores.clone(),
             cache: self.cache.clone(),
-            journal: self.journal.as_ref().map(|_| Journal::default()),
+            journal: Journal::default(),
             partial_chains: self.partial_chains,
         }
     }
@@ -361,7 +363,7 @@ impl Deserialize for Partition {
         Ok(Partition {
             cores: Vec::<Vec<PlacedTask>>::from_value(value.field("cores")?)?,
             cache: None,
-            journal: None,
+            journal: Journal::default(),
             partial_chains: false,
         })
     }
@@ -373,7 +375,7 @@ impl Partition {
         Partition {
             cores: vec![Vec::new(); cores],
             cache: None,
-            journal: None,
+            journal: Journal::default(),
             partial_chains: false,
         }
     }
@@ -415,54 +417,35 @@ impl Partition {
         scoped::reset_thread(HotCounter::PartitionClones);
     }
 
-    /// Attaches a mutation journal (initially idle: nothing is recorded
-    /// until a rollback scope is opened with
-    /// [`journal_begin`](Self::journal_begin)). See the
-    /// [struct docs](Self#the-mutation-journal).
-    pub fn enable_journal(&mut self) {
-        if self.journal.is_none() {
-            self.journal = Some(Journal::default());
-        }
-    }
-
-    /// Whether a mutation journal is attached.
-    pub fn journal_enabled(&self) -> bool {
-        self.journal.is_some()
-    }
-
     /// Opens a rollback scope: subsequent mutations record undo entries
     /// until the matching [`journal_end`](Self::journal_end). Scopes nest
     /// (each `journal_begin` must be paired with one `journal_end`; the
     /// undo log is kept until the outermost scope closes). Returns the
-    /// mark to [`rewind`](Self::rewind) to. No-op mark when no journal is
-    /// attached.
+    /// mark to [`rewind`](Self::rewind) to. See the
+    /// [struct docs](Self#the-mutation-journal).
     pub fn journal_begin(&mut self) -> JournalMark {
         self.reconcile_abandoned_scopes();
-        match &mut self.journal {
-            Some(journal) => {
-                scoped::bump(HotCounter::JournalBegins);
-                journal.depth += 1;
-                journal.open.push(OpenScope {
-                    mark: journal.ops.len(),
-                    abandoned: Arc::new(AtomicBool::new(false)),
-                });
-                JournalMark(journal.ops.len())
-            }
-            None => JournalMark(0),
-        }
+        scoped::bump(HotCounter::JournalBegins);
+        let journal = &mut self.journal;
+        journal.depth += 1;
+        journal.open.push(OpenScope {
+            mark: journal.ops.len(),
+            abandoned: Arc::new(AtomicBool::new(false)),
+        });
+        JournalMark(journal.ops.len())
     }
 
     /// The abandonment token of the innermost open rollback scope, shared
     /// with the scope's owner so a dropped-without-close owner (an early
     /// return or unwinding [`PlanTxn`](crate::PlanTxn)) can flag the scope
-    /// for auto-abort. `None` when no journal is attached or no scope is
-    /// open.
-    pub(crate) fn current_scope_guard(&self) -> Option<Arc<AtomicBool>> {
-        self.journal
-            .as_ref()?
-            .open
-            .last()
-            .map(|scope| Arc::clone(&scope.abandoned))
+    /// for auto-abort.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no scope is open.
+    pub(crate) fn current_scope_guard(&self) -> Arc<AtomicBool> {
+        let scope = self.journal.open.last().expect("no open journal scope");
+        Arc::clone(&scope.abandoned)
     }
 
     /// Auto-aborts every innermost open scope whose owner flagged it
@@ -477,10 +460,7 @@ impl Partition {
     pub fn reconcile_abandoned_scopes(&mut self) -> usize {
         let mut closed = 0;
         loop {
-            let Some(journal) = &self.journal else {
-                return closed;
-            };
-            let Some(top) = journal.open.last() else {
+            let Some(top) = self.journal.open.last() else {
                 return closed;
             };
             if !top.abandoned.load(Ordering::Relaxed) {
@@ -489,9 +469,9 @@ impl Partition {
             // An enclosing rewind may already have dropped past the
             // abandoned scope's start; clamp so the rewind below only ever
             // undoes what is still recorded.
-            let mark = top.mark.min(journal.ops.len());
+            let mark = top.mark.min(self.journal.ops.len());
             self.rewind(JournalMark(mark));
-            let journal = self.journal.as_mut().expect("journal checked above");
+            let journal = &mut self.journal;
             journal.open.pop();
             journal.depth = journal.depth.saturating_sub(1);
             if journal.depth == 0 {
@@ -504,18 +484,14 @@ impl Partition {
     /// The current journal position, for nested rollback points inside an
     /// open scope (e.g. one speculative relocation within a repair attempt).
     pub fn journal_mark(&self) -> JournalMark {
-        JournalMark(self.journal.as_ref().map_or(0, |j| j.ops.len()))
+        JournalMark(self.journal.ops.len())
     }
 
     /// Undoes every mutation recorded after `mark`, in LIFO order,
     /// restoring placements, priorities and the attached analysis-cache
-    /// state bit-identically. O(recorded moves), not O(tasks). No-op when
-    /// no journal is attached.
+    /// state bit-identically. O(recorded moves), not O(tasks).
     pub fn rewind(&mut self, mark: JournalMark) {
-        let mut ops = match &mut self.journal {
-            Some(journal) => std::mem::take(&mut journal.ops),
-            None => return,
-        };
+        let mut ops = std::mem::take(&mut self.journal.ops);
         scoped::bump(HotCounter::JournalRewinds);
         debug_assert!(
             mark.0 <= ops.len(),
@@ -525,9 +501,7 @@ impl Partition {
             let op = ops.pop().expect("len checked above");
             self.undo(op);
         }
-        if let Some(journal) = &mut self.journal {
-            journal.ops = ops;
-        }
+        self.journal.ops = ops;
     }
 
     /// Closes the innermost rollback scope opened by
@@ -536,12 +510,11 @@ impl Partition {
     /// discarded (the mutations are final); an inner close keeps the
     /// outer scope's log intact, so its marks stay rewindable.
     pub fn journal_end(&mut self) {
-        if let Some(journal) = &mut self.journal {
-            journal.depth = journal.depth.saturating_sub(1);
-            journal.open.pop();
-            if journal.depth == 0 {
-                journal.ops.clear();
-            }
+        let journal = &mut self.journal;
+        journal.depth = journal.depth.saturating_sub(1);
+        journal.open.pop();
+        if journal.depth == 0 {
+            journal.ops.clear();
         }
         // Closing a live scope may expose an abandoned one underneath.
         self.reconcile_abandoned_scopes();
@@ -598,14 +571,12 @@ impl Partition {
 
     /// Whether the journal is currently recording (an open rollback scope).
     fn recording(&self) -> bool {
-        self.journal.as_ref().is_some_and(|j| j.depth > 0)
+        self.journal.depth > 0
     }
 
     fn record(&mut self, op: JournalOp) {
-        if let Some(journal) = &mut self.journal {
-            if journal.depth > 0 {
-                journal.ops.push(op);
-            }
+        if self.recording() {
+            self.journal.ops.push(op);
         }
     }
 
@@ -1460,7 +1431,6 @@ mod tests {
     fn rewind_restores_place_and_renormalize() {
         let mut p = two_core_partition_with_split();
         p.enable_analysis_cache();
-        p.enable_journal();
         let snapshot = p.clone();
         let mark = p.journal_begin();
         p.place(CoreId(0), PlacedTask::whole(task(9, 1, 10, 0)));
@@ -1477,7 +1447,6 @@ mod tests {
     fn rewind_restores_remove_parent_at_original_indices() {
         let mut p = two_core_partition_with_split();
         p.enable_analysis_cache();
-        p.enable_journal();
         let snapshot = p.clone();
         let mark = p.journal_begin();
         // Removes the split chain: one piece per core, at index 1 of each
@@ -1503,7 +1472,6 @@ mod tests {
     fn nested_marks_rewind_lifo() {
         let mut p = Partition::new(2);
         p.enable_analysis_cache();
-        p.enable_journal();
         let outer = p.journal_begin();
         p.place(CoreId(0), PlacedTask::whole(task(0, 1, 10, 0)));
         p.renormalize_core_priorities(CoreId(0));
@@ -1523,7 +1491,6 @@ mod tests {
     fn nested_scopes_keep_the_outer_log_until_the_outermost_end() {
         let mut p = Partition::new(1);
         p.enable_analysis_cache();
-        p.enable_journal();
         let outer = p.journal_begin();
         p.place(CoreId(0), PlacedTask::whole(task(0, 1, 10, 0)));
         p.renormalize_core_priorities(CoreId(0));
@@ -1544,7 +1511,6 @@ mod tests {
     #[test]
     fn journal_records_only_inside_scopes() {
         let mut p = Partition::new(1);
-        p.enable_journal();
         // Outside a scope: mutations are final, rewinding does nothing.
         let mark = p.journal_mark();
         p.place(CoreId(0), PlacedTask::whole(task(0, 1, 10, 0)));
@@ -1556,15 +1522,19 @@ mod tests {
     #[test]
     fn clones_do_not_carry_journal_history_but_stay_enabled() {
         let mut p = Partition::new(1);
-        p.enable_journal();
         let mark = p.journal_begin();
         p.place(CoreId(0), PlacedTask::whole(task(0, 1, 10, 0)));
-        let clone = p.clone();
-        assert!(clone.journal_enabled());
+        let mut clone = p.clone();
         // The clone's journal is fresh: its marks are independent.
         assert_eq!(clone.journal_mark(), JournalMark(0));
         p.rewind(mark);
         assert_eq!(p.placement_count(), 0);
+        assert_eq!(clone.placement_count(), 1);
+        // ...and it is live: the clone opens and rewinds its own scopes.
+        let clone_mark = clone.journal_begin();
+        clone.place(CoreId(0), PlacedTask::whole(task(1, 1, 10, 0)));
+        clone.rewind(clone_mark);
+        clone.journal_end();
         assert_eq!(clone.placement_count(), 1);
     }
 

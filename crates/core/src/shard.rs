@@ -12,7 +12,7 @@
 //!   home shard rejects an arrival,
 //! * [`rebalance_partitions`] — the periodic work-stealing pass that moves
 //!   whole-placed tasks from the most-loaded shard to the most-spare one,
-//!   each attempt wrapped in a [`PlanTxn`] scope on the donor so a
+//!   planning on the receiver before touching the donor so a
 //!   receiver-side rejection leaves both shards untouched,
 //! * [`stitch_partitions`] — the inverse of sharding: a fleet-global
 //!   [`Partition`] with every shard's cores concatenated and cross-shard
@@ -21,7 +21,6 @@
 
 use crate::incremental::IncrementalPlacer;
 use crate::placement::{CoreId, Partition};
-use crate::txn::PlanTxn;
 use spms_task::{Task, TaskId, Time};
 
 /// FNV-1a offset basis (64-bit).
@@ -150,14 +149,10 @@ fn shard_spare(partition: &Partition) -> f64 {
 /// their placements encode cross-core precedence that a whole-placement
 /// steal cannot preserve.
 ///
-/// Each attempt removes the candidate from the donor inside a [`PlanTxn`]
-/// scope, then plans a whole placement on the receiver; if the receiver's
-/// RTA rejects the task the transaction aborts and the donor is rewound
-/// bit-identically before the next candidate is tried. Donors without an
-/// attached journal fall back to planning on the receiver *before*
-/// removing, which needs no rollback scope at all but plans against
-/// slightly staler receiver state (the outcome is identical because donor
-/// and receiver are distinct partitions).
+/// Each attempt plans a whole placement on the receiver and removes the
+/// candidate from the donor only once the plan succeeds. A rejected
+/// candidate therefore needs no rollback scope: donor and receiver are
+/// distinct partitions, so the donor's state cannot affect the plan.
 ///
 /// `lookup` maps a parent id back to the original (un-inflated) task; ids
 /// it cannot resolve are skipped. `charge_of` is the per-migration WCET
@@ -225,32 +220,9 @@ pub fn rebalance_partitions(
 
         for (id, task) in candidates {
             let charge = charge_of(&task);
-            let migrated = if shards[donor].journal_enabled() {
-                let mut txn = PlanTxn::new();
-                txn.begin(&mut *shards[donor]);
+            if let Some(plan) = placer.plan_whole_charged(shards[receiver], &task, &[], charge) {
                 shards[donor].remove_parent(id);
-                match placer.plan_whole_charged(shards[receiver], &task, &[], charge) {
-                    Some(plan) => {
-                        placer.commit(shards[receiver], &task, plan);
-                        txn.commit(std::slice::from_mut(&mut shards[donor]));
-                        true
-                    }
-                    None => {
-                        txn.abort(std::slice::from_mut(&mut shards[donor]));
-                        false
-                    }
-                }
-            } else {
-                match placer.plan_whole_charged(shards[receiver], &task, &[], charge) {
-                    Some(plan) => {
-                        shards[donor].remove_parent(id);
-                        placer.commit(shards[receiver], &task, plan);
-                        true
-                    }
-                    None => false,
-                }
-            };
-            if migrated {
+                placer.commit(shards[receiver], &task, plan);
                 moves.push(RebalanceMove {
                     task: id,
                     from: donor,
@@ -273,7 +245,7 @@ pub fn rebalance_partitions(
 /// relinked with global core ids so the stitched partition passes the full
 /// chain validation and can be replayed through the simulator.
 ///
-/// The stitched partition carries no journal or analysis cache; per-core
+/// The stitched partition carries no analysis cache; per-core
 /// placement order and priorities are preserved verbatim, so every core
 /// schedules exactly as it did on its shard.
 ///
@@ -345,7 +317,6 @@ mod tests {
     fn shard_with(cores: usize, tasks: &[Task]) -> Partition {
         let mut partition = Partition::new(cores);
         partition.enable_analysis_cache();
-        partition.enable_journal();
         let placer = IncrementalPlacer::new();
         for t in tasks {
             let plan = placer.plan_whole(&partition, t, &[]).expect("fits");
@@ -437,7 +408,7 @@ mod tests {
     fn rebalance_respects_the_migration_charge() {
         // The receiver has room for the pristine task but not for the task
         // plus its migration charge: the charged pass must leave both
-        // shards untouched (journal rewind on the donor, no commit on the
+        // shards untouched (the donor is never touched, no commit on the
         // receiver), while the free pass migrates.
         let resident = task(0, 8, 10); // receiver core at 80%
         let movable = task(1, 1, 20); // u = 0.05, inside the headroom

@@ -9,13 +9,12 @@
 //! begun is restored first), so nested single-partition transactions keep
 //! the plain journal semantics bit-identically.
 //!
-//! Each scope picks the cheapest sound rollback mechanism per partition:
-//! a journal scope ([`Partition::journal_begin`], rewind in O(moves)) when
-//! the partition carries a mutation journal, and a full snapshot clone
-//! (O(tasks), the pre-journal behaviour kept for benchmarking) otherwise.
-//! [`Savepoint`] is the nested flavour — a rollback point *inside* an open
-//! scope (one speculative relocation within a repair attempt) that can be
-//! restored without closing the enclosing scope.
+//! Every scope is a journal scope ([`Partition::journal_begin`], rewind in
+//! O(moves)): each partition carries a mutation journal. A rollback point
+//! *inside* an open scope (one speculative relocation within a repair
+//! attempt) is just a [`JournalMark`](crate::JournalMark) from
+//! [`Partition::journal_mark`], restored with [`Partition::rewind`] without
+//! closing the enclosing scope.
 //!
 //! # Drop safety
 //!
@@ -28,50 +27,13 @@
 //! transiently), so it instead flips a per-scope abandonment token shared
 //! with each partition's journal. The partition notices the flipped token
 //! at its *next* journal interaction and rewinds + closes the abandoned
-//! scope lazily (see [`Partition::reconcile_abandoned_scopes`]). Snapshot
-//! scopes hold the rollback state inside the transaction itself and the
-//! partition is unreachable from `Drop`, so they cannot be auto-restored —
-//! journal-carrying partitions (every online-controller shard) get the
-//! full guarantee.
+//! scope lazily (see [`Partition::reconcile_abandoned_scopes`]), so the
+//! guarantee holds for every transaction.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::placement::{JournalMark, Partition};
-
-/// A nested rollback point inside an open [`PlanTxn`] scope (or on its
-/// own, outside any transaction): either a journal mark on a
-/// journal-carrying partition or a full snapshot clone. Restoring it
-/// rewinds the partition without closing any enclosing journal scope.
-#[derive(Debug)]
-pub enum Savepoint {
-    /// A position in the partition's mutation journal.
-    Journal(JournalMark),
-    /// A full snapshot of the partition (no journal attached).
-    Snapshot(Box<Partition>),
-}
-
-impl Savepoint {
-    /// Captures the partition's current state: a journal mark when a
-    /// mutation journal is attached (free), a snapshot clone otherwise.
-    pub fn capture(partition: &Partition) -> Savepoint {
-        if partition.journal_enabled() {
-            Savepoint::Journal(partition.journal_mark())
-        } else {
-            Savepoint::Snapshot(Box::new(partition.clone()))
-        }
-    }
-
-    /// Restores the partition to the captured state. Journal marks rewind
-    /// in O(recorded moves) and leave every enclosing scope open; snapshots
-    /// replace the partition wholesale.
-    pub fn restore(self, partition: &mut Partition) {
-        match self {
-            Savepoint::Journal(mark) => partition.rewind(mark),
-            Savepoint::Snapshot(snapshot) => *partition = *snapshot,
-        }
-    }
-}
 
 /// A planning transaction over one or several partitions. See the
 /// [module docs](self) for the two-phase protocol.
@@ -81,15 +43,13 @@ impl Savepoint {
 /// [`abort`](Self::abort) take the same partitions *in the same order*.
 ///
 /// Dropping a transaction without committing or aborting marks every
-/// journal scope abandoned; the owning partitions rewind and close them at
+/// scope abandoned; the owning partitions rewind and close them at
 /// their next journal interaction (see the [module docs](self)).
 #[derive(Debug, Default)]
 pub struct PlanTxn {
-    scopes: Vec<Savepoint>,
-    /// One entry per scope, parallel to `scopes`: the abandonment token
-    /// shared with the partition's journal for journal scopes, `None` for
-    /// snapshot scopes (which `Drop` cannot restore).
-    guards: Vec<Option<Arc<AtomicBool>>>,
+    /// One entry per scope, in begin order: the scope's begin mark and the
+    /// abandonment token shared with the partition's journal.
+    scopes: Vec<(JournalMark, Arc<AtomicBool>)>,
 }
 
 impl PlanTxn {
@@ -98,19 +58,12 @@ impl PlanTxn {
         PlanTxn::default()
     }
 
-    /// Opens a speculative scope on one partition and returns its scope
-    /// index. On a journal-carrying partition this opens a journal scope
-    /// (mutations record undo entries until commit or abort); otherwise it
-    /// snapshots the partition.
+    /// Opens a speculative journal scope on one partition (mutations
+    /// record undo entries until commit or abort) and returns its scope
+    /// index.
     pub fn begin(&mut self, partition: &mut Partition) -> usize {
-        let (scope, guard) = if partition.journal_enabled() {
-            let mark = partition.journal_begin();
-            (Savepoint::Journal(mark), partition.current_scope_guard())
-        } else {
-            (Savepoint::Snapshot(Box::new(partition.clone())), None)
-        };
-        self.scopes.push(scope);
-        self.guards.push(guard);
+        let mark = partition.journal_begin();
+        self.scopes.push((mark, partition.current_scope_guard()));
         self.scopes.len() - 1
     }
 
@@ -132,12 +85,10 @@ impl PlanTxn {
     ///
     /// Panics if `partitions` has fewer entries than open scopes.
     pub fn commit(mut self, partitions: &mut [&mut Partition]) {
+        // Resolved explicitly: Drop must not mark the scopes abandoned.
         let scopes = std::mem::take(&mut self.scopes);
-        self.guards.clear(); // resolved explicitly: Drop must not mark them
-        for (idx, scope) in scopes.into_iter().enumerate() {
-            if let Savepoint::Journal(_) = scope {
-                partitions[idx].journal_end();
-            }
+        for partition in &mut partitions[..scopes.len()] {
+            partition.journal_end();
         }
     }
 
@@ -151,28 +102,23 @@ impl PlanTxn {
     ///
     /// Panics if `partitions` has fewer entries than open scopes.
     pub fn abort(mut self, partitions: &mut [&mut Partition]) {
+        // Resolved explicitly: Drop must not mark the scopes abandoned.
         let scopes = std::mem::take(&mut self.scopes);
-        self.guards.clear(); // resolved explicitly: Drop must not mark them
-        for (idx, scope) in scopes.into_iter().enumerate().rev() {
-            match scope {
-                Savepoint::Journal(mark) => {
-                    partitions[idx].rewind(mark);
-                    partitions[idx].journal_end();
-                }
-                Savepoint::Snapshot(snapshot) => *partitions[idx] = *snapshot,
-            }
+        for (idx, (mark, _)) in scopes.into_iter().enumerate().rev() {
+            partitions[idx].rewind(mark);
+            partitions[idx].journal_end();
         }
     }
 }
 
 impl Drop for PlanTxn {
     fn drop(&mut self) {
-        // Commit and abort consume the guards, so reaching here with live
+        // Commit and abort consume the scopes, so reaching here with live
         // tokens means the transaction leaked — an early return or a panic
         // unwinding through planning code. Flip each token; the owning
         // partition rewinds and closes the scope at its next journal
         // interaction.
-        for guard in self.guards.drain(..).flatten() {
+        for (_, guard) in self.scopes.drain(..) {
             guard.store(true, Ordering::Relaxed);
         }
     }
@@ -191,7 +137,6 @@ mod tests {
     fn journaled(cores: usize) -> Partition {
         let mut p = Partition::new(cores);
         p.enable_analysis_cache();
-        p.enable_journal();
         p
     }
 
@@ -248,27 +193,15 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_scope_on_journal_free_partitions() {
-        let mut a = Partition::new(1);
-        place_whole(&mut a, 0, task(0, 1, 10));
-        let snap = a.clone();
-        let mut txn = PlanTxn::new();
-        txn.begin(&mut a);
-        place_whole(&mut a, 0, task(1, 1, 10));
-        txn.abort(&mut [&mut a]);
-        assert_eq!(a, snap);
-    }
-
-    #[test]
     fn nested_savepoint_restores_inside_an_open_scope() {
         let mut a = journaled(1);
         let mut txn = PlanTxn::new();
         txn.begin(&mut a);
         place_whole(&mut a, 0, task(0, 1, 10));
         let committed = a.clone();
-        let inner = Savepoint::capture(&a);
+        let inner = a.journal_mark();
         place_whole(&mut a, 0, task(1, 2, 10));
-        inner.restore(&mut a);
+        a.rewind(inner);
         assert_fully_equal(&a, &committed);
         // The outer scope is still open and still rewinds everything.
         txn.abort(&mut [&mut a]);
@@ -321,22 +254,5 @@ mod tests {
         a.remove_parent(TaskId(2));
         a.renormalize_core_priorities(CoreId(0));
         assert_fully_equal(&a, &snap);
-    }
-
-    #[test]
-    fn mixed_journal_and_snapshot_participants_abort_together() {
-        let mut j = journaled(1);
-        let mut s = Partition::new(1);
-        place_whole(&mut s, 0, task(5, 1, 10));
-        let snap_j = j.clone();
-        let snap_s = s.clone();
-        let mut txn = PlanTxn::new();
-        txn.begin(&mut j);
-        txn.begin(&mut s);
-        place_whole(&mut j, 0, task(0, 1, 10));
-        s.remove_parent(TaskId(5));
-        txn.abort(&mut [&mut j, &mut s]);
-        assert_fully_equal(&j, &snap_j);
-        assert_eq!(s, snap_s);
     }
 }

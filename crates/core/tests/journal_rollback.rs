@@ -5,18 +5,23 @@
 //! bit-identically to a snapshot clone taken at the mark, after any
 //! sequence of `place` / `remove_parent` / `renormalize_core_priorities`
 //! mutations, including nested marks. These tests drive random mutation
-//! sequences against a journaled, cache-carrying partition and compare the
-//! rewound state against a clone field by field (the cache comparison goes
+//! sequences against a cache-carrying partition and compare the rewound
+//! state against a clone field by field (the cache comparison goes
 //! through `cached_core`, which only answers on converged state, so
-//! staleness markers are covered too).
+//! staleness markers are covered too). The mutations cover every shape
+//! the admission cascade commits: whole placements, split chains (body +
+//! tail linked by `next_core`) and pieces whose analysis WCET carries a
+//! migration-charge inflation over their execution budget.
 //!
 //! The vendored proptest runner is deterministically seeded, so failures
 //! reproduce identically.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use spms_core::{CoreId, Partition, PlacedTask, PlanTxn};
-use spms_task::{Task, Time};
+use spms_core::{
+    CoreId, Partition, PlacedTask, PlanTxn, SplitInfo, SubtaskKind, BODY_PRIORITY, TAIL_PRIORITY,
+};
+use spms_task::{Priority, Task, Time};
 
 /// A compact task spec: `(wcet_us, extra_period_us)`; periods are
 /// `wcet + extra + 1` so tasks are always constructible.
@@ -43,14 +48,100 @@ enum Op {
     Remove(usize),
     /// Renormalize core `core % cores` on its own.
     Renormalize(usize),
+    /// Split a fresh task into a body on core `core % cores` and a tail on
+    /// the next core, linked by `next_core`, each piece inflated by
+    /// `extra` µs of migration charge (the shape of a fast-split commit).
+    /// A no-op on a single core.
+    Split(usize, Spec, u64),
+    /// Place a fresh whole task whose analysis WCET exceeds its execution
+    /// budget by up to `extra` µs (the shape of a charged repair
+    /// relocation).
+    Inflated(usize, Spec, u64),
 }
 
 fn op() -> impl Strategy<Value = Op> {
-    (0u8..8, 0usize..64, (1u64..40, 0u64..120)).prop_map(|(kind, index, spec)| match kind {
-        0..=4 => Op::Place(index, spec),
-        5 | 6 => Op::Remove(index),
-        _ => Op::Renormalize(index),
+    (0u8..11, 0usize..64, (1u64..40, 0u64..120), 1u64..10).prop_map(|(kind, index, spec, extra)| {
+        match kind {
+            0..=3 => Op::Place(index, spec),
+            4 | 5 => Op::Remove(index),
+            6 => Op::Renormalize(index),
+            7 | 8 => Op::Split(index, spec, extra),
+            _ => Op::Inflated(index, spec, extra),
+        }
     })
+}
+
+fn us(micros: u64) -> Time {
+    Time::from_micros(micros)
+}
+
+/// One analysis piece of a split chain: `wcet` µs, the parent's period,
+/// `deadline` µs and the reserved piece `priority`.
+fn piece_task(id: u32, wcet: u64, period: Time, deadline: u64, priority: Priority) -> Task {
+    Task::builder(id)
+        .wcet(us(wcet))
+        .period(period)
+        .deadline(us(deadline))
+        .priority(priority)
+        .build()
+        .expect("piece parameters are valid by construction")
+}
+
+/// Places task `id` (built from `spec`) as a two-piece split chain: a
+/// `C = D` body on `body_core`, then the tail on `tail_core` released when
+/// the body's analysis budget runs out. Both pieces absorb `extra` µs of
+/// inflation, clamped so the chain still fits the parent's deadline.
+fn place_split(
+    partition: &mut Partition,
+    body_core: CoreId,
+    tail_core: CoreId,
+    id: u32,
+    spec: Spec,
+    extra: u64,
+) {
+    let parent = build_task(id, spec);
+    let wcet = parent.wcet().as_micros().max(2);
+    let deadline = parent.deadline().as_micros();
+    let extra = extra.min(deadline.saturating_sub(wcet) / 2);
+    let budget = wcet / 2;
+    let body_wcet = budget + extra;
+    let tail_wcet = wcet - budget + extra;
+    let body = PlacedTask {
+        task: piece_task(id, body_wcet, parent.period(), body_wcet, BODY_PRIORITY),
+        execution: us(budget),
+        parent: parent.id(),
+        split: Some(SplitInfo {
+            part_index: 0,
+            part_count: 2,
+            kind: SubtaskKind::Body,
+            release_offset: Time::ZERO,
+            next_core: Some(tail_core),
+            first_core: body_core,
+        }),
+    };
+    let tail = PlacedTask {
+        task: piece_task(
+            id,
+            tail_wcet,
+            parent.period(),
+            deadline - body_wcet,
+            TAIL_PRIORITY,
+        ),
+        execution: us(wcet - budget),
+        parent: parent.id(),
+        split: Some(SplitInfo {
+            part_index: 1,
+            part_count: 2,
+            kind: SubtaskKind::Tail,
+            release_offset: us(body_wcet),
+            next_core: None,
+            first_core: body_core,
+        }),
+    };
+    partition.place(body_core, body);
+    partition.place(tail_core, tail);
+    partition.renormalize_core_priorities(body_core);
+    partition.renormalize_core_priorities(tail_core);
 }
 
 fn apply(partition: &mut Partition, op: &Op, next_id: &mut u32) {
@@ -70,6 +161,27 @@ fn apply(partition: &mut Partition, op: &Op, next_id: &mut u32) {
         }
         Op::Renormalize(core) => {
             partition.renormalize_core_priorities(CoreId(core % cores));
+        }
+        Op::Split(core, spec, extra) => {
+            if cores > 1 {
+                let body = CoreId(core % cores);
+                let tail = CoreId((core + 1) % cores);
+                place_split(partition, body, tail, *next_id, *spec, *extra);
+                *next_id += 1;
+            }
+        }
+        Op::Inflated(core, spec, extra) => {
+            let core = CoreId(core % cores);
+            let task = build_task(*next_id, *spec);
+            let execution = task.wcet();
+            // Clamped so the inflated WCET still fits the deadline.
+            let extra = us(*extra).min(task.deadline() - execution);
+            let inflated = task
+                .with_wcet(execution + extra)
+                .expect("the clamped WCET fits the deadline");
+            partition.place(core, PlacedTask::whole(inflated).with_execution(execution));
+            partition.renormalize_core_priorities(core);
+            *next_id += 1;
         }
     }
 }
@@ -102,7 +214,6 @@ proptest! {
     ) {
         let mut partition = Partition::new(cores);
         partition.enable_analysis_cache();
-        partition.enable_journal();
         let mut next_id = 0u32;
         for op in &prefix {
             apply(&mut partition, op, &mut next_id);
@@ -130,7 +241,6 @@ proptest! {
     ) {
         let mut partition = Partition::new(cores);
         partition.enable_analysis_cache();
-        partition.enable_journal();
         let mut next_id = 0u32;
         for op in &prefix {
             apply(&mut partition, op, &mut next_id);
@@ -163,7 +273,6 @@ proptest! {
         let build = |speculate: bool| {
             let mut partition = Partition::new(cores);
             partition.enable_analysis_cache();
-            partition.enable_journal();
             let mut next_id = 0u32;
             if speculate {
                 let mark = partition.journal_begin();
@@ -183,34 +292,28 @@ proptest! {
     }
 
     /// A multi-partition [`PlanTxn`] abort restores *every* participant —
-    /// placements, priorities and RTA caches — bit-identically, whether a
-    /// participant rolls back via its journal or via a snapshot clone
-    /// (the journal-free fallback). This is the two-phase contract the
-    /// cross-shard split planner leans on.
+    /// placements, priorities and RTA caches — bit-identically. This is
+    /// the two-phase contract the cross-shard split planner leans on.
     #[test]
     fn plan_txn_abort_restores_both_partitions(
         cores_a in 1usize..4,
         cores_b in 1usize..4,
-        journal_b in any::<bool>(),
         prefix_a in vec(op(), 0..8),
         prefix_b in vec(op(), 0..8),
         spec_a in vec(op(), 1..10),
         spec_b in vec(op(), 1..10),
     ) {
         let mut next_id = 0u32;
-        let mut build = |cores: usize, journal: bool, prefix: &[Op]| {
+        let mut build = |cores: usize, prefix: &[Op]| {
             let mut partition = Partition::new(cores);
             partition.enable_analysis_cache();
-            if journal {
-                partition.enable_journal();
-            }
             for op in prefix {
                 apply(&mut partition, op, &mut next_id);
             }
             partition
         };
-        let mut a = build(cores_a, true, &prefix_a);
-        let mut b = build(cores_b, journal_b, &prefix_b);
+        let mut a = build(cores_a, &prefix_a);
+        let mut b = build(cores_b, &prefix_b);
         let snapshot_a = a.clone();
         let snapshot_b = b.clone();
 
@@ -232,7 +335,7 @@ proptest! {
     }
 
     /// Committing a multi-partition transaction keeps the speculated work
-    /// on every participant and leaves journaled participants ready for
+    /// on every participant and leaves every participant ready for
     /// the next scope (a later single-partition abort still rewinds only
     /// its own scope).
     #[test]
@@ -248,8 +351,6 @@ proptest! {
         let mut b = Partition::new(cores_b);
         a.enable_analysis_cache();
         b.enable_analysis_cache();
-        a.enable_journal();
-        b.enable_journal();
 
         let mut txn = PlanTxn::new();
         txn.begin(&mut a);

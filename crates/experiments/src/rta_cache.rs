@@ -1,18 +1,14 @@
-//! The admission-cascade regression bench: cached vs. from-scratch RTA,
-//! journal vs. clone rollback.
+//! The admission-cascade regression bench: cached vs. from-scratch RTA.
 //!
 //! For every point of a target-utilization sweep this driver generates churn
-//! traces and drives **three** controllers over each:
+//! traces and drives **two** controllers over each:
 //!
-//! * `cached` — the production configuration (incremental RTA cache,
-//!   journal-based rollback),
+//! * `cached` — the production configuration (incremental RTA cache),
 //! * `scratch` — RTA cache disabled
-//!   (`OnlineConfig::builder().rta_cache(false)`),
-//! * `clone` — journal disabled (`.journal(false)`): repair/split
-//!   rollback snapshots the whole partition per attempt.
+//!   (`OnlineConfig::builder().rta_cache(false)`).
 //!
-//! All three must produce byte-identical serialized decision logs (the two
-//! optimisations are pure mechanism; only the policy knob
+//! Both must produce byte-identical serialized decision logs (the cache is
+//! pure mechanism; only the policy knob
 //! `OnlineConfig::repair_ranking` may change decisions, and it is held
 //! fixed here). The correctness half of the output (decision counts, the
 //! log digest, the `decision_logs_identical` verdict, the cap-exhaustion
@@ -44,7 +40,6 @@ struct TraceOutcome {
     journal_clone_free: bool,
     cached: Duration,
     scratch: Duration,
-    clone_rollback: Duration,
 }
 
 /// Aggregated behaviour at one target-utilization point (deterministic
@@ -55,7 +50,7 @@ pub struct RtaCachePoint {
     pub normalized_utilization: f64,
     /// Arrival events across all traces of this point.
     pub arrivals: u64,
-    /// Arrivals admitted (identical across all controller variants).
+    /// Arrivals admitted (identical across both controller variants).
     pub admitted: u64,
     /// RTA fixed-point cap exhaustions while deciding this point's traces
     /// with the cached controller (deterministic; see
@@ -67,18 +62,13 @@ pub struct RtaCachePoint {
 /// one place, so artifact diffs can strip exactly this object.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct RtaCacheTiming {
-    /// Total nanoseconds deciding every trace with the full cascade
-    /// (cache + journal).
+    /// Total nanoseconds deciding every trace with the production cascade.
     pub cached_ns: u64,
     /// Total nanoseconds deciding every trace with from-scratch RTA.
     pub scratch_ns: u64,
-    /// Total nanoseconds with clone-based rollback instead of the journal.
-    pub clone_rollback_ns: u64,
     /// `scratch_ns / cached_ns` — how many times faster the cached fast
     /// path answered (> 1.0 means the cache wins).
     pub speedup: f64,
-    /// `clone_rollback_ns / cached_ns` — what journal rollback buys.
-    pub journal_speedup: f64,
 }
 
 /// Results of a cascade comparison sweep.
@@ -86,11 +76,10 @@ pub struct RtaCacheTiming {
 pub struct RtaCacheResults {
     points: Vec<RtaCachePoint>,
     /// Whether every trace produced byte-identical serialized decision logs
-    /// from all three controller variants (cached / scratch /
-    /// clone-rollback).
+    /// from both controller variants (cached / scratch).
     pub decision_logs_identical: bool,
-    /// Whether the cached (journal-based) controller decided every trace
-    /// without a single partition snapshot clone.
+    /// Whether the cached controller decided every trace without a single
+    /// partition snapshot clone.
     pub journal_clone_free: bool,
     /// Order-sensitive FNV-1a digest over every cached decision log —
     /// deterministic under a fixed seed for any thread count.
@@ -126,17 +115,13 @@ impl RtaCacheResults {
         out.push_str(&format!(
             "\ndecision logs identical: {} (digest {:#018x})\n\
              journal hot path clone-free: {}\n\
-             cached {} ns vs scratch {} ns — speedup {:.2}x\n\
-             journal vs clone rollback: {} ns vs {} ns — {:.2}x\n",
+             cached {} ns vs scratch {} ns — speedup {:.2}x\n",
             self.decision_logs_identical,
             self.decisions_digest,
             self.journal_clone_free,
             self.timing.cached_ns,
             self.timing.scratch_ns,
             self.timing.speedup,
-            self.timing.cached_ns,
-            self.timing.clone_rollback_ns,
-            self.timing.journal_speedup,
         ));
         out
     }
@@ -277,13 +262,9 @@ impl RtaCacheBenchmark {
 
                     let (scratch, scratch_elapsed) =
                         drive(base().rta_cache(false).build(), &events)?;
-                    let (clone_rollback, clone_elapsed) =
-                        drive(base().journal(false).build(), &events)?;
 
                     let cached_log = serialize_log(cached.decisions());
-                    let log_identical = [&scratch, &clone_rollback]
-                        .iter()
-                        .all(|c| serialize_log(c.decisions()) == cached_log);
+                    let log_identical = serialize_log(scratch.decisions()) == cached_log;
                     Some(TraceOutcome {
                         arrivals: cached.stats().arrivals,
                         admitted: cached.stats().admitted,
@@ -293,7 +274,6 @@ impl RtaCacheBenchmark {
                         journal_clone_free,
                         cached: cached_elapsed,
                         scratch: scratch_elapsed,
-                        clone_rollback: clone_elapsed,
                     })
                 },
             );
@@ -316,7 +296,6 @@ impl RtaCacheBenchmark {
                 digest = fnv1a_combine(digest, outcome.log_digest);
                 timing.cached_ns += outcome.cached.as_nanos() as u64;
                 timing.scratch_ns += outcome.scratch.as_nanos() as u64;
-                timing.clone_rollback_ns += outcome.clone_rollback.as_nanos() as u64;
             }
             points.push(RtaCachePoint {
                 normalized_utilization: target,
@@ -325,15 +304,11 @@ impl RtaCacheBenchmark {
                 rta_cap_exhaustions: cap_exhaustions,
             });
         }
-        let ratio = |num: u64, den: u64| {
-            if den == 0 {
-                0.0
-            } else {
-                num as f64 / den as f64
-            }
+        timing.speedup = if timing.cached_ns == 0 {
+            0.0
+        } else {
+            timing.scratch_ns as f64 / timing.cached_ns as f64
         };
-        timing.speedup = ratio(timing.scratch_ns, timing.cached_ns);
-        timing.journal_speedup = ratio(timing.clone_rollback_ns, timing.cached_ns);
         RtaCacheResults {
             points,
             decision_logs_identical: identical,
@@ -397,7 +372,7 @@ mod tests {
         let results = quick().run();
         assert!(
             results.decision_logs_identical,
-            "cached / scratch / clone-rollback logs diverged"
+            "cached / scratch logs diverged"
         );
         assert!(
             results.journal_clone_free,
@@ -436,7 +411,6 @@ mod tests {
         let md = results.render_markdown();
         assert!(md.contains("decision logs identical: true"));
         assert!(md.contains("journal hot path clone-free: true"));
-        assert!(md.contains("journal vs clone rollback"));
         assert!(md.contains("speedup"));
         let csv = results.render_csv();
         assert!(csv.starts_with("normalized_utilization,arrivals,admitted,rta_cap_exhaustions"));

@@ -29,13 +29,12 @@
 //! response times, split bodies are read off the exact budget frontier of
 //! those responses in one scan, and a full-repartition adoption
 //! re-attaches a fresh cache. Speculative stages run inside the partition's
-//! mutation journal ([`Partition::enable_journal`](spms_core::Partition::enable_journal)):
-//! a failed repair attempt rewinds placements, priorities and cache state
-//! in O(moves) instead of restoring a full-partition snapshot, so the
-//! whole cascade is clone-free (`Partition::clone_count` proves it).
-//! Decisions are bit-identical with the cache and journal on or off
-//! ([`OnlineConfig::use_rta_cache`], [`OnlineConfig::use_journal`]); only
-//! the latency changes. The one
+//! mutation journal ([`Partition::journal_begin`](spms_core::Partition::journal_begin)),
+//! which every partition carries: a failed repair attempt rewinds
+//! placements, priorities and cache state in O(moves), so the whole
+//! cascade is clone-free (`Partition::clone_count` proves it). Decisions
+//! are bit-identical with the cache on or off
+//! ([`OnlineConfig::use_rta_cache`]); only the latency changes. The one
 //! *policy* knob is the repair victim ranking
 //! ([`OnlineConfig::repair_ranking`], slack-guided by default).
 //!
@@ -56,7 +55,7 @@ use serde::{Deserialize, Serialize};
 use spms_analysis::{OverheadModel, UniprocessorTest};
 use spms_core::{
     CoreId, IncrementalPlacer, Partition, PartitionOutcome, Partitioner, PlacementPlan, PlanTxn,
-    Savepoint, SemiPartitionedFpTs, WholeProbe,
+    SemiPartitionedFpTs, WholeProbe,
 };
 use spms_overhead::{CostModel, CostModelSpec};
 use spms_task::{Task, TaskId, TaskSet, Time};
@@ -122,12 +121,6 @@ pub struct OnlineConfig {
     /// are bit-identical either way; disabling it exists for benchmarking
     /// the from-scratch analysis the cache replaces.
     pub use_rta_cache: bool,
-    /// Whether repair/split rollback runs on the partition's mutation
-    /// journal (`rewind` to a mark, O(moves)) instead of cloning the whole
-    /// partition per attempt. Decisions are bit-identical either way;
-    /// disabling it exists for benchmarking the clone-based rollback the
-    /// journal replaces.
-    pub use_journal: bool,
     /// How the bounded-repair pass ranks eviction victims. This is a
     /// *policy* knob: the two rankings can make genuinely different (both
     /// sound) admit/reject decisions.
@@ -219,7 +212,6 @@ impl Default for OnlineConfig {
             max_repair_moves: 2,
             allow_fallback: true,
             use_rta_cache: true,
-            use_journal: true,
             repair_ranking: RepairRanking::Slack,
             cost_model: CostModelSpec::Zero,
             cross_shard_split: false,
@@ -245,62 +237,6 @@ impl OnlineConfig {
         OnlineConfigBuilder {
             config: OnlineConfig::default(),
         }
-    }
-
-    /// Replaces the acceptance test (builder style).
-    #[deprecated(note = "use OnlineConfig::builder().test(..)")]
-    pub fn with_test(mut self, test: UniprocessorTest) -> Self {
-        self.test = test;
-        self
-    }
-
-    /// Replaces the overhead model (builder style).
-    #[deprecated(note = "use OnlineConfig::builder().overhead(..)")]
-    pub fn with_overhead(mut self, overhead: OverheadModel) -> Self {
-        self.overhead = overhead;
-        self
-    }
-
-    /// Sets the repair bound `k` (builder style).
-    #[deprecated(note = "use OnlineConfig::builder().max_repair_moves(..)")]
-    pub fn with_max_repair_moves(mut self, k: usize) -> Self {
-        self.max_repair_moves = k;
-        self
-    }
-
-    /// Enables or disables the full-repartition fallback (builder style).
-    #[deprecated(note = "use OnlineConfig::builder().fallback(..)")]
-    pub fn with_fallback(mut self, allow: bool) -> Self {
-        self.allow_fallback = allow;
-        self
-    }
-
-    /// Sets the smallest admissible body-subtask budget (builder style).
-    #[deprecated(note = "use OnlineConfig::builder().min_split_budget(..)")]
-    pub fn with_min_split_budget(mut self, budget: Time) -> Self {
-        self.min_split_budget = budget;
-        self
-    }
-
-    /// Enables or disables the incremental RTA cache (builder style).
-    #[deprecated(note = "use OnlineConfig::builder().rta_cache(..)")]
-    pub fn with_rta_cache(mut self, enabled: bool) -> Self {
-        self.use_rta_cache = enabled;
-        self
-    }
-
-    /// Enables or disables journal-based rollback (builder style).
-    #[deprecated(note = "use OnlineConfig::builder().journal(..)")]
-    pub fn with_journal(mut self, enabled: bool) -> Self {
-        self.use_journal = enabled;
-        self
-    }
-
-    /// Sets the repair victim-ranking policy (builder style).
-    #[deprecated(note = "use OnlineConfig::builder().repair_ranking(..)")]
-    pub fn with_repair_ranking(mut self, ranking: RepairRanking) -> Self {
-        self.repair_ranking = ranking;
-        self
     }
 }
 
@@ -353,12 +289,6 @@ impl OnlineConfigBuilder {
     /// Enables or disables the incremental RTA cache.
     pub fn rta_cache(mut self, enabled: bool) -> Self {
         self.config.use_rta_cache = enabled;
-        self
-    }
-
-    /// Enables or disables journal-based rollback.
-    pub fn journal(mut self, enabled: bool) -> Self {
-        self.config.use_journal = enabled;
         self
     }
 
@@ -689,9 +619,6 @@ impl AdmissionController {
         if config.use_rta_cache && config.test == UniprocessorTest::ResponseTime {
             partition.enable_analysis_cache();
         }
-        if config.use_journal {
-            partition.enable_journal();
-        }
         if config.cross_shard_split {
             partition.allow_partial_chains();
         }
@@ -985,10 +912,9 @@ impl AdmissionController {
     // ------------------------------------------------------------------
 
     /// Tries to open a hole for `task` on some core by relocating at most
-    /// `k` already-placed tasks (whole-first, re-split if needed). Restores
-    /// the partition whenever a target core cannot be freed — by rewinding
-    /// the mutation journal ([`OnlineConfig::use_journal`], O(moves)) or by
-    /// restoring a snapshot clone (O(tasks), kept for benchmarking).
+    /// `k` already-placed tasks (whole-first, re-split if needed). Whenever
+    /// a target core cannot be freed, the mutation journal rewinds the
+    /// partition (O(moves)).
     /// Returns the number of tasks moved and the total WCET inflation the
     /// cost model charged to the relocated victims on success.
     fn try_repair(&mut self, task: &Task) -> Option<(usize, Time)> {
@@ -1017,7 +943,7 @@ impl AdmissionController {
     /// the core needing the least utilization shed is tried first, so the
     /// common case commits on the first attempt and rejected-target rewinds
     /// drop. Ties break on core index, keeping the order deterministic and
-    /// independent of every pure-mechanism knob (cache / journal).
+    /// independent of the pure-mechanism cache knob.
     fn repair_target_order(&self, task: &Task) -> Vec<CoreId> {
         let utilizations = self.partition.core_utilizations();
         let mut scored: Vec<(bool, f64, usize)> = (0..self.config.cores)
@@ -1236,12 +1162,12 @@ impl AdmissionController {
     /// charge folded in (a relocated whole absorbs one charge; a re-split
     /// charges each later piece), so the move commits only if the inflated
     /// placement stays schedulable. Returns the inflation charged on
-    /// success; on failure the partition is unchanged — via an inner
-    /// journal mark, or an inner snapshot when the journal is disabled.
+    /// success; on failure the partition is rewound to an inner journal
+    /// mark, leaving the enclosing repair scope open.
     fn relocate(&mut self, victim: TaskId, target: CoreId) -> Option<Time> {
         let original = self.admitted.get(&victim).cloned()?;
         let charge = self.migration_charge(&original);
-        let inner = self.inner_rollback_point();
+        let inner = self.partition.journal_mark();
         self.partition.remove_parent(victim);
         if let Some(plan) = self
             .placer
@@ -1251,7 +1177,7 @@ impl AdmissionController {
             self.placer.commit(&mut self.partition, &original, plan);
             Some(inflation)
         } else {
-            self.restore_inner(inner);
+            self.partition.rewind(inner);
             None
         }
     }
@@ -1264,10 +1190,7 @@ impl AdmissionController {
     // `spms-core` — the same transaction type the sharded service spans
     // across several partitions for cross-shard split planning. A solo
     // controller always opens single-scope transactions on its own
-    // partition, which [`PlanTxn`] dispatches exactly as the old plumbing
-    // did: a journal scope when the partition carries a mutation journal
-    // (`use_journal`, which is precisely when the journal is attached in
-    // [`new`](Self::new)), a snapshot clone otherwise.
+    // partition's journal.
 
     /// Opens a speculative scope around one repair attempt.
     fn begin_rollback(&mut self) -> PlanTxn {
@@ -1284,18 +1207,6 @@ impl AdmissionController {
     /// Discards the speculative mutations (the attempt failed).
     fn abort_rollback(&mut self, txn: PlanTxn) {
         txn.abort(std::slice::from_mut(&mut &mut self.partition));
-    }
-
-    /// A nested rollback point *inside* an open repair scope (one
-    /// speculative relocation). With the journal this is just a mark — the
-    /// outer scope keeps recording.
-    fn inner_rollback_point(&mut self) -> Savepoint {
-        Savepoint::capture(&self.partition)
-    }
-
-    /// Restores a nested rollback point without closing the outer scope.
-    fn restore_inner(&mut self, inner: Savepoint) {
-        inner.restore(&mut self.partition);
     }
 
     // ------------------------------------------------------------------
@@ -1336,13 +1247,10 @@ impl AdmissionController {
                     new.renormalize_core_priorities(CoreId(core));
                 }
                 // The adopted partition is a fresh object: re-attach the
-                // incremental analysis cache and the mutation journal the
-                // cascade threads through every later decision.
+                // incremental analysis cache the cascade threads through
+                // every later decision.
                 if self.partition.analysis_cache_enabled() {
                     new.enable_analysis_cache();
-                }
-                if self.config.use_journal {
-                    new.enable_journal();
                 }
                 if self.config.cross_shard_split {
                     new.allow_partial_chains();
@@ -1725,27 +1633,6 @@ mod tests {
     }
 
     #[test]
-    fn journal_and_clone_rollback_decide_identically() {
-        // The journal is pure mechanism: same decisions, same partitions,
-        // same stats as the clone-snapshot rollback it replaces — across a
-        // churn trace heavy enough to exercise repair and fallback.
-        let events = crate::ChurnGenerator::new()
-            .cores(2)
-            .target_normalized_utilization(0.95)
-            .events(120)
-            .seed(11)
-            .generate()
-            .unwrap();
-        let mut journal = AdmissionController::new(OnlineConfig::new(2)).unwrap();
-        let mut clone =
-            AdmissionController::new(OnlineConfig::builder().cores(2).journal(false).build())
-                .unwrap();
-        assert_eq!(journal.handle_all(&events), clone.handle_all(&events));
-        assert_eq!(journal.partition(), clone.partition());
-        assert_eq!(journal.stats(), clone.stats());
-    }
-
-    #[test]
     fn split_bodies_sit_on_the_exact_frontier() {
         // Every body a fast split carves is as large as its core allows:
         // either it used all the budget the chain offered, or one more
@@ -1808,8 +1695,8 @@ mod tests {
     #[test]
     fn journal_cascade_is_clone_free() {
         // The acceptance criterion of the journal refactor: no
-        // full-partition clones remain anywhere on the decision hot path
-        // (repair rollback included) when the journal is enabled.
+        // full-partition clones remain anywhere on the decision hot path,
+        // repair rollback included.
         let events = crate::ChurnGenerator::new()
             .cores(2)
             .target_normalized_utilization(0.95)
@@ -2171,32 +2058,6 @@ mod tests {
         assert!(charged_c
             .partition()
             .is_schedulable(charged_c.config().test));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_with_methods_still_match_the_builder() {
-        // The shims stay until the next breaking release; they must keep
-        // producing exactly the config the builder produces.
-        let via_builder = OnlineConfig::builder()
-            .cores(3)
-            .test(UniprocessorTest::ResponseTime)
-            .min_split_budget(Time::from_millis(1))
-            .max_repair_moves(5)
-            .fallback(false)
-            .rta_cache(false)
-            .journal(false)
-            .repair_ranking(RepairRanking::Utilization)
-            .build();
-        let via_shims = OnlineConfig::new(3)
-            .with_test(UniprocessorTest::ResponseTime)
-            .with_min_split_budget(Time::from_millis(1))
-            .with_max_repair_moves(5)
-            .with_fallback(false)
-            .with_rta_cache(false)
-            .with_journal(false)
-            .with_repair_ranking(RepairRanking::Utilization);
-        assert_eq!(via_builder, via_shims);
     }
 
     #[test]

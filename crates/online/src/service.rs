@@ -302,7 +302,7 @@ impl ShardedAdmission<AdmissionController> {
     /// A service of `shard_count` controller shards splitting the
     /// `config.cores` processor cores near-evenly. Every shard inherits
     /// the configuration's cascade knobs (test, overheads, repair bound,
-    /// cache/journal toggles) against its own core slice.
+    /// cache toggle) against its own core slice.
     ///
     /// # Errors
     ///
