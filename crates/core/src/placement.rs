@@ -233,6 +233,9 @@ enum JournalOp {
         priorities: Vec<Option<Priority>>,
         cache_undo: Option<(CacheStaleness, RefreshUndo)>,
     },
+    /// A mutator gave `core` a fresh generation; `prev` is the one it
+    /// replaced (see [`Partition::core_generation`]).
+    Generation { core: CoreId, prev: u64 },
 }
 
 /// The mutation journal behind [`Partition::journal_begin`] /
@@ -311,20 +314,40 @@ pub enum CacheAuditVerdict {
 /// controller's bounded repair, split and cross-shard planning all run on
 /// it, and [`clone_count`](Self::clone_count) proves the hot path stays
 /// clone-free.
+///
+/// # Per-core generations
+///
+/// Every core carries a generation number
+/// ([`core_generation`](Self::core_generation)). Each mutator that can
+/// change what a probe on a core sees — its placements, their priorities
+/// or its analysis-cache slot — gives the core a fresh value from a
+/// monotone counter, and [`rewind`](Self::rewind) restores the value the
+/// core had at the mark. Hence, within one partition's history, **equal
+/// generation ⇒ identical placements and cache slot on that core**: a
+/// caller may memoize any pure function of a core's state under its
+/// generation. Like the cache, generations are derived state: they travel
+/// with `Clone` but do not serialize and do not take part in equality, and
+/// values are only comparable within one partition (a clone or a freshly
+/// built partition issues its own).
 #[derive(Debug, Default)]
 pub struct Partition {
     cores: Vec<Vec<PlacedTask>>,
     cache: Option<Vec<CoreCacheSlot>>,
     journal: Journal,
+    /// One generation per core (see the [struct docs](Self#per-core-generations)).
+    generations: Vec<u64>,
+    /// The next unissued generation; never rewound, so a value is issued
+    /// at most once.
+    next_generation: u64,
     /// Whether split chains may end at a shard boundary: a body piece with
     /// `next_core: None` whose later pieces live in *another* shard's
     /// partition. Off by default; the cross-shard split planner opts in.
     partial_chains: bool,
 }
 
-/// Clones the placements and the attached analysis cache. The mutation
-/// journal is instance-local rollback state and does *not* travel: the clone
-/// gets a fresh, idle journal.
+/// Clones the placements, the attached analysis cache and the per-core
+/// generations. The mutation journal is instance-local rollback state and
+/// does *not* travel: the clone gets a fresh, idle journal.
 /// Every clone increments the calling thread's counter behind
 /// [`Partition::clone_count`] so rollback paths can prove they stopped
 /// snapshotting.
@@ -335,6 +358,8 @@ impl Clone for Partition {
             cores: self.cores.clone(),
             cache: self.cache.clone(),
             journal: Journal::default(),
+            generations: self.generations.clone(),
+            next_generation: self.next_generation,
             partial_chains: self.partial_chains,
         }
     }
@@ -360,8 +385,11 @@ impl Serialize for Partition {
 
 impl Deserialize for Partition {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let cores = Vec::<Vec<PlacedTask>>::from_value(value.field("cores")?)?;
         Ok(Partition {
-            cores: Vec::<Vec<PlacedTask>>::from_value(value.field("cores")?)?,
+            generations: vec![0; cores.len()],
+            next_generation: 1,
+            cores,
             cache: None,
             journal: Journal::default(),
             partial_chains: false,
@@ -376,6 +404,8 @@ impl Partition {
             cores: vec![Vec::new(); cores],
             cache: None,
             journal: Journal::default(),
+            generations: vec![0; cores],
+            next_generation: 1,
             partial_chains: false,
         }
     }
@@ -560,6 +590,7 @@ impl Partition {
                     slot.staleness = staleness;
                 }
             }
+            JournalOp::Generation { core, prev } => self.generations[core.0] = prev,
         }
     }
 
@@ -578,6 +609,24 @@ impl Partition {
         if self.recording() {
             self.journal.ops.push(op);
         }
+    }
+
+    /// The generation of one core: equal values (read from the same
+    /// partition) guarantee identical placements and analysis-cache slot on
+    /// that core. See the [struct docs](Self#per-core-generations).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the core id is out of range.
+    pub fn core_generation(&self, core: CoreId) -> u64 {
+        self.generations[core.0]
+    }
+
+    /// Gives `core` a fresh generation, journaling the one it replaces.
+    fn bump_generation(&mut self, core: CoreId) {
+        let prev = std::mem::replace(&mut self.generations[core.0], self.next_generation);
+        self.next_generation += 1;
+        self.record(JournalOp::Generation { core, prev });
     }
 
     /// Attaches (or rebuilds) the incremental analysis cache: one converged
@@ -604,6 +653,9 @@ impl Partition {
                 })
                 .collect(),
         );
+        for core in 0..self.cores.len() {
+            self.bump_generation(CoreId(core));
+        }
     }
 
     /// Whether an analysis cache is attached (converged or not).
@@ -639,7 +691,11 @@ impl Partition {
         if slot.staleness != CacheStaleness::Fresh {
             return false;
         }
-        slot.analysis.corrupt_first_response()
+        let flipped = slot.analysis.corrupt_first_response();
+        if flipped {
+            self.bump_generation(core);
+        }
+        flipped
     }
 
     /// Self-audit of one core's attached analysis cache: re-derives the
@@ -671,6 +727,9 @@ impl Partition {
         let clean = self.cache.as_mut().expect("checked above")[core.0]
             .analysis
             .audit();
+        if !clean {
+            self.bump_generation(core);
+        }
         Some(if clean {
             CacheAuditVerdict::Clean
         } else {
@@ -716,6 +775,7 @@ impl Partition {
             let slot = &mut slots[core.0];
             slot.staleness = slot.staleness.escalate(CacheStaleness::Inserted);
         }
+        self.bump_generation(core);
     }
 
     /// Iterates over `(core, placement)` pairs.
@@ -853,7 +913,8 @@ impl Partition {
     ///
     /// This is the departure path of online admission control: removing
     /// tasks only ever shrinks per-core demand, so a schedulable partition
-    /// stays schedulable.
+    /// stays schedulable. Every touched core gets a fresh generation (via
+    /// its renormalization).
     pub fn remove_parent(&mut self, parent: TaskId) -> usize {
         self.reconcile_abandoned_scopes();
         let recording = self.recording();
@@ -976,6 +1037,7 @@ impl Partition {
                 cache_undo,
             });
         }
+        self.bump_generation(core);
     }
 
     /// Structural sanity checks, used by tests and debug assertions:

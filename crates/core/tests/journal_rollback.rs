@@ -13,13 +13,23 @@
 //! tail linked by `next_core`) and pieces whose analysis WCET carries a
 //! migration-charge inflation over their execution budget.
 //!
+//! The same sequences pin the per-core generation contract: a rewind
+//! restores every core's generation exactly, and two states of one
+//! partition that share a core's generation have identical placements and
+//! cached analysis on that core — the invariant that lets callers memoize
+//! per-core work under a generation.
+//!
 //! The vendored proptest runner is deterministically seeded, so failures
 //! reproduce identically.
 
+use std::collections::HashMap;
+
 use proptest::collection::vec;
 use proptest::prelude::*;
+use spms_analysis::CachedCoreAnalysis;
 use spms_core::{
-    CoreId, Partition, PlacedTask, PlanTxn, SplitInfo, SubtaskKind, BODY_PRIORITY, TAIL_PRIORITY,
+    CacheAuditVerdict, CoreId, Partition, PlacedTask, PlanTxn, SplitInfo, SubtaskKind,
+    BODY_PRIORITY, TAIL_PRIORITY,
 };
 use spms_task::{Priority, Task, Time};
 
@@ -57,16 +67,21 @@ enum Op {
     /// budget by up to `extra` µs (the shape of a charged repair
     /// relocation).
     Inflated(usize, Spec, u64),
+    /// Place a fresh whole task on core `core % cores` *without*
+    /// renormalizing, leaving the core's cache slot stale until a later
+    /// renormalization or removal touches it.
+    Unsynced(usize, Spec),
 }
 
 fn op() -> impl Strategy<Value = Op> {
-    (0u8..11, 0usize..64, (1u64..40, 0u64..120), 1u64..10).prop_map(|(kind, index, spec, extra)| {
+    (0u8..12, 0usize..64, (1u64..40, 0u64..120), 1u64..10).prop_map(|(kind, index, spec, extra)| {
         match kind {
             0..=3 => Op::Place(index, spec),
             4 | 5 => Op::Remove(index),
             6 => Op::Renormalize(index),
             7 | 8 => Op::Split(index, spec, extra),
-            _ => Op::Inflated(index, spec, extra),
+            9 | 10 => Op::Inflated(index, spec, extra),
+            _ => Op::Unsynced(index, spec),
         }
     })
 }
@@ -183,6 +198,11 @@ fn apply(partition: &mut Partition, op: &Op, next_id: &mut u32) {
             partition.renormalize_core_priorities(core);
             *next_id += 1;
         }
+        Op::Unsynced(core, spec) => {
+            let core = CoreId(core % cores);
+            partition.place(core, PlacedTask::whole(build_task(*next_id, *spec)));
+            *next_id += 1;
+        }
     }
 }
 
@@ -197,6 +217,125 @@ fn assert_fully_equal(a: &Partition, b: &Partition) {
             b.cached_core(CoreId(core)),
             "cache state diverged on core {core}"
         );
+    }
+}
+
+/// [`assert_fully_equal`] plus every core's generation: what a rewind to a
+/// snapshot clone's mark must restore.
+fn assert_restored(a: &Partition, b: &Partition) {
+    assert_fully_equal(a, b);
+    for core in 0..a.core_count() {
+        assert_eq!(
+            a.core_generation(CoreId(core)),
+            b.core_generation(CoreId(core)),
+            "generation not restored on core {core}"
+        );
+    }
+}
+
+/// One step of a journaled random walk: mutate, take a nested mark, or
+/// rewind to one of the open marks (`index % open marks`).
+#[derive(Debug, Clone)]
+enum Step {
+    Mutate(Op),
+    Mark,
+    Rewind(usize),
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    (0u8..8, op(), 0usize..16).prop_map(|(kind, op, index)| match kind {
+        0 => Step::Mark,
+        1 => Step::Rewind(index),
+        _ => Step::Mutate(op),
+    })
+}
+
+/// What a probe on one core can see: its placements and, when converged,
+/// its cached analysis.
+type CoreState = (Vec<PlacedTask>, Option<CachedCoreAnalysis>);
+
+/// Records every `(core, generation)` pair seen so far with the core's
+/// state, and asserts that a generation seen again maps to the same state.
+#[derive(Default)]
+struct GenerationLedger {
+    seen: HashMap<(usize, u64), CoreState>,
+}
+
+impl GenerationLedger {
+    fn observe(&mut self, partition: &Partition) {
+        for core in 0..partition.core_count() {
+            let id = CoreId(core);
+            let state = (
+                partition.core(id).to_vec(),
+                partition.cached_core(id).cloned(),
+            );
+            let generation = partition.core_generation(id);
+            match self.seen.get(&(core, generation)) {
+                Some(previous) => assert_eq!(
+                    previous, &state,
+                    "core {core} changed under generation {generation}"
+                ),
+                None => {
+                    self.seen.insert((core, generation), state);
+                }
+            }
+        }
+    }
+}
+
+fn cached_single_task_partition() -> Partition {
+    let mut partition = Partition::new(2);
+    partition.place(CoreId(0), PlacedTask::whole(build_task(0, (10, 30))));
+    partition.renormalize_core_priorities(CoreId(0));
+    partition.enable_analysis_cache();
+    partition
+}
+
+/// An injected cache corruption changes what probes on the core see, so it
+/// must move the core's generation (and only that core's).
+#[test]
+fn corruption_moves_the_generation() {
+    let mut partition = cached_single_task_partition();
+    let before = [0, 1].map(|c| partition.core_generation(CoreId(c)));
+    assert!(partition.corrupt_cached_response(CoreId(0)));
+    assert_ne!(partition.core_generation(CoreId(0)), before[0]);
+    assert_eq!(partition.core_generation(CoreId(1)), before[1]);
+    // Nothing to flip on an empty core: no change, no new generation.
+    assert!(!partition.corrupt_cached_response(CoreId(1)));
+    assert_eq!(partition.core_generation(CoreId(1)), before[1]);
+}
+
+/// A repairing audit rebuilds the memo, so it moves the generation; a clean
+/// audit changes nothing and keeps it.
+#[test]
+fn repairing_audit_moves_the_generation_and_a_clean_one_does_not() {
+    let mut partition = cached_single_task_partition();
+    let clean = partition.core_generation(CoreId(0));
+    assert_eq!(
+        partition.audit_cached_core(CoreId(0)),
+        Some(CacheAuditVerdict::Clean)
+    );
+    assert_eq!(partition.core_generation(CoreId(0)), clean);
+
+    assert!(partition.corrupt_cached_response(CoreId(0)));
+    let corrupted = partition.core_generation(CoreId(0));
+    assert_eq!(
+        partition.audit_cached_core(CoreId(0)),
+        Some(CacheAuditVerdict::Repaired)
+    );
+    let repaired = partition.core_generation(CoreId(0));
+    assert_ne!(repaired, corrupted);
+    assert_ne!(repaired, clean, "generations are never reissued");
+}
+
+/// Attaching the cache changes every core's slot.
+#[test]
+fn enabling_the_cache_moves_every_generation() {
+    let mut partition = Partition::new(3);
+    let before = [0, 1, 2].map(|c| partition.core_generation(CoreId(c)));
+    partition.enable_analysis_cache();
+    for (core, before) in before.into_iter().enumerate() {
+        assert_ne!(partition.core_generation(CoreId(core)), before);
     }
 }
 
@@ -225,7 +364,44 @@ proptest! {
         }
         partition.rewind(mark);
         partition.journal_end();
-        assert_fully_equal(&partition, &snapshot);
+        assert_restored(&partition, &snapshot);
+        prop_assert_eq!(partition.validate(), Ok(()));
+    }
+
+    /// A random walk of mutations, nested marks and rewinds: every rewind
+    /// restores the generations the cores had at the mark, and whenever a
+    /// core shows a generation it showed before, its placements and cached
+    /// analysis are exactly what they were then.
+    #[test]
+    fn equal_generations_imply_identical_core_state(
+        cores in 1usize..5,
+        prefix in vec(op(), 0..8),
+        steps in vec(step(), 1..40),
+    ) {
+        let mut partition = Partition::new(cores);
+        partition.enable_analysis_cache();
+        let mut next_id = 0u32;
+        let mut ledger = GenerationLedger::default();
+        for op in &prefix {
+            apply(&mut partition, op, &mut next_id);
+            ledger.observe(&partition);
+        }
+        let mut marks = vec![(partition.journal_begin(), partition.clone())];
+        for step in &steps {
+            match step {
+                Step::Mutate(op) => apply(&mut partition, op, &mut next_id),
+                Step::Mark => marks.push((partition.journal_mark(), partition.clone())),
+                Step::Rewind(index) => {
+                    let keep = index % marks.len() + 1;
+                    marks.truncate(keep);
+                    let (mark, snapshot) = marks.last().expect("outer mark stays");
+                    partition.rewind(*mark);
+                    assert_restored(&partition, snapshot);
+                }
+            }
+            ledger.observe(&partition);
+        }
+        partition.journal_end();
         prop_assert_eq!(partition.validate(), Ok(()));
     }
 
@@ -256,10 +432,10 @@ proptest! {
             apply(&mut partition, op, &mut next_id);
         }
         partition.rewind(inner);
-        assert_fully_equal(&partition, &inner_snapshot);
+        assert_restored(&partition, &inner_snapshot);
         partition.rewind(outer);
         partition.journal_end();
-        assert_fully_equal(&partition, &outer_snapshot);
+        assert_restored(&partition, &outer_snapshot);
     }
 
     /// A rewound scope leaves no trace: committing different work after an
@@ -328,8 +504,8 @@ proptest! {
         }
         txn.abort(&mut [&mut a, &mut b]);
 
-        assert_fully_equal(&a, &snapshot_a);
-        assert_fully_equal(&b, &snapshot_b);
+        assert_restored(&a, &snapshot_a);
+        assert_restored(&b, &snapshot_b);
         prop_assert_eq!(a.validate(), Ok(()));
         prop_assert_eq!(b.validate(), Ok(()));
     }
@@ -372,7 +548,7 @@ proptest! {
             apply(&mut a, op, &mut next_id);
         }
         solo.abort(std::slice::from_mut(&mut &mut a));
-        assert_fully_equal(&a, &committed_a);
+        assert_restored(&a, &committed_a);
         prop_assert_eq!(a.validate(), Ok(()));
         prop_assert_eq!(b.validate(), Ok(()));
     }

@@ -47,7 +47,7 @@
 //! strippable timing section — never in any serializable result, so
 //! reports stay byte-identical across runs.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::time::Instant;
 
@@ -154,6 +154,9 @@ pub struct OnlineConfig {
 /// (whole + split RTA probes, the cascade's unit of work) — an integer
 /// that is a pure function of the decision stream, never wall-clock, so
 /// the ladder's behaviour is deterministic across threads and machines.
+/// The budget counts probes actually run: a repair relocation answered by
+/// the failed-relocation memo costs none, and debug-build cross-checks
+/// are not counted either.
 /// An arrival that spends more than `probe_budget` probes escalates the
 /// controller one degrade level (1 = the full-repartition fallback is
 /// withheld, 2 = bounded repair is withheld too); `hysteresis`
@@ -596,6 +599,37 @@ pub struct AdmissionController {
     /// Consecutive within-budget arrivals since the last escalation —
     /// the hysteresis counter that walks the ladder back down.
     calm_streak: u32,
+    /// Whole-victim relocations known to fail, one slot per victim (see
+    /// [`relocate`](Self::relocate)). A slot is dropped when its task
+    /// leaves or re-enters the admitted set, and the whole memo is cleared
+    /// when the fallback adopts a new partition (whose generations are not
+    /// comparable with the old one's).
+    failed_relocations: HashMap<TaskId, FailedRelocation>,
+}
+
+/// A whole-victim relocation whose placement plan came back empty: the
+/// core the victim was to leave, the migration charge it was planned
+/// with, and the generation of every *other* core (index order) at the
+/// time. The plan reads nothing else that can change while the victim
+/// stays admitted, so an identical key means an identical (empty) plan.
+#[derive(Debug, Clone)]
+struct FailedRelocation {
+    target: CoreId,
+    charge: Time,
+    generations: Vec<u64>,
+}
+
+/// What [`AdmissionController::pick_victim`] knows about its pick.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum VictimEvidence {
+    /// Slack pass 1: an exact what-if probe showed that evicting this
+    /// victim alone unblocks the arrival.
+    Unblocks,
+    /// Slack pass 2: every remaining candidate was probed or provably
+    /// pruned, and no single eviction unblocks the arrival.
+    Insufficient,
+    /// The utilization ranking, which does not probe.
+    Unknown,
 }
 
 impl AdmissionController {
@@ -634,6 +668,7 @@ impl AdmissionController {
             next_event: 0,
             degrade_level: 0,
             calm_streak: 0,
+            failed_relocations: HashMap::new(),
         })
     }
 
@@ -894,6 +929,7 @@ impl AdmissionController {
             .stats
             .inflation_charged_ns
             .saturating_add(inflation.as_nanos());
+        self.failed_relocations.remove(&task.id());
         self.admitted.insert(task.id(), task.clone());
         DecisionKind::Admitted {
             path,
@@ -969,6 +1005,11 @@ impl AdmissionController {
     /// One repair attempt against a fixed `target` core. Mutates the
     /// partition freely; the caller rolls back on `None`. Returns the
     /// number of relocations and their accumulated WCET inflation.
+    ///
+    /// The last move slot only goes to a victim whose eviction provably
+    /// unblocks the arrival: when slack ranking has shown that no single
+    /// eviction does, relocating one more task cannot end in success, so
+    /// the attempt gives up before mutating.
     fn repair_on(&mut self, target: CoreId, task: &Task) -> Option<(usize, Time)> {
         let k = self.config.max_repair_moves;
         let others: Vec<CoreId> = (0..self.config.cores)
@@ -988,7 +1029,10 @@ impl AdmissionController {
             if moves == k {
                 return None;
             }
-            let victim = self.pick_victim(target, task, &immovable)?;
+            let (victim, evidence) = self.pick_victim(target, task, &immovable)?;
+            if moves + 1 == k && evidence == VictimEvidence::Insufficient {
+                return None;
+            }
             match self.relocate(victim, target) {
                 Some(added) => {
                     moves += 1;
@@ -1000,10 +1044,17 @@ impl AdmissionController {
     }
 
     /// The next task worth evicting from `target` under the configured
-    /// ranking policy.
-    fn pick_victim(&self, target: CoreId, arrival: &Task, immovable: &[TaskId]) -> Option<TaskId> {
+    /// ranking policy, with what the ranking learned about it.
+    fn pick_victim(
+        &self,
+        target: CoreId,
+        arrival: &Task,
+        immovable: &[TaskId],
+    ) -> Option<(TaskId, VictimEvidence)> {
         match self.config.repair_ranking {
-            RepairRanking::Utilization => self.pick_victim_by_utilization(target, immovable),
+            RepairRanking::Utilization => self
+                .pick_victim_by_utilization(target, immovable)
+                .map(|id| (id, VictimEvidence::Unknown)),
             RepairRanking::Slack => self.pick_victim_by_slack(target, arrival, immovable),
         }
     }
@@ -1046,7 +1097,7 @@ impl AdmissionController {
         target: CoreId,
         arrival: &Task,
         immovable: &[TaskId],
-    ) -> Option<TaskId> {
+    ) -> Option<(TaskId, VictimEvidence)> {
         let candidates: Vec<(f64, TaskId)> = {
             let mut c: Vec<(f64, TaskId)> = self
                 .partition
@@ -1081,7 +1132,7 @@ impl AdmissionController {
                 .placer
                 .accepts_whole_without(&self.partition, target, arrival, id)
             {
-                return Some(id);
+                return Some((id, VictimEvidence::Unblocks));
             }
         }
         // Pass 2: no single eviction opens the hole — free the most
@@ -1097,7 +1148,7 @@ impl AdmissionController {
                     .then_with(|| b.1.cmp(&a.1))
                     .then_with(|| b.2.cmp(&a.2))
             })
-            .map(|(_, _, id)| id)
+            .map(|(_, _, id)| (id, VictimEvidence::Insufficient))
     }
 
     /// The slack (`deadline − response`) of `parent`'s placement on
@@ -1162,24 +1213,103 @@ impl AdmissionController {
     /// charge folded in (a relocated whole absorbs one charge; a re-split
     /// charges each later piece), so the move commits only if the inflated
     /// placement stays schedulable. Returns the inflation charged on
-    /// success; on failure the partition is rewound to an inner journal
-    /// mark, leaving the enclosing repair scope open.
+    /// success.
+    ///
+    /// A victim placed whole on `target` is planned *before* it is
+    /// evicted: the plan excludes `target`, the only core the eviction
+    /// changes, so it is exactly the plan the evicted partition would
+    /// yield, and a failure leaves the partition untouched. Such failures
+    /// are memoized under the generations of the cores the plan reads
+    /// ([`Partition::core_generation`]); a repeat with the same target,
+    /// charge and generations fails at once. A split victim spans several
+    /// cores, so it is still evicted first and, on failure, rewound to an
+    /// inner journal mark, leaving the enclosing repair scope open.
     fn relocate(&mut self, victim: TaskId, target: CoreId) -> Option<Time> {
-        let original = self.admitted.get(&victim).cloned()?;
-        let charge = self.migration_charge(&original);
+        let charge = self.migration_charge(self.admitted.get(&victim)?);
+        let whole_on_target = self
+            .partition
+            .core(target)
+            .iter()
+            .any(|p| p.parent == victim && !p.is_split());
+        if !whole_on_target {
+            return self.relocate_split(victim, target, charge);
+        }
+        if self.relocation_known_to_fail(victim, target, charge) {
+            scoped::bump(HotCounter::RelocationMemoHits);
+            debug_assert!(
+                scoped::uncounted(|| self.placer.plan_charged(
+                    &self.partition,
+                    &self.admitted[&victim],
+                    &[target],
+                    charge
+                ))
+                .is_none(),
+                "memoized relocation failure of {victim} off {target} has a plan"
+            );
+            return None;
+        }
+        let original = &self.admitted[&victim];
+        let Some(plan) = self
+            .placer
+            .plan_charged(&self.partition, original, &[target], charge)
+        else {
+            let generations = self.generations_except(target).collect();
+            self.failed_relocations.insert(
+                victim,
+                FailedRelocation {
+                    target,
+                    charge,
+                    generations,
+                },
+            );
+            return None;
+        };
+        let inflation = plan_inflation(&plan, charge);
+        self.partition.remove_parent(victim);
+        self.placer.commit(&mut self.partition, original, plan);
+        Some(inflation)
+    }
+
+    /// [`relocate`](Self::relocate) for a split victim: evict the whole
+    /// chain, re-plan, and rewind to an inner mark if no plan exists.
+    fn relocate_split(&mut self, victim: TaskId, target: CoreId, charge: Time) -> Option<Time> {
+        let original = &self.admitted[&victim];
         let inner = self.partition.journal_mark();
         self.partition.remove_parent(victim);
         if let Some(plan) = self
             .placer
-            .plan_charged(&self.partition, &original, &[target], charge)
+            .plan_charged(&self.partition, original, &[target], charge)
         {
             let inflation = plan_inflation(&plan, charge);
-            self.placer.commit(&mut self.partition, &original, plan);
+            self.placer.commit(&mut self.partition, original, plan);
             Some(inflation)
         } else {
             self.partition.rewind(inner);
             None
         }
+    }
+
+    /// Whether relocating `victim` off `target` with `charge` already
+    /// failed on a partition whose other cores all still carry the same
+    /// generations.
+    fn relocation_known_to_fail(&self, victim: TaskId, target: CoreId, charge: Time) -> bool {
+        self.failed_relocations.get(&victim).is_some_and(|failed| {
+            failed.target == target
+                && failed.charge == charge
+                && failed
+                    .generations
+                    .iter()
+                    .copied()
+                    .eq(self.generations_except(target))
+        })
+    }
+
+    /// The generations of every core but `target`, in index order.
+    fn generations_except(&self, target: CoreId) -> impl Iterator<Item = u64> + '_ {
+        (0..self.config.cores)
+            .map(CoreId)
+            .filter(move |c| *c != target)
+            .map(|c| self.partition.core_generation(c))
     }
 
     // ------------------------------------------------------------------
@@ -1256,6 +1386,7 @@ impl AdmissionController {
                     new.allow_partial_chains();
                 }
                 self.partition = new;
+                self.failed_relocations.clear();
                 Some(migrations)
             }
             _ => None,
@@ -1282,6 +1413,7 @@ impl AdmissionController {
             return DecisionKind::DepartUnknown;
         }
         self.remote_parents.remove(&id);
+        self.failed_relocations.remove(&id);
         let removed = self.partition.remove_parent(id);
         debug_assert!(removed > 0, "admitted task {id} had no placements");
         self.stats.departures += 1;
@@ -1322,14 +1454,17 @@ impl crate::AdmissionShard for AdmissionController {
     }
 
     fn forget_admitted(&mut self, id: TaskId) -> Option<Task> {
+        self.failed_relocations.remove(&id);
         self.admitted.remove(&id)
     }
 
     fn note_admitted(&mut self, task: Task) {
+        self.failed_relocations.remove(&task.id());
         self.admitted.insert(task.id(), task);
     }
 
     fn note_remote_admitted(&mut self, piece: Task) {
+        self.failed_relocations.remove(&piece.id());
         self.remote_parents.insert(piece.id());
         self.admitted.insert(piece.id(), piece);
     }
@@ -2108,6 +2243,167 @@ mod tests {
                 inflation: Time::ZERO
             }
         );
+    }
+
+    /// A controller on two 90%-full cores (splitting disabled) under the
+    /// given degrade policy: any 15% arrival fails both fast paths.
+    fn saturated_two_cores(policy: DegradePolicy) -> AdmissionController {
+        let config = two_cores_no_split().degrade(Some(policy)).build();
+        let mut c = AdmissionController::new(config).unwrap();
+        arrive(&mut c, task(0, 9, 10));
+        arrive(&mut c, task(1, 9, 10));
+        c
+    }
+
+    fn counter(c: &AdmissionController, name: &str) -> u64 {
+        c.metrics().registry().counter_by_name(name).unwrap_or(0)
+    }
+
+    #[test]
+    fn degrade_ladder_escalates_once_per_over_budget_arrival_up_to_level_two() {
+        // Budget 0: every arrival that runs a probe is over budget.
+        let mut c = AdmissionController::new(
+            OnlineConfig::builder()
+                .cores(2)
+                .degrade(Some(DegradePolicy {
+                    probe_budget: 0,
+                    hysteresis: 4,
+                }))
+                .build(),
+        )
+        .unwrap();
+        assert_eq!(c.degrade_level(), 0);
+        for (id, level) in [(0, 1), (1, 2), (2, 2)] {
+            arrive(&mut c, task(id, 1, 10));
+            assert_eq!(c.degrade_level(), level, "after arrival {id}");
+        }
+        assert_eq!(counter(&c, "spms_mech_degrade_escalations_total"), 2);
+        assert_eq!(
+            c.metrics()
+                .registry()
+                .gauge_by_name("spms_mech_degrade_level"),
+            Some(2)
+        );
+        // A generous budget never escalates.
+        let mut calm = AdmissionController::new(
+            OnlineConfig::builder()
+                .cores(2)
+                .degrade(Some(DegradePolicy::default()))
+                .build(),
+        )
+        .unwrap();
+        for id in 0..3 {
+            arrive(&mut calm, task(id, 1, 10));
+        }
+        assert_eq!(calm.degrade_level(), 0);
+    }
+
+    #[test]
+    fn degrade_ladder_sheds_repair_then_fallback_and_counts_each_shed_stage() {
+        let mut c = saturated_two_cores(DegradePolicy {
+            probe_budget: 0,
+            hysteresis: 1,
+        });
+        assert_eq!(c.degrade_level(), 2, "both set-up arrivals probed");
+        // Level 2 withholds both expensive stages: two sheds, no attempts.
+        assert_eq!(
+            arrive(&mut c, task(2, 15, 100)),
+            DecisionKind::Rejected {
+                reason: RejectionReason::NoFeasiblePlacement
+            }
+        );
+        assert_eq!(counter(&c, "spms_mech_degrade_shed_stages_total"), 2);
+        assert_eq!(counter(&c, "spms_mech_stage_repair_attempts_total"), 0);
+        assert_eq!(
+            counter(&c, "spms_mech_stage_full_repartition_attempts_total"),
+            0
+        );
+        // One calm arrival (a duplicate runs no probe) recovers a rung.
+        arrive(&mut c, task(0, 9, 10));
+        assert_eq!(c.degrade_level(), 1);
+        // Level 1 runs repair but still withholds the fallback.
+        arrive(&mut c, task(3, 15, 100));
+        assert_eq!(counter(&c, "spms_mech_degrade_shed_stages_total"), 3);
+        assert_eq!(counter(&c, "spms_mech_stage_repair_attempts_total"), 1);
+        assert_eq!(
+            counter(&c, "spms_mech_stage_full_repartition_attempts_total"),
+            0
+        );
+    }
+
+    #[test]
+    fn degrade_ladder_recovers_one_rung_per_hysteresis_calm_streak() {
+        let mut c = saturated_two_cores(DegradePolicy {
+            probe_budget: 0,
+            hysteresis: 3,
+        });
+        assert_eq!(c.degrade_level(), 2);
+        // Duplicate arrivals are rejected before any probe: calm.
+        let calm = |c: &mut AdmissionController| {
+            arrive(c, task(0, 9, 10));
+        };
+        calm(&mut c);
+        calm(&mut c);
+        assert_eq!(c.degrade_level(), 2, "two calm arrivals are not a streak");
+        calm(&mut c);
+        assert_eq!(c.degrade_level(), 1);
+        // An over-budget arrival mid-streak escalates and resets the streak.
+        calm(&mut c);
+        calm(&mut c);
+        arrive(&mut c, task(2, 15, 100));
+        assert_eq!(c.degrade_level(), 2);
+        calm(&mut c);
+        calm(&mut c);
+        assert_eq!(c.degrade_level(), 2, "the streak restarted");
+        for _ in 0..4 {
+            calm(&mut c);
+        }
+        assert_eq!(c.degrade_level(), 0);
+        assert_eq!(counter(&c, "spms_mech_degrade_recoveries_total"), 3);
+        // Departures never move the ladder.
+        c.handle(WorkloadEvent::Depart(TaskId(1)));
+        assert_eq!(c.degrade_level(), 0);
+    }
+
+    #[test]
+    fn a_repeated_failed_relocation_is_answered_by_the_memo() {
+        // Two 90% cores, no splitting, no fallback: evicting either task
+        // would make room for a 15% arrival, but neither fits on the other
+        // core, so every relocation fails. A failed whole-victim plan
+        // mutates nothing, so the second identical arrival meets the same
+        // generations and skips the planner.
+        let config = two_cores_no_split().fallback(false).build();
+        let mut c = AdmissionController::new(config).unwrap();
+        arrive(&mut c, task(0, 9, 10));
+        arrive(&mut c, task(1, 9, 10));
+        let generations = |c: &AdmissionController| {
+            [0, 1].map(|core| c.partition().core_generation(CoreId(core)))
+        };
+        let before = generations(&c);
+        let memo_hits =
+            |c: &AdmissionController| counter(c, "spms_mech_relocation_memo_hits_total");
+        let probes = |c: &AdmissionController| {
+            counter(c, "spms_mech_whole_probes_total") + counter(c, "spms_mech_split_probes_total")
+        };
+        let rejected = DecisionKind::Rejected {
+            reason: RejectionReason::NoFeasiblePlacement,
+        };
+        let start = probes(&c);
+        assert_eq!(arrive(&mut c, task(2, 15, 100)), rejected);
+        assert_eq!(memo_hits(&c), 0);
+        assert_eq!(generations(&c), before, "failed plans mutate nothing");
+        let first = probes(&c) - start;
+        let start = probes(&c);
+        assert_eq!(arrive(&mut c, task(3, 15, 100)), rejected);
+        assert_eq!(memo_hits(&c), 2, "one hit per repair target");
+        assert!(probes(&c) - start < first, "memo hits must save probes");
+        // A departure frees room and drops the departed task's slot; the
+        // next arrival re-plans and is admitted.
+        c.handle(WorkloadEvent::Depart(TaskId(1)));
+        assert!(matches!(
+            arrive(&mut c, task(4, 15, 100)),
+            DecisionKind::Admitted { .. }
+        ));
     }
 
     #[test]

@@ -41,10 +41,13 @@ pub enum HotCounter {
     JournalBegins,
     /// Journal rewinds (rollbacks to a mark).
     JournalRewinds,
+    /// Repair relocations answered by the failed-relocation memo instead
+    /// of a fresh placement plan.
+    RelocationMemoHits,
 }
 
 /// How many [`HotCounter`]s exist.
-pub const HOT_COUNTER_COUNT: usize = 8;
+pub const HOT_COUNTER_COUNT: usize = 9;
 
 /// Every hot counter, in index order.
 pub const HOT_COUNTERS: [HotCounter; HOT_COUNTER_COUNT] = [
@@ -56,6 +59,7 @@ pub const HOT_COUNTERS: [HotCounter; HOT_COUNTER_COUNT] = [
     HotCounter::CacheProbeMisses,
     HotCounter::JournalBegins,
     HotCounter::JournalRewinds,
+    HotCounter::RelocationMemoHits,
 ];
 
 impl HotCounter {
@@ -69,6 +73,7 @@ impl HotCounter {
             HotCounter::CacheProbeMisses => 5,
             HotCounter::JournalBegins => 6,
             HotCounter::JournalRewinds => 7,
+            HotCounter::RelocationMemoHits => 8,
         }
     }
 
@@ -83,11 +88,13 @@ impl HotCounter {
             HotCounter::CacheProbeMisses => "spms_mech_cache_probe_misses_total",
             HotCounter::JournalBegins => "spms_mech_journal_begins_total",
             HotCounter::JournalRewinds => "spms_mech_journal_rewinds_total",
+            HotCounter::RelocationMemoHits => "spms_mech_relocation_memo_hits_total",
         }
     }
 }
 
 static GLOBALS: [AtomicU64; HOT_COUNTER_COUNT] = [
+    AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
@@ -136,6 +143,26 @@ pub fn reset_thread(counter: HotCounter) {
 /// counting).
 pub fn reset_global(counter: HotCounter) {
     GLOBALS[counter.index()].store(0, Ordering::Relaxed);
+}
+
+/// Runs `f` without counting: whatever `f` bumps is taken back from this
+/// thread's counters and the process-wide ones when it returns. For
+/// debug-build cross-checks, which must leave every work counter — and
+/// everything derived from one, like the degrade ladder — exactly as in a
+/// release build.
+pub fn uncounted<R>(f: impl FnOnce() -> R) -> R {
+    let before = thread_snapshot();
+    let out = f();
+    let spent = before.since();
+    THREAD.with(|cells| {
+        for (cell, value) in cells.iter().zip(before.values) {
+            cell.set(value);
+        }
+    });
+    for (global, spent) in GLOBALS.iter().zip(spent.values) {
+        global.fetch_sub(spent, Ordering::Relaxed);
+    }
+    out
 }
 
 /// A point-in-time copy of this thread's hot-counter values.
@@ -217,6 +244,21 @@ mod tests {
         .join()
         .unwrap();
         assert_eq!(before.since().get(HotCounter::CacheProbeHits), 0);
+    }
+
+    #[test]
+    fn uncounted_work_leaves_no_trace() {
+        let before = thread_snapshot();
+        bump(HotCounter::JournalBegins);
+        let out = uncounted(|| {
+            add(HotCounter::JournalBegins, 7);
+            bump(HotCounter::RelocationMemoHits);
+            42
+        });
+        assert_eq!(out, 42);
+        let delta = before.since();
+        assert_eq!(delta.get(HotCounter::JournalBegins), 1);
+        assert_eq!(delta.get(HotCounter::RelocationMemoHits), 0);
     }
 
     #[test]
