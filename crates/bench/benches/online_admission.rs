@@ -9,13 +9,6 @@
 //! admitted set plus the probe — the work the controller's last-resort
 //! fallback does and what a naive online system would do on *every*
 //! arrival.
-//!
-//! `fast_path` vs `fast_path_scratch_rta` additionally pins the incremental
-//! RTA cache: the same decision stream with the cache disabled re-runs
-//! `analyse_core` from scratch on every placement probe
-//! (`OnlineConfig::builder().rta_cache(false)`). Decisions are byte-identical
-//! either way (asserted by the `rtabench` CI smoke and the cache
-//! equivalence proptests); only the latency moves.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spms_core::{Partitioner, SemiPartitionedFpTs};
@@ -26,23 +19,19 @@ use std::hint::black_box;
 const CORES: usize = 4;
 
 /// A controller pre-loaded with a moderately utilized admitted set.
-fn warm_controller_with(config: OnlineConfig) -> AdmissionController {
+fn warm_controller() -> AdmissionController {
     let tasks = TaskSetGenerator::new()
         .task_count(12)
         .total_utilization(2.4)
         .seed(2011)
         .generate()
         .expect("reachable configuration");
-    let mut controller = AdmissionController::new(config).expect("cores > 0");
+    let mut controller = AdmissionController::new(OnlineConfig::new(CORES)).expect("cores > 0");
     for task in tasks {
         controller.handle(WorkloadEvent::Arrive(task));
     }
     assert!(controller.admitted_count() > 0);
     controller
-}
-
-fn warm_controller() -> AdmissionController {
-    warm_controller_with(OnlineConfig::new(CORES))
 }
 
 /// The probe arrival both benches admit.
@@ -58,21 +47,6 @@ fn bench_admission_latency(c: &mut Criterion) {
     group.bench_function("fast_path", |b| {
         b.iter(|| {
             let mut controller = warm.clone();
-            black_box(controller.handle(WorkloadEvent::Arrive(probe_task.clone())))
-        });
-    });
-
-    // The same admission with the incremental RTA cache disabled: every
-    // placement probe clones the core's tasks and re-runs analyse_core.
-    let warm_scratch = warm_controller_with(
-        OnlineConfig::builder()
-            .cores(CORES)
-            .rta_cache(false)
-            .build(),
-    );
-    group.bench_function("fast_path_scratch_rta", |b| {
-        b.iter(|| {
-            let mut controller = warm_scratch.clone();
             black_box(controller.handle(WorkloadEvent::Arrive(probe_task.clone())))
         });
     });

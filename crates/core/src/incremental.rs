@@ -7,8 +7,7 @@
 //! primitives this module provides:
 //!
 //! * [`IncrementalPlacer::plan_whole`] — first-fit placement of a single
-//!   task, validated by the same per-core acceptance test the offline
-//!   algorithms use;
+//!   task, validated by exact per-core response-time analysis;
 //! * [`IncrementalPlacer::plan_split`] — FP-TS-style splitting of a single
 //!   task across the residual capacity of several cores (bodies are carved
 //!   with the same promoted-priority, `C = D` scheme as
@@ -17,7 +16,10 @@
 //!
 //! Planning is separated from committing so that callers can evaluate
 //! tentative placements (the bounded-repair search of the online controller
-//! moves tasks speculatively and rolls back). All plans are deterministic:
+//! moves tasks speculatively and rolls back). Every probe reads one
+//! per-core analysis, [`Partition::core_analysis`]: the converged slot of
+//! the partition's attached cache, or one built on the fly when there is
+//! none. All plans are deterministic:
 //! cores are scanned in index order for whole placements, and bodies are
 //! carved on the core with the most residual utilization (ties broken by
 //! index).
@@ -36,8 +38,10 @@
 //! [`SemiPartitionedFpTs`]: crate::SemiPartitionedFpTs
 //! [`PartitionedFixedPriority`]: crate::PartitionedFixedPriority
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
-use spms_analysis::{rta, CachedCoreAnalysis, OverheadModel, UniprocessorTest};
+use spms_analysis::{CachedCoreAnalysis, OverheadModel};
 use spms_task::{Task, TaskId, Time};
 use spms_telemetry::{scoped, HotCounter};
 
@@ -85,24 +89,23 @@ pub enum WholeProbe {
     Accepted,
     /// The core rejects the task.
     Blocked {
-        /// Under the exact RTA: the first task whose slack goes negative
-        /// with the candidate added — the candidate's own id when its
-        /// recurrence exceeds its deadline, otherwise the first existing
-        /// task (in per-core priority order) that would miss its deadline.
-        /// `None` when the test has no blocker notion (utilization bounds)
-        /// or the task cannot absorb the overhead at all.
+        /// The first task whose slack goes negative with the candidate
+        /// added — the candidate's own id when its recurrence exceeds its
+        /// deadline, otherwise the first existing task (in per-core
+        /// (level, id) order) that would miss its deadline. On a core that
+        /// is already unschedulable, its first failing task. `None` only
+        /// when the task cannot absorb the overhead within its deadline,
+        /// so no core could host it.
         blocker: Option<TaskId>,
     },
 }
 
 /// Places single tasks into an existing partition, whole-first-fit with an
-/// FP-TS-style splitting fallback. See the [module docs](self) for the
+/// FP-TS-style splitting fallback. Every placement is validated by exact
+/// per-core response-time analysis. See the [module docs](self) for the
 /// placement and priority discipline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IncrementalPlacer {
-    /// Per-core acceptance test, applied to every candidate core with the
-    /// new (sub)task included.
-    pub test: UniprocessorTest,
     /// Run-time overheads folded into each placement's analysis WCET, using
     /// the same charging points as [`SemiPartitionedFpTs`](crate::SemiPartitionedFpTs).
     pub overhead: OverheadModel,
@@ -113,7 +116,6 @@ pub struct IncrementalPlacer {
 impl Default for IncrementalPlacer {
     fn default() -> Self {
         IncrementalPlacer {
-            test: UniprocessorTest::ResponseTime,
             overhead: OverheadModel::zero(),
             min_split_budget: Time::from_micros(100),
         }
@@ -125,12 +127,6 @@ impl IncrementalPlacer {
     /// split budget.
     pub fn new() -> Self {
         IncrementalPlacer::default()
-    }
-
-    /// Replaces the per-core acceptance test (builder style).
-    pub fn with_test(mut self, test: UniprocessorTest) -> Self {
-        self.test = test;
-        self
     }
 
     /// Replaces the overhead model (builder style).
@@ -164,8 +160,8 @@ impl IncrementalPlacer {
     }
 
     /// Plans a whole-task placement: the first core (in index order, skipping
-    /// `exclude`) whose assignment still passes the acceptance test with the
-    /// task added. Does not modify the partition.
+    /// `exclude`) that stays schedulable with the task added. Does not
+    /// modify the partition.
     pub fn plan_whole(
         &self,
         partition: &Partition,
@@ -198,9 +194,9 @@ impl IncrementalPlacer {
 
     /// Plans an FP-TS-style split of a single task across the residual
     /// capacity of the partition: body pieces are carved on the cores with
-    /// the most residual utilization (the exact largest budget the
-    /// acceptance test still admits), and the tail lands on the
-    /// first core that accepts what remains. Does not modify the partition.
+    /// the most residual utilization (the exact largest budget the core
+    /// still admits), and the tail lands on the first core that accepts
+    /// what remains. Does not modify the partition.
     ///
     /// Returns `None` when no split placement exists under the constraints
     /// (one body and one tail per core at most, every piece on a distinct
@@ -346,68 +342,26 @@ impl IncrementalPlacer {
     /// localizes the **blocker**: the first task whose `deadline − response`
     /// slack would go negative with the candidate added. Slack-guided
     /// repair uses the blocker to prune eviction candidates — a victim
-    /// ranked strictly below the blocker can never relieve it.
-    ///
-    /// With a converged analysis cache the probe is allocation-free; the
-    /// from-scratch fallback reports the same blocker in the same
-    /// (priority, id) order, so cached and uncached controllers make
-    /// identical repair decisions.
+    /// ranked strictly below the blocker can never relieve it. With a
+    /// converged analysis cache the probe is allocation-free.
     pub fn probe_whole(&self, partition: &Partition, core: CoreId, task: &Task) -> WholeProbe {
         let Some(analysis_task) = self.whole_analysis_task(task) else {
             return WholeProbe::Blocked { blocker: None };
         };
-        scoped::bump(HotCounter::WholeProbes);
-        if self.test == UniprocessorTest::ResponseTime {
-            if let Some(cache) = partition.cached_core(core) {
-                scoped::bump(HotCounter::CacheProbeHits);
-                return match cache.probe_candidate(
-                    &analysis_task,
-                    outranked_by_whole(&analysis_task),
-                    |_| false,
-                ) {
-                    None => WholeProbe::Accepted,
-                    Some(id) => WholeProbe::Blocked { blocker: Some(id) },
-                };
-            }
+        match probe_analysis(partition, core, HotCounter::WholeProbes).probe_candidate(
+            &analysis_task,
+            outranked_by_whole(&analysis_task),
+            |_| false,
+        ) {
+            None => WholeProbe::Accepted,
+            Some(id) => WholeProbe::Blocked { blocker: Some(id) },
         }
-        scoped::bump(HotCounter::CacheProbeMisses);
-        let tasks = normalized_candidate_tasks(partition.core(core), analysis_task, false);
-        if self.test != UniprocessorTest::ResponseTime {
-            return if self.test.accepts(&tasks) {
-                WholeProbe::Accepted
-            } else {
-                WholeProbe::Blocked { blocker: None }
-            };
-        }
-        let analysis = rta::analyse_core(&tasks);
-        if analysis.schedulable {
-            return WholeProbe::Accepted;
-        }
-        // Report the first failure in the same order as the cached probe:
-        // the candidate first, then the existing tasks by (level, id).
-        let candidate_pos = tasks
-            .iter()
-            .position(|t| t.id() == task.id())
-            .expect("candidate was appended above");
-        if analysis.response_times[candidate_pos].is_none() {
-            return WholeProbe::Blocked {
-                blocker: Some(task.id()),
-            };
-        }
-        let mut order: Vec<usize> = (0..tasks.len()).filter(|i| *i != candidate_pos).collect();
-        order.sort_by_key(|&i| (rta::effective_priority(&tasks[i]).level(), tasks[i].id()));
-        let blocker = order
-            .into_iter()
-            .find(|&i| analysis.response_times[i].is_none())
-            .map(|i| tasks[i].id());
-        debug_assert!(blocker.is_some(), "unschedulable core with no failing task");
-        WholeProbe::Blocked { blocker }
     }
 
     /// What-if probe for one repair eviction: would `core` accept `task`
     /// whole with every placement of parent `removed` evicted from it
-    /// first? Allocation-free through the analysis cache; the from-scratch
-    /// fallback is bit-identical (same commit-time priority ranking).
+    /// first? Allocation-free with a converged analysis cache; the
+    /// candidate is ranked exactly as the commit will rank it.
     pub fn accepts_whole_without(
         &self,
         partition: &Partition,
@@ -418,27 +372,12 @@ impl IncrementalPlacer {
         let Some(analysis_task) = self.whole_analysis_task(task) else {
             return false;
         };
-        scoped::bump(HotCounter::WholeProbes);
-        if self.test == UniprocessorTest::ResponseTime {
-            if let Some(cache) = partition.cached_core(core) {
-                scoped::bump(HotCounter::CacheProbeHits);
-                return cache.accepts_candidate_without(
-                    &analysis_task,
-                    removed,
-                    outranked_by_whole(&analysis_task),
-                    |_| false,
-                );
-            }
-        }
-        scoped::bump(HotCounter::CacheProbeMisses);
-        let bin: Vec<PlacedTask> = partition
-            .core(core)
-            .iter()
-            .filter(|p| p.parent != removed)
-            .cloned()
-            .collect();
-        let tasks = normalized_candidate_tasks(&bin, analysis_task, false);
-        self.test.accepts(&tasks)
+        probe_analysis(partition, core, HotCounter::WholeProbes).accepts_candidate_without(
+            &analysis_task,
+            removed,
+            outranked_by_whole(&analysis_task),
+            |_| false,
+        )
     }
 
     /// Plans whole-first, split-second: the admission fast path.
@@ -505,18 +444,19 @@ impl IncrementalPlacer {
     // internals
     // ------------------------------------------------------------------
 
-    /// Whether `core` still passes the acceptance test with `candidate`
-    /// added. `candidate_is_split` marks promoted pieces, which keep their
-    /// reserved priority; whole candidates are ranked deadline-monotonically
-    /// among the core's existing whole tasks, exactly as
-    /// [`Partition::renormalize_core_priorities`] will rank them on commit.
+    /// Whether `core` stays schedulable with `candidate` added.
+    /// `candidate_is_split` marks promoted pieces, which keep their
+    /// reserved priority: they peer with (hypothetical) same-level pieces
+    /// and outrank strictly lower levels. Whole candidates slot into the
+    /// deadline-monotonic order
+    /// [`Partition::renormalize_core_priorities`] will assign on commit:
+    /// they outrank exactly the whole tasks with a larger DM key and peer
+    /// with none (dense re-ranked levels are distinct).
     ///
-    /// When the partition carries a converged analysis cache and the test is
-    /// the exact RTA, the probe runs through
-    /// [`CachedCoreAnalysis::accepts_candidate`](spms_analysis::CachedCoreAnalysis::accepts_candidate):
-    /// no task vectors are cloned, tasks ranked above the candidate keep
-    /// their memoized response times, and tasks below re-converge from warm
-    /// starts — bit-identical to the from-scratch fallback below.
+    /// The probe runs on the core's converged analysis
+    /// ([`CachedCoreAnalysis::accepts_candidate`]): no task vectors are
+    /// cloned, tasks ranked above the candidate keep their memoized
+    /// response times, and tasks below re-converge from warm starts.
     fn core_accepts(
         &self,
         partition: &Partition,
@@ -524,32 +464,15 @@ impl IncrementalPlacer {
         candidate: &Task,
         candidate_is_split: bool,
     ) -> bool {
-        scoped::bump(if candidate_is_split {
-            HotCounter::SplitProbes
+        if candidate_is_split {
+            probe_analysis(partition, core, HotCounter::SplitProbes).accepts_prioritised(candidate)
         } else {
-            HotCounter::WholeProbes
-        });
-        if self.test == UniprocessorTest::ResponseTime {
-            if let Some(cache) = partition.cached_core(core) {
-                scoped::bump(HotCounter::CacheProbeHits);
-                if candidate_is_split {
-                    // Promoted pieces keep their reserved level: they peer
-                    // with (hypothetical) same-level pieces and outrank
-                    // strictly lower levels.
-                    return cache.accepts_prioritised(candidate);
-                }
-                // A whole candidate slots into the deadline-monotonic order
-                // the commit-time renormalization will assign: it outranks
-                // exactly the whole tasks with a larger DM key, and peers
-                // with none (dense re-ranked levels are distinct).
-                return cache
-                    .accepts_candidate(candidate, outranked_by_whole(candidate), |_| false);
-            }
+            probe_analysis(partition, core, HotCounter::WholeProbes).accepts_candidate(
+                candidate,
+                outranked_by_whole(candidate),
+                |_| false,
+            )
         }
-        scoped::bump(HotCounter::CacheProbeMisses);
-        let tasks =
-            normalized_candidate_tasks(partition.core(core), candidate.clone(), candidate_is_split);
-        self.test.accepts(&tasks)
     }
 
     /// The analysis overhead charged to a body piece at `piece_index` in its
@@ -562,9 +485,9 @@ impl IncrementalPlacer {
         }
     }
 
-    /// The largest body budget (pure execution) the acceptance test still
-    /// admits on `core`, bounded by `max_budget`; `Time::ZERO` when not even
-    /// the minimum budget fits. The piece construction and the frontier
+    /// The largest body budget (pure execution) `core` still admits,
+    /// bounded by `max_budget`; `Time::ZERO` when not even the minimum
+    /// budget fits. The piece construction and the frontier
     /// search are shared with the offline passes (`split_budget` module).
     fn max_body_budget(
         &self,
@@ -584,9 +507,8 @@ impl IncrementalPlacer {
     /// whose charging rule (every cross-shard piece absorbs one charge)
     /// differs from the intra-shard chain rule.
     ///
-    /// Under the exact RTA the budget is one frontier scan of the core's
-    /// converged analysis (the partition's cache, or a scratch analysis of
-    /// the core), counted as one split probe.
+    /// The budget is one frontier scan of the core's converged analysis,
+    /// counted as one split probe.
     fn max_body_budget_with_overhead(
         &self,
         partition: &Partition,
@@ -595,30 +517,9 @@ impl IncrementalPlacer {
         max_budget: Time,
         overhead: Time,
     ) -> Time {
-        let scratch;
-        let exact = if self.test == UniprocessorTest::ResponseTime {
-            scoped::bump(HotCounter::SplitProbes);
-            match partition.cached_core(core) {
-                Some(cache) => {
-                    scoped::bump(HotCounter::CacheProbeHits);
-                    Some(cache)
-                }
-                None => {
-                    scoped::bump(HotCounter::CacheProbeMisses);
-                    scratch = CachedCoreAnalysis::from_tasks(&normalized_tasks(
-                        partition
-                            .core(core)
-                            .iter()
-                            .map(|p| (p.task.clone(), p.is_split())),
-                    ));
-                    Some(&scratch)
-                }
-            }
-        } else {
-            None
-        };
+        let analysis = probe_analysis(partition, core, HotCounter::SplitProbes);
         crate::split_budget::max_body_budget(
-            exact,
+            Some(&analysis),
             template,
             overhead,
             self.min_split_budget,
@@ -730,18 +631,36 @@ fn piece_charge(piece_index: usize, charge: Time) -> Time {
     }
 }
 
+/// The analysis a probe on `core` reads ([`Partition::core_analysis`]),
+/// counted as one probe of `kind` and as one cache hit (a converged slot
+/// was borrowed) or miss (the analysis was built on the fly).
+fn probe_analysis(
+    partition: &Partition,
+    core: CoreId,
+    kind: HotCounter,
+) -> Cow<'_, CachedCoreAnalysis> {
+    scoped::bump(kind);
+    let analysis = partition.core_analysis(core);
+    scoped::bump(match analysis {
+        Cow::Borrowed(_) => HotCounter::CacheProbeHits,
+        Cow::Owned(_) => HotCounter::CacheProbeMisses,
+    });
+    analysis
+}
+
 /// The deadline-monotonic ranking key `assign_whole_priorities` sorts whole
-/// tasks by — the cached probe's notion of where a whole candidate lands.
+/// tasks by — the probes' notion of where a whole candidate lands.
 fn whole_rank_key(task: &Task) -> (Time, Time, spms_task::TaskId) {
     (task.deadline(), task.period(), task.id())
 }
 
 /// The probe-side predicate marking the entries a whole `candidate`
 /// outranks under the commit-time ranking: every non-reserved task with a
-/// larger DM key. The single definition every cached whole probe
+/// larger DM key. The single definition every whole probe
 /// ([`IncrementalPlacer::core_accepts`], [`IncrementalPlacer::probe_whole`],
-/// [`IncrementalPlacer::accepts_whole_without`]) shares — the cached and
-/// from-scratch paths stay decision-identical only while this rule does.
+/// [`IncrementalPlacer::accepts_whole_without`]) shares; a probe agrees
+/// with RTA of the committed core only while this rule matches
+/// `assign_whole_priorities`.
 fn outranked_by_whole(candidate: &Task) -> impl Fn(&Task) -> bool {
     let key = whole_rank_key(candidate);
     move |t| !has_reserved_level(t) && whole_rank_key(t) > key
@@ -764,38 +683,10 @@ fn has_reserved_level(task: &Task) -> bool {
         .is_some_and(|p| p.level() < crate::WHOLE_PRIORITY_BASE)
 }
 
-/// The per-core analysis task list with `candidate` included and whole-task
-/// priorities renormalized (split pieces keep their reserved levels) — the
-/// exact ranking [`Partition::renormalize_core_priorities`] will commit.
-fn normalized_candidate_tasks(
-    bin: &[PlacedTask],
-    candidate: Task,
-    candidate_is_split: bool,
-) -> Vec<Task> {
-    normalized_tasks(
-        bin.iter()
-            .map(|p| (p.task.clone(), p.is_split()))
-            .chain([(candidate, candidate_is_split)]),
-    )
-}
-
-/// Renormalizes the whole tasks among `(task, is_split)` pairs through the
-/// shared `assign_whole_priorities` helper; split pieces keep their levels.
-fn normalized_tasks(tasks: impl IntoIterator<Item = (Task, bool)>) -> Vec<Task> {
-    let mut tasks: Vec<(Task, bool)> = tasks.into_iter().collect();
-    crate::placement::assign_whole_priorities(
-        tasks
-            .iter_mut()
-            .filter(|(_, is_split)| !is_split)
-            .map(|(t, _)| t)
-            .collect(),
-    );
-    tasks.into_iter().map(|(t, _)| t).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spms_analysis::UniprocessorTest;
     use spms_task::TaskId;
 
     fn task(id: u32, wcet_ms: u64, period_ms: u64) -> Task {

@@ -1,5 +1,6 @@
 //! The result of a partitioning run: which (sub)task runs on which core.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -31,9 +32,10 @@ pub const WHOLE_PRIORITY_BASE: u32 = 2;
 ///
 /// This ranking is the contract between plan-time acceptance checks and
 /// commit-time renormalization: [`Partition::renormalize_core_priorities`]
-/// and the incremental placer's candidate construction both call it, so a
-/// placement validated against a candidate priority assignment is committed
-/// with exactly that assignment.
+/// and [`Partition::core_analysis`] both call it, and the incremental
+/// placer ranks whole candidates by the same key, so a placement validated
+/// against a candidate priority assignment is committed with exactly that
+/// assignment.
 pub(crate) fn assign_whole_priorities(mut whole: Vec<&mut Task>) {
     whole.sort_by_key(|t| (t.deadline(), t.period(), t.id()));
     for (level, task) in whole.into_iter().enumerate() {
@@ -665,7 +667,8 @@ impl Partition {
 
     /// The converged cached analysis of one core, or `None` when no cache is
     /// attached or the core has been mutated since the last
-    /// renormalization (callers then fall back to from-scratch analysis).
+    /// renormalization ([`core_analysis`](Self::core_analysis) then builds
+    /// the analysis on the fly).
     ///
     /// # Panics
     ///
@@ -673,6 +676,36 @@ impl Partition {
     pub fn cached_core(&self, core: CoreId) -> Option<&CachedCoreAnalysis> {
         let slot = &self.cache.as_ref()?[core.0];
         (slot.staleness == CacheStaleness::Fresh).then_some(&slot.analysis)
+    }
+
+    /// The converged analysis of one core, for probes: borrowed from the
+    /// attached cache when the core's slot is converged
+    /// ([`cached_core`](Self::cached_core)), otherwise built on the fly from
+    /// the core's placements with whole-task priorities renormalized — the
+    /// ranking [`renormalize_core_priorities`](Self::renormalize_core_priorities)
+    /// will commit. Either way the probe sees the same analysis; the owned
+    /// arm only costs a cold RTA of the core. It serves partitions without
+    /// a cache (offline FP-TS, DM-PM and FFD results) and cores mutated
+    /// since their last renormalization.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the core id is out of range.
+    pub fn core_analysis(&self, core: CoreId) -> Cow<'_, CachedCoreAnalysis> {
+        if let Some(cache) = self.cached_core(core) {
+            return Cow::Borrowed(cache);
+        }
+        let bin = &self.cores[core.0];
+        let mut tasks: Vec<Task> = bin.iter().map(|p| p.task.clone()).collect();
+        assign_whole_priorities(
+            tasks
+                .iter_mut()
+                .zip(bin)
+                .filter(|(_, p)| !p.is_split())
+                .map(|(t, _)| t)
+                .collect(),
+        );
+        Cow::Owned(CachedCoreAnalysis::from_tasks(&tasks))
     }
 
     /// Fault-injection hook: flips one memoized response time on `core`'s
@@ -836,6 +869,33 @@ impl Partition {
             }
             test.accepts(&self.core_tasks(CoreId(c)))
         })
+    }
+
+    /// Oracle for the always-schedulable guarantee, independent of the
+    /// attached cache and of every placer: runs [`rta::analyse_core`] over
+    /// each core's placed tasks, and checks that the core is schedulable
+    /// and that its converged cache slot, if any, holds exactly those tasks
+    /// with exactly those response times. Returns the first core that
+    /// fails.
+    pub fn scratch_audit(&self) -> Result<(), CoreId> {
+        for c in 0..self.core_count() {
+            let core = CoreId(c);
+            let tasks = self.core_tasks(core);
+            let scratch = rta::analyse_core(&tasks);
+            let cache_agrees = self.cached_core(core).is_none_or(|cache| {
+                let memo: Vec<(&Task, Option<Time>)> =
+                    cache.tasks().zip(cache.analysis().response_times).collect();
+                memo.len() == tasks.len()
+                    && tasks
+                        .iter()
+                        .zip(&scratch.response_times)
+                        .all(|(t, r)| memo.contains(&(t, *r)))
+            });
+            if !scratch.schedulable || !cache_agrees {
+                return Err(core);
+            }
+        }
+        Ok(())
     }
 
     /// Worst-case response times per core under exact RTA (`None` entries are
@@ -1463,6 +1523,43 @@ mod tests {
         let scratch = p.is_schedulable(UniprocessorTest::ResponseTime);
         p.enable_analysis_cache();
         assert_eq!(p.is_schedulable(UniprocessorTest::ResponseTime), scratch);
+    }
+
+    #[test]
+    fn core_analysis_borrows_converged_slots_and_builds_the_rest() {
+        let p = two_core_partition_with_split();
+        // No cache: built on the fly, whole tasks renormalized first.
+        let built = p.core_analysis(CoreId(0));
+        assert!(matches!(built, Cow::Owned(_)));
+        let mut renormalized = p.clone();
+        renormalized.renormalize_core_priorities(CoreId(0));
+        let expected = CachedCoreAnalysis::from_tasks(&renormalized.core_tasks(CoreId(0)));
+        assert_eq!(*built, expected);
+
+        // A converged slot of the renormalized core is the same analysis.
+        renormalized.enable_analysis_cache();
+        let borrowed = renormalized.core_analysis(CoreId(0));
+        assert!(matches!(borrowed, Cow::Borrowed(_)));
+        assert_eq!(*borrowed, expected);
+        // A stale slot is not read: the analysis is built on the fly.
+        renormalized.place(CoreId(0), PlacedTask::whole(task(9, 1, 10, 0)));
+        let stale = renormalized.core_analysis(CoreId(0));
+        assert!(matches!(stale, Cow::Owned(_)));
+        assert_eq!(stale.len(), 3);
+    }
+
+    #[test]
+    fn scratch_audit_catches_a_divergent_cache_and_an_overloaded_core() {
+        let mut p = two_core_partition_with_split();
+        p.enable_analysis_cache();
+        assert_eq!(p.scratch_audit(), Ok(()));
+        assert!(p.corrupt_cached_response(CoreId(1)));
+        assert_eq!(p.scratch_audit(), Err(CoreId(1)));
+
+        let mut overloaded = Partition::new(2);
+        overloaded.place(CoreId(1), PlacedTask::whole(task(0, 7, 10, 2)));
+        overloaded.place(CoreId(1), PlacedTask::whole(task(1, 6, 10, 3)));
+        assert_eq!(overloaded.scratch_audit(), Err(CoreId(1)));
     }
 
     #[test]

@@ -1,0 +1,355 @@
+//! Exactness of the [`IncrementalPlacer`] probes against an independent
+//! oracle.
+//!
+//! Every probe of the placer answers from a per-core analysis — the
+//! converged slot of the partition's incremental cache, or one built on
+//! the fly — without ever committing the candidate. This suite checks
+//! each answer against what a from-scratch [`rta::analyse_core`] says
+//! about the core *after* the candidate is really committed. The oracle
+//! shares no code with the placer's probes: it commits the plan to a
+//! clone of the partition inside a journal scope, reads the core's
+//! placed tasks, analyses them cold and rewinds.
+//!
+//! Random cached partitions are built from whole placements, split chains
+//! and placements whose analysis WCET carries a migration charge over
+//! their execution budget, with departures in between. Deadlines are
+//! constrained and drawn from a small grid, so deadline-monotonic ties
+//! (broken by period, then id) are common. Then, for random candidates:
+//!
+//! * [`IncrementalPlacer::probe_whole`] accepts exactly when the committed
+//!   whole placement passes scratch RTA, and its blocker is the first
+//!   failing task in (candidate, then (level, id)) order;
+//! * [`IncrementalPlacer::accepts_whole_without`] equals scratch RTA of the
+//!   committed state with the removed parent gone;
+//! * every [`IncrementalPlacer::plan_split`] piece passes scratch RTA after
+//!   commit, and a body 1 ns larger fails it unless the chain capped it.
+//!
+//! Each probe also runs on an uncached copy of the same placements, which
+//! exercises the on-the-fly arm of `Partition::core_analysis`.
+//!
+//! The vendored proptest runner is deterministically seeded, so failures
+//! reproduce identically.
+
+use proptest::collection::vec;
+use proptest::prelude::*;
+use spms_analysis::rta;
+use spms_core::{CoreId, IncrementalPlacer, Partition, PlacedTask, PlacementPlan, WholeProbe};
+use spms_task::{Task, TaskId, Time};
+
+/// Periods (µs) tasks draw from: few enough that deadline ties are common.
+const PERIODS: [u64; 5] = [1_000, 2_000, 2_500, 4_000, 5_000];
+
+/// A compact task spec: `(period index, wcet per mille of the period,
+/// deadline shortening in quarters of the remaining room)`.
+type Spec = (usize, u64, u64);
+
+fn spec() -> impl Strategy<Value = Spec> {
+    (0usize..PERIODS.len(), 20u64..450, 0u64..3)
+}
+
+/// A heavy implicit-deadline task: many fit no core whole, so splits
+/// carve real frontiers instead of a body one nanosecond short of the
+/// whole task.
+fn heavy_spec() -> impl Strategy<Value = Spec> {
+    (0usize..PERIODS.len(), 300u64..950, Just(0u64))
+}
+
+/// A constrained-deadline task: `wcet ≤ deadline ≤ period`.
+fn build_task(id: u32, (period, per_mille, shorten): Spec) -> Task {
+    let period = PERIODS[period];
+    let wcet = (period * per_mille / 1_000).max(1);
+    let deadline = period - (period - wcet) * shorten / 4;
+    Task::builder(id)
+        .wcet(Time::from_micros(wcet))
+        .period(Time::from_micros(period))
+        .deadline(Time::from_micros(deadline))
+        .build()
+        .expect("wcet <= deadline <= period by construction")
+}
+
+/// One step building the base partition.
+#[derive(Debug, Clone)]
+enum Op {
+    /// Admit a fresh task whole on core `core % cores` if it fits there,
+    /// its analysis WCET inflated by `charge` µs over its execution budget.
+    Whole(usize, Spec, u64),
+    /// Admit a fresh task as a split chain, every hop charged `charge` µs.
+    Split(Spec, u64),
+    /// Depart the placed parent at `index % placed parents`.
+    Depart(usize),
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    (0u8..8, spec(), 0u64..40, 0usize..64).prop_map(|(kind, spec, charge, index)| {
+        let charge = if kind % 2 == 0 { 0 } else { charge };
+        match kind {
+            0..=3 => Op::Whole(index, spec, charge),
+            4..=6 => Op::Split(spec, charge),
+            _ => Op::Depart(index),
+        }
+    })
+}
+
+/// Builds a cached partition from `ops`, checking that every placement the
+/// placer commits passes scratch RTA.
+fn build(placer: &IncrementalPlacer, cores: usize, ops: &[Op]) -> Partition {
+    let mut partition = Partition::new(cores);
+    partition.enable_analysis_cache();
+    for (id, op) in ops.iter().enumerate() {
+        let plan = match op {
+            Op::Whole(core, spec, charge) => {
+                let task = build_task(id as u32, *spec);
+                let others: Vec<CoreId> = (0..cores)
+                    .filter(|c| *c != core % cores)
+                    .map(CoreId)
+                    .collect();
+                let plan = placer.plan_whole_charged(&partition, &task, &others, us(*charge));
+                plan.map(|plan| (task, plan))
+            }
+            Op::Split(spec, charge) => {
+                let task = build_task(id as u32, *spec);
+                let plan = placer.plan_split_charged(&partition, &task, &[], us(*charge));
+                plan.map(|plan| (task, plan))
+            }
+            Op::Depart(index) => {
+                let parents = partition.parent_ids();
+                if !parents.is_empty() {
+                    partition.remove_parent(parents[index % parents.len()]);
+                }
+                None
+            }
+        };
+        if let Some((task, plan)) = plan {
+            placer.commit(&mut partition, &task, plan);
+            assert_eq!(
+                partition.scratch_audit(),
+                Ok(()),
+                "a committed plan failed scratch RTA"
+            );
+        }
+    }
+    partition
+}
+
+/// The same placements without an attached cache, so every probe builds
+/// its analysis on the fly.
+fn uncached(partition: &Partition) -> Partition {
+    let mut copy = Partition::new(partition.core_count());
+    for (core, placed) in partition.iter() {
+        copy.place(core, placed.clone());
+    }
+    copy
+}
+
+fn us(micros: u64) -> Time {
+    Time::from_micros(micros)
+}
+
+/// Scratch RTA of `core` after `mutate` runs on `oracle` inside a journal
+/// scope, which is rewound afterwards: the committed core's tasks and
+/// their response times, in placement order.
+fn committed_core(
+    oracle: &mut Partition,
+    core: CoreId,
+    mutate: impl FnOnce(&mut Partition),
+) -> (Vec<Task>, Vec<Option<Time>>) {
+    let mark = oracle.journal_begin();
+    mutate(oracle);
+    let tasks = oracle.core_tasks(core);
+    let analysis = rta::analyse_core(&tasks);
+    oracle.rewind(mark);
+    oracle.journal_end();
+    (tasks, analysis.response_times)
+}
+
+/// The probe outcome scratch RTA of the committed core implies: accepted
+/// when every task meets its deadline, otherwise blocked by the candidate
+/// if it misses, else by the first missing task in (level, id) order.
+fn expected_probe(candidate: TaskId, tasks: &[Task], responses: &[Option<Time>]) -> WholeProbe {
+    let mut failing: Vec<&Task> = tasks
+        .iter()
+        .zip(responses)
+        .filter(|(_, response)| response.is_none())
+        .map(|(t, _)| t)
+        .collect();
+    if failing.is_empty() {
+        return WholeProbe::Accepted;
+    }
+    if failing.iter().any(|t| t.id() == candidate) {
+        return WholeProbe::Blocked {
+            blocker: Some(candidate),
+        };
+    }
+    failing.sort_by_key(|t| (rta::effective_priority(t).level(), t.id()));
+    WholeProbe::Blocked {
+        blocker: Some(failing[0].id()),
+    }
+}
+
+/// Commits `candidate` whole on `core` the way the controller does.
+fn commit_whole(placer: &IncrementalPlacer, partition: &mut Partition, core: CoreId, task: &Task) {
+    let analysis_task = placer
+        .whole_analysis_task(task)
+        .expect("zero overhead always fits");
+    placer.commit(
+        partition,
+        task,
+        PlacementPlan::Whole {
+            core,
+            analysis_task,
+        },
+    );
+}
+
+/// The largest body budget a split chain offers the piece at `index`:
+/// one nanosecond short of what is left of the parent's execution, and no
+/// more than what is left of its deadline after the piece's charge.
+fn offered_budget(task: &Task, pieces: &[(CoreId, PlacedTask)], index: usize) -> Time {
+    let used: Time = pieces[..index].iter().map(|(_, p)| p.execution).sum();
+    let offset: Time = pieces[..index].iter().map(|(_, p)| p.task.wcet()).sum();
+    let charge = pieces[index].1.task.wcet() - pieces[index].1.execution;
+    let room = task
+        .deadline()
+        .saturating_sub(offset)
+        .saturating_sub(charge);
+    (task.wcet() - used)
+        .saturating_sub(Time::from_nanos(1))
+        .min(room)
+}
+
+/// `piece` with its budget, analysis WCET and (`C = D`) deadline grown by
+/// one nanosecond.
+fn grown_by_one_ns(piece: &PlacedTask) -> PlacedTask {
+    let ns = Time::from_nanos(1);
+    let wcet = piece.task.wcet() + ns;
+    let mut grown = piece.clone();
+    grown.execution += ns;
+    grown.task = Task::builder(piece.task.id())
+        .wcet(wcet)
+        .period(piece.task.period())
+        .deadline(wcet)
+        .priority(piece.task.priority().expect("pieces are prioritised"))
+        .build()
+        .expect("the parent's deadline leaves room for one more nanosecond");
+    grown
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// `probe_whole` and `accepts_whole_without` answer exactly what
+    /// scratch RTA of the committed core answers, blocker included.
+    #[test]
+    fn whole_probes_match_scratch_rta_of_the_commit(
+        cores in 1usize..5,
+        ops in vec(op(), 4..24),
+        candidates in vec((spec(), 0u64..40), 1..6),
+    ) {
+        let placer = IncrementalPlacer::new();
+        let partition = build(&placer, cores, &ops);
+        let plain = uncached(&partition);
+        let mut oracle = partition.clone();
+        for (k, (spec, charge)) in candidates.iter().enumerate() {
+            let task = build_task(10_000 + k as u32, *spec);
+            let task = task.with_wcet(task.wcet() + us(*charge)).unwrap_or(task);
+            for core in (0..cores).map(CoreId) {
+                let (tasks, responses) =
+                    committed_core(&mut oracle, core, |p| commit_whole(&placer, p, core, &task));
+                let expected = expected_probe(task.id(), &tasks, &responses);
+                prop_assert_eq!(
+                    placer.probe_whole(&partition, core, &task),
+                    expected,
+                    "cached probe on {}",
+                    core
+                );
+                prop_assert_eq!(
+                    placer.probe_whole(&plain, core, &task),
+                    expected,
+                    "uncached probe on {}",
+                    core
+                );
+
+                let residents: Vec<TaskId> =
+                    partition.core(core).iter().map(|p| p.parent).collect();
+                for removed in residents.into_iter().chain([TaskId(9_999)]) {
+                    let (_, responses) = committed_core(&mut oracle, core, |p| {
+                        p.remove_parent(removed);
+                        commit_whole(&placer, p, core, &task);
+                    });
+                    let expected = responses.iter().all(Option::is_some);
+                    prop_assert_eq!(
+                        placer.accepts_whole_without(&partition, core, &task, removed),
+                        expected,
+                        "cached eviction probe of {} on {}",
+                        removed,
+                        core
+                    );
+                    prop_assert_eq!(
+                        placer.accepts_whole_without(&plain, core, &task, removed),
+                        expected,
+                        "uncached eviction probe of {} on {}",
+                        removed,
+                        core
+                    );
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// Every piece of a split plan passes scratch RTA after commit, and
+    /// every body sits on the exact frontier: 1 ns more fails scratch RTA
+    /// of its core, unless the chain offered no more.
+    #[test]
+    fn split_pieces_pass_scratch_rta_and_bodies_sit_on_the_frontier(
+        cores in 2usize..5,
+        ops in vec(op(), 4..24),
+        candidates in vec((heavy_spec(), 0u64..40), 1..10),
+    ) {
+        let placer = IncrementalPlacer::new().with_min_split_budget(us(10));
+        let partition = build(&placer, cores, &ops);
+        let plain = uncached(&partition);
+        let mut oracle = partition.clone();
+        for (k, (spec, charge)) in candidates.iter().enumerate() {
+            let task = build_task(10_000 + k as u32, *spec);
+            let plan = placer.plan_split_charged(&partition, &task, &[], us(*charge));
+            prop_assert_eq!(
+                &placer.plan_split_charged(&plain, &task, &[], us(*charge)),
+                &plan,
+                "uncached split plan diverged"
+            );
+            let Some(PlacementPlan::Split { pieces }) = plan else {
+                continue;
+            };
+            for (index, (core, piece)) in pieces.iter().enumerate() {
+                let core = *core;
+                let plan = PlacementPlan::Split { pieces: pieces.clone() };
+                let (_, responses) =
+                    committed_core(&mut oracle, core, |p| placer.commit(p, &task, plan));
+                prop_assert!(
+                    responses.iter().all(Option::is_some),
+                    "piece {} on {} fails scratch RTA",
+                    index,
+                    core
+                );
+                if piece.is_tail() || piece.execution >= offered_budget(&task, &pieces, index) {
+                    continue;
+                }
+                let mut grown = pieces.clone();
+                grown[index].1 = grown_by_one_ns(piece);
+                let plan = PlacementPlan::Split { pieces: grown };
+                let (_, responses) =
+                    committed_core(&mut oracle, core, |p| placer.commit(p, &task, plan));
+                prop_assert!(
+                    responses.iter().any(Option::is_none),
+                    "body {} on {} is 1 ns short of the frontier",
+                    index,
+                    core
+                );
+            }
+        }
+    }
+}

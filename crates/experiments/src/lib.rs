@@ -22,9 +22,9 @@
 //!   `spms-online` controller over a target-load sweep, with every admitted
 //!   epoch optionally replayed through the simulator (E11),
 //! * [`RtaCacheBenchmark`] — the incremental-RTA regression guard: drives
-//!   cached and from-scratch controllers over identical churn traces,
-//!   asserts byte-identical decision logs and reports the wall-clock
-//!   speedup (E12, the `BENCH_rta.json` CI artifact),
+//!   the controller over churn traces, audits every core against
+//!   from-scratch RTA after every decision and reports the cascade's
+//!   wall-clock time (E12, the `BENCH_rta.json` CI artifact),
 //! * [`SoakExperiment`] — million-event endurance runs of the sharded
 //!   event-loop admission service: decisions/sec throughput, decision
 //!   latency percentiles, cross-shard-count event-stream digests and

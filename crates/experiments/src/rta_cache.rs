@@ -1,29 +1,30 @@
-//! The admission-cascade regression bench: cached vs. from-scratch RTA.
+//! The admission-cascade regression bench: every decision audited against
+//! scratch RTA.
 //!
 //! For every point of a target-utilization sweep this driver generates churn
-//! traces and drives **two** controllers over each:
+//! traces and drives the production controller over each twice:
 //!
-//! * `cached` — the production configuration (incremental RTA cache),
-//! * `scratch` — RTA cache disabled
-//!   (`OnlineConfig::builder().rta_cache(false)`).
+//! * an **audited** pass that, after every decision, checks each core of the
+//!   controller's partition with `Partition::scratch_audit` — a from-scratch
+//!   `rta::analyse_core` that shares no code with the placer or the
+//!   incremental cache: the core must be schedulable, and its converged
+//!   cache slot must hold exactly the scratch response times;
+//! * a **timed** pass over the same trace, which also asserts the
+//!   repair/split hot path performs **zero** partition snapshot clones
+//!   (`Partition::clone_count`).
 //!
-//! Both must produce byte-identical serialized decision logs (the cache is
-//! pure mechanism; only the policy knob
-//! `OnlineConfig::repair_ranking` may change decisions, and it is held
-//! fixed here). The correctness half of the output (decision counts, the
-//! log digest, the `decision_logs_identical` verdict, the cap-exhaustion
-//! column) is deterministic and thread-count invariant like every other
-//! sweep; the wall-clock timings are measurement data grouped under a
-//! single `timing` object so CI can strip them before diffing artifacts.
-//! The cached run additionally asserts the repair/split hot path performs
-//! **zero** partition snapshot clones (`Partition::clone_count`).
+//! The correctness half of the output (decision counts, the log digest, the
+//! `fleet_audit_clean` verdict, the cap-exhaustion column) is deterministic
+//! and thread-count invariant like every other sweep; the wall-clock timing
+//! is measurement data grouped under a single `timing` object so CI can
+//! strip it before diffing artifacts.
 
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 use spms_analysis::rta;
 use spms_core::Partition;
-use spms_online::{AdmissionController, ChurnGenerator, Decision, OnlineConfig, WorkloadEvent};
+use spms_online::{AdmissionController, ChurnGenerator, Decision, OnlineConfig};
 
 use crate::progress::{NullProgress, ProgressSink};
 use crate::runner::SweepRunner;
@@ -34,12 +35,11 @@ use crate::same_point;
 struct TraceOutcome {
     arrivals: u64,
     admitted: u64,
-    log_identical: bool,
+    audit_clean: bool,
     log_digest: u64,
     cap_exhaustions: u64,
     journal_clone_free: bool,
-    cached: Duration,
-    scratch: Duration,
+    elapsed: Duration,
 }
 
 /// Aggregated behaviour at one target-utilization point (deterministic
@@ -50,10 +50,10 @@ pub struct RtaCachePoint {
     pub normalized_utilization: f64,
     /// Arrival events across all traces of this point.
     pub arrivals: u64,
-    /// Arrivals admitted (identical across both controller variants).
+    /// Arrivals admitted.
     pub admitted: u64,
     /// RTA fixed-point cap exhaustions while deciding this point's traces
-    /// with the cached controller (deterministic; see
+    /// in the timed pass (deterministic; see
     /// `spms_analysis::rta::cap_exhaustions`).
     pub rta_cap_exhaustions: u64,
 }
@@ -62,26 +62,22 @@ pub struct RtaCachePoint {
 /// one place, so artifact diffs can strip exactly this object.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct RtaCacheTiming {
-    /// Total nanoseconds deciding every trace with the production cascade.
+    /// Total nanoseconds deciding every trace in the timed pass.
     pub cached_ns: u64,
-    /// Total nanoseconds deciding every trace with from-scratch RTA.
-    pub scratch_ns: u64,
-    /// `scratch_ns / cached_ns` — how many times faster the cached fast
-    /// path answered (> 1.0 means the cache wins).
-    pub speedup: f64,
 }
 
-/// Results of a cascade comparison sweep.
+/// Results of a cascade audit sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct RtaCacheResults {
     points: Vec<RtaCachePoint>,
-    /// Whether every trace produced byte-identical serialized decision logs
-    /// from both controller variants (cached / scratch).
-    pub decision_logs_identical: bool,
-    /// Whether the cached controller decided every trace without a single
+    /// Whether, after every decision of every trace, each core passed
+    /// from-scratch RTA and every converged cache slot matched it
+    /// (`Partition::scratch_audit`).
+    pub fleet_audit_clean: bool,
+    /// Whether the controller decided every trace without a single
     /// partition snapshot clone.
     pub journal_clone_free: bool,
-    /// Order-sensitive FNV-1a digest over every cached decision log —
+    /// Order-sensitive FNV-1a digest over every decision log —
     /// deterministic under a fixed seed for any thread count.
     pub decisions_digest: u64,
     /// Wall-clock measurements (non-deterministic; see the type docs).
@@ -102,7 +98,7 @@ impl RtaCacheResults {
             .find(|p| same_point(p.normalized_utilization, normalized_utilization))
     }
 
-    /// Renders a markdown table plus the equivalence/timing summary.
+    /// Renders a markdown table plus the audit/timing summary.
     pub fn render_markdown(&self) -> String {
         let mut out =
             String::from("| U / m | arrivals | admitted | RTA cap hits |\n|---|---|---|---|\n");
@@ -113,15 +109,13 @@ impl RtaCacheResults {
             ));
         }
         out.push_str(&format!(
-            "\ndecision logs identical: {} (digest {:#018x})\n\
+            "\nfleet audit clean: {} (digest {:#018x})\n\
              journal hot path clone-free: {}\n\
-             cached {} ns vs scratch {} ns — speedup {:.2}x\n",
-            self.decision_logs_identical,
+             cascade {} ns\n",
+            self.fleet_audit_clean,
             self.decisions_digest,
             self.journal_clone_free,
             self.timing.cached_ns,
-            self.timing.scratch_ns,
-            self.timing.speedup,
         ));
         out
     }
@@ -140,7 +134,7 @@ impl RtaCacheResults {
     }
 }
 
-/// The cached-vs-scratch comparison driver. See the [module docs](self).
+/// The audited cascade driver. See the [module docs](self).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RtaCacheBenchmark {
     cores: usize,
@@ -197,7 +191,7 @@ impl RtaCacheBenchmark {
         self
     }
 
-    /// Sets the repair bound `k` of both controllers.
+    /// Sets the repair bound `k` of the controller.
     pub fn max_repair_moves(mut self, k: usize) -> Self {
         self.max_repair_moves = k;
         self
@@ -217,7 +211,7 @@ impl RtaCacheBenchmark {
         self
     }
 
-    /// Runs the comparison sweep.
+    /// Runs the audit sweep.
     pub fn run(&self) -> RtaCacheResults {
         self.run_with_progress(&NullProgress)
     }
@@ -240,45 +234,44 @@ impl RtaCacheBenchmark {
                         .seed(cell.seed)
                         .generate()
                         .ok()?;
-                    let base = || {
-                        OnlineConfig::builder()
-                            .cores(self.cores)
-                            .max_repair_moves(self.max_repair_moves)
-                    };
-                    let config = base().build();
+                    let config = OnlineConfig::builder()
+                        .cores(self.cores)
+                        .max_repair_moves(self.max_repair_moves)
+                        .build();
 
-                    // One untimed warm-up pass absorbs one-time costs
-                    // (lazy allocation, code paging) that would otherwise
-                    // be charged entirely to the first timed variant.
-                    drive(config.clone(), &events)?;
+                    // The audited pass also absorbs one-time costs (lazy
+                    // allocation, code paging) that would otherwise be
+                    // charged to the timed pass.
+                    let mut audited = AdmissionController::new(config.clone()).ok()?;
+                    let audit_clean = events.iter().all(|event| {
+                        audited.handle_event(event);
+                        audited.partition().scratch_audit().is_ok()
+                    });
 
-                    // The production cascade, with the snapshot-clone
-                    // counter and the cap-exhaustion delta read around it.
+                    // The timed pass, with the snapshot-clone counter and
+                    // the cap-exhaustion delta read around it.
                     let clones_before = Partition::clone_count();
                     let exhaustions_before = rta::thread_cap_exhaustions();
-                    let (cached, cached_elapsed) = drive(config.clone(), &events)?;
+                    let mut timed = AdmissionController::new(config).ok()?;
+                    let started = Instant::now();
+                    timed.handle_all(&events);
+                    let elapsed = started.elapsed();
                     let cap_exhaustions = rta::thread_cap_exhaustions() - exhaustions_before;
                     let journal_clone_free = Partition::clone_count() == clones_before;
 
-                    let (scratch, scratch_elapsed) =
-                        drive(base().rta_cache(false).build(), &events)?;
-
-                    let cached_log = serialize_log(cached.decisions());
-                    let log_identical = serialize_log(scratch.decisions()) == cached_log;
                     Some(TraceOutcome {
-                        arrivals: cached.stats().arrivals,
-                        admitted: cached.stats().admitted,
-                        log_identical,
-                        log_digest: fnv1a(cached_log.as_bytes()),
+                        arrivals: timed.stats().arrivals,
+                        admitted: timed.stats().admitted,
+                        audit_clean,
+                        log_digest: fnv1a(serialize_log(timed.decisions()).as_bytes()),
                         cap_exhaustions,
                         journal_clone_free,
-                        cached: cached_elapsed,
-                        scratch: scratch_elapsed,
+                        elapsed,
                     })
                 },
             );
 
-        let mut identical = true;
+        let mut audit_clean = true;
         let mut clone_free = true;
         let mut digest = FNV_OFFSET;
         let mut timing = RtaCacheTiming::default();
@@ -291,11 +284,10 @@ impl RtaCacheBenchmark {
                 arrivals += outcome.arrivals;
                 admitted += outcome.admitted;
                 cap_exhaustions += outcome.cap_exhaustions;
-                identical &= outcome.log_identical;
+                audit_clean &= outcome.audit_clean;
                 clone_free &= outcome.journal_clone_free;
                 digest = fnv1a_combine(digest, outcome.log_digest);
-                timing.cached_ns += outcome.cached.as_nanos() as u64;
-                timing.scratch_ns += outcome.scratch.as_nanos() as u64;
+                timing.cached_ns += outcome.elapsed.as_nanos() as u64;
             }
             points.push(RtaCachePoint {
                 normalized_utilization: target,
@@ -304,31 +296,14 @@ impl RtaCacheBenchmark {
                 rta_cap_exhaustions: cap_exhaustions,
             });
         }
-        timing.speedup = if timing.cached_ns == 0 {
-            0.0
-        } else {
-            timing.scratch_ns as f64 / timing.cached_ns as f64
-        };
         RtaCacheResults {
             points,
-            decision_logs_identical: identical,
+            fleet_audit_clean: audit_clean,
             journal_clone_free: clone_free,
             decisions_digest: digest,
             timing,
         }
     }
-}
-
-/// Builds a controller for `config`, decides the whole trace and returns it
-/// with the wall-clock time the decisions took.
-fn drive(
-    config: OnlineConfig,
-    events: &[WorkloadEvent],
-) -> Option<(AdmissionController, Duration)> {
-    let mut controller = AdmissionController::new(config).ok()?;
-    let started = Instant::now();
-    controller.handle_all(events);
-    Some((controller, started.elapsed()))
 }
 
 /// Canonical serialization of a decision log for byte-comparison.
@@ -368,11 +343,11 @@ mod tests {
     }
 
     #[test]
-    fn all_cascade_variants_decide_identically() {
+    fn every_decision_passes_the_fleet_audit() {
         let results = quick().run();
         assert!(
-            results.decision_logs_identical,
-            "cached / scratch logs diverged"
+            results.fleet_audit_clean,
+            "a core failed scratch RTA or its cache diverged from it"
         );
         assert!(
             results.journal_clone_free,
@@ -391,10 +366,7 @@ mod tests {
         let parallel = quick().threads(4).run();
         assert_eq!(serial.points(), parallel.points());
         assert_eq!(serial.decisions_digest, parallel.decisions_digest);
-        assert_eq!(
-            serial.decision_logs_identical,
-            parallel.decision_logs_identical
-        );
+        assert_eq!(serial.fleet_audit_clean, parallel.fleet_audit_clean);
     }
 
     #[test]
@@ -409,9 +381,9 @@ mod tests {
     fn rendering_mentions_the_verdict() {
         let results = quick().run();
         let md = results.render_markdown();
-        assert!(md.contains("decision logs identical: true"));
+        assert!(md.contains("fleet audit clean: true"));
         assert!(md.contains("journal hot path clone-free: true"));
-        assert!(md.contains("speedup"));
+        assert!(md.contains("cascade"));
         let csv = results.render_csv();
         assert!(csv.starts_with("normalized_utilization,arrivals,admitted,rta_cap_exhaustions"));
         assert_eq!(csv.lines().count(), 1 + results.points().len());

@@ -5,8 +5,8 @@
 //! decided by a cascade of increasingly expensive strategies:
 //!
 //! 1. **fast path** — incremental first-fit placement of the whole task
-//!    ([`IncrementalPlacer::plan_whole`]), validated by the same per-core
-//!    acceptance test the offline algorithms use;
+//!    ([`IncrementalPlacer::plan_whole`]), validated by exact per-core
+//!    response-time analysis;
 //! 2. **fast split** — FP-TS-style splitting of the arriving task across
 //!    the residual capacity of several cores
 //!    ([`IncrementalPlacer::plan_split`]);
@@ -21,22 +21,24 @@
 //! partition untouched. Departures free capacity immediately and can never
 //! invalidate the partition (per-core demand only shrinks).
 //!
-//! Under the exact RTA test the live partition carries an incremental
-//! analysis cache
+//! The live partition always carries an incremental analysis cache
 //! ([`Partition::enable_analysis_cache`](spms_core::Partition::enable_analysis_cache)):
 //! one [`CachedCoreAnalysis`](spms_analysis::CachedCoreAnalysis) per core
 //! threads through all four stages — placement probes answer from memoized
 //! response times, split bodies are read off the exact budget frontier of
 //! those responses in one scan, and a full-repartition adoption
-//! re-attaches a fresh cache. Speculative stages run inside the partition's
+//! re-attaches a fresh cache. This is the one analysis path: every probe
+//! reads [`Partition::core_analysis`](spms_core::Partition::core_analysis),
+//! which only builds an analysis on the fly for a core mutated since its
+//! last renormalization (counted as a cache miss; the cascade never does
+//! this). Speculative stages run inside the partition's
 //! mutation journal ([`Partition::journal_begin`](spms_core::Partition::journal_begin)),
 //! which every partition carries: a failed repair attempt rewinds
 //! placements, priorities and cache state in O(moves), so the whole
-//! cascade is clone-free (`Partition::clone_count` proves it). Decisions
-//! are bit-identical with the cache on or off
-//! ([`OnlineConfig::use_rta_cache`]); only the latency changes. The one
-//! *policy* knob is the repair victim ranking
-//! ([`OnlineConfig::repair_ranking`], slack-guided by default).
+//! cascade is clone-free (`Partition::clone_count` proves it). The cache
+//! is checked against independent scratch RTA of every core after every
+//! decision by `spms rtabench`. The one *policy* knob is the repair victim
+//! ranking ([`OnlineConfig::repair_ranking`], slack-guided by default).
 //!
 //! Every decision is recorded with its path, the number of already-placed
 //! tasks it migrated, and (for rejections) a typed reason. The controller
@@ -52,7 +54,7 @@ use std::fmt;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
-use spms_analysis::{OverheadModel, UniprocessorTest};
+use spms_analysis::OverheadModel;
 use spms_core::{
     CoreId, IncrementalPlacer, Partition, PartitionOutcome, Partitioner, PlacementPlan, PlanTxn,
     SemiPartitionedFpTs, WholeProbe,
@@ -105,8 +107,6 @@ impl std::error::Error for OnlineError {}
 pub struct OnlineConfig {
     /// Number of processor cores.
     pub cores: usize,
-    /// Per-core acceptance test validating every placement.
-    pub test: UniprocessorTest,
     /// Run-time overheads folded into each placement's analysis WCET.
     pub overhead: OverheadModel,
     /// Smallest body-subtask budget worth carving when splitting.
@@ -116,11 +116,6 @@ pub struct OnlineConfig {
     pub max_repair_moves: usize,
     /// Whether a failed repair may fall back to a full offline repartition.
     pub allow_fallback: bool,
-    /// Whether the live partition carries the incremental RTA cache
-    /// (effective only with [`UniprocessorTest::ResponseTime`]). Decisions
-    /// are bit-identical either way; disabling it exists for benchmarking
-    /// the from-scratch analysis the cache replaces.
-    pub use_rta_cache: bool,
     /// How the bounded-repair pass ranks eviction victims. This is a
     /// *policy* knob: the two rankings can make genuinely different (both
     /// sound) admit/reject decisions.
@@ -209,12 +204,10 @@ impl Default for OnlineConfig {
     fn default() -> Self {
         OnlineConfig {
             cores: 4,
-            test: UniprocessorTest::ResponseTime,
             overhead: OverheadModel::zero(),
             min_split_budget: Time::from_micros(100),
             max_repair_moves: 2,
             allow_fallback: true,
-            use_rta_cache: true,
             repair_ranking: RepairRanking::Slack,
             cost_model: CostModelSpec::Zero,
             cross_shard_split: false,
@@ -259,12 +252,6 @@ impl OnlineConfigBuilder {
         self
     }
 
-    /// Replaces the per-core acceptance test.
-    pub fn test(mut self, test: UniprocessorTest) -> Self {
-        self.config.test = test;
-        self
-    }
-
     /// Replaces the run-time overhead model.
     pub fn overhead(mut self, overhead: OverheadModel) -> Self {
         self.config.overhead = overhead;
@@ -286,12 +273,6 @@ impl OnlineConfigBuilder {
     /// Enables or disables the full-repartition fallback.
     pub fn fallback(mut self, allow: bool) -> Self {
         self.config.allow_fallback = allow;
-        self
-    }
-
-    /// Enables or disables the incremental RTA cache.
-    pub fn rta_cache(mut self, enabled: bool) -> Self {
-        self.config.use_rta_cache = enabled;
         self
     }
 
@@ -644,15 +625,10 @@ impl AdmissionController {
             return Err(OnlineError::NoCores);
         }
         let placer = IncrementalPlacer::new()
-            .with_test(config.test)
             .with_overhead(config.overhead)
             .with_min_split_budget(config.min_split_budget);
         let mut partition = Partition::new(config.cores);
-        // The cache pays off only under the exact RTA (the utilization
-        // bounds are already O(n) per probe).
-        if config.use_rta_cache && config.test == UniprocessorTest::ResponseTime {
-            partition.enable_analysis_cache();
-        }
+        partition.enable_analysis_cache();
         if config.cross_shard_split {
             partition.allow_partial_chains();
         }
@@ -1152,22 +1128,15 @@ impl AdmissionController {
     }
 
     /// The slack (`deadline − response`) of `parent`'s placement on
-    /// `core`: read from the attached cache when converged
+    /// `core`, read from the core's converged analysis
     /// ([`CachedCoreAnalysis::slack_of`](spms_analysis::CachedCoreAnalysis::slack_of),
-    /// free), recomputed from scratch otherwise — bit-identical either
-    /// way, so cached and uncached controllers rank victims identically.
-    /// A provably missed deadline counts as zero slack (most squeezed).
+    /// free on a cached core). A provably missed deadline counts as zero
+    /// slack (most squeezed).
     fn slack_on(&self, core: CoreId, parent: TaskId) -> Time {
-        if let Some(cache) = self.partition.cached_core(core) {
-            return cache.slack_of(parent).flatten().unwrap_or(Time::ZERO);
-        }
-        let tasks = self.partition.core_tasks(core);
-        let analysis = spms_analysis::rta::analyse_core(&tasks);
-        tasks
-            .iter()
-            .zip(&analysis.response_times)
-            .find(|(t, _)| t.id() == parent)
-            .and_then(|(t, response)| response.map(|r| t.deadline().saturating_sub(r)))
+        self.partition
+            .core_analysis(core)
+            .slack_of(parent)
+            .flatten()
             .unwrap_or(Time::ZERO)
     }
 
@@ -1379,9 +1348,7 @@ impl AdmissionController {
                 // The adopted partition is a fresh object: re-attach the
                 // incremental analysis cache the cascade threads through
                 // every later decision.
-                if self.partition.analysis_cache_enabled() {
-                    new.enable_analysis_cache();
-                }
+                new.enable_analysis_cache();
                 if self.config.cross_shard_split {
                     new.allow_partial_chains();
                 }
@@ -1398,7 +1365,6 @@ impl AdmissionController {
     /// placer.
     pub fn offline_partitioner(&self) -> SemiPartitionedFpTs {
         SemiPartitionedFpTs::default()
-            .with_test(self.config.test)
             .with_overhead(self.config.overhead)
             .with_min_split_budget(self.config.min_split_budget)
     }
@@ -1516,6 +1482,7 @@ fn moved_parents(old: &Partition, new: &Partition, arriving: TaskId) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spms_analysis::UniprocessorTest;
 
     fn task(id: u32, wcet_ms: u64, period_ms: u64) -> Task {
         Task::new(id, Time::from_millis(wcet_ms), Time::from_millis(period_ms)).unwrap()
@@ -1558,7 +1525,7 @@ mod tests {
         }
         assert_eq!(c.admitted_count(), 4);
         assert_eq!(c.stats().fast_whole, 4);
-        assert!(c.partition().is_schedulable(c.config().test));
+        assert!(c.partition().is_schedulable(UniprocessorTest::ResponseTime));
     }
 
     #[test]
@@ -1577,7 +1544,7 @@ mod tests {
             }
         );
         assert_eq!(c.partition().split_count(), 1);
-        assert!(c.partition().is_schedulable(c.config().test));
+        assert!(c.partition().is_schedulable(UniprocessorTest::ResponseTime));
     }
 
     #[test]
@@ -1600,7 +1567,7 @@ mod tests {
         );
         assert_eq!(c.stats().repairs, 1);
         assert_eq!(c.stats().migrations_caused, 1);
-        assert!(c.partition().is_schedulable(c.config().test));
+        assert!(c.partition().is_schedulable(UniprocessorTest::ResponseTime));
     }
 
     #[test]
@@ -1637,31 +1604,34 @@ mod tests {
                 inflation: Time::ZERO
             }
         );
-        assert!(c.partition().is_schedulable(c.config().test));
+        assert!(c.partition().is_schedulable(UniprocessorTest::ResponseTime));
         // Everything the controller admitted is still placed.
         assert_eq!(c.partition().parent_ids().len(), 4);
     }
 
     #[test]
-    fn cached_and_uncached_controllers_decide_identically() {
+    fn every_decision_passes_the_scratch_rta_audit() {
+        // The independent oracle: after every decision each core passes
+        // from-scratch RTA, and every converged cache slot holds exactly
+        // the scratch response times.
         let events = crate::ChurnGenerator::new()
             .cores(2)
-            .target_normalized_utilization(0.85)
-            .events(80)
+            .target_normalized_utilization(0.95)
+            .events(200)
             .seed(7)
             .generate()
             .unwrap();
-        let mut cached = AdmissionController::new(OnlineConfig::new(2)).unwrap();
-        let mut scratch =
-            AdmissionController::new(OnlineConfig::builder().cores(2).rta_cache(false).build())
-                .unwrap();
-        assert!(cached.partition().analysis_cache_enabled());
-        assert!(!scratch.partition().analysis_cache_enabled());
-        let a = cached.handle_all(&events);
-        let b = scratch.handle_all(&events);
-        assert_eq!(a, b);
-        assert_eq!(cached.partition(), scratch.partition());
-        assert_eq!(cached.stats(), scratch.stats());
+        let mut c = AdmissionController::new(OnlineConfig::new(2)).unwrap();
+        assert!(c.partition().analysis_cache_enabled());
+        for (i, event) in events.iter().enumerate() {
+            c.handle_event(event);
+            assert_eq!(c.partition().scratch_audit(), Ok(()), "event {i}");
+        }
+        let stats = c.stats();
+        assert!(
+            stats.fast_split > 0 && stats.repairs > 0 && stats.rejected > 0,
+            "the trace must exercise split, repair and rejection: {stats:?}"
+        );
     }
 
     #[test]
@@ -1692,13 +1662,13 @@ mod tests {
     }
 
     #[test]
-    fn fallback_with_constrained_deadlines_keeps_cached_and_scratch_aligned() {
+    fn fallback_with_constrained_deadlines_passes_the_scratch_audit() {
         // The offline fallback assigns global rate-monotonic priorities,
         // but every probe and commit ranks whole tasks deadline-
         // monotonically; with constrained deadlines (D < T) the two orders
         // genuinely differ, so the adoption must renormalize before the
-        // cache snapshots the cores — otherwise cached and uncached
-        // controllers diverge on post-fallback decisions.
+        // cache snapshots the cores — otherwise post-fallback probes rank
+        // candidates against priorities the cores do not carry.
         let constrained = |id: u32, wcet: u64, period: u64, deadline: u64| {
             Task::builder(id)
                 .wcet(Time::from_millis(wcet))
@@ -1719,15 +1689,16 @@ mod tests {
                     WorkloadEvent::Arrive(constrained(i as u32, wcet, period, deadline.max(wcet)))
                 })
                 .collect();
-            let config = two_cores_no_split().max_repair_moves(0);
-            let mut cached = AdmissionController::new(config.clone().build()).unwrap();
-            let mut scratch = AdmissionController::new(config.rta_cache(false).build()).unwrap();
-            assert_eq!(
-                cached.handle_all(&events),
-                scratch.handle_all(&events),
-                "variant {variant} diverged"
-            );
-            assert_eq!(cached.partition(), scratch.partition());
+            let config = two_cores_no_split().max_repair_moves(0).build();
+            let mut cached = AdmissionController::new(config).unwrap();
+            for (i, event) in events.iter().enumerate() {
+                cached.handle_event(event);
+                assert_eq!(
+                    cached.partition().scratch_audit(),
+                    Ok(()),
+                    "variant {variant} event {i}"
+                );
+            }
             fallbacks += cached.stats().full_repartitions;
             // The adopted partition must follow the per-core DM discipline:
             // whole-task priority order matches (deadline, period, id).
@@ -1900,7 +1871,9 @@ mod tests {
             },
             "utilization ranking should burn its move on BIG and reject M"
         );
-        assert!(util.partition().is_schedulable(util.config().test));
+        assert!(util
+            .partition()
+            .is_schedulable(UniprocessorTest::ResponseTime));
 
         let (slack_decisions, slack) = run(RepairRanking::Slack);
         assert_eq!(
@@ -1912,7 +1885,9 @@ mod tests {
             },
             "slack ranking should evict SMALL and admit M"
         );
-        assert!(slack.partition().is_schedulable(slack.config().test));
+        assert!(slack
+            .partition()
+            .is_schedulable(UniprocessorTest::ResponseTime));
         // Soundness: every core of the slack-admitted partition passes a
         // from-scratch exact RTA (not the cache, not the offline heuristic
         // — whose first-fit search cannot find this arrangement and proves
@@ -1940,7 +1915,7 @@ mod tests {
         // partition.
         arrive(&mut c, task(3, 3, 10));
         assert_eq!(c.partition().validate(), Ok(()));
-        assert!(c.partition().is_schedulable(c.config().test));
+        assert!(c.partition().is_schedulable(UniprocessorTest::ResponseTime));
     }
 
     #[test]
@@ -2143,7 +2118,7 @@ mod tests {
             "inflation must be a whole number of per-hop charges"
         );
         assert_eq!(c.stats().inflation_charged_ns, inflation.as_nanos());
-        assert!(c.partition().is_schedulable(c.config().test));
+        assert!(c.partition().is_schedulable(UniprocessorTest::ResponseTime));
     }
 
     #[test]
@@ -2192,7 +2167,7 @@ mod tests {
         assert_eq!(charged_c.stats().inflation_charged_ns, 0);
         assert!(charged_c
             .partition()
-            .is_schedulable(charged_c.config().test));
+            .is_schedulable(UniprocessorTest::ResponseTime));
     }
 
     #[test]

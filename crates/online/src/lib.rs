@@ -47,7 +47,8 @@
 //!     .generate()?;
 //! let mut controller = AdmissionController::new(OnlineConfig::new(4))?;
 //! controller.handle_all(&events);
-//! assert!(controller.partition().is_schedulable(controller.config().test));
+//! // Every core passes from-scratch RTA, and the cache agrees with it.
+//! assert!(controller.partition().scratch_audit().is_ok());
 //! assert!(controller.stats().acceptance_ratio() > 0.5);
 //! # Ok(())
 //! # }

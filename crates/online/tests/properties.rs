@@ -49,8 +49,8 @@ proptest! {
             let decision = controller.handle(event);
             prop_assert_eq!(controller.partition().validate(), Ok(()));
             prop_assert!(
-                controller.partition().is_schedulable(controller.config().test),
-                "live partition failed the acceptance test after event {}",
+                controller.partition().scratch_audit().is_ok(),
+                "live partition failed the scratch RTA audit after event {}",
                 decision.event_index
             );
             if decision.is_admission() {
@@ -88,7 +88,7 @@ proptest! {
                 task.utilization()
             );
             prop_assert_eq!(controller.partition().validate(), Ok(()));
-            prop_assert!(controller.partition().is_schedulable(controller.config().test));
+            prop_assert!(controller.partition().scratch_audit().is_ok());
         }
         prop_assert_eq!(controller.admitted_count(), admitted.len());
     }

@@ -74,6 +74,19 @@ fn run(shards: usize, events: usize) -> ShardedAdmission {
     service
 }
 
+/// Every probe of the run read a converged cache slot: the on-the-fly
+/// analysis arm of `Partition::core_analysis` never ran.
+fn assert_every_probe_hit_the_cache(service: &ShardedAdmission) {
+    let registry = service.merged_metrics_registry();
+    let misses = registry.counter_by_name("spms_mech_cache_probe_misses_total");
+    assert!(
+        misses.unwrap_or(0) == 0,
+        "probes built an analysis on the fly: {misses:?}"
+    );
+    let hits = registry.counter_by_name("spms_mech_cache_probe_hits_total");
+    assert!(hits.is_some_and(|hits| hits > 0), "no probe read the cache");
+}
+
 fn repairs(service: &ShardedAdmission) -> usize {
     service
         .decisions()
@@ -102,6 +115,7 @@ fn solo_service_repair_cascade_digest_is_pinned() {
         memo_hits.is_some_and(|hits| hits > 0),
         "the trace must exercise the failed-relocation memo"
     );
+    assert_every_probe_hit_the_cache(&service);
     assert_eq!(
         digest(service.decisions()),
         SOLO_DIGEST,
@@ -115,6 +129,7 @@ fn cross_shard_service_repair_cascade_digest_is_pinned() {
     let service = run(4, 3_000);
     assert!(repairs(&service) > 0, "the trace must exercise repair");
     assert!(service.stats().cross_shard_admissions > 0);
+    assert_every_probe_hit_the_cache(&service);
     assert_eq!(
         digest(service.decisions()),
         FLEET_DIGEST,

@@ -35,7 +35,8 @@ pub enum HotCounter {
     SplitProbes,
     /// Probes answered by a `CachedCoreAnalysis`.
     CacheProbeHits,
-    /// Probes that fell back to a from-scratch RTA.
+    /// Probes on a core with no converged slot, whose analysis was built
+    /// on the fly.
     CacheProbeMisses,
     /// Journal scopes opened (`journal_begin`).
     JournalBegins,

@@ -142,7 +142,7 @@ const COMMANDS: &[(&str, &str, &str)] = &[
     ),
     (
         "rtabench",
-        "Admission-cascade bench: cached vs from-scratch RTA (E12/E13)",
+        "Admission-cascade bench: every decision audited by scratch RTA (E12/E13)",
         "    --cores <N>             Number of processors [default: 4]
     --events <N>            Arrive/depart events per churn trace [default: 120]
     --points <a,b,..>       Target normalized-utilization sweep points
@@ -150,9 +150,9 @@ const COMMANDS: &[(&str, &str, &str)] = &[
     --repair-moves <K>      Max already-placed tasks relocated per admission
                             [default: 2]
     (--sets-per-point sets the churn traces generated per sweep point;
-     drives two controller variants — cached and from-scratch RTA —
-     asserts their decision logs are byte-identical and the journal hot
-     path is clone-free; the
+     after every decision, checks each core against from-scratch RTA
+     (schedulable, and the converged cache matches it) and asserts the
+     journal hot path is clone-free; the
      `timing` object in the output is wall-clock measurement data and is
      the only part that varies run-to-run)
 ",

@@ -109,8 +109,15 @@ fn measured_queue_operations_are_fast_and_scale_mildly() {
             n64.stats.mean_ns
         );
         // A 64-entry queue must not be dramatically cheaper than a 4-entry
-        // one (log-scale growth, allow generous noise).
-        assert!(n64.stats.mean_ns * 4.0 > n4.stats.mean_ns, "{op:?}");
+        // one (log-scale growth, allow generous noise). Compared on the
+        // fastest sample: preemption on a shared host only ever adds time,
+        // so a single outlier can inflate a mean but never a minimum.
+        assert!(
+            n64.stats.min_ns as f64 * 4.0 > n4.stats.min_ns as f64,
+            "{op:?} N=64 min {} vs N=4 min {}",
+            n64.stats.min_ns,
+            n4.stats.min_ns
+        );
     }
 }
 
