@@ -14,13 +14,19 @@
 //!   its previous value in a handful of iterations instead of from `C_i`.
 //!
 //! The cache is *always converged*: [`insert`](CachedCoreAnalysis::insert),
-//! [`remove`](CachedCoreAnalysis::remove) and
+//! [`remove`](CachedCoreAnalysis::remove), their renormalizing forms
+//! [`insert_relabelled`](CachedCoreAnalysis::insert_relabelled) /
+//! [`remove_relabelled`](CachedCoreAnalysis::remove_relabelled) and
 //! [`refresh`](CachedCoreAnalysis::refresh) re-establish every response time
 //! eagerly, so the read-side — [`is_schedulable`], [`analysis`] and the
 //! non-mutating what-if probes ([`accepts_candidate`],
 //! [`accepts_prioritised`]) — works on `&self` and allocates nothing.
 //! Results are bit-identical to a from-scratch [`rta::analyse_core`] over
 //! the same tasks (property-tested in `tests/cache_equivalence.rs`).
+//!
+//! A probe that accepts a candidate has already converged every response
+//! the committed core needs; [`probe_candidate_with`] hands them out, and
+//! [`insert_relabelled`] installs them instead of re-deriving them.
 //!
 //! The converged responses also make split carving a single read:
 //! [`max_prioritised_wcet`] scans each entry's time demand once and returns
@@ -36,6 +42,8 @@
 //! [`accepts_candidate`]: CachedCoreAnalysis::accepts_candidate
 //! [`accepts_prioritised`]: CachedCoreAnalysis::accepts_prioritised
 //! [`max_prioritised_wcet`]: CachedCoreAnalysis::max_prioritised_wcet
+//! [`probe_candidate_with`]: CachedCoreAnalysis::probe_candidate_with
+//! [`insert_relabelled`]: CachedCoreAnalysis::insert_relabelled
 
 use spms_task::{Priority, Task, TaskId, Time};
 
@@ -144,42 +152,88 @@ impl CachedCoreAnalysis {
     /// points; invalidated levels warm-start from their previous (now
     /// lower-bound) response times.
     pub fn insert(&mut self, task: Task) {
-        debug_assert!(
-            self.entries.iter().all(|e| e.task.id() != task.id()),
-            "duplicate task id {} on one core",
-            task.id()
-        );
-        let key = sort_key(&task);
-        let pos = self.entries.partition_point(|e| sort_key(&e.task) < key);
-        self.entries.insert(
-            pos,
-            Entry {
-                task,
-                response: None,
-            },
-        );
-        // Invalidate from the first entry *at* the inserted level: same-level
-        // peers gain the newcomer's interference too, and some sort before
-        // `pos` (smaller id).
-        let first_affected = self
-            .entries
-            .partition_point(|e| sort_key(&e.task).0 < key.0);
-        self.recompute_from(first_affected, true);
+        let (pos, first_affected) = self.place_entry(task);
+        self.reconverge_after_insert(pos, first_affected, None);
     }
 
-    /// Removes the task with `id`, re-converging the levels at or below it
-    /// (cold: removal shrinks interference, so previous responses are upper
-    /// bounds and unusable as warm starts). Returns the removed task, or
-    /// `None` when no task with `id` is on the core.
+    /// Removes the task with `id`, re-converging the levels at or below it.
+    /// Removal shrinks interference, so previous responses are upper bounds;
+    /// each invalidated entry `i` restarts from `R_h + C_i` instead, where
+    /// `h` is the last entry strictly above it (see
+    /// [`remove_relabelled`](Self::remove_relabelled)). Returns the removed
+    /// task, or `None` when no task with `id` is on the core.
     pub fn remove(&mut self, id: TaskId) -> Option<Task> {
-        let pos = self.entries.iter().position(|e| e.task.id() == id)?;
-        let removed = self.entries.remove(pos);
-        let level = sort_key(&removed.task).0;
-        let first_affected = self
-            .entries
-            .partition_point(|e| sort_key(&e.task).0 < level);
-        self.recompute_from(first_affected, false);
+        let (_, removed, first_affected) = self.take_entry(id)?;
+        self.reconverge_after_remove(first_affected);
         Some(removed.task)
+    }
+
+    /// Adds one entry to the core **in place** while the surviving entries
+    /// take the priorities `relabel` gives them — the single-placement
+    /// commit of a priority renormalization — and returns the
+    /// [`RefreshUndo`] that reverts it.
+    ///
+    /// Only valid when the survivors keep their relative order (checked in
+    /// one pass; `None`, with the cache untouched, when they do not).
+    /// Entries ranked strictly above the new one keep their fixed points and
+    /// only have their numeric levels rewritten; nothing is re-sorted or
+    /// cloned. The new entry and those at or below its level take their
+    /// responses from `proof` — the responses an accepting
+    /// [`probe_candidate_with`](Self::probe_candidate_with) converged on this
+    /// exact core, candidate first — or, without a proof (or one of the
+    /// wrong length), re-converge warm as [`insert`](Self::insert) does.
+    /// The caller vouches that the proof was taken on this core's current
+    /// state.
+    pub fn insert_relabelled(
+        &mut self,
+        task: Task,
+        relabel: impl FnMut(&Task) -> Option<Priority>,
+        proof: Option<&[Time]>,
+    ) -> Option<RefreshUndo> {
+        let prior = self.relabel(relabel)?;
+        let added = task.id();
+        let (pos, first_affected) = self.place_entry(task);
+        self.reconverge_after_insert(pos, first_affected, proof);
+        let undo = RefreshUndo {
+            removed: Vec::new(),
+            added: vec![added],
+            changed: self.changed_since(prior, Some(added)),
+        };
+        self.debug_assert_converged();
+        Some(undo)
+    }
+
+    /// Removes the entry with `id` **in place** while the survivors take
+    /// the priorities `relabel` gives them, and returns the
+    /// [`RefreshUndo`] that reverts it. `None`, with the cache untouched,
+    /// when `id` is not on the core or the survivors would change their
+    /// relative order.
+    ///
+    /// Entries strictly above the removed level keep their fixed points.
+    /// Each entry `i` at or below it restarts from `R_h + C_i`, where `h` is
+    /// the last entry strictly above `i` (same-level peers do not count):
+    /// `hp(h) ∪ {h} ⊆ hp(i)` gives `W_i(t) ≥ W_h(t) + C_i`, so no `t` below
+    /// `R_h + C_i` is a fixed point, and a start below the least fixed
+    /// point converges to it exactly. Without such an `h` (or when `h`
+    /// misses its deadline) the entry starts cold.
+    pub fn remove_relabelled(
+        &mut self,
+        id: TaskId,
+        relabel: impl FnMut(&Task) -> Option<Priority>,
+    ) -> Option<RefreshUndo> {
+        let (pos, removed, first_affected) = self.take_entry(id)?;
+        let Some(prior) = self.relabel(relabel) else {
+            self.entries.insert(pos, removed);
+            return None;
+        };
+        self.reconverge_after_remove(first_affected);
+        let undo = RefreshUndo {
+            removed: vec![(removed.task, removed.response)],
+            added: Vec::new(),
+            changed: self.changed_since(prior, None),
+        };
+        self.debug_assert_converged();
+        Some(undo)
     }
 
     /// Resynchronizes the cache to an arbitrary new assignment (the
@@ -198,9 +252,9 @@ impl CachedCoreAnalysis {
         self.debug_assert_converged();
     }
 
-    /// Runs the refresh flavour selected by `mode` and returns a compact
-    /// [`RefreshUndo`] that restores the pre-refresh state bit-identically
-    /// via [`apply_refresh_undo`](Self::apply_refresh_undo).
+    /// [`refresh`](Self::refresh) that also returns a compact
+    /// [`RefreshUndo`] restoring the pre-refresh state bit-identically via
+    /// [`apply_refresh_undo`](Self::apply_refresh_undo).
     ///
     /// The undo record holds only the *differences* — entries the refresh
     /// dropped, ids it added, and `(priority, response)` pairs of surviving
@@ -209,12 +263,8 @@ impl CachedCoreAnalysis {
     /// levels records `O(k)`, never a clone of the whole core. The diff is
     /// computed against the old entry vector the refresh already detaches
     /// internally, so building it performs no extra clones either.
-    pub fn refresh_with_undo(&mut self, tasks: &[Task], mode: RefreshMode) -> RefreshUndo {
-        let old = match mode {
-            RefreshMode::General => self.refresh_general(tasks),
-            RefreshMode::AfterInsert => self.refresh_after_insert_inner(tasks),
-            RefreshMode::AfterRemove => self.refresh_after_remove_inner(tasks),
-        };
+    pub fn refresh_with_undo(&mut self, tasks: &[Task]) -> RefreshUndo {
+        let old = self.refresh_general(tasks);
         let undo = RefreshUndo::diff(old, &self.entries);
         self.debug_assert_converged();
         undo
@@ -232,10 +282,7 @@ impl CachedCoreAnalysis {
                 .iter_mut()
                 .find(|e| e.task.id() == delta.id)
                 .expect("refresh undo names a task no longer on the core");
-            match delta.priority {
-                Some(priority) => entry.task.set_priority(priority),
-                None => entry.task.clear_priority(),
-            }
+            delta.restore_priority(&mut entry.task);
             entry.response = delta.response;
         }
         for (task, response) in undo.removed {
@@ -243,91 +290,6 @@ impl CachedCoreAnalysis {
         }
         self.entries.sort_by_key(|e| sort_key(&e.task));
         self.debug_assert_converged();
-    }
-
-    /// [`refresh`](Self::refresh) specialised for a **pure insertion**: the
-    /// previous assignment plus one or more new tasks, with the surviving
-    /// tasks' parameters unchanged and their relative priority order
-    /// preserved (numeric levels may shift, as a whole-task renormalization
-    /// does). Every surviving task warm-starts from its previous response —
-    /// an unchanged level re-converges in a single interference sum — and
-    /// only the new tasks run cold. No interferer profiles are built.
-    pub fn refresh_after_insert(&mut self, tasks: &[Task]) {
-        let _ = self.refresh_after_insert_inner(tasks);
-        self.debug_assert_converged();
-    }
-
-    /// [`refresh_after_insert`](Self::refresh_after_insert) body; returns
-    /// the detached pre-refresh entries so
-    /// [`refresh_with_undo`](Self::refresh_with_undo) can diff them.
-    fn refresh_after_insert_inner(&mut self, tasks: &[Task]) -> Vec<Entry> {
-        let old = std::mem::take(&mut self.entries);
-        self.entries = tasks
-            .iter()
-            .map(|task| Entry {
-                task: task.clone(),
-                response: None,
-            })
-            .collect();
-        self.entries.sort_by_key(|e| sort_key(&e.task));
-        for i in 0..self.entries.len() {
-            let warm = old
-                .iter()
-                .find(|e| e.task.id() == self.entries[i].task.id())
-                .and_then(|prev| {
-                    debug_assert_eq!(prev.task.wcet(), self.entries[i].task.wcet());
-                    debug_assert_eq!(prev.task.deadline(), self.entries[i].task.deadline());
-                    prev.response
-                });
-            let response = self.compute(i, warm);
-            self.entries[i].response = response;
-        }
-        old
-    }
-
-    /// [`refresh`](Self::refresh) specialised for a **pure removal**: the
-    /// previous assignment minus one or more tasks, surviving parameters
-    /// unchanged and relative order preserved. Survivors ranked strictly
-    /// above every removed task keep their fixed points outright; the rest
-    /// lost interference and re-converge cold.
-    pub fn refresh_after_remove(&mut self, tasks: &[Task]) {
-        let _ = self.refresh_after_remove_inner(tasks);
-        self.debug_assert_converged();
-    }
-
-    /// [`refresh_after_remove`](Self::refresh_after_remove) body; returns
-    /// the detached pre-refresh entries so
-    /// [`refresh_with_undo`](Self::refresh_with_undo) can diff them.
-    fn refresh_after_remove_inner(&mut self, tasks: &[Task]) -> Vec<Entry> {
-        let old = std::mem::take(&mut self.entries);
-        self.entries = tasks
-            .iter()
-            .map(|task| Entry {
-                task: task.clone(),
-                response: None,
-            })
-            .collect();
-        self.entries.sort_by_key(|e| sort_key(&e.task));
-        let removed_min_level = old
-            .iter()
-            .filter(|e| !self.entries.iter().any(|n| n.task.id() == e.task.id()))
-            .map(|e| sort_key(&e.task).0)
-            .min();
-        for i in 0..self.entries.len() {
-            let prev = old
-                .iter()
-                .find(|e| e.task.id() == self.entries[i].task.id());
-            let response = match (prev, removed_min_level) {
-                // Ranked strictly above everything removed: untouched.
-                (Some(prev), Some(min_level)) if sort_key(&prev.task).0 < min_level => {
-                    prev.response
-                }
-                (Some(prev), None) => prev.response,
-                _ => self.compute(i, None),
-            };
-            self.entries[i].response = response;
-        }
-        old
     }
 
     /// Fault-injection hook: nudges the first strictly-positive memoized
@@ -473,21 +435,39 @@ impl CachedCoreAnalysis {
         outranked: impl Fn(&Task) -> bool,
         peer: impl Fn(&Task) -> bool,
     ) -> Option<TaskId> {
+        self.probe_candidate_with(candidate, outranked, peer, |_| {})
+    }
+
+    /// [`probe_candidate`](Self::probe_candidate) that hands every response
+    /// it converges to `converged`: the candidate's first, then each
+    /// outranked or peer entry's in canonical order. When the probe accepts,
+    /// these are exactly the responses those tasks have on the committed
+    /// core — the proof [`insert_relabelled`](Self::insert_relabelled)
+    /// installs.
+    pub fn probe_candidate_with(
+        &self,
+        candidate: &Task,
+        outranked: impl Fn(&Task) -> bool,
+        peer: impl Fn(&Task) -> bool,
+        mut converged: impl FnMut(Time),
+    ) -> Option<TaskId> {
         // Extra interference never repairs an already-doomed task.
         if let Some(doomed) = self.entries.iter().find(|e| e.response.is_none()) {
             return Some(doomed.task.id());
         }
         // The candidate sees everything it does not outrank (peers included).
-        let candidate_response = rta::converge(candidate.wcet(), candidate.deadline(), None, |r| {
-            self.entries
-                .iter()
-                .filter(|e| !outranked(&e.task))
-                .map(|e| interference_term(&e.task, r))
-                .sum()
-        });
-        if candidate_response.is_none() {
+        let Some(candidate_response) =
+            rta::converge(candidate.wcet(), candidate.deadline(), None, |r| {
+                self.entries
+                    .iter()
+                    .filter(|e| !outranked(&e.task))
+                    .map(|e| interference_term(&e.task, r))
+                    .sum()
+            })
+        else {
             return Some(candidate.id());
-        }
+        };
+        converged(candidate_response);
         // Entries at or below the candidate gain its interference; their
         // interference among existing entries is unchanged, so their cached
         // responses are valid warm starts.
@@ -495,15 +475,15 @@ impl CachedCoreAnalysis {
             if !outranked(&entry.task) && !peer(&entry.task) {
                 continue;
             }
-            let survived = rta::converge(
+            let Some(survived) = rta::converge(
                 entry.task.wcet(),
                 entry.task.deadline(),
                 entry.response,
                 |r| self.own_interference(i, r) + interference_term(candidate, r),
-            );
-            if survived.is_none() {
+            ) else {
                 return Some(entry.task.id());
-            }
+            };
+            converged(survived);
         }
         None
     }
@@ -778,14 +758,123 @@ impl CachedCoreAnalysis {
         }
     }
 
-    /// Re-converges entries `from..`, in order. With `warm`, each entry
-    /// starts from its previous response (valid only when interference has
-    /// grown, i.e. after an insertion).
-    fn recompute_from(&mut self, from: usize, warm: bool) {
-        for i in from..self.entries.len() {
-            let warm_start = if warm { self.entries[i].response } else { None };
-            let response = self.compute(i, warm_start);
+    /// Inserts `task` at its canonical position with no response yet.
+    /// Returns that position and the first entry at its level — the first
+    /// one the newcomer invalidates (same-level peers gain its interference
+    /// too, and some sort before it by id).
+    fn place_entry(&mut self, task: Task) -> (usize, usize) {
+        debug_assert!(
+            self.entries.iter().all(|e| e.task.id() != task.id()),
+            "duplicate task id {} on one core",
+            task.id()
+        );
+        let key = sort_key(&task);
+        let pos = self.entries.partition_point(|e| sort_key(&e.task) < key);
+        let first_affected = self.entries[..pos].partition_point(|e| sort_key(&e.task).0 < key.0);
+        self.entries.insert(
+            pos,
+            Entry {
+                task,
+                response: None,
+            },
+        );
+        (pos, first_affected)
+    }
+
+    /// Takes the entry with `id` out of the core. Returns its position, the
+    /// entry, and the first remaining entry at or below its level (the
+    /// first one that lost interference).
+    fn take_entry(&mut self, id: TaskId) -> Option<(usize, Entry, usize)> {
+        let pos = self.entries.iter().position(|e| e.task.id() == id)?;
+        let removed = self.entries.remove(pos);
+        let level = sort_key(&removed.task).0;
+        let first_affected = self.entries[..pos].partition_point(|e| sort_key(&e.task).0 < level);
+        Some((pos, removed, first_affected))
+    }
+
+    /// Rewrites every entry's priority to `relabel(task)` in place and
+    /// returns each entry's prior `(priority, response)`, in order. When the
+    /// new priorities would reorder the entries, every priority is restored
+    /// and `None` is returned.
+    fn relabel(
+        &mut self,
+        mut relabel: impl FnMut(&Task) -> Option<Priority>,
+    ) -> Option<Vec<EntryDelta>> {
+        let prior: Vec<EntryDelta> = self.entries.iter().map(EntryDelta::of).collect();
+        let mut previous = None;
+        for i in 0..self.entries.len() {
+            let task = &mut self.entries[i].task;
+            match relabel(task) {
+                Some(priority) => task.set_priority(priority),
+                None => task.clear_priority(),
+            }
+            let key = sort_key(task);
+            if previous.is_some_and(|previous| previous >= key) {
+                for (entry, delta) in self.entries.iter_mut().zip(&prior) {
+                    delta.restore_priority(&mut entry.task);
+                }
+                return None;
+            }
+            previous = Some(key);
+        }
+        Some(prior)
+    }
+
+    /// The deltas of `prior` (one per entry that was on the core before the
+    /// mutation, in order) whose entry's priority or response has changed
+    /// since; `added` names an entry the mutation inserted.
+    fn changed_since(&self, mut prior: Vec<EntryDelta>, added: Option<TaskId>) -> Vec<EntryDelta> {
+        let mut survivors = self.entries.iter().filter(|e| Some(e.task.id()) != added);
+        prior.retain(|delta| {
+            let now = survivors.next().expect("one survivor per prior entry");
+            debug_assert_eq!(now.task.id(), delta.id);
+            now.task.priority() != delta.priority || now.response != delta.response
+        });
+        prior
+    }
+
+    /// Re-converges after an insertion at `pos`: the new entry and every
+    /// entry from `first_affected` on, from `proof` when it covers exactly
+    /// those entries (the new one first), otherwise the new entry cold and
+    /// the rest warm from their previous responses, which the added
+    /// interference turned into lower bounds. A core with an injected
+    /// corruption pending also re-converges the entries above, warm, so the
+    /// fault heals where a full warm refresh would heal it.
+    fn reconverge_after_insert(
+        &mut self,
+        pos: usize,
+        first_affected: usize,
+        proof: Option<&[Time]>,
+    ) {
+        let proof = proof.filter(|proof| proof.len() == self.entries.len() - first_affected);
+        let mut proven = proof.into_iter().flatten().copied();
+        if self.corrupted {
+            for i in 0..first_affected {
+                self.entries[i].response = self.compute(i, self.entries[i].response);
+            }
+        }
+        self.entries[pos].response = proven.next().or_else(|| self.compute(pos, None));
+        for i in (first_affected..self.entries.len()).filter(|i| *i != pos) {
+            let response = match proven.next() {
+                Some(response) => Some(response),
+                None => self.compute(i, self.entries[i].response),
+            };
             self.entries[i].response = response;
+        }
+    }
+
+    /// Re-converges every entry from `first_affected` on after a removal,
+    /// each from the lower bound `R_h + C_i` (see
+    /// [`remove_relabelled`](Self::remove_relabelled)).
+    fn reconverge_after_remove(&mut self, first_affected: usize) {
+        for i in first_affected..self.entries.len() {
+            let level = sort_key(&self.entries[i].task).0;
+            let start = self.entries[..i]
+                .iter()
+                .rposition(|e| sort_key(&e.task).0 < level)
+                .and_then(|h| self.entries[h].response)
+                .map(|response| response + self.entries[i].task.wcet());
+            self.entries[i].response = self.compute(i, start);
         }
     }
 
@@ -827,27 +916,31 @@ impl CachedCoreAnalysis {
     }
 }
 
-/// Which refresh specialisation [`CachedCoreAnalysis::refresh_with_undo`]
-/// runs — mirrors the three public refresh entry points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RefreshMode {
-    /// The general diff-based resynchronization of
-    /// [`refresh`](CachedCoreAnalysis::refresh).
-    General,
-    /// The pure-insertion fast path of
-    /// [`refresh_after_insert`](CachedCoreAnalysis::refresh_after_insert).
-    AfterInsert,
-    /// The pure-removal fast path of
-    /// [`refresh_after_remove`](CachedCoreAnalysis::refresh_after_remove).
-    AfterRemove,
-}
-
 /// Prior `(priority, response)` of one surviving entry a refresh changed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct EntryDelta {
     id: TaskId,
     priority: Option<Priority>,
     response: Option<Time>,
+}
+
+impl EntryDelta {
+    /// The current `(priority, response)` of `entry`.
+    fn of(entry: &Entry) -> Self {
+        EntryDelta {
+            id: entry.task.id(),
+            priority: entry.task.priority(),
+            response: entry.response,
+        }
+    }
+
+    /// Puts the recorded priority back on `task`.
+    fn restore_priority(&self, task: &mut Task) {
+        match self.priority {
+            Some(priority) => task.set_priority(priority),
+            None => task.clear_priority(),
+        }
+    }
 }
 
 /// Compact, per-entry undo record of one
@@ -1115,7 +1208,7 @@ mod tests {
         // record an empty undo — the journal's steady-state cost.
         let initial = [task(0, 1, 4, 2), task(1, 2, 10, 3), task(2, 3, 20, 4)];
         let mut cache = CachedCoreAnalysis::from_tasks(&initial);
-        let noop = cache.refresh_with_undo(&initial, RefreshMode::AfterInsert);
+        let noop = cache.refresh_with_undo(&initial);
         assert!(
             noop.is_empty(),
             "no-op refresh recorded {} deltas",
@@ -1131,20 +1224,100 @@ mod tests {
             task(1, 2, 10, 4),
             task(2, 3, 20, 5),
         ];
-        let undo = cache.refresh_with_undo(&grown, RefreshMode::AfterInsert);
+        let undo = cache.refresh_with_undo(&grown);
         assert!(!undo.is_empty());
         assert!(undo.len() <= grown.len(), "undo must stay per-entry");
         assert_matches_scratch(&cache);
         cache.apply_refresh_undo(undo);
         assert_eq!(cache, before);
 
-        // Same round trip through the removal-specialised refresh.
+        // Same round trip through a removal.
         let before = cache.clone();
         let shrunk = [task(0, 1, 4, 2), task(2, 3, 20, 3)];
-        let undo = cache.refresh_with_undo(&shrunk, RefreshMode::AfterRemove);
+        let undo = cache.refresh_with_undo(&shrunk);
         assert!(!undo.is_empty());
         assert_matches_scratch(&cache);
         cache.apply_refresh_undo(undo);
+        assert_eq!(cache, before);
+    }
+
+    /// The dense re-ranking a renormalization gives `ids`, in order, from
+    /// level 2.
+    fn dense(ids: &'static [u32]) -> impl Fn(&Task) -> Option<Priority> {
+        move |t| {
+            let rank = ids.iter().position(|id| *id == t.id().0).expect("ranked");
+            Some(Priority::new(2 + rank as u32))
+        }
+    }
+
+    #[test]
+    fn in_place_insert_installs_the_probe_proof_and_round_trips() {
+        let initial = [task(0, 1, 4, 2), task(1, 2, 10, 3), task(2, 3, 20, 4)];
+        let mut cache = CachedCoreAnalysis::from_tasks(&initial);
+        let before = cache.clone();
+        // The candidate slots in below τ0: it outranks τ1 and τ2.
+        let candidate = task(3, 1, 6, 3);
+        let mut proof = Vec::new();
+        let blocker =
+            cache.probe_candidate_with(&candidate, |t| t.id().0 >= 1, |_| false, |r| proof.push(r));
+        assert_eq!(blocker, None);
+        assert_eq!(proof.len(), 3, "the candidate plus the two it outranks");
+        let undo = cache
+            .insert_relabelled(candidate.clone(), dense(&[0, 3, 1, 2]), Some(&proof))
+            .expect("survivors keep their order");
+        assert_matches_scratch(&cache);
+        assert_eq!(cache.response_of(TaskId(0)), before.response_of(TaskId(0)));
+        // τ1 and τ2 shifted a level and gained interference; τ0 did not.
+        assert_eq!(undo.len(), 3);
+        cache.apply_refresh_undo(undo);
+        assert_eq!(cache, before);
+
+        // Without a proof, or with one of the wrong length, the same state
+        // is re-derived warm.
+        let mut proven = before.clone();
+        proven.insert_relabelled(candidate.clone(), dense(&[0, 3, 1, 2]), Some(&proof));
+        for bad_proof in [None, Some(&proof[..2])] {
+            let mut derived = before.clone();
+            derived.insert_relabelled(candidate.clone(), dense(&[0, 3, 1, 2]), bad_proof);
+            assert_eq!(derived, proven);
+        }
+    }
+
+    #[test]
+    fn in_place_remove_restarts_from_the_lower_bound_and_round_trips() {
+        let initial = [
+            task(0, 1, 4, 2),
+            task(1, 2, 10, 3),
+            task(2, 3, 20, 4),
+            task(3, 1, 40, 5),
+        ];
+        let mut cache = CachedCoreAnalysis::from_tasks(&initial);
+        let before = cache.clone();
+        let undo = cache
+            .remove_relabelled(TaskId(1), dense(&[0, 2, 3]))
+            .expect("on the core");
+        assert_matches_scratch(&cache);
+        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.response_of(TaskId(0)), before.response_of(TaskId(0)));
+        cache.apply_refresh_undo(undo);
+        assert_eq!(cache, before);
+        assert!(cache
+            .remove_relabelled(TaskId(9), dense(&[0, 1, 2, 3]))
+            .is_none());
+        assert_eq!(cache, before);
+    }
+
+    #[test]
+    fn in_place_operations_refuse_a_reordering_relabel() {
+        let initial = [task(0, 1, 4, 2), task(1, 2, 10, 3), task(2, 3, 20, 4)];
+        let mut cache = CachedCoreAnalysis::from_tasks(&initial);
+        let before = cache.clone();
+        // τ2 would jump above τ1: the caller must run the general refresh.
+        assert!(cache
+            .insert_relabelled(task(3, 1, 50, 5), dense(&[0, 2, 1, 3]), None)
+            .is_none());
+        assert_eq!(cache, before);
+        assert!(cache.remove_relabelled(TaskId(0), dense(&[2, 1])).is_none());
         assert_eq!(cache, before);
     }
 
@@ -1155,7 +1328,7 @@ mod tests {
         let mut cache = CachedCoreAnalysis::from_tasks(&[task(0, 1, 4, 2), task(1, 2, 10, 3)]);
         let before = cache.clone();
         let reshaped = [task(0, 2, 4, 2), task(1, 2, 10, 3)];
-        let undo = cache.refresh_with_undo(&reshaped, RefreshMode::General);
+        let undo = cache.refresh_with_undo(&reshaped);
         assert!(!undo.is_empty());
         assert_matches_scratch(&cache);
         cache.apply_refresh_undo(undo);

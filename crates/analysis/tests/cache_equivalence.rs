@@ -12,12 +12,19 @@
 //! probes and the split-budget frontier against scratch analysis of the
 //! combined assignment.
 //!
+//! A second walk drives the in-place operations a partition's
+//! renormalization uses (`insert_relabelled` / `remove_relabelled`) over a
+//! core shaped like the online placer's: reserved split-piece levels (with
+//! same-level peers) above dense deadline-monotonic whole levels. Every
+//! insertion runs with the proof an accepting probe converged and again
+//! without one, and both must equal scratch analysis.
+//!
 //! The vendored proptest runner is deterministically seeded, so failures
 //! reproduce identically.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use spms_analysis::{rta, CachedCoreAnalysis};
+use spms_analysis::{rta, CachedCoreAnalysis, RefreshUndo};
 use spms_task::{Priority, Task, TaskId, Time};
 
 /// A compact task spec the strategies generate: `(wcet_us, extra_period_us,
@@ -82,6 +89,153 @@ fn renormalized(tasks: &[Task]) -> Vec<Task> {
         task.set_priority(Priority::new(level as u32));
     }
     ranked
+}
+
+/// The first level whole tasks take; levels below it are reserved for
+/// split pieces, as on the online placer's cores.
+const WHOLE_BASE: u32 = 2;
+
+#[derive(Debug, Clone)]
+enum CoreOp {
+    /// Add a whole task (re-ranking every whole task densely).
+    Whole(Spec),
+    /// Add a split piece at reserved level `level % WHOLE_BASE`.
+    Piece(Spec, u32),
+    /// Remove the task at `index % len` (re-ranking the whole tasks).
+    Remove(usize),
+}
+
+/// Lighter tasks than [`spec`], so the core stays schedulable long enough
+/// for accepting probes to outrank several entries.
+fn core_op() -> impl Strategy<Value = CoreOp> {
+    (0u8..8, (1u64..12, 10u64..200, Just(0u32)), 0usize..64).prop_map(|(kind, spec, index)| {
+        match kind {
+            0..=3 => CoreOp::Whole(spec),
+            4 => CoreOp::Piece(spec, index as u32),
+            _ => CoreOp::Remove(index),
+        }
+    })
+}
+
+/// The core's tasks ranked as a renormalization ranks them: pieces keep
+/// their reserved level, whole tasks get dense levels from `WHOLE_BASE` by
+/// (deadline, period, id).
+fn ranked(tasks: &[Task]) -> Vec<Task> {
+    let mut ranked = tasks.to_vec();
+    let mut whole: Vec<&mut Task> = ranked
+        .iter_mut()
+        .filter(|t| rta::effective_priority(t).level() >= WHOLE_BASE)
+        .collect();
+    whole.sort_by_key(|t| (t.deadline(), t.period(), t.id()));
+    for (rank, task) in whole.into_iter().enumerate() {
+        task.set_priority(Priority::new(WHOLE_BASE + rank as u32));
+    }
+    ranked
+}
+
+/// The priority `id` has in `tasks`.
+fn priority_in(tasks: &[Task], id: TaskId) -> Option<Priority> {
+    tasks.iter().find(|t| t.id() == id).and_then(Task::priority)
+}
+
+/// Asserts the cache holds exactly `tasks` (priorities included) and
+/// equals scratch analysis of them.
+fn assert_holds(cache: &CachedCoreAnalysis, tasks: &[Task]) {
+    prop_assert_eq!(cache.len(), tasks.len());
+    for task in tasks {
+        prop_assert!(
+            cache.tasks().any(|t| t == task),
+            "{} missing or mis-ranked",
+            task.id()
+        );
+    }
+    assert_matches_scratch(cache);
+}
+
+/// Applies `undo` to a copy of `cache` and asserts it restores `before`.
+fn assert_undo_restores(
+    cache: &CachedCoreAnalysis,
+    undo: RefreshUndo,
+    before: &CachedCoreAnalysis,
+) {
+    let mut rewound = cache.clone();
+    rewound.apply_refresh_undo(undo);
+    prop_assert_eq!(&rewound, before, "undo did not restore the prior state");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// Random whole/piece insertions and removals through the in-place
+    /// operations, with and without probe proofs, keep the cache equal to
+    /// scratch analysis of the renormalized core, and every undo restores
+    /// the state before its operation.
+    #[test]
+    fn in_place_operations_equal_scratch(ops in vec(core_op(), 1..32)) {
+        let mut tasks: Vec<Task> = Vec::new();
+        let mut cache = CachedCoreAnalysis::new();
+        let mut next_id = 0u32;
+        for op in ops {
+            let before = cache.clone();
+            match op {
+                CoreOp::Whole(spec) | CoreOp::Piece(spec, _) => {
+                    let mut task = build_task(next_id, spec);
+                    next_id += 1;
+                    let piece_level = match op {
+                        CoreOp::Piece(_, level) => Some(level % WHOLE_BASE),
+                        _ => None,
+                    };
+                    task.set_priority(Priority::new(piece_level.unwrap_or(WHOLE_BASE)));
+                    let mut grown = tasks.clone();
+                    grown.push(task.clone());
+                    let grown = ranked(&grown);
+                    let task = grown.last().expect("just pushed").clone();
+                    let level = rta::effective_priority(&task).level();
+                    // Whole tasks have distinct levels; pieces peer with
+                    // pieces on their level.
+                    let mut proof = Vec::new();
+                    let accepted = cache
+                        .probe_candidate_with(
+                            &task,
+                            |t| rta::effective_priority(t).level() > level,
+                            |t| piece_level.is_some() && rta::effective_priority(t).level() == level,
+                            |r| proof.push(r),
+                        )
+                        .is_none();
+                    let relabel = |t: &Task| priority_in(&grown, t.id());
+                    let mut derived = cache.clone();
+                    let undo = derived
+                        .insert_relabelled(task.clone(), relabel, None)
+                        .expect("ranking preserves the survivors' order");
+                    assert_holds(&derived, &grown);
+                    assert_undo_restores(&derived, undo, &before);
+                    if accepted {
+                        let undo = cache
+                            .insert_relabelled(task, relabel, Some(&proof))
+                            .expect("ranking preserves the survivors' order");
+                        prop_assert_eq!(&cache, &derived, "the proof changed the result");
+                        assert_undo_restores(&cache, undo, &before);
+                    } else {
+                        cache = derived;
+                    }
+                    tasks = grown;
+                }
+                CoreOp::Remove(index) => {
+                    if tasks.is_empty() {
+                        continue;
+                    }
+                    let id = tasks[index % tasks.len()].id();
+                    tasks.retain(|t| t.id() != id);
+                    tasks = ranked(&tasks);
+                    let undo = cache
+                        .remove_relabelled(id, |t| priority_in(&tasks, t.id()))
+                        .expect("on the core, order preserved");
+                    assert_holds(&cache, &tasks);
+                    assert_undo_restores(&cache, undo, &before);
+                }
+            }
+        }
+    }
 }
 
 proptest! {

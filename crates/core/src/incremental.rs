@@ -45,6 +45,7 @@ use spms_analysis::{CachedCoreAnalysis, OverheadModel};
 use spms_task::{Task, TaskId, Time};
 use spms_telemetry::{scoped, HotCounter};
 
+use crate::placement::{has_reserved_level, whole_rank_key};
 use crate::{CoreId, Partition, PlacedTask, SplitInfo, SubtaskKind};
 
 /// How an incrementally admitted task ended up in the partition.
@@ -57,6 +58,10 @@ pub enum PlacementPlan {
         /// The analysis task (WCET inflated by the overhead model; priority
         /// assigned on commit by the per-core renormalization).
         analysis_task: Task,
+        /// What the accepting probe converged on the core's cached
+        /// analysis, for the commit to install; `None` when the probe read
+        /// no converged cache slot (or the plan was built by hand).
+        proof: Option<WholeProof>,
     },
     /// The task was split across two or more cores, FP-TS style.
     Split {
@@ -79,6 +84,19 @@ impl PlacementPlan {
     pub fn is_split(&self) -> bool {
         matches!(self, PlacementPlan::Split { .. })
     }
+}
+
+/// The proof an accepting whole probe leaves in its
+/// [`PlacementPlan::Whole`]: every response time the committed core needs
+/// that the placement changes — the candidate's and each entry it
+/// outranks — plus the core's generation when the probe ran.
+/// [`IncrementalPlacer::commit`] installs the responses only while the
+/// core still has that generation (equal generation ⇒ identical core, see
+/// [`Partition::core_generation`]); otherwise it re-derives them.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct WholeProof {
+    generation: u64,
+    responses: Vec<Time>,
 }
 
 /// Outcome of probing one core for a whole-task placement with blocker
@@ -183,12 +201,18 @@ impl IncrementalPlacer {
         charge: Time,
     ) -> Option<PlacementPlan> {
         let analysis_task = self.whole_analysis_task_charged(task, charge)?;
+        let mut responses = Vec::new();
         let core = (0..partition.core_count()).map(CoreId).find(|c| {
-            !exclude.contains(c) && self.core_accepts(partition, *c, &analysis_task, false)
+            !exclude.contains(c) && whole_fits(partition, *c, &analysis_task, &mut responses)
         })?;
+        let proof = (!responses.is_empty()).then(|| WholeProof {
+            generation: partition.core_generation(core),
+            responses,
+        });
         Some(PlacementPlan::Whole {
             core,
             analysis_task,
+            proof,
         })
     }
 
@@ -240,7 +264,7 @@ impl IncrementalPlacer {
                         !exclude.contains(c)
                             && !pieces.iter().any(|(pc, _, _)| pc == c)
                             && !partition.core_has_tail(*c)
-                            && self.core_accepts(partition, *c, &tail, true)
+                            && piece_fits(partition, *c, &tail)
                     });
                     if let Some(core) = found {
                         pieces.push((core, tail, remaining));
@@ -409,14 +433,22 @@ impl IncrementalPlacer {
     }
 
     /// Commits a plan produced by [`plan_whole`](Self::plan_whole) /
-    /// [`plan_split`](Self::plan_split) against the same partition state,
+    /// [`plan_split`](Self::plan_split) against the same partition,
     /// renormalizing the priorities of every touched core.
+    ///
+    /// A whole plan's [`WholeProof`] is installed into the core's cache slot
+    /// when the core still has the generation the probe saw; a proof taken
+    /// before the core changed is ignored, and the responses re-converge
+    /// warm instead.
     pub fn commit(&self, partition: &mut Partition, task: &Task, plan: PlacementPlan) {
         match plan {
             PlacementPlan::Whole {
                 core,
                 analysis_task,
+                proof,
             } => {
+                let proof =
+                    proof.filter(|proof| proof.generation == partition.core_generation(core));
                 partition.place(
                     core,
                     PlacedTask {
@@ -426,7 +458,7 @@ impl IncrementalPlacer {
                         split: None,
                     },
                 );
-                partition.renormalize_core_priorities(core);
+                partition.renormalize_installing(core, proof.as_ref().map(|p| &p.responses[..]));
             }
             PlacementPlan::Split { pieces } => {
                 let cores: Vec<CoreId> = pieces.iter().map(|(c, _)| *c).collect();
@@ -443,37 +475,6 @@ impl IncrementalPlacer {
     // ------------------------------------------------------------------
     // internals
     // ------------------------------------------------------------------
-
-    /// Whether `core` stays schedulable with `candidate` added.
-    /// `candidate_is_split` marks promoted pieces, which keep their
-    /// reserved priority: they peer with (hypothetical) same-level pieces
-    /// and outrank strictly lower levels. Whole candidates slot into the
-    /// deadline-monotonic order
-    /// [`Partition::renormalize_core_priorities`] will assign on commit:
-    /// they outrank exactly the whole tasks with a larger DM key and peer
-    /// with none (dense re-ranked levels are distinct).
-    ///
-    /// The probe runs on the core's converged analysis
-    /// ([`CachedCoreAnalysis::accepts_candidate`]): no task vectors are
-    /// cloned, tasks ranked above the candidate keep their memoized
-    /// response times, and tasks below re-converge from warm starts.
-    fn core_accepts(
-        &self,
-        partition: &Partition,
-        core: CoreId,
-        candidate: &Task,
-        candidate_is_split: bool,
-    ) -> bool {
-        if candidate_is_split {
-            probe_analysis(partition, core, HotCounter::SplitProbes).accepts_prioritised(candidate)
-        } else {
-            probe_analysis(partition, core, HotCounter::WholeProbes).accepts_candidate(
-                candidate,
-                outranked_by_whole(candidate),
-                |_| false,
-            )
-        }
-    }
 
     /// The analysis overhead charged to a body piece at `piece_index` in its
     /// chain (mirrors `SemiPartitionedFpTs`).
@@ -524,7 +525,7 @@ impl IncrementalPlacer {
             overhead,
             self.min_split_budget,
             max_budget,
-            |piece| self.core_accepts(partition, core, piece, true),
+            |piece| piece_fits(partition, core, piece),
         )
     }
 
@@ -589,9 +590,9 @@ impl IncrementalPlacer {
         charge: Time,
     ) -> Option<(CoreId, Task)> {
         let tail = self.make_tail_piece(task, budget, offset, charge)?;
-        let core = (0..partition.core_count()).map(CoreId).find(|c| {
-            !partition.core_has_tail(*c) && self.core_accepts(partition, *c, &tail, true)
-        })?;
+        let core = (0..partition.core_count())
+            .map(CoreId)
+            .find(|c| !partition.core_has_tail(*c) && piece_fits(partition, *c, &tail))?;
         Some((core, tail))
     }
 
@@ -631,6 +632,48 @@ fn piece_charge(piece_index: usize, charge: Time) -> Time {
     }
 }
 
+/// Whether `core` stays schedulable with the whole `candidate` added, slotted
+/// into the deadline-monotonic order
+/// [`Partition::renormalize_core_priorities`] assigns on commit: it outranks
+/// exactly the whole tasks with a larger DM key and peers with none (dense
+/// re-ranked levels are distinct).
+///
+/// The probe runs on the core's converged analysis
+/// ([`CachedCoreAnalysis::probe_candidate_with`]): no task vectors are
+/// cloned, tasks ranked above the candidate keep their memoized response
+/// times, and tasks below re-converge from warm starts. When it reads a
+/// converged cache slot, `responses` receives what it converged — on
+/// acceptance, the [`WholeProof`] of the placement.
+fn whole_fits(
+    partition: &Partition,
+    core: CoreId,
+    candidate: &Task,
+    responses: &mut Vec<Time>,
+) -> bool {
+    let analysis = probe_analysis(partition, core, HotCounter::WholeProbes);
+    let cached = matches!(analysis, Cow::Borrowed(_));
+    responses.clear();
+    analysis
+        .probe_candidate_with(
+            candidate,
+            outranked_by_whole(candidate),
+            |_| false,
+            |r| {
+                if cached {
+                    responses.push(r);
+                }
+            },
+        )
+        .is_none()
+}
+
+/// Whether `core` stays schedulable with the promoted split `piece` added:
+/// it keeps its reserved priority, peers with same-level pieces and
+/// outranks strictly lower levels.
+fn piece_fits(partition: &Partition, core: CoreId, piece: &Task) -> bool {
+    probe_analysis(partition, core, HotCounter::SplitProbes).accepts_prioritised(piece)
+}
+
 /// The analysis a probe on `core` reads ([`Partition::core_analysis`]),
 /// counted as one probe of `kind` and as one cache hit (a converged slot
 /// was borrowed) or miss (the analysis was built on the fly).
@@ -648,16 +691,10 @@ fn probe_analysis(
     analysis
 }
 
-/// The deadline-monotonic ranking key `assign_whole_priorities` sorts whole
-/// tasks by — the probes' notion of where a whole candidate lands.
-fn whole_rank_key(task: &Task) -> (Time, Time, spms_task::TaskId) {
-    (task.deadline(), task.period(), task.id())
-}
-
 /// The probe-side predicate marking the entries a whole `candidate`
 /// outranks under the commit-time ranking: every non-reserved task with a
 /// larger DM key. The single definition every whole probe
-/// ([`IncrementalPlacer::core_accepts`], [`IncrementalPlacer::probe_whole`],
+/// ([`whole_fits`], [`IncrementalPlacer::probe_whole`],
 /// [`IncrementalPlacer::accepts_whole_without`]) shares; a probe agrees
 /// with RTA of the committed core only while this rule matches
 /// `assign_whole_priorities`.
@@ -674,13 +711,6 @@ fn outranked_by_whole(candidate: &Task) -> impl Fn(&Task) -> bool {
 /// must agree with the probes' ranking rule.
 pub fn whole_outranks_or_ties(a: &Task, b: &Task) -> bool {
     whole_rank_key(a) <= whole_rank_key(b)
-}
-
-/// Whether a task sits on a level reserved for promoted split pieces (and
-/// is therefore exempt from whole-task re-ranking).
-fn has_reserved_level(task: &Task) -> bool {
-    task.priority()
-        .is_some_and(|p| p.level() < crate::WHOLE_PRIORITY_BASE)
 }
 
 #[cfg(test)]
@@ -742,6 +772,7 @@ mod tests {
             let plan = PlacementPlan::Whole {
                 core: CoreId(core),
                 analysis_task: t.clone(),
+                proof: None,
             };
             placer().commit(&mut partition, &t, plan);
         }
@@ -769,6 +800,7 @@ mod tests {
             let plan = PlacementPlan::Whole {
                 core: CoreId(core),
                 analysis_task: t.clone(),
+                proof: None,
             };
             placer().commit(&mut partition, &t, plan);
         }
@@ -814,6 +846,7 @@ mod tests {
             let plan = PlacementPlan::Whole {
                 core: CoreId(core),
                 analysis_task: t.clone(),
+                proof: None,
             };
             placer().commit(&mut partition, &t, plan);
         }
@@ -852,6 +885,7 @@ mod tests {
             let plan = PlacementPlan::Whole {
                 core: CoreId(core),
                 analysis_task: t.clone(),
+                proof: None,
             };
             placer().commit(&mut partition, &t, plan);
         }
@@ -883,6 +917,7 @@ mod tests {
             let plan = PlacementPlan::Whole {
                 core: CoreId(core),
                 analysis_task: base.clone(),
+                proof: None,
             };
             placer().commit(&mut partition, &base, plan);
         }

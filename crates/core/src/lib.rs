@@ -66,7 +66,9 @@ pub use dmpm::SemiPartitionedDmPm;
 pub use edf_partitioned::PartitionedEdf;
 pub use error::PartitionError;
 pub use fpts::{SemiPartitionedFpTs, SplitPlacement, SplitStrategy};
-pub use incremental::{whole_outranks_or_ties, IncrementalPlacer, PlacementPlan, WholeProbe};
+pub use incremental::{
+    whole_outranks_or_ties, IncrementalPlacer, PlacementPlan, WholeProbe, WholeProof,
+};
 pub use partitioned::{BinPackingHeuristic, PartitionedFixedPriority, TaskOrdering};
 pub use partitioner::{PartitionOutcome, Partitioner};
 pub use placement::{

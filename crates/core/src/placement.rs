@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use spms_analysis::{rta, CachedCoreAnalysis, RefreshMode, RefreshUndo, UniprocessorTest};
+use spms_analysis::{rta, CachedCoreAnalysis, RefreshUndo, UniprocessorTest};
 use spms_task::{Priority, Task, TaskId, Time};
 use spms_telemetry::{scoped, HotCounter};
 
@@ -37,10 +37,33 @@ pub const WHOLE_PRIORITY_BASE: u32 = 2;
 /// against a candidate priority assignment is committed with exactly that
 /// assignment.
 pub(crate) fn assign_whole_priorities(mut whole: Vec<&mut Task>) {
-    whole.sort_by_key(|t| (t.deadline(), t.period(), t.id()));
+    whole.sort_by_key(|t| whole_rank_key(t));
     for (level, task) in whole.into_iter().enumerate() {
         task.set_priority(Priority::new(WHOLE_PRIORITY_BASE + level as u32));
     }
+}
+
+/// Ranks the whole placements of `bin` with [`assign_whole_priorities`].
+fn rank_whole(bin: &mut [PlacedTask]) {
+    assign_whole_priorities(
+        bin.iter_mut()
+            .filter(|p| !p.is_split())
+            .map(|p| &mut p.task)
+            .collect(),
+    );
+}
+
+/// The deadline-monotonic key [`assign_whole_priorities`] ranks whole tasks
+/// by.
+pub(crate) fn whole_rank_key(task: &Task) -> (Time, Time, TaskId) {
+    (task.deadline(), task.period(), task.id())
+}
+
+/// Whether a task sits on a level reserved for promoted split pieces (and
+/// is therefore exempt from whole-task re-ranking).
+pub(crate) fn has_reserved_level(task: &Task) -> bool {
+    task.priority()
+        .is_some_and(|p| p.level() < WHOLE_PRIORITY_BASE)
 }
 
 /// Identifier of a processor core.
@@ -171,25 +194,25 @@ impl PlacedTask {
 
 /// How a core's cache slot diverged from its placements since the last
 /// refresh. Tracking the *kind* of mutation lets the renormalization sync
-/// point pick the cheap specialised refresh (pure insert / pure removal)
-/// instead of the general diff.
+/// point update the slot in place (one placement added or one parent
+/// removed) instead of running the general diff.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CacheStaleness {
     /// The cache matches the placements.
     Fresh,
-    /// Placements were only added since the last refresh.
+    /// Exactly one placement was pushed since the last refresh.
     Inserted,
-    /// Placements were only removed since the last refresh.
-    Removed,
-    /// Mixed or unknown mutations: only the general diff is sound.
+    /// Exactly the placements of this parent were removed since the last
+    /// refresh.
+    Removed(TaskId),
+    /// Several or unknown mutations: only the general diff is sound.
     Mixed,
 }
 
 impl CacheStaleness {
     fn escalate(self, op: CacheStaleness) -> CacheStaleness {
-        match (self, op) {
-            (CacheStaleness::Fresh, op) => op,
-            (current, op) if current == op => current,
+        match self {
+            CacheStaleness::Fresh => op,
             _ => CacheStaleness::Mixed,
         }
     }
@@ -204,6 +227,109 @@ impl CacheStaleness {
 struct CoreCacheSlot {
     analysis: CachedCoreAnalysis,
     staleness: CacheStaleness,
+}
+
+/// The one placement change a core's cache slot is stale by, and how it
+/// moves the core's whole-task levels. Renormalization ranks whole tasks
+/// densely from [`WHOLE_PRIORITY_BASE`]; once a core is ranked, adding or
+/// removing one task shifts the levels at and below it by one, which is
+/// what [`assign_whole_priorities`] would compute, without its sort.
+#[derive(Debug, Clone, Copy)]
+enum SingleChange {
+    /// The core's last placement was pushed since the sync; `level` is the
+    /// one it takes when whole (`None` for a split piece, which keeps its
+    /// reserved level). Whole levels at or above it move up one.
+    Inserted { level: Option<u32> },
+    /// The placements of `parent` were removed since the sync; whole levels
+    /// above `level` (its level when whole-ranked) move down one.
+    Removed { parent: TaskId, level: Option<u32> },
+}
+
+impl SingleChange {
+    /// The change `slot` is stale by, provided the placements that were on
+    /// the core before it still carry the ranking of the last
+    /// renormalization: reserved levels on exactly the split pieces, and
+    /// whole levels dense from the base in deadline-monotonic order (read
+    /// off the slot's canonical order). `None` when several placements
+    /// changed or the ranking does not hold, e.g. on a core that has not
+    /// been renormalized since its cache was attached.
+    fn detect(slot: &CoreCacheSlot, bin: &[PlacedTask]) -> Option<SingleChange> {
+        let cache = &slot.analysis;
+        let survivors = match slot.staleness {
+            CacheStaleness::Inserted if cache.len() + 1 == bin.len() => &bin[..cache.len()],
+            CacheStaleness::Removed(_) if cache.len() == bin.len() + 1 => bin,
+            _ => return None,
+        };
+        if survivors
+            .iter()
+            .any(|p| p.is_split() != has_reserved_level(&p.task))
+        {
+            return None;
+        }
+        let whole = cache.tasks().filter(|t| !has_reserved_level(t));
+        let mut previous = None;
+        for (level, task) in (WHOLE_PRIORITY_BASE..).zip(whole) {
+            let key = whole_rank_key(task);
+            if task.priority() != Some(Priority::new(level)) || previous >= Some(key) {
+                return None;
+            }
+            previous = Some(key);
+        }
+        let whole_level = |task: &Task| task.priority().map(Priority::level);
+        Some(match slot.staleness {
+            CacheStaleness::Removed(parent) => SingleChange::Removed {
+                parent,
+                level: whole_level(cache.tasks().find(|t| t.id() == parent)?)
+                    .filter(|level| *level >= WHOLE_PRIORITY_BASE),
+            },
+            _ => {
+                let added = bin.last().expect("one placement was added");
+                let key = whole_rank_key(&added.task);
+                SingleChange::Inserted {
+                    level: (!added.is_split()).then(|| {
+                        let below = cache
+                            .tasks()
+                            .filter(|t| !has_reserved_level(t) && whole_rank_key(t) < key);
+                        WHOLE_PRIORITY_BASE + below.count() as u32
+                    }),
+                }
+            }
+        })
+    }
+
+    /// A surviving placement's level after the change.
+    fn shifted(self, level: u32) -> u32 {
+        match self {
+            SingleChange::Inserted { level: Some(at) } if level >= at => level + 1,
+            SingleChange::Removed {
+                level: Some(at), ..
+            } if level > at => level - 1,
+            _ => level,
+        }
+    }
+
+    /// A surviving task's priority after the change.
+    fn relabel(self, task: &Task) -> Option<Priority> {
+        task.priority()
+            .map(|priority| Priority::new(self.shifted(priority.level())))
+    }
+
+    /// Ranks `bin` after the change, as [`assign_whole_priorities`] would.
+    fn rank(self, bin: &mut [PlacedTask]) {
+        let survivors = match self {
+            SingleChange::Inserted { .. } => bin.len() - 1,
+            SingleChange::Removed { .. } => bin.len(),
+        };
+        for placed in &mut bin[..survivors] {
+            if let Some(priority) = self.relabel(&placed.task) {
+                placed.task.set_priority(priority);
+            }
+        }
+        if let SingleChange::Inserted { level: Some(level) } = self {
+            let added = bin.last_mut().expect("one placement was added");
+            added.task.set_priority(Priority::new(level));
+        }
+    }
 }
 
 /// One recorded, undoable mutation of a [`Partition`]. Every entry stores
@@ -1017,7 +1143,7 @@ impl Partition {
         if let Some(slots) = &mut self.cache {
             for core in &touched {
                 let slot = &mut slots[core.0];
-                slot.staleness = slot.staleness.escalate(CacheStaleness::Removed);
+                slot.staleness = slot.staleness.escalate(CacheStaleness::Removed(parent));
             }
         }
         for core in touched {
@@ -1039,61 +1165,91 @@ impl Partition {
     /// order the offline partitioners assign.
     ///
     /// With an analysis cache attached, this is also the cache's sync
-    /// point: the core's slot is refreshed against the renormalized
-    /// assignment (reusing or warm-starting every response time the
-    /// mutation did not invalidate) and marked converged again.
+    /// point, and the core's slot is marked converged again. When exactly
+    /// one placement was added or one parent removed since the last sync,
+    /// on a core still ranked by that sync, the new levels are the old ones
+    /// shifted by one: the placements are re-ranked without a sort, and the
+    /// slot is updated in place ([`CachedCoreAnalysis::insert_relabelled`] /
+    /// [`CachedCoreAnalysis::remove_relabelled`]) — entries above the change
+    /// keep their fixed points, entries below a removal restart from the
+    /// lower bound `R_h + C_i`. Any other change runs the general
+    /// [`refresh`](CachedCoreAnalysis::refresh). Either way the slot's undo
+    /// record is the same compact [`RefreshUndo`], journaled inside a
+    /// rollback scope and dropped outside one.
     ///
     /// # Panics
     ///
     /// Panics if the core id is out of range.
     pub fn renormalize_core_priorities(&mut self, core: CoreId) {
-        let recording = self.recording();
-        let priorities: Option<Vec<Option<Priority>>> = recording.then(|| {
+        self.renormalize_installing(core, None);
+    }
+
+    /// [`renormalize_core_priorities`](Self::renormalize_core_priorities)
+    /// after a whole placement whose accepting probe converged `proof` on
+    /// this core's exact prior state (see
+    /// [`CachedCoreAnalysis::insert_relabelled`]): the in-place insert
+    /// installs those responses instead of re-deriving them.
+    pub(crate) fn renormalize_installing(&mut self, core: CoreId, proof: Option<&[Time]>) {
+        let priorities: Option<Vec<Option<Priority>>> = self.recording().then(|| {
             self.cores[core.0]
                 .iter()
                 .map(|p| p.task.priority())
                 .collect()
         });
-        assign_whole_priorities(
-            self.cores[core.0]
-                .iter_mut()
-                .filter(|p| !p.is_split())
-                .map(|p| &mut p.task)
-                .collect(),
+        let change = self
+            .cache
+            .as_ref()
+            .and_then(|slots| SingleChange::detect(&slots[core.0], &self.cores[core.0]));
+        let bin = &mut self.cores[core.0];
+        #[cfg(debug_assertions)]
+        let expected = {
+            let mut expected = bin.to_vec();
+            rank_whole(&mut expected);
+            expected
+        };
+        match change {
+            Some(change) => change.rank(bin),
+            None => rank_whole(bin),
+        }
+        #[cfg(debug_assertions)]
+        debug_assert!(
+            *bin == expected,
+            "{core} ranked differently from a full renormalization"
         );
         let mut cache_undo = None;
         if let Some(slots) = &mut self.cache {
-            let tasks: Vec<Task> = self.cores[core.0].iter().map(|p| p.task.clone()).collect();
+            let bin = &self.cores[core.0];
             let slot = &mut slots[core.0];
-            let mode = match slot.staleness {
-                // Renormalization of an untouched core cannot reorder
-                // tasks; levels may shift, which the insert-specialised
-                // refresh absorbs with one warm iteration per task.
-                CacheStaleness::Fresh if slot.analysis.len() == tasks.len() => {
-                    RefreshMode::AfterInsert
+            let in_place = change.and_then(|change| {
+                let relabel = |task: &Task| change.relabel(task);
+                match change {
+                    SingleChange::Inserted { .. } => {
+                        let added = bin.last().expect("one placement was added").task.clone();
+                        slot.analysis.insert_relabelled(added, relabel, proof)
+                    }
+                    SingleChange::Removed { parent, .. } => {
+                        slot.analysis.remove_relabelled(parent, relabel)
+                    }
                 }
-                CacheStaleness::Inserted => RefreshMode::AfterInsert,
-                CacheStaleness::Removed => RefreshMode::AfterRemove,
-                _ => RefreshMode::General,
-            };
-            if recording {
-                // Undo data is only the per-entry deltas the refresh
-                // destroys — the journal never clones a whole cache slot.
-                let undo = slot.analysis.refresh_with_undo(&tasks, mode);
-                cache_undo = Some((slot.staleness, undo));
-            } else {
-                match mode {
-                    RefreshMode::AfterInsert => slot.analysis.refresh_after_insert(&tasks),
-                    RefreshMode::AfterRemove => slot.analysis.refresh_after_remove(&tasks),
-                    RefreshMode::General => slot.analysis.refresh(&tasks),
-                }
-            }
+            });
+            let undo = in_place.unwrap_or_else(|| {
+                let tasks: Vec<Task> = bin.iter().map(|p| p.task.clone()).collect();
+                slot.analysis.refresh_with_undo(&tasks)
+            });
+            debug_assert!(
+                slot.analysis.len() == bin.len()
+                    && bin
+                        .iter()
+                        .all(|p| slot.analysis.tasks().any(|t| *t == p.task)),
+                "cache slot of {core} diverged from its placements"
+            );
+            cache_undo = Some((slot.staleness, undo));
             slot.staleness = CacheStaleness::Fresh;
         }
-        if recording {
+        if let Some(priorities) = priorities {
             self.record(JournalOp::Renormalize {
                 core,
-                priorities: priorities.expect("captured while recording"),
+                priorities,
                 cache_undo,
             });
         }

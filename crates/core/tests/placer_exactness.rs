@@ -27,6 +27,13 @@
 //! Each probe also runs on an uncached copy of the same placements, which
 //! exercises the on-the-fly arm of `Partition::core_analysis`.
 //!
+//! A whole plan carries the responses its accepting probe converged, and
+//! its commit installs them instead of re-deriving them. Every accepted
+//! whole plan is committed twice — with its proof, and with the proof
+//! made stale by a generation bump — and the two partitions must agree,
+//! cache slots included, and pass the scratch-RTA audit. A proof taken
+//! before its core changed must never be installed.
+//!
 //! The vendored proptest runner is deterministically seeded, so failures
 //! reproduce identically.
 
@@ -197,6 +204,7 @@ fn commit_whole(placer: &IncrementalPlacer, partition: &mut Partition, core: Cor
         PlacementPlan::Whole {
             core,
             analysis_task,
+            proof: None,
         },
     );
 }
@@ -352,4 +360,91 @@ proptest! {
             }
         }
     }
+}
+
+/// Both partitions hold the same placements and the same converged cache
+/// slot on every core.
+fn assert_same_with_caches(a: &Partition, b: &Partition) {
+    prop_assert_eq!(a, b);
+    for core in (0..a.core_count()).map(CoreId) {
+        prop_assert_eq!(
+            a.cached_core(core),
+            b.cached_core(core),
+            "cache of {}",
+            core
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Installing an accepting probe's proof gives exactly the partition
+    /// that re-deriving the responses gives.
+    #[test]
+    fn installed_proofs_equal_rederived_responses(
+        cores in 1usize..5,
+        ops in vec(op(), 0..16),
+        candidates in vec(spec(), 1..12),
+    ) {
+        let placer = IncrementalPlacer::new();
+        let mut partition = build(&placer, cores, &ops);
+        for (k, spec) in candidates.iter().enumerate() {
+            let task = build_task(10_000 + k as u32, *spec);
+            let Some(plan) = placer.plan_whole(&partition, &task, &[]) else {
+                continue;
+            };
+            let PlacementPlan::Whole { core, proof, .. } = &plan else {
+                unreachable!("plan_whole plans whole placements");
+            };
+            prop_assert!(proof.is_some(), "a cached probe leaves a proof");
+            let mut stale = partition.clone();
+            // A no-op renormalization moves the core's generation only.
+            stale.renormalize_core_priorities(*core);
+            placer.commit(&mut stale, &task, plan.clone());
+            placer.commit(&mut partition, &task, plan);
+            assert_same_with_caches(&partition, &stale);
+            prop_assert_eq!(partition.scratch_audit(), Ok(()));
+            prop_assert_eq!(stale.scratch_audit(), Ok(()));
+        }
+    }
+}
+
+/// A plan whose core changed after its probe ran commits correctly: the
+/// stale proof is ignored and the responses re-converge.
+#[test]
+fn a_proof_taken_before_its_core_changed_is_never_installed() {
+    let placer = IncrementalPlacer::new();
+    let task = |id: u32, wcet_us: u64, period_us: u64| {
+        Task::new(id, us(wcet_us), us(period_us)).expect("valid task")
+    };
+    let mut partition = Partition::new(1);
+    partition.enable_analysis_cache();
+    let low = task(0, 300, 10_000);
+    let plan = placer.plan_whole(&partition, &low, &[]).expect("fits");
+    placer.commit(&mut partition, &low, plan);
+
+    // The proof for `mid` says what `mid` and `low` respond with beside
+    // each other alone...
+    let mid = task(1, 200, 5_000);
+    let stale_plan = placer.plan_whole(&partition, &mid, &[]).expect("fits");
+    let mut alone = partition.clone();
+    placer.commit(&mut alone, &mid, stale_plan.clone());
+
+    // ...but a higher-priority task joins the core before the commit.
+    let high = task(2, 100, 1_000);
+    let plan = placer.plan_whole(&partition, &high, &[]).expect("fits");
+    placer.commit(&mut partition, &high, plan);
+    placer.commit(&mut partition, &mid, stale_plan);
+
+    assert_eq!(partition.scratch_audit(), Ok(()));
+    let cache = partition.cached_core(CoreId(0)).expect("converged");
+    let scratch = rta::analyse_core(&partition.core_tasks(CoreId(0)));
+    for (placed, response) in partition.core(CoreId(0)).iter().zip(scratch.response_times) {
+        assert_eq!(cache.response_of(placed.task.id()), Some(response));
+    }
+    // The stale proof's responses would have been wrong here.
+    let proven = alone.cached_core(CoreId(0)).expect("converged");
+    assert_ne!(proven.response_of(TaskId(1)), cache.response_of(TaskId(1)));
+    assert_ne!(proven.response_of(TaskId(0)), cache.response_of(TaskId(0)));
 }

@@ -4,7 +4,7 @@
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-use spms_task::{Task, TaskId, Time};
+use spms_task::{Task, TaskError, TaskId, Time};
 
 /// One event of an online workload: a task asking to join the system, or an
 /// admitted task leaving it.
@@ -70,6 +70,14 @@ pub enum TraceError {
         /// What the parser objected to.
         message: String,
     },
+    /// An arrival line parsed, but its task breaks the [`Task`] builder's
+    /// rules (zero WCET or period, `C > D`, or `D > T`).
+    InvalidTask {
+        /// 1-based line number in the trace source.
+        line: usize,
+        /// The rule the task breaks.
+        error: TaskError,
+    },
     /// The trace contained no events at all.
     Empty,
 }
@@ -79,6 +87,9 @@ impl fmt::Display for TraceError {
         match self {
             TraceError::MalformedLine { line, message } => {
                 write!(f, "trace line {line}: not a workload event ({message})")
+            }
+            TraceError::InvalidTask { line, error } => {
+                write!(f, "trace line {line}: invalid task ({error})")
             }
             TraceError::Empty => write!(f, "trace contains no events"),
         }
@@ -90,8 +101,10 @@ impl std::error::Error for TraceError {}
 /// Parses a JSON-lines workload trace: each non-empty line is either a
 /// [`TimedEvent`] (as written by `spms soak --dump-trace`) or a bare
 /// [`WorkloadEvent`]. Timestamps are dropped — replays feed the events in
-/// recorded order. Blank lines are skipped; anything else malformed is a
-/// typed [`TraceError`] naming the offending line.
+/// recorded order. Blank lines are skipped; anything else malformed — a
+/// line that is not an event, or an arrival whose task the [`Task`]
+/// builder would refuse — is a typed [`TraceError`] naming the offending
+/// line.
 pub fn parse_trace(source: &str) -> Result<Vec<WorkloadEvent>, TraceError> {
     let mut events = Vec::new();
     for (index, line) in source.lines().enumerate() {
@@ -106,6 +119,15 @@ pub fn parse_trace(source: &str) -> Result<Vec<WorkloadEvent>, TraceError> {
                 line: index + 1,
                 message: e.to_string(),
             })?;
+        if let WorkloadEvent::Arrive(task) = &event {
+            // Deserialization fills the fields directly; rebuilding the task
+            // applies the builder's validation.
+            task.with_deadline(task.deadline())
+                .map_err(|error| TraceError::InvalidTask {
+                    line: index + 1,
+                    error,
+                })?;
+        }
         events.push(event);
     }
     if events.is_empty() {
@@ -176,6 +198,87 @@ mod tests {
         }
         let rendered = parse_trace(&source).unwrap_err().to_string();
         assert!(rendered.contains("line 3"), "message was: {rendered}");
+    }
+
+    /// An arrival line with the given task parameters in nanoseconds.
+    fn arrival_line(wcet: u64, period: u64, deadline: u64) -> String {
+        format!(
+            "{{\"Arrive\":{{\"id\":3,\"wcet\":{wcet},\"period\":{period},\
+             \"deadline\":{deadline},\"priority\":null,\"working_set_bytes\":null}}}}"
+        )
+    }
+
+    /// Parses a two-line trace whose second line is `line`.
+    fn parse_second(line: &str) -> Result<Vec<WorkloadEvent>, TraceError> {
+        parse_trace(&format!(
+            "{}\n{line}\n",
+            arrival_line(1_000, 10_000, 10_000)
+        ))
+    }
+
+    #[test]
+    fn arrival_lines_parse_into_their_task() {
+        let events = parse_second(&arrival_line(2_000, 10_000, 8_000)).unwrap();
+        let task = Task::builder(3)
+            .wcet(Time::from_micros(2))
+            .period(Time::from_micros(10))
+            .deadline(Time::from_micros(8))
+            .build()
+            .unwrap();
+        assert_eq!(events[1], WorkloadEvent::Arrive(task));
+    }
+
+    #[test]
+    fn zero_period_arrivals_are_rejected_with_their_line() {
+        assert_eq!(
+            parse_second(&arrival_line(1_000, 0, 0)),
+            Err(TraceError::InvalidTask {
+                line: 2,
+                error: TaskError::ZeroPeriod { task: TaskId(3) },
+            })
+        );
+    }
+
+    #[test]
+    fn zero_wcet_arrivals_are_rejected_with_their_line() {
+        assert_eq!(
+            parse_second(&arrival_line(0, 10_000, 10_000)),
+            Err(TraceError::InvalidTask {
+                line: 2,
+                error: TaskError::ZeroWcet { task: TaskId(3) },
+            })
+        );
+    }
+
+    #[test]
+    fn wcet_beyond_deadline_arrivals_are_rejected_with_their_line() {
+        let err = parse_second(&arrival_line(6_000, 10_000, 5_000)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                TraceError::InvalidTask {
+                    line: 2,
+                    error: TaskError::WcetExceedsDeadline { .. },
+                }
+            ),
+            "got {err:?}"
+        );
+        assert!(err.to_string().contains("trace line 2: invalid task"));
+    }
+
+    #[test]
+    fn deadline_beyond_period_arrivals_are_rejected_with_their_line() {
+        let err = parse_second(&arrival_line(1_000, 10_000, 12_000)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                TraceError::InvalidTask {
+                    line: 2,
+                    error: TaskError::DeadlineExceedsPeriod { .. },
+                }
+            ),
+            "got {err:?}"
+        );
     }
 
     #[test]

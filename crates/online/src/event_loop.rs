@@ -1,22 +1,31 @@
 //! The timestamped event loop driving a sharded admission service.
 //!
 //! [`EventLoop`] turns the admission layer from a synchronous library call
-//! into an engine: events live in a timestamped [`BinaryHeap`] and are
-//! processed in time order — workload arrivals and departures from a
-//! loaded trace, deadline expirations that synthesize a departure when an
-//! admitted task's lease runs out, and periodic rebalance ticks that
-//! work-steal utilization between shards.
+//! into an engine: events are processed in time order — workload arrivals
+//! and departures from a loaded trace, deadline expirations that
+//! synthesize a departure when an admitted task's lease runs out, and
+//! periodic rebalance ticks that work-steal utilization between shards.
+//!
+//! **Where events live.** A loaded trace is kept as one vector sorted by
+//! `(time, sequence)` and read through a cursor, so the bulk of the stream
+//! never enters a heap. Everything scheduled while the loop runs or through
+//! [`EventLoop::schedule`] — lease expirations, rebalance and audit ticks,
+//! faults, injected workload events — lives in a timestamped
+//! [`BinaryHeap`]. Each pop takes whichever head is smaller by
+//! `(time, sequence)`; sequence numbers come from one counter shared by
+//! both sources, so the merged stream is exactly the order one heap
+//! holding every event would pop.
 //!
 //! **Determinism.** Events sharing a timestamp form one batch whose
 //! processing order is decided by a seeded ChaCha8 tie-shuffle, not by
-//! heap insertion order; everything else is ordered by `(time, sequence)`.
+//! insertion order; everything else is ordered by `(time, sequence)`.
 //! Equal configuration, trace and shuffle seed therefore reproduce the
-//! processed event stream byte-identically. With leases disabled the heap
-//! content is independent of admission outcomes, so the processed stream
-//! is also identical *across shard counts* (the `events_digest` the soak
-//! experiment asserts on); with leases enabled, expirations depend on
-//! which arrivals were admitted, which may legitimately differ between
-//! shard layouts.
+//! processed event stream byte-identically. With leases disabled the
+//! scheduled events are independent of admission outcomes, so the
+//! processed stream is also identical *across shard counts* (the
+//! `events_digest` the soak experiment asserts on); with leases enabled,
+//! expirations depend on which arrivals were admitted, which may
+//! legitimately differ between shard layouts.
 //!
 //! **Lease renewals.** A [`WorkloadEvent::Renew`] in the trace extends a
 //! resident task's lease: the loop records the new deadline and schedules
@@ -74,9 +83,9 @@ pub enum EngineEvent {
     AuditTick,
 }
 
-/// Heap entry: a scheduled event with its timestamp and insertion
-/// sequence. The heap is a max-heap, so `Ord` is reversed to pop the
-/// earliest `(at, seq)` first.
+/// A scheduled event with its timestamp and insertion sequence. The heap
+/// is a max-heap, so `Ord` is reversed to pop the earliest `(at, seq)`
+/// first.
 #[derive(Debug, Clone, PartialEq)]
 struct Scheduled {
     at: Time,
@@ -199,7 +208,11 @@ impl EventLoopConfig {
 #[derive(Debug, Clone)]
 pub struct EventLoop {
     config: EventLoopConfig,
+    /// Events scheduled one at a time (see the [module docs](self)).
     heap: BinaryHeap<Scheduled>,
+    /// The not yet processed part of the loaded traces, sorted by
+    /// `(at, seq)`.
+    trace: std::vec::IntoIter<Scheduled>,
     seq: u64,
     pending_workload: usize,
     now: Time,
@@ -223,6 +236,7 @@ impl EventLoop {
         EventLoop {
             config,
             heap: BinaryHeap::new(),
+            trace: Vec::new().into_iter(),
             seq: 0,
             pending_workload: 0,
             now: Time::ZERO,
@@ -252,11 +266,30 @@ impl EventLoop {
         self.seq += 1;
     }
 
-    /// Schedules a whole timed workload trace.
+    /// Schedules a whole timed workload trace. The events join the loop's
+    /// sorted trace rather than its heap; a trace that is not in time order,
+    /// or that reaches back before events already loaded, is sorted once by
+    /// `(at, seq)`. Processing order is the same as scheduling each event.
     pub fn load_trace(&mut self, trace: &[TimedEvent]) {
+        // Collecting the cursor reuses its buffer. Entries grow by `push`,
+        // not by an exact reservation, which keeps peak RSS where the heap
+        // kept it.
+        let mut pending: Vec<Scheduled> = std::mem::take(&mut self.trace).collect();
+        let mut sorted = true;
         for timed in trace {
-            self.schedule(timed.at, EngineEvent::Workload(timed.event.clone()));
+            sorted &= pending.last().is_none_or(|last| last.at <= timed.at);
+            pending.push(Scheduled {
+                at: timed.at,
+                seq: self.seq,
+                event: EngineEvent::Workload(timed.event.clone()),
+            });
+            self.seq += 1;
         }
+        if !sorted {
+            pending.sort_unstable_by_key(|s| (s.at, s.seq));
+        }
+        self.pending_workload += trace.len();
+        self.trace = pending.into_iter();
     }
 
     /// Schedules a fault plan: each fault fires at its `at_ms`, and timed
@@ -312,7 +345,33 @@ impl EventLoop {
         self.lease_renewals
     }
 
-    /// Runs until the heap is empty, dispatching every event to `engine`.
+    /// Takes the earliest pending event by `(at, seq)`, from the trace or
+    /// the heap.
+    fn pop(&mut self) -> Option<Scheduled> {
+        let from_trace = match (self.trace.as_slice().first(), self.heap.peek()) {
+            (Some(traced), Some(scheduled)) => {
+                (traced.at, traced.seq) < (scheduled.at, scheduled.seq)
+            }
+            (traced, _) => traced.is_some(),
+        };
+        if from_trace {
+            self.trace.next()
+        } else {
+            self.heap.pop()
+        }
+    }
+
+    /// The timestamp of the earliest pending event.
+    fn next_at(&self) -> Option<Time> {
+        let traced = self.trace.as_slice().first();
+        traced
+            .into_iter()
+            .chain(self.heap.peek())
+            .map(|s| s.at)
+            .min()
+    }
+
+    /// Runs until no event is pending, dispatching every event to `engine`.
     pub fn run<S: AdmissionShard>(&mut self, engine: &mut ShardedAdmission<S>) {
         self.run_with(engine, |_, _| {});
     }
@@ -337,12 +396,12 @@ impl EventLoop {
             }
         }
         let mut batch: Vec<Scheduled> = Vec::new();
-        while let Some(first) = self.heap.pop() {
+        while let Some(first) = self.pop() {
             let at = first.at;
             batch.clear();
             batch.push(first);
-            while self.heap.peek().is_some_and(|next| next.at == at) {
-                batch.push(self.heap.pop().expect("peeked entry"));
+            while self.next_at() == Some(at) {
+                batch.push(self.pop().expect("an event is pending at `at`"));
             }
             // The batch arrives in (at, seq) order; the seeded shuffle
             // decides the order of simultaneous events instead of
