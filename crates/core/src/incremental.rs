@@ -19,7 +19,10 @@
 //! moves tasks speculatively and rolls back). Every probe reads one
 //! per-core analysis, [`Partition::core_analysis`]: the converged slot of
 //! the partition's attached cache, or one built on the fly when there is
-//! none. All plans are deterministic:
+//! none. A boolean placement question is first put to the core's
+//! utilization ([`Partition::overloaded_with`]): a core the candidate
+//! would take past 100 % cannot pass RTA, so the question is answered
+//! without a probe. All plans are deterministic:
 //! cores are scanned in index order for whole placements, and bodies are
 //! carved on the core with the most residual utilization (ties broken by
 //! index).
@@ -396,12 +399,26 @@ impl IncrementalPlacer {
         let Some(analysis_task) = self.whole_analysis_task(task) else {
             return false;
         };
-        probe_analysis(partition, core, HotCounter::WholeProbes).accepts_candidate_without(
-            &analysis_task,
-            removed,
-            outranked_by_whole(&analysis_task),
-            |_| false,
-        )
+        let evicted: f64 = partition
+            .core(core)
+            .iter()
+            .filter(|p| p.parent == removed)
+            .map(|p| p.task.utilization())
+            .sum();
+        let exact = || {
+            probe_analysis(partition, core, HotCounter::WholeProbes).accepts_candidate_without(
+                &analysis_task,
+                removed,
+                outranked_by_whole(&analysis_task),
+                |_| false,
+            )
+        };
+        !screened(
+            partition,
+            core,
+            analysis_task.utilization() - evicted,
+            exact,
+        ) && exact()
     }
 
     /// Plans whole-first, split-second: the admission fast path.
@@ -509,7 +526,8 @@ impl IncrementalPlacer {
     /// differs from the intra-shard chain rule.
     ///
     /// The budget is one frontier scan of the core's converged analysis,
-    /// counted as one split probe.
+    /// counted as one split probe — unless the utilization screen shows
+    /// that not even the smallest body piece fits.
     fn max_body_budget_with_overhead(
         &self,
         partition: &Partition,
@@ -518,15 +536,25 @@ impl IncrementalPlacer {
         max_budget: Time,
         overhead: Time,
     ) -> Time {
-        let analysis = probe_analysis(partition, core, HotCounter::SplitProbes);
-        crate::split_budget::max_body_budget(
-            Some(&analysis),
-            template,
-            overhead,
-            self.min_split_budget,
-            max_budget,
-            |piece| piece_fits(partition, core, piece),
-        )
+        let exact = || {
+            let analysis = probe_analysis(partition, core, HotCounter::SplitProbes);
+            crate::split_budget::max_body_budget(
+                Some(&analysis),
+                template,
+                overhead,
+                self.min_split_budget,
+                max_budget,
+                |piece| piece_fits(partition, core, piece),
+            )
+        };
+        let smallest =
+            crate::split_budget::smallest_body_piece(template, overhead, self.min_split_budget);
+        if smallest.is_some_and(|piece| {
+            screened(partition, core, piece.utilization(), || !exact().is_zero())
+        }) {
+            return Time::ZERO;
+        }
+        exact()
     }
 
     /// Plans the **body half** of a shard-spanning split on this (donor)
@@ -650,6 +678,18 @@ fn whole_fits(
     candidate: &Task,
     responses: &mut Vec<Time>,
 ) -> bool {
+    let exact = || whole_fits_exact(partition, core, candidate, &mut Vec::new());
+    !screened(partition, core, candidate.utilization(), exact)
+        && whole_fits_exact(partition, core, candidate, responses)
+}
+
+/// [`whole_fits`] by exact RTA alone, without the utilization screen.
+fn whole_fits_exact(
+    partition: &Partition,
+    core: CoreId,
+    candidate: &Task,
+    responses: &mut Vec<Time>,
+) -> bool {
     let analysis = probe_analysis(partition, core, HotCounter::WholeProbes);
     let cached = matches!(analysis, Cow::Borrowed(_));
     responses.clear();
@@ -671,7 +711,31 @@ fn whole_fits(
 /// it keeps its reserved priority, peers with same-level pieces and
 /// outranks strictly lower levels.
 fn piece_fits(partition: &Partition, core: CoreId, piece: &Task) -> bool {
-    probe_analysis(partition, core, HotCounter::SplitProbes).accepts_prioritised(piece)
+    let exact =
+        || probe_analysis(partition, core, HotCounter::SplitProbes).accepts_prioritised(piece);
+    !screened(partition, core, piece.utilization(), exact) && exact()
+}
+
+/// The utilization screen in front of a boolean placement probe: whether
+/// adding utilization `u` to `core` provably overloads it
+/// ([`Partition::overloaded_with`]), so exact RTA — `exact`, which
+/// returns the probe's acceptance — cannot accept. A hit is counted as one
+/// [`HotCounter::UtilizationScreens`] instead of a probe; debug builds
+/// re-run `exact` uncounted on every hit and assert that it rejects.
+///
+/// Only questions answered by a verdict are screened. Probes that
+/// localize a blocker ([`IncrementalPlacer::probe_whole`]) always run:
+/// slack-guided repair prunes its victims by that blocker.
+fn screened(partition: &Partition, core: CoreId, u: f64, exact: impl FnOnce() -> bool) -> bool {
+    if !partition.overloaded_with(core, u) {
+        return false;
+    }
+    scoped::bump(HotCounter::UtilizationScreens);
+    debug_assert!(
+        !scoped::uncounted(exact),
+        "the utilization screen rejected what exact RTA accepts on {core}"
+    );
+    true
 }
 
 /// The analysis a probe on `core` reads ([`Partition::core_analysis`]),

@@ -66,6 +66,17 @@ pub(crate) fn has_reserved_level(task: &Task) -> bool {
         .is_some_and(|p| p.level() < WHOLE_PRIORITY_BASE)
 }
 
+/// The bin-order sum of the effective utilizations placed on one core —
+/// the single definition every per-core utilization read agrees with.
+fn bin_utilization(bin: &[PlacedTask]) -> f64 {
+    bin.iter().map(|p| p.task.utilization()).sum()
+}
+
+/// Slack above 100 % a core's utilization may show before
+/// [`Partition::overloaded_with`] calls it overloaded: far above the float
+/// error of a utilization sum, far below any utilization a task has.
+const UTILIZATION_SCREEN_MARGIN: f64 = 1e-9;
+
 /// Identifier of a processor core.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
@@ -362,8 +373,14 @@ enum JournalOp {
         cache_undo: Option<(CacheStaleness, RefreshUndo)>,
     },
     /// A mutator gave `core` a fresh generation; `prev` is the one it
-    /// replaced (see [`Partition::core_generation`]).
-    Generation { core: CoreId, prev: u64 },
+    /// replaced (see [`Partition::core_generation`]) and `prev_util` the
+    /// core's utilization under it. Equal generation means equal
+    /// placements, so the utilization travels with the generation.
+    Generation {
+        core: CoreId,
+        prev: u64,
+        prev_util: f64,
+    },
 }
 
 /// The mutation journal behind [`Partition::journal_begin`] /
@@ -457,6 +474,17 @@ pub enum CacheAuditVerdict {
 /// with `Clone` but do not serialize and do not take part in equality, and
 /// values are only comparable within one partition (a clone or a freshly
 /// built partition issues its own).
+///
+/// # Per-core utilization
+///
+/// Each core's utilization — the bin-order sum of its placements'
+/// effective utilizations — is kept beside its generation: every
+/// generation bump recomputes it and [`rewind`](Self::rewind) restores it
+/// with the generation. [`core_utilization`](Self::core_utilization),
+/// [`residual_utilization`](Self::residual_utilization),
+/// [`spare_utilization`](Self::spare_utilization) and
+/// [`overloaded_with`](Self::overloaded_with) are O(1) reads, bit-equal
+/// to a fresh sum over the core (debug builds assert it on every read).
 #[derive(Debug, Default)]
 pub struct Partition {
     cores: Vec<Vec<PlacedTask>>,
@@ -464,6 +492,9 @@ pub struct Partition {
     journal: Journal,
     /// One generation per core (see the [struct docs](Self#per-core-generations)).
     generations: Vec<u64>,
+    /// One utilization per core, recomputed with every generation (see the
+    /// [struct docs](Self#per-core-utilization)).
+    utilizations: Vec<f64>,
     /// The next unissued generation; never rewound, so a value is issued
     /// at most once.
     next_generation: u64,
@@ -487,6 +518,7 @@ impl Clone for Partition {
             cache: self.cache.clone(),
             journal: Journal::default(),
             generations: self.generations.clone(),
+            utilizations: self.utilizations.clone(),
             next_generation: self.next_generation,
             partial_chains: self.partial_chains,
         }
@@ -516,6 +548,7 @@ impl Deserialize for Partition {
         let cores = Vec::<Vec<PlacedTask>>::from_value(value.field("cores")?)?;
         Ok(Partition {
             generations: vec![0; cores.len()],
+            utilizations: cores.iter().map(|bin| bin_utilization(bin)).collect(),
             next_generation: 1,
             cores,
             cache: None,
@@ -533,6 +566,7 @@ impl Partition {
             cache: None,
             journal: Journal::default(),
             generations: vec![0; cores],
+            utilizations: vec![bin_utilization(&[]); cores],
             next_generation: 1,
             partial_chains: false,
         }
@@ -718,7 +752,14 @@ impl Partition {
                     slot.staleness = staleness;
                 }
             }
-            JournalOp::Generation { core, prev } => self.generations[core.0] = prev,
+            JournalOp::Generation {
+                core,
+                prev,
+                prev_util,
+            } => {
+                self.generations[core.0] = prev;
+                self.utilizations[core.0] = prev_util;
+            }
         }
     }
 
@@ -750,11 +791,54 @@ impl Partition {
         self.generations[core.0]
     }
 
-    /// Gives `core` a fresh generation, journaling the one it replaces.
+    /// Gives `core` a fresh generation and recomputes its utilization,
+    /// journaling both values it replaces.
     fn bump_generation(&mut self, core: CoreId) {
         let prev = std::mem::replace(&mut self.generations[core.0], self.next_generation);
+        let prev_util = std::mem::replace(
+            &mut self.utilizations[core.0],
+            bin_utilization(&self.cores[core.0]),
+        );
         self.next_generation += 1;
-        self.record(JournalOp::Generation { core, prev });
+        self.record(JournalOp::Generation {
+            core,
+            prev,
+            prev_util,
+        });
+    }
+
+    /// The utilization placed on one core: the bin-order sum of its
+    /// placements' effective (possibly inflated) utilizations, `-0.0` on
+    /// an empty core. O(1); see the
+    /// [struct docs](Self#per-core-utilization).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the core id is out of range.
+    pub fn core_utilization(&self, core: CoreId) -> f64 {
+        let utilization = self.utilizations[core.0];
+        debug_assert_eq!(
+            utilization.to_bits(),
+            bin_utilization(&self.cores[core.0]).to_bits(),
+            "stale utilization on {core}"
+        );
+        utilization
+    }
+
+    /// Whether adding utilization `u` to `core` provably overloads it:
+    /// `U(core) + u > 1 + 1e-9`. A core whose tasks all have `D ≤ T`
+    /// cannot pass exact RTA then: its lowest-priority task would need a
+    /// fixed point `R ≤ D ≤ T` with `C + Σ_j C_j·⌈R/T_j⌉ ≤ R` over every
+    /// other task (same-level peers included), and `⌈R/T_j⌉ ≥ R/T_j`
+    /// turns that into `Σ U ≤ 1`. The margin dwarfs the float error of the
+    /// sums (about `n·2⁻⁵²`), so the screen never rejects what RTA
+    /// accepts. `u` may be negative (a what-if eviction).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the core id is out of range.
+    pub fn overloaded_with(&self, core: CoreId, u: f64) -> bool {
+        self.core_utilization(core) + u > 1.0 + UTILIZATION_SCREEN_MARGIN
     }
 
     /// Attaches (or rebuilds) the incremental analysis cache: one converged
@@ -970,11 +1054,11 @@ impl Partition {
     }
 
     /// Utilization assigned to each core (using the effective, possibly
-    /// inflated, task parameters).
+    /// inflated, task parameters); see
+    /// [`core_utilization`](Self::core_utilization).
     pub fn core_utilizations(&self) -> Vec<f64> {
-        self.cores
-            .iter()
-            .map(|ts| ts.iter().map(|p| p.task.utilization()).sum())
+        (0..self.core_count())
+            .map(|c| self.core_utilization(CoreId(c)))
             .collect()
     }
 
@@ -1041,10 +1125,7 @@ impl Partition {
     ///
     /// Panics if the core id is out of range.
     pub fn residual_utilization(&self, core: CoreId) -> f64 {
-        1.0 - self.cores[core.0]
-            .iter()
-            .map(|p| p.task.utilization())
-            .sum::<f64>()
+        1.0 - self.core_utilization(core)
     }
 
     /// [`residual_utilization`](Self::residual_utilization) clamped at zero:

@@ -32,6 +32,22 @@ pub(crate) fn body_piece(template: &Task, budget: Time, overhead: Time) -> Optio
         .ok()
 }
 
+/// The smallest body piece [`max_body_budget`] considers: the
+/// `min_split_budget` (at least 1 ns) piece. Every larger budget makes a
+/// piece of larger utilization, so a core that cannot take this one takes
+/// none.
+pub(crate) fn smallest_body_piece(
+    template: &Task,
+    overhead: Time,
+    min_split_budget: Time,
+) -> Option<Task> {
+    body_piece(
+        template,
+        min_split_budget.max(Time::from_nanos(1)),
+        overhead,
+    )
+}
+
 /// The largest pure-execution budget in `[min_split_budget, max_budget]`
 /// whose body piece (`template`'s period, `overhead` on top) the core still
 /// admits, or [`Time::ZERO`] when not even the minimum fits.
@@ -52,7 +68,7 @@ pub(crate) fn max_body_budget(
     if floor > max_budget {
         return Time::ZERO;
     }
-    let Some(smallest) = body_piece(template, floor, overhead) else {
+    let Some(smallest) = smallest_body_piece(template, overhead, min_split_budget) else {
         return Time::ZERO;
     };
     if let Some(wcet) =

@@ -17,7 +17,9 @@
 //! restores every core's generation exactly, and two states of one
 //! partition that share a core's generation have identical placements and
 //! cached analysis on that core — the invariant that lets callers memoize
-//! per-core work under a generation.
+//! per-core work under a generation. The per-core utilization the
+//! partition keeps beside each generation is checked the same way: after
+//! every step it is bit-equal to a fresh bin-order sum over the core.
 //!
 //! The vendored proptest runner is deterministically seeded, so failures
 //! reproduce identically.
@@ -220,8 +222,8 @@ fn assert_fully_equal(a: &Partition, b: &Partition) {
     }
 }
 
-/// [`assert_fully_equal`] plus every core's generation: what a rewind to a
-/// snapshot clone's mark must restore.
+/// [`assert_fully_equal`] plus every core's generation and utilization:
+/// what a rewind to a snapshot clone's mark must restore.
 fn assert_restored(a: &Partition, b: &Partition) {
     assert_fully_equal(a, b);
     for core in 0..a.core_count() {
@@ -230,7 +232,46 @@ fn assert_restored(a: &Partition, b: &Partition) {
             b.core_generation(CoreId(core)),
             "generation not restored on core {core}"
         );
+        assert_eq!(
+            a.core_utilization(CoreId(core)).to_bits(),
+            b.core_utilization(CoreId(core)).to_bits(),
+            "utilization not restored on core {core}"
+        );
     }
+}
+
+/// Every per-core utilization read is bit-equal to a fresh bin-order sum
+/// over the core's placements (`-0.0` on an empty core, as `Sum` gives).
+fn assert_fresh_utilizations(partition: &Partition) {
+    let reads = partition.core_utilizations();
+    for (core, read) in reads.iter().enumerate() {
+        let id = CoreId(core);
+        let fresh: f64 = partition
+            .core(id)
+            .iter()
+            .map(|p| p.task.utilization())
+            .sum();
+        assert_eq!(read.to_bits(), fresh.to_bits(), "core {core}");
+        assert_eq!(
+            partition.core_utilization(id).to_bits(),
+            fresh.to_bits(),
+            "core {core}"
+        );
+        assert_eq!(
+            partition.residual_utilization(id).to_bits(),
+            (1.0 - fresh).to_bits(),
+            "core {core}"
+        );
+    }
+}
+
+/// Removes every parent placed on `core`, leaving it empty.
+fn drain(partition: &mut Partition, core: CoreId) {
+    let parents: Vec<_> = partition.core(core).iter().map(|p| p.parent).collect();
+    for parent in parents {
+        partition.remove_parent(parent);
+    }
+    assert!(partition.core(core).is_empty());
 }
 
 /// One step of a journaled random walk: mutate, take a nested mark, or
@@ -403,6 +444,55 @@ proptest! {
         }
         partition.journal_end();
         prop_assert_eq!(partition.validate(), Ok(()));
+    }
+
+    /// A random walk of mutations, nested marks, rewinds and drained
+    /// cores: after every step each per-core utilization is bit-equal to
+    /// a fresh bin-order sum, and every rewind restores the utilizations
+    /// the cores had at the mark.
+    #[test]
+    fn per_core_utilizations_match_fresh_sums(
+        cores in 1usize..5,
+        prefix in vec(op(), 0..8),
+        steps in vec((step(), 0usize..8), 1..40),
+    ) {
+        let mut partition = Partition::new(cores);
+        assert_fresh_utilizations(&partition);
+        partition.enable_analysis_cache();
+        let mut next_id = 0u32;
+        for op in &prefix {
+            apply(&mut partition, op, &mut next_id);
+            assert_fresh_utilizations(&partition);
+        }
+        let mut marks = vec![(partition.journal_begin(), partition.clone())];
+        for (step, drained) in &steps {
+            match step {
+                Step::Mutate(op) => apply(&mut partition, op, &mut next_id),
+                Step::Mark => marks.push((partition.journal_mark(), partition.clone())),
+                Step::Rewind(index) => {
+                    let keep = index % marks.len() + 1;
+                    marks.truncate(keep);
+                    let (mark, snapshot) = marks.last().expect("outer mark stays");
+                    partition.rewind(*mark);
+                    assert_restored(&partition, snapshot);
+                }
+            }
+            assert_fresh_utilizations(&partition);
+            // Now and then a core is emptied entirely.
+            if *drained < cores && drained % 3 == 0 {
+                drain(&mut partition, CoreId(*drained));
+                assert_fresh_utilizations(&partition);
+            }
+        }
+        let (outer, snapshot) = marks.swap_remove(0);
+        partition.rewind(outer);
+        partition.journal_end();
+        assert_restored(&partition, &snapshot);
+        assert_fresh_utilizations(&partition);
+        for core in (0..cores).map(CoreId) {
+            drain(&mut partition, core);
+        }
+        assert_fresh_utilizations(&partition);
     }
 
     /// Nested marks rewind LIFO: an inner rewind restores the inner

@@ -34,13 +34,24 @@
 //! cache slots included, and pass the scratch-RTA audit. A proof taken
 //! before its core changed must never be installed.
 //!
+//! Many placement questions never reach RTA: the per-core utilization
+//! screen (`Partition::overloaded_with`) answers "no" when the core would
+//! exceed 100 %. Whenever the screen fires on random cores — for whole
+//! candidates, body pieces, tails and what-if evictions — scratch RTA of
+//! the committed core must reject too; and on cores exact RTA fills to
+//! the brim, where the float sum overshoots 1, the screen must stay
+//! silent.
+//!
 //! The vendored proptest runner is deterministically seeded, so failures
 //! reproduce identically.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use spms_analysis::rta;
-use spms_core::{CoreId, IncrementalPlacer, Partition, PlacedTask, PlacementPlan, WholeProbe};
+use spms_core::{
+    CoreId, IncrementalPlacer, Partition, PlacedTask, PlacementPlan, SplitInfo, SubtaskKind,
+    WholeProbe, BODY_PRIORITY, TAIL_PRIORITY,
+};
 use spms_task::{Task, TaskId, Time};
 
 /// Periods (µs) tasks draw from: few enough that deadline ties are common.
@@ -447,4 +458,159 @@ fn a_proof_taken_before_its_core_changed_is_never_installed() {
     let proven = alone.cached_core(CoreId(0)).expect("converged");
     assert_ne!(proven.response_of(TaskId(1)), cache.response_of(TaskId(1)));
     assert_ne!(proven.response_of(TaskId(0)), cache.response_of(TaskId(0)));
+}
+
+/// A promoted split piece of parent `id` as the placer builds one: a
+/// `C = D` body at the body level, or a tail at the tail level with
+/// deadline `deadline`.
+fn split_piece(id: u32, kind: SubtaskKind, wcet: Time, period: Time, deadline: Time) -> PlacedTask {
+    let priority = match kind {
+        SubtaskKind::Body => BODY_PRIORITY,
+        SubtaskKind::Tail => TAIL_PRIORITY,
+    };
+    let task = Task::builder(id)
+        .wcet(wcet)
+        .period(period)
+        .deadline(deadline)
+        .priority(priority)
+        .build()
+        .expect("wcet <= deadline <= period by construction");
+    PlacedTask {
+        execution: wcet,
+        parent: TaskId(id),
+        split: Some(SplitInfo {
+            part_index: usize::from(kind == SubtaskKind::Tail),
+            part_count: 2,
+            kind,
+            release_offset: Time::ZERO,
+            next_core: None,
+            first_core: CoreId(0),
+        }),
+        task,
+    }
+}
+
+/// Places `piece` on `core` and renormalizes it, as a split commit does.
+fn commit_piece(partition: &mut Partition, core: CoreId, piece: &PlacedTask) {
+    partition.place(core, piece.clone());
+    partition.renormalize_core_priorities(core);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    /// Whenever the utilization screen fires, scratch RTA of the committed
+    /// core rejects: for whole candidates, body pieces, tails and what-if
+    /// evictions of every resident.
+    #[test]
+    fn the_utilization_screen_only_fires_where_scratch_rta_rejects(
+        cores in 1usize..5,
+        ops in vec(op(), 4..24),
+        candidates in vec((0u8..3, 0usize..PERIODS.len(), 20u64..950, 0u64..3), 1..8),
+    ) {
+        let placer = IncrementalPlacer::new();
+        let partition = build(&placer, cores, &ops);
+        let mut oracle = partition.clone();
+        for (k, (kind, period, per_mille, shorten)) in candidates.iter().enumerate() {
+            let id = 10_000 + k as u32;
+            let task = build_task(id, (*period, *per_mille, *shorten));
+            let body = split_piece(id, SubtaskKind::Body, task.wcet(), task.period(), task.wcet());
+            let tail = split_piece(id, SubtaskKind::Tail, task.wcet(), task.period(), task.deadline());
+            for core in (0..cores).map(CoreId) {
+                let rejects = |(_, responses): (Vec<Task>, Vec<Option<Time>>)| {
+                    responses.iter().any(Option::is_none)
+                };
+                if partition.overloaded_with(core, task.utilization()) {
+                    let committed = committed_core(&mut oracle, core, |p| match kind {
+                        0 => commit_whole(&placer, p, core, &task),
+                        1 => commit_piece(p, core, &body),
+                        _ => commit_piece(p, core, &tail),
+                    });
+                    prop_assert!(rejects(committed), "screened candidate {} fits {}", k, core);
+                }
+                let residents: Vec<TaskId> =
+                    partition.core(core).iter().map(|p| p.parent).collect();
+                for removed in residents {
+                    let evicted: f64 = partition
+                        .core(core)
+                        .iter()
+                        .filter(|p| p.parent == removed)
+                        .map(|p| p.task.utilization())
+                        .sum();
+                    if !partition.overloaded_with(core, task.utilization() - evicted) {
+                        continue;
+                    }
+                    let committed = committed_core(&mut oracle, core, |p| {
+                        p.remove_parent(removed);
+                        commit_whole(&placer, p, core, &task);
+                    });
+                    prop_assert!(
+                        rejects(committed),
+                        "screened eviction of {} for candidate {} fits {}",
+                        removed,
+                        k,
+                        core
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// On cores exact RTA fills to exactly 100 % the screen stays silent,
+/// even where the float sum of the utilizations overshoots 1, and every
+/// placer question reaches RTA and is accepted. A screen without its
+/// margin, or one that fires at exactly 100 %, fails here.
+#[test]
+fn the_screen_passes_cores_exact_rta_fills_to_the_brim() {
+    let core = CoreId(0);
+    let task = |id: u32, wcet_ms: u64| {
+        Task::new(id, Time::from_millis(wcet_ms), Time::from_millis(10)).expect("valid task")
+    };
+    let placer = IncrementalPlacer::new().with_min_split_budget(Time::from_millis(1));
+    let filled = |wcets: &[u64]| {
+        let mut partition = Partition::new(1);
+        partition.enable_analysis_cache();
+        for (id, wcet) in wcets.iter().enumerate() {
+            commit_whole(&placer, &mut partition, core, &task(id as u32, *wcet));
+        }
+        partition
+    };
+
+    // 20 % + 40 % + 30 % in bin order plus 10 % is 1.0000000000000002 in
+    // floating point, but with equal periods the lowest task meets its
+    // deadline exactly: R = 10 ms = D.
+    let partition = filled(&[2, 4, 3]);
+    let tenth = task(9, 1);
+    assert!(partition.core_utilization(core) + tenth.utilization() > 1.0);
+    assert!(!partition.overloaded_with(core, tenth.utilization()));
+    assert!(placer.plan_whole(&partition, &tenth, &[]).is_some());
+    // A what-if eviction of the 40 % task for a 50 % candidate.
+    assert!(placer.accepts_whole_without(&partition, core, &task(8, 5), TaskId(1)));
+    // A 1 ms tail and a 1 ms body piece.
+    assert!(placer
+        .plan_remote_tail(
+            &partition,
+            &task(7, 2),
+            Time::from_millis(1),
+            Time::ZERO,
+            Time::ZERO
+        )
+        .is_some());
+    let (_, _, budget) = placer
+        .plan_remote_body(&partition, &task(6, 5), Time::ZERO)
+        .expect("a 1 ms body fits");
+    assert_eq!(budget, Time::from_millis(1));
+
+    // Exactly 1.0 in floating point, and exactly schedulable.
+    let partition = filled(&[5]);
+    let half = task(9, 5);
+    assert_eq!(partition.core_utilization(core) + half.utilization(), 1.0);
+    assert!(!partition.overloaded_with(core, half.utilization()));
+    assert!(placer.plan_whole(&partition, &half, &[]).is_some());
+
+    // One nanosecond more is overloaded, and RTA agrees.
+    let over = Task::new(9, Time::from_nanos(5_000_001), Time::from_millis(10)).expect("valid");
+    assert!(partition.overloaded_with(core, over.utilization()));
+    assert!(placer.plan_whole(&partition, &over, &[]).is_none());
 }

@@ -146,12 +146,15 @@ pub struct OnlineConfig {
 /// Knobs of the graceful-degradation ladder.
 ///
 /// The overload signal is the *probe count* of each arrival decision
-/// (whole + split RTA probes, the cascade's unit of work) — an integer
-/// that is a pure function of the decision stream, never wall-clock, so
-/// the ladder's behaviour is deterministic across threads and machines.
-/// The budget counts probes actually run: a repair relocation answered by
-/// the failed-relocation memo costs none, and debug-build cross-checks
-/// are not counted either.
+/// (whole + split RTA probes plus the placement questions the per-core
+/// utilization screen answered instead — the cascade's unit of work) — an
+/// integer that is a pure function of the decision stream, never
+/// wall-clock, so the ladder's behaviour is deterministic across threads
+/// and machines. The budget counts questions actually asked: a repair
+/// relocation answered by the failed-relocation memo costs none, a
+/// question the victim search already answered in the same partition
+/// state is not asked again, and debug-build cross-checks are not counted
+/// either.
 /// An arrival that spends more than `probe_budget` probes escalates the
 /// controller one degrade level (1 = the full-repartition fallback is
 /// withheld, 2 = bounded repair is withheld too); `hysteresis`
@@ -580,7 +583,7 @@ pub struct AdmissionController {
     /// Consecutive within-budget arrivals since the last escalation —
     /// the hysteresis counter that walks the ladder back down.
     calm_streak: u32,
-    /// Whole-victim relocations known to fail, one slot per victim (see
+    /// Relocations known to fail, one slot per victim (see
     /// [`relocate`](Self::relocate)). A slot is dropped when its task
     /// leaves or re-enters the admitted set, and the whole memo is cleared
     /// when the fallback adopts a new partition (whose generations are not
@@ -588,11 +591,14 @@ pub struct AdmissionController {
     failed_relocations: HashMap<TaskId, FailedRelocation>,
 }
 
-/// A whole-victim relocation whose placement plan came back empty: the
-/// core the victim was to leave, the migration charge it was planned
-/// with, and the generation of every *other* core (index order) at the
-/// time. The plan reads nothing else that can change while the victim
-/// stays admitted, so an identical key means an identical (empty) plan.
+/// A relocation whose placement plan came back empty: the core the victim
+/// was to leave, the migration charge it was planned with, and the
+/// generation of every *other* core (index order) before the victim was
+/// evicted. The plan excludes the target and reads only those cores after
+/// the eviction, and each of them is a deterministic function of its own
+/// pre-eviction state; nothing else it reads changes while the victim
+/// stays admitted. So an identical key means an identical (empty) plan,
+/// for whole and split victims alike.
 #[derive(Debug, Clone)]
 struct FailedRelocation {
     target: CoreId,
@@ -600,7 +606,7 @@ struct FailedRelocation {
     generations: Vec<u64>,
 }
 
-/// What [`AdmissionController::pick_victim`] knows about its pick.
+/// What the repair victim ranking knows about its pick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum VictimEvidence {
     /// Slack pass 1: an exact what-if probe showed that evicting this
@@ -611,6 +617,26 @@ enum VictimEvidence {
     Insufficient,
     /// The utilization ranking, which does not probe.
     Unknown,
+}
+
+/// The slack-guided victim search of one repair target, valid for one
+/// partition state. A failed relocation leaves the partition unchanged
+/// (whole victims are planned before they are evicted, split victims are
+/// rewound), so every answer the search got stays true: it resumes where
+/// it stopped instead of re-asking. A successful relocation changes the
+/// state and drops the search.
+#[derive(Debug, Clone)]
+struct VictimSearch {
+    /// The target's movable residents not yet picked, by ascending
+    /// utilization (ties by id).
+    candidates: Vec<(f64, TaskId)>,
+    /// The arrival's blocker on the target
+    /// (see [`WholeProbe::Blocked`]).
+    blocker: Option<TaskId>,
+    /// Where pass 1 resumes: every candidate before it was pruned or
+    /// probed without unblocking the arrival. Equal to the length once
+    /// pass 1 is exhausted.
+    cursor: usize,
 }
 
 impl AdmissionController {
@@ -743,9 +769,12 @@ impl AdmissionController {
         let deltas = hot.since();
         // Only arrivals drive the degrade ladder: their probe count is the
         // cascade's unit of work, while departures and renewals are cheap
-        // bookkeeping that says nothing about admission pressure.
+        // bookkeeping that says nothing about admission pressure. A
+        // question the utilization screen answered is still one unit.
         if matches!(event, WorkloadEvent::Arrive(_)) {
-            let probes = deltas.get(HotCounter::WholeProbes) + deltas.get(HotCounter::SplitProbes);
+            let probes = deltas.get(HotCounter::WholeProbes)
+                + deltas.get(HotCounter::SplitProbes)
+                + deltas.get(HotCounter::UtilizationScreens);
             self.update_degrade(probes);
         }
         self.metrics.finish_decision(
@@ -933,9 +962,9 @@ impl AdmissionController {
         if self.config.max_repair_moves == 0 {
             return None;
         }
-        for target in self.repair_target_order(task) {
+        for (target, probe) in self.repair_target_order(task) {
             let rollback = self.begin_rollback();
-            match self.repair_on(target, task) {
+            match self.repair_on(target, task, probe) {
                 Some(outcome) => {
                     self.commit_rollback(rollback);
                     return Some(outcome);
@@ -955,19 +984,22 @@ impl AdmissionController {
     /// the core needing the least utilization shed is tried first, so the
     /// common case commits on the first attempt and rejected-target rewinds
     /// drop. Ties break on core index, keeping the order deterministic and
-    /// independent of the pure-mechanism cache knob.
-    fn repair_target_order(&self, task: &Task) -> Vec<CoreId> {
-        let utilizations = self.partition.core_utilizations();
-        let mut scored: Vec<(bool, f64, usize)> = (0..self.config.cores)
-            .map(|idx| {
-                let localized = match self.placer.probe_whole(&self.partition, CoreId(idx), task) {
+    /// independent of the pure-mechanism cache knob. Each target comes
+    /// with its probe, which stays true until the repair attempt on it
+    /// mutates the partition (attempts on earlier targets are rewound).
+    fn repair_target_order(&self, task: &Task) -> Vec<(CoreId, WholeProbe)> {
+        let mut scored: Vec<(bool, f64, CoreId, WholeProbe)> = (0..self.config.cores)
+            .map(CoreId)
+            .map(|core| {
+                let probe = self.placer.probe_whole(&self.partition, core, task);
+                let localized = match probe {
                     // Unreachable in practice: repair runs after first-fit
                     // failed on every core. Rank it first defensively.
                     WholeProbe::Accepted => true,
                     WholeProbe::Blocked { blocker } => blocker.is_some(),
                 };
-                let deficit = utilizations[idx] + task.utilization() - 1.0;
-                (!localized, deficit, idx)
+                let deficit = self.partition.core_utilization(core) + task.utilization() - 1.0;
+                (!localized, deficit, core, probe)
             })
             .collect();
         scored.sort_by(|a, b| {
@@ -975,18 +1007,34 @@ impl AdmissionController {
                 .then_with(|| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
                 .then_with(|| a.2.cmp(&b.2))
         });
-        scored.into_iter().map(|(_, _, idx)| CoreId(idx)).collect()
+        scored
+            .into_iter()
+            .map(|(_, _, core, probe)| (core, probe))
+            .collect()
     }
 
-    /// One repair attempt against a fixed `target` core. Mutates the
-    /// partition freely; the caller rolls back on `None`. Returns the
-    /// number of relocations and their accumulated WCET inflation.
+    /// One repair attempt against a fixed `target` core, whose
+    /// [`probe_whole`](IncrementalPlacer::probe_whole) of the arrival on
+    /// the current partition is `probe`. Mutates the partition freely; the
+    /// caller rolls back on `None`. Returns the number of relocations and
+    /// their accumulated WCET inflation.
+    ///
+    /// Each placement question is asked once per partition state: the
+    /// arrival is planned only when nothing says it is still blocked (the
+    /// target probe at the start, a failed plan since the last successful
+    /// relocation), and the slack victim search resumes across failed
+    /// relocations, which leave the partition unchanged.
     ///
     /// The last move slot only goes to a victim whose eviction provably
     /// unblocks the arrival: when slack ranking has shown that no single
     /// eviction does, relocating one more task cannot end in success, so
     /// the attempt gives up before mutating.
-    fn repair_on(&mut self, target: CoreId, task: &Task) -> Option<(usize, Time)> {
+    fn repair_on(
+        &mut self,
+        target: CoreId,
+        task: &Task,
+        probe: WholeProbe,
+    ) -> Option<(usize, Time)> {
         let k = self.config.max_repair_moves;
         let others: Vec<CoreId> = (0..self.config.cores)
             .map(CoreId)
@@ -995,43 +1043,66 @@ impl AdmissionController {
         let mut moves = 0usize;
         let mut inflation = Time::ZERO;
         let mut immovable: Vec<TaskId> = Vec::new();
+        // What the arrival's probe on the target says about the current
+        // partition state, while that is known.
+        let mut probe = Some(probe);
+        let mut blocked = matches!(probe, Some(WholeProbe::Blocked { .. }));
+        let mut search: Option<VictimSearch> = None;
         loop {
             // The arrival itself lands whole on the opened core — a fresh
             // placement crossing no boundary, so it stays uncharged.
-            if let Some(plan) = self.placer.plan_whole(&self.partition, task, &others) {
+            if blocked {
+                debug_assert!(
+                    scoped::uncounted(|| self.placer.plan_whole(&self.partition, task, &others))
+                        .is_none(),
+                    "the arrival skipped on {target} has a whole plan"
+                );
+            } else if let Some(plan) = self.placer.plan_whole(&self.partition, task, &others) {
                 self.placer.commit(&mut self.partition, task, plan);
                 return Some((moves, inflation));
             }
+            blocked = true;
             if moves == k {
                 return None;
             }
-            let (victim, evidence) = self.pick_victim(target, task, &immovable)?;
+            let (victim, evidence) = match self.config.repair_ranking {
+                RepairRanking::Utilization => (
+                    self.pick_victim_by_utilization(target, &immovable)?,
+                    VictimEvidence::Unknown,
+                ),
+                RepairRanking::Slack => {
+                    let search = match &mut search {
+                        Some(search) => search,
+                        None => search.insert(self.victim_search(target, task, probe, &immovable)),
+                    };
+                    self.next_slack_victim(target, task, search)?
+                }
+            };
             if moves + 1 == k && evidence == VictimEvidence::Insufficient {
                 return None;
             }
+            #[cfg(debug_assertions)]
+            let before: Vec<u64> = (0..self.config.cores)
+                .map(|c| self.partition.core_generation(CoreId(c)))
+                .collect();
             match self.relocate(victim, target) {
                 Some(added) => {
                     moves += 1;
                     inflation += added;
+                    probe = None;
+                    blocked = false;
+                    search = None;
                 }
-                None => immovable.push(victim),
+                None => {
+                    #[cfg(debug_assertions)]
+                    debug_assert!(
+                        (0..self.config.cores)
+                            .all(|c| self.partition.core_generation(CoreId(c)) == before[c]),
+                        "a failed relocation of {victim} changed the partition"
+                    );
+                    immovable.push(victim);
+                }
             }
-        }
-    }
-
-    /// The next task worth evicting from `target` under the configured
-    /// ranking policy, with what the ranking learned about it.
-    fn pick_victim(
-        &self,
-        target: CoreId,
-        arrival: &Task,
-        immovable: &[TaskId],
-    ) -> Option<(TaskId, VictimEvidence)> {
-        match self.config.repair_ranking {
-            RepairRanking::Utilization => self
-                .pick_victim_by_utilization(target, immovable)
-                .map(|id| (id, VictimEvidence::Unknown)),
-            RepairRanking::Slack => self.pick_victim_by_slack(target, arrival, immovable),
         }
     }
 
@@ -1060,71 +1131,94 @@ impl AdmissionController {
         candidates.first().map(|(_, id)| *id)
     }
 
-    /// Slack-guided victim choice: localize the blocker (the task whose
-    /// `deadline − response` slack goes negative with the arrival added),
-    /// prune candidates that provably cannot relieve it, then evict the
-    /// *smallest* task whose removal an exact what-if probe confirms to
-    /// unblock the arrival. Split parents are candidates too (chain-aware
-    /// relocation: evicting one piece relocates the whole chain). When no
-    /// single eviction opens the hole, falls back to freeing the most
-    /// capacity per move so multi-move repair still progresses.
-    fn pick_victim_by_slack(
+    /// Opens the slack-guided victim search on `target` for the current
+    /// partition state: every resident not yet found `immovable` is a
+    /// candidate (split parents too — chain-aware relocation evicts the
+    /// whole chain; never parents with remote pieces), and the blocker
+    /// comes from the arrival's `probe` on the target when it is known,
+    /// else from a fresh one.
+    fn victim_search(
         &self,
         target: CoreId,
         arrival: &Task,
+        probe: Option<WholeProbe>,
         immovable: &[TaskId],
-    ) -> Option<(TaskId, VictimEvidence)> {
-        let candidates: Vec<(f64, TaskId)> = {
-            let mut c: Vec<(f64, TaskId)> = self
-                .partition
-                .core(target)
-                .iter()
-                .filter(|p| {
-                    !immovable.contains(&p.parent) && !self.remote_parents.contains(&p.parent)
-                })
-                .map(|p| (p.task.utilization(), p.parent))
-                .collect();
-            c.sort_by(|a, b| {
-                a.0.partial_cmp(&b.0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.1.cmp(&b.1))
-            });
-            c
-        };
-        let blocker = match self.placer.probe_whole(&self.partition, target, arrival) {
+    ) -> VictimSearch {
+        let mut candidates: Vec<(f64, TaskId)> = self
+            .partition
+            .core(target)
+            .iter()
+            .filter(|p| !immovable.contains(&p.parent) && !self.remote_parents.contains(&p.parent))
+            .map(|p| (p.task.utilization(), p.parent))
+            .collect();
+        candidates.sort_by(|a, b| {
+            a.0.partial_cmp(&b.0)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.1.cmp(&b.1))
+        });
+        let probe =
+            probe.unwrap_or_else(|| self.placer.probe_whole(&self.partition, target, arrival));
+        let blocker = match probe {
             WholeProbe::Accepted => None, // unreachable in practice: repair runs after rejection
             WholeProbe::Blocked { blocker } => blocker,
         };
+        VictimSearch {
+            candidates,
+            blocker,
+            cursor: 0,
+        }
+    }
+
+    /// Slack-guided victim choice: with the blocker localized (the task
+    /// whose `deadline − response` slack goes negative with the arrival
+    /// added), prune candidates that provably cannot relieve it, then
+    /// evict the *smallest* task whose removal an exact what-if probe
+    /// confirms to unblock the arrival. When no single eviction opens the
+    /// hole, falls back to freeing the most capacity per move so
+    /// multi-move repair still progresses. The pick leaves the search: it
+    /// is either relocated (and the search dropped) or immovable.
+    fn next_slack_victim(
+        &self,
+        target: CoreId,
+        arrival: &Task,
+        search: &mut VictimSearch,
+    ) -> Option<(TaskId, VictimEvidence)> {
         // Pass 1: smallest candidate whose eviction provably unblocks the
         // arrival. Candidates ranked strictly below the blocker cannot
         // relieve it and are pruned without probing.
-        for &(_, id) in &candidates {
-            if let Some(blocker_id) = blocker {
-                if id != blocker_id && !self.interferes_with(target, id, blocker_id, arrival) {
-                    continue;
-                }
-            }
-            if self
-                .placer
-                .accepts_whole_without(&self.partition, target, arrival, id)
+        while search.cursor < search.candidates.len() {
+            let (_, id) = search.candidates[search.cursor];
+            let pruned = search.blocker.is_some_and(|blocker| {
+                id != blocker && !self.interferes_with(target, id, blocker, arrival)
+            });
+            if !pruned
+                && self
+                    .placer
+                    .accepts_whole_without(&self.partition, target, arrival, id)
             {
+                search.candidates.remove(search.cursor);
                 return Some((id, VictimEvidence::Unblocks));
             }
+            search.cursor += 1;
         }
         // Pass 2: no single eviction opens the hole — free the most
         // capacity per move; equal-utilization ties go to the task with
         // the smallest slack (relocating the most squeezed task relieves
         // the core's tightest constraint), then to the smallest id.
-        candidates
+        let (index, _) = search
+            .candidates
             .iter()
             .map(|&(utilization, id)| (utilization, self.slack_on(target, id), id))
-            .max_by(|a, b| {
+            .enumerate()
+            .max_by(|(_, a), (_, b)| {
                 a.0.partial_cmp(&b.0)
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then_with(|| b.1.cmp(&a.1))
                     .then_with(|| b.2.cmp(&a.2))
-            })
-            .map(|(_, _, id)| (id, VictimEvidence::Insufficient))
+            })?;
+        let (_, id) = search.candidates.remove(index);
+        search.cursor = search.candidates.len();
+        Some((id, VictimEvidence::Insufficient))
     }
 
     /// The slack (`deadline − response`) of `parent`'s placement on
@@ -1187,14 +1281,24 @@ impl AdmissionController {
     /// A victim placed whole on `target` is planned *before* it is
     /// evicted: the plan excludes `target`, the only core the eviction
     /// changes, so it is exactly the plan the evicted partition would
-    /// yield, and a failure leaves the partition untouched. Such failures
-    /// are memoized under the generations of the cores the plan reads
-    /// ([`Partition::core_generation`]); a repeat with the same target,
-    /// charge and generations fails at once. A split victim spans several
-    /// cores, so it is still evicted first and, on failure, rewound to an
-    /// inner journal mark, leaving the enclosing repair scope open.
+    /// yield, and a failure leaves the partition untouched. A split victim
+    /// spans several cores, so it is still evicted first and, on failure,
+    /// rewound to an inner journal mark, leaving the enclosing repair
+    /// scope open. Either way a failure is memoized under the
+    /// pre-eviction generations of the cores the plan reads
+    /// ([`Partition::core_generation`], see [`FailedRelocation`]); a
+    /// repeat with the same target, charge and generations fails at once,
+    /// before any eviction.
     fn relocate(&mut self, victim: TaskId, target: CoreId) -> Option<Time> {
         let charge = self.migration_charge(self.admitted.get(&victim)?);
+        if self.relocation_known_to_fail(victim, target, charge) {
+            scoped::bump(HotCounter::RelocationMemoHits);
+            debug_assert!(
+                scoped::uncounted(|| self.no_plan_after_eviction(victim, target, charge)),
+                "memoized relocation failure of {victim} off {target} has a plan"
+            );
+            return None;
+        }
         let whole_on_target = self
             .partition
             .core(target)
@@ -1203,34 +1307,12 @@ impl AdmissionController {
         if !whole_on_target {
             return self.relocate_split(victim, target, charge);
         }
-        if self.relocation_known_to_fail(victim, target, charge) {
-            scoped::bump(HotCounter::RelocationMemoHits);
-            debug_assert!(
-                scoped::uncounted(|| self.placer.plan_charged(
-                    &self.partition,
-                    &self.admitted[&victim],
-                    &[target],
-                    charge
-                ))
-                .is_none(),
-                "memoized relocation failure of {victim} off {target} has a plan"
-            );
-            return None;
-        }
         let original = &self.admitted[&victim];
         let Some(plan) = self
             .placer
             .plan_charged(&self.partition, original, &[target], charge)
         else {
-            let generations = self.generations_except(target).collect();
-            self.failed_relocations.insert(
-                victim,
-                FailedRelocation {
-                    target,
-                    charge,
-                    generations,
-                },
-            );
+            self.note_failed_relocation(victim, target, charge);
             return None;
         };
         let inflation = plan_inflation(&plan, charge);
@@ -1240,7 +1322,9 @@ impl AdmissionController {
     }
 
     /// [`relocate`](Self::relocate) for a split victim: evict the whole
-    /// chain, re-plan, and rewind to an inner mark if no plan exists.
+    /// chain, re-plan, and rewind to an inner mark if no plan exists. The
+    /// rewind restores every generation, so the failure is memoized under
+    /// the pre-eviction ones.
     fn relocate_split(&mut self, victim: TaskId, target: CoreId, charge: Time) -> Option<Time> {
         let original = &self.admitted[&victim];
         let inner = self.partition.journal_mark();
@@ -1254,8 +1338,39 @@ impl AdmissionController {
             Some(inflation)
         } else {
             self.partition.rewind(inner);
+            self.note_failed_relocation(victim, target, charge);
             None
         }
+    }
+
+    /// Whether relocating `victim` off `target` with `charge` has no plan
+    /// on the current partition with the victim evicted. The eviction
+    /// runs inside an inner journal mark and is rewound, so the partition
+    /// is left as it was. The debug-build cross-check of the
+    /// failed-relocation memo.
+    fn no_plan_after_eviction(&mut self, victim: TaskId, target: CoreId, charge: Time) -> bool {
+        let original = &self.admitted[&victim];
+        let inner = self.partition.journal_mark();
+        self.partition.remove_parent(victim);
+        let plan = self
+            .placer
+            .plan_charged(&self.partition, original, &[target], charge);
+        self.partition.rewind(inner);
+        plan.is_none()
+    }
+
+    /// Memoizes a failed relocation under the current generations of every
+    /// core but `target` (see [`FailedRelocation`]).
+    fn note_failed_relocation(&mut self, victim: TaskId, target: CoreId, charge: Time) {
+        let generations = self.generations_except(target).collect();
+        self.failed_relocations.insert(
+            victim,
+            FailedRelocation {
+                target,
+                charge,
+                generations,
+            },
+        );
     }
 
     /// Whether relocating `victim` off `target` with `charge` already
@@ -1578,8 +1693,13 @@ mod tests {
         let mut c = AdmissionController::new(two_cores_no_split().build()).unwrap();
         arrive(&mut c, task(0, 85, 100));
         arrive(&mut c, task(1, 55, 100));
+        let order: Vec<CoreId> = c
+            .repair_target_order(&task(2, 50, 100))
+            .into_iter()
+            .map(|(core, _)| core)
+            .collect();
         assert_eq!(
-            c.repair_target_order(&task(2, 50, 100)),
+            order,
             vec![CoreId(1), CoreId(0)],
             "the core needing the least shed utilization must come first"
         );
@@ -2357,8 +2477,12 @@ mod tests {
         let before = generations(&c);
         let memo_hits =
             |c: &AdmissionController| counter(c, "spms_mech_relocation_memo_hits_total");
+        // Work is probes plus screens: the utilization screen answers some
+        // of the first arrival's questions without a probe.
         let probes = |c: &AdmissionController| {
-            counter(c, "spms_mech_whole_probes_total") + counter(c, "spms_mech_split_probes_total")
+            counter(c, "spms_mech_whole_probes_total")
+                + counter(c, "spms_mech_split_probes_total")
+                + counter(c, "spms_mech_utilization_screens_total")
         };
         let rejected = DecisionKind::Rejected {
             reason: RejectionReason::NoFeasiblePlacement,
@@ -2371,7 +2495,7 @@ mod tests {
         let start = probes(&c);
         assert_eq!(arrive(&mut c, task(3, 15, 100)), rejected);
         assert_eq!(memo_hits(&c), 2, "one hit per repair target");
-        assert!(probes(&c) - start < first, "memo hits must save probes");
+        assert!(probes(&c) - start < first, "memo hits must save work");
         // A departure frees room and drops the departed task's slot; the
         // next arrival re-plans and is admitted.
         c.handle(WorkloadEvent::Depart(TaskId(1)));
@@ -2379,6 +2503,144 @@ mod tests {
             arrive(&mut c, task(4, 15, 100)),
             DecisionKind::Admitted { .. }
         ));
+    }
+
+    /// The slack victim rule as it was before the search kept its state:
+    /// both passes from scratch over every candidate not yet `immovable`,
+    /// with a fresh blocker probe. The oracle for the resumed search.
+    fn two_pass_pick_from_scratch(
+        c: &AdmissionController,
+        target: CoreId,
+        arrival: &Task,
+        immovable: &[TaskId],
+    ) -> Option<(TaskId, VictimEvidence)> {
+        let mut candidates: Vec<(f64, TaskId)> = c
+            .partition
+            .core(target)
+            .iter()
+            .filter(|p| !immovable.contains(&p.parent))
+            .map(|p| (p.task.utilization(), p.parent))
+            .collect();
+        candidates.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+        let blocker = match c.placer.probe_whole(&c.partition, target, arrival) {
+            WholeProbe::Accepted => None,
+            WholeProbe::Blocked { blocker } => blocker,
+        };
+        for &(_, id) in &candidates {
+            let pruned = blocker.is_some_and(|blocker| {
+                id != blocker && !c.interferes_with(target, id, blocker, arrival)
+            });
+            if !pruned
+                && c.placer
+                    .accepts_whole_without(&c.partition, target, arrival, id)
+            {
+                return Some((id, VictimEvidence::Unblocks));
+            }
+        }
+        candidates
+            .iter()
+            .map(|&(u, id)| (u, c.slack_on(target, id), id))
+            .max_by(|a, b| {
+                a.0.partial_cmp(&b.0)
+                    .unwrap()
+                    .then(b.1.cmp(&a.1))
+                    .then(b.2.cmp(&a.2))
+            })
+            .map(|(_, _, id)| (id, VictimEvidence::Insufficient))
+    }
+
+    #[test]
+    fn a_failed_relocation_resumes_the_victim_search_without_re_asking() {
+        // All periods 100 ms. P0 holds A (10), B (20, D = 21), C (20) and
+        // F (45): 95 %. P1 holds D (10, D = 20) and E (68): 78 %. The
+        // arrival X (25) fits nowhere whole, and splitting is disabled.
+        //
+        // On P0, evicting A leaves 110 % (the utilization screen answers);
+        // evicting B or C leaves exactly 100 %, which X's recurrence meets
+        // at R = 100. So B is the first victim that unblocks X — but B
+        // cannot move: on P1, D outranks it and pushes it to 30 > 21. The
+        // search resumes after B and probes C alone; C moves to P1 (98 %)
+        // and X is admitted.
+        let constrained = |id: u32, wcet_ms: u64, deadline_ms: u64| {
+            Task::builder(id)
+                .wcet(Time::from_millis(wcet_ms))
+                .period(Time::from_millis(100))
+                .deadline(Time::from_millis(deadline_ms))
+                .build()
+                .unwrap()
+        };
+        let config = two_cores_no_split()
+            .max_repair_moves(2)
+            .fallback(false)
+            .build();
+        let mut c = AdmissionController::new(config).unwrap();
+        for (id, wcet, deadline) in [
+            (0, 10, 100),
+            (1, 20, 21),
+            (2, 20, 100),
+            (3, 45, 100),
+            (4, 10, 20),
+            (5, 68, 100),
+        ] {
+            assert!(matches!(
+                arrive(&mut c, constrained(id, wcet, deadline)),
+                DecisionKind::Admitted {
+                    path: DecisionPath::FastWhole,
+                    ..
+                }
+            ));
+        }
+        let residents = |c: &AdmissionController, core: usize| -> Vec<u32> {
+            c.partition()
+                .core(CoreId(core))
+                .iter()
+                .map(|p| p.parent.0)
+                .collect()
+        };
+        assert_eq!(residents(&c, 0), [0, 1, 2, 3]);
+        assert_eq!(residents(&c, 1), [4, 5]);
+
+        let x = constrained(6, 25, 100);
+        let target = CoreId(0);
+        let probe = c.placer.probe_whole(&c.partition, target, &x);
+        let mut search = c.victim_search(target, &x, Some(probe), &[]);
+        let first = c.next_slack_victim(target, &x, &mut search);
+        assert_eq!(first, Some((TaskId(1), VictimEvidence::Unblocks)));
+        assert_eq!(first, two_pass_pick_from_scratch(&c, target, &x, &[]));
+        assert!(
+            c.placer
+                .plan_charged(&c.partition, &c.admitted[&TaskId(1)], &[target], Time::ZERO)
+                .is_none(),
+            "setup: B cannot be relocated"
+        );
+
+        let before = scoped::thread_snapshot();
+        let second = c.next_slack_victim(target, &x, &mut search);
+        let spent = before.since();
+        assert_eq!(second, Some((TaskId(2), VictimEvidence::Unblocks)));
+        assert_eq!(
+            second,
+            two_pass_pick_from_scratch(&c, target, &x, &[TaskId(1)])
+        );
+        assert_eq!(
+            spent.get(HotCounter::WholeProbes),
+            1,
+            "the second pick probes C only: no blocker probe, A and B not re-asked"
+        );
+        assert_eq!(spent.get(HotCounter::UtilizationScreens), 0);
+        assert_eq!(spent.get(HotCounter::SplitProbes), 0);
+
+        assert_eq!(
+            arrive(&mut c, x),
+            DecisionKind::Admitted {
+                path: DecisionPath::Repair,
+                migrations: 1,
+                inflation: Time::ZERO
+            }
+        );
+        assert_eq!(residents(&c, 0), [0, 1, 3, 6]);
+        assert_eq!(residents(&c, 1), [4, 5, 2]);
+        assert_eq!(c.partition().scratch_audit(), Ok(()));
     }
 
     #[test]

@@ -45,10 +45,13 @@ pub enum HotCounter {
     /// Repair relocations answered by the failed-relocation memo instead
     /// of a fresh placement plan.
     RelocationMemoHits,
+    /// Placement questions answered by the per-core utilization screen
+    /// (the core would exceed 100 %) instead of an RTA probe.
+    UtilizationScreens,
 }
 
 /// How many [`HotCounter`]s exist.
-pub const HOT_COUNTER_COUNT: usize = 9;
+pub const HOT_COUNTER_COUNT: usize = 10;
 
 /// Every hot counter, in index order.
 pub const HOT_COUNTERS: [HotCounter; HOT_COUNTER_COUNT] = [
@@ -61,6 +64,7 @@ pub const HOT_COUNTERS: [HotCounter; HOT_COUNTER_COUNT] = [
     HotCounter::JournalBegins,
     HotCounter::JournalRewinds,
     HotCounter::RelocationMemoHits,
+    HotCounter::UtilizationScreens,
 ];
 
 impl HotCounter {
@@ -75,6 +79,7 @@ impl HotCounter {
             HotCounter::JournalBegins => 6,
             HotCounter::JournalRewinds => 7,
             HotCounter::RelocationMemoHits => 8,
+            HotCounter::UtilizationScreens => 9,
         }
     }
 
@@ -90,11 +95,13 @@ impl HotCounter {
             HotCounter::JournalBegins => "spms_mech_journal_begins_total",
             HotCounter::JournalRewinds => "spms_mech_journal_rewinds_total",
             HotCounter::RelocationMemoHits => "spms_mech_relocation_memo_hits_total",
+            HotCounter::UtilizationScreens => "spms_mech_utilization_screens_total",
         }
     }
 }
 
 static GLOBALS: [AtomicU64; HOT_COUNTER_COUNT] = [
+    AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
