@@ -69,7 +69,7 @@ fn interference_term(task: &Task, r: Time) -> Time {
     task.wcet() * r.div_ceil(task.period())
 }
 
-/// Memoized exact RTA for one core. See the [module docs](self).
+/// Memoized exact RTA for one core. See the module docs of `cached.rs`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CachedCoreAnalysis {
     /// Sorted by [`sort_key`]; every `response` is converged (the cache has

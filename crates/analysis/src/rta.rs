@@ -27,9 +27,10 @@
 //! The recurrence's fixed point is the *least* fixed point at or above the
 //! start value, so iteration may begin from any value known to be a lower
 //! bound on the result — e.g. a response time previously converged under a
-//! subset of the current interference. [`CachedCoreAnalysis`]
-//! (crate::CachedCoreAnalysis) exploits this to re-converge invalidated
-//! priority levels in a handful of iterations after an insertion.
+//! subset of the current interference.
+//! [`CachedCoreAnalysis`](crate::CachedCoreAnalysis) exploits this to
+//! re-converge invalidated priority levels in a handful of iterations after
+//! an insertion.
 
 use spms_task::{Priority, Task, Time};
 use spms_telemetry::{scoped, HotCounter};

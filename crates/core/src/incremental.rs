@@ -123,8 +123,8 @@ pub enum WholeProbe {
 
 /// Places single tasks into an existing partition, whole-first-fit with an
 /// FP-TS-style splitting fallback. Every placement is validated by exact
-/// per-core response-time analysis. See the [module docs](self) for the
-/// placement and priority discipline.
+/// per-core response-time analysis. See the module docs of `incremental.rs`
+/// for the placement and priority discipline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IncrementalPlacer {
     /// Run-time overheads folded into each placement's analysis WCET, using
@@ -770,7 +770,7 @@ fn outranked_by_whole(candidate: &Task) -> impl Fn(&Task) -> bool {
 /// Whether whole task `a` ranks at-or-above whole task `b` under the
 /// commit-time deadline-monotonic ranking (`assign_whole_priorities`
 /// order: deadline, then period, then id) — i.e. `a` would interfere with
-/// `b` on a shared core. The public face of [`whole_rank_key`] for
+/// `b` on a shared core. The public face of `whole_rank_key` for
 /// callers (the online controller's slack-guided victim pruning) that
 /// must agree with the probes' ranking rule.
 pub fn whole_outranks_or_ties(a: &Task, b: &Task) -> bool {

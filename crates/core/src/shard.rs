@@ -21,18 +21,7 @@
 
 use crate::incremental::IncrementalPlacer;
 use crate::placement::{CoreId, Partition};
-use spms_task::{Task, TaskId, Time};
-
-/// FNV-1a offset basis (64-bit).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime (64-bit).
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |acc, b| {
-        (acc ^ u64::from(*b)).wrapping_mul(FNV_PRIME)
-    })
-}
+use spms_task::{fnv1a, Task, TaskId, Time};
 
 /// Splits `total_cores` processor cores into `shards` near-even groups.
 ///
@@ -60,10 +49,10 @@ pub fn shard_core_counts(total_cores: usize, shards: usize) -> Vec<usize> {
 ///
 /// Every task has a deterministic *home shard* derived from an FNV-1a hash
 /// of its id, which spreads unrelated arrivals across shards without any
-/// shared state. When the home shard rejects, [`placement_order`]
-/// (ShardRouter::placement_order) continues with the remaining shards in
-/// descending spare-utilization order (index as the tie-break), so overflow
-/// placement tries the roomiest shard first.
+/// shared state. When the home shard rejects,
+/// [`placement_order`](ShardRouter::placement_order) continues with the
+/// remaining shards in descending spare-utilization order (index as the
+/// tie-break), so overflow placement tries the roomiest shard first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardRouter {
     shard_count: usize,

@@ -35,8 +35,8 @@ use std::sync::Arc;
 
 use crate::placement::{JournalMark, Partition};
 
-/// A planning transaction over one or several partitions. See the
-/// [module docs](self) for the two-phase protocol.
+/// A planning transaction over one or several partitions. See the module
+/// docs of `txn.rs` for the two-phase protocol.
 ///
 /// Scopes are indexed by begin order: [`begin`](Self::begin) on the i-th
 /// partition returns scope index `i`, and [`commit`](Self::commit) /
@@ -44,7 +44,7 @@ use crate::placement::{JournalMark, Partition};
 ///
 /// Dropping a transaction without committing or aborting marks every
 /// scope abandoned; the owning partitions rewind and close them at
-/// their next journal interaction (see the [module docs](self)).
+/// their next journal interaction (see the module docs of `txn.rs`).
 #[derive(Debug, Default)]
 pub struct PlanTxn {
     /// One entry per scope, in begin order: the scope's begin mark and the

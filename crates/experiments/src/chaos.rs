@@ -19,10 +19,10 @@
 use serde::{Deserialize, Serialize};
 use spms_faults::{FaultPlan, FaultSpec};
 use spms_online::FaultStats;
-use spms_task::Time;
+use spms_task::{fnv1a, Time};
 
 use crate::progress::{NullProgress, ProgressSink};
-use crate::soak::{fnv1a, SoakExperiment};
+use crate::soak::SoakExperiment;
 
 /// Recovery outcome of one shard count under the injected fault plan.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -126,7 +126,7 @@ impl ChaosResults {
     }
 }
 
-/// The chaos driver. See the [module docs](self).
+/// The chaos driver. See the module docs of `chaos.rs`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChaosExperiment {
     cores: usize,
@@ -280,7 +280,8 @@ impl ChaosExperiment {
         let mut replay_misses = 0u64;
         let mut unrepaired = 0u64;
         let mut canonical = String::new();
-        for (soak_point, fault) in run.results.points().iter().zip(&run.fault_stats) {
+        for (soak_point, registry) in run.results.points().iter().zip(&run.point_metrics) {
+            let fault = FaultStats::from_registry(registry);
             replay_misses += soak_point.replay_misses;
             unrepaired += fault.audit_violations_unrepaired();
             canonical.push_str(&format!(
@@ -297,7 +298,7 @@ impl ChaosExperiment {
             ));
             points.push(ChaosPoint {
                 shards: soak_point.shards,
-                fault: *fault,
+                fault,
                 decisions_digest: soak_point.decisions_digest,
                 replay_misses: soak_point.replay_misses,
             });
@@ -360,10 +361,10 @@ mod tests {
         assert_ne!(serial.recovery_digest, other.recovery_digest);
     }
 
-    /// The fault-free soak artifact must not grow a fault section:
-    /// [`FaultStats`] lives beside the serialized results, never inside
-    /// them, so a soak without `--faults` stays byte-compatible with
-    /// pre-chaos reports.
+    /// The fault-free soak artifact must not grow a fault section: the
+    /// fault counters live in the point registries beside the serialized
+    /// results, never inside them, so a soak without `--faults` stays
+    /// byte-compatible with pre-chaos reports.
     #[test]
     fn fault_free_soak_artifacts_stay_fault_silent() {
         let run = SoakExperiment::new()
@@ -372,7 +373,10 @@ mod tests {
             .events_per_trace(300)
             .seed(7)
             .run_full_with_progress(&crate::progress::NullProgress);
-        assert!(run.fault_stats.iter().all(|f| *f == FaultStats::default()));
+        assert!(run
+            .point_metrics
+            .iter()
+            .all(|r| FaultStats::from_registry(r) == FaultStats::default()));
         let json = serde_json::to_string(&run.results).expect("soak results serialize");
         assert!(
             !json.contains("fault"),

@@ -14,8 +14,8 @@
 use serde::{Deserialize, Serialize};
 use spms_analysis::{rta, OverheadModel};
 use spms_online::{
-    run_trace, AdmissionController, ChurnFamily, ChurnGenerator, OnlineConfig, ReplayConfig,
-    ReplayOutcome,
+    run_trace, AdmissionController, ChurnFamily, ChurnGenerator, ControllerStats, OnlineConfig,
+    ReplayConfig, ReplayOutcome,
 };
 use spms_overhead::CostModelSpec;
 use spms_task::Time;
@@ -346,12 +346,7 @@ impl ChurnExperiment {
                     let (_, replay_outcome) = run_trace(&mut controller, &events, replay.as_ref());
                     let cap_exhaustions = rta::thread_cap_exhaustions() - exhaustions_before;
                     let registry = controller.metrics().registry().clone();
-                    Some((
-                        *controller.stats(),
-                        replay_outcome,
-                        cap_exhaustions,
-                        registry,
-                    ))
+                    Some((replay_outcome, cap_exhaustions, registry))
                 },
             );
         let points = self
@@ -362,7 +357,7 @@ impl ChurnExperiment {
             .collect();
         let mut metrics = Registry::new();
         for cell in grid.iter().flatten() {
-            metrics.merge(&cell.3);
+            metrics.merge(&cell.2);
         }
         ChurnRun {
             results: ChurnResults { points },
@@ -371,33 +366,24 @@ impl ChurnExperiment {
     }
 }
 
-/// One grid cell's outcome: controller stats, replay tallies, the cell's
-/// RTA cap-exhaustion delta, and its telemetry registry.
-type ChurnCell = (spms_online::ControllerStats, ReplayOutcome, u64, Registry);
+/// One grid cell's outcome: replay tallies, the cell's RTA
+/// cap-exhaustion delta, and its telemetry registry (every decision
+/// counter).
+type ChurnCell = (ReplayOutcome, u64, Registry);
 
 /// Folds one point's per-trace cell outcomes into a [`ChurnPoint`]
 /// (always on the merged, ordered results — never inside workers).
 fn aggregate_point(target: f64, traces: &[ChurnCell]) -> ChurnPoint {
-    let mut arrivals = 0u64;
-    let mut admitted = 0u64;
-    let mut fast = 0u64;
-    let mut repairs = 0u64;
-    let mut fallbacks = 0u64;
-    let mut migrations = 0u64;
-    let mut inflation_ns = 0u64;
+    let mut registry = Registry::new();
     let mut cap_exhaustions = 0u64;
     let mut replay = ReplayOutcome::default();
-    for (stats, outcome, exhaustions, _) in traces {
-        arrivals += stats.arrivals;
-        admitted += stats.admitted;
-        fast += stats.fast_whole + stats.fast_split;
-        repairs += stats.repairs;
-        fallbacks += stats.full_repartitions;
-        migrations += stats.migrations_caused;
-        inflation_ns += stats.inflation_charged_ns;
+    for (outcome, exhaustions, cell_registry) in traces {
+        registry.merge(cell_registry);
         cap_exhaustions += exhaustions;
         replay.absorb(*outcome);
     }
+    let stats = ControllerStats::from_registry(&registry);
+    let (arrivals, admitted) = (stats.arrivals, stats.admitted);
     let ratio = |num: u64, den: u64| {
         if den == 0 {
             0.0
@@ -410,11 +396,11 @@ fn aggregate_point(target: f64, traces: &[ChurnCell]) -> ChurnPoint {
         arrivals,
         admitted,
         acceptance_ratio: ratio(admitted, arrivals),
-        fast_path_ratio: ratio(fast, admitted),
-        repair_ratio: ratio(repairs, admitted),
-        fallback_ratio: ratio(fallbacks, admitted),
-        migrations_per_admission: ratio(migrations, admitted),
-        inflation_us_per_admission: ratio(inflation_ns, admitted) / 1_000.0,
+        fast_path_ratio: ratio(stats.fast_whole + stats.fast_split, admitted),
+        repair_ratio: ratio(stats.repairs, admitted),
+        fallback_ratio: ratio(stats.full_repartitions, admitted),
+        migrations_per_admission: ratio(stats.migrations_caused, admitted),
+        inflation_us_per_admission: ratio(stats.inflation_charged_ns, admitted) / 1_000.0,
         replayed_epochs: replay.epochs,
         replay_misses: replay.deadline_misses,
         rta_cap_exhaustions: cap_exhaustions,

@@ -17,7 +17,8 @@
 
 use serde::{Deserialize, Serialize};
 use spms_online::{
-    run_trace, AdmissionController, ChurnGenerator, OnlineConfig, ReplayConfig, ReplayOutcome,
+    run_trace, AdmissionController, ChurnGenerator, ControllerStats, OnlineConfig, ReplayConfig,
+    ReplayOutcome,
 };
 use spms_overhead::{CostModelSpec, CrpdCostModel};
 use spms_task::Time;
@@ -153,7 +154,8 @@ impl OverheadResults {
     }
 }
 
-/// The overhead-cost experiment driver. See the [module docs](self).
+/// The overhead-cost experiment driver. See the module docs of
+/// `overhead_sweep.rs`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OverheadExperiment {
     cores: usize,
@@ -310,7 +312,7 @@ impl OverheadExperiment {
                     let replay = self.replay_duration.map(ReplayConfig::new);
                     let (_, replay_outcome) = run_trace(&mut controller, &events, replay.as_ref());
                     let registry = controller.metrics().registry().clone();
-                    Some((*controller.stats(), replay_outcome, registry))
+                    Some((replay_outcome, registry))
                 },
             );
         let points = self
@@ -322,7 +324,7 @@ impl OverheadExperiment {
             .collect();
         let mut metrics = Registry::new();
         for cell in grid.iter().flatten() {
-            metrics.merge(&cell.2);
+            metrics.merge(&cell.1);
         }
         OverheadRun {
             results: OverheadResults { points },
@@ -331,24 +333,20 @@ impl OverheadExperiment {
     }
 }
 
-/// One grid cell's outcome: controller stats, replay tallies, and the
-/// cell's telemetry registry.
-type OverheadCell = (spms_online::ControllerStats, ReplayOutcome, Registry);
+/// One grid cell's outcome: replay tallies and the cell's telemetry
+/// registry (every decision counter).
+type OverheadCell = (ReplayOutcome, Registry);
 
 /// Folds one point's per-trace cell outcomes into an [`OverheadPoint`].
 fn aggregate_point(scenario: &str, target: f64, traces: &[OverheadCell]) -> OverheadPoint {
-    let mut arrivals = 0u64;
-    let mut admitted = 0u64;
-    let mut splits = 0u64;
-    let mut inflation_ns = 0u64;
+    let mut registry = Registry::new();
     let mut replay = ReplayOutcome::default();
-    for (stats, outcome, _) in traces {
-        arrivals += stats.arrivals;
-        admitted += stats.admitted;
-        splits += stats.fast_split;
-        inflation_ns += stats.inflation_charged_ns;
+    for (outcome, cell_registry) in traces {
+        registry.merge(cell_registry);
         replay.absorb(*outcome);
     }
+    let stats = ControllerStats::from_registry(&registry);
+    let (arrivals, admitted) = (stats.arrivals, stats.admitted);
     let ratio = |num: u64, den: u64| {
         if den == 0 {
             0.0
@@ -362,8 +360,8 @@ fn aggregate_point(scenario: &str, target: f64, traces: &[OverheadCell]) -> Over
         arrivals,
         admitted,
         acceptance_ratio: ratio(admitted, arrivals),
-        split_ratio: ratio(splits, admitted),
-        inflation_us_per_admission: ratio(inflation_ns, admitted) / 1_000.0,
+        split_ratio: ratio(stats.fast_split, admitted),
+        inflation_us_per_admission: ratio(stats.inflation_charged_ns, admitted) / 1_000.0,
         replayed_epochs: replay.epochs,
         replay_misses: replay.deadline_misses,
     }

@@ -25,6 +25,7 @@ use serde::{Deserialize, Serialize};
 use spms_analysis::rta;
 use spms_core::Partition;
 use spms_online::{AdmissionController, ChurnGenerator, Decision, OnlineConfig};
+use spms_task::{fnv1a, fnv1a_combine, FNV_OFFSET};
 
 use crate::progress::{NullProgress, ProgressSink};
 use crate::runner::SweepRunner;
@@ -134,7 +135,7 @@ impl RtaCacheResults {
     }
 }
 
-/// The audited cascade driver. See the [module docs](self).
+/// The audited cascade driver. See the module docs of `rta_cache.rs`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RtaCacheBenchmark {
     cores: usize,
@@ -259,9 +260,10 @@ impl RtaCacheBenchmark {
                     let cap_exhaustions = rta::thread_cap_exhaustions() - exhaustions_before;
                     let journal_clone_free = Partition::clone_count() == clones_before;
 
+                    let stats = timed.stats();
                     Some(TraceOutcome {
-                        arrivals: timed.stats().arrivals,
-                        admitted: timed.stats().admitted,
+                        arrivals: stats.arrivals,
+                        admitted: stats.admitted,
                         audit_clean,
                         log_digest: fnv1a(serialize_log(timed.decisions()).as_bytes()),
                         cap_exhaustions,
@@ -309,24 +311,6 @@ impl RtaCacheBenchmark {
 /// Canonical serialization of a decision log for byte-comparison.
 fn serialize_log(decisions: &[Decision]) -> String {
     serde_json::to_string(&decisions.to_vec()).expect("decision logs always serialize")
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-/// FNV-1a over a byte string.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |acc, b| {
-        (acc ^ u64::from(*b)).wrapping_mul(FNV_PRIME)
-    })
-}
-
-/// Order-sensitive combination of per-trace digests.
-fn fnv1a_combine(acc: u64, digest: u64) -> u64 {
-    digest
-        .to_le_bytes()
-        .iter()
-        .fold(acc, |acc, b| (acc ^ u64::from(*b)).wrapping_mul(FNV_PRIME))
 }
 
 #[cfg(test)]

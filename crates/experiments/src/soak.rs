@@ -51,32 +51,22 @@ use spms_faults::{FaultPlan, FaultSpec};
 use spms_online::{
     inject_renewals,
     replay::{replay_epoch, ReplayConfig, ReplayOutcome},
-    ChurnFamily, ChurnGenerator, Decision, EventLoop, EventLoopConfig, FaultStats, OnlineConfig,
+    ChurnFamily, ChurnGenerator, Decision, EventLoop, EventLoopConfig, OnlineConfig, ServiceStats,
     ShardedAdmission, TimedEvent,
 };
 use spms_overhead::CostModelSpec;
-use spms_task::Time;
+use spms_task::{fnv1a, fnv1a_combine, Time, FNV_OFFSET};
 use spms_telemetry::{Histogram, MetricClass, Registry};
 
 use crate::progress::{NullProgress, ProgressSink, ShiftedProgress};
 use crate::runner::{derive_seed, SweepRunner};
 
-/// Per-trace outcome: deterministic engine counters plus the wall-clock
+/// Per-trace outcome: the engine's merged registry (every decision
+/// counter), what the registry does not count, and the wall-clock
 /// measurements.
 #[derive(Debug, Clone)]
 struct SoakTrace {
-    events_processed: u64,
-    arrivals: u64,
-    admitted: u64,
-    rejected: u64,
-    departures: u64,
-    overflow_admissions: u64,
-    rebalance_ticks: u64,
-    rebalance_moves: u64,
-    lease_expirations: u64,
     lease_renewals: u64,
-    cross_shard_admissions: u64,
-    inflation_charged_ns: u64,
     replay: ReplayOutcome,
     events_digest: u64,
     decisions_digest: u64,
@@ -84,7 +74,6 @@ struct SoakTrace {
     latency: Histogram,
     metrics: Registry,
     captured: Option<Vec<TimedEvent>>,
-    fault: FaultStats,
 }
 
 /// Aggregated deterministic behaviour at one shard count.
@@ -184,15 +173,13 @@ pub struct SoakRun {
     pub results: SoakResults,
     /// Processed event log of the first grid cell, when capture was on.
     pub captured_trace: Option<Vec<TimedEvent>>,
-    /// Merged registry per shard count, in configuration order.
+    /// Merged registry per shard count, in configuration order. Its
+    /// fault counters ([`FaultStats::from_registry`](spms_online::FaultStats::from_registry))
+    /// stay out of [`SoakResults`], so the fault-free soak artifact stays
+    /// byte-identical; the chaos harness serializes them in its own report.
     pub point_metrics: Vec<Registry>,
     /// All point registries merged into one run-wide registry.
     pub metrics: Registry,
-    /// Fault-injection and recovery counters per shard count (all zero
-    /// unless a fault plan was loaded). Kept out of [`SoakResults`] so
-    /// the fault-free soak artifact stays byte-identical; the chaos
-    /// harness serializes these in its own report.
-    pub fault_stats: Vec<FaultStats>,
 }
 
 /// Results of a soak sweep.
@@ -328,7 +315,7 @@ impl SoakResults {
     }
 }
 
-/// The soak driver. See the [module docs](self).
+/// The soak driver. See the module docs of `soak.rs`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SoakExperiment {
     cores: usize,
@@ -575,7 +562,7 @@ impl SoakExperiment {
     }
 
     /// The full soak run: results, the optionally captured trace, and the
-    /// merged metric registries ([`crate::metrics`]-style telemetry the
+    /// merged metric registries ([`spms_online::metrics`]-style telemetry the
     /// CLI's `--metrics` flag writes). Registries merge per-cell engines
     /// in grid order, so the deterministic section is identical for every
     /// `--threads` value.
@@ -621,10 +608,8 @@ impl SoakExperiment {
         let mut point_metrics = Vec::with_capacity(self.shard_counts.len());
         let mut captured_trace = None;
         let mut total_misses = 0u64;
-        let mut fault_stats = Vec::with_capacity(self.shard_counts.len());
         for (&shards, traces) in self.shard_counts.iter().zip(&grid) {
-            let (point, elapsed, latency, mut registry, fault) = Self::fold_point(shards, traces);
-            fault_stats.push(fault);
+            let (point, elapsed, latency, mut registry) = Self::fold_point(shards, traces);
             for outcome in traces {
                 if let Some(log) = &outcome.captured {
                     captured_trace.get_or_insert_with(|| log.clone());
@@ -737,7 +722,6 @@ impl SoakExperiment {
             captured_trace,
             point_metrics,
             metrics,
-            fault_stats,
         }
     }
 
@@ -814,7 +798,6 @@ impl SoakExperiment {
         });
         let elapsed = started.elapsed();
 
-        let stats = *engine.stats();
         let captured = capture.then(|| event_loop.take_event_log());
         let events_digest = fnv1a(
             serde_json::to_string(captured.as_deref().unwrap_or(event_loop.event_log()))
@@ -827,7 +810,46 @@ impl SoakExperiment {
                 .as_bytes(),
         );
         Some(SoakTrace {
-            events_processed: engine.decisions().len() as u64,
+            lease_renewals: event_loop.lease_renewals(),
+            replay,
+            events_digest,
+            decisions_digest,
+            elapsed,
+            latency: engine.decision_latency_histogram().clone(),
+            metrics: engine.merged_metrics_registry(),
+            captured,
+        })
+    }
+
+    /// Folds one point's per-trace outcomes into the deterministic
+    /// [`SoakPoint`] plus the merged wall-clock and telemetry state. The
+    /// point's counters are read from the merged registry.
+    fn fold_point(
+        shards: usize,
+        traces: &[SoakTrace],
+    ) -> (SoakPoint, Duration, Histogram, Registry) {
+        let mut elapsed = Duration::ZERO;
+        let mut latency = Histogram::new();
+        let mut registry = Registry::new();
+        let mut lease_renewals = 0;
+        let mut replay = ReplayOutcome::default();
+        let mut events_digest = FNV_OFFSET;
+        let mut decisions_digest = FNV_OFFSET;
+        for outcome in traces {
+            lease_renewals += outcome.lease_renewals;
+            replay.absorb(outcome.replay);
+            events_digest = fnv1a_combine(events_digest, outcome.events_digest);
+            decisions_digest = fnv1a_combine(decisions_digest, outcome.decisions_digest);
+            elapsed += outcome.elapsed;
+            latency.merge(&outcome.latency);
+            registry.merge(&outcome.metrics);
+        }
+        let stats = ServiceStats::from_registry(&registry);
+        let point = SoakPoint {
+            shards,
+            events_processed: registry
+                .counter_by_name(spms_online::metrics::EVENTS)
+                .unwrap_or(0),
             arrivals: stats.decisions.arrivals,
             admitted: stats.decisions.admitted,
             rejected: stats.decisions.rejected,
@@ -836,92 +858,17 @@ impl SoakExperiment {
             rebalance_ticks: stats.rebalance_ticks,
             rebalance_moves: stats.rebalance_moves,
             lease_expirations: stats.lease_expirations,
-            lease_renewals: event_loop.lease_renewals(),
+            lease_renewals,
             cross_shard_admissions: stats.cross_shard_admissions,
-            inflation_charged_ns: stats.decisions.inflation_charged_ns,
-            replay,
+            inflation_charged_ns: stats.decisions.inflation_charged_ns
+                + stats.rebalance_inflation_ns,
+            replayed_epochs: replay.epochs,
+            replay_misses: replay.deadline_misses,
             events_digest,
             decisions_digest,
-            elapsed,
-            latency: engine.decision_latency_histogram().clone(),
-            metrics: engine.merged_metrics_registry(),
-            captured,
-            fault: *engine.fault_stats(),
-        })
-    }
-
-    /// Folds one point's per-trace outcomes into the deterministic
-    /// [`SoakPoint`] plus the merged wall-clock and telemetry state.
-    fn fold_point(
-        shards: usize,
-        traces: &[SoakTrace],
-    ) -> (SoakPoint, Duration, Histogram, Registry, FaultStats) {
-        let mut point = SoakPoint {
-            shards,
-            events_processed: 0,
-            arrivals: 0,
-            admitted: 0,
-            rejected: 0,
-            departures: 0,
-            overflow_admissions: 0,
-            rebalance_ticks: 0,
-            rebalance_moves: 0,
-            lease_expirations: 0,
-            lease_renewals: 0,
-            cross_shard_admissions: 0,
-            inflation_charged_ns: 0,
-            replayed_epochs: 0,
-            replay_misses: 0,
-            events_digest: FNV_OFFSET,
-            decisions_digest: FNV_OFFSET,
         };
-        let mut elapsed = Duration::ZERO;
-        let mut latency = Histogram::new();
-        let mut registry = Registry::new();
-        let mut fault = FaultStats::default();
-        for outcome in traces {
-            fault.absorb(&outcome.fault);
-            point.events_processed += outcome.events_processed;
-            point.arrivals += outcome.arrivals;
-            point.admitted += outcome.admitted;
-            point.rejected += outcome.rejected;
-            point.departures += outcome.departures;
-            point.overflow_admissions += outcome.overflow_admissions;
-            point.rebalance_ticks += outcome.rebalance_ticks;
-            point.rebalance_moves += outcome.rebalance_moves;
-            point.lease_expirations += outcome.lease_expirations;
-            point.lease_renewals += outcome.lease_renewals;
-            point.cross_shard_admissions += outcome.cross_shard_admissions;
-            point.inflation_charged_ns += outcome.inflation_charged_ns;
-            point.replayed_epochs += outcome.replay.epochs;
-            point.replay_misses += outcome.replay.deadline_misses;
-            point.events_digest = fnv1a_combine(point.events_digest, outcome.events_digest);
-            point.decisions_digest =
-                fnv1a_combine(point.decisions_digest, outcome.decisions_digest);
-            elapsed += outcome.elapsed;
-            latency.merge(&outcome.latency);
-            registry.merge(&outcome.metrics);
-        }
-        (point, elapsed, latency, registry, fault)
+        (point, elapsed, latency, registry)
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-/// FNV-1a over a byte string.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |acc, b| {
-        (acc ^ u64::from(*b)).wrapping_mul(FNV_PRIME)
-    })
-}
-
-/// Order-sensitive combination of per-trace digests.
-fn fnv1a_combine(acc: u64, digest: u64) -> u64 {
-    digest
-        .to_le_bytes()
-        .iter()
-        .fold(acc, |acc, b| (acc ^ u64::from(*b)).wrapping_mul(FNV_PRIME))
 }
 
 #[cfg(test)]

@@ -76,8 +76,8 @@ impl std::fmt::Display for ChurnFamily {
     }
 }
 
-/// Seedable generator of churn traces. See the [module docs](self) for the
-/// stochastic model.
+/// Seedable generator of churn traces. See the module docs of `churn.rs`
+/// for the stochastic model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChurnGenerator {
     cores: usize,

@@ -63,7 +63,7 @@ use spms_overhead::{CostModel, CostModelSpec};
 use spms_task::{Task, TaskId, TaskSet, Time};
 use spms_telemetry::{scoped, Histogram, HotCounter};
 
-use crate::metrics::EngineMetrics;
+use crate::metrics::{ControllerStats, EngineMetrics};
 use crate::WorkloadEvent;
 
 /// Errors constructing an [`AdmissionController`].
@@ -507,59 +507,8 @@ impl Decision {
     }
 }
 
-/// Aggregate counters over a controller's lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ControllerStats {
-    /// Arrival events seen.
-    pub arrivals: u64,
-    /// Arrivals admitted.
-    pub admitted: u64,
-    /// Arrivals rejected.
-    pub rejected: u64,
-    /// Departures of admitted tasks.
-    pub departures: u64,
-    /// Departures of unknown tasks (no-ops).
-    pub unknown_departures: u64,
-    /// Admissions via incremental whole placement.
-    pub fast_whole: u64,
-    /// Admissions via splitting the arriving task.
-    pub fast_split: u64,
-    /// Admissions via bounded repair.
-    pub repairs: u64,
-    /// Admissions via full offline repartitioning.
-    pub full_repartitions: u64,
-    /// Already-placed tasks relocated across all decisions.
-    pub migrations_caused: u64,
-    /// Total WCET inflation (nanoseconds) the cost model charged across
-    /// all admissions — the schedulable capacity spent on migration
-    /// overhead rather than task execution. Zero under
-    /// [`CostModelSpec::Zero`].
-    pub inflation_charged_ns: u64,
-}
-
-impl ControllerStats {
-    /// Fraction of arrivals admitted (1.0 when there were none).
-    pub fn acceptance_ratio(&self) -> f64 {
-        if self.arrivals == 0 {
-            1.0
-        } else {
-            self.admitted as f64 / self.arrivals as f64
-        }
-    }
-
-    /// Fraction of admissions that took a fast path (1.0 when there were
-    /// none).
-    pub fn fast_path_ratio(&self) -> f64 {
-        if self.admitted == 0 {
-            1.0
-        } else {
-            (self.fast_whole + self.fast_split) as f64 / self.admitted as f64
-        }
-    }
-}
-
-/// The online admission controller. See the [module docs](self) for the
-/// decision cascade.
+/// The online admission controller. See the module docs of
+/// `controller.rs` for the decision cascade.
 #[derive(Debug, Clone)]
 pub struct AdmissionController {
     config: OnlineConfig,
@@ -574,7 +523,6 @@ pub struct AdmissionController {
     remote_parents: BTreeSet<TaskId>,
     decisions: Vec<Decision>,
     metrics: EngineMetrics,
-    stats: ControllerStats,
     next_event: usize,
     /// Current rung of the graceful-degradation ladder (0 = full cascade,
     /// 1 = full repartition withheld, 2 = bounded repair withheld too).
@@ -666,7 +614,6 @@ impl AdmissionController {
             remote_parents: BTreeSet::new(),
             decisions: Vec::new(),
             metrics: EngineMetrics::default(),
-            stats: ControllerStats::default(),
             next_event: 0,
             degrade_level: 0,
             calm_streak: 0,
@@ -715,9 +662,9 @@ impl AdmissionController {
         &self.decisions
     }
 
-    /// Aggregate counters.
-    pub fn stats(&self) -> &ControllerStats {
-        &self.stats
+    /// Decision counters: a view of this controller's registry.
+    pub fn stats(&self) -> ControllerStats {
+        ControllerStats::from_registry(self.metrics.registry())
     }
 
     /// This controller's telemetry: the metrics registry, the bounded
@@ -830,17 +777,22 @@ impl AdmissionController {
     // ------------------------------------------------------------------
 
     fn arrive(&mut self, task: &Task) -> DecisionKind {
-        self.stats.arrivals += 1;
         if self.admitted.contains_key(&task.id()) {
-            return self.reject(RejectionReason::DuplicateTask);
+            return DecisionKind::Rejected {
+                reason: RejectionReason::DuplicateTask,
+            };
         }
         // Cheap necessary condition before any RTA runs: total utilization
         // can never exceed the platform.
         if self.admitted_utilization() + task.utilization() > self.config.cores as f64 + 1e-9 {
-            return self.reject(RejectionReason::PlatformOverloaded);
+            return DecisionKind::Rejected {
+                reason: RejectionReason::PlatformOverloaded,
+            };
         }
         if self.placer.whole_analysis_task(task).is_none() {
-            return self.reject(RejectionReason::OverheadUnabsorbable);
+            return DecisionKind::Rejected {
+                reason: RejectionReason::OverheadUnabsorbable,
+            };
         }
 
         // Each cascade stage runs under a timer; `record_stage` counts the
@@ -852,7 +804,6 @@ impl AdmissionController {
         if let Some(plan) = self.placer.plan_whole(&self.partition, task, &[]) {
             self.placer.commit(&mut self.partition, task, plan);
             self.record_stage(DecisionPath::FastWhole, true, stage);
-            self.stats.fast_whole += 1;
             return self.admit(task, DecisionPath::FastWhole, 0, Time::ZERO);
         }
         self.record_stage(DecisionPath::FastWhole, false, stage);
@@ -868,7 +819,6 @@ impl AdmissionController {
             let inflation = plan_inflation(&plan, charge);
             self.placer.commit(&mut self.partition, task, plan);
             self.record_stage(DecisionPath::FastSplit, true, stage);
-            self.stats.fast_split += 1;
             return self.admit(task, DecisionPath::FastSplit, 0, inflation);
         }
         self.record_stage(DecisionPath::FastSplit, false, stage);
@@ -881,7 +831,6 @@ impl AdmissionController {
             let repaired = self.try_repair(task);
             self.record_stage(DecisionPath::Repair, repaired.is_some(), stage);
             if let Some((moves, inflation)) = repaired {
-                self.stats.repairs += 1;
                 return self.admit(task, DecisionPath::Repair, moves, inflation);
             }
         } else {
@@ -895,13 +844,14 @@ impl AdmissionController {
             let fallback = self.try_fallback(task);
             self.record_stage(DecisionPath::FullRepartition, fallback.is_some(), stage);
             if let Some(moves) = fallback {
-                self.stats.full_repartitions += 1;
                 return self.admit(task, DecisionPath::FullRepartition, moves, Time::ZERO);
             }
         } else {
             self.metrics.record_degrade_shed_stage();
         }
-        self.reject(RejectionReason::NoFeasiblePlacement)
+        DecisionKind::Rejected {
+            reason: RejectionReason::NoFeasiblePlacement,
+        }
     }
 
     /// The per-migration WCET charge of `task` under the configured cost
@@ -928,12 +878,6 @@ impl AdmissionController {
         migrations: usize,
         inflation: Time,
     ) -> DecisionKind {
-        self.stats.admitted += 1;
-        self.stats.migrations_caused += migrations as u64;
-        self.stats.inflation_charged_ns = self
-            .stats
-            .inflation_charged_ns
-            .saturating_add(inflation.as_nanos());
         self.failed_relocations.remove(&task.id());
         self.admitted.insert(task.id(), task.clone());
         DecisionKind::Admitted {
@@ -941,11 +885,6 @@ impl AdmissionController {
             migrations,
             inflation,
         }
-    }
-
-    fn reject(&mut self, reason: RejectionReason) -> DecisionKind {
-        self.stats.rejected += 1;
-        DecisionKind::Rejected { reason }
     }
 
     // ------------------------------------------------------------------
@@ -1490,14 +1429,12 @@ impl AdmissionController {
 
     fn depart(&mut self, id: TaskId) -> DecisionKind {
         if self.admitted.remove(&id).is_none() {
-            self.stats.unknown_departures += 1;
             return DecisionKind::DepartUnknown;
         }
         self.remote_parents.remove(&id);
         self.failed_relocations.remove(&id);
         let removed = self.partition.remove_parent(id);
         debug_assert!(removed > 0, "admitted task {id} had no placements");
-        self.stats.departures += 1;
         DecisionKind::Departed
     }
 }

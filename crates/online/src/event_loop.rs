@@ -203,8 +203,8 @@ impl EventLoopConfig {
     }
 }
 
-/// The timestamped event loop. See the [module docs](self) for ordering
-/// and determinism guarantees.
+/// The timestamped event loop. See the module docs of `event_loop.rs` for
+/// ordering and determinism guarantees.
 #[derive(Debug, Clone)]
 pub struct EventLoop {
     config: EventLoopConfig,
@@ -427,7 +427,7 @@ impl EventLoop {
                         if self.lease_deadlines.get(&id) == Some(&at)
                             && engine.resident_shard(id).is_some()
                         {
-                            engine.record_lease_expiration();
+                            engine.metrics_mut().record_lease_expiration();
                             self.dispatch(engine, at, WorkloadEvent::Depart(id), &mut observer);
                         }
                     }

@@ -31,7 +31,9 @@
 //! * [`EngineMetrics`] — the telemetry bundle every engine carries: a
 //!   deterministic [`spms_telemetry::Registry`] (outcome and mechanism
 //!   counters plus strippable timing histograms), per-decision cascade
-//!   stage traces in a bounded ring, and the rebalance tick history.
+//!   stage traces in a bounded ring, and the rebalance tick history. The
+//!   registry is the only counter store: [`ControllerStats`],
+//!   [`ServiceStats`] and [`FaultStats`] are read-only views of it.
 //!
 //! # Example
 //!
@@ -67,13 +69,16 @@ mod service;
 
 pub use churn::{inject_renewals, ChurnFamily, ChurnGenerator};
 pub use controller::{
-    AdmissionController, ControllerStats, Decision, DecisionKind, DecisionPath, DegradePolicy,
-    OnlineConfig, OnlineConfigBuilder, OnlineError, RejectionReason, RepairRanking,
+    AdmissionController, Decision, DecisionKind, DecisionPath, DegradePolicy, OnlineConfig,
+    OnlineConfigBuilder, OnlineError, RejectionReason, RepairRanking,
 };
 pub use event::{parse_trace, TimedEvent, TraceError, WorkloadEvent};
 pub use event_loop::{
     EngineEvent, EventLoop, EventLoopConfig, MAX_REBALANCE_BACKOFF_SHIFT, TICK_SNAPSHOT_CAPACITY,
 };
-pub use metrics::{EngineMetrics, RebalanceTick, DEFAULT_TRACE_RING_CAPACITY};
+pub use metrics::{
+    ControllerStats, EngineMetrics, FaultStats, RebalanceTick, ServiceStats,
+    DEFAULT_TRACE_RING_CAPACITY,
+};
 pub use replay::{run_trace, ReplayConfig, ReplayOutcome};
-pub use service::{AdmissionShard, FaultStats, ServiceStats, ShardHealth, ShardedAdmission};
+pub use service::{AdmissionShard, ShardHealth, ShardedAdmission};

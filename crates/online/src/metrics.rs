@@ -9,23 +9,30 @@
 //! merged by experiment drivers in grid order — which is what keeps the
 //! deterministic metric section byte-identical across `--threads`.
 //!
+//! The registry is the engines' only counter store: [`ControllerStats`],
+//! [`ServiceStats`] and [`FaultStats`] are typed read-only views computed
+//! from a registry (`from_registry`), so every event is counted in
+//! exactly one place.
+//!
 //! The metric name space (see the README's Observability section):
 //!
 //! * `spms_*` outcome metrics are recorded **only from final decisions**
 //!   (the engine that owns the decision stream calls
-//!   [`record_decision`](EngineMetrics::record_decision)). A sharded
+//!   [`record_outcome`](EngineMetrics::record_outcome)). A sharded
 //!   service drops its shards' outcome counters when merging
 //!   ([`Registry::merge_where`]) because shard-level `decide` calls
 //!   include overflow retries.
 //! * `spms_mech_*` mechanism metrics describe how the cascade got there:
 //!   per-stage attempt/success counters, probe and cache hit/miss counts
-//!   folded in from the [`scoped`] hot counters, routing overflow and
-//!   rebalance activity.
+//!   folded in from the [`scoped`] hot counters, routing overflow,
+//!   rebalance activity, fault injection and self-audit.
 //! * `spms_timing_*` metrics hold every wall-clock figure: per-decision
 //!   and per-stage latency histograms and a decisions/sec gauge.
 
 use std::collections::VecDeque;
 
+use serde::{Deserialize, Serialize};
+use spms_task::Time;
 use spms_telemetry::{
     scoped, CounterId, GaugeId, Histogram, HistogramId, HotDeltas, MetricClass, Registry,
     SnapshotFilter, SpanOutcome, StageSpan, TraceRing, HOT_COUNTERS,
@@ -38,6 +45,45 @@ pub const DEFAULT_TRACE_RING_CAPACITY: usize = 256;
 
 /// How many rebalance ticks the per-tick history retains.
 pub const REBALANCE_HISTORY_CAPACITY: usize = 64;
+
+// Counter names the stats views read. Registration uses the same
+// constants, so a view can never drift from the series it reports.
+/// Name of the counter of final decisions: every handled workload event
+/// plus every failover eviction, so it equals the decision log's length.
+pub const EVENTS: &str = "spms_events_total";
+const ARRIVALS: &str = "spms_arrivals_total";
+const DEPARTURES: &str = "spms_departures_total";
+const UNKNOWN_DEPARTURES: &str = "spms_unknown_departures_total";
+const ADMITTED: &str = "spms_admitted_total";
+/// Admissions per decision path, [`STAGES`] order.
+const ADMITTED_BY_PATH: [&str; 5] = [
+    "spms_admitted_fast_whole_total",
+    "spms_admitted_fast_split_total",
+    "spms_admitted_repair_total",
+    "spms_admitted_full_repartition_total",
+    "spms_admitted_cross_shard_split_total",
+];
+const REJECTED: &str = "spms_rejected_total";
+const MIGRATIONS: &str = "spms_migrations_total";
+const INFLATION_NS: &str = "spms_inflation_charged_ns_total";
+const LEASE_EXPIRATIONS: &str = "spms_lease_expirations_total";
+const OVERFLOW_ADMISSIONS: &str = "spms_mech_overflow_admissions_total";
+const CROSS_SHARD_ADMISSIONS: &str = "spms_mech_cross_shard_admissions_total";
+const REBALANCE_TICKS: &str = "spms_mech_rebalance_ticks_total";
+const REBALANCE_MOVES: &str = "spms_mech_rebalance_moves_total";
+const REBALANCE_INFLATION_NS: &str = "spms_mech_rebalance_inflation_ns_total";
+const FAULT_INJECTIONS: &str = "spms_mech_fault_injections_total";
+const FAULT_CRASHES: &str = "spms_mech_fault_crashes_total";
+const FAULT_STALLS: &str = "spms_mech_fault_stalls_total";
+const FAULT_CORRUPTIONS: &str = "spms_mech_fault_corruptions_total";
+const FAULT_COST_SPIKES: &str = "spms_mech_fault_cost_spikes_total";
+const FAULT_DRAINED: &str = "spms_mech_fault_drained_total";
+const FAULT_RECOVERIES: &str = "spms_mech_fault_recoveries_total";
+const FAULT_EVICTIONS: &str = "spms_mech_fault_evictions_total";
+const FAULT_REJOINS: &str = "spms_mech_fault_rejoins_total";
+const AUDIT_CHECKS: &str = "spms_mech_audit_checks_total";
+const AUDIT_VIOLATIONS: &str = "spms_mech_audit_violations_total";
+const AUDIT_REPAIRS: &str = "spms_mech_audit_repairs_total";
 
 /// One retained rebalance tick: which tick it was and how many tasks it
 /// moved (0 for a no-op tick).
@@ -132,6 +178,7 @@ struct Ids {
     cross_shard_pieces: CounterId,
     rebalance_ticks: CounterId,
     rebalance_moves: CounterId,
+    rebalance_inflation_ns: CounterId,
     rebalance_last_moves: GaugeId,
     fault_injections: CounterId,
     fault_crashes: CounterId,
@@ -175,25 +222,20 @@ impl EngineMetrics {
         let outcome = |r: &mut Registry, name: &str| r.counter(name, MetricClass::Outcome);
         let mech = |r: &mut Registry, name: &str| r.counter(name, MetricClass::Mechanism);
         let ids = Ids {
-            events: outcome(&mut registry, "spms_events_total"),
-            arrivals: outcome(&mut registry, "spms_arrivals_total"),
-            departures: outcome(&mut registry, "spms_departures_total"),
-            unknown_departures: outcome(&mut registry, "spms_unknown_departures_total"),
-            admitted: outcome(&mut registry, "spms_admitted_total"),
-            admitted_by_path: STAGES.map(|stage| {
-                registry.counter(
-                    &format!("spms_admitted_{}_total", stage_name(stage)),
-                    MetricClass::Outcome,
-                )
-            }),
-            rejected: outcome(&mut registry, "spms_rejected_total"),
+            events: outcome(&mut registry, EVENTS),
+            arrivals: outcome(&mut registry, ARRIVALS),
+            departures: outcome(&mut registry, DEPARTURES),
+            unknown_departures: outcome(&mut registry, UNKNOWN_DEPARTURES),
+            admitted: outcome(&mut registry, ADMITTED),
+            admitted_by_path: ADMITTED_BY_PATH.map(|name| outcome(&mut registry, name)),
+            rejected: outcome(&mut registry, REJECTED),
             rejected_duplicate: outcome(&mut registry, "spms_rejected_duplicate_total"),
             rejected_overload: outcome(&mut registry, "spms_rejected_overload_total"),
             rejected_overhead: outcome(&mut registry, "spms_rejected_overhead_total"),
             rejected_no_placement: outcome(&mut registry, "spms_rejected_no_placement_total"),
-            migrations: outcome(&mut registry, "spms_migrations_total"),
-            inflation_ns: outcome(&mut registry, "spms_inflation_charged_ns_total"),
-            lease_expirations: outcome(&mut registry, "spms_lease_expirations_total"),
+            migrations: outcome(&mut registry, MIGRATIONS),
+            inflation_ns: outcome(&mut registry, INFLATION_NS),
+            lease_expirations: outcome(&mut registry, LEASE_EXPIRATIONS),
             stage_attempts: STAGES.map(|stage| {
                 registry.counter(
                     &format!("spms_mech_stage_{}_attempts_total", stage_name(stage)),
@@ -208,31 +250,32 @@ impl EngineMetrics {
             }),
             hot: HOT_COUNTERS
                 .map(|counter| registry.counter(counter.metric_name(), MetricClass::Mechanism)),
-            overflow_admissions: mech(&mut registry, "spms_mech_overflow_admissions_total"),
+            overflow_admissions: mech(&mut registry, OVERFLOW_ADMISSIONS),
             cross_shard_attempts: mech(&mut registry, "spms_mech_cross_shard_attempts_total"),
-            cross_shard_admissions: mech(&mut registry, "spms_mech_cross_shard_admissions_total"),
+            cross_shard_admissions: mech(&mut registry, CROSS_SHARD_ADMISSIONS),
             cross_shard_aborts: mech(&mut registry, "spms_mech_cross_shard_aborts_total"),
             cross_shard_pieces: mech(&mut registry, "spms_mech_cross_shard_pieces_total"),
-            rebalance_ticks: mech(&mut registry, "spms_mech_rebalance_ticks_total"),
-            rebalance_moves: mech(&mut registry, "spms_mech_rebalance_moves_total"),
+            rebalance_ticks: mech(&mut registry, REBALANCE_TICKS),
+            rebalance_moves: mech(&mut registry, REBALANCE_MOVES),
+            rebalance_inflation_ns: mech(&mut registry, REBALANCE_INFLATION_NS),
             rebalance_last_moves: registry
                 .gauge("spms_mech_rebalance_last_moves", MetricClass::Mechanism),
-            fault_injections: mech(&mut registry, "spms_mech_fault_injections_total"),
-            fault_crashes: mech(&mut registry, "spms_mech_fault_crashes_total"),
-            fault_stalls: mech(&mut registry, "spms_mech_fault_stalls_total"),
-            fault_corruptions: mech(&mut registry, "spms_mech_fault_corruptions_total"),
-            fault_cost_spikes: mech(&mut registry, "spms_mech_fault_cost_spikes_total"),
-            fault_drained: mech(&mut registry, "spms_mech_fault_drained_total"),
-            fault_recoveries: mech(&mut registry, "spms_mech_fault_recoveries_total"),
-            fault_evictions: mech(&mut registry, "spms_mech_fault_evictions_total"),
-            fault_rejoins: mech(&mut registry, "spms_mech_fault_rejoins_total"),
+            fault_injections: mech(&mut registry, FAULT_INJECTIONS),
+            fault_crashes: mech(&mut registry, FAULT_CRASHES),
+            fault_stalls: mech(&mut registry, FAULT_STALLS),
+            fault_corruptions: mech(&mut registry, FAULT_CORRUPTIONS),
+            fault_cost_spikes: mech(&mut registry, FAULT_COST_SPIKES),
+            fault_drained: mech(&mut registry, FAULT_DRAINED),
+            fault_recoveries: mech(&mut registry, FAULT_RECOVERIES),
+            fault_evictions: mech(&mut registry, FAULT_EVICTIONS),
+            fault_rejoins: mech(&mut registry, FAULT_REJOINS),
             degrade_level: registry.gauge("spms_mech_degrade_level", MetricClass::Mechanism),
             degrade_escalations: mech(&mut registry, "spms_mech_degrade_escalations_total"),
             degrade_recoveries: mech(&mut registry, "spms_mech_degrade_recoveries_total"),
             degrade_shed_stages: mech(&mut registry, "spms_mech_degrade_shed_stages_total"),
-            audit_checks: mech(&mut registry, "spms_mech_audit_checks_total"),
-            audit_violations: mech(&mut registry, "spms_mech_audit_violations_total"),
-            audit_repairs: mech(&mut registry, "spms_mech_audit_repairs_total"),
+            audit_checks: mech(&mut registry, AUDIT_CHECKS),
+            audit_violations: mech(&mut registry, AUDIT_VIOLATIONS),
+            audit_repairs: mech(&mut registry, AUDIT_REPAIRS),
             decision_latency: registry
                 .histogram("spms_timing_decision_latency_ns", MetricClass::Timing),
             stage_latency: STAGES.map(|stage| {
@@ -401,13 +444,16 @@ impl EngineMetrics {
     }
 
     /// Records one rebalance tick (no-op ticks included): bumps the tick
-    /// counter, adds `moves` to the move counter, sets the last-moves
-    /// gauge, and appends to the bounded per-tick history. Returns the
-    /// tick's sequence number.
-    pub fn record_rebalance_tick(&mut self, moves: u64) -> u64 {
+    /// counter, adds `moves` to the move counter and the migration charge
+    /// the moves cost to the rebalance inflation counter, sets the
+    /// last-moves gauge, and appends to the bounded per-tick history.
+    /// Returns the tick's sequence number.
+    pub fn record_rebalance_tick(&mut self, moves: u64, inflation: Time) -> u64 {
         let seq = self.registry.counter_value(self.ids.rebalance_ticks);
         self.registry.inc(self.ids.rebalance_ticks);
         self.registry.add(self.ids.rebalance_moves, moves);
+        self.registry
+            .add(self.ids.rebalance_inflation_ns, inflation.as_nanos());
         self.registry
             .set_gauge(self.ids.rebalance_last_moves, moves);
         if self.rebalance_history.len() == REBALANCE_HISTORY_CAPACITY {
@@ -439,8 +485,9 @@ impl EngineMetrics {
     // fault injection, failover, degrade ladder, self-audit
     // ------------------------------------------------------------------
 
-    /// Counts one injected fault by its [`FaultKind::label`] (see
-    /// `spms-faults`); unknown labels still count as injections.
+    /// Counts one injected fault by its
+    /// [`FaultKind::label`](spms_faults::FaultKind::label); unknown labels
+    /// still count as injections.
     pub fn record_fault_injection(&mut self, label: &str) {
         self.registry.inc(self.ids.fault_injections);
         let per_kind = match label {
@@ -524,10 +571,184 @@ pub fn hot_snapshot() -> HotDeltas {
     scoped::thread_snapshot()
 }
 
+/// Looks a counter up by name, reading 0 for a name the registry lacks.
+fn count(registry: &Registry, name: &str) -> u64 {
+    registry.counter_by_name(name).unwrap_or(0)
+}
+
+/// Decision counters of an admission engine: a read-only view of the
+/// outcome section of its registry.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ControllerStats {
+    /// Arrival events seen.
+    pub arrivals: u64,
+    /// Arrivals admitted.
+    pub admitted: u64,
+    /// Arrivals rejected.
+    pub rejected: u64,
+    /// Departures of admitted tasks.
+    pub departures: u64,
+    /// Departures of unknown tasks (no-ops).
+    pub unknown_departures: u64,
+    /// Admissions via incremental whole placement.
+    pub fast_whole: u64,
+    /// Admissions via splitting the arriving task.
+    pub fast_split: u64,
+    /// Admissions via bounded repair.
+    pub repairs: u64,
+    /// Admissions via full offline repartitioning.
+    pub full_repartitions: u64,
+    /// Already-placed tasks relocated across all decisions.
+    pub migrations_caused: u64,
+    /// Total WCET inflation (nanoseconds) the cost model charged across
+    /// all admissions — the schedulable capacity spent on migration
+    /// overhead rather than task execution. Zero under
+    /// [`CostModelSpec::Zero`](spms_overhead::CostModelSpec::Zero).
+    pub inflation_charged_ns: u64,
+}
+
+impl ControllerStats {
+    /// The decision counters recorded in `registry` (0 for any counter
+    /// it lacks, so an empty registry reads as the default).
+    pub fn from_registry(registry: &Registry) -> Self {
+        let admitted_by = |path| count(registry, ADMITTED_BY_PATH[stage_index(path)]);
+        ControllerStats {
+            arrivals: count(registry, ARRIVALS),
+            admitted: count(registry, ADMITTED),
+            rejected: count(registry, REJECTED),
+            departures: count(registry, DEPARTURES),
+            unknown_departures: count(registry, UNKNOWN_DEPARTURES),
+            fast_whole: admitted_by(DecisionPath::FastWhole),
+            fast_split: admitted_by(DecisionPath::FastSplit),
+            repairs: admitted_by(DecisionPath::Repair),
+            full_repartitions: admitted_by(DecisionPath::FullRepartition),
+            migrations_caused: count(registry, MIGRATIONS),
+            inflation_charged_ns: count(registry, INFLATION_NS),
+        }
+    }
+
+    /// Fraction of arrivals admitted (1.0 when there were none).
+    pub fn acceptance_ratio(&self) -> f64 {
+        if self.arrivals == 0 {
+            1.0
+        } else {
+            self.admitted as f64 / self.arrivals as f64
+        }
+    }
+
+    /// Fraction of admissions that took a fast path (1.0 when there were
+    /// none).
+    pub fn fast_path_ratio(&self) -> f64 {
+        if self.admitted == 0 {
+            1.0
+        } else {
+            (self.fast_whole + self.fast_split) as f64 / self.admitted as f64
+        }
+    }
+}
+
+/// Counters of a [`ShardedAdmission`](crate::ShardedAdmission) service: a
+/// read-only view of its merged registry.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ServiceStats {
+    /// Service-level decision counters (one entry per workload event the
+    /// service handled, regardless of how many shards were offered it).
+    pub decisions: ControllerStats,
+    /// Admissions that landed on a shard other than the task's home shard
+    /// (the home shard rejected, an overflow shard accepted).
+    pub overflow_admissions: u64,
+    /// Rebalance passes run.
+    pub rebalance_ticks: u64,
+    /// Tasks migrated between shards by rebalance passes.
+    pub rebalance_moves: u64,
+    /// Departures synthesized by lease expiry (event-loop deadline
+    /// expirations, not part of the workload trace).
+    pub lease_expirations: u64,
+    /// Shard-spanning splits the cross-shard planner committed (body on
+    /// one shard, tail on another), crash-recovery placements included.
+    pub cross_shard_admissions: u64,
+    /// WCET inflation (nanoseconds) charged to tasks moved by rebalance
+    /// passes; admissions' inflation is in `decisions`.
+    pub rebalance_inflation_ns: u64,
+}
+
+impl ServiceStats {
+    /// The service counters recorded in `registry`.
+    pub fn from_registry(registry: &Registry) -> Self {
+        ServiceStats {
+            decisions: ControllerStats::from_registry(registry),
+            overflow_admissions: count(registry, OVERFLOW_ADMISSIONS),
+            rebalance_ticks: count(registry, REBALANCE_TICKS),
+            rebalance_moves: count(registry, REBALANCE_MOVES),
+            lease_expirations: count(registry, LEASE_EXPIRATIONS),
+            cross_shard_admissions: count(registry, CROSS_SHARD_ADMISSIONS),
+            rebalance_inflation_ns: count(registry, REBALANCE_INFLATION_NS),
+        }
+    }
+}
+
+/// Fault-injection and recovery counters of a
+/// [`ShardedAdmission`](crate::ShardedAdmission) service: a read-only view
+/// of the `spms_mech_fault_*` and `spms_mech_audit_*` counters. Only the
+/// chaos harness serializes it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct FaultStats {
+    /// Faults injected, all kinds.
+    pub injections: u64,
+    /// Shard crashes applied.
+    pub crashes: u64,
+    /// Shard stalls applied.
+    pub stalls: u64,
+    /// Cache corruptions applied.
+    pub corruptions: u64,
+    /// Cost spikes applied.
+    pub cost_spikes: u64,
+    /// Tasks drained off crashed shards.
+    pub drained: u64,
+    /// Drained tasks re-admitted onto surviving shards.
+    pub recoveries: u64,
+    /// Drained tasks no survivor could host ([`DecisionKind::EvictedOnFailure`]).
+    pub evictions: u64,
+    /// Crashed shards that rejoined the rotation.
+    pub rejoins: u64,
+    /// Self-audit passes run (one cached core re-verified per pass).
+    pub audit_checks: u64,
+    /// Audits that caught a cache/scratch mismatch.
+    pub audit_violations: u64,
+    /// Mismatched caches rebuilt from scratch (always equals
+    /// `audit_violations`: detection and repair are one step).
+    pub audit_repairs: u64,
+}
+
+impl FaultStats {
+    /// The fault and audit counters recorded in `registry`.
+    pub fn from_registry(registry: &Registry) -> Self {
+        FaultStats {
+            injections: count(registry, FAULT_INJECTIONS),
+            crashes: count(registry, FAULT_CRASHES),
+            stalls: count(registry, FAULT_STALLS),
+            corruptions: count(registry, FAULT_CORRUPTIONS),
+            cost_spikes: count(registry, FAULT_COST_SPIKES),
+            drained: count(registry, FAULT_DRAINED),
+            recoveries: count(registry, FAULT_RECOVERIES),
+            evictions: count(registry, FAULT_EVICTIONS),
+            rejoins: count(registry, FAULT_REJOINS),
+            audit_checks: count(registry, AUDIT_CHECKS),
+            audit_violations: count(registry, AUDIT_VIOLATIONS),
+            audit_repairs: count(registry, AUDIT_REPAIRS),
+        }
+    }
+
+    /// Audit violations the run failed to repair (must stay 0: detection
+    /// and rebuild are one step, so anything else is a harness bug).
+    pub fn audit_violations_unrepaired(&self) -> u64 {
+        self.audit_violations.saturating_sub(self.audit_repairs)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spms_task::Time;
 
     #[test]
     fn outcome_counters_follow_final_decisions() {
@@ -553,6 +774,57 @@ mod tests {
             Some(50)
         );
         assert_eq!(r.counter_by_name("spms_departures_total"), Some(1));
+        let view = ControllerStats::from_registry(r);
+        assert_eq!(
+            view,
+            ControllerStats {
+                arrivals: 2,
+                admitted: 1,
+                rejected: 1,
+                departures: 1,
+                fast_split: 1,
+                migrations_caused: 2,
+                inflation_charged_ns: 50,
+                ..ControllerStats::default()
+            }
+        );
+    }
+
+    #[test]
+    fn views_of_an_empty_registry_are_zero() {
+        let empty = Registry::new();
+        assert_eq!(ServiceStats::from_registry(&empty), ServiceStats::default());
+        assert_eq!(FaultStats::from_registry(&empty), FaultStats::default());
+    }
+
+    #[test]
+    fn the_fault_view_reads_the_fault_and_audit_counters() {
+        let mut m = EngineMetrics::new(0);
+        m.record_fault_injection("shard_crash");
+        m.record_fault_injection("cost_spike");
+        m.record_fault_drained(3);
+        m.record_fault_recovery();
+        m.record_fault_recovery();
+        m.record_fault_eviction();
+        m.record_fault_rejoin();
+        m.record_audit_check(true);
+        m.record_audit_check(false);
+        assert_eq!(
+            FaultStats::from_registry(m.registry()),
+            FaultStats {
+                injections: 2,
+                crashes: 1,
+                cost_spikes: 1,
+                drained: 3,
+                recoveries: 2,
+                evictions: 1,
+                rejoins: 1,
+                audit_checks: 2,
+                audit_violations: 1,
+                audit_repairs: 1,
+                ..FaultStats::default()
+            }
+        );
     }
 
     #[test]
@@ -591,8 +863,8 @@ mod tests {
     #[test]
     fn rebalance_ticks_distinguish_noop_from_productive() {
         let mut m = EngineMetrics::new(0);
-        m.record_rebalance_tick(0);
-        m.record_rebalance_tick(3);
+        m.record_rebalance_tick(0, Time::ZERO);
+        m.record_rebalance_tick(3, Time::from_nanos(70));
         let r = m.registry();
         assert_eq!(
             r.counter_by_name("spms_mech_rebalance_ticks_total"),
@@ -603,6 +875,13 @@ mod tests {
             Some(3)
         );
         assert_eq!(r.gauge_by_name("spms_mech_rebalance_last_moves"), Some(3));
+        assert_eq!(
+            r.counter_by_name("spms_mech_rebalance_inflation_ns_total"),
+            Some(70)
+        );
+        let view = ServiceStats::from_registry(r);
+        assert_eq!((view.rebalance_ticks, view.rebalance_moves), (2, 3));
+        assert_eq!(view.rebalance_inflation_ns, 70);
         let history: Vec<_> = m.rebalance_history().copied().collect();
         assert_eq!(
             history,
@@ -617,7 +896,7 @@ mod tests {
     fn rebalance_history_is_bounded() {
         let mut m = EngineMetrics::new(0);
         for tick in 0..(REBALANCE_HISTORY_CAPACITY as u64 + 10) {
-            m.record_rebalance_tick(tick % 2);
+            m.record_rebalance_tick(tick % 2, Time::ZERO);
         }
         assert_eq!(m.rebalance_history().count(), REBALANCE_HISTORY_CAPACITY);
         assert_eq!(m.rebalance_history().next().unwrap().seq, 10);

@@ -37,10 +37,10 @@ use spms_overhead::{CostModel, CostModelSpec};
 use spms_task::{Task, TaskId, Time};
 use spms_telemetry::{scoped, Histogram, MetricClass, Registry};
 
-use crate::metrics::EngineMetrics;
+use crate::metrics::{EngineMetrics, FaultStats, ServiceStats};
 use crate::{
-    AdmissionController, ControllerStats, Decision, DecisionKind, DecisionPath, OnlineConfig,
-    OnlineError, RejectionReason, WorkloadEvent,
+    AdmissionController, Decision, DecisionKind, DecisionPath, OnlineConfig, OnlineError,
+    RejectionReason, WorkloadEvent,
 };
 
 /// The decision cascade of one admission shard, as the service consumes
@@ -153,27 +153,6 @@ pub trait AdmissionShard {
     }
 }
 
-/// Aggregate counters of a [`ShardedAdmission`] service.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ServiceStats {
-    /// Service-level decision counters (one entry per workload event the
-    /// service handled, regardless of how many shards were offered it).
-    pub decisions: ControllerStats,
-    /// Admissions that landed on a shard other than the task's home shard
-    /// (the home shard rejected, an overflow shard accepted).
-    pub overflow_admissions: u64,
-    /// Rebalance passes run.
-    pub rebalance_ticks: u64,
-    /// Tasks migrated between shards by rebalance passes.
-    pub rebalance_moves: u64,
-    /// Departures synthesized by lease expiry (event-loop deadline
-    /// expirations, not part of the workload trace).
-    pub lease_expirations: u64,
-    /// Admissions placed by the cross-shard split planner (body on one
-    /// shard, tail on another) after every shard's own cascade rejected.
-    pub cross_shard_admissions: u64,
-}
-
 /// Lifecycle state of one shard under fault injection. Every shard is
 /// `Healthy` until a [`FaultKind`] targets it; with no faults loaded the
 /// state never changes and the service behaves bit-identically to a
@@ -204,66 +183,9 @@ impl ShardHealth {
     }
 }
 
-/// Fault-injection and recovery counters of a [`ShardedAdmission`]
-/// service. Kept separate from [`ServiceStats`] so fault-free reports
-/// stay byte-identical (`ServiceStats` is embedded in serialized soak
-/// reports; this struct is only serialized by the chaos harness).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultStats {
-    /// Faults injected, all kinds.
-    pub injections: u64,
-    /// Shard crashes applied.
-    pub crashes: u64,
-    /// Shard stalls applied.
-    pub stalls: u64,
-    /// Cache corruptions applied.
-    pub corruptions: u64,
-    /// Cost spikes applied.
-    pub cost_spikes: u64,
-    /// Tasks drained off crashed shards.
-    pub drained: u64,
-    /// Drained tasks re-admitted onto surviving shards.
-    pub recoveries: u64,
-    /// Drained tasks no survivor could host ([`DecisionKind::EvictedOnFailure`]).
-    pub evictions: u64,
-    /// Crashed shards that rejoined the rotation.
-    pub rejoins: u64,
-    /// Self-audit passes run (one cached core re-verified per pass).
-    pub audit_checks: u64,
-    /// Audits that caught a cache/scratch mismatch.
-    pub audit_violations: u64,
-    /// Mismatched caches rebuilt from scratch (always equals
-    /// `audit_violations`: detection and repair are one step).
-    pub audit_repairs: u64,
-}
-
-impl FaultStats {
-    /// Accumulates another engine's counters into this one (experiment
-    /// drivers folding per-trace engines into a per-point summary).
-    pub fn absorb(&mut self, other: &FaultStats) {
-        self.injections += other.injections;
-        self.crashes += other.crashes;
-        self.stalls += other.stalls;
-        self.corruptions += other.corruptions;
-        self.cost_spikes += other.cost_spikes;
-        self.drained += other.drained;
-        self.recoveries += other.recoveries;
-        self.evictions += other.evictions;
-        self.rejoins += other.rejoins;
-        self.audit_checks += other.audit_checks;
-        self.audit_violations += other.audit_violations;
-        self.audit_repairs += other.audit_repairs;
-    }
-
-    /// Audit violations the run failed to repair (must stay 0: detection
-    /// and rebuild are one step, so anything else is a harness bug).
-    pub fn audit_violations_unrepaired(&self) -> u64 {
-        self.audit_violations.saturating_sub(self.audit_repairs)
-    }
-}
-
 /// A sharded admission service over N independent [`AdmissionShard`]s.
-/// See the [module docs](self) for the routing and rebalancing policy.
+/// See the module docs of `service.rs` for the routing and rebalancing
+/// policy.
 #[derive(Debug, Clone)]
 pub struct ShardedAdmission<S: AdmissionShard = AdmissionController> {
     shards: Vec<S>,
@@ -279,7 +201,6 @@ pub struct ShardedAdmission<S: AdmissionShard = AdmissionController> {
     cross_shard: bool,
     decisions: Vec<Decision>,
     metrics: EngineMetrics,
-    stats: ServiceStats,
     next_event: usize,
     /// Per-shard lifecycle state, shard-index order. All `Healthy` until
     /// a fault targets a shard; see [`ShardHealth`].
@@ -290,7 +211,6 @@ pub struct ShardedAdmission<S: AdmissionShard = AdmissionController> {
     /// piece-shaped analysis task — crash recovery needs the real task to
     /// re-admit, so the service pins it here until departure.
     split_originals: BTreeMap<TaskId, Task>,
-    fault_stats: FaultStats,
     /// Multiplier on the cross-shard migration charge (1 = no spike).
     cost_spike_factor: u32,
     /// Round-robin cursor over the flattened (shard, core) space for
@@ -352,11 +272,9 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
             // 0): per-decision cascade traces live in the shard that ran
             // the cascade.
             metrics: EngineMetrics::new(0),
-            stats: ServiceStats::default(),
             next_event: 0,
             health,
             split_originals: BTreeMap::new(),
-            fault_stats: FaultStats::default(),
             cost_spike_factor: 1,
             audit_cursor: 0,
         }
@@ -454,9 +372,10 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
         merged
     }
 
-    /// Aggregate counters.
-    pub fn stats(&self) -> &ServiceStats {
-        &self.stats
+    /// Service counters: a view of the
+    /// [merged registry](Self::merged_metrics_registry).
+    pub fn stats(&self) -> ServiceStats {
+        ServiceStats::from_registry(&self.merged_metrics_registry())
     }
 
     /// Handles one workload event: arrivals are offered to shards in
@@ -497,13 +416,11 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
     }
 
     fn arrive(&mut self, task: &Task) -> DecisionKind {
-        self.stats.decisions.arrivals += 1;
         // Any routed arrival completes pending rejoins: a Rejoining shard
         // is already placement-eligible, the state only records that the
         // router has not looked at it since it came back.
         self.complete_rejoins();
         if self.resident.contains_key(&task.id()) {
-            self.stats.decisions.rejected += 1;
             return DecisionKind::Rejected {
                 reason: RejectionReason::DuplicateTask,
             };
@@ -520,28 +437,14 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
         for shard_idx in order {
             let shard_decision = self.shards[shard_idx].decide(&event);
             match shard_decision.kind {
-                DecisionKind::Admitted {
-                    path,
-                    migrations,
-                    inflation,
-                } => {
+                DecisionKind::Admitted { path, .. } => {
+                    assert_ne!(
+                        path,
+                        DecisionPath::CrossShardSplit,
+                        "a shard's own cascade cannot span shards"
+                    );
                     self.resident.insert(task.id(), vec![shard_idx]);
-                    let s = &mut self.stats.decisions;
-                    s.admitted += 1;
-                    s.migrations_caused += migrations as u64;
-                    s.inflation_charged_ns =
-                        s.inflation_charged_ns.saturating_add(inflation.as_nanos());
-                    match path {
-                        DecisionPath::FastWhole => s.fast_whole += 1,
-                        DecisionPath::FastSplit => s.fast_split += 1,
-                        DecisionPath::Repair => s.repairs += 1,
-                        DecisionPath::FullRepartition => s.full_repartitions += 1,
-                        DecisionPath::CrossShardSplit => {
-                            unreachable!("a shard's own cascade cannot span shards")
-                        }
-                    }
                     if shard_idx != home {
-                        self.stats.overflow_admissions += 1;
                         self.metrics.record_overflow_admission();
                     }
                     return shard_decision.kind;
@@ -577,7 +480,6 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
                 return kind;
             }
         }
-        self.stats.decisions.rejected += 1;
         DecisionKind::Rejected {
             reason: first_rejection.unwrap_or(RejectionReason::NoFeasiblePlacement),
         }
@@ -672,16 +574,10 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
         self.resident.insert(task.id(), vec![donor, receiver]);
         self.split_originals.insert(task.id(), task.clone());
         self.metrics.record_cross_shard_admission(2);
-        self.stats.cross_shard_admissions += 1;
-        let inflation = charge * 2;
-        let s = &mut self.stats.decisions;
-        s.admitted += 1;
-        s.migrations_caused += 1;
-        s.inflation_charged_ns = s.inflation_charged_ns.saturating_add(inflation.as_nanos());
         Some(DecisionKind::Admitted {
             path: DecisionPath::CrossShardSplit,
             migrations: 1,
-            inflation,
+            inflation: charge * 2,
         })
     }
 
@@ -699,13 +595,9 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
                     debug_assert_eq!(shard_decision.kind, DecisionKind::Departed);
                     kind.get_or_insert(shard_decision.kind);
                 }
-                self.stats.decisions.departures += 1;
                 kind.expect("resident map never holds an empty shard list")
             }
-            None => {
-                self.stats.decisions.unknown_departures += 1;
-                DecisionKind::DepartUnknown
-            }
+            None => DecisionKind::DepartUnknown,
         }
     }
 
@@ -716,14 +608,13 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
     /// the number of migrations performed. A single-shard service is a
     /// no-op.
     pub fn rebalance(&mut self, max_moves: usize) -> usize {
-        self.stats.rebalance_ticks += 1;
         // Only placement-eligible shards participate; with every shard
         // healthy this is the identity over all shard indices.
         let eligible: Vec<usize> = (0..self.shards.len())
             .filter(|&idx| self.health[idx].accepts_placements())
             .collect();
         if eligible.len() < 2 || max_moves == 0 {
-            self.metrics.record_rebalance_tick(0);
+            self.metrics.record_rebalance_tick(0, Time::ZERO);
             return 0;
         }
         // The rebalancer's planning probes run outside any shard's decide
@@ -767,26 +658,14 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
             self.shards[to].note_admitted(task);
             self.resident.insert(mv.task, vec![to]);
         }
-        self.stats.decisions.inflation_charged_ns = self
-            .stats
-            .decisions
-            .inflation_charged_ns
-            .saturating_add(inflation.as_nanos());
-        self.stats.rebalance_moves += moves.len() as u64;
-        self.metrics.record_rebalance_tick(moves.len() as u64);
+        self.metrics
+            .record_rebalance_tick(moves.len() as u64, inflation);
         self.metrics.fold_hot(&hot.since());
         debug_assert!(self
             .shards
             .iter()
             .all(|s| s.partition().validate() == Ok(())));
         moves.len()
-    }
-
-    /// Counts one lease-expiry departure (called by the event loop when a
-    /// deadline expiration synthesizes a departure).
-    pub(crate) fn record_lease_expiration(&mut self) {
-        self.stats.lease_expirations += 1;
-        self.metrics.record_lease_expiration();
     }
 
     // ------------------------------------------------------------------
@@ -798,9 +677,10 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
         &self.health
     }
 
-    /// Fault-injection and recovery counters.
-    pub fn fault_stats(&self) -> &FaultStats {
-        &self.fault_stats
+    /// Fault-injection and recovery counters: a view of the
+    /// [merged registry](Self::merged_metrics_registry).
+    pub fn fault_stats(&self) -> FaultStats {
+        FaultStats::from_registry(&self.merged_metrics_registry())
     }
 
     /// The live cross-shard cost multiplier (1 = no spike active).
@@ -815,21 +695,17 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
     /// to catch. Out-of-range shard indices are ignored (a scripted plan
     /// may target a larger fleet than this run's).
     pub fn apply_fault(&mut self, kind: &FaultKind) {
-        self.fault_stats.injections += 1;
         self.metrics.record_fault_injection(kind.label());
         match *kind {
             FaultKind::ShardCrash { shard, .. } => {
-                self.fault_stats.crashes += 1;
                 self.crash_shard(shard);
             }
             FaultKind::ShardStall { shard, .. } => {
-                self.fault_stats.stalls += 1;
                 if shard < self.shards.len() && self.health[shard].accepts_placements() {
                     self.health[shard] = ShardHealth::Stalled;
                 }
             }
             FaultKind::CacheCorruption { shard, core } => {
-                self.fault_stats.corruptions += 1;
                 if shard < self.shards.len() {
                     // Best effort to make the fault land: if the named
                     // core has no fresh memo to corrupt, walk the shard's
@@ -842,7 +718,6 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
                 }
             }
             FaultKind::CostSpike { factor, .. } => {
-                self.fault_stats.cost_spikes += 1;
                 self.cost_spike_factor = factor.max(1);
             }
         }
@@ -892,16 +767,11 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
             if self.health[shard] == ShardHealth::Down {
                 continue;
             }
-            self.fault_stats.audit_checks += 1;
             let verdict = self.shards[shard]
                 .partition_mut()
                 .audit_cached_core(CoreId(flat));
-            let repaired = verdict == Some(CacheAuditVerdict::Repaired);
-            if repaired {
-                self.fault_stats.audit_violations += 1;
-                self.fault_stats.audit_repairs += 1;
-            }
-            self.metrics.record_audit_check(repaired);
+            self.metrics
+                .record_audit_check(verdict == Some(CacheAuditVerdict::Repaired));
             return verdict;
         }
         None
@@ -947,14 +817,11 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
                 drained.push(task);
             }
         }
-        self.fault_stats.drained += drained.len() as u64;
         self.metrics.record_fault_drained(drained.len() as u64);
         for task in drained {
             if self.readmit(&task) {
-                self.fault_stats.recoveries += 1;
                 self.metrics.record_fault_recovery();
             } else {
-                self.fault_stats.evictions += 1;
                 self.metrics.record_fault_eviction();
                 self.push_eviction_decision(task.id());
             }
@@ -978,9 +845,6 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
             }
         }
         if self.cross_shard {
-            // The planner's stats attribution (cross_shard_admissions,
-            // admitted/migration counters) intentionally still applies:
-            // the recovery genuinely consumed that capacity.
             let stage = Instant::now();
             let planned = self.try_cross_shard(task);
             self.metrics.record_stage(
@@ -1002,7 +866,6 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
             .values()
             .all(|holders| !holders.contains(&shard)));
         self.health[shard] = ShardHealth::Rejoining;
-        self.fault_stats.rejoins += 1;
         self.metrics.record_fault_rejoin();
     }
 
@@ -1220,7 +1083,7 @@ mod tests {
         let service_decisions = svc.handle_all(&events);
         let legacy_decisions = legacy.handle_all(&events);
         assert_eq!(service_decisions, legacy_decisions);
-        assert_eq!(svc.stats().decisions, *legacy.stats());
+        assert_eq!(svc.stats().decisions, legacy.stats());
         assert_eq!(svc.stats().overflow_admissions, 0);
         // The deterministic metric section agrees byte for byte: outcomes
         // from identical decision streams, mechanism counters from the
@@ -1517,7 +1380,7 @@ mod tests {
             down_ms: 50,
         });
         assert_eq!(svc.shard_health()[0], ShardHealth::Down);
-        let stats = *svc.fault_stats();
+        let stats = svc.fault_stats();
         assert_eq!(stats.crashes, 1);
         assert_eq!(stats.drained, on_dead as u64);
         assert_eq!(stats.recoveries + stats.evictions, stats.drained);
@@ -1565,7 +1428,7 @@ mod tests {
             shard: crashed,
             down_ms: 50,
         });
-        let stats = *svc.fault_stats();
+        let stats = svc.fault_stats();
         assert!(stats.drained > 0);
         assert!(stats.evictions > 0, "a full survivor cannot host the drain");
         let evicted: Vec<&Decision> = svc.decisions()[log_before..]

@@ -152,7 +152,7 @@ proptest! {
             json(&engine.decisions().to_vec()),
             json(&legacy.decisions().to_vec())
         );
-        prop_assert_eq!(&engine.stats().decisions, legacy.stats());
+        prop_assert_eq!(engine.stats().decisions, legacy.stats());
         prop_assert_eq!(engine.admitted_count(), legacy.admitted_count());
         prop_assert_eq!(
             engine.stats().overflow_admissions, 0,

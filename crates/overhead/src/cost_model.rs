@@ -23,7 +23,7 @@
 
 use serde::{Deserialize, Serialize};
 use spms_cache::{CacheHierarchyConfig, CrpdModel, WorkingSet};
-use spms_task::{Task, Time};
+use spms_task::{fnv1a, Task, Time};
 
 use crate::FunctionCostReport;
 
@@ -92,15 +92,6 @@ impl WorkingSetAttribution {
             }
         }
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |acc, b| {
-        (acc ^ u64::from(*b)).wrapping_mul(FNV_PRIME)
-    })
 }
 
 /// CRPD-based migration charge: analytic cache-reload cost of the task's

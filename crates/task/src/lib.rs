@@ -13,7 +13,9 @@
 //! * [`Task`], [`TaskSet`] — the sporadic task model `τ_i = (C_i, T_i, D_i)`,
 //! * [`Priority`] and rate-/deadline-monotonic priority assignment,
 //! * [`generator`] — random task-set generation (UUniFast, UUniFast-discard,
-//!   log-uniform periods) used by the acceptance-ratio experiments.
+//!   log-uniform periods) used by the acceptance-ratio experiments,
+//! * [`fnv1a`] / [`fnv1a_combine`] — the 64-bit FNV-1a hash every crate
+//!   uses for shard homes, per-task working sets and report digests.
 //!
 //! # Example
 //!
@@ -35,6 +37,7 @@
 
 mod error;
 pub mod generator;
+mod hash;
 mod priority;
 mod task;
 mod task_set;
@@ -42,6 +45,7 @@ mod time;
 
 pub use error::TaskError;
 pub use generator::{PeriodDistribution, TaskSetGenerator, UtilizationDistribution};
+pub use hash::{fnv1a, fnv1a_combine, FNV_OFFSET};
 pub use priority::{Priority, PriorityAssignment};
 pub use task::{Task, TaskBuilder, TaskId};
 pub use task_set::TaskSet;

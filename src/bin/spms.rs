@@ -23,10 +23,10 @@ use spms::experiments::{
 };
 use spms::faults::{FaultPlan, FaultSpec};
 use spms::online::{
-    parse_trace, ChurnFamily, OnlineConfig, ShardedAdmission, TimedEvent, WorkloadEvent,
+    parse_trace, ChurnFamily, FaultStats, OnlineConfig, ShardedAdmission, TimedEvent, WorkloadEvent,
 };
 use spms::overhead::{CostModelSpec, CrpdCostModel};
-use spms::task::Time;
+use spms::task::{fnv1a, Time};
 use spms::telemetry::{Registry, Snapshot, SnapshotFilter};
 use std::io::IsTerminal;
 use std::process::ExitCode;
@@ -931,16 +931,6 @@ impl TraceReplayReport {
     }
 }
 
-/// FNV-1a over a byte string — the same digest function the soak experiment
-/// uses, so two replays of the same trace can be compared by one number.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x100_0000_01b3;
-    bytes
-        .iter()
-        .fold(OFFSET, |acc, b| (acc ^ u64::from(*b)).wrapping_mul(PRIME))
-}
-
 /// Reads a JSON-lines event log, delegating the parsing (and its typed,
 /// line-numbered errors) to [`spms::online::parse_trace`].
 fn read_trace(path: &str) -> CliResult<Vec<WorkloadEvent>> {
@@ -1011,7 +1001,7 @@ fn run_online_trace(path: &str, mut flags: Flags) -> CliResult<String> {
     if let Some((path, format)) = &metrics {
         write_metrics(path, *format, &service.merged_metrics_registry())?;
     }
-    let stats = *service.stats();
+    let stats = service.stats();
     let log = serde_json::to_string(&service.decisions().to_vec())
         .map_err(|e| UsageError(format!("serializing decisions failed: {e}")))?;
     let report = TraceReplayReport {
@@ -1109,7 +1099,8 @@ fn run_soak(mut flags: Flags) -> CliResult<String> {
         // Recovery counters go to stderr: the serialized soak artifact
         // stays byte-identical to a fault-free build when faults are off,
         // and `spms chaos` is the command that reports them as data.
-        for (point, fault) in run.results.points().iter().zip(&run.fault_stats) {
+        for (point, registry) in run.results.points().iter().zip(&run.point_metrics) {
+            let fault = FaultStats::from_registry(registry);
             eprintln!(
                 "fault summary [shards={}]: injected={} crashes={} stalls={} \
                  corruptions={} cost_spikes={} drained={} recovered={} evicted={} \
