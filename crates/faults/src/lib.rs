@@ -244,9 +244,18 @@ impl FaultSpec {
         Ok(out)
     }
 
-    /// Total events this spec will draw.
-    pub fn event_count(&self) -> u32 {
-        self.crashes + self.stalls + self.corruptions + self.cost_spikes
+    /// Total events this spec will draw, as a `u64`: four `u32` counts can
+    /// sum past `u32::MAX`.
+    pub fn event_count(&self) -> u64 {
+        [
+            self.crashes,
+            self.stalls,
+            self.corruptions,
+            self.cost_spikes,
+        ]
+        .into_iter()
+        .map(u64::from)
+        .sum()
     }
 
     /// Expands the spec into a concrete [`FaultPlan`] for a scenario of
@@ -346,12 +355,18 @@ mod tests {
     }
 
     #[test]
+    fn event_count_does_not_wrap() {
+        let spec = FaultSpec::parse("crash=4294967295,stall=1").unwrap();
+        assert_eq!(spec.event_count(), 1 << 32);
+    }
+
+    #[test]
     fn plan_generation_is_deterministic_and_sorted() {
         let spec = FaultSpec::parse("crash=2,stall=2,corrupt=2,spike=2,seed=7").unwrap();
         let a = spec.plan(1000, 4, 4);
         let b = spec.plan(1000, 4, 4);
         assert_eq!(a, b);
-        assert_eq!(a.len(), spec.event_count() as usize);
+        assert_eq!(a.len() as u64, spec.event_count());
         assert!(a.events().windows(2).all(|w| w[0].at_ms <= w[1].at_ms));
         // Every draw lands inside the middle band with room to recover.
         assert!(a.events().iter().all(|e| e.at_ms >= 100 && e.at_ms < 900));

@@ -221,8 +221,9 @@ pub struct ShardedAdmission<S: AdmissionShard = AdmissionController> {
 impl ShardedAdmission<AdmissionController> {
     /// A service of `shard_count` controller shards splitting the
     /// `config.cores` processor cores near-evenly. Every shard inherits
-    /// the configuration's cascade knobs (test, overheads, repair bound,
-    /// cache toggle) against its own core slice.
+    /// every other configuration knob (overheads, minimum split budget,
+    /// repair bound and ranking, fallback, cost model, cross-shard split,
+    /// degrade policy) against its own core slice.
     ///
     /// # Errors
     ///

@@ -12,6 +12,11 @@
 //! spms anatomy --format markdown
 //! ```
 //!
+//! Every flag is declared once, in [`FLAGS`], and every command once, in
+//! [`COMMANDS`]: the parser, the value checks, the help pages and dispatch
+//! all read those two tables. A value a driver would reject (zero cores, a
+//! NaN utilization) is a usage error, not a table of zeros.
+//!
 //! Exit codes: `0` on success, `2` on a usage error.
 
 use spms::analysis::OverheadModel;
@@ -23,265 +28,427 @@ use spms::experiments::{
 };
 use spms::faults::{FaultPlan, FaultSpec};
 use spms::online::{
-    parse_trace, ChurnFamily, FaultStats, OnlineConfig, ShardedAdmission, TimedEvent, WorkloadEvent,
+    parse_trace, FaultStats, OnlineConfig, OnlineConfigBuilder, ShardedAdmission, TimedEvent,
+    WorkloadEvent,
 };
 use spms::overhead::{CostModelSpec, CrpdCostModel};
 use spms::task::{fnv1a, Time};
 use spms::telemetry::{Registry, Snapshot, SnapshotFilter};
 use std::io::IsTerminal;
 use std::process::ExitCode;
+use std::str::FromStr;
+use Kind::*;
 
-/// `(name, one-line summary, per-command OPTIONS body)` for every
-/// subcommand; the single source of truth behind the global usage text and
-/// the `spms <command> --help` pages.
-const COMMANDS: &[(&str, &str, &str)] = &[
-    (
-        "acceptance",
-        "Acceptance ratio of FP-TS vs FFD vs WFD over a utilization sweep (E5)",
-        "    --cores <N>             Number of processors [default: 4]
-    --tasks-per-set <N>     Tasks per generated set
-    --points <a,b,..>       Normalized-utilization sweep points
-    --overhead <zero|n4|n64>  Overhead model folded into the analysis [default: zero]
-",
+/// What a flag's value must be: each kind admits exactly what the drivers
+/// and generators accept.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// An integer of at least 1.
+    Count,
+    /// A non-negative integer; `0` keeps its documented "disables" meaning.
+    Natural,
+    /// A finite normalized utilization above 0.
+    Utilization,
+    /// A finite overhead scaling factor of at least 0.
+    Scale,
+    /// One of a fixed set of names, matched case-insensitively.
+    Choice(&'static [&'static str]),
+    /// A path, or a spec the command parses itself.
+    Text,
+    /// A value-free switch.
+    Switch,
+}
+
+impl Kind {
+    /// `Err` says what the kind expects when it rejects `item`.
+    fn admit(self, item: &str) -> Result<(), String> {
+        let int = item.parse::<u64>().ok();
+        let num = item.parse::<f64>().ok().filter(|x| x.is_finite());
+        let (admitted, expected) = match self {
+            Count => (int.is_some_and(|n| n >= 1), "an integer of at least 1"),
+            Natural => (int.is_some(), "a non-negative integer"),
+            Utilization => (num.is_some_and(|u| u > 0.0), "a finite utilization above 0"),
+            Scale => (
+                num.is_some_and(|s| s >= 0.0),
+                "a finite scale of at least 0",
+            ),
+            Choice(names) => (names.iter().any(|n| n.eq_ignore_ascii_case(item)), ""),
+            Text | Switch => (true, ""),
+        };
+        match (admitted, self) {
+            (true, _) => Ok(()),
+            (false, Choice(names)) => Err(format!("one of {}", names.join(", "))),
+            (false, _) => Err(expected.to_string()),
+        }
+    }
+}
+
+/// One flag as [`FLAGS`] declares it; a command's spec fills in `default`.
+#[derive(Clone, Copy)]
+struct Flag {
+    /// The name and value placeholder, as help pages print them. A
+    /// `<a,b,..>` placeholder makes the value a comma-separated list of
+    /// `kind` entries.
+    usage: &'static str,
+    kind: Kind,
+    help: &'static str,
+    /// The value the command runs with when the flag is absent; empty
+    /// leaves the driver's own default undocumented and untouched.
+    default: &'static str,
+}
+
+const fn flag(usage: &'static str, kind: Kind) -> Flag {
+    Flag {
+        usage,
+        kind,
+        help: "",
+        default: "",
+    }
+}
+
+impl Flag {
+    const fn help(self, help: &'static str) -> Flag {
+        Flag { help, ..self }
+    }
+
+    fn name(&self) -> &'static str {
+        self.usage.split(' ').next().unwrap_or_default()
+    }
+
+    fn is_list(&self) -> bool {
+        self.usage.ends_with("<a,b,..>")
+    }
+
+    /// Checks a value (each entry of a list) against the kind.
+    fn check(&self, raw: &str) -> CliResult<()> {
+        let items: Vec<&str> = match self.is_list() {
+            true => raw.split(',').map(str::trim).collect(),
+            false => vec![raw],
+        };
+        for item in items {
+            if let Err(expected) = self.kind.admit(item) {
+                let name = self.name();
+                return usage_error(format!("{name} expects {expected}, got `{item}`"));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Every flag of every command, each declared once.
+const FLAGS: &[Flag] = &[
+    flag("--help", Switch).help("Show this help"),
+    flag("--format <F>", Choice(&["markdown", "csv", "json"]))
+        .help("Output format: markdown, csv or json"),
+    flag("--quiet", Switch).help("Suppress the stderr progress line"),
+    flag("--threads <N>", Natural).help("Worker threads for the sweep grid; 0 = one per core"),
+    flag("--seed <N>", Natural).help("Root RNG seed for task-set generation"),
+    flag("--sets-per-point <N>", Count).help("Task sets generated per sweep point"),
+    flag("--cores <N>", Count).help("Number of processors"),
+    flag("--tasks-per-set <N>", Count).help("Tasks per generated set"),
+    flag("--points <a,b,..>", Utilization)
+        .help("Normalized-utilization sweep points (churn targets for the admission commands)"),
+    flag("--overhead <zero|n4|n64>", Choice(&["zero", "n4", "n64"]))
+        .help("Overhead model folded into the (admission) analysis"),
+    flag("--scales <a,b,..>", Scale).help("Overhead scaling factors"),
+    flag("--utilization <U>", Utilization)
+        .help("Normalized utilization (the churn target for soak and chaos)"),
+    flag("--sizes <a,b,..>", Natural).help("Working-set sizes in bytes"),
+    flag("--core-counts <a,b,..>", Count).help("Core counts to sweep"),
+    flag("--tasks-per-core <N>", Count).help("Tasks generated per core"),
+    flag("--events <N>", Count).help("Arrive/depart workload events per churn trace"),
+    flag("--repair-moves <K>", Natural)
+        .help("Max already-placed tasks relocated per admission (0 disables bounded repair)"),
+    flag("--replay-ms <N>", Natural)
+        .help("Simulated milliseconds per admitted-epoch replay; 0 disables replay"),
+    flag("--jitter-us <N>", Natural).help(
+        "Max sporadic release jitter per job injected by the replay, in microseconds (seeded \
+         per trace; 0 replays synchronous-periodic)",
     ),
-    (
-        "sensitivity",
-        "Acceptance-ratio loss as the overhead magnitude is scaled up (E6)",
-        "    --scales <a,b,..>       Overhead scaling factors [default: 0,1,5,20]
-    --utilization <U>       Normalized utilization [default: 0.9]
-    --tasks-per-set <N>     Tasks per generated set
-",
+    flag("--cost-model <zero|crpd>", Choice(&["zero", "crpd"])).help(
+        "Migration cost model the controller (every shard) charges: every split piece, repair \
+         relocation and rebalance move inflates the task's analysis WCET by the model's \
+         per-job migration charge",
     ),
-    (
-        "cache",
-        "Local context-switch vs migration reload cost by working-set size (E4)",
-        "    --sizes <a,b,..>        Working-set sizes in bytes
-                            (the sweep is deterministic: seeding and
-                            replication flags do not apply)
-",
+    flag("--churn <poisson|bursty>", Choice(&["poisson", "bursty"])).help(
+        "Churn-process family driving the traces: memoryless Poisson arrivals or the bursty \
+         Markov-modulated variant at the same long-run rate",
     ),
-    (
-        "anatomy",
-        "Figure 1: the annotated timeline of a single preemption (E3)",
-        "    (a single deterministic simulation: only --format and --quiet apply)
-",
+    flag("--trace <FILE>", Text).help(
+        "Replay a recorded event log instead of sweeping: one JSON event per line, either \
+         timed ({\"at\":..,\"event\":..}, as written by `spms soak --dump-trace`) or a bare \
+         arrive/depart event",
     ),
-    (
-        "runtime",
-        "Simulated preemption/migration/overhead costs of accepted partitions (E8)",
-        "    --cores <N>             Number of processors [default: 4]
-    --tasks-per-set <N>     Tasks per generated set
-    --points <a,b,..>       Normalized-utilization sweep points
-    --overhead <zero|n4|n64>  Overhead model folded into the analysis [default: n4]
-",
+    flag("--shards <a,b,..>", Count).help(
+        "Shard counts to sweep. A --trace replay takes one: the admission shards it replays \
+         through (1 replays the decision stream byte-identically to the single controller)",
     ),
-    (
-        "cores",
-        "Acceptance ratio as the core count grows (E9)",
-        "    --core-counts <a,b,..>  Core counts to sweep [default: 2,4,8,16]
-    --tasks-per-core <N>    Tasks generated per core [default: 4]
-    --utilization <U>       Normalized utilization [default: 0.85]
-    --overhead <zero|n4|n64>  Overhead model folded into the analysis [default: zero]
-",
+    flag("--cross-shard-split", Switch).help(
+        "Split an otherwise-rejected task across two shards (body on the highest-spare shard, \
+         tail on the runner-up). A --trace replay requires --shards of at least 2; soak adds \
+         a cross-shard column, rerunning every multi-shard point with the planner enabled and \
+         reporting the acceptance it recovers over the walled baseline",
     ),
-    (
-        "global",
-        "Partitioned & semi-partitioned vs sufficient global tests (E10)",
-        "    --cores <N>             Number of processors [default: 4]
-    --tasks-per-set <N>     Tasks per generated set
-    --points <a,b,..>       Normalized-utilization sweep points
-    --overhead <zero|n4|n64>  Overhead model folded into the analysis [default: zero]
-",
+    flag("--metrics <FILE>", Text).help(
+        "Write a telemetry snapshot of the run, merged across grid cells (shard counts and \
+         traces) in grid order: the deterministic spms_*/spms_mech_* sections are identical \
+         for every thread count, and the spms_* outcome section is also identical across \
+         shard counts whenever the decision streams agree",
     ),
-    (
-        "online",
-        "Online admission control under task churn: acceptance, paths, replay (E11)",
-        "    --cores <N>             Number of processors [default: 4]
-    --events <N>            Arrive/depart events per churn trace [default: 120]
-    --points <a,b,..>       Target normalized-utilization sweep points
-                            [default: 0.5,0.6,0.7,0.8,0.9]
-    --repair-moves <K>      Max already-placed tasks relocated per admission
-                            (0 disables bounded repair) [default: 2]
-    --replay-ms <N>         Simulated milliseconds per admitted-epoch replay;
-                            0 disables replay [default: 50]
-    --jitter-us <N>         Max sporadic release jitter per job injected by the
-                            replay, in microseconds (seeded per trace;
-                            0 replays synchronous-periodic) [default: 0]
-    --overhead <zero|n4|n64>  Overhead model folded into the admission analysis
-                            [default: zero]
-    --cost-model <zero|crpd>  Migration cost model the controller charges:
-                            every split piece and repair relocation inflates
-                            the task's analysis WCET by the model's per-job
-                            migration charge [default: zero]
-    --churn <poisson|bursty>  Churn-process family driving the traces:
-                            memoryless Poisson arrivals or the bursty
-                            Markov-modulated variant at the same long-run
-                            rate [default: poisson]
-    --trace <FILE>          Replay a recorded event log instead of sweeping:
-                            one JSON event per line, either timed
-                            ({\"at\":..,\"event\":..}, as written by
-                            `spms soak --dump-trace`) or a bare
-                            arrive/depart event. Only --cores, --shards,
-                            --cross-shard-split, --repair-moves,
-                            --overhead, --cost-model, --metrics, --format
-                            and --quiet apply in trace mode.
-    --shards <N>            Admission shards for --trace replay; 1 replays
-                            the decision stream byte-identically to the
-                            single controller [default: 1]
-    --cross-shard-split     Let --trace replay split an otherwise-rejected
-                            task across two shards (body on the
-                            highest-spare shard, tail on the runner-up);
-                            requires --shards of at least 2
-    --metrics <FILE>        Write a telemetry snapshot of the run (merged
-                            across grid cells in grid order, so the
-                            deterministic spms_*/spms_mech_* sections are
-                            identical for every --threads value)
-    --metrics-format <F>    Snapshot exposition: prom or json [default: prom]
-    (--sets-per-point sets the churn traces generated per sweep point)
-",
+    flag("--metrics-format <F>", Choice(&["prom", "json"]))
+        .help("Snapshot exposition: prom or json"),
+    flag("--rebalance-ms <N>", Natural)
+        .help("Simulated milliseconds between work-stealing rebalance ticks; 0 disables"),
+    flag("--rebalance-moves <K>", Natural).help("Max cross-shard migrations per rebalance tick"),
+    flag("--lease-ms <N>", Natural).help(
+        "Admission lease in simulated milliseconds; expiry synthesizes a departure (makes the \
+         event stream depend on admissions, so the cross-shard-count stream invariant may not \
+         hold); 0 disables",
     ),
-    (
-        "rtabench",
-        "Admission-cascade bench: every decision audited by scratch RTA (E12/E13)",
-        "    --cores <N>             Number of processors [default: 4]
-    --events <N>            Arrive/depart events per churn trace [default: 120]
-    --points <a,b,..>       Target normalized-utilization sweep points
-                            [default: 0.6,0.8]
-    --repair-moves <K>      Max already-placed tasks relocated per admission
-                            [default: 2]
-    (--sets-per-point sets the churn traces generated per sweep point;
-     after every decision, checks each core against from-scratch RTA
-     (schedulable, and the converged cache matches it) and asserts the
-     journal hot path is clone-free; the
-     `timing` object in the output is wall-clock measurement data and is
-     the only part that varies run-to-run)
-",
+    flag("--leased-scenario-ms <N>", Natural).help(
+        "Add a leased scenario column: rerun every point with this lease armed and renewal \
+         heartbeats injected at half the lease. Unlike --lease-ms the baseline points stay \
+         lease-free; the leased per-shard-count digests legitimately diverge. 0 disables",
     ),
-    (
-        "soak",
-        "Endurance soak of the sharded event-loop admission service (E14)",
-        "    --cores <N>             Number of processors [default: 8]
-    --shards <a,b,..>       Shard counts to sweep [default: 1,2]
-    --events <N>            Workload events per churn trace [default: 10000]
-    --utilization <U>       Target normalized utilization [default: 0.6]
-    --repair-moves <K>      Max already-placed tasks relocated per admission
-                            (0 disables bounded repair) [default: 2]
-    --cost-model <zero|crpd>  Migration cost model every shard charges on
-                            splits, repairs and rebalance moves [default: zero]
-    --rebalance-ms <N>      Simulated milliseconds between work-stealing
-                            rebalance ticks; 0 disables [default: 250]
-    --rebalance-moves <K>   Max cross-shard migrations per rebalance tick
-                            [default: 4]
-    --lease-ms <N>          Admission lease in simulated milliseconds; expiry
-                            synthesizes a departure (makes the event stream
-                            depend on admissions, so the cross-shard-count
-                            stream invariant may not hold); 0 disables
-                            [default: 0]
-    --leased-scenario-ms <N>  Add a leased scenario column: rerun every
-                            point with this lease armed and renewal
-                            heartbeats injected at half the lease. Unlike
-                            --lease-ms the baseline points stay lease-free;
-                            the leased per-shard-count digests legitimately
-                            diverge. 0 disables [default: 0]
-    --cross-shard-split     Add a cross-shard column: rerun every
-                            multi-shard point with the cross-shard split
-                            planner enabled and report the acceptance it
-                            recovers over the walled baseline
-    --churn <poisson|bursty>  Churn-process family driving the traces:
-                            memoryless Poisson arrivals or the bursty
-                            Markov-modulated variant at the same long-run
-                            rate [default: poisson]
-    --replay-every <N>      Replay every Nth admission's shard through the
-                            simulator (the stitched global partition on
-                            cross-shard reruns); 0 disables [default: 0]
-    --faults <SPEC>         Inject a seeded fault plan drawn against the
-                            measured trace horizon: comma-separated knobs
-                            crash=N,stall=N,corrupt=N,spike=N,seed=S
-                            (faults change the decision stream, so the
-                            cross-shard-count digest invariant may not hold;
-                            a per-point recovery summary goes to stderr)
-    --faults-script <FILE>  Inject this exact JSON-lines fault script (one
-                            FaultEvent per line, as written by
-                            `spms chaos --dump-plan`) instead of a spec
-    --audit-ms <N>          Simulated milliseconds between self-audit ticks,
-                            each re-verifying one core's memoized RTA
-                            against a scratch recomputation (rebuilding on
-                            mismatch); 0 disables [default: 0]
-    --dump-trace <FILE>     Write the first trace's processed event log as a
-                            JSON-lines file replayable by
-                            `spms online --trace`
-    --metrics <FILE>        Write a telemetry snapshot of the run (merged
-                            across shard counts and traces in grid order;
-                            the spms_* outcome section is also identical
-                            across shard counts whenever the decision
-                            streams agree)
-    --metrics-format <F>    Snapshot exposition: prom or json [default: prom]
-    (--sets-per-point sets the churn traces generated per shard count;
-     the `timing` array in the output and the spms_timing_* metric
-     section are wall-clock measurement data and are the only parts that
-     vary run-to-run)
-",
+    flag("--replay-every <N>", Natural).help(
+        "Replay every Nth admission's shard through the simulator (the stitched global \
+         partition on cross-shard reruns); 0 disables",
     ),
-    (
-        "chaos",
-        "Seeded fault injection: shard failover, recovery replay, self-audit (E16)",
-        "    --cores <N>             Number of processors [default: 8]
-    --shards <a,b,..>       Shard counts to sweep [default: 2]
-    --events <N>            Workload events per churn trace [default: 2000]
-    --utilization <U>       Target normalized utilization [default: 0.6]
-    --faults <SPEC>         Seeded fault mix, comma-separated knobs
-                            crash=N,stall=N,corrupt=N,spike=N,seed=S,
-                            expanded against the measured trace horizon
-                            [default: crash=1,stall=1,corrupt=1,spike=1]
-    --faults-script <FILE>  Inject this exact JSON-lines fault script (one
-                            FaultEvent per line) instead of generating a
-                            plan from --faults
-    --audit-ms <N>          Simulated milliseconds between self-audit ticks
-                            (the harness's corruption detector; must be at
-                            least 1) [default: 100]
-    --rebalance-ms <N>      Simulated milliseconds between rebalance ticks;
-                            0 disables [default: 250]
-    --replay-every <N>      Replay every Nth admission's shard through the
-                            simulator; 0 disables [default: 50]
-    --dump-plan <FILE>      Write the injected plan as a JSON-lines script
-                            replayable via --faults-script
-    (--sets-per-point sets the churn traces generated per shard count;
-     the report — recovery digest included — is identical for every
-     --threads value)
-",
+    flag("--faults <SPEC>", Text).help(
+        "Inject a seeded fault plan drawn against the measured trace horizon: comma-separated \
+         knobs crash=N,stall=N,corrupt=N,spike=N,seed=S, at most --events faults in all (in \
+         soak, faults change the decision stream, so the cross-shard-count digest invariant \
+         may not hold, and a per-point recovery summary goes to stderr)",
     ),
-    (
-        "overhead",
-        "Admission capacity under real CRPD migration charges: zero vs light vs heavy (E15)",
-        "    --cores <N>             Number of processors [default: 4]
-    --events <N>            Arrive/depart events per churn trace [default: 120]
-    --points <a,b,..>       Target normalized-utilization sweep points
-                            [default: 0.6,0.75,0.9]
-    --repair-moves <K>      Max already-placed tasks relocated per admission
-                            [default: 2]
-    --replay-ms <N>         Simulated milliseconds per admitted-epoch replay;
-                            0 disables replay [default: 50]
-    --metrics <FILE>        Write a telemetry snapshot of the run (merged
-                            across grid cells in grid order, so the
-                            deterministic spms_*/spms_mech_* sections are
-                            identical for every --threads value)
-    --metrics-format <F>    Snapshot exposition: prom or json [default: prom]
-    (--sets-per-point sets the churn traces generated per sweep point;
-     the same traces are decided under the zero, crpd-light and crpd-heavy
-     cost models, so the acceptance columns are directly comparable)
-",
+    flag("--faults-script <FILE>", Text).help(
+        "Inject this exact JSON-lines fault script (one FaultEvent per line, as written by \
+         `spms chaos --dump-plan`) instead of generating a plan from --faults",
     ),
+    flag("--audit-ms <N>", Natural).help(
+        "Simulated milliseconds between self-audit ticks, each re-verifying one core's \
+         memoized RTA against a scratch recomputation (rebuilding on mismatch); 0 disables, \
+         except in chaos, where the audit is the harness's corruption detector and must be at \
+         least 1",
+    ),
+    flag("--dump-trace <FILE>", Text).help(
+        "Write the first trace's processed event log as a JSON-lines file replayable by `spms \
+         online --trace`",
+    ),
+    flag("--dump-plan <FILE>", Text)
+        .help("Write the injected plan as a JSON-lines script replayable via --faults-script"),
 ];
 
-const COMMON_OPTIONS: &str = "\
-COMMON OPTIONS:
-    --threads <N>         Worker threads for the sweep grid; 0 = one per core [default: 1]
-    --seed <N>            Root RNG seed for task-set generation [default: 0]
-    --sets-per-point <N>  Task sets generated per sweep point
-    --format <F>          Output format: markdown, csv or json [default: markdown]
-    --quiet               Suppress the stderr progress line
-    --help                Show this help
-";
+/// The flags every command shares, in [`Command::flags`] spec form and
+/// ordered so each command accepts a prefix: a single deterministic run
+/// takes the first three, the cache sweep adds `--threads`, and every
+/// seeded sweep takes all six.
+const COMMON: &str = "--help --format=markdown --quiet --threads=1 --seed=0 --sets-per-point";
+
+/// The declared flag a spec token names, with the default the token gives
+/// it (`--cores=8`).
+fn resolve(token: &'static str) -> Flag {
+    let (name, default) = token.split_once('=').unwrap_or((token, ""));
+    let flag = FLAGS.iter().find(|f| f.name() == name);
+    let flag = flag.unwrap_or_else(|| panic!("{name} is not declared in FLAGS"));
+    Flag { default, ..*flag }
+}
+
+/// One subcommand, or one mode of it: the flags it accepts, its help
+/// text and the driver that runs it.
+struct Command {
+    name: &'static str,
+    /// The flag selecting this mode of `name` (`online --trace`); empty
+    /// for the plain form, which is declared first.
+    mode: &'static str,
+    /// The one-line summary on the global help page.
+    about: &'static str,
+    /// The [`FLAGS`] it accepts besides the common ones, by name, each
+    /// with its default for this command: `--cores=4 --points`.
+    flags: &'static str,
+    /// How many [`COMMON`] flags it accepts (all by default); it refuses
+    /// the rest.
+    common: usize,
+    /// A closing note under its options.
+    note: &'static str,
+    run: fn(&Args) -> CliResult<String>,
+}
+
+const fn command(name: &'static str, run: fn(&Args) -> CliResult<String>) -> Command {
+    Command {
+        name,
+        mode: "",
+        about: "",
+        flags: "",
+        common: usize::MAX,
+        note: "",
+        run,
+    }
+}
+
+impl Command {
+    const fn about(self, about: &'static str) -> Command {
+        Command { about, ..self }
+    }
+
+    const fn flags(self, flags: &'static str) -> Command {
+        Command { flags, ..self }
+    }
+
+    const fn mode(self, mode: &'static str) -> Command {
+        Command { mode, ..self }
+    }
+
+    const fn common(self, common: usize) -> Command {
+        Command { common, ..self }
+    }
+
+    const fn note(self, note: &'static str) -> Command {
+        Command { note, ..self }
+    }
+
+    /// Every flag it accepts, with its defaults.
+    fn accepts(&self) -> Vec<Flag> {
+        let common = COMMON.split_whitespace().take(self.common);
+        let tokens = self.flags.split_whitespace().chain(common);
+        tokens.map(resolve).collect()
+    }
+
+    /// How error messages name it: `online --trace`.
+    fn label(&self) -> String {
+        format!("{} {}", self.name, self.mode).trim_end().into()
+    }
+
+    /// Its own options and closing note, as its help page prints them.
+    fn options(&self) -> String {
+        let note = match self.note {
+            "" => String::new(),
+            note => wrap("   ", note.split_whitespace()),
+        };
+        options(self.flags.split_whitespace().map(resolve)) + &note
+    }
+}
+
+const COMMANDS: &[Command] = &[
+    command("acceptance", run_acceptance)
+        .about("Acceptance ratio of FP-TS vs FFD vs WFD over a utilization sweep (E5)")
+        .flags("--cores=4 --tasks-per-set --points --overhead=zero"),
+    command("sensitivity", run_sensitivity)
+        .about("Acceptance-ratio loss as the overhead magnitude is scaled up (E6)")
+        .flags("--scales=0,1,5,20 --utilization=0.9 --tasks-per-set"),
+    command("cache", run_cache)
+        .about("Local context-switch vs migration reload cost by working-set size (E4)")
+        .flags("--sizes")
+        .common(4)
+        .note("(the sweep is deterministic: seeding and replication flags do not apply)"),
+    command("anatomy", run_anatomy)
+        .about("Figure 1: the annotated timeline of a single preemption (E3)")
+        .common(3)
+        .note("(a single deterministic simulation: only --format and --quiet apply)"),
+    command("runtime", run_runtime)
+        .about("Simulated preemption/migration/overhead costs of accepted partitions (E8)")
+        .flags("--cores=4 --tasks-per-set --points --overhead=n4"),
+    command("cores", run_cores)
+        .about("Acceptance ratio as the core count grows (E9)")
+        .flags("--core-counts=2,4,8,16 --tasks-per-core=4 --utilization=0.85 --overhead=zero"),
+    command("global", run_global)
+        .about("Partitioned & semi-partitioned vs sufficient global tests (E10)")
+        .flags("--cores=4 --tasks-per-set --points --overhead=zero"),
+    command("online", run_online)
+        .about("Online admission control under task churn: acceptance, paths, replay (E11)")
+        .flags(
+            "--cores=4 --events=120 --points=0.5,0.6,0.7,0.8,0.9 --repair-moves=2 \
+             --replay-ms=50 --jitter-us=0 --overhead=zero --cost-model=zero --churn=poisson \
+             --metrics --metrics-format=prom",
+        )
+        .note("(--sets-per-point sets the churn traces generated per sweep point)"),
+    command("online", run_online_trace)
+        .mode("--trace")
+        .flags(
+            "--trace --cores=4 --shards=1 --cross-shard-split --repair-moves=2 --overhead=zero \
+             --cost-model=zero --metrics --metrics-format=prom",
+        )
+        .common(3)
+        .note(
+            "(trace mode replays the log through the sharded admission service and reports its \
+             decision counters and digest; it generates no task sets and sweeps no grid, so of \
+             the common options only --format and --quiet apply)",
+        ),
+    command("rtabench", run_rtabench)
+        .about("Admission-cascade bench: every decision audited by scratch RTA (E12/E13)")
+        .flags("--cores=4 --events=120 --points=0.6,0.8 --repair-moves=2")
+        .note(
+            "(--sets-per-point sets the churn traces generated per sweep point; after every \
+             decision, checks each core against from-scratch RTA (schedulable, and the \
+             converged cache matches it) and asserts the journal hot path is clone-free; the \
+             `timing` object in the output is wall-clock measurement data and is the only part \
+             that varies run-to-run)",
+        ),
+    command("soak", run_soak)
+        .about("Endurance soak of the sharded event-loop admission service (E14)")
+        .flags(
+            "--cores=8 --shards=1,2 --events=10000 --utilization=0.6 --repair-moves=2 \
+             --cost-model=zero --rebalance-ms=250 --rebalance-moves=4 --lease-ms=0 \
+             --leased-scenario-ms=0 --cross-shard-split --churn=poisson --replay-every=0 \
+             --faults --faults-script --audit-ms=0 --dump-trace --metrics --metrics-format=prom",
+        )
+        .note(
+            "(--sets-per-point sets the churn traces generated per shard count; the `timing` \
+             array in the output and the spms_timing_* metric section are wall-clock \
+             measurement data and are the only parts that vary run-to-run)",
+        ),
+    command("chaos", run_chaos)
+        .about("Seeded fault injection: shard failover, recovery replay, self-audit (E16)")
+        .flags(
+            "--cores=8 --shards=2 --events=2000 --utilization=0.6 \
+             --faults=crash=1,stall=1,corrupt=1,spike=1 --faults-script --audit-ms=100 \
+             --rebalance-ms=250 --replay-every=50 --dump-plan",
+        )
+        .note(
+            "(--sets-per-point sets the churn traces generated per shard count; the report — \
+             recovery digest included — is identical for every --threads value)",
+        ),
+    command("overhead", run_overhead)
+        .about("Admission capacity under real CRPD migration charges: zero vs light vs heavy (E15)")
+        .flags(
+            "--cores=4 --events=120 --points=0.6,0.75,0.9 --repair-moves=2 --replay-ms=50 \
+             --metrics --metrics-format=prom",
+        )
+        .note(
+            "(--sets-per-point sets the churn traces generated per sweep point; the same traces \
+             are decided under the zero, crpd-light and crpd-heavy cost models, so the \
+             acceptance columns are directly comparable)",
+        ),
+];
+
+/// `head` followed by `words`, wrapped to 80 columns with continuation
+/// lines aligned under the first word.
+fn wrap<'a>(head: &str, words: impl Iterator<Item = &'a str>) -> String {
+    let indent = head.len();
+    let (mut out, mut column) = (head.to_string(), indent);
+    for word in words {
+        if column > indent && column + 1 + word.chars().count() > 80 {
+            out = out + "\n" + &" ".repeat(indent);
+            column = indent;
+        }
+        out = out + " " + word;
+        column += 1 + word.chars().count();
+    }
+    out + "\n"
+}
+
+/// One wrapped help entry per flag, with its default.
+fn options(flags: impl Iterator<Item = Flag>) -> String {
+    let mut out = String::new();
+    for flag in flags {
+        let default = match flag.default {
+            "" => None,
+            default => Some(format!("[default: {default}]")),
+        };
+        let words = flag.help.split_whitespace().chain(default.as_deref());
+        out.push_str(&wrap(&format!("    {:<24}", flag.usage), words));
+    }
+    out
+}
 
 /// The global `spms --help` page.
 fn global_usage() -> String {
@@ -289,11 +456,11 @@ fn global_usage() -> String {
         "spms — semi-partitioned multi-core scheduling experiments (Zhang, Guan, Yi — DATE 2011)\n\n\
          USAGE:\n    spms <COMMAND> [OPTIONS]\n\nCOMMANDS:\n",
     );
-    for (name, summary, _) in COMMANDS {
-        out.push_str(&format!("    {name:<12} {summary}\n"));
+    for command in COMMANDS.iter().filter(|c| c.mode.is_empty()) {
+        out.push_str(&format!("    {:<12} {}\n", command.name, command.about));
     }
-    out.push('\n');
-    out.push_str(COMMON_OPTIONS);
+    out.push_str("\nCOMMON OPTIONS:\n");
+    out.push_str(&options(COMMON.split_whitespace().map(resolve)));
     out.push_str(
         "\nRun `spms <COMMAND> --help` for the command-specific options.\n\n\
          Every run is deterministic: with a fixed --seed, any --threads value\n\
@@ -302,35 +469,25 @@ fn global_usage() -> String {
     out
 }
 
-/// Common flags a subcommand rejects rather than ignores (see
-/// [`reject_inapplicable`]); the single source of truth shared by the flag
-/// parser and the help pages, so `spms <command> --help` never advertises a
-/// flag the command refuses.
-fn inapplicable_common_flags(command: &str) -> &'static [&'static str] {
-    match command {
-        // The cache sweep generates no task sets: no RNG, no replications.
-        "cache" => &["--seed", "--sets-per-point"],
-        // One deterministic simulation: nothing to seed, replicate or fan out.
-        "anatomy" => &["--seed", "--sets-per-point", "--threads"],
-        _ => &[],
+/// The `spms <command> --help` page, one options section per mode, or
+/// `None` for an unknown command.
+fn command_usage(name: &str) -> Option<String> {
+    let modes: Vec<&Command> = COMMANDS.iter().filter(|c| c.name == name).collect();
+    let plain = modes.first()?;
+    let (mut usage, mut body) = (String::new(), String::new());
+    for command in &modes {
+        let (mode, with) = match command.mode {
+            "" => Default::default(),
+            mode => (format!(" {}", resolve(mode).usage), format!(" WITH {mode}")),
+        };
+        usage.push_str(&format!("    spms {name}{mode} [OPTIONS]\n"));
+        body.push_str(&format!("\nOPTIONS{with}:\n{}", command.options()));
     }
-}
-
-/// The `spms <command> --help` page, or `None` for an unknown command.
-fn command_usage(command: &str) -> Option<String> {
-    let (name, summary, options) = COMMANDS.iter().find(|(name, _, _)| *name == command)?;
-    let mut out = format!(
-        "spms {name} — {summary}\n\nUSAGE:\n    spms {name} [OPTIONS]\n\nOPTIONS:\n{options}\n"
-    );
-    let rejected = inapplicable_common_flags(name);
-    for line in COMMON_OPTIONS.lines() {
-        let flag = line.split_whitespace().next().unwrap_or("");
-        if !rejected.contains(&flag) {
-            out.push_str(line);
-            out.push('\n');
-        }
-    }
-    Some(out)
+    let common = options(COMMON.split_whitespace().take(plain.common).map(resolve));
+    let about = plain.about;
+    Some(format!(
+        "spms {name} — {about}\n\nUSAGE:\n{usage}{body}\nCOMMON OPTIONS:\n{common}"
+    ))
 }
 
 /// A usage error: printed to stderr together with a pointer to `--help`.
@@ -342,540 +499,336 @@ fn usage_error<T>(message: impl Into<String>) -> CliResult<T> {
     Err(UsageError(message.into()))
 }
 
-/// Value-free boolean switches (besides the global `--quiet`): listed here
-/// so the parser knows not to consume the next argument as their value.
-const SWITCHES: &[&str] = &["--cross-shard-split"];
-
-/// Parsed command line: `--key value` pairs plus boolean switches.
-struct Flags {
-    pairs: Vec<(String, String)>,
-    switches: Vec<String>,
-    quiet: bool,
+/// A command line checked against one [`Command`]: every flag is one it
+/// accepts, given once, with a value its kind admits.
+struct Args {
+    command: &'static Command,
+    flags: Vec<Flag>,
+    given: Vec<(&'static str, String)>,
 }
 
-impl Flags {
-    fn parse(args: &[String]) -> CliResult<Flags> {
-        let mut pairs = Vec::new();
-        let mut switches: Vec<String> = Vec::new();
-        let mut quiet = false;
-        let mut iter = args.iter();
-        while let Some(arg) = iter.next() {
-            match arg.as_str() {
-                "--quiet" => quiet = true,
-                key if SWITCHES.contains(&key) => {
-                    if switches.iter().any(|existing| existing == key) {
-                        return usage_error(format!("{key} given more than once"));
-                    }
-                    switches.push(key.to_string());
-                }
-                key if key.starts_with("--") => {
-                    let Some(value) = iter.next() else {
-                        return usage_error(format!("{key} requires a value"));
-                    };
-                    if pairs.iter().any(|(existing, _)| existing == key) {
-                        return usage_error(format!("{key} given more than once"));
-                    }
-                    pairs.push((key.to_string(), value.clone()));
-                }
-                other => return usage_error(format!("unexpected argument `{other}`")),
-            }
-        }
-        Ok(Flags {
-            pairs,
-            switches,
-            quiet,
-        })
-    }
-
-    /// Removes and returns the value of `key`, if present.
-    fn take(&mut self, key: &str) -> Option<String> {
-        let index = self.pairs.iter().position(|(k, _)| k == key)?;
-        Some(self.pairs.remove(index).1)
-    }
-
-    /// Removes a boolean switch, returning whether it was given.
-    fn take_switch(&mut self, key: &str) -> bool {
-        let index = self.switches.iter().position(|k| k == key);
-        match index {
-            Some(index) => {
-                self.switches.remove(index);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn take_usize(&mut self, key: &str) -> CliResult<Option<usize>> {
-        self.take_parsed(key, "a non-negative integer")
-    }
-
-    fn take_u64(&mut self, key: &str) -> CliResult<Option<u64>> {
-        self.take_parsed(key, "a non-negative integer")
-    }
-
-    fn take_f64(&mut self, key: &str) -> CliResult<Option<f64>> {
-        self.take_parsed(key, "a number")
-    }
-
-    fn take_parsed<T: std::str::FromStr>(
-        &mut self,
-        key: &str,
-        expected: &str,
-    ) -> CliResult<Option<T>> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(raw) => match raw.parse() {
-                Ok(value) => Ok(Some(value)),
-                Err(_) => usage_error(format!("{key} expects {expected}, got `{raw}`")),
-            },
-        }
-    }
-
-    /// Removes and parses a comma-separated list, e.g. `--points 0.5,0.9`.
-    fn take_list<T: std::str::FromStr>(&mut self, key: &str) -> CliResult<Option<Vec<T>>> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(raw) => raw
-                .split(',')
-                .map(|item| item.trim().parse())
-                .collect::<Result<Vec<T>, _>>()
-                .map(Some)
-                .map_err(|_| {
-                    UsageError(format!("{key} expects a comma-separated list, got `{raw}`"))
-                }),
-        }
-    }
-
-    /// Errors if any flag was not consumed by the subcommand.
-    fn expect_empty(&self, command: &str) -> CliResult<()> {
-        if let Some(key) = self.switches.first() {
-            return usage_error(format!("`spms {command}` does not support {key}"));
-        }
-        match self.pairs.first() {
-            None => Ok(()),
-            Some((key, _)) => usage_error(format!("`spms {command}` does not support {key}")),
-        }
-    }
-}
-
-/// The flags shared by every subcommand.
-struct CommonFlags {
-    threads: usize,
-    seed: u64,
-    sets_per_point: Option<usize>,
-    format: ReportFormat,
-    quiet: bool,
-}
-
-impl CommonFlags {
-    fn take(flags: &mut Flags) -> CliResult<CommonFlags> {
-        let format = match flags.take("--format") {
-            None => ReportFormat::Markdown,
-            Some(raw) => match ReportFormat::parse(&raw) {
-                Some(format) => format,
-                None => {
-                    return usage_error(format!(
-                        "--format expects markdown, csv or json, got `{raw}`"
-                    ))
-                }
-            },
+impl Args {
+    fn parse(name: &str, tokens: &[String]) -> CliResult<Args> {
+        let modes: Vec<&'static Command> = COMMANDS.iter().filter(|c| c.name == name).collect();
+        let Some(plain) = modes.first() else {
+            return usage_error(format!("unknown command `{name}`"));
         };
-        Ok(CommonFlags {
-            threads: flags.take_usize("--threads")?.unwrap_or(1),
-            seed: flags.take_u64("--seed")?.unwrap_or(0),
-            sets_per_point: flags.take_usize("--sets-per-point")?,
-            format,
-            quiet: flags.quiet,
+        let known: Vec<Flag> = modes.iter().flat_map(|c| c.accepts()).collect();
+        let mut given: Vec<(&'static str, String)> = Vec::new();
+        let mut tokens = tokens.iter();
+        while let Some(token) = tokens.next() {
+            let Some(flag) = known.iter().find(|f| f.name() == token) else {
+                return match token.starts_with("--") {
+                    true => usage_error(format!("`spms {name}` does not support {token}")),
+                    false => usage_error(format!("unexpected argument `{token}`")),
+                };
+            };
+            if given.iter().any(|(name, _)| name == token) {
+                return usage_error(format!("{token} given more than once"));
+            }
+            let value = match flag.kind {
+                Switch => Some(String::new()),
+                _ => tokens.next().cloned(),
+            };
+            let Some(value) = value else {
+                return usage_error(format!("{token} requires a value"));
+            };
+            given.push((flag.name(), value));
+        }
+        let selected = modes.iter().find(|c| given.iter().any(|g| g.0 == c.mode));
+        let command = *selected.unwrap_or(plain);
+        let flags = command.accepts();
+        for (name, value) in &mut given {
+            let Some(flag) = flags.iter().find(|f| f.name() == *name) else {
+                let label = command.label();
+                return usage_error(format!("`spms {label}` does not support {name}"));
+            };
+            flag.check(value)?;
+            if let Choice(_) = flag.kind {
+                value.make_ascii_lowercase();
+            }
+        }
+        Ok(Args {
+            command,
+            flags,
+            given,
         })
+    }
+
+    /// The rules that tie one flag to another, checked before any run.
+    fn cross_check(&self) -> CliResult<()> {
+        let (trace, chaos) = (self.command.mode == "--trace", self.command.name == "chaos");
+        if self.given("--metrics-format") && !self.given("--metrics") {
+            return usage_error("--metrics-format requires --metrics");
+        }
+        if self.given("--faults") && self.given("--faults-script") {
+            return usage_error("--faults and --faults-script are mutually exclusive");
+        }
+        let cores: usize = self.get("--cores").unwrap_or(0);
+        let shards: Vec<usize> = self.list("--shards").unwrap_or_default();
+        if let Some(shards) = shards.iter().find(|&&shards| shards > cores) {
+            let why = "every shard needs a core";
+            return usage_error(format!("--shards {shards} exceeds --cores {cores}: {why}"));
+        }
+        if trace && shards.len() != 1 {
+            return usage_error("--shards takes one shard count with --trace");
+        }
+        if trace && self.given("--cross-shard-split") && shards[0] < 2 {
+            return usage_error("--cross-shard-split requires --shards of at least 2");
+        }
+        if chaos && self.millis("--audit-ms").is_none() {
+            return usage_error(
+                "--audit-ms must be at least 1: the self-audit is the chaos harness's \
+                 corruption detector",
+            );
+        }
+        Ok(())
+    }
+
+    fn given(&self, name: &str) -> bool {
+        self.given.iter().any(|(given, _)| *given == name)
+    }
+
+    /// The flag's value as given, else the command's default for it.
+    fn text(&self, name: &str) -> Option<&str> {
+        let given = self.given.iter().find(|(given, _)| *given == name);
+        let default = self
+            .flags
+            .iter()
+            .find(|f| f.name() == name && !f.default.is_empty());
+        match given {
+            Some((_, value)) => Some(value.as_str()),
+            None => default.map(|f| f.default),
+        }
+    }
+
+    /// The list flag's entries parsed as `T`, which its kind check
+    /// guarantees.
+    fn list<T: FromStr>(&self, name: &str) -> Option<Vec<T>> {
+        let items = self.text(name)?.split(',').map(|item| item.trim().parse());
+        let parsed = items.collect::<Result<Vec<T>, _>>().ok();
+        Some(parsed.unwrap_or_else(|| panic!("{name}: a checked value did not parse")))
+    }
+
+    /// The scalar flag's value parsed as `T`: a one-entry list.
+    fn get<T: FromStr>(&self, name: &str) -> Option<T> {
+        self.list(name)?.pop()
+    }
+
+    /// The millisecond flag's value, `None` when it is 0 (disabled).
+    fn millis(&self, name: &str) -> Option<Time> {
+        self.get(name).filter(|&ms| ms > 0).map(Time::from_millis)
     }
 
     /// The progress sink: a stderr status line when attached to a terminal,
     /// silent otherwise (so piping JSON to a file stays clean).
-    fn progress(&self, label: &str) -> Box<dyn ProgressSink> {
-        if self.quiet || !std::io::stderr().is_terminal() {
+    fn progress(&self) -> Box<dyn ProgressSink> {
+        if self.given("--quiet") || !std::io::stderr().is_terminal() {
             Box::new(NullProgress)
         } else {
-            Box::new(StderrProgress::new(label))
+            Box::new(StderrProgress::new(self.command.name))
         }
     }
 }
 
-fn take_overhead(flags: &mut Flags, default: OverheadModel) -> CliResult<OverheadModel> {
-    match flags.take("--overhead").as_deref() {
-        None => Ok(default),
-        Some("zero") => Ok(OverheadModel::zero()),
-        Some("n4") => Ok(OverheadModel::paper_n4()),
-        Some("n64") => Ok(OverheadModel::paper_n64()),
-        Some(other) => usage_error(format!("--overhead expects zero, n4 or n64, got `{other}`")),
+/// Hands a flag's value, given or default, to a builder setter.
+fn apply<E, T>(builder: E, value: Option<T>, set: impl FnOnce(E, T) -> E) -> E {
+    match value {
+        Some(value) => set(builder, value),
+        None => builder,
+    }
+}
+
+fn overhead(args: &Args) -> OverheadModel {
+    match args.text("--overhead") {
+        Some("n4") => OverheadModel::paper_n4(),
+        Some("n64") => OverheadModel::paper_n64(),
+        _ => OverheadModel::zero(),
+    }
+}
+
+/// `zero` charges nothing; `crpd` charges the mixed hash-spread CRPD model,
+/// so each task's migration price follows its attributed working set.
+fn cost_model(args: &Args) -> CostModelSpec {
+    match args.text("--cost-model") {
+        Some("crpd") => CostModelSpec::Crpd(CrpdCostModel::mixed()),
+        _ => CostModelSpec::Zero,
     }
 }
 
 /// Formats results through the shared [`ReportSink`]: markdown, CSV or the
 /// JSON envelope the CI benchmark artifacts diff.
 fn render<T: serde::Serialize>(
-    experiment: &str,
-    common: &CommonFlags,
+    args: &Args,
     results: &T,
     markdown: impl FnOnce() -> String,
     csv: impl FnOnce() -> String,
 ) -> CliResult<String> {
-    ReportSink::new(experiment, common.format)
-        .seed(common.seed)
-        .threads(common.threads)
+    let experiment = args.command.label().replace(" --", "-");
+    let format = ReportFormat::parse(args.text("--format").unwrap_or_default());
+    let sink = ReportSink::new(experiment, format.unwrap_or(ReportFormat::Markdown));
+    let sink = apply(sink, args.get("--seed"), ReportSink::seed);
+    apply(sink, args.get("--threads"), ReportSink::threads)
         .render(results, markdown, csv)
         .map_err(|e| UsageError(e.to_string()))
 }
 
-/// The `--metrics-format` exposition formats.
-#[derive(Clone, Copy)]
-enum MetricsFormat {
-    Prometheus,
-    Json,
-}
-
-/// Parses the `--metrics <FILE>` / `--metrics-format <prom|json>` pair
-/// shared by the `online`, `soak` and `overhead` subcommands.
-fn take_metrics(flags: &mut Flags) -> CliResult<Option<(String, MetricsFormat)>> {
-    let path = flags.take("--metrics");
-    let format_raw = flags.take("--metrics-format");
-    let Some(path) = path else {
-        return match format_raw {
-            None => Ok(None),
-            Some(_) => usage_error("--metrics-format requires --metrics"),
-        };
+/// Writes a full registry snapshot to the `--metrics` file, if one was
+/// given. The Prometheus writer re-parses its own output first, so a
+/// malformed exposition fails the run instead of poisoning a scrape
+/// endpoint or a CI diff.
+fn write_metrics(args: &Args, registry: &Registry) -> CliResult<()> {
+    let Some(path) = args.text("--metrics") else {
+        return Ok(());
     };
-    let format = match format_raw.as_deref() {
-        None | Some("prom") => MetricsFormat::Prometheus,
-        Some("json") => MetricsFormat::Json,
-        Some(other) => {
-            return usage_error(format!(
-                "--metrics-format expects prom or json, got `{other}`"
-            ))
-        }
-    };
-    Ok(Some((path, format)))
-}
-
-/// Writes a full registry snapshot to `path`. The Prometheus writer
-/// re-parses its own output first, so a malformed exposition fails the run
-/// instead of poisoning a scrape endpoint or a CI diff.
-fn write_metrics(path: &str, format: MetricsFormat, registry: &Registry) -> CliResult<()> {
     let snapshot = registry.snapshot(SnapshotFilter::Full);
-    let text = match format {
-        MetricsFormat::Prometheus => {
-            let text = snapshot.render_prometheus();
-            Snapshot::from_prometheus(&text)
-                .map_err(|e| UsageError(format!("rendered metrics failed to re-parse: {e}")))?;
-            text
-        }
-        MetricsFormat::Json => serde_json::to_string(&snapshot)
-            .map_err(|e| UsageError(format!("serializing metrics failed: {e}")))?,
+    let text = if args.text("--metrics-format") == Some("json") {
+        serde_json::to_string(&snapshot)
+            .map_err(|e| UsageError(format!("serializing metrics failed: {e}")))?
+    } else {
+        let text = snapshot.render_prometheus();
+        Snapshot::from_prometheus(&text)
+            .map_err(|e| UsageError(format!("rendered metrics failed to re-parse: {e}")))?;
+        text
     };
     std::fs::write(path, text)
         .map_err(|e| UsageError(format!("writing metrics `{path}` failed: {e}")))
 }
 
-/// Where a run's fault plan comes from: nowhere (fault-free), a seeded
-/// `--faults` spec expanded against the measured horizon, or an exact
-/// `--faults-script` JSON-lines scenario.
-enum FaultSource {
-    None,
+/// A run's fault plan: a seeded spec expanded against the measured
+/// horizon, or an exact script.
+enum Faults {
     Spec(FaultSpec),
     Script(FaultPlan),
 }
 
-/// Parses the mutually exclusive `--faults <SPEC>` / `--faults-script
-/// <FILE>` pair shared by `soak` and `chaos`. An all-zero spec is a usage
-/// error: a typoed chaos run must not quietly test nothing.
-fn take_fault_source(flags: &mut Flags) -> CliResult<FaultSource> {
-    let spec_raw = flags.take("--faults");
-    let script_path = flags.take("--faults-script");
-    if spec_raw.is_some() && script_path.is_some() {
-        return usage_error("--faults and --faults-script are mutually exclusive");
-    }
-    if let Some(raw) = spec_raw {
-        let spec = FaultSpec::parse(&raw).map_err(|e| UsageError(format!("--faults: {e}")))?;
-        if spec.event_count() == 0 {
-            return usage_error("--faults schedules no faults (try crash=1)");
-        }
-        return Ok(FaultSource::Spec(spec));
-    }
-    if let Some(path) = script_path {
-        let raw = std::fs::read_to_string(&path)
+/// Reads `--faults-script <FILE>`, else `--faults <SPEC>`. An all-zero
+/// spec is a usage error: a typoed chaos run must not quietly test nothing.
+fn faults(args: &Args) -> CliResult<Option<Faults>> {
+    if let Some(path) = args.text("--faults-script") {
+        let raw = std::fs::read_to_string(path)
             .map_err(|e| UsageError(format!("reading fault script `{path}` failed: {e}")))?;
         let plan = FaultPlan::from_script(&raw)
             .map_err(|e| UsageError(format!("fault script `{path}`: {e}")))?;
-        return Ok(FaultSource::Script(plan));
+        return Ok(Some(Faults::Script(plan)));
     }
-    Ok(FaultSource::None)
+    let Some(raw) = args.text("--faults") else {
+        return Ok(None);
+    };
+    let spec = FaultSpec::parse(raw).map_err(|e| UsageError(format!("--faults: {e}")))?;
+    let (faults, events) = (spec.event_count(), args.get("--events").unwrap_or(0));
+    if faults == 0 {
+        return usage_error("--faults schedules no faults (try crash=1)");
+    }
+    if faults > events {
+        let why = format!("more than the {events} --events per trace");
+        return usage_error(format!("--faults schedules {faults} faults, {why}"));
+    }
+    Ok(Some(Faults::Spec(spec)))
 }
 
-/// Parses the `--cost-model` flag: `zero` charges nothing (the default);
-/// `crpd` charges the mixed hash-spread CRPD model, so each task's
-/// migration price follows its attributed working set.
-fn take_cost_model(flags: &mut Flags) -> CliResult<CostModelSpec> {
-    match flags.take("--cost-model").as_deref() {
-        None | Some("zero") => Ok(CostModelSpec::Zero),
-        Some("crpd") => Ok(CostModelSpec::Crpd(CrpdCostModel::mixed())),
-        Some(other) => usage_error(format!("--cost-model expects zero or crpd, got `{other}`")),
-    }
+fn run_acceptance(args: &Args) -> CliResult<String> {
+    type E = AcceptanceRatioExperiment;
+    let e = apply(E::new(), args.get("--seed"), E::seed);
+    let e = apply(e, args.get("--threads"), E::threads);
+    let e = apply(e, args.get("--sets-per-point"), E::sets_per_point);
+    let e = apply(e, args.get("--cores"), E::cores);
+    let e = apply(e, args.get("--tasks-per-set"), E::tasks_per_set);
+    let e = apply(e, args.list("--points"), E::utilization_points);
+    let r = e
+        .overhead(overhead(args))
+        .run_with_progress(args.progress().as_ref());
+    render(args, &r, || r.render_markdown(), || r.render_csv())
 }
 
-/// Parses the `--churn` flag shared by `online` and `soak`: `poisson`
-/// (the default) or `bursty` (Markov-modulated arrivals at the same
-/// long-run rate).
-fn take_churn(flags: &mut Flags) -> CliResult<ChurnFamily> {
-    match flags.take("--churn") {
-        None => Ok(ChurnFamily::Poisson),
-        Some(raw) => raw
-            .parse()
-            .map_err(|e: String| UsageError(format!("--churn: {e}"))),
-    }
+fn run_sensitivity(args: &Args) -> CliResult<String> {
+    type E = OverheadSensitivityExperiment;
+    let e = apply(E::new(), args.get("--seed"), E::seed);
+    let e = apply(e, args.get("--threads"), E::threads);
+    let e = apply(e, args.get("--sets-per-point"), E::sets_per_scale);
+    let e = apply(e, args.get("--tasks-per-set"), E::tasks_per_set);
+    let e = apply(e, args.list("--scales"), E::scales);
+    let e = apply(e, args.get("--utilization"), E::normalized_utilization);
+    let r = e.run_with_progress(args.progress().as_ref());
+    render(args, &r, || r.render_markdown(), || r.render_csv())
 }
 
-fn run_acceptance(mut flags: Flags) -> CliResult<String> {
-    let common = CommonFlags::take(&mut flags)?;
-    let mut experiment = AcceptanceRatioExperiment::new()
-        .seed(common.seed)
-        .threads(common.threads);
-    if let Some(sets) = common.sets_per_point {
-        experiment = experiment.sets_per_point(sets);
-    }
-    if let Some(cores) = flags.take_usize("--cores")? {
-        experiment = experiment.cores(cores);
-    }
-    if let Some(tasks) = flags.take_usize("--tasks-per-set")? {
-        experiment = experiment.tasks_per_set(tasks);
-    }
-    if let Some(points) = flags.take_list("--points")? {
-        experiment = experiment.utilization_points(points);
-    }
-    experiment = experiment.overhead(take_overhead(&mut flags, OverheadModel::zero())?);
-    flags.expect_empty("acceptance")?;
-    let results = experiment.run_with_progress(common.progress("acceptance").as_ref());
-    render(
-        "acceptance",
-        &common,
-        &results,
-        || results.render_markdown(),
-        || results.render_csv(),
-    )
+fn run_cache(args: &Args) -> CliResult<String> {
+    type E = CacheCrossoverExperiment;
+    let e = apply(E::new(), args.get("--threads"), E::threads);
+    let e = apply(e, args.list("--sizes"), E::working_set_sizes);
+    let r = e.run_with_progress(args.progress().as_ref());
+    render(args, &r, || r.render_markdown(), || r.render_csv())
 }
 
-fn run_sensitivity(mut flags: Flags) -> CliResult<String> {
-    let common = CommonFlags::take(&mut flags)?;
-    let mut experiment = OverheadSensitivityExperiment::new()
-        .seed(common.seed)
-        .threads(common.threads);
-    if let Some(sets) = common.sets_per_point {
-        experiment = experiment.sets_per_scale(sets);
-    }
-    if let Some(tasks) = flags.take_usize("--tasks-per-set")? {
-        experiment = experiment.tasks_per_set(tasks);
-    }
-    if let Some(scales) = flags.take_list("--scales")? {
-        experiment = experiment.scales(scales);
-    }
-    if let Some(u) = flags.take_f64("--utilization")? {
-        experiment = experiment.normalized_utilization(u);
-    }
-    flags.expect_empty("sensitivity")?;
-    let results = experiment.run_with_progress(common.progress("sensitivity").as_ref());
-    render(
-        "sensitivity",
-        &common,
-        &results,
-        || results.render_markdown(),
-        || results.render_csv(),
-    )
+fn run_anatomy(args: &Args) -> CliResult<String> {
+    let r = PreemptionAnatomy::new().run();
+    render(args, &r, || r.render_markdown(), || r.render_csv())
 }
 
-/// Rejects common flags that a subcommand would otherwise silently ignore
-/// (e.g. `--seed` on the deterministic `cache` sweep). Must run before
-/// [`CommonFlags::take`], which consumes every common flag it knows.
-fn reject_inapplicable(flags: &mut Flags, command: &str, keys: &[&str]) -> CliResult<()> {
-    for key in keys {
-        if flags.take(key).is_some() {
-            return usage_error(format!("`spms {command}` does not support {key}"));
-        }
-    }
-    Ok(())
+fn run_runtime(args: &Args) -> CliResult<String> {
+    type E = RuntimeCostExperiment;
+    let e = apply(E::new(), args.get("--seed"), E::seed);
+    let e = apply(e, args.get("--threads"), E::threads);
+    let e = apply(e, args.get("--sets-per-point"), E::sets_per_point);
+    let e = apply(e, args.get("--cores"), E::cores);
+    let e = apply(e, args.get("--tasks-per-set"), E::tasks_per_set);
+    let e = apply(e, args.list("--points"), E::utilization_points);
+    let r = e
+        .overhead(overhead(args))
+        .run_with_progress(args.progress().as_ref());
+    render(args, &r, || r.render_markdown(), || r.render_csv())
 }
 
-fn run_cache(mut flags: Flags) -> CliResult<String> {
-    reject_inapplicable(&mut flags, "cache", inapplicable_common_flags("cache"))?;
-    let common = CommonFlags::take(&mut flags)?;
-    let mut experiment = CacheCrossoverExperiment::new().threads(common.threads);
-    if let Some(sizes) = flags.take_list("--sizes")? {
-        experiment = experiment.working_set_sizes(sizes);
-    }
-    flags.expect_empty("cache")?;
-    let results = experiment.run_with_progress(common.progress("cache").as_ref());
-    render(
-        "cache",
-        &common,
-        &results,
-        || results.render_markdown(),
-        || results.render_csv(),
-    )
+fn run_cores(args: &Args) -> CliResult<String> {
+    type E = CoreCountSweepExperiment;
+    let e = apply(E::new(), args.get("--seed"), E::seed);
+    let e = apply(e, args.get("--threads"), E::threads);
+    let e = apply(e, args.get("--sets-per-point"), E::sets_per_point);
+    let e = apply(e, args.list("--core-counts"), E::core_counts);
+    let e = apply(e, args.get("--tasks-per-core"), E::tasks_per_core);
+    let e = apply(e, args.get("--utilization"), E::normalized_utilization);
+    let r = e
+        .overhead(overhead(args))
+        .run_with_progress(args.progress().as_ref());
+    render(args, &r, || r.render_markdown(), || r.render_csv())
 }
 
-fn run_anatomy(mut flags: Flags) -> CliResult<String> {
-    reject_inapplicable(&mut flags, "anatomy", inapplicable_common_flags("anatomy"))?;
-    let common = CommonFlags::take(&mut flags)?;
-    flags.expect_empty("anatomy")?;
-    let report = PreemptionAnatomy::new().run();
-    render(
-        "anatomy",
-        &common,
-        &report,
-        || report.render_markdown(),
-        || report.render_csv(),
-    )
+fn run_global(args: &Args) -> CliResult<String> {
+    type E = GlobalComparisonExperiment;
+    let e = apply(E::new(), args.get("--seed"), E::seed);
+    let e = apply(e, args.get("--threads"), E::threads);
+    let e = apply(e, args.get("--sets-per-point"), E::sets_per_point);
+    let e = apply(e, args.get("--cores"), E::cores);
+    let e = apply(e, args.get("--tasks-per-set"), E::tasks_per_set);
+    let e = apply(e, args.list("--points"), E::utilization_points);
+    let r = e
+        .overhead(overhead(args))
+        .run_with_progress(args.progress().as_ref());
+    render(args, &r, || r.render_markdown(), || r.render_csv())
 }
 
-fn run_runtime(mut flags: Flags) -> CliResult<String> {
-    let common = CommonFlags::take(&mut flags)?;
-    let mut experiment = RuntimeCostExperiment::new()
-        .seed(common.seed)
-        .threads(common.threads);
-    if let Some(sets) = common.sets_per_point {
-        experiment = experiment.sets_per_point(sets);
-    }
-    if let Some(cores) = flags.take_usize("--cores")? {
-        experiment = experiment.cores(cores);
-    }
-    if let Some(tasks) = flags.take_usize("--tasks-per-set")? {
-        experiment = experiment.tasks_per_set(tasks);
-    }
-    if let Some(points) = flags.take_list("--points")? {
-        experiment = experiment.utilization_points(points);
-    }
-    experiment = experiment.overhead(take_overhead(&mut flags, OverheadModel::paper_n4())?);
-    flags.expect_empty("runtime")?;
-    let results = experiment.run_with_progress(common.progress("runtime").as_ref());
-    render(
-        "runtime",
-        &common,
-        &results,
-        || results.render_markdown(),
-        || results.render_csv(),
-    )
-}
-
-fn run_cores(mut flags: Flags) -> CliResult<String> {
-    let common = CommonFlags::take(&mut flags)?;
-    let mut experiment = CoreCountSweepExperiment::new()
-        .seed(common.seed)
-        .threads(common.threads);
-    if let Some(sets) = common.sets_per_point {
-        experiment = experiment.sets_per_point(sets);
-    }
-    if let Some(counts) = flags.take_list("--core-counts")? {
-        experiment = experiment.core_counts(counts);
-    }
-    if let Some(tasks) = flags.take_usize("--tasks-per-core")? {
-        experiment = experiment.tasks_per_core(tasks);
-    }
-    if let Some(u) = flags.take_f64("--utilization")? {
-        experiment = experiment.normalized_utilization(u);
-    }
-    experiment = experiment.overhead(take_overhead(&mut flags, OverheadModel::zero())?);
-    flags.expect_empty("cores")?;
-    let results = experiment.run_with_progress(common.progress("cores").as_ref());
-    render(
-        "cores",
-        &common,
-        &results,
-        || results.render_markdown(),
-        || results.render_csv(),
-    )
-}
-
-fn run_global(mut flags: Flags) -> CliResult<String> {
-    let common = CommonFlags::take(&mut flags)?;
-    let mut experiment = GlobalComparisonExperiment::new()
-        .seed(common.seed)
-        .threads(common.threads);
-    if let Some(sets) = common.sets_per_point {
-        experiment = experiment.sets_per_point(sets);
-    }
-    if let Some(cores) = flags.take_usize("--cores")? {
-        experiment = experiment.cores(cores);
-    }
-    if let Some(tasks) = flags.take_usize("--tasks-per-set")? {
-        experiment = experiment.tasks_per_set(tasks);
-    }
-    if let Some(points) = flags.take_list("--points")? {
-        experiment = experiment.utilization_points(points);
-    }
-    experiment = experiment.overhead(take_overhead(&mut flags, OverheadModel::zero())?);
-    flags.expect_empty("global")?;
-    let results = experiment.run_with_progress(common.progress("global").as_ref());
-    render(
-        "global",
-        &common,
-        &results,
-        || results.render_markdown(),
-        || results.render_csv(),
-    )
-}
-
-fn run_online(mut flags: Flags) -> CliResult<String> {
-    if let Some(path) = flags.take("--trace") {
-        return run_online_trace(&path, flags);
-    }
-    let common = CommonFlags::take(&mut flags)?;
-    let mut experiment = ChurnExperiment::new()
-        .seed(common.seed)
-        .threads(common.threads);
-    if let Some(traces) = common.sets_per_point {
-        experiment = experiment.traces_per_point(traces);
-    }
-    if let Some(cores) = flags.take_usize("--cores")? {
-        // An invalid churn configuration would otherwise be swallowed per
-        // grid cell (the sweep skips failed cells), reporting an all-zero
-        // table instead of an error.
-        if cores == 0 {
-            return usage_error("--cores must be at least 1");
-        }
-        experiment = experiment.cores(cores);
-    }
-    if let Some(events) = flags.take_usize("--events")? {
-        if events == 0 {
-            return usage_error("--events must be at least 1");
-        }
-        experiment = experiment.events_per_trace(events);
-    }
-    if let Some(points) = flags.take_list("--points")? {
-        experiment = experiment.utilization_points(points);
-    }
-    if let Some(moves) = flags.take_usize("--repair-moves")? {
-        experiment = experiment.max_repair_moves(moves);
-    }
-    if let Some(ms) = flags.take_u64("--replay-ms")? {
-        experiment = experiment.replay_duration((ms > 0).then(|| Time::from_millis(ms)));
-    }
-    if let Some(us) = flags.take_u64("--jitter-us")? {
-        experiment = experiment.release_jitter(Time::from_micros(us));
-    }
-    experiment = experiment.overhead(take_overhead(&mut flags, OverheadModel::zero())?);
-    experiment = experiment.cost_model(take_cost_model(&mut flags)?);
-    experiment = experiment.churn_family(take_churn(&mut flags)?);
-    let metrics = take_metrics(&mut flags)?;
-    flags.expect_empty("online")?;
-    let run = experiment.run_full_with_progress(common.progress("online").as_ref());
-    if let Some((path, format)) = &metrics {
-        write_metrics(path, *format, &run.metrics)?;
-    }
-    let results = run.results;
-    render(
-        "online",
-        &common,
-        &results,
-        || results.render_markdown(),
-        || results.render_csv(),
-    )
+fn run_online(args: &Args) -> CliResult<String> {
+    type E = ChurnExperiment;
+    let e = apply(E::new(), args.get("--seed"), E::seed);
+    let e = apply(e, args.get("--threads"), E::threads);
+    let e = apply(e, args.get("--sets-per-point"), E::traces_per_point);
+    let e = apply(e, args.get("--cores"), E::cores);
+    let e = apply(e, args.get("--events"), E::events_per_trace);
+    let e = apply(e, args.list("--points"), E::utilization_points);
+    let e = apply(e, args.get("--repair-moves"), E::max_repair_moves);
+    let e = apply(
+        e,
+        args.get("--jitter-us").map(Time::from_micros),
+        E::release_jitter,
+    );
+    let e = apply(e, args.get("--churn"), E::churn_family);
+    let e = e.replay_duration(args.millis("--replay-ms"));
+    let e = e.overhead(overhead(args)).cost_model(cost_model(args));
+    let run = e.run_full_with_progress(args.progress().as_ref());
+    write_metrics(args, &run.metrics)?;
+    let r = run.results;
+    render(args, &r, || r.render_markdown(), || r.render_csv())
 }
 
 /// What `spms online --trace` reports: the decision counters of one replay
@@ -954,57 +907,22 @@ fn write_trace(path: &str, trace: &[TimedEvent]) -> CliResult<()> {
 /// `spms online --trace <file>`: replays a recorded event log through the
 /// sharded admission service and reports the decision counters plus the
 /// decision-log digest.
-fn run_online_trace(path: &str, mut flags: Flags) -> CliResult<String> {
-    // Trace mode neither generates task sets nor sweeps a grid, so the
-    // sweep-only flags are rejected rather than silently ignored.
-    reject_inapplicable(
-        &mut flags,
-        "online --trace",
-        &[
-            "--seed",
-            "--sets-per-point",
-            "--threads",
-            "--points",
-            "--events",
-            "--replay-ms",
-            "--jitter-us",
-            "--churn",
-        ],
-    )?;
-    let common = CommonFlags::take(&mut flags)?;
-    let cores = flags.take_usize("--cores")?.unwrap_or(4);
-    if cores == 0 {
-        return usage_error("--cores must be at least 1");
-    }
-    let shards = flags.take_usize("--shards")?.unwrap_or(1);
-    let repair_moves = flags.take_usize("--repair-moves")?.unwrap_or(2);
-    let cross_shard_split = flags.take_switch("--cross-shard-split");
-    if cross_shard_split && shards < 2 {
-        return usage_error("--cross-shard-split requires --shards of at least 2");
-    }
-    let overhead = take_overhead(&mut flags, OverheadModel::zero())?;
-    let cost_model = take_cost_model(&mut flags)?;
-    let metrics = take_metrics(&mut flags)?;
-    flags.expect_empty("online")?;
-
-    let events = read_trace(path)?;
-    let config = OnlineConfig::builder()
-        .cores(cores)
-        .max_repair_moves(repair_moves)
-        .overhead(overhead)
-        .cost_model(cost_model)
-        .cross_shard_split(cross_shard_split)
-        .build();
+fn run_online_trace(args: &Args) -> CliResult<String> {
+    type B = OnlineConfigBuilder;
+    let events = read_trace(args.text("--trace").unwrap_or_default())?;
+    let shards = args.get("--shards").unwrap_or(1);
+    let config = apply(OnlineConfig::builder(), args.get("--cores"), B::cores);
+    let config = apply(config, args.get("--repair-moves"), B::max_repair_moves);
+    let config = config.overhead(overhead(args)).cost_model(cost_model(args));
+    let config = config.cross_shard_split(args.given("--cross-shard-split"));
     let mut service =
-        ShardedAdmission::new(config, shards).map_err(|e| UsageError(e.to_string()))?;
+        ShardedAdmission::new(config.build(), shards).map_err(|e| UsageError(e.to_string()))?;
     service.handle_all(&events);
-    if let Some((path, format)) = &metrics {
-        write_metrics(path, *format, &service.merged_metrics_registry())?;
-    }
+    write_metrics(args, &service.merged_metrics_registry())?;
     let stats = service.stats();
     let log = serde_json::to_string(&service.decisions().to_vec())
         .map_err(|e| UsageError(format!("serializing decisions failed: {e}")))?;
-    let report = TraceReplayReport {
+    let r = TraceReplayReport {
         shards,
         events: service.decisions().len() as u64,
         arrivals: stats.decisions.arrivals,
@@ -1016,86 +934,43 @@ fn run_online_trace(path: &str, mut flags: Flags) -> CliResult<String> {
         inflation_charged_ns: stats.decisions.inflation_charged_ns,
         decisions_digest: fnv1a(log.as_bytes()),
     };
-    render(
-        "online-trace",
-        &common,
-        &report,
-        || report.render_markdown(),
-        || report.render_csv(),
-    )
+    render(args, &r, || r.render_markdown(), || r.render_csv())
 }
 
-fn run_soak(mut flags: Flags) -> CliResult<String> {
-    let common = CommonFlags::take(&mut flags)?;
-    let mut experiment = SoakExperiment::new()
-        .seed(common.seed)
-        .threads(common.threads);
-    if let Some(traces) = common.sets_per_point {
-        experiment = experiment.traces_per_point(traces);
-    }
-    if let Some(cores) = flags.take_usize("--cores")? {
-        if cores == 0 {
-            return usage_error("--cores must be at least 1");
-        }
-        experiment = experiment.cores(cores);
-    }
-    if let Some(shards) = flags.take_list::<usize>("--shards")? {
-        if shards.is_empty() || shards.contains(&0) {
-            return usage_error("--shards expects shard counts of at least 1");
-        }
-        experiment = experiment.shard_counts(shards);
-    }
-    if let Some(events) = flags.take_usize("--events")? {
-        if events == 0 {
-            return usage_error("--events must be at least 1");
-        }
-        experiment = experiment.events_per_trace(events);
-    }
-    if let Some(u) = flags.take_f64("--utilization")? {
-        experiment = experiment.target_utilization(u);
-    }
-    if let Some(moves) = flags.take_usize("--repair-moves")? {
-        experiment = experiment.max_repair_moves(moves);
-    }
-    experiment = experiment.cost_model(take_cost_model(&mut flags)?);
-    if let Some(ms) = flags.take_u64("--rebalance-ms")? {
-        experiment = experiment.rebalance_period((ms > 0).then(|| Time::from_millis(ms)));
-    }
-    if let Some(moves) = flags.take_usize("--rebalance-moves")? {
-        experiment = experiment.rebalance_max_moves(moves);
-    }
-    if let Some(ms) = flags.take_u64("--lease-ms")? {
-        experiment = experiment.lease((ms > 0).then(|| Time::from_millis(ms)));
-    }
-    if let Some(ms) = flags.take_u64("--leased-scenario-ms")? {
-        experiment = experiment.leased_scenario((ms > 0).then(|| Time::from_millis(ms)));
-    }
-    experiment = experiment.cross_shard(flags.take_switch("--cross-shard-split"));
-    experiment = experiment.churn_family(take_churn(&mut flags)?);
-    if let Some(every) = flags.take_usize("--replay-every")? {
-        experiment = experiment.replay_sample_every(every);
-    }
-    if let Some(ms) = flags.take_u64("--audit-ms")? {
-        experiment = experiment.audit_period((ms > 0).then(|| Time::from_millis(ms)));
-    }
-    let fault_source = take_fault_source(&mut flags)?;
-    let dump_trace = flags.take("--dump-trace");
-    if dump_trace.is_some() {
-        experiment = experiment.capture_trace(true);
-    }
-    let metrics = take_metrics(&mut flags)?;
-    flags.expect_empty("soak")?;
+fn run_soak(args: &Args) -> CliResult<String> {
+    type E = SoakExperiment;
+    let faults = faults(args)?;
+    let dump_trace = args.text("--dump-trace");
+    let e = apply(E::new(), args.get("--seed"), E::seed);
+    let e = apply(e, args.get("--threads"), E::threads);
+    let e = apply(e, args.get("--sets-per-point"), E::traces_per_point);
+    let e = apply(e, args.get("--cores"), E::cores);
+    let e = apply(e, args.list("--shards"), E::shard_counts);
+    let e = apply(e, args.get("--events"), E::events_per_trace);
+    let e = apply(e, args.get("--utilization"), E::target_utilization);
+    let e = apply(e, args.get("--repair-moves"), E::max_repair_moves);
+    let e = apply(e, args.get("--rebalance-moves"), E::rebalance_max_moves);
+    let e = apply(e, args.get("--churn"), E::churn_family);
+    let e = apply(e, args.get("--replay-every"), E::replay_sample_every);
+    let e = e
+        .cost_model(cost_model(args))
+        .rebalance_period(args.millis("--rebalance-ms"))
+        .lease(args.millis("--lease-ms"))
+        .leased_scenario(args.millis("--leased-scenario-ms"))
+        .audit_period(args.millis("--audit-ms"))
+        .cross_shard(args.given("--cross-shard-split"))
+        .capture_trace(dump_trace.is_some());
     // The spec is expanded only after every knob that shapes the first
     // trace (cores, events, utilization, churn, seed) has been applied.
-    let fault_plan = match fault_source {
-        FaultSource::None => None,
-        FaultSource::Spec(spec) => Some(experiment.plan_faults(&spec)),
-        FaultSource::Script(plan) => Some(plan),
-    };
-    let faults_armed = fault_plan.is_some();
-    experiment = experiment.faults(fault_plan);
-    let run = experiment.run_full_with_progress(common.progress("soak").as_ref());
-    if faults_armed && !common.quiet {
+    let plan = faults.map(|faults| match faults {
+        Faults::Spec(spec) => e.plan_faults(&spec),
+        Faults::Script(plan) => plan,
+    });
+    let faults_armed = plan.is_some();
+    let run = e
+        .faults(plan)
+        .run_full_with_progress(args.progress().as_ref());
+    if faults_armed && !args.given("--quiet") {
         // Recovery counters go to stderr: the serialized soak artifact
         // stays byte-identical to a fault-free build when faults are off,
         // and `spms chaos` is the command that reports them as data.
@@ -1121,196 +996,71 @@ fn run_soak(mut flags: Flags) -> CliResult<String> {
             );
         }
     }
-    if let Some(path) = &dump_trace {
+    if let Some(path) = dump_trace {
         let trace = run
             .captured_trace
             .ok_or_else(|| UsageError("no trace captured: the first grid cell failed".into()))?;
         write_trace(path, &trace)?;
     }
-    if let Some((path, format)) = &metrics {
-        write_metrics(path, *format, &run.metrics)?;
-    }
-    let results = run.results;
-    render(
-        "soak",
-        &common,
-        &results,
-        || results.render_markdown(),
-        || results.render_csv(),
-    )
+    write_metrics(args, &run.metrics)?;
+    let r = run.results;
+    render(args, &r, || r.render_markdown(), || r.render_csv())
 }
 
-fn run_chaos(mut flags: Flags) -> CliResult<String> {
-    let common = CommonFlags::take(&mut flags)?;
-    let mut experiment = ChaosExperiment::new()
-        .seed(common.seed)
-        .threads(common.threads);
-    if let Some(traces) = common.sets_per_point {
-        experiment = experiment.traces_per_point(traces);
-    }
-    if let Some(cores) = flags.take_usize("--cores")? {
-        if cores == 0 {
-            return usage_error("--cores must be at least 1");
-        }
-        experiment = experiment.cores(cores);
-    }
-    if let Some(shards) = flags.take_list::<usize>("--shards")? {
-        if shards.is_empty() || shards.contains(&0) {
-            return usage_error("--shards expects shard counts of at least 1");
-        }
-        experiment = experiment.shard_counts(shards);
-    }
-    if let Some(events) = flags.take_usize("--events")? {
-        if events == 0 {
-            return usage_error("--events must be at least 1");
-        }
-        experiment = experiment.events_per_trace(events);
-    }
-    if let Some(u) = flags.take_f64("--utilization")? {
-        experiment = experiment.target_utilization(u);
-    }
-    if let Some(ms) = flags.take_u64("--audit-ms")? {
-        if ms == 0 {
-            return usage_error(
-                "--audit-ms must be at least 1: the self-audit is the \
-                 chaos harness's corruption detector",
-            );
-        }
-        experiment = experiment.audit_period(Time::from_millis(ms));
-    }
-    if let Some(ms) = flags.take_u64("--rebalance-ms")? {
-        experiment = experiment.rebalance_period((ms > 0).then(|| Time::from_millis(ms)));
-    }
-    if let Some(every) = flags.take_usize("--replay-every")? {
-        experiment = experiment.replay_sample_every(every);
-    }
-    experiment = match take_fault_source(&mut flags)? {
-        // A bare `spms chaos` injects one fault of each kind rather than
-        // an empty plan, so the default run actually exercises failover.
-        FaultSource::None => experiment.spec(FaultSpec {
-            crashes: 1,
-            stalls: 1,
-            corruptions: 1,
-            cost_spikes: 1,
-            ..FaultSpec::default()
-        }),
-        FaultSource::Spec(spec) => experiment.spec(spec),
-        FaultSource::Script(plan) => experiment.script(Some(plan)),
+fn run_chaos(args: &Args) -> CliResult<String> {
+    type E = ChaosExperiment;
+    let e = apply(E::new(), args.get("--seed"), E::seed);
+    let e = apply(e, args.get("--threads"), E::threads);
+    let e = apply(e, args.get("--sets-per-point"), E::traces_per_point);
+    let e = apply(e, args.get("--cores"), E::cores);
+    let e = apply(e, args.list("--shards"), E::shard_counts);
+    let e = apply(e, args.get("--events"), E::events_per_trace);
+    let e = apply(e, args.get("--utilization"), E::target_utilization);
+    let e = apply(e, args.millis("--audit-ms"), E::audit_period);
+    let e = apply(e, args.get("--replay-every"), E::replay_sample_every);
+    let e = e.rebalance_period(args.millis("--rebalance-ms"));
+    // `--faults` has a default here, so a bare `spms chaos` injects one
+    // fault of each kind rather than an empty plan.
+    let e = match faults(args)? {
+        Some(Faults::Spec(spec)) => e.spec(spec),
+        Some(Faults::Script(plan)) => e.script(Some(plan)),
+        None => e,
     };
-    let dump_plan = flags.take("--dump-plan");
-    flags.expect_empty("chaos")?;
-    let results = experiment.run_with_progress(common.progress("chaos").as_ref());
-    if let Some(path) = &dump_plan {
-        std::fs::write(path, results.plan.to_script())
+    let r = e.run_with_progress(args.progress().as_ref());
+    if let Some(path) = args.text("--dump-plan") {
+        std::fs::write(path, r.plan.to_script())
             .map_err(|e| UsageError(format!("writing fault plan `{path}` failed: {e}")))?;
     }
-    render(
-        "chaos",
-        &common,
-        &results,
-        || results.render_markdown(),
-        || results.render_csv(),
-    )
+    render(args, &r, || r.render_markdown(), || r.render_csv())
 }
 
-fn run_rtabench(mut flags: Flags) -> CliResult<String> {
-    let common = CommonFlags::take(&mut flags)?;
-    let mut experiment = RtaCacheBenchmark::new()
-        .seed(common.seed)
-        .threads(common.threads);
-    if let Some(traces) = common.sets_per_point {
-        experiment = experiment.traces_per_point(traces);
-    }
-    if let Some(cores) = flags.take_usize("--cores")? {
-        if cores == 0 {
-            return usage_error("--cores must be at least 1");
-        }
-        experiment = experiment.cores(cores);
-    }
-    if let Some(events) = flags.take_usize("--events")? {
-        if events == 0 {
-            return usage_error("--events must be at least 1");
-        }
-        experiment = experiment.events_per_trace(events);
-    }
-    if let Some(points) = flags.take_list("--points")? {
-        experiment = experiment.utilization_points(points);
-    }
-    if let Some(moves) = flags.take_usize("--repair-moves")? {
-        experiment = experiment.max_repair_moves(moves);
-    }
-    flags.expect_empty("rtabench")?;
-    let results = experiment.run_with_progress(common.progress("rtabench").as_ref());
-    render(
-        "rtabench",
-        &common,
-        &results,
-        || results.render_markdown(),
-        || results.render_csv(),
-    )
+fn run_rtabench(args: &Args) -> CliResult<String> {
+    type E = RtaCacheBenchmark;
+    let e = apply(E::new(), args.get("--seed"), E::seed);
+    let e = apply(e, args.get("--threads"), E::threads);
+    let e = apply(e, args.get("--sets-per-point"), E::traces_per_point);
+    let e = apply(e, args.get("--cores"), E::cores);
+    let e = apply(e, args.get("--events"), E::events_per_trace);
+    let e = apply(e, args.list("--points"), E::utilization_points);
+    let e = apply(e, args.get("--repair-moves"), E::max_repair_moves);
+    let r = e.run_with_progress(args.progress().as_ref());
+    render(args, &r, || r.render_markdown(), || r.render_csv())
 }
 
-fn run_overhead(mut flags: Flags) -> CliResult<String> {
-    let common = CommonFlags::take(&mut flags)?;
-    let mut experiment = OverheadExperiment::new()
-        .seed(common.seed)
-        .threads(common.threads);
-    if let Some(traces) = common.sets_per_point {
-        experiment = experiment.traces_per_point(traces);
-    }
-    if let Some(cores) = flags.take_usize("--cores")? {
-        if cores == 0 {
-            return usage_error("--cores must be at least 1");
-        }
-        experiment = experiment.cores(cores);
-    }
-    if let Some(events) = flags.take_usize("--events")? {
-        if events == 0 {
-            return usage_error("--events must be at least 1");
-        }
-        experiment = experiment.events_per_trace(events);
-    }
-    if let Some(points) = flags.take_list("--points")? {
-        experiment = experiment.utilization_points(points);
-    }
-    if let Some(moves) = flags.take_usize("--repair-moves")? {
-        experiment = experiment.max_repair_moves(moves);
-    }
-    if let Some(ms) = flags.take_u64("--replay-ms")? {
-        experiment = experiment.replay_duration((ms > 0).then(|| Time::from_millis(ms)));
-    }
-    let metrics = take_metrics(&mut flags)?;
-    flags.expect_empty("overhead")?;
-    let run = experiment.run_full_with_progress(common.progress("overhead").as_ref());
-    if let Some((path, format)) = &metrics {
-        write_metrics(path, *format, &run.metrics)?;
-    }
-    let results = run.results;
-    render(
-        "overhead",
-        &common,
-        &results,
-        || results.render_markdown(),
-        || results.render_csv(),
-    )
-}
-
-fn dispatch(command: &str, flags: Flags) -> CliResult<String> {
-    match command {
-        "acceptance" => run_acceptance(flags),
-        "sensitivity" => run_sensitivity(flags),
-        "cache" => run_cache(flags),
-        "anatomy" => run_anatomy(flags),
-        "runtime" => run_runtime(flags),
-        "cores" => run_cores(flags),
-        "global" => run_global(flags),
-        "online" => run_online(flags),
-        "rtabench" => run_rtabench(flags),
-        "soak" => run_soak(flags),
-        "chaos" => run_chaos(flags),
-        "overhead" => run_overhead(flags),
-        other => usage_error(format!("unknown command `{other}`")),
-    }
+fn run_overhead(args: &Args) -> CliResult<String> {
+    type E = OverheadExperiment;
+    let e = apply(E::new(), args.get("--seed"), E::seed);
+    let e = apply(e, args.get("--threads"), E::threads);
+    let e = apply(e, args.get("--sets-per-point"), E::traces_per_point);
+    let e = apply(e, args.get("--cores"), E::cores);
+    let e = apply(e, args.get("--events"), E::events_per_trace);
+    let e = apply(e, args.list("--points"), E::utilization_points);
+    let e = apply(e, args.get("--repair-moves"), E::max_repair_moves);
+    let e = e.replay_duration(args.millis("--replay-ms"));
+    let run = e.run_full_with_progress(args.progress().as_ref());
+    write_metrics(args, &run.metrics)?;
+    let r = run.results;
+    render(args, &r, || r.render_markdown(), || r.render_csv())
 }
 
 fn main() -> ExitCode {
@@ -1324,21 +1074,14 @@ fn main() -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
-    if args.is_empty() {
+    let Some(command) = args.first() else {
         // A missing command is an error: keep stdout clean for data so
         // `spms > out.json` pipelines fail without polluting the file.
         eprint!("{}", global_usage());
         return ExitCode::from(2);
-    }
-    let command = args[0].clone();
-    let flags = match Flags::parse(&args[1..]) {
-        Ok(flags) => flags,
-        Err(UsageError(message)) => {
-            eprintln!("error: {message}\nrun `spms --help` for usage");
-            return ExitCode::from(2);
-        }
     };
-    let code = match dispatch(&command, flags) {
+    let run = |a: Args| a.cross_check().and_then(|()| (a.command.run)(&a));
+    let code = match Args::parse(command, &args[1..]).and_then(run) {
         Ok(output) => {
             println!("{output}");
             ExitCode::SUCCESS
@@ -1352,14 +1095,65 @@ fn main() -> ExitCode {
     // records once-per-run diagnostics instead of writing to stderr
     // behind our back; surface them here, after the data output.
     for warning in spms::telemetry::drain_warnings() {
-        if warning.count > 1 {
-            eprintln!(
-                "warning: {} ({} occurrences)",
-                warning.message, warning.count
-            );
-        } else {
-            eprintln!("warning: {}", warning.message);
-        }
+        let repeats = match warning.count {
+            1 => String::new(),
+            count => format!(" ({count} occurrences)"),
+        };
+        eprintln!("warning: {}{repeats}", warning.message);
     }
     code
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Tokens passing `flag` a value its kind admits.
+    fn tokens_for(flag: &Flag) -> Vec<String> {
+        let value = match flag.kind {
+            Switch => return vec![flag.name().to_string()],
+            Choice(names) => names[0],
+            Text => "file",
+            _ => "1",
+        };
+        vec![flag.name().to_string(), value.to_string()]
+    }
+
+    /// Walks the table: every flag on a command's help page parses for
+    /// that command (and its default passes its own check), and a common
+    /// flag the command refuses is neither parsed nor advertised.
+    #[test]
+    fn every_advertised_flag_parses_and_no_refused_flag_is_advertised() {
+        for command in COMMANDS {
+            let page = command_usage(command.name).expect("every command has a page");
+            let mode = match command.mode {
+                "" => Vec::new(),
+                mode => tokens_for(&resolve(mode)),
+            };
+            for flag in command.accepts() {
+                let (usage, default) = (flag.usage, flag.default);
+                assert!(page.contains(usage), "{} lacks {usage}", command.name);
+                let valid = default.is_empty() || flag.check(default).is_ok();
+                assert!(valid, "{usage}: invalid default `{default}`");
+                if flag.name() == command.mode {
+                    continue;
+                }
+                let tokens = [mode.clone(), tokens_for(&flag)].concat();
+                match Args::parse(command.name, &tokens) {
+                    Ok(args) => assert_eq!(args.command.mode, command.mode),
+                    Err(UsageError(e)) => panic!("`spms {}` {tokens:?}: {e}", command.name),
+                }
+            }
+            let shown = match command.mode {
+                "" => page,
+                _ => command.options(),
+            };
+            for flag in COMMON.split_whitespace().skip(command.common).map(resolve) {
+                let tokens = [mode.clone(), tokens_for(&flag)].concat();
+                assert!(Args::parse(command.name, &tokens).is_err());
+                let name = flag.name();
+                assert!(!shown.contains(name), "{} shows {name}", command.label());
+            }
+        }
+    }
 }

@@ -212,20 +212,63 @@ fn usage_errors_exit_with_code_2() {
     assert!(String::from_utf8_lossy(&output.stderr).contains("--no-such-flag"));
 }
 
+/// Every `spms` subcommand.
+const SUBCOMMANDS: [&str; 12] = [
+    "acceptance",
+    "sensitivity",
+    "cache",
+    "anatomy",
+    "runtime",
+    "cores",
+    "global",
+    "online",
+    "rtabench",
+    "soak",
+    "chaos",
+    "overhead",
+];
+
 #[test]
 fn help_lists_every_subcommand() {
     let help = spms(&["--help"]);
-    for subcommand in [
-        "acceptance",
-        "sensitivity",
-        "cache",
-        "anatomy",
-        "runtime",
-        "cores",
-        "global",
-        "online",
+    for subcommand in SUBCOMMANDS {
+        let listed = format!("\n    {subcommand} ");
+        assert!(help.contains(&listed), "--help misses {subcommand}");
+        let page = spms(&[subcommand, "--help"]);
+        assert!(page.starts_with(&format!("spms {subcommand} —")));
+    }
+}
+
+#[test]
+fn invalid_values_are_usage_errors() {
+    // Each of these used to exit 0 with a table of zeros (every grid cell
+    // swallowed the generator's typed error), or wrapped a fault count to
+    // zero. A value the drivers would reject must be a usage error that
+    // names the flag, with nothing on stdout.
+    for (args, flag) in [
+        (&["online", "--points", "nan"][..], "--points"),
+        (&["online", "--points", "0"], "--points"),
+        (&["online", "--points", "-1"], "--points"),
+        (&["acceptance", "--tasks-per-set", "0"], "--tasks-per-set"),
+        (&["cores", "--core-counts", "0"], "--core-counts"),
+        (&["runtime", "--cores", "0"], "--cores"),
+        (&["soak", "--utilization", "0"], "--utilization"),
+        (&["soak", "--shards", "5", "--cores", "4"], "--shards"),
+        (&["chaos", "--shards", "5", "--cores", "4"], "--shards"),
+        (&["sensitivity", "--scales", "-1"], "--scales"),
+        (
+            &["chaos", "--faults", "crash=4294967295,stall=1"],
+            "--faults",
+        ),
     ] {
-        assert!(help.contains(subcommand), "--help misses {subcommand}");
+        let output = Command::new(env!("CARGO_BIN_EXE_spms"))
+            .args(args)
+            .output()
+            .expect("spms binary runs");
+        assert_eq!(output.status.code(), Some(2), "spms {args:?} should fail");
+        assert!(output.stdout.is_empty(), "spms {args:?} printed a table");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(flag), "spms {args:?} stderr: {stderr}");
     }
 }
 
