@@ -28,7 +28,7 @@ fn warm_controller() -> AdmissionController {
         .expect("reachable configuration");
     let mut controller = AdmissionController::new(OnlineConfig::new(CORES)).expect("cores > 0");
     for task in tasks {
-        controller.handle(WorkloadEvent::Arrive(task));
+        controller.handle_event(&WorkloadEvent::Arrive(task));
     }
     assert!(controller.admitted_count() > 0);
     controller
@@ -47,15 +47,15 @@ fn bench_admission_latency(c: &mut Criterion) {
     group.bench_function("fast_path", |b| {
         b.iter(|| {
             let mut controller = warm.clone();
-            black_box(controller.handle(WorkloadEvent::Arrive(probe_task.clone())))
+            black_box(controller.handle_event(&WorkloadEvent::Arrive(probe_task.clone())))
         });
     });
 
     group.bench_function("admit_depart_cycle", |b| {
         b.iter(|| {
             let mut controller = warm.clone();
-            controller.handle(WorkloadEvent::Arrive(probe_task.clone()));
-            black_box(controller.handle(WorkloadEvent::Depart(probe_task.id())))
+            controller.handle_event(&WorkloadEvent::Arrive(probe_task.clone()));
+            black_box(controller.handle_event(&WorkloadEvent::Depart(probe_task.id())))
         });
     });
 

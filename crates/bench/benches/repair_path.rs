@@ -36,7 +36,7 @@ fn warm_repair_controller() -> AdmissionController {
     let mut controller = AdmissionController::new(config).expect("cores > 0");
     let mut id = 0u32;
     let mut admit = |c: &mut AdmissionController, wcet_us: u64| {
-        let decision = c.handle(WorkloadEvent::Arrive(task(id, wcet_us, 10_000)));
+        let decision = c.handle_event(&WorkloadEvent::Arrive(task(id, wcet_us, 10_000)));
         assert!(decision.is_admission(), "setup arrival rejected");
         id += 1;
     };
@@ -73,7 +73,7 @@ fn warm_split_controller(config: OnlineConfig) -> AdmissionController {
         for period in PERIODS_US {
             // ~13.3% utilization each, 80% per core in total.
             let decision =
-                controller.handle(WorkloadEvent::Arrive(task(id, period * 2 / 15, period)));
+                controller.handle_event(&WorkloadEvent::Arrive(task(id, period * 2 / 15, period)));
             assert!(decision.is_admission(), "setup arrival rejected");
             id += 1;
         }
@@ -86,7 +86,7 @@ fn split_probe() -> Task {
 }
 
 fn expect_path(controller: &mut AdmissionController, probe: Task, path: DecisionPath) {
-    let decision = controller.handle(WorkloadEvent::Arrive(probe));
+    let decision = controller.handle_event(&WorkloadEvent::Arrive(probe));
     assert_eq!(
         decision.kind,
         DecisionKind::Admitted {
@@ -109,7 +109,7 @@ fn bench_repair_path(c: &mut Criterion) {
         let mut j = journal.clone();
         let clones_before = Partition::clone_count();
         expect_path(&mut j, repairable_probe(), DecisionPath::Repair);
-        let rejected = j.handle(WorkloadEvent::Arrive(unrepairable_probe()));
+        let rejected = j.handle_event(&WorkloadEvent::Arrive(unrepairable_probe()));
         assert!(!rejected.is_admission(), "unrepairable probe was admitted");
         assert_eq!(
             Partition::clone_count(),
@@ -122,7 +122,7 @@ fn bench_repair_path(c: &mut Criterion) {
         b.iter_batched(
             || journal.clone(),
             |mut controller| {
-                black_box(controller.handle(WorkloadEvent::Arrive(repairable_probe())))
+                black_box(controller.handle_event(&WorkloadEvent::Arrive(repairable_probe())))
             },
             BatchSize::SmallInput,
         );
@@ -131,7 +131,7 @@ fn bench_repair_path(c: &mut Criterion) {
         b.iter_batched(
             || journal.clone(),
             |mut controller| {
-                black_box(controller.handle(WorkloadEvent::Arrive(unrepairable_probe())))
+                black_box(controller.handle_event(&WorkloadEvent::Arrive(unrepairable_probe())))
             },
             BatchSize::SmallInput,
         );
@@ -142,7 +142,7 @@ fn bench_repair_path(c: &mut Criterion) {
         matches!(
             splitting
                 .clone()
-                .handle(WorkloadEvent::Arrive(split_probe()))
+                .handle_event(&WorkloadEvent::Arrive(split_probe()))
                 .kind,
             DecisionKind::Admitted {
                 path: DecisionPath::FastSplit,
@@ -154,7 +154,9 @@ fn bench_repair_path(c: &mut Criterion) {
     group.bench_function("split_frontier", |b| {
         b.iter_batched(
             || splitting.clone(),
-            |mut controller| black_box(controller.handle(WorkloadEvent::Arrive(split_probe()))),
+            |mut controller| {
+                black_box(controller.handle_event(&WorkloadEvent::Arrive(split_probe())))
+            },
             BatchSize::SmallInput,
         );
     });

@@ -113,3 +113,12 @@ pub use soak::{CrossShardComparison, SoakExperiment, SoakPoint, SoakResults, Soa
 pub(crate) fn same_point(axis_value: f64, query: f64) -> bool {
     (axis_value - query).abs() <= 1e-9
 }
+
+/// `num / den`, or 0 when nothing was counted.
+pub(crate) fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
+    }
+}

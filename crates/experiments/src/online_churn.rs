@@ -2,11 +2,12 @@
 //! offered load grows.
 //!
 //! For every point of a target-utilization sweep, generate many independent
-//! churn traces (Poisson arrivals, log-uniform lifetimes) and drive the
-//! online [`AdmissionController`] over each, recording how many arrivals it
-//! admits, which decision paths it takes, how many already-placed tasks its
-//! decisions migrate, and — when replay is enabled — whether every admitted
-//! epoch simulates without deadline misses.
+//! timed churn traces (Poisson arrivals, log-uniform lifetimes) and run
+//! each through the [`EventLoop`] into a one-shard [`ShardedAdmission`]
+//! service, recording how many arrivals it admits, which decision paths it
+//! takes, how many already-placed tasks its decisions migrate, and — when
+//! replay is enabled — whether every admitted epoch simulates without
+//! deadline misses.
 //!
 //! The sweep runs on the shared [`SweepRunner`] grid, so results are
 //! bit-identical for every `--threads` value under a fixed seed.
@@ -14,8 +15,8 @@
 use serde::{Deserialize, Serialize};
 use spms_analysis::{rta, OverheadModel};
 use spms_online::{
-    run_trace, AdmissionController, ChurnFamily, ChurnGenerator, ControllerStats, OnlineConfig,
-    ReplayConfig, ReplayOutcome,
+    ChurnFamily, ChurnGenerator, ControllerStats, EventLoop, EventLoopConfig, OnlineConfig,
+    ReplayConfig, ReplayOutcome, ShardedAdmission,
 };
 use spms_overhead::CostModelSpec;
 use spms_task::Time;
@@ -23,7 +24,7 @@ use spms_telemetry::Registry;
 
 use crate::progress::{NullProgress, ProgressSink};
 use crate::runner::SweepRunner;
-use crate::same_point;
+use crate::{ratio, same_point};
 
 /// Aggregated controller behaviour at one target-utilization point.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -59,14 +60,14 @@ pub struct ChurnPoint {
 }
 
 /// Everything a churn sweep produces: the serializable [`ChurnResults`]
-/// artifact plus the run-wide telemetry registry (per-cell controller
+/// artifact plus the run-wide telemetry registry (per-cell service
 /// registries merged in grid order, so the deterministic section is
 /// identical for every `--threads` value).
 #[derive(Debug, Clone)]
 pub struct ChurnRun {
     /// The serializable sweep artifact.
     pub results: ChurnResults,
-    /// Every grid cell's controller registry, merged in grid order.
+    /// Every grid cell's service registry, merged in grid order.
     pub metrics: Registry,
 }
 
@@ -323,14 +324,16 @@ impl ChurnExperiment {
                     if let Some((min, max)) = self.lifetime_range {
                         generator = generator.lifetime_range(min, max);
                     }
-                    let events = generator.generate().ok()?;
+                    let trace = generator.generate_timed().ok()?;
                     let config = OnlineConfig::builder()
                         .cores(self.cores)
                         .overhead(self.overhead)
                         .max_repair_moves(self.max_repair_moves)
                         .cost_model(self.cost_model.clone())
                         .build();
-                    let mut controller = AdmissionController::new(config).ok()?;
+                    let mut engine = ShardedAdmission::new(config, 1).ok()?;
+                    let mut event_loop = EventLoop::new(EventLoopConfig::new(cell.seed));
+                    event_loop.load_trace(&trace);
                     // Replay injects the same overheads the admission
                     // analysis charges (a miss flags an analysis that
                     // under-charges them), plus the optional sporadic
@@ -343,9 +346,13 @@ impl ChurnExperiment {
                     // Grid cells run wholly on one worker thread, so the
                     // thread-local delta is exactly this cell's count.
                     let exhaustions_before = rta::thread_cap_exhaustions();
-                    let (_, replay_outcome) = run_trace(&mut controller, &events, replay.as_ref());
+                    let mut replay_outcome = ReplayOutcome::default();
+                    event_loop.run_with(&mut engine, |engine, decision| {
+                        let partition = engine.shards()[0].partition();
+                        replay_outcome.observe(partition, decision, replay.as_ref());
+                    });
                     let cap_exhaustions = rta::thread_cap_exhaustions() - exhaustions_before;
-                    let registry = controller.metrics().registry().clone();
+                    let registry = engine.merged_metrics_registry();
                     Some((replay_outcome, cap_exhaustions, registry))
                 },
             );
@@ -384,13 +391,6 @@ fn aggregate_point(target: f64, traces: &[ChurnCell]) -> ChurnPoint {
     }
     let stats = ControllerStats::from_registry(&registry);
     let (arrivals, admitted) = (stats.arrivals, stats.admitted);
-    let ratio = |num: u64, den: u64| {
-        if den == 0 {
-            0.0
-        } else {
-            num as f64 / den as f64
-        }
-    };
     ChurnPoint {
         normalized_utilization: target,
         arrivals,

@@ -2,8 +2,9 @@
 //! migrations are charged at their real CRPD price.
 //!
 //! For every `(cost model, target utilization)` pair this driver generates
-//! churn traces and drives the online [`AdmissionController`] with the
-//! scenario's [`CostModelSpec`]: every split piece and repair relocation
+//! timed churn traces and runs each through the [`EventLoop`] into a
+//! one-shard [`ShardedAdmission`] service charging the scenario's
+//! [`CostModelSpec`]: every split piece and repair relocation
 //! inflates the affected task's analysis WCET by the model's per-job
 //! migration charge before the schedulability test must still pass. The
 //! trace seeds depend only on the utilization point — **every scenario
@@ -17,8 +18,8 @@
 
 use serde::{Deserialize, Serialize};
 use spms_online::{
-    run_trace, AdmissionController, ChurnGenerator, ControllerStats, OnlineConfig, ReplayConfig,
-    ReplayOutcome,
+    ChurnGenerator, ControllerStats, EventLoop, EventLoopConfig, OnlineConfig, ReplayConfig,
+    ReplayOutcome, ShardedAdmission,
 };
 use spms_overhead::{CostModelSpec, CrpdCostModel};
 use spms_task::Time;
@@ -26,7 +27,7 @@ use spms_telemetry::Registry;
 
 use crate::progress::{NullProgress, ProgressSink};
 use crate::runner::{derive_seed, SweepRunner};
-use crate::same_point;
+use crate::{ratio, same_point};
 
 /// One cost-model scenario of the sweep: a label for the report plus the
 /// model the controller charges.
@@ -74,13 +75,13 @@ pub struct OverheadPoint {
 
 /// Everything an overhead sweep produces: the serializable
 /// [`OverheadResults`] artifact plus the run-wide telemetry registry
-/// (per-cell controller registries merged in grid order, so the
+/// (per-cell service registries merged in grid order, so the
 /// deterministic section is identical for every `--threads` value).
 #[derive(Debug, Clone)]
 pub struct OverheadRun {
     /// The serializable sweep artifact.
     pub results: OverheadResults,
-    /// Every grid cell's controller registry, merged in grid order.
+    /// Every grid cell's service registry, merged in grid order.
     pub metrics: Registry,
 }
 
@@ -293,7 +294,7 @@ impl OverheadExperiment {
                     // lifetimes) concentrates the offered load in few heavy
                     // tasks, so the traces actually exercise splitting and
                     // repair — the paths a migration charge prices.
-                    let events = ChurnGenerator::new()
+                    let trace = ChurnGenerator::new()
                         .cores(self.cores)
                         .target_normalized_utilization(target)
                         .mean_interarrival(Time::from_millis(150))
@@ -301,18 +302,23 @@ impl OverheadExperiment {
                         .max_task_utilization(0.85)
                         .events(self.events_per_trace)
                         .seed(trace_seed)
-                        .generate()
+                        .generate_timed()
                         .ok()?;
                     let config = OnlineConfig::builder()
                         .cores(self.cores)
                         .max_repair_moves(self.max_repair_moves)
                         .cost_model(scenario.model.clone())
                         .build();
-                    let mut controller = AdmissionController::new(config).ok()?;
+                    let mut engine = ShardedAdmission::new(config, 1).ok()?;
+                    let mut event_loop = EventLoop::new(EventLoopConfig::new(trace_seed));
+                    event_loop.load_trace(&trace);
                     let replay = self.replay_duration.map(ReplayConfig::new);
-                    let (_, replay_outcome) = run_trace(&mut controller, &events, replay.as_ref());
-                    let registry = controller.metrics().registry().clone();
-                    Some((replay_outcome, registry))
+                    let mut replay_outcome = ReplayOutcome::default();
+                    event_loop.run_with(&mut engine, |engine, decision| {
+                        let partition = engine.shards()[0].partition();
+                        replay_outcome.observe(partition, decision, replay.as_ref());
+                    });
+                    Some((replay_outcome, engine.merged_metrics_registry()))
                 },
             );
         let points = self
@@ -347,13 +353,6 @@ fn aggregate_point(scenario: &str, target: f64, traces: &[OverheadCell]) -> Over
     }
     let stats = ControllerStats::from_registry(&registry);
     let (arrivals, admitted) = (stats.arrivals, stats.admitted);
-    let ratio = |num: u64, den: u64| {
-        if den == 0 {
-            0.0
-        } else {
-            num as f64 / den as f64
-        }
-    };
     OverheadPoint {
         scenario: scenario.to_string(),
         normalized_utilization: target,

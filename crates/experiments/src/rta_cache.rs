@@ -1,11 +1,12 @@
 //! The admission-cascade regression bench: every decision audited against
 //! scratch RTA.
 //!
-//! For every point of a target-utilization sweep this driver generates churn
-//! traces and drives the production controller over each twice:
+//! For every point of a target-utilization sweep this driver generates timed
+//! churn traces and runs each twice through the [`EventLoop`] into a fresh
+//! one-shard [`ShardedAdmission`] service:
 //!
 //! * an **audited** pass that, after every decision, checks each core of the
-//!   controller's partition with `Partition::scratch_audit` — a from-scratch
+//!   shard's partition with `Partition::scratch_audit` — a from-scratch
 //!   `rta::analyse_core` that shares no code with the placer or the
 //!   incremental cache: the core must be schedulable, and its converged
 //!   cache slot must hold exactly the scratch response times;
@@ -24,8 +25,10 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 use spms_analysis::rta;
 use spms_core::Partition;
-use spms_online::{AdmissionController, ChurnGenerator, Decision, OnlineConfig};
-use spms_task::{fnv1a, fnv1a_combine, FNV_OFFSET};
+use spms_online::{
+    decisions_digest, ChurnGenerator, EventLoop, EventLoopConfig, OnlineConfig, ShardedAdmission,
+};
+use spms_task::{fnv1a_combine, FNV_OFFSET};
 
 use crate::progress::{NullProgress, ProgressSink};
 use crate::runner::SweepRunner;
@@ -75,7 +78,7 @@ pub struct RtaCacheResults {
     /// from-scratch RTA and every converged cache slot matched it
     /// (`Partition::scratch_audit`).
     pub fleet_audit_clean: bool,
-    /// Whether the controller decided every trace without a single
+    /// Whether the service decided every trace without a single
     /// partition snapshot clone.
     pub journal_clone_free: bool,
     /// Order-sensitive FNV-1a digest over every decision log —
@@ -228,12 +231,12 @@ impl RtaCacheBenchmark {
                 progress,
                 |cell| {
                     let target = self.utilization_points[cell.point_idx];
-                    let events = ChurnGenerator::new()
+                    let trace = ChurnGenerator::new()
                         .cores(self.cores)
                         .target_normalized_utilization(target)
                         .events(self.events_per_trace)
                         .seed(cell.seed)
-                        .generate()
+                        .generate_timed()
                         .ok()?;
                     let config = OnlineConfig::builder()
                         .cores(self.cores)
@@ -243,29 +246,33 @@ impl RtaCacheBenchmark {
                     // The audited pass also absorbs one-time costs (lazy
                     // allocation, code paging) that would otherwise be
                     // charged to the timed pass.
-                    let mut audited = AdmissionController::new(config.clone()).ok()?;
-                    let audit_clean = events.iter().all(|event| {
-                        audited.handle_event(event);
-                        audited.partition().scratch_audit().is_ok()
+                    let mut audited = ShardedAdmission::new(config.clone(), 1).ok()?;
+                    let mut event_loop = EventLoop::new(EventLoopConfig::new(cell.seed));
+                    event_loop.load_trace(&trace);
+                    let mut audit_clean = true;
+                    event_loop.run_with(&mut audited, |engine, _| {
+                        audit_clean &= engine.shards()[0].partition().scratch_audit().is_ok();
                     });
 
                     // The timed pass, with the snapshot-clone counter and
                     // the cap-exhaustion delta read around it.
                     let clones_before = Partition::clone_count();
                     let exhaustions_before = rta::thread_cap_exhaustions();
-                    let mut timed = AdmissionController::new(config).ok()?;
+                    let mut timed = ShardedAdmission::new(config, 1).ok()?;
+                    let mut event_loop = EventLoop::new(EventLoopConfig::new(cell.seed));
+                    event_loop.load_trace(&trace);
                     let started = Instant::now();
-                    timed.handle_all(&events);
+                    event_loop.run(&mut timed);
                     let elapsed = started.elapsed();
                     let cap_exhaustions = rta::thread_cap_exhaustions() - exhaustions_before;
                     let journal_clone_free = Partition::clone_count() == clones_before;
 
-                    let stats = timed.stats();
+                    let stats = timed.stats().decisions;
                     Some(TraceOutcome {
                         arrivals: stats.arrivals,
                         admitted: stats.admitted,
                         audit_clean,
-                        log_digest: fnv1a(serialize_log(timed.decisions()).as_bytes()),
+                        log_digest: decisions_digest(timed.decisions()),
                         cap_exhaustions,
                         journal_clone_free,
                         elapsed,
@@ -306,11 +313,6 @@ impl RtaCacheBenchmark {
             timing,
         }
     }
-}
-
-/// Canonical serialization of a decision log for byte-comparison.
-fn serialize_log(decisions: &[Decision]) -> String {
-    serde_json::to_string(&decisions.to_vec()).expect("decision logs always serialize")
 }
 
 #[cfg(test)]

@@ -49,7 +49,7 @@ use serde::{Deserialize, Serialize};
 use spms_core::{stitch_partitions, Partition};
 use spms_faults::{FaultPlan, FaultSpec};
 use spms_online::{
-    inject_renewals,
+    decisions_digest, inject_renewals,
     replay::{replay_epoch, ReplayConfig, ReplayOutcome},
     ChurnFamily, ChurnGenerator, Decision, EventLoop, EventLoopConfig, OnlineConfig, ServiceStats,
     ShardedAdmission, TimedEvent,
@@ -804,16 +804,11 @@ impl SoakExperiment {
                 .expect("event logs always serialize")
                 .as_bytes(),
         );
-        let decisions_digest = fnv1a(
-            serde_json::to_string(&engine.decisions().to_vec())
-                .expect("decision logs always serialize")
-                .as_bytes(),
-        );
         Some(SoakTrace {
             lease_renewals: event_loop.lease_renewals(),
             replay,
             events_digest,
-            decisions_digest,
+            decisions_digest: decisions_digest(engine.decisions()),
             elapsed,
             latency: engine.decision_latency_histogram().clone(),
             metrics: engine.merged_metrics_registry(),

@@ -40,14 +40,15 @@
 //! decision by `spms rtabench`. The one *policy* knob is the repair victim
 //! ranking ([`OnlineConfig::repair_ranking`], slack-guided by default).
 //!
-//! Every decision is recorded with its path, the number of already-placed
-//! tasks it migrated, and (for rejections) a typed reason. The controller
-//! also carries an [`EngineMetrics`] bundle (see [`crate::metrics`]):
-//! outcome and cascade-stage counters in the deterministic registry
-//! section, per-decision [`StageTrace`](spms_telemetry::StageTrace)s in a
-//! bounded ring, and wall-clock latencies in bounded histograms in the
-//! strippable timing section — never in any serializable result, so
-//! reports stay byte-identical across runs.
+//! Every decision carries its path, the number of already-placed tasks it
+//! migrated, and (for rejections) a typed reason; the caller keeps the log
+//! (the sharded service does). The controller also carries an
+//! [`EngineMetrics`] bundle (see [`crate::metrics`]): outcome and
+//! cascade-stage counters in the deterministic registry section,
+//! per-decision [`StageTrace`](spms_telemetry::StageTrace)s in a bounded
+//! ring, and wall-clock latencies in bounded histograms in the strippable
+//! timing section — never in any serializable result, so reports stay
+//! byte-identical across runs.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -61,7 +62,7 @@ use spms_core::{
 };
 use spms_overhead::{CostModel, CostModelSpec};
 use spms_task::{Task, TaskId, TaskSet, Time};
-use spms_telemetry::{scoped, Histogram, HotCounter};
+use spms_telemetry::{scoped, HotCounter};
 
 use crate::metrics::{ControllerStats, EngineMetrics};
 use crate::WorkloadEvent;
@@ -481,7 +482,7 @@ impl Deserialize for DecisionKind {
     }
 }
 
-/// One entry of the controller's decision log.
+/// One admission decision: the event it answered and the verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Decision {
     /// Index of the event in the stream, starting at 0.
@@ -497,14 +498,16 @@ impl Decision {
     pub fn is_admission(&self) -> bool {
         matches!(self.kind, DecisionKind::Admitted { .. })
     }
+}
 
-    /// Whether this decision changed the partition.
-    pub fn changed_partition(&self) -> bool {
-        matches!(
-            self.kind,
-            DecisionKind::Admitted { .. } | DecisionKind::Departed
-        )
-    }
+/// FNV-1a over the JSON serialization of a decision log: the one digest
+/// every driver reports, so equal digests mean byte-identical logs.
+pub fn decisions_digest(decisions: &[Decision]) -> u64 {
+    spms_task::fnv1a(
+        serde_json::to_string(decisions)
+            .expect("decision logs always serialize")
+            .as_bytes(),
+    )
 }
 
 /// The online admission controller. See the module docs of
@@ -521,7 +524,6 @@ pub struct AdmissionController {
     /// reason only about this shard's partition and would orphan the remote
     /// siblings. Always empty when `cross_shard_split` is off.
     remote_parents: BTreeSet<TaskId>,
-    decisions: Vec<Decision>,
     metrics: EngineMetrics,
     next_event: usize,
     /// Current rung of the graceful-degradation ladder (0 = full cascade,
@@ -612,7 +614,6 @@ impl AdmissionController {
             config,
             admitted: BTreeMap::new(),
             remote_parents: BTreeSet::new(),
-            decisions: Vec::new(),
             metrics: EngineMetrics::default(),
             next_event: 0,
             degrade_level: 0,
@@ -629,11 +630,6 @@ impl AdmissionController {
     /// Whether a task with this id is currently admitted.
     pub fn is_admitted(&self, id: TaskId) -> bool {
         self.admitted.contains_key(&id)
-    }
-
-    /// The admitted copy (original parameters) of one task, if present.
-    pub fn admitted_task(&self, id: TaskId) -> Option<&Task> {
-        self.admitted.get(&id)
     }
 
     /// The controller configuration.
@@ -657,11 +653,6 @@ impl AdmissionController {
         self.admitted.values().map(Task::utilization).sum()
     }
 
-    /// The decision log, one entry per handled event.
-    pub fn decisions(&self) -> &[Decision] {
-        &self.decisions
-    }
-
     /// Decision counters: a view of this controller's registry.
     pub fn stats(&self) -> ControllerStats {
         ControllerStats::from_registry(self.metrics.registry())
@@ -674,27 +665,9 @@ impl AdmissionController {
         &self.metrics
     }
 
-    /// Mutable telemetry access (drivers use it to set throughput gauges).
-    pub fn metrics_mut(&mut self) -> &mut EngineMetrics {
-        &mut self.metrics
-    }
-
-    /// Wall-clock decision latencies as a bounded histogram (the timing
-    /// section of the registry — one sample per handled event). Never
-    /// serialized into reports: latencies vary run-to-run, and every
-    /// serializable report must stay deterministic.
-    pub fn decision_latency_histogram(&self) -> &Histogram {
-        self.metrics.decision_latency()
-    }
-
-    /// Handles one workload event and returns the decision made.
-    pub fn handle(&mut self, event: WorkloadEvent) -> Decision {
-        self.handle_event(&event)
-    }
-
-    /// [`handle`](Self::handle) by reference: nothing is cloned unless the
-    /// arrival is actually admitted (the admitted map keeps its own copy of
-    /// the task).
+    /// Handles one workload event and returns the decision made. Nothing
+    /// is cloned unless the arrival is actually admitted (the admitted map
+    /// keeps its own copy of the task).
     pub fn handle_event(&mut self, event: &WorkloadEvent) -> Decision {
         let started = Instant::now();
         let hot = scoped::thread_snapshot();
@@ -712,7 +685,6 @@ impl AdmissionController {
             kind,
         };
         self.next_event += 1;
-        self.decisions.push(decision);
         let deltas = hot.since();
         // Only arrivals drive the degrade ladder: their probe count is the
         // cascade's unit of work, while departures and renewals are cheap
@@ -764,12 +736,6 @@ impl AdmissionController {
                     .record_degrade_transition(u64::from(self.degrade_level), false);
             }
         }
-    }
-
-    /// Handles a whole event stream, returning the per-event decisions.
-    /// Events are consumed by reference — no per-event clones.
-    pub fn handle_all(&mut self, events: &[WorkloadEvent]) -> Vec<Decision> {
-        events.iter().map(|e| self.handle_event(e)).collect()
     }
 
     // ------------------------------------------------------------------
@@ -1541,7 +1507,7 @@ mod tests {
     }
 
     fn arrive(c: &mut AdmissionController, t: Task) -> DecisionKind {
-        c.handle(WorkloadEvent::Arrive(t)).kind
+        c.handle_event(&WorkloadEvent::Arrive(t)).kind
     }
 
     /// A config builder where all tasks share a 10 ms period, so per-core
@@ -1869,7 +1835,9 @@ mod tests {
             .unwrap();
         let mut c = AdmissionController::new(OnlineConfig::new(2)).unwrap();
         let before = spms_core::Partition::clone_count();
-        c.handle_all(&events);
+        for event in &events {
+            c.handle_event(event);
+        }
         assert_eq!(
             spms_core::Partition::clone_count(),
             before,
@@ -2035,7 +2003,7 @@ mod tests {
             }
         );
         assert_eq!(
-            c.handle(WorkloadEvent::Depart(TaskId(0))).kind,
+            c.handle_event(&WorkloadEvent::Depart(TaskId(0))).kind,
             DecisionKind::Departed
         );
         assert_eq!(c.admitted_count(), 0);
@@ -2050,7 +2018,7 @@ mod tests {
     fn unknown_departures_are_noops() {
         let mut c = AdmissionController::new(OnlineConfig::new(1)).unwrap();
         assert_eq!(
-            c.handle(WorkloadEvent::Depart(TaskId(9))).kind,
+            c.handle_event(&WorkloadEvent::Depart(TaskId(9))).kind,
             DecisionKind::DepartUnknown
         );
         assert_eq!(c.stats().unknown_departures, 1);
@@ -2064,7 +2032,7 @@ mod tests {
         }
         arrive(&mut c, task(2, 6, 10));
         assert_eq!(c.partition().split_count(), 1);
-        c.handle(WorkloadEvent::Depart(TaskId(2)));
+        c.handle_event(&WorkloadEvent::Depart(TaskId(2)));
         assert_eq!(c.partition().split_count(), 0);
         assert_eq!(c.partition().placement_count(), 2);
     }
@@ -2077,8 +2045,8 @@ mod tests {
             .collect();
         let run = || {
             let mut c = AdmissionController::new(OnlineConfig::new(2)).unwrap();
-            c.handle_all(&events);
-            (c.decisions().to_vec(), c.partition().clone())
+            let decisions: Vec<Decision> = events.iter().map(|e| c.handle_event(e)).collect();
+            (decisions, c.partition().clone())
         };
         assert_eq!(run(), run());
     }
@@ -2087,11 +2055,8 @@ mod tests {
     fn latencies_parallel_the_decision_log() {
         let mut c = AdmissionController::new(OnlineConfig::new(2)).unwrap();
         arrive(&mut c, task(0, 1, 10));
-        c.handle(WorkloadEvent::Depart(TaskId(0)));
-        assert_eq!(
-            c.decision_latency_histogram().count() as usize,
-            c.decisions().len()
-        );
+        c.handle_event(&WorkloadEvent::Depart(TaskId(0)));
+        assert_eq!(c.metrics().decision_latency().count(), 2);
     }
 
     #[test]
@@ -2099,8 +2064,8 @@ mod tests {
         let mut c = AdmissionController::new(OnlineConfig::new(2)).unwrap();
         arrive(&mut c, task(0, 4, 10)); // fast-whole
         arrive(&mut c, task(0, 4, 10)); // duplicate rejection
-        c.handle(WorkloadEvent::Depart(TaskId(0)));
-        c.handle(WorkloadEvent::Depart(TaskId(9))); // unknown departure
+        c.handle_event(&WorkloadEvent::Depart(TaskId(0)));
+        c.handle_event(&WorkloadEvent::Depart(TaskId(9))); // unknown departure
         let r = c.metrics().registry();
         assert_eq!(r.counter_by_name("spms_events_total"), Some(4));
         assert_eq!(r.counter_by_name("spms_arrivals_total"), Some(2));
@@ -2393,7 +2358,7 @@ mod tests {
         assert_eq!(c.degrade_level(), 0);
         assert_eq!(counter(&c, "spms_mech_degrade_recoveries_total"), 3);
         // Departures never move the ladder.
-        c.handle(WorkloadEvent::Depart(TaskId(1)));
+        c.handle_event(&WorkloadEvent::Depart(TaskId(1)));
         assert_eq!(c.degrade_level(), 0);
     }
 
@@ -2435,7 +2400,7 @@ mod tests {
         assert!(probes(&c) - start < first, "memo hits must save work");
         // A departure frees room and drops the departed task's slot; the
         // next arrival re-plans and is admitted.
-        c.handle(WorkloadEvent::Depart(TaskId(1)));
+        c.handle_event(&WorkloadEvent::Depart(TaskId(1)));
         assert!(matches!(
             arrive(&mut c, task(4, 15, 100)),
             DecisionKind::Admitted { .. }

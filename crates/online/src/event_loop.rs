@@ -271,10 +271,12 @@ impl EventLoop {
     /// or that reaches back before events already loaded, is sorted once by
     /// `(at, seq)`. Processing order is the same as scheduling each event.
     pub fn load_trace(&mut self, trace: &[TimedEvent]) {
-        // Collecting the cursor reuses its buffer. Entries grow by `push`,
-        // not by an exact reservation, which keeps peak RSS where the heap
-        // kept it.
+        // Collecting the cursor reuses its buffer, grown once to the
+        // capacity `push` would reach anyway: no copies, and the untouched
+        // tail costs no RSS (unlike an exact reservation).
         let mut pending: Vec<Scheduled> = std::mem::take(&mut self.trace).collect();
+        let wanted = (pending.len() + trace.len()).next_power_of_two();
+        pending.reserve_exact(wanted - pending.len());
         let mut sorted = true;
         for timed in trace {
             sorted &= pending.last().is_none_or(|last| last.at <= timed.at);
@@ -523,11 +525,7 @@ mod tests {
     use super::*;
     use crate::{AdmissionController, ChurnGenerator, OnlineConfig};
 
-    fn run_trace(
-        shards: usize,
-        seed: u64,
-        config: EventLoopConfig,
-    ) -> (EventLoop, ShardedAdmission) {
+    fn drive(shards: usize, seed: u64, config: EventLoopConfig) -> (EventLoop, ShardedAdmission) {
         let trace = ChurnGenerator::new()
             .cores(4)
             .events(150)
@@ -544,33 +542,32 @@ mod tests {
     #[test]
     fn runs_are_reproducible_and_shard_count_invariant_in_events() {
         let config = EventLoopConfig::new(42);
-        let (loop_a, engine_a) = run_trace(1, 9, config);
-        let (loop_b, engine_b) = run_trace(1, 9, config);
+        let (loop_a, engine_a) = drive(1, 9, config);
+        let (loop_b, engine_b) = drive(1, 9, config);
         assert_eq!(loop_a.event_log(), loop_b.event_log());
         assert_eq!(engine_a.decisions(), engine_b.decisions());
         // Without leases the processed stream does not depend on shard
         // count, only the decisions may.
-        let (loop_c, _) = run_trace(2, 9, config);
+        let (loop_c, _) = drive(2, 9, config);
         assert_eq!(loop_a.event_log(), loop_c.event_log());
     }
 
     #[test]
     fn one_shard_run_replays_byte_identically_on_the_legacy_controller() {
-        let (event_loop, engine) = run_trace(1, 5, EventLoopConfig::new(7));
-        let events: Vec<WorkloadEvent> = event_loop
+        let (event_loop, engine) = drive(1, 5, EventLoopConfig::new(7));
+        let mut legacy = AdmissionController::new(OnlineConfig::new(4)).unwrap();
+        let legacy_decisions: Vec<Decision> = event_loop
             .event_log()
             .iter()
-            .map(|t| t.event.clone())
+            .map(|t| legacy.handle_event(&t.event))
             .collect();
-        let mut legacy = AdmissionController::new(OnlineConfig::new(4)).unwrap();
-        let legacy_decisions = legacy.handle_all(&events);
         assert_eq!(engine.decisions(), legacy_decisions.as_slice());
     }
 
     #[test]
     fn leases_synthesize_departures() {
         let config = EventLoopConfig::new(3).with_lease(Some(Time::from_millis(50)));
-        let (event_loop, engine) = run_trace(2, 11, config);
+        let (event_loop, engine) = drive(2, 11, config);
         assert!(
             engine.stats().lease_expirations > 0,
             "short leases must expire"
@@ -688,7 +685,7 @@ mod tests {
         let config = EventLoopConfig::new(1)
             .with_rebalance_period(Some(Time::from_millis(20)))
             .with_rebalance_max_moves(2);
-        let (_, engine) = run_trace(2, 13, config);
+        let (_, engine) = drive(2, 13, config);
         assert!(engine.stats().rebalance_ticks > 0);
         // The loop terminated (we are here) even though ticks reschedule
         // themselves: they stop once the workload drains.
@@ -716,7 +713,7 @@ mod tests {
         let config = EventLoopConfig::new(1)
             .with_rebalance_period(Some(Time::from_millis(20)))
             .with_rebalance_snapshots(true);
-        let (event_loop, engine) = run_trace(2, 13, config);
+        let (event_loop, engine) = drive(2, 13, config);
         let ticks = engine.stats().rebalance_ticks as usize;
         assert!(ticks > 0);
         assert_eq!(
@@ -744,7 +741,7 @@ mod tests {
             );
         }
         // Without the flag, no snapshots accrue.
-        let (quiet, _) = run_trace(
+        let (quiet, _) = drive(
             2,
             13,
             EventLoopConfig::new(1).with_rebalance_period(Some(Time::from_millis(20))),

@@ -21,10 +21,12 @@
 //!   configurable offered load,
 //! * [`replay`](mod@replay) — feeds each admitted epoch through the
 //!   `spms-sim` discrete-event simulator to confirm zero deadline misses,
-//! * [`ShardedAdmission`] / [`AdmissionShard`] — the fleet-scale service:
-//!   N independent controller shards behind a hash + utilization-aware
-//!   [`ShardRouter`](spms_core::ShardRouter) with cross-shard overflow
-//!   placement and periodic work-stealing rebalance,
+//! * [`ShardedAdmission`] / [`AdmissionShard`] — the service every driver
+//!   runs: N independent controller shards behind a hash +
+//!   utilization-aware [`ShardRouter`](spms_core::ShardRouter) with
+//!   cross-shard overflow placement and periodic work-stealing rebalance.
+//!   A lone controller is the 1-shard case, and the service keeps the one
+//!   decision log ([`decisions_digest`] hashes it),
 //! * [`EventLoop`] — the timestamped event heap driving the service
 //!   (arrivals, departures, deadline expirations, rebalance ticks) with a
 //!   seeded same-timestamp tie-shuffle for reproducible runs,
@@ -37,21 +39,27 @@
 //!
 //! # Example
 //!
+//! A lone controller is the one-shard service; the event loop drives it
+//! through a timed churn trace.
+//!
 //! ```
-//! use spms_online::{AdmissionController, ChurnGenerator, OnlineConfig};
+//! use spms_online::{ChurnGenerator, EventLoop, EventLoopConfig, OnlineConfig, ShardedAdmission};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let events = ChurnGenerator::new()
+//! let trace = ChurnGenerator::new()
 //!     .cores(4)
 //!     .target_normalized_utilization(0.6)
 //!     .events(40)
 //!     .seed(1)
-//!     .generate()?;
-//! let mut controller = AdmissionController::new(OnlineConfig::new(4))?;
-//! controller.handle_all(&events);
+//!     .generate_timed()?;
+//! let mut service = ShardedAdmission::new(OnlineConfig::new(4), 1)?;
+//! let mut event_loop = EventLoop::new(EventLoopConfig::new(1));
+//! event_loop.load_trace(&trace);
+//! event_loop.run(&mut service);
 //! // Every core passes from-scratch RTA, and the cache agrees with it.
-//! assert!(controller.partition().scratch_audit().is_ok());
-//! assert!(controller.stats().acceptance_ratio() > 0.5);
+//! assert!(service.shards()[0].partition().scratch_audit().is_ok());
+//! assert!(service.stats().decisions.acceptance_ratio() > 0.5);
+//! assert_eq!(service.decisions().len(), trace.len());
 //! # Ok(())
 //! # }
 //! ```
@@ -69,8 +77,8 @@ mod service;
 
 pub use churn::{inject_renewals, ChurnFamily, ChurnGenerator};
 pub use controller::{
-    AdmissionController, Decision, DecisionKind, DecisionPath, DegradePolicy, OnlineConfig,
-    OnlineConfigBuilder, OnlineError, RejectionReason, RepairRanking,
+    decisions_digest, AdmissionController, Decision, DecisionKind, DecisionPath, DegradePolicy,
+    OnlineConfig, OnlineConfigBuilder, OnlineError, RejectionReason, RepairRanking,
 };
 pub use event::{parse_trace, TimedEvent, TraceError, WorkloadEvent};
 pub use event_loop::{
@@ -80,5 +88,5 @@ pub use metrics::{
     ControllerStats, EngineMetrics, FaultStats, RebalanceTick, ServiceStats,
     DEFAULT_TRACE_RING_CAPACITY,
 };
-pub use replay::{run_trace, ReplayConfig, ReplayOutcome};
+pub use replay::{ReplayConfig, ReplayOutcome};
 pub use service::{AdmissionShard, ShardHealth, ShardedAdmission};

@@ -21,7 +21,9 @@
 //!   [`record_outcome`](EngineMetrics::record_outcome)). A sharded
 //!   service drops its shards' outcome counters when merging
 //!   ([`Registry::merge_where`]) because shard-level `decide` calls
-//!   include overflow retries.
+//!   include overflow retries. For the same reason it keeps only its own
+//!   [`DECISION_LATENCY`] histogram: one sample per final decision, which
+//!   already spans the shard calls.
 //! * `spms_mech_*` mechanism metrics describe how the cascade got there:
 //!   per-stage attempt/success counters, probe and cache hit/miss counts
 //!   folded in from the [`scoped`] hot counters, routing overflow,
@@ -51,6 +53,9 @@ pub const REBALANCE_HISTORY_CAPACITY: usize = 64;
 /// Name of the counter of final decisions: every handled workload event
 /// plus every failover eviction, so it equals the decision log's length.
 pub const EVENTS: &str = "spms_events_total";
+/// Name of the per-decision latency histogram (one sample per final
+/// decision).
+pub const DECISION_LATENCY: &str = "spms_timing_decision_latency_ns";
 const ARRIVALS: &str = "spms_arrivals_total";
 const DEPARTURES: &str = "spms_departures_total";
 const UNKNOWN_DEPARTURES: &str = "spms_unknown_departures_total";
@@ -276,8 +281,7 @@ impl EngineMetrics {
             audit_checks: mech(&mut registry, AUDIT_CHECKS),
             audit_violations: mech(&mut registry, AUDIT_VIOLATIONS),
             audit_repairs: mech(&mut registry, AUDIT_REPAIRS),
-            decision_latency: registry
-                .histogram("spms_timing_decision_latency_ns", MetricClass::Timing),
+            decision_latency: registry.histogram(DECISION_LATENCY, MetricClass::Timing),
             stage_latency: STAGES.map(|stage| {
                 registry.histogram(
                     &format!("spms_timing_stage_{}_ns", stage_name(stage)),
@@ -413,11 +417,6 @@ impl EngineMetrics {
     // ------------------------------------------------------------------
     // service-side recording
     // ------------------------------------------------------------------
-
-    /// Records the service-level latency of one decision.
-    pub fn record_decision_latency(&mut self, nanos: u64) {
-        self.registry.record(self.ids.decision_latency, nanos);
-    }
 
     /// Counts an admission that landed off its home shard.
     pub fn record_overflow_admission(&mut self) {

@@ -6,9 +6,11 @@
 //! it stands after a partition-changing decision — through the
 //! discrete-event simulator in `spms-sim` and counting deadline misses.
 //! An analysis accepted by exact RTA must simulate cleanly, so any miss is
-//! a bug in either the controller or the analysis; the churn experiment and
-//! the `spms online` CLI surface the counter so CI can assert it stays
-//! zero.
+//! a bug in either the controller or the analysis. Drivers call
+//! [`ReplayOutcome::observe`] (one shard) or [`replay_epoch`] from their
+//! [`EventLoop::run_with`](crate::EventLoop::run_with) observer; the churn
+//! experiment and the `spms online` CLI surface the counter so CI can
+//! assert it stays zero.
 
 use serde::{Deserialize, Serialize};
 use spms_analysis::OverheadModel;
@@ -16,7 +18,7 @@ use spms_core::Partition;
 use spms_sim::{SimulationConfig, Simulator};
 use spms_task::Time;
 
-use crate::{AdmissionController, Decision, WorkloadEvent};
+use crate::Decision;
 
 /// Configuration of the epoch replay.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -107,35 +109,46 @@ impl ReplayOutcome {
         self.jobs_completed += other.jobs_completed;
         self.migrations += other.migrations;
     }
-}
 
-/// Drives a controller through an event stream, optionally replaying every
-/// epoch whose admission changed the partition. Returns the per-event
-/// decisions and the accumulated replay outcome (zero-valued when `replay`
-/// is `None`).
-pub fn run_trace(
-    controller: &mut AdmissionController,
-    events: &[WorkloadEvent],
-    replay: Option<&ReplayConfig>,
-) -> (Vec<Decision>, ReplayOutcome) {
-    let mut outcome = ReplayOutcome::default();
-    let mut decisions = Vec::with_capacity(events.len());
-    for event in events {
-        let decision = controller.handle_event(event);
-        if decision.is_admission() {
-            if let Some(config) = replay {
-                outcome.absorb(replay_epoch(controller.partition(), config));
-            }
+    /// Replays `partition` into this outcome when `decision` admitted a
+    /// task and `replay` is set: a one-shard driver's per-decision work,
+    /// called from its `run_with` observer with the shard's partition.
+    pub fn observe(
+        &mut self,
+        partition: &Partition,
+        decision: &Decision,
+        replay: Option<&ReplayConfig>,
+    ) {
+        if let Some(config) = replay.filter(|_| decision.is_admission()) {
+            self.absorb(replay_epoch(partition, config));
         }
-        decisions.push(decision);
     }
-    (decisions, outcome)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ChurnGenerator, OnlineConfig};
+    use crate::{ChurnGenerator, EventLoop, EventLoopConfig, OnlineConfig};
+    use crate::{ShardedAdmission, TimedEvent};
+
+    /// Drives a one-shard service through `events` under the event loop,
+    /// replaying the partition after every admission when `replay` is set.
+    fn drive(
+        cores: usize,
+        events: &[TimedEvent],
+        replay: Option<&ReplayConfig>,
+    ) -> (Vec<Decision>, ReplayOutcome) {
+        let mut engine = ShardedAdmission::new(OnlineConfig::new(cores), 1).unwrap();
+        let mut event_loop = EventLoop::new(EventLoopConfig::new(0));
+        event_loop.load_trace(events);
+        let mut decisions = Vec::new();
+        let mut outcome = ReplayOutcome::default();
+        event_loop.run_with(&mut engine, |engine, decision| {
+            outcome.observe(engine.shards()[0].partition(), decision, replay);
+            decisions.push(*decision);
+        });
+        (decisions, outcome)
+    }
 
     #[test]
     fn empty_partition_replays_cleanly() {
@@ -154,11 +167,10 @@ mod tests {
             .target_normalized_utilization(0.6)
             .events(40)
             .seed(17)
-            .generate()
+            .generate_timed()
             .unwrap();
-        let mut controller = AdmissionController::new(OnlineConfig::new(2)).unwrap();
         let replay = ReplayConfig::new(Time::from_millis(50));
-        let (decisions, outcome) = run_trace(&mut controller, &events, Some(&replay));
+        let (decisions, outcome) = drive(2, &events, Some(&replay));
         assert_eq!(decisions.len(), events.len());
         let admissions = decisions.iter().filter(|d| d.is_admission()).count() as u64;
         assert_eq!(outcome.epochs, admissions);
@@ -179,13 +191,12 @@ mod tests {
             .target_normalized_utilization(0.7)
             .events(40)
             .seed(23)
-            .generate()
+            .generate_timed()
             .unwrap();
         let run = |seed: u64| {
-            let mut controller = AdmissionController::new(OnlineConfig::new(2)).unwrap();
             let replay = ReplayConfig::new(Time::from_millis(50))
                 .with_release_jitter(Time::from_millis(2), seed);
-            run_trace(&mut controller, &events, Some(&replay)).1
+            drive(2, &events, Some(&replay)).1
         };
         let outcome = run(7);
         assert!(outcome.epochs > 0);
@@ -202,9 +213,12 @@ mod tests {
 
     #[test]
     fn replay_disabled_reports_zero_epochs() {
-        let events = ChurnGenerator::new().events(10).seed(1).generate().unwrap();
-        let mut controller = AdmissionController::new(OnlineConfig::new(4)).unwrap();
-        let (_, outcome) = run_trace(&mut controller, &events, None);
+        let events = ChurnGenerator::new()
+            .events(10)
+            .seed(1)
+            .generate_timed()
+            .unwrap();
+        let (_, outcome) = drive(4, &events, None);
         assert_eq!(outcome, ReplayOutcome::default());
     }
 

@@ -37,7 +37,7 @@ use spms_overhead::{CostModel, CostModelSpec};
 use spms_task::{Task, TaskId, Time};
 use spms_telemetry::{scoped, Histogram, MetricClass, Registry};
 
-use crate::metrics::{EngineMetrics, FaultStats, ServiceStats};
+use crate::metrics::{EngineMetrics, FaultStats, ServiceStats, DECISION_LATENCY};
 use crate::{
     AdmissionController, Decision, DecisionKind, DecisionPath, OnlineConfig, OnlineError,
     RejectionReason, WorkloadEvent,
@@ -58,7 +58,8 @@ use crate::{
 /// Calling `partition_mut` without maintaining that bookkeeping breaks
 /// the shard's invariants.
 pub trait AdmissionShard {
-    /// Decides one workload event, recording it in the shard's own log.
+    /// Decides one workload event and returns the verdict. The shard
+    /// keeps no log; the service records the final decision.
     fn decide(&mut self, event: &WorkloadEvent) -> Decision;
     /// Whether this shard currently hosts the task.
     fn resident(&self, id: TaskId) -> bool;
@@ -358,16 +359,21 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
 
     /// The service registry with every shard's mechanism and timing
     /// sections folded in ([`Registry::merge_where`], shard-index order).
-    /// Outcome counters come exclusively from the service's final-decision
-    /// stream: a shard's outcome counters describe per-shard `decide`
-    /// attempts, and a home rejection retried on an overflow shard would
-    /// double-count. With one shard this registry's deterministic section
-    /// is byte-identical to the legacy controller's on the same events.
+    /// Outcome counters and the [`DECISION_LATENCY`] histogram come
+    /// exclusively from the service's final-decision stream: a shard's
+    /// series describe per-shard `decide` attempts, a home rejection
+    /// retried on an overflow shard would double-count, and the service's
+    /// latency sample already spans the shard calls. So the histogram
+    /// holds one sample per `spms_events_total`. With one shard this
+    /// registry's deterministic section is byte-identical to the lone
+    /// controller's on the same events.
     pub fn merged_metrics_registry(&self) -> Registry {
         let mut merged = self.metrics.registry().clone();
         for shard in &self.shards {
             if let Some(registry) = shard.metrics_registry() {
-                merged.merge_where(registry, |class| class != MetricClass::Outcome);
+                merged.merge_where(registry, |name, class| {
+                    class != MetricClass::Outcome && name != DECISION_LATENCY
+                });
             }
         }
         merged
@@ -409,11 +415,6 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
             &Default::default(),
         );
         decision
-    }
-
-    /// Handles a whole event stream, returning the per-event decisions.
-    pub fn handle_all(&mut self, events: &[WorkloadEvent]) -> Vec<Decision> {
-        events.iter().map(|e| self.handle_event(e)).collect()
     }
 
     fn arrive(&mut self, task: &Task) -> DecisionKind {
@@ -1081,9 +1082,9 @@ mod tests {
         let config = OnlineConfig::new(4);
         let mut svc = ShardedAdmission::new(config.clone(), 1).unwrap();
         let mut legacy = AdmissionController::new(config).unwrap();
-        let service_decisions = svc.handle_all(&events);
-        let legacy_decisions = legacy.handle_all(&events);
-        assert_eq!(service_decisions, legacy_decisions);
+        for event in &events {
+            assert_eq!(svc.handle_event(event), legacy.handle_event(event));
+        }
         assert_eq!(svc.stats().decisions, legacy.stats());
         assert_eq!(svc.stats().overflow_admissions, 0);
         // The deterministic metric section agrees byte for byte: outcomes
@@ -1099,6 +1100,35 @@ mod tests {
             deterministic(&svc.merged_metrics_registry()),
             deterministic(legacy.metrics().registry())
         );
+    }
+
+    #[test]
+    fn every_decision_has_exactly_one_latency_sample() {
+        // A high load makes the 2-shard service retry home rejections on
+        // the other shard, so shard-level `decide` calls outnumber events.
+        let events = crate::ChurnGenerator::new()
+            .cores(4)
+            .target_normalized_utilization(0.9)
+            .events(300)
+            .seed(4)
+            .generate()
+            .unwrap();
+        for shards in [1, 2] {
+            let mut svc = service(4, shards);
+            for event in &events {
+                svc.handle_event(event);
+            }
+            let merged = svc.merged_metrics_registry();
+            let latency_samples = merged
+                .histogram_by_name(DECISION_LATENCY)
+                .map(Histogram::count);
+            assert_eq!(
+                latency_samples,
+                merged.counter_by_name(crate::metrics::EVENTS),
+                "{shards} shard(s)"
+            );
+            assert_eq!(latency_samples, Some(events.len() as u64));
+        }
     }
 
     #[test]

@@ -45,8 +45,8 @@ proptest! {
         let events = trace(target, seed, events);
         let mut controller = AdmissionController::new(OnlineConfig::new(4)).unwrap();
         let offline = controller.offline_partitioner();
-        for event in events {
-            let decision = controller.handle(event);
+        for event in &events {
+            let decision = controller.handle_event(event);
             prop_assert_eq!(controller.partition().validate(), Ok(()));
             prop_assert!(
                 controller.partition().scratch_audit().is_ok(),
@@ -73,14 +73,16 @@ proptest! {
     fn depart_then_rearrive_converges((target, seed, events) in churn_config()) {
         let events = trace(target, seed, events);
         let mut controller = AdmissionController::new(OnlineConfig::new(4)).unwrap();
-        controller.handle_all(&events);
+        for event in &events {
+            controller.handle_event(event);
+        }
         let admitted = controller.admitted_tasks();
         // Exercise the cycle on every currently admitted task.
         for task in &admitted {
             let id: TaskId = task.id();
-            let departed = controller.handle(WorkloadEvent::Depart(id));
+            let departed = controller.handle_event(&WorkloadEvent::Depart(id));
             prop_assert_eq!(departed.kind, DecisionKind::Departed);
-            let back = controller.handle(WorkloadEvent::Arrive(task.clone()));
+            let back = controller.handle_event(&WorkloadEvent::Arrive(task.clone()));
             prop_assert!(
                 back.is_admission(),
                 "re-arrival of {} (u = {:.3}) was rejected",

@@ -10,10 +10,10 @@
 //!   count processes the *same* event stream byte for byte: the heap
 //!   order and tie-shuffle depend only on the trace and the seed, never
 //!   on admission outcomes;
-//! * **1-shard legacy equivalence** — a single-shard service is the old
+//! * **1-shard legacy equivalence** — a single-shard service is the lone
 //!   [`AdmissionController`] in every observable way: feeding the
-//!   processed event log straight into a legacy controller reproduces the
-//!   engine's decision log and counters exactly;
+//!   processed event log straight into a controller reproduces the
+//!   engine's decision log, counters and deterministic metrics exactly;
 //! * **cross-shard-off grammar pin** — with the cross-shard split
 //!   planner disabled (the default), every decision-log line stays in
 //!   the pre-cross-shard JSON grammar (reconstructed by hand below) and
@@ -61,7 +61,7 @@ fn run_engine(trace: &[TimedEvent], seed: u64, shards: usize) -> (ShardedAdmissi
     (engine, event_loop)
 }
 
-fn json<T: serde::Serialize>(value: &T) -> String {
+fn json<T: serde::Serialize + ?Sized>(value: &T) -> String {
     serde_json::to_string(value).expect("logs serialize")
 }
 
@@ -106,10 +106,10 @@ proptest! {
         let trace = trace(target, seed, events);
         let (engine_a, loop_a) = run_engine(&trace, seed, shards);
         let (engine_b, loop_b) = run_engine(&trace, seed, shards);
-        prop_assert_eq!(json(&loop_a.event_log().to_vec()), json(&loop_b.event_log().to_vec()));
+        prop_assert_eq!(json(loop_a.event_log()), json(loop_b.event_log()));
         prop_assert_eq!(
-            json(&engine_a.decisions().to_vec()),
-            json(&engine_b.decisions().to_vec())
+            json(engine_a.decisions()),
+            json(engine_b.decisions())
         );
         prop_assert_eq!(engine_a.stats(), engine_b.stats());
     }
@@ -123,21 +123,24 @@ proptest! {
     ) {
         let trace = trace(target, seed, events);
         let (_, baseline) = run_engine(&trace, seed, 1);
-        let baseline_log = json(&baseline.event_log().to_vec());
+        let baseline_log = json(baseline.event_log());
         for shards in 2..=CORES {
             let (_, event_loop) = run_engine(&trace, seed, shards);
             prop_assert_eq!(
                 &baseline_log,
-                &json(&event_loop.event_log().to_vec()),
+                &json(event_loop.event_log()),
                 "shard count {} changed the processed event stream",
                 shards
             );
         }
     }
 
-    /// (c) One shard is the legacy controller: replaying the processed
+    /// (c) One shard is the lone controller: replaying the processed
     /// event log through a plain `AdmissionController` reproduces the
-    /// engine's decision log and decision counters byte for byte.
+    /// engine's decision log, decision counters and deterministic metric
+    /// section byte for byte, even with rebalance ticks on (a lone
+    /// controller sees no ticks, so only the `spms_mech_rebalance_*`
+    /// series are left out of the metric comparison).
     #[test]
     fn one_shard_equals_the_legacy_controller(
         (target, seed, events, _) in engine_config()
@@ -145,14 +148,26 @@ proptest! {
         let trace = trace(target, seed, events);
         let (engine, event_loop) = run_engine(&trace, seed, 1);
         let mut legacy = AdmissionController::new(OnlineConfig::new(CORES)).unwrap();
-        for timed in event_loop.event_log() {
-            legacy.handle(timed.event.clone());
-        }
-        prop_assert_eq!(
-            json(&engine.decisions().to_vec()),
-            json(&legacy.decisions().to_vec())
-        );
+        let legacy_decisions: Vec<Decision> = event_loop
+            .event_log()
+            .iter()
+            .map(|timed| legacy.handle_event(&timed.event))
+            .collect();
+        prop_assert_eq!(json(engine.decisions()), json(&legacy_decisions));
         prop_assert_eq!(engine.stats().decisions, legacy.stats());
+        let deterministic = |registry: &spms_telemetry::Registry| {
+            registry
+                .snapshot(spms_telemetry::SnapshotFilter::Deterministic)
+                .render_prometheus()
+                .lines()
+                .filter(|line| !line.contains("spms_mech_rebalance_"))
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        prop_assert_eq!(
+            deterministic(&engine.merged_metrics_registry()),
+            deterministic(legacy.metrics().registry())
+        );
         prop_assert_eq!(engine.admitted_count(), legacy.admitted_count());
         prop_assert_eq!(
             engine.stats().overflow_admissions, 0,

@@ -243,30 +243,30 @@ impl Registry {
     /// service-wide figure; engines that need a plain "last value" simply
     /// own the only registry that sets the gauge.
     pub fn merge(&mut self, other: &Registry) {
-        self.merge_where(other, |_| true);
+        self.merge_where(other, |_, _| true);
     }
 
-    /// [`merge`](Registry::merge) restricted to the classes `include`
-    /// accepts. A sharded service uses this to fold its shards' mechanism
-    /// and timing metrics in while keeping outcome metrics to the final
-    /// decision stream it owns — a shard's outcome counters describe
-    /// per-shard `decide` attempts (a home rejection retried on an
-    /// overflow shard would double-count).
-    pub fn merge_where(&mut self, other: &Registry, include: impl Fn(MetricClass) -> bool) {
+    /// [`merge`](Registry::merge) restricted to the metrics `include`
+    /// accepts by name and class. A sharded service uses this to fold its
+    /// shards' mechanism and timing metrics in while keeping outcome
+    /// metrics and the per-decision latency to the final decision stream
+    /// it owns — a shard's series describe per-shard `decide` attempts (a
+    /// home rejection retried on an overflow shard would double-count).
+    pub fn merge_where(&mut self, other: &Registry, include: impl Fn(&str, MetricClass) -> bool) {
         for m in &other.counters {
-            if include(m.class) {
+            if include(&m.name, m.class) {
                 let id = self.counter(&m.name, m.class);
                 self.add(id, m.value);
             }
         }
         for m in &other.gauges {
-            if include(m.class) {
+            if include(&m.name, m.class) {
                 let id = self.gauge(&m.name, m.class);
                 self.gauges[id.0].value += m.value;
             }
         }
         for m in &other.histograms {
-            if include(m.class) {
+            if include(&m.name, m.class) {
                 let id = self.histogram(&m.name, m.class);
                 self.histograms[id.0].value.merge(&m.value);
             }

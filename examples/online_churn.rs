@@ -1,31 +1,40 @@
 //! Online admission control under task churn.
 //!
-//! Generates a seeded churn trace (Poisson arrivals, log-uniform
-//! lifetimes), drives the `spms-online` admission controller over it while
-//! replaying every admitted epoch through the discrete-event simulator,
-//! then prints the decision mix and the full churn sweep table.
+//! Generates a seeded timed churn trace (Poisson arrivals, log-uniform
+//! lifetimes), runs it through the event loop into a one-shard
+//! `spms-online` admission service while replaying every admitted epoch
+//! through the discrete-event simulator, then prints the decision mix and
+//! the full churn sweep table.
 //!
 //! ```sh
 //! cargo run --release --example online_churn
 //! ```
 
 use spms::experiments::ChurnExperiment;
-use spms::online::{run_trace, AdmissionController, ChurnGenerator, OnlineConfig, ReplayConfig};
+use spms::online::{
+    ChurnGenerator, EventLoop, EventLoopConfig, OnlineConfig, ReplayConfig, ReplayOutcome,
+    ShardedAdmission,
+};
 use spms::task::Time;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One trace, narrated.
-    let events = ChurnGenerator::new()
+    let trace = ChurnGenerator::new()
         .cores(4)
         .target_normalized_utilization(0.75)
         .events(120)
         .seed(2011)
-        .generate()?;
-    let mut controller = AdmissionController::new(OnlineConfig::new(4))?;
+        .generate_timed()?;
+    let mut service = ShardedAdmission::new(OnlineConfig::new(4), 1)?;
+    let mut event_loop = EventLoop::new(EventLoopConfig::new(2011));
+    event_loop.load_trace(&trace);
     let replay = ReplayConfig::new(Time::from_millis(50));
-    let (_, replay_outcome) = run_trace(&mut controller, &events, Some(&replay));
+    let mut replay_outcome = ReplayOutcome::default();
+    event_loop.run_with(&mut service, |service, decision| {
+        replay_outcome.observe(service.shards()[0].partition(), decision, Some(&replay));
+    });
 
-    let stats = controller.stats();
+    let stats = service.stats().decisions;
     println!("one churn trace on 4 cores, target U/m = 0.75:");
     println!(
         "  {} arrivals, {} admitted ({:.0}%), {} departures",

@@ -28,11 +28,11 @@ use spms::experiments::{
 };
 use spms::faults::{FaultPlan, FaultSpec};
 use spms::online::{
-    parse_trace, FaultStats, OnlineConfig, OnlineConfigBuilder, ShardedAdmission, TimedEvent,
-    WorkloadEvent,
+    decisions_digest, parse_trace, FaultStats, OnlineConfig, OnlineConfigBuilder, ShardedAdmission,
+    TimedEvent, WorkloadEvent,
 };
 use spms::overhead::{CostModelSpec, CrpdCostModel};
-use spms::task::{fnv1a, Time};
+use spms::task::Time;
 use spms::telemetry::{Registry, Snapshot, SnapshotFilter};
 use std::io::IsTerminal;
 use std::process::ExitCode;
@@ -917,11 +917,13 @@ fn run_online_trace(args: &Args) -> CliResult<String> {
     let config = config.cross_shard_split(args.given("--cross-shard-split"));
     let mut service =
         ShardedAdmission::new(config.build(), shards).map_err(|e| UsageError(e.to_string()))?;
-    service.handle_all(&events);
+    // Straight through the service, not the event loop: the loop would
+    // re-shuffle the recorded order of simultaneous events.
+    for event in &events {
+        service.handle_event(event);
+    }
     write_metrics(args, &service.merged_metrics_registry())?;
     let stats = service.stats();
-    let log = serde_json::to_string(&service.decisions().to_vec())
-        .map_err(|e| UsageError(format!("serializing decisions failed: {e}")))?;
     let r = TraceReplayReport {
         shards,
         events: service.decisions().len() as u64,
@@ -932,7 +934,7 @@ fn run_online_trace(args: &Args) -> CliResult<String> {
         overflow_admissions: stats.overflow_admissions,
         acceptance_ratio: stats.decisions.acceptance_ratio(),
         inflation_charged_ns: stats.decisions.inflation_charged_ns,
-        decisions_digest: fnv1a(log.as_bytes()),
+        decisions_digest: decisions_digest(service.decisions()),
     };
     render(args, &r, || r.render_markdown(), || r.render_csv())
 }
