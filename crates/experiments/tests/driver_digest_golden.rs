@@ -7,8 +7,8 @@
 //!
 //! * FNV-1a of each serialized results artifact, exactly as the CLI
 //!   builds it for the CI smoke invocation (`rtabench` with its wall-clock
-//!   `timing` object zeroed; `online --cost-model crpd` must equal the
-//!   plain `online` grid, which charges nothing);
+//!   `timing` object zeroed; the 120-event `online --cost-model crpd`
+//!   grid must charge at least one migration);
 //! * FNV-1a of the deterministic section (outcome and mechanism metrics)
 //!   of the telemetry registry `online` and `overhead` export with
 //!   `--metrics`.
@@ -65,7 +65,7 @@ fn online_smoke_grid_is_pinned() {
     assert_golden(
         "online metrics",
         metrics_digest(&run.metrics),
-        0xa42f_3a38_3135_9d62,
+        0xb906_7c2d_8664_a435,
     );
     // `--cost-model crpd`: every arrival of this grid is admitted whole on
     // the fast path, so no migration is ever charged and the charged run
@@ -75,6 +75,31 @@ fn online_smoke_grid_is_pinned() {
         .run_full_with_progress(&NullProgress);
     assert_eq!(digest(&crpd.results), digest(&run.results));
     assert_eq!(metrics_digest(&crpd.metrics), metrics_digest(&run.metrics));
+}
+
+/// `spms online --events 120 --sets-per-point 2 --points 0.6,0.8
+/// --cost-model crpd`: the CI grid that must charge migrations.
+#[test]
+fn charged_online_grid_is_pinned() {
+    let run = ChurnExperiment::new()
+        .events_per_trace(120)
+        .traces_per_point(2)
+        .utilization_points(vec![0.6, 0.8])
+        .cost_model(CostModelSpec::Crpd(CrpdCostModel::mixed()))
+        .threads(2)
+        .run_full_with_progress(&NullProgress);
+    assert_golden(
+        "charged online results",
+        digest(&run.results),
+        0xac52_240c_f762_5705,
+    );
+    assert!(
+        run.results
+            .points()
+            .iter()
+            .any(|p| p.inflation_us_per_admission > 0.0),
+        "the charged grid must charge at least one migration"
+    );
 }
 
 #[test]
@@ -93,7 +118,7 @@ fn overhead_smoke_grid_is_pinned() {
     assert_golden(
         "overhead metrics",
         metrics_digest(&run.metrics),
-        0xcf31_84b8_8618_3a6d,
+        0xe6f2_7874_a0a8_975a,
     );
 }
 

@@ -136,46 +136,6 @@ pub struct OnlineConfig {
     /// resident (a from-scratch repartition of one shard cannot re-place
     /// the remote siblings).
     pub cross_shard_split: bool,
-    /// Graceful-degradation ladder: when set, per-arrival probe counts
-    /// above the policy's budget shed the expensive cascade stages (full
-    /// repartition first, then bounded repair), re-arming after a calm
-    /// streak. `None` (the default) never sheds and reproduces the
-    /// ladder-free decisions bit for bit.
-    pub degrade: Option<DegradePolicy>,
-}
-
-/// Knobs of the graceful-degradation ladder.
-///
-/// The overload signal is the *probe count* of each arrival decision
-/// (whole + split RTA probes plus the placement questions the per-core
-/// utilization screen answered instead — the cascade's unit of work) — an
-/// integer that is a pure function of the decision stream, never
-/// wall-clock, so the ladder's behaviour is deterministic across threads
-/// and machines. The budget counts questions actually asked: a repair
-/// relocation answered by the failed-relocation memo costs none, a
-/// question the victim search already answered in the same partition
-/// state is not asked again, and debug-build cross-checks are not counted
-/// either.
-/// An arrival that spends more than `probe_budget` probes escalates the
-/// controller one degrade level (1 = the full-repartition fallback is
-/// withheld, 2 = bounded repair is withheld too); `hysteresis`
-/// consecutive within-budget arrivals walk it back one level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DegradePolicy {
-    /// Probes one arrival decision may spend before the controller
-    /// escalates one degrade level.
-    pub probe_budget: u64,
-    /// Consecutive within-budget arrivals required to recover one level.
-    pub hysteresis: u32,
-}
-
-impl Default for DegradePolicy {
-    fn default() -> Self {
-        DegradePolicy {
-            probe_budget: 512,
-            hysteresis: 8,
-        }
-    }
 }
 
 /// Victim-ranking policy of the bounded-repair pass.
@@ -215,7 +175,6 @@ impl Default for OnlineConfig {
             repair_ranking: RepairRanking::Slack,
             cost_model: CostModelSpec::Zero,
             cross_shard_split: false,
-            degrade: None,
         }
     }
 }
@@ -297,12 +256,6 @@ impl OnlineConfigBuilder {
     /// sharded service's cross-shard planner can place boundary pieces.
     pub fn cross_shard_split(mut self, enabled: bool) -> Self {
         self.config.cross_shard_split = enabled;
-        self
-    }
-
-    /// Installs (or removes) the graceful-degradation ladder.
-    pub fn degrade(mut self, policy: Option<DegradePolicy>) -> Self {
-        self.config.degrade = policy;
         self
     }
 
@@ -526,13 +479,6 @@ pub struct AdmissionController {
     remote_parents: BTreeSet<TaskId>,
     metrics: EngineMetrics,
     next_event: usize,
-    /// Current rung of the graceful-degradation ladder (0 = full cascade,
-    /// 1 = full repartition withheld, 2 = bounded repair withheld too).
-    /// Always 0 when [`OnlineConfig::degrade`] is `None`.
-    degrade_level: u8,
-    /// Consecutive within-budget arrivals since the last escalation —
-    /// the hysteresis counter that walks the ladder back down.
-    calm_streak: u32,
     /// Relocations known to fail, one slot per victim (see
     /// [`relocate`](Self::relocate)). A slot is dropped when its task
     /// leaves or re-enters the admitted set, and the whole memo is cleared
@@ -616,8 +562,6 @@ impl AdmissionController {
             remote_parents: BTreeSet::new(),
             metrics: EngineMetrics::default(),
             next_event: 0,
-            degrade_level: 0,
-            calm_streak: 0,
             failed_relocations: HashMap::new(),
         })
     }
@@ -658,9 +602,9 @@ impl AdmissionController {
         ControllerStats::from_registry(self.metrics.registry())
     }
 
-    /// This controller's telemetry: the metrics registry, the bounded
-    /// stage-trace ring, and the rebalance history (unused by a solo
-    /// controller). See [`crate::metrics`] for the determinism contract.
+    /// This controller's telemetry: the metrics registry and the bounded
+    /// stage-trace ring. See [`crate::metrics`] for the determinism
+    /// contract.
     pub fn metrics(&self) -> &EngineMetrics {
         &self.metrics
     }
@@ -686,16 +630,6 @@ impl AdmissionController {
         };
         self.next_event += 1;
         let deltas = hot.since();
-        // Only arrivals drive the degrade ladder: their probe count is the
-        // cascade's unit of work, while departures and renewals are cheap
-        // bookkeeping that says nothing about admission pressure. A
-        // question the utilization screen answered is still one unit.
-        if matches!(event, WorkloadEvent::Arrive(_)) {
-            let probes = deltas.get(HotCounter::WholeProbes)
-                + deltas.get(HotCounter::SplitProbes)
-                + deltas.get(HotCounter::UtilizationScreens);
-            self.update_degrade(probes);
-        }
         self.metrics.finish_decision(
             u64::from(task_id.0),
             &kind,
@@ -704,38 +638,6 @@ impl AdmissionController {
         );
         debug_assert_eq!(self.partition.validate(), Ok(()));
         decision
-    }
-
-    /// Current rung of the graceful-degradation ladder (0 when no
-    /// [`DegradePolicy`] is configured).
-    pub fn degrade_level(&self) -> u8 {
-        self.degrade_level
-    }
-
-    /// One ladder update after an arrival that spent `probes` RTA probes:
-    /// over budget escalates a rung (and resets the calm streak), a
-    /// within-budget arrival extends the streak and recovers a rung after
-    /// `hysteresis` consecutive calm arrivals.
-    fn update_degrade(&mut self, probes: u64) {
-        let Some(policy) = self.config.degrade else {
-            return;
-        };
-        if probes > policy.probe_budget {
-            self.calm_streak = 0;
-            if self.degrade_level < 2 {
-                self.degrade_level += 1;
-                self.metrics
-                    .record_degrade_transition(u64::from(self.degrade_level), true);
-            }
-        } else if self.degrade_level > 0 {
-            self.calm_streak += 1;
-            if self.calm_streak >= policy.hysteresis {
-                self.calm_streak = 0;
-                self.degrade_level -= 1;
-                self.metrics
-                    .record_degrade_transition(u64::from(self.degrade_level), false);
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -788,32 +690,20 @@ impl AdmissionController {
             return self.admit(task, DecisionPath::FastSplit, 0, inflation);
         }
         self.record_stage(DecisionPath::FastSplit, false, stage);
-        // The degrade ladder sheds the expensive stages under sustained
-        // overload: level ≥ 2 withholds bounded repair, level ≥ 1 the
-        // full-repartition fallback. Shed stages never run, so they count
-        // on the shed counter, not as stage attempts.
-        if self.degrade_level < 2 {
-            let stage = Instant::now();
-            let repaired = self.try_repair(task);
-            self.record_stage(DecisionPath::Repair, repaired.is_some(), stage);
-            if let Some((moves, inflation)) = repaired {
-                return self.admit(task, DecisionPath::Repair, moves, inflation);
-            }
-        } else {
-            self.metrics.record_degrade_shed_stage();
+        let stage = Instant::now();
+        let repaired = self.try_repair(task);
+        self.record_stage(DecisionPath::Repair, repaired.is_some(), stage);
+        if let Some((moves, inflation)) = repaired {
+            return self.admit(task, DecisionPath::Repair, moves, inflation);
         }
         // The fallback adopts a from-scratch offline partition; its moves
         // are a one-time reshuffle, not recurring per-job hops, so they are
         // deliberately uncharged (see the module docs).
-        if self.degrade_level < 1 {
-            let stage = Instant::now();
-            let fallback = self.try_fallback(task);
-            self.record_stage(DecisionPath::FullRepartition, fallback.is_some(), stage);
-            if let Some(moves) = fallback {
-                return self.admit(task, DecisionPath::FullRepartition, moves, Time::ZERO);
-            }
-        } else {
-            self.metrics.record_degrade_shed_stage();
+        let stage = Instant::now();
+        let fallback = self.try_fallback(task);
+        self.record_stage(DecisionPath::FullRepartition, fallback.is_some(), stage);
+        if let Some(moves) = fallback {
+            return self.admit(task, DecisionPath::FullRepartition, moves, Time::ZERO);
         }
         DecisionKind::Rejected {
             reason: RejectionReason::NoFeasiblePlacement,
@@ -2242,124 +2132,8 @@ mod tests {
         );
     }
 
-    /// A controller on two 90%-full cores (splitting disabled) under the
-    /// given degrade policy: any 15% arrival fails both fast paths.
-    fn saturated_two_cores(policy: DegradePolicy) -> AdmissionController {
-        let config = two_cores_no_split().degrade(Some(policy)).build();
-        let mut c = AdmissionController::new(config).unwrap();
-        arrive(&mut c, task(0, 9, 10));
-        arrive(&mut c, task(1, 9, 10));
-        c
-    }
-
     fn counter(c: &AdmissionController, name: &str) -> u64 {
         c.metrics().registry().counter_by_name(name).unwrap_or(0)
-    }
-
-    #[test]
-    fn degrade_ladder_escalates_once_per_over_budget_arrival_up_to_level_two() {
-        // Budget 0: every arrival that runs a probe is over budget.
-        let mut c = AdmissionController::new(
-            OnlineConfig::builder()
-                .cores(2)
-                .degrade(Some(DegradePolicy {
-                    probe_budget: 0,
-                    hysteresis: 4,
-                }))
-                .build(),
-        )
-        .unwrap();
-        assert_eq!(c.degrade_level(), 0);
-        for (id, level) in [(0, 1), (1, 2), (2, 2)] {
-            arrive(&mut c, task(id, 1, 10));
-            assert_eq!(c.degrade_level(), level, "after arrival {id}");
-        }
-        assert_eq!(counter(&c, "spms_mech_degrade_escalations_total"), 2);
-        assert_eq!(
-            c.metrics()
-                .registry()
-                .gauge_by_name("spms_mech_degrade_level"),
-            Some(2)
-        );
-        // A generous budget never escalates.
-        let mut calm = AdmissionController::new(
-            OnlineConfig::builder()
-                .cores(2)
-                .degrade(Some(DegradePolicy::default()))
-                .build(),
-        )
-        .unwrap();
-        for id in 0..3 {
-            arrive(&mut calm, task(id, 1, 10));
-        }
-        assert_eq!(calm.degrade_level(), 0);
-    }
-
-    #[test]
-    fn degrade_ladder_sheds_repair_then_fallback_and_counts_each_shed_stage() {
-        let mut c = saturated_two_cores(DegradePolicy {
-            probe_budget: 0,
-            hysteresis: 1,
-        });
-        assert_eq!(c.degrade_level(), 2, "both set-up arrivals probed");
-        // Level 2 withholds both expensive stages: two sheds, no attempts.
-        assert_eq!(
-            arrive(&mut c, task(2, 15, 100)),
-            DecisionKind::Rejected {
-                reason: RejectionReason::NoFeasiblePlacement
-            }
-        );
-        assert_eq!(counter(&c, "spms_mech_degrade_shed_stages_total"), 2);
-        assert_eq!(counter(&c, "spms_mech_stage_repair_attempts_total"), 0);
-        assert_eq!(
-            counter(&c, "spms_mech_stage_full_repartition_attempts_total"),
-            0
-        );
-        // One calm arrival (a duplicate runs no probe) recovers a rung.
-        arrive(&mut c, task(0, 9, 10));
-        assert_eq!(c.degrade_level(), 1);
-        // Level 1 runs repair but still withholds the fallback.
-        arrive(&mut c, task(3, 15, 100));
-        assert_eq!(counter(&c, "spms_mech_degrade_shed_stages_total"), 3);
-        assert_eq!(counter(&c, "spms_mech_stage_repair_attempts_total"), 1);
-        assert_eq!(
-            counter(&c, "spms_mech_stage_full_repartition_attempts_total"),
-            0
-        );
-    }
-
-    #[test]
-    fn degrade_ladder_recovers_one_rung_per_hysteresis_calm_streak() {
-        let mut c = saturated_two_cores(DegradePolicy {
-            probe_budget: 0,
-            hysteresis: 3,
-        });
-        assert_eq!(c.degrade_level(), 2);
-        // Duplicate arrivals are rejected before any probe: calm.
-        let calm = |c: &mut AdmissionController| {
-            arrive(c, task(0, 9, 10));
-        };
-        calm(&mut c);
-        calm(&mut c);
-        assert_eq!(c.degrade_level(), 2, "two calm arrivals are not a streak");
-        calm(&mut c);
-        assert_eq!(c.degrade_level(), 1);
-        // An over-budget arrival mid-streak escalates and resets the streak.
-        calm(&mut c);
-        calm(&mut c);
-        arrive(&mut c, task(2, 15, 100));
-        assert_eq!(c.degrade_level(), 2);
-        calm(&mut c);
-        calm(&mut c);
-        assert_eq!(c.degrade_level(), 2, "the streak restarted");
-        for _ in 0..4 {
-            calm(&mut c);
-        }
-        assert_eq!(c.degrade_level(), 0);
-        assert_eq!(counter(&c, "spms_mech_degrade_recoveries_total"), 3);
-        // Departures never move the ladder.
-        c.handle_event(&WorkloadEvent::Depart(TaskId(1)));
-        assert_eq!(c.degrade_level(), 0);
     }
 
     #[test]

@@ -50,18 +50,8 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use spms_faults::{FaultKind, FaultPlan};
 use spms_task::{TaskId, Time};
-use spms_telemetry::{Snapshot, SnapshotFilter};
 
 use crate::{AdmissionShard, Decision, ShardedAdmission, TimedEvent, WorkloadEvent};
-
-/// How many per-tick rebalance snapshots the loop retains when
-/// [`EventLoopConfig::snapshot_on_rebalance`] is set.
-pub const TICK_SNAPSHOT_CAPACITY: usize = 64;
-
-/// Largest left-shift the zero-move rebalance backoff applies to the
-/// tick period (2³ = 8× stretch) when
-/// [`EventLoopConfig::rebalance_backoff`] is enabled.
-pub const MAX_REBALANCE_BACKOFF_SHIFT: u32 = 3;
 
 /// One event the loop can process.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,7 +62,7 @@ pub enum EngineEvent {
     /// still resident, else ignore (it already departed).
     DeadlineExpire(TaskId),
     /// Run one work-stealing rebalance pass over the shards.
-    RebalanceTick,
+    Rebalance,
     /// Inject one fault into the engine
     /// ([`ShardedAdmission::apply_fault`]).
     Fault(FaultKind),
@@ -80,7 +70,7 @@ pub enum EngineEvent {
     FaultEnd(FaultKind),
     /// Run one self-audit pass ([`ShardedAdmission::audit_tick`]),
     /// re-verifying one cached core against a scratch recomputation.
-    AuditTick,
+    Audit,
 }
 
 /// A scheduled event with its timestamp and insertion sequence. The heap
@@ -126,21 +116,9 @@ pub struct EventLoopConfig {
     pub rebalance_period: Option<Time>,
     /// Migration budget of each rebalance tick.
     pub rebalance_max_moves: usize,
-    /// When set, every rebalance tick captures a deterministic-section
-    /// snapshot of the engine's merged metrics registry into a bounded
-    /// log ([`EventLoop::tick_snapshots`], last
-    /// [`TICK_SNAPSHOT_CAPACITY`] ticks) — the periodic-snapshot hook
-    /// soak reports read.
-    pub snapshot_on_rebalance: bool,
     /// When set, a self-audit tick fires every `period` while workload
     /// events remain pending, re-verifying one cached core per tick.
     pub audit_period: Option<Time>,
-    /// When set, consecutive zero-move rebalance ticks exponentially
-    /// stretch the self-rescheduled tick interval (doubling per idle
-    /// tick, capped at 2^[`MAX_REBALANCE_BACKOFF_SHIFT`]×); any tick that
-    /// moves a task resets the interval to
-    /// [`rebalance_period`](Self::rebalance_period).
-    pub rebalance_backoff: bool,
 }
 
 impl Default for EventLoopConfig {
@@ -150,9 +128,7 @@ impl Default for EventLoopConfig {
             lease: None,
             rebalance_period: None,
             rebalance_max_moves: 4,
-            snapshot_on_rebalance: false,
             audit_period: None,
-            rebalance_backoff: false,
         }
     }
 }
@@ -184,21 +160,9 @@ impl EventLoopConfig {
         self
     }
 
-    /// Enables or disables per-tick metric snapshots (builder style).
-    pub fn with_rebalance_snapshots(mut self, enabled: bool) -> Self {
-        self.snapshot_on_rebalance = enabled;
-        self
-    }
-
     /// Sets the self-audit period (builder style).
     pub fn with_audit_period(mut self, period: Option<Time>) -> Self {
         self.audit_period = period;
-        self
-    }
-
-    /// Enables or disables zero-move rebalance backoff (builder style).
-    pub fn with_rebalance_backoff(mut self, enabled: bool) -> Self {
-        self.rebalance_backoff = enabled;
         self
     }
 }
@@ -217,17 +181,12 @@ pub struct EventLoop {
     pending_workload: usize,
     now: Time,
     log: Vec<TimedEvent>,
-    tick_snapshots: Vec<(Time, Snapshot)>,
     /// Live lease deadline per admitted task. Renewals move the entry
     /// forward; a popped [`EngineEvent::DeadlineExpire`] only fires when
     /// its timestamp still matches (stale entries from before a renewal
     /// are ignored).
     lease_deadlines: BTreeMap<TaskId, Time>,
     lease_renewals: u64,
-    /// Consecutive zero-move rebalance ticks, clamped at
-    /// [`MAX_REBALANCE_BACKOFF_SHIFT`]; drives the backoff stretch when
-    /// [`EventLoopConfig::rebalance_backoff`] is set.
-    rebalance_zero_streak: u32,
 }
 
 impl EventLoop {
@@ -241,10 +200,8 @@ impl EventLoop {
             pending_workload: 0,
             now: Time::ZERO,
             log: Vec::new(),
-            tick_snapshots: Vec::new(),
             lease_deadlines: BTreeMap::new(),
             lease_renewals: 0,
-            rebalance_zero_streak: 0,
         }
     }
 
@@ -313,11 +270,6 @@ impl EventLoop {
         }
     }
 
-    /// The simulated clock: timestamp of the last processed batch.
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
     /// The workload events dispatched so far, in processing order, with
     /// the timestamps they fired at. Synthesized lease departures appear
     /// here too; rebalance ticks (which make no admission decision) do
@@ -330,14 +282,6 @@ impl EventLoop {
     /// trace) without cloning it.
     pub fn take_event_log(&mut self) -> Vec<TimedEvent> {
         std::mem::take(&mut self.log)
-    }
-
-    /// The per-tick deterministic metric snapshots captured when
-    /// [`EventLoopConfig::snapshot_on_rebalance`] is set: `(tick time,
-    /// snapshot)`, oldest first, bounded to the last
-    /// [`TICK_SNAPSHOT_CAPACITY`] ticks.
-    pub fn tick_snapshots(&self) -> &[(Time, Snapshot)] {
-        &self.tick_snapshots
     }
 
     /// How many lease renewals the loop honored (resident task, leases
@@ -389,12 +333,12 @@ impl EventLoop {
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.shuffle_seed);
         if let Some(period) = self.config.rebalance_period {
             if self.pending_workload > 0 {
-                self.schedule(self.now + period, EngineEvent::RebalanceTick);
+                self.schedule(self.now + period, EngineEvent::Rebalance);
             }
         }
         if let Some(period) = self.config.audit_period {
             if self.pending_workload > 0 {
-                self.schedule(self.now + period, EngineEvent::AuditTick);
+                self.schedule(self.now + period, EngineEvent::Audit);
             }
         }
         let mut batch: Vec<Scheduled> = Vec::new();
@@ -433,42 +377,21 @@ impl EventLoop {
                             self.dispatch(engine, at, WorkloadEvent::Depart(id), &mut observer);
                         }
                     }
-                    EngineEvent::RebalanceTick => {
-                        let moves = engine.rebalance(self.config.rebalance_max_moves);
-                        if self.config.rebalance_backoff {
-                            if moves == 0 {
-                                self.rebalance_zero_streak = (self.rebalance_zero_streak + 1)
-                                    .min(MAX_REBALANCE_BACKOFF_SHIFT);
-                            } else {
-                                self.rebalance_zero_streak = 0;
-                            }
-                        }
-                        if self.config.snapshot_on_rebalance {
-                            if self.tick_snapshots.len() == TICK_SNAPSHOT_CAPACITY {
-                                self.tick_snapshots.remove(0);
-                            }
-                            let snapshot = engine
-                                .merged_metrics_registry()
-                                .snapshot(SnapshotFilter::Deterministic);
-                            self.tick_snapshots.push((at, snapshot));
-                        }
+                    EngineEvent::Rebalance => {
+                        engine.rebalance(self.config.rebalance_max_moves);
                         if self.pending_workload > 0 {
                             if let Some(period) = self.config.rebalance_period {
-                                // Idle ticks stretch the interval
-                                // exponentially (streak 0 ⇒ shift 0 ⇒ the
-                                // plain period).
-                                let stretched = period * (1u64 << self.rebalance_zero_streak);
-                                self.schedule(at + stretched, EngineEvent::RebalanceTick);
+                                self.schedule(at + period, EngineEvent::Rebalance);
                             }
                         }
                     }
                     EngineEvent::Fault(kind) => engine.apply_fault(&kind),
                     EngineEvent::FaultEnd(kind) => engine.end_fault(&kind),
-                    EngineEvent::AuditTick => {
+                    EngineEvent::Audit => {
                         engine.audit_tick();
                         if self.pending_workload > 0 {
                             if let Some(period) = self.config.audit_period {
-                                self.schedule(at + period, EngineEvent::AuditTick);
+                                self.schedule(at + period, EngineEvent::Audit);
                             }
                         }
                     }
@@ -699,54 +622,6 @@ mod tests {
             merged.counter_by_name("spms_mech_rebalance_moves_total"),
             Some(engine.stats().rebalance_moves)
         );
-        assert_eq!(
-            engine.metrics().rebalance_history().count() as u64,
-            engine
-                .stats()
-                .rebalance_ticks
-                .min(crate::metrics::REBALANCE_HISTORY_CAPACITY as u64)
-        );
-    }
-
-    #[test]
-    fn rebalance_ticks_capture_periodic_snapshots_when_enabled() {
-        let config = EventLoopConfig::new(1)
-            .with_rebalance_period(Some(Time::from_millis(20)))
-            .with_rebalance_snapshots(true);
-        let (event_loop, engine) = drive(2, 13, config);
-        let ticks = engine.stats().rebalance_ticks as usize;
-        assert!(ticks > 0);
-        assert_eq!(
-            event_loop.tick_snapshots().len(),
-            ticks.min(TICK_SNAPSHOT_CAPACITY)
-        );
-        // Snapshots are deterministic-section only and cumulative: the
-        // retained window covers the *last* ticks, so the k-th retained
-        // snapshot's tick counter reads dropped + k + 1.
-        let dropped = ticks - event_loop.tick_snapshots().len();
-        for (i, (at, snapshot)) in event_loop.tick_snapshots().iter().enumerate() {
-            assert!(*at > Time::ZERO);
-            assert!(snapshot
-                .entries
-                .iter()
-                .all(|e| !e.name.starts_with("spms_timing_")));
-            let ticks_entry = snapshot
-                .entries
-                .iter()
-                .find(|e| e.name == "spms_mech_rebalance_ticks_total")
-                .expect("tick counter present");
-            assert_eq!(
-                ticks_entry.value,
-                spms_telemetry::SnapshotValue::Counter((dropped + i) as u64 + 1)
-            );
-        }
-        // Without the flag, no snapshots accrue.
-        let (quiet, _) = drive(
-            2,
-            13,
-            EventLoopConfig::new(1).with_rebalance_period(Some(Time::from_millis(20))),
-        );
-        assert!(quiet.tick_snapshots().is_empty());
     }
 
     #[test]
@@ -783,101 +658,34 @@ mod tests {
     }
 
     #[test]
-    fn zero_move_rebalance_ticks_back_off_exponentially() {
+    fn zero_move_rebalance_ticks_keep_the_plain_period() {
         // A single-shard service can never move a task, so every tick is
-        // a zero-move tick: with backoff enabled the self-rescheduled
-        // interval doubles per idle tick, clamped at 2^3 = 8x the base
-        // period. Snapshot timestamps expose the actual tick schedule.
-        let period = Time::from_millis(10);
-        let run = |backoff: bool| {
-            let mut engine = ShardedAdmission::new(OnlineConfig::new(2), 1).unwrap();
-            let mut event_loop = EventLoop::new(
-                EventLoopConfig::new(0)
-                    .with_rebalance_period(Some(period))
-                    .with_rebalance_snapshots(true)
-                    .with_rebalance_backoff(backoff),
-            );
-            for i in 0..31u32 {
-                event_loop.schedule(
-                    Time::from_millis(u64::from(i) * 10),
-                    EngineEvent::Workload(WorkloadEvent::Arrive(
-                        spms_task::Task::new(i, Time::from_millis(1), Time::from_millis(1000))
-                            .unwrap(),
-                    )),
-                );
-            }
-            event_loop.run(&mut engine);
-            let ticks: Vec<u64> = event_loop
-                .tick_snapshots()
-                .iter()
-                .map(|(at, _)| at.as_nanos() / 1_000_000)
-                .collect();
-            ticks
-        };
-        // Idle streak 1, 2, 3, then clamped: gaps 2x, 4x, 8x, 8x, ...
-        assert_eq!(run(true), vec![10, 30, 70, 150, 230, 310]);
-        // Without backoff the schedule stays on the plain period.
-        let plain = run(false);
-        assert_eq!(plain.first(), Some(&10));
-        assert!(plain.windows(2).all(|w| w[1] - w[0] == 10));
-    }
-
-    #[test]
-    fn a_rebalance_move_resets_the_backoff_streak() {
-        // Pile every task onto shard 0 (home-shard routing by parity of
-        // the id hash is irrelevant: we pick ids homed on shard 0), let
-        // idle ticks stretch the interval, then check that a tick which
-        // does move a task snaps the schedule back to the base period.
-        // Driving a mid-run imbalance deterministically through the
-        // public API is awkward, so this asserts the reset property at
-        // the unit level instead: a non-zero move count resets the
-        // streak the next tick uses.
-        let period = Time::from_millis(10);
-        let mut engine = ShardedAdmission::new(OnlineConfig::new(4), 2).unwrap();
-        let router = spms_core::ShardRouter::new(2);
-        // Four tasks homed on shard 0 arriving up front, nothing after:
-        // the first tick can steal one to shard 1, later ticks cannot.
-        let mut scheduled = 0u64;
-        let mut id = 0u32;
+        // a zero-move tick, and each one reschedules itself one period
+        // later while workload is pending. Arrivals at 5, 15, ..., 305 ms
+        // keep work pending through the tick at 300 ms, so ticks fire at
+        // 10, 20, ..., 310 ms: exactly 31.
+        let mut engine = ShardedAdmission::new(OnlineConfig::new(2), 1).unwrap();
         let mut event_loop = EventLoop::new(
-            EventLoopConfig::new(0)
-                .with_rebalance_period(Some(period))
-                .with_rebalance_max_moves(1)
-                .with_rebalance_snapshots(true)
-                .with_rebalance_backoff(true),
+            EventLoopConfig::new(0).with_rebalance_period(Some(Time::from_millis(10))),
         );
-        while scheduled < 4 {
-            if router.home_shard(TaskId(id)) == 0 {
-                event_loop.schedule(
-                    Time::ZERO,
-                    EngineEvent::Workload(WorkloadEvent::Arrive(
-                        spms_task::Task::new(id, Time::from_millis(2), Time::from_millis(10))
-                            .unwrap(),
-                    )),
-                );
-                scheduled += 1;
-            }
-            id += 1;
+        for i in 0..31u32 {
+            event_loop.schedule(
+                Time::from_millis(u64::from(i) * 10 + 5),
+                EngineEvent::Workload(WorkloadEvent::Arrive(
+                    spms_task::Task::new(i, Time::from_millis(1), Time::from_millis(1000)).unwrap(),
+                )),
+            );
         }
-        // Keep the loop alive long enough for several ticks.
-        event_loop.schedule(
-            Time::from_millis(100),
-            EngineEvent::Workload(WorkloadEvent::Arrive(
-                spms_task::Task::new(1000, Time::from_millis(1), Time::from_millis(1000)).unwrap(),
-            )),
-        );
         event_loop.run(&mut engine);
-        let ticks: Vec<u64> = event_loop
-            .tick_snapshots()
-            .iter()
-            .map(|(at, _)| at.as_nanos() / 1_000_000)
-            .collect();
-        assert!(engine.stats().rebalance_moves > 0, "early ticks must steal");
-        // Ticks at 10 and 20 ms each steal a task (budget 1 per tick), so
-        // the schedule stays on the plain period; the tick at 30 ms finds
-        // the shards balanced and the first idle tick doubles the gap.
-        assert!(ticks.len() >= 4);
-        assert_eq!(&ticks[..4], &[10, 20, 30, 50]);
+        let merged = engine.merged_metrics_registry();
+        assert_eq!(
+            merged.counter_by_name("spms_mech_rebalance_ticks_total"),
+            Some(31)
+        );
+        assert_eq!(
+            merged.counter_by_name("spms_mech_rebalance_moves_total"),
+            Some(0)
+        );
     }
 
     #[test]

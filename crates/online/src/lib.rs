@@ -77,16 +77,13 @@ mod service;
 
 pub use churn::{inject_renewals, ChurnFamily, ChurnGenerator};
 pub use controller::{
-    decisions_digest, AdmissionController, Decision, DecisionKind, DecisionPath, DegradePolicy,
-    OnlineConfig, OnlineConfigBuilder, OnlineError, RejectionReason, RepairRanking,
+    decisions_digest, AdmissionController, Decision, DecisionKind, DecisionPath, OnlineConfig,
+    OnlineConfigBuilder, OnlineError, RejectionReason, RepairRanking,
 };
 pub use event::{parse_trace, TimedEvent, TraceError, WorkloadEvent};
-pub use event_loop::{
-    EngineEvent, EventLoop, EventLoopConfig, MAX_REBALANCE_BACKOFF_SHIFT, TICK_SNAPSHOT_CAPACITY,
-};
+pub use event_loop::{EngineEvent, EventLoop, EventLoopConfig};
 pub use metrics::{
-    ControllerStats, EngineMetrics, FaultStats, RebalanceTick, ServiceStats,
-    DEFAULT_TRACE_RING_CAPACITY,
+    ControllerStats, EngineMetrics, FaultStats, ServiceStats, DEFAULT_TRACE_RING_CAPACITY,
 };
 pub use replay::{ReplayConfig, ReplayOutcome};
 pub use service::{AdmissionShard, ShardHealth, ShardedAdmission};

@@ -3,11 +3,11 @@
 //! [`EngineMetrics`] bundles what one decision engine (a solo
 //! [`AdmissionController`](crate::AdmissionController) or a
 //! [`ShardedAdmission`](crate::ShardedAdmission) service) owns: a
-//! [`Registry`] of named metrics, a bounded [`TraceRing`] of per-decision
-//! [`StageTrace`](spms_telemetry::StageTrace)s, and a short history of
-//! rebalance ticks. It is a plain owned value — cloned with its engine,
-//! merged by experiment drivers in grid order — which is what keeps the
-//! deterministic metric section byte-identical across `--threads`.
+//! [`Registry`] of named metrics and a bounded [`TraceRing`] of
+//! per-decision [`StageTrace`](spms_telemetry::StageTrace)s. It is a plain
+//! owned value — cloned with its engine, merged by experiment drivers in
+//! grid order — which is what keeps the deterministic metric section
+//! byte-identical across `--threads`.
 //!
 //! The registry is the engines' only counter store: [`ControllerStats`],
 //! [`ServiceStats`] and [`FaultStats`] are typed read-only views computed
@@ -26,27 +26,22 @@
 //!   already spans the shard calls.
 //! * `spms_mech_*` mechanism metrics describe how the cascade got there:
 //!   per-stage attempt/success counters, probe and cache hit/miss counts
-//!   folded in from the [`scoped`] hot counters, routing overflow,
-//!   rebalance activity, fault injection and self-audit.
+//!   folded in from the [`scoped`](spms_telemetry::scoped) hot counters,
+//!   routing overflow, rebalance activity, fault injection and self-audit.
 //! * `spms_timing_*` metrics hold every wall-clock figure: per-decision
 //!   and per-stage latency histograms and a decisions/sec gauge.
-
-use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 use spms_task::Time;
 use spms_telemetry::{
-    scoped, CounterId, GaugeId, Histogram, HistogramId, HotDeltas, MetricClass, Registry,
-    SnapshotFilter, SpanOutcome, StageSpan, TraceRing, HOT_COUNTERS,
+    CounterId, GaugeId, Histogram, HistogramId, HotDeltas, MetricClass, Registry, SnapshotFilter,
+    SpanOutcome, StageSpan, TraceRing, HOT_COUNTERS,
 };
 
 use crate::{DecisionKind, DecisionPath, RejectionReason};
 
 /// How many per-decision stage traces an engine retains by default.
 pub const DEFAULT_TRACE_RING_CAPACITY: usize = 256;
-
-/// How many rebalance ticks the per-tick history retains.
-pub const REBALANCE_HISTORY_CAPACITY: usize = 64;
 
 // Counter names the stats views read. Registration uses the same
 // constants, so a view can never drift from the series it reports.
@@ -89,16 +84,6 @@ const FAULT_REJOINS: &str = "spms_mech_fault_rejoins_total";
 const AUDIT_CHECKS: &str = "spms_mech_audit_checks_total";
 const AUDIT_VIOLATIONS: &str = "spms_mech_audit_violations_total";
 const AUDIT_REPAIRS: &str = "spms_mech_audit_repairs_total";
-
-/// One retained rebalance tick: which tick it was and how many tasks it
-/// moved (0 for a no-op tick).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RebalanceTick {
-    /// 0-based tick sequence number.
-    pub seq: u64,
-    /// Tasks migrated between shards by this tick.
-    pub moves: u64,
-}
 
 /// The cascade stages, in attempt order (identical to [`DecisionPath`],
 /// which doubles as the stage identifier). The cross-shard split stage
@@ -194,10 +179,6 @@ struct Ids {
     fault_recoveries: CounterId,
     fault_evictions: CounterId,
     fault_rejoins: CounterId,
-    degrade_level: GaugeId,
-    degrade_escalations: CounterId,
-    degrade_recoveries: CounterId,
-    degrade_shed_stages: CounterId,
     audit_checks: CounterId,
     audit_violations: CounterId,
     audit_repairs: CounterId,
@@ -207,8 +188,8 @@ struct Ids {
     decisions_per_sec: GaugeId,
 }
 
-/// One engine's metrics: registry, stage-trace ring, and rebalance
-/// history. See the [module docs](self).
+/// One engine's metrics: registry and stage-trace ring. See the
+/// [module docs](self).
 #[derive(Debug, Clone)]
 pub struct EngineMetrics {
     registry: Registry,
@@ -216,7 +197,6 @@ pub struct EngineMetrics {
     ring: TraceRing,
     /// Span scratch for the decision currently being made.
     open_spans: Vec<StageSpan>,
-    rebalance_history: VecDeque<RebalanceTick>,
 }
 
 impl EngineMetrics {
@@ -274,10 +254,6 @@ impl EngineMetrics {
             fault_recoveries: mech(&mut registry, FAULT_RECOVERIES),
             fault_evictions: mech(&mut registry, FAULT_EVICTIONS),
             fault_rejoins: mech(&mut registry, FAULT_REJOINS),
-            degrade_level: registry.gauge("spms_mech_degrade_level", MetricClass::Mechanism),
-            degrade_escalations: mech(&mut registry, "spms_mech_degrade_escalations_total"),
-            degrade_recoveries: mech(&mut registry, "spms_mech_degrade_recoveries_total"),
-            degrade_shed_stages: mech(&mut registry, "spms_mech_degrade_shed_stages_total"),
             audit_checks: mech(&mut registry, AUDIT_CHECKS),
             audit_violations: mech(&mut registry, AUDIT_VIOLATIONS),
             audit_repairs: mech(&mut registry, AUDIT_REPAIRS),
@@ -295,7 +271,6 @@ impl EngineMetrics {
             ids,
             ring: TraceRing::new(ring_capacity),
             open_spans: Vec::new(),
-            rebalance_history: VecDeque::new(),
         }
     }
 
@@ -307,11 +282,6 @@ impl EngineMetrics {
     /// The per-decision stage-trace ring.
     pub fn traces(&self) -> &TraceRing {
         &self.ring
-    }
-
-    /// The retained rebalance ticks, oldest first.
-    pub fn rebalance_history(&self) -> impl Iterator<Item = &RebalanceTick> {
-        self.rebalance_history.iter()
     }
 
     /// The decision latency histogram (timing section).
@@ -444,23 +414,15 @@ impl EngineMetrics {
 
     /// Records one rebalance tick (no-op ticks included): bumps the tick
     /// counter, adds `moves` to the move counter and the migration charge
-    /// the moves cost to the rebalance inflation counter, sets the
-    /// last-moves gauge, and appends to the bounded per-tick history.
-    /// Returns the tick's sequence number.
-    pub fn record_rebalance_tick(&mut self, moves: u64, inflation: Time) -> u64 {
-        let seq = self.registry.counter_value(self.ids.rebalance_ticks);
+    /// the moves cost to the rebalance inflation counter, and sets the
+    /// last-moves gauge.
+    pub fn record_rebalance_tick(&mut self, moves: u64, inflation: Time) {
         self.registry.inc(self.ids.rebalance_ticks);
         self.registry.add(self.ids.rebalance_moves, moves);
         self.registry
             .add(self.ids.rebalance_inflation_ns, inflation.as_nanos());
         self.registry
             .set_gauge(self.ids.rebalance_last_moves, moves);
-        if self.rebalance_history.len() == REBALANCE_HISTORY_CAPACITY {
-            self.rebalance_history.pop_front();
-        }
-        self.rebalance_history
-            .push_back(RebalanceTick { seq, moves });
-        seq
     }
 
     /// Folds a thread-local hot-counter delta into the mechanism section
@@ -481,7 +443,7 @@ impl EngineMetrics {
     }
 
     // ------------------------------------------------------------------
-    // fault injection, failover, degrade ladder, self-audit
+    // fault injection, failover, self-audit
     // ------------------------------------------------------------------
 
     /// Counts one injected fault by its
@@ -522,22 +484,6 @@ impl EngineMetrics {
         self.registry.inc(self.ids.fault_rejoins);
     }
 
-    /// Sets the degrade-level gauge and counts the transition that moved
-    /// it (`escalated` — up one rung — or a hysteresis recovery down one).
-    pub fn record_degrade_transition(&mut self, level: u64, escalated: bool) {
-        self.registry.set_gauge(self.ids.degrade_level, level);
-        self.registry.inc(if escalated {
-            self.ids.degrade_escalations
-        } else {
-            self.ids.degrade_recoveries
-        });
-    }
-
-    /// Counts one cascade stage withheld by the active degrade level.
-    pub fn record_degrade_shed_stage(&mut self) {
-        self.registry.inc(self.ids.degrade_shed_stages);
-    }
-
     /// Counts one self-audit pass over a core's cached analysis. A
     /// `repaired` audit found a divergent memo (counted as a violation)
     /// and rebuilt it from scratch (counted as a repair) — so
@@ -562,12 +508,6 @@ impl Default for EngineMetrics {
     fn default() -> Self {
         EngineMetrics::new(DEFAULT_TRACE_RING_CAPACITY)
     }
-}
-
-/// Re-export of the scoped hot-counter snapshot, so engine code does not
-/// need a direct `spms_telemetry` dependency path for the common pattern.
-pub fn hot_snapshot() -> HotDeltas {
-    scoped::thread_snapshot()
 }
 
 /// Looks a counter up by name, reading 0 for a name the registry lacks.
@@ -881,23 +821,5 @@ mod tests {
         let view = ServiceStats::from_registry(r);
         assert_eq!((view.rebalance_ticks, view.rebalance_moves), (2, 3));
         assert_eq!(view.rebalance_inflation_ns, 70);
-        let history: Vec<_> = m.rebalance_history().copied().collect();
-        assert_eq!(
-            history,
-            vec![
-                RebalanceTick { seq: 0, moves: 0 },
-                RebalanceTick { seq: 1, moves: 3 }
-            ]
-        );
-    }
-
-    #[test]
-    fn rebalance_history_is_bounded() {
-        let mut m = EngineMetrics::new(0);
-        for tick in 0..(REBALANCE_HISTORY_CAPACITY as u64 + 10) {
-            m.record_rebalance_tick(tick % 2, Time::ZERO);
-        }
-        assert_eq!(m.rebalance_history().count(), REBALANCE_HISTORY_CAPACITY);
-        assert_eq!(m.rebalance_history().next().unwrap().seq, 10);
     }
 }

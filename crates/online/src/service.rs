@@ -223,8 +223,8 @@ impl ShardedAdmission<AdmissionController> {
     /// A service of `shard_count` controller shards splitting the
     /// `config.cores` processor cores near-evenly. Every shard inherits
     /// every other configuration knob (overheads, minimum split budget,
-    /// repair bound and ranking, fallback, cost model, cross-shard split,
-    /// degrade policy) against its own core slice.
+    /// repair bound and ranking, fallback, cost model, cross-shard split)
+    /// against its own core slice.
     ///
     /// # Errors
     ///
@@ -1163,9 +1163,6 @@ mod tests {
             merged.gauge_by_name("spms_mech_rebalance_last_moves"),
             Some(moved as u64)
         );
-        let history: Vec<_> = svc.metrics().rebalance_history().copied().collect();
-        assert_eq!(history.len(), 1);
-        assert_eq!(history[0].moves, moved as u64);
         // Outcome counters follow the service's final decisions, not the
         // per-shard decide attempts.
         assert_eq!(

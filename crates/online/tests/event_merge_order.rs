@@ -129,10 +129,10 @@ fn merged_trace_and_heap_events_follow_the_sorted_shuffled_reference() {
     // workload events and ticks landing on the same timestamps.
     recorder.load_trace(&[30, 10, 10, 50, 20, 10, 40]);
     recorder.schedule_workload(10);
-    recorder.schedule_tick(10, EngineEvent::RebalanceTick);
+    recorder.schedule_tick(10, EngineEvent::Rebalance);
     recorder.schedule_workload(35);
     recorder.load_trace(&[20, 5, 50, 50, 10, 60]);
-    recorder.schedule_tick(50, EngineEvent::AuditTick);
+    recorder.schedule_tick(50, EngineEvent::Audit);
     recorder.schedule_workload(50);
     recorder.schedule_workload(0);
     let (logged, expected) = recorder.run(&mut engine);
@@ -143,7 +143,7 @@ fn merged_trace_and_heap_events_follow_the_sorted_shuffled_reference() {
     // clock, with more scheduled events on its timestamps.
     recorder.load_trace(&[70, 25, 70, 90, 70]);
     recorder.schedule_workload(70);
-    recorder.schedule_tick(70, EngineEvent::RebalanceTick);
+    recorder.schedule_tick(70, EngineEvent::Rebalance);
     recorder.load_trace(&[80, 70]);
     let (logged, expected) = recorder.run(&mut engine);
     assert_eq!(logged.len(), 8);

@@ -156,8 +156,8 @@ pub fn reset_global(counter: HotCounter) {
 /// Runs `f` without counting: whatever `f` bumps is taken back from this
 /// thread's counters and the process-wide ones when it returns. For
 /// debug-build cross-checks, which must leave every work counter — and
-/// everything derived from one, like the degrade ladder — exactly as in a
-/// release build.
+/// everything derived from one, like the mechanism metrics — exactly as in
+/// a release build.
 pub fn uncounted<R>(f: impl FnOnce() -> R) -> R {
     let before = thread_snapshot();
     let out = f();
