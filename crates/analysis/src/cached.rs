@@ -171,7 +171,8 @@ impl CachedCoreAnalysis {
     /// Adds one entry to the core **in place** while the surviving entries
     /// take the priorities `relabel` gives them — the single-placement
     /// commit of a priority renormalization — and returns the
-    /// [`RefreshUndo`] that reverts it.
+    /// [`RefreshUndo`] that reverts it: empty, and built without a snapshot
+    /// of the prior state, unless `record` asks for one.
     ///
     /// Only valid when the survivors keep their relative order (checked in
     /// one pass; `None`, with the cache untouched, when they do not).
@@ -189,15 +190,19 @@ impl CachedCoreAnalysis {
         task: Task,
         relabel: impl FnMut(&Task) -> Option<Priority>,
         proof: Option<&[Time]>,
+        record: bool,
     ) -> Option<RefreshUndo> {
-        let prior = self.relabel(relabel)?;
+        let prior = self.relabel(relabel, record)?;
         let added = task.id();
         let (pos, first_affected) = self.place_entry(task);
         self.reconverge_after_insert(pos, first_affected, proof);
-        let undo = RefreshUndo {
-            removed: Vec::new(),
-            added: vec![added],
-            changed: self.changed_since(prior, Some(added)),
+        let undo = match prior {
+            Some(prior) => RefreshUndo {
+                removed: Vec::new(),
+                added: vec![added],
+                changed: self.changed_since(prior, Some(added)),
+            },
+            None => RefreshUndo::default(),
         };
         self.debug_assert_converged();
         Some(undo)
@@ -205,9 +210,10 @@ impl CachedCoreAnalysis {
 
     /// Removes the entry with `id` **in place** while the survivors take
     /// the priorities `relabel` gives them, and returns the
-    /// [`RefreshUndo`] that reverts it. `None`, with the cache untouched,
-    /// when `id` is not on the core or the survivors would change their
-    /// relative order.
+    /// [`RefreshUndo`] that reverts it (empty unless `record`, as in
+    /// [`insert_relabelled`](Self::insert_relabelled)). `None`, with the
+    /// cache untouched, when `id` is not on the core or the survivors would
+    /// change their relative order.
     ///
     /// Entries strictly above the removed level keep their fixed points.
     /// Each entry `i` at or below it restarts from `R_h + C_i`, where `h` is
@@ -220,17 +226,21 @@ impl CachedCoreAnalysis {
         &mut self,
         id: TaskId,
         relabel: impl FnMut(&Task) -> Option<Priority>,
+        record: bool,
     ) -> Option<RefreshUndo> {
         let (pos, removed, first_affected) = self.take_entry(id)?;
-        let Some(prior) = self.relabel(relabel) else {
+        let Some(prior) = self.relabel(relabel, record) else {
             self.entries.insert(pos, removed);
             return None;
         };
         self.reconverge_after_remove(first_affected);
-        let undo = RefreshUndo {
-            removed: vec![(removed.task, removed.response)],
-            added: Vec::new(),
-            changed: self.changed_since(prior, None),
+        let undo = match prior {
+            Some(prior) => RefreshUndo {
+                removed: vec![(removed.task, removed.response)],
+                added: Vec::new(),
+                changed: self.changed_since(prior, None),
+            },
+            None => RefreshUndo::default(),
         };
         self.debug_assert_converged();
         Some(undo)
@@ -792,30 +802,29 @@ impl CachedCoreAnalysis {
         Some((pos, removed, first_affected))
     }
 
-    /// Rewrites every entry's priority to `relabel(task)` in place and
-    /// returns each entry's prior `(priority, response)`, in order. When the
-    /// new priorities would reorder the entries, every priority is restored
-    /// and `None` is returned.
+    /// Rewrites every entry's priority to `relabel(task)` in place, unless
+    /// the new priorities would reorder the entries: then nothing is
+    /// written and `None` is returned. With `record`, also returns each
+    /// entry's prior `(priority, response)`, in order.
     fn relabel(
         &mut self,
         mut relabel: impl FnMut(&Task) -> Option<Priority>,
-    ) -> Option<Vec<EntryDelta>> {
-        let prior: Vec<EntryDelta> = self.entries.iter().map(EntryDelta::of).collect();
+        record: bool,
+    ) -> Option<Option<Vec<EntryDelta>>> {
         let mut previous = None;
-        for i in 0..self.entries.len() {
-            let task = &mut self.entries[i].task;
-            match relabel(task) {
-                Some(priority) => task.set_priority(priority),
-                None => task.clear_priority(),
-            }
-            let key = sort_key(task);
+        for entry in &self.entries {
+            let mut task = entry.task.clone();
+            assign_priority(&mut task, relabel(&entry.task));
+            let key = sort_key(&task);
             if previous.is_some_and(|previous| previous >= key) {
-                for (entry, delta) in self.entries.iter_mut().zip(&prior) {
-                    delta.restore_priority(&mut entry.task);
-                }
                 return None;
             }
             previous = Some(key);
+        }
+        let prior = record.then(|| self.entries.iter().map(EntryDelta::of).collect());
+        for entry in &mut self.entries {
+            let priority = relabel(&entry.task);
+            assign_priority(&mut entry.task, priority);
         }
         Some(prior)
     }
@@ -936,10 +945,15 @@ impl EntryDelta {
 
     /// Puts the recorded priority back on `task`.
     fn restore_priority(&self, task: &mut Task) {
-        match self.priority {
-            Some(priority) => task.set_priority(priority),
-            None => task.clear_priority(),
-        }
+        assign_priority(task, self.priority);
+    }
+}
+
+/// Sets `task`'s priority, or clears it for `None`.
+fn assign_priority(task: &mut Task, priority: Option<Priority>) {
+    match priority {
+        Some(priority) => task.set_priority(priority),
+        None => task.clear_priority(),
     }
 }
 
@@ -1263,7 +1277,7 @@ mod tests {
         assert_eq!(blocker, None);
         assert_eq!(proof.len(), 3, "the candidate plus the two it outranks");
         let undo = cache
-            .insert_relabelled(candidate.clone(), dense(&[0, 3, 1, 2]), Some(&proof))
+            .insert_relabelled(candidate.clone(), dense(&[0, 3, 1, 2]), Some(&proof), true)
             .expect("survivors keep their order");
         assert_matches_scratch(&cache);
         assert_eq!(cache.response_of(TaskId(0)), before.response_of(TaskId(0)));
@@ -1275,12 +1289,19 @@ mod tests {
         // Without a proof, or with one of the wrong length, the same state
         // is re-derived warm.
         let mut proven = before.clone();
-        proven.insert_relabelled(candidate.clone(), dense(&[0, 3, 1, 2]), Some(&proof));
+        proven.insert_relabelled(candidate.clone(), dense(&[0, 3, 1, 2]), Some(&proof), true);
         for bad_proof in [None, Some(&proof[..2])] {
             let mut derived = before.clone();
-            derived.insert_relabelled(candidate.clone(), dense(&[0, 3, 1, 2]), bad_proof);
+            derived.insert_relabelled(candidate.clone(), dense(&[0, 3, 1, 2]), bad_proof, true);
             assert_eq!(derived, proven);
         }
+        // Unrecorded, the same state comes with an empty undo record.
+        let mut unrecorded = before.clone();
+        let undo = unrecorded
+            .insert_relabelled(candidate.clone(), dense(&[0, 3, 1, 2]), Some(&proof), false)
+            .expect("survivors keep their order");
+        assert!(undo.is_empty());
+        assert_eq!(unrecorded, proven);
     }
 
     #[test]
@@ -1293,16 +1314,22 @@ mod tests {
         ];
         let mut cache = CachedCoreAnalysis::from_tasks(&initial);
         let before = cache.clone();
+        let mut unrecorded = cache.clone();
         let undo = cache
-            .remove_relabelled(TaskId(1), dense(&[0, 2, 3]))
+            .remove_relabelled(TaskId(1), dense(&[0, 2, 3]), true)
             .expect("on the core");
+        let empty = unrecorded
+            .remove_relabelled(TaskId(1), dense(&[0, 2, 3]), false)
+            .expect("on the core");
+        assert!(empty.is_empty());
+        assert_eq!(unrecorded, cache);
         assert_matches_scratch(&cache);
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.response_of(TaskId(0)), before.response_of(TaskId(0)));
         cache.apply_refresh_undo(undo);
         assert_eq!(cache, before);
         assert!(cache
-            .remove_relabelled(TaskId(9), dense(&[0, 1, 2, 3]))
+            .remove_relabelled(TaskId(9), dense(&[0, 1, 2, 3]), true)
             .is_none());
         assert_eq!(cache, before);
     }
@@ -1313,12 +1340,16 @@ mod tests {
         let mut cache = CachedCoreAnalysis::from_tasks(&initial);
         let before = cache.clone();
         // τ2 would jump above τ1: the caller must run the general refresh.
-        assert!(cache
-            .insert_relabelled(task(3, 1, 50, 5), dense(&[0, 2, 1, 3]), None)
-            .is_none());
-        assert_eq!(cache, before);
-        assert!(cache.remove_relabelled(TaskId(0), dense(&[2, 1])).is_none());
-        assert_eq!(cache, before);
+        for record in [true, false] {
+            assert!(cache
+                .insert_relabelled(task(3, 1, 50, 5), dense(&[0, 2, 1, 3]), None, record)
+                .is_none());
+            assert_eq!(cache, before);
+            assert!(cache
+                .remove_relabelled(TaskId(0), dense(&[2, 1]), record)
+                .is_none());
+            assert_eq!(cache, before);
+        }
     }
 
     #[test]

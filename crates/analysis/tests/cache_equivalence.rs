@@ -17,7 +17,9 @@
 //! core shaped like the online placer's: reserved split-piece levels (with
 //! same-level peers) above dense deadline-monotonic whole levels. Every
 //! insertion runs with the proof an accepting probe converged and again
-//! without one, and both must equal scratch analysis.
+//! without one, and both must equal scratch analysis. Every operation also
+//! runs unrecorded (as outside a journal scope), which must return an
+//! empty undo record and reach the same state.
 //!
 //! The vendored proptest runner is deterministically seeded, so failures
 //! reproduce identically.
@@ -205,13 +207,19 @@ proptest! {
                     let relabel = |t: &Task| priority_in(&grown, t.id());
                     let mut derived = cache.clone();
                     let undo = derived
-                        .insert_relabelled(task.clone(), relabel, None)
+                        .insert_relabelled(task.clone(), relabel, None, true)
                         .expect("ranking preserves the survivors' order");
                     assert_holds(&derived, &grown);
                     assert_undo_restores(&derived, undo, &before);
+                    let mut unrecorded = cache.clone();
+                    let undo = unrecorded
+                        .insert_relabelled(task.clone(), relabel, None, false)
+                        .expect("ranking preserves the survivors' order");
+                    prop_assert!(undo.is_empty());
+                    prop_assert_eq!(&unrecorded, &derived, "recording changed the result");
                     if accepted {
                         let undo = cache
-                            .insert_relabelled(task, relabel, Some(&proof))
+                            .insert_relabelled(task, relabel, Some(&proof), true)
                             .expect("ranking preserves the survivors' order");
                         prop_assert_eq!(&cache, &derived, "the proof changed the result");
                         assert_undo_restores(&cache, undo, &before);
@@ -227,10 +235,16 @@ proptest! {
                     let id = tasks[index % tasks.len()].id();
                     tasks.retain(|t| t.id() != id);
                     tasks = ranked(&tasks);
+                    let mut unrecorded = cache.clone();
                     let undo = cache
-                        .remove_relabelled(id, |t| priority_in(&tasks, t.id()))
+                        .remove_relabelled(id, |t| priority_in(&tasks, t.id()), true)
                         .expect("on the core, order preserved");
                     assert_holds(&cache, &tasks);
+                    let empty = unrecorded
+                        .remove_relabelled(id, |t| priority_in(&tasks, t.id()), false)
+                        .expect("on the core, order preserved");
+                    prop_assert!(empty.is_empty());
+                    prop_assert_eq!(&unrecorded, &cache, "recording changed the result");
                     assert_undo_restores(&cache, undo, &before);
                 }
             }

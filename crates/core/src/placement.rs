@@ -1186,12 +1186,15 @@ impl Partition {
         self.reconcile_abandoned_scopes();
         let recording = self.recording();
         let mut removed = 0;
-        let mut touched = Vec::new();
-        let mut undo = Vec::new();
-        for (idx, bin) in self.cores.iter_mut().enumerate() {
+        // Each core is finished (removal, staleness, renormalization) before
+        // the next is looked at; cores are independent, so this is the
+        // outcome of removing from every core first.
+        for idx in 0..self.cores.len() {
+            let bin = &mut self.cores[idx];
             if !bin.iter().any(|p| p.parent == parent) {
                 continue;
             }
+            let core = CoreId(idx);
             if recording {
                 // Extract instead of retain so the undo entry keeps the
                 // original index of every removed placement.
@@ -1205,29 +1208,21 @@ impl Partition {
                     }
                 }
                 removed += removed_here.len();
-                undo.push((CoreId(idx), removed_here));
+                let prev_staleness = self.cache.as_ref().map(|s| s[idx].staleness);
+                self.record(JournalOp::Remove {
+                    core,
+                    removed: removed_here,
+                    prev_staleness,
+                });
             } else {
                 let before = bin.len();
                 bin.retain(|p| p.parent != parent);
                 removed += before - bin.len();
             }
-            touched.push(CoreId(idx));
-        }
-        for (core, removed_here) in undo {
-            let prev_staleness = self.cache.as_ref().map(|s| s[core.0].staleness);
-            self.record(JournalOp::Remove {
-                core,
-                removed: removed_here,
-                prev_staleness,
-            });
-        }
-        if let Some(slots) = &mut self.cache {
-            for core in &touched {
-                let slot = &mut slots[core.0];
+            if let Some(slots) = &mut self.cache {
+                let slot = &mut slots[idx];
                 slot.staleness = slot.staleness.escalate(CacheStaleness::Removed(parent));
             }
-        }
-        for core in touched {
             self.renormalize_core_priorities(core);
         }
         removed
@@ -1256,7 +1251,7 @@ impl Partition {
     /// lower bound `R_h + C_i`. Any other change runs the general
     /// [`refresh`](CachedCoreAnalysis::refresh). Either way the slot's undo
     /// record is the same compact [`RefreshUndo`], journaled inside a
-    /// rollback scope and dropped outside one.
+    /// rollback scope; outside one the in-place updates build none.
     ///
     /// # Panics
     ///
@@ -1271,7 +1266,8 @@ impl Partition {
     /// [`CachedCoreAnalysis::insert_relabelled`]): the in-place insert
     /// installs those responses instead of re-deriving them.
     pub(crate) fn renormalize_installing(&mut self, core: CoreId, proof: Option<&[Time]>) {
-        let priorities: Option<Vec<Option<Priority>>> = self.recording().then(|| {
+        let recording = self.recording();
+        let priorities: Option<Vec<Option<Priority>>> = recording.then(|| {
             self.cores[core.0]
                 .iter()
                 .map(|p| p.task.priority())
@@ -1306,10 +1302,11 @@ impl Partition {
                 match change {
                     SingleChange::Inserted { .. } => {
                         let added = bin.last().expect("one placement was added").task.clone();
-                        slot.analysis.insert_relabelled(added, relabel, proof)
+                        slot.analysis
+                            .insert_relabelled(added, relabel, proof, recording)
                     }
                     SingleChange::Removed { parent, .. } => {
-                        slot.analysis.remove_relabelled(parent, relabel)
+                        slot.analysis.remove_relabelled(parent, relabel, recording)
                     }
                 }
             });

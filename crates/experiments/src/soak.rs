@@ -763,7 +763,9 @@ impl SoakExperiment {
                 .with_lease(lease)
                 .with_rebalance_period(self.rebalance_period)
                 .with_rebalance_max_moves(self.rebalance_max_moves)
-                .with_audit_period(self.audit_period),
+                .with_audit_period(self.audit_period)
+                // `events_digest` (and `--capture`) read the processed log.
+                .with_event_log(true),
         );
         event_loop.load_trace(&trace);
         if let Some(plan) = &self.faults {

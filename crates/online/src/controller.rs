@@ -471,6 +471,9 @@ pub struct AdmissionController {
     placer: IncrementalPlacer,
     partition: Partition,
     admitted: BTreeMap<TaskId, Task>,
+    /// Running sum of `admitted`'s utilizations, kept in step with every
+    /// insert and remove: answers the platform check in O(1).
+    admitted_sum: UtilizationSum,
     /// Parents with at least one piece on *another* shard, placed by the
     /// sharded service's cross-shard planner. Their local pieces must never
     /// be relocated by repair and block the full-repartition fallback: both
@@ -559,6 +562,7 @@ impl AdmissionController {
             placer,
             config,
             admitted: BTreeMap::new(),
+            admitted_sum: UtilizationSum::default(),
             remote_parents: BTreeSet::new(),
             metrics: EngineMetrics::default(),
             next_event: 0,
@@ -611,9 +615,10 @@ impl AdmissionController {
 
     /// Handles one workload event and returns the decision made. Nothing
     /// is cloned unless the arrival is actually admitted (the admitted map
-    /// keeps its own copy of the task).
+    /// keeps its own copy of the task). The controller does not time the
+    /// decision: its caller does (the sharded service records one latency
+    /// sample per final decision).
     pub fn handle_event(&mut self, event: &WorkloadEvent) -> Decision {
-        let started = Instant::now();
         let hot = scoped::thread_snapshot();
         let task_id = event.task_id();
         let kind = match event {
@@ -630,12 +635,8 @@ impl AdmissionController {
         };
         self.next_event += 1;
         let deltas = hot.since();
-        self.metrics.finish_decision(
-            u64::from(task_id.0),
-            &kind,
-            started.elapsed().as_nanos() as u64,
-            &deltas,
-        );
+        self.metrics
+            .finish_decision(u64::from(task_id.0), &kind, &deltas);
         debug_assert_eq!(self.partition.validate(), Ok(()));
         decision
     }
@@ -652,7 +653,11 @@ impl AdmissionController {
         }
         // Cheap necessary condition before any RTA runs: total utilization
         // can never exceed the platform.
-        if self.admitted_utilization() + task.utilization() > self.config.cores as f64 + 1e-9 {
+        if self.admitted_sum.exceeds(
+            &self.admitted,
+            task.utilization(),
+            self.config.cores as f64 + 1e-9,
+        ) {
             return DecisionKind::Rejected {
                 reason: RejectionReason::PlatformOverloaded,
             };
@@ -734,8 +739,7 @@ impl AdmissionController {
         migrations: usize,
         inflation: Time,
     ) -> DecisionKind {
-        self.failed_relocations.remove(&task.id());
-        self.admitted.insert(task.id(), task.clone());
+        self.insert_admitted(task.clone());
         DecisionKind::Admitted {
             path,
             migrations,
@@ -1284,14 +1288,140 @@ impl AdmissionController {
     // ------------------------------------------------------------------
 
     fn depart(&mut self, id: TaskId) -> DecisionKind {
-        if self.admitted.remove(&id).is_none() {
+        if self.remove_admitted(id).is_none() {
             return DecisionKind::DepartUnknown;
         }
         self.remote_parents.remove(&id);
-        self.failed_relocations.remove(&id);
         let removed = self.partition.remove_parent(id);
         debug_assert!(removed > 0, "admitted task {id} had no placements");
         DecisionKind::Departed
+    }
+
+    // ------------------------------------------------------------------
+    // admitted-set bookkeeping
+    // ------------------------------------------------------------------
+
+    /// Adds (or replaces) one admitted task, keeping the utilization sum in
+    /// step and dropping the task's relocation memo slot.
+    fn insert_admitted(&mut self, task: Task) {
+        self.forget_failed_relocation(task.id());
+        self.admitted_sum.add(task.utilization());
+        if let Some(old) = self.admitted.insert(task.id(), task) {
+            self.admitted_sum
+                .sub(old.utilization(), self.admitted.len());
+        }
+    }
+
+    /// Removes one admitted task, keeping the utilization sum in step and
+    /// dropping the task's relocation memo slot.
+    fn remove_admitted(&mut self, id: TaskId) -> Option<Task> {
+        self.forget_failed_relocation(id);
+        let task = self.admitted.remove(&id)?;
+        self.admitted_sum
+            .sub(task.utilization(), self.admitted.len());
+        Some(task)
+    }
+
+    /// Drops `id`'s slot in the relocation memo; free while the memo is
+    /// empty, as it is on every fast-path decision.
+    fn forget_failed_relocation(&mut self, id: TaskId) {
+        if !self.failed_relocations.is_empty() {
+            self.failed_relocations.remove(&id);
+        }
+    }
+}
+
+/// A running sum of the admitted utilizations with a rigorous bound on how
+/// far rounding has carried it from the exact (real-number) sum.
+///
+/// The platform check must answer exactly as the id-ordered fold
+/// `admitted.values().map(Task::utilization).sum()` would. The running sum
+/// answers alone whenever `sum + u` is further from the capacity than the
+/// combined rounding of both: its own drift plus `(n + 2)·ε·(sum + u +
+/// capacity)`, which bounds the fold's `n − 1` additions, the two
+/// additions of `u` and the comparison (every term is positive, so no
+/// partial sum exceeds the total). Inside that slack it falls back to the
+/// fold, and re-anchors on it. Each update adds `ε·|sum|` to the drift (a
+/// rounding step errs by at most half that); once the drift accrued since
+/// the last anchor passes [`UtilizationSum::REANCHOR`] the next check
+/// re-anchors first, so the slack stays near the fold's own.
+#[derive(Debug, Clone, Copy, Default)]
+struct UtilizationSum {
+    sum: f64,
+    /// Bound on `|sum − exact sum|`.
+    drift: f64,
+    /// The part of `drift` accrued since the last anchor.
+    accrued: f64,
+}
+
+impl UtilizationSum {
+    /// Accrued drift past which the next check re-anchors on the fold.
+    const REANCHOR: f64 = 1e-12;
+
+    fn add(&mut self, u: f64) {
+        self.sum += u;
+        self.accrue();
+    }
+
+    /// Removes `u`, leaving `remaining` tasks; an empty set is summed
+    /// exactly.
+    fn sub(&mut self, u: f64, remaining: usize) {
+        if remaining == 0 {
+            *self = UtilizationSum::default();
+        } else {
+            self.sum -= u;
+            self.accrue();
+        }
+    }
+
+    fn accrue(&mut self) {
+        let step = f64::EPSILON * self.sum.abs();
+        self.drift += step;
+        self.accrued += step;
+    }
+
+    /// Resets the sum to the fold over `n` tasks, whose own rounding
+    /// becomes the drift.
+    fn anchor(&mut self, fold: f64, n: usize) {
+        self.sum = fold;
+        self.drift = n as f64 * f64::EPSILON * fold.abs();
+        self.accrued = 0.0;
+    }
+
+    /// Whether the next check re-anchors first.
+    fn needs_anchor(&self) -> bool {
+        self.accrued > Self::REANCHOR
+    }
+
+    /// The fold's verdict on `fold + u > capacity` over `n` tasks, or
+    /// `None` when `sum + u` lies within the rounding slack of
+    /// `capacity`.
+    fn verdict(&self, u: f64, capacity: f64, n: usize) -> Option<bool> {
+        let total = self.sum + u;
+        let slack = self.drift + (n + 2) as f64 * f64::EPSILON * (self.sum.abs() + u + capacity);
+        if total > capacity + slack {
+            Some(true)
+        } else if total < capacity - slack {
+            Some(false)
+        } else {
+            None
+        }
+    }
+
+    /// Exactly `admitted`'s fold `+ u > capacity`: answered by the running
+    /// sum outside the slack, by the fold (which re-anchors the sum)
+    /// inside it.
+    fn exceeds(&mut self, admitted: &BTreeMap<TaskId, Task>, u: f64, capacity: f64) -> bool {
+        let fold = || admitted.values().map(Task::utilization).sum::<f64>();
+        let n = admitted.len();
+        if self.needs_anchor() {
+            self.anchor(fold(), n);
+        }
+        self.verdict(u, capacity, n).unwrap_or_else(|| {
+            let fold = fold();
+            self.anchor(fold, n);
+            fold + u > capacity
+        })
     }
 }
 
@@ -1328,19 +1458,16 @@ impl crate::AdmissionShard for AdmissionController {
     }
 
     fn forget_admitted(&mut self, id: TaskId) -> Option<Task> {
-        self.failed_relocations.remove(&id);
-        self.admitted.remove(&id)
+        self.remove_admitted(id)
     }
 
     fn note_admitted(&mut self, task: Task) {
-        self.failed_relocations.remove(&task.id());
-        self.admitted.insert(task.id(), task);
+        self.insert_admitted(task);
     }
 
     fn note_remote_admitted(&mut self, piece: Task) {
-        self.failed_relocations.remove(&piece.id());
         self.remote_parents.insert(piece.id());
-        self.admitted.insert(piece.id(), piece);
+        self.insert_admitted(piece);
     }
 
     fn placer(&self) -> &IncrementalPlacer {
@@ -1941,12 +2068,65 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    /// The O(1) platform check answers exactly as the id-ordered fold of
+    /// the admitted map, step by step, over long random admit/depart
+    /// walks. Half of them use near-threshold sets: `k·(1/3)`, `k·(1/7)`
+    /// or 0.1 steps topped up with `1e-9` tips, so `sum + u` keeps landing
+    /// within rounding of `cores + 1e-9`, where the check must fall back
+    /// to the fold.
     #[test]
-    fn latencies_parallel_the_decision_log() {
-        let mut c = AdmissionController::new(OnlineConfig::new(2)).unwrap();
-        arrive(&mut c, task(0, 1, 10));
-        c.handle_event(&WorkloadEvent::Depart(TaskId(0)));
-        assert_eq!(c.metrics().decision_latency().count(), 2);
+    fn the_running_utilization_sum_answers_as_the_fold_does() {
+        use rand::{Rng, SeedableRng};
+        let tip = (1, 1_000_000_000);
+        let near_pools: [[(u64, u64); 2]; 3] = [[(1, 3), tip], [(1, 7), tip], [(1, 10), tip]];
+        let (mut steps, mut fallbacks, mut anchors) = (0usize, 0usize, 0usize);
+        for walk in 0..8u64 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(walk);
+            let cores = 2 + walk as usize % 5;
+            let capacity = cores as f64 + 1e-9;
+            let near = (walk % 2 == 0).then(|| near_pools[walk as usize / 2 % 3]);
+            let mut admitted = BTreeMap::new();
+            let mut sum = UtilizationSum::default();
+            let mut next_id = 0u32;
+            for _ in 0..15_000 {
+                steps += 1;
+                if admitted.is_empty() || rng.gen_bool(0.6) {
+                    let (wcet, period) = match near {
+                        Some(pool) => pool[rng.gen_range(0..pool.len())],
+                        None => {
+                            let wcet = rng.gen_range(1..=1_000_000u64);
+                            (wcet, wcet + rng.gen_range(0..=20_000_000u64))
+                        }
+                    };
+                    let arrival =
+                        Task::new(next_id, Time::from_nanos(wcet), Time::from_nanos(period))
+                            .unwrap();
+                    next_id += 1;
+                    let u = arrival.utilization();
+                    let fold: f64 = admitted.values().map(Task::utilization).sum();
+                    let expected = fold + u > capacity;
+                    fallbacks += usize::from(sum.verdict(u, capacity, admitted.len()).is_none());
+                    anchors += usize::from(sum.needs_anchor());
+                    assert_eq!(
+                        sum.exceeds(&admitted, u, capacity),
+                        expected,
+                        "walk {walk}: fold {fold:e} + {u:e} vs {capacity}, running {sum:?}"
+                    );
+                    if !expected {
+                        sum.add(u);
+                        admitted.insert(arrival.id(), arrival);
+                    }
+                } else {
+                    let nth = rng.gen_range(0..admitted.len());
+                    let id = *admitted.keys().nth(nth).unwrap();
+                    let departed = admitted.remove(&id).unwrap();
+                    sum.sub(departed.utilization(), admitted.len());
+                }
+            }
+        }
+        assert!(steps >= 100_000);
+        assert!(fallbacks > 0, "no step fell inside the rounding slack");
+        assert!(anchors > 0, "the drift never grew past the re-anchor point");
     }
 
     #[test]

@@ -36,12 +36,15 @@
 //! lease bookkeeping: they are logged but never dispatched to the
 //! admission engine.
 //!
-//! The loop records every workload event it dispatches (including
-//! synthesized lease departures and noted renewals) as a [`TimedEvent`]
-//! log. Feeding that log to a fresh single controller reproduces a
-//! 1-shard run's decision log byte-identically — the `shard_equivalence`
-//! suite enforces it. (Renewals replay as
-//! [`RenewNoted`](crate::DecisionKind::RenewNoted) no-ops.)
+//! **The processed-event log is opt-in.** With
+//! [`EventLoopConfig::event_log`] set, the loop records every workload
+//! event it dispatches (including synthesized lease departures and noted
+//! renewals) as a [`TimedEvent`] log. Feeding that log to a fresh single
+//! controller reproduces a 1-shard run's decision log byte-identically —
+//! the `shard_equivalence` suite enforces it. (Renewals replay as
+//! [`RenewNoted`](crate::DecisionKind::RenewNoted) no-ops.) Without it the
+//! loop keeps no copy of the events it processed, so a long run's memory
+//! does not grow with them.
 
 use std::collections::{BTreeMap, BinaryHeap};
 
@@ -119,6 +122,9 @@ pub struct EventLoopConfig {
     /// When set, a self-audit tick fires every `period` while workload
     /// events remain pending, re-verifying one cached core per tick.
     pub audit_period: Option<Time>,
+    /// Whether the loop records the workload events it processes (see
+    /// [`EventLoop::event_log`]). Off by default.
+    pub event_log: bool,
 }
 
 impl Default for EventLoopConfig {
@@ -129,6 +135,7 @@ impl Default for EventLoopConfig {
             rebalance_period: None,
             rebalance_max_moves: 4,
             audit_period: None,
+            event_log: false,
         }
     }
 }
@@ -163,6 +170,12 @@ impl EventLoopConfig {
     /// Sets the self-audit period (builder style).
     pub fn with_audit_period(mut self, period: Option<Time>) -> Self {
         self.audit_period = period;
+        self
+    }
+
+    /// Turns the processed-event log on or off (builder style).
+    pub fn with_event_log(mut self, record: bool) -> Self {
+        self.event_log = record;
         self
     }
 }
@@ -273,7 +286,7 @@ impl EventLoop {
     /// The workload events dispatched so far, in processing order, with
     /// the timestamps they fired at. Synthesized lease departures appear
     /// here too; rebalance ticks (which make no admission decision) do
-    /// not.
+    /// not. Empty unless [`EventLoopConfig::event_log`] is set.
     pub fn event_log(&self) -> &[TimedEvent] {
         &self.log
     }
@@ -418,15 +431,22 @@ impl EventLoop {
             // Explicit (or synthesized) departures retire the lease.
             self.lease_deadlines.remove(&event.task_id());
         }
-        self.log.push(TimedEvent { at, event });
+        self.record(at, event);
         observer(engine, &decision);
+    }
+
+    /// Appends one processed workload event to the log, if it is kept.
+    fn record(&mut self, at: Time, event: WorkloadEvent) {
+        if self.config.event_log {
+            self.log.push(TimedEvent { at, event });
+        }
     }
 
     /// Handles a [`WorkloadEvent::Renew`]: extends the task's live lease
     /// deadline and schedules the matching expiration. Renewals never
-    /// reach the engine — they are logged as processed and counted, but
-    /// make no admission decision. Renewals of non-resident tasks (or in
-    /// lease-free runs) extend nothing.
+    /// reach the engine — they are logged as processed (when the log is
+    /// kept) and counted, but make no admission decision. Renewals of
+    /// non-resident tasks (or in lease-free runs) extend nothing.
     fn renew<S: AdmissionShard>(&mut self, engine: &ShardedAdmission<S>, at: Time, id: TaskId) {
         if let Some(lease) = self.config.lease {
             if engine.resident_shard(id).is_some() && self.lease_deadlines.contains_key(&id) {
@@ -436,10 +456,7 @@ impl EventLoop {
                 self.lease_renewals += 1;
             }
         }
-        self.log.push(TimedEvent {
-            at,
-            event: WorkloadEvent::Renew(id),
-        });
+        self.record(at, WorkloadEvent::Renew(id));
     }
 }
 
@@ -456,7 +473,7 @@ mod tests {
             .generate_timed()
             .unwrap();
         let mut engine = ShardedAdmission::new(OnlineConfig::new(4), shards).unwrap();
-        let mut event_loop = EventLoop::new(config);
+        let mut event_loop = EventLoop::new(config.with_event_log(true));
         event_loop.load_trace(&trace);
         event_loop.run(&mut engine);
         (event_loop, engine)
@@ -515,8 +532,11 @@ mod tests {
         // 80 ms) and must not fire; the renewed one at 80 ms must.
         let t = spms_task::Task::new(0, Time::from_millis(1), Time::from_millis(10)).unwrap();
         let mut engine = ShardedAdmission::new(OnlineConfig::new(2), 1).unwrap();
-        let mut event_loop =
-            EventLoop::new(EventLoopConfig::new(0).with_lease(Some(Time::from_millis(50))));
+        let mut event_loop = EventLoop::new(
+            EventLoopConfig::new(0)
+                .with_lease(Some(Time::from_millis(50)))
+                .with_event_log(true),
+        );
         event_loop.schedule(
             Time::ZERO,
             EngineEvent::Workload(WorkloadEvent::Arrive(t.clone())),
@@ -561,7 +581,11 @@ mod tests {
         let lease = Time::from_millis(50);
         let run = |trace: &[TimedEvent]| {
             let mut engine = ShardedAdmission::new(OnlineConfig::new(4), 2).unwrap();
-            let mut event_loop = EventLoop::new(EventLoopConfig::new(3).with_lease(Some(lease)));
+            let mut event_loop = EventLoop::new(
+                EventLoopConfig::new(3)
+                    .with_lease(Some(lease))
+                    .with_event_log(true),
+            );
             event_loop.load_trace(trace);
             event_loop.run(&mut engine);
             (event_loop, engine)
@@ -586,7 +610,7 @@ mod tests {
     fn renewals_without_leases_are_logged_noops() {
         let t = spms_task::Task::new(0, Time::from_millis(1), Time::from_millis(10)).unwrap();
         let mut engine = ShardedAdmission::new(OnlineConfig::new(2), 1).unwrap();
-        let mut event_loop = EventLoop::new(EventLoopConfig::new(0));
+        let mut event_loop = EventLoop::new(EventLoopConfig::new(0).with_event_log(true));
         event_loop.schedule(
             Time::ZERO,
             EngineEvent::Workload(WorkloadEvent::Arrive(t.clone())),
@@ -601,6 +625,29 @@ mod tests {
         assert_eq!(engine.admitted_count(), 1, "no lease, no expiration");
         // The renewal never reached the engine: one decision only.
         assert_eq!(engine.decisions().len(), 1);
+    }
+
+    #[test]
+    fn the_event_log_is_kept_only_on_request() {
+        let run = |config: EventLoopConfig| {
+            let trace = ChurnGenerator::new()
+                .cores(4)
+                .events(150)
+                .seed(5)
+                .generate_timed()
+                .unwrap();
+            let mut engine = ShardedAdmission::new(OnlineConfig::new(4), 1).unwrap();
+            let mut event_loop = EventLoop::new(config);
+            event_loop.load_trace(&trace);
+            event_loop.run(&mut engine);
+            (event_loop, engine)
+        };
+        let (unlogged, plain) = run(EventLoopConfig::new(7));
+        let (logged, recorded) = run(EventLoopConfig::new(7).with_event_log(true));
+        assert!(unlogged.event_log().is_empty());
+        assert_eq!(logged.event_log().len(), recorded.decisions().len());
+        // Keeping the log changes nothing the loop decides.
+        assert_eq!(plain.decisions(), recorded.decisions());
     }
 
     #[test]
@@ -631,7 +678,7 @@ mod tests {
         let t_b = spms_task::Task::new(1, Time::from_millis(1), Time::from_millis(10)).unwrap();
         let order_for = |seed: u64| {
             let mut engine = ShardedAdmission::new(OnlineConfig::new(2), 1).unwrap();
-            let mut event_loop = EventLoop::new(EventLoopConfig::new(seed));
+            let mut event_loop = EventLoop::new(EventLoopConfig::new(seed).with_event_log(true));
             let at = Time::from_millis(5);
             event_loop.schedule(
                 at,

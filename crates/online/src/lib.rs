@@ -29,13 +29,18 @@
 //!   decision log ([`decisions_digest`] hashes it),
 //! * [`EventLoop`] — the timestamped event heap driving the service
 //!   (arrivals, departures, deadline expirations, rebalance ticks) with a
-//!   seeded same-timestamp tie-shuffle for reproducible runs,
+//!   seeded same-timestamp tie-shuffle for reproducible runs. Its log of
+//!   processed events is opt-in ([`EventLoopConfig::with_event_log`]):
+//!   `spms soak` keeps it for its event digest and `--dump-trace`, every
+//!   other driver runs without it,
 //! * [`EngineMetrics`] — the telemetry bundle every engine carries: a
 //!   deterministic [`spms_telemetry::Registry`] (outcome and mechanism
-//!   counters plus strippable timing histograms), per-decision cascade
-//!   stage traces in a bounded ring, and the rebalance tick history. The
-//!   registry is the only counter store: [`ControllerStats`],
-//!   [`ServiceStats`] and [`FaultStats`] are read-only views of it.
+//!   counters plus strippable timing histograms) and per-decision cascade
+//!   stage traces in a bounded ring. The registry is the only counter
+//!   store: [`ControllerStats`], [`ServiceStats`] and [`FaultStats`] are
+//!   read-only views of it. The service is the one timer of a decision:
+//!   it records one latency sample per final decision, and the shards
+//!   record none.
 //!
 //! # Example
 //!

@@ -21,15 +21,21 @@
 //!   [`record_outcome`](EngineMetrics::record_outcome)). A sharded
 //!   service drops its shards' outcome counters when merging
 //!   ([`Registry::merge_where`]) because shard-level `decide` calls
-//!   include overflow retries. For the same reason it keeps only its own
-//!   [`DECISION_LATENCY`] histogram: one sample per final decision, which
-//!   already spans the shard calls.
+//!   include overflow retries.
+//! * The service is the one timer of a decision: it records one
+//!   [`DECISION_LATENCY`] sample per final decision
+//!   ([`record_decision_latency`](EngineMetrics::record_decision_latency)),
+//!   spanning the shard calls; a controller never times its own decisions,
+//!   so shard registries hold no such sample.
 //! * `spms_mech_*` mechanism metrics describe how the cascade got there:
 //!   per-stage attempt/success counters, probe and cache hit/miss counts
 //!   folded in from the [`scoped`](spms_telemetry::scoped) hot counters,
 //!   routing overflow, rebalance activity, fault injection and self-audit.
 //! * `spms_timing_*` metrics hold every wall-clock figure: per-decision
 //!   and per-stage latency histograms and a decisions/sec gauge.
+//!
+//! Once the trace ring is full, a decision's spans reuse the buffer of the
+//! trace it evicts, so recording them allocates nothing.
 
 use serde::{Deserialize, Serialize};
 use spms_task::Time;
@@ -319,21 +325,22 @@ impl EngineMetrics {
     }
 
     /// Finishes the open decision: folds the thread-local hot-counter
-    /// `deltas` into the mechanism section, records the outcome counters
-    /// and latency, and moves the collected stage spans into the trace
-    /// ring under the decision's label.
-    pub fn finish_decision(
-        &mut self,
-        task: u64,
-        kind: &DecisionKind,
-        nanos: u64,
-        deltas: &HotDeltas,
-    ) {
+    /// `deltas` into the mechanism section, records the outcome counters,
+    /// and moves the collected stage spans into the trace ring under the
+    /// decision's label (the ring hands back the buffer of the trace it
+    /// evicts, so a full ring allocates nothing). The decision's latency
+    /// is its timer's to record
+    /// ([`record_decision_latency`](Self::record_decision_latency)).
+    pub fn finish_decision(&mut self, task: u64, kind: &DecisionKind, deltas: &HotDeltas) {
         self.fold_hot(deltas);
         self.record_outcome(kind);
+        self.ring
+            .record(task, decision_label(kind), &mut self.open_spans);
+    }
+
+    /// Records one final decision's wall-clock latency (timing section).
+    pub fn record_decision_latency(&mut self, nanos: u64) {
         self.registry.record(self.ids.decision_latency, nanos);
-        let spans = std::mem::take(&mut self.open_spans);
-        self.ring.record(task, decision_label(kind), spans);
     }
 
     /// Records the outcome counters of one final decision (no trace, no
@@ -776,7 +783,10 @@ mod tests {
             migrations: 0,
             inflation: Time::ZERO,
         };
-        m.finish_decision(7, &kind, 35, &HotDeltas::default());
+        m.finish_decision(7, &kind, &HotDeltas::default());
+        // Finishing a decision does not time it: its timer records that.
+        assert_eq!(m.decision_latency().count(), 0);
+        m.record_decision_latency(35);
         let r = m.registry();
         assert_eq!(
             r.counter_by_name("spms_mech_stage_fast_whole_attempts_total"),

@@ -37,7 +37,7 @@ use spms_overhead::{CostModel, CostModelSpec};
 use spms_task::{Task, TaskId, Time};
 use spms_telemetry::{scoped, Histogram, MetricClass, Registry};
 
-use crate::metrics::{EngineMetrics, FaultStats, ServiceStats, DECISION_LATENCY};
+use crate::metrics::{EngineMetrics, FaultStats, ServiceStats};
 use crate::{
     AdmissionController, Decision, DecisionKind, DecisionPath, OnlineConfig, OnlineError,
     RejectionReason, WorkloadEvent,
@@ -184,6 +184,34 @@ impl ShardHealth {
     }
 }
 
+/// The shards holding one task, primary first, stored inline: one for a
+/// whole admission, the donor then the receiver for a cross-shard split.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Residency {
+    shards: [usize; 2],
+    len: usize,
+}
+
+impl Residency {
+    fn one(shard: usize) -> Self {
+        Residency {
+            shards: [shard, shard],
+            len: 1,
+        }
+    }
+
+    fn two(primary: usize, secondary: usize) -> Self {
+        Residency {
+            shards: [primary, secondary],
+            len: 2,
+        }
+    }
+
+    fn as_slice(&self) -> &[usize] {
+        &self.shards[..self.len]
+    }
+}
+
 /// A sharded admission service over N independent [`AdmissionShard`]s.
 /// See the module docs of `service.rs` for the routing and rebalancing
 /// policy.
@@ -195,7 +223,7 @@ pub struct ShardedAdmission<S: AdmissionShard = AdmissionController> {
     /// first. Whole admissions occupy exactly one shard; a cross-shard
     /// split lists the donor (body) then the receiver (tail), and a
     /// departure fans out to every listed shard.
-    resident: BTreeMap<TaskId, Vec<usize>>,
+    resident: BTreeMap<TaskId, Residency>,
     /// Whether the cross-shard split planner runs when every shard's own
     /// cascade rejected an arrival. Requires at least two shards and
     /// shards whose partitions accept partial chains.
@@ -307,12 +335,12 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
     /// The *primary* shard a task currently lives on: the only shard for
     /// a whole admission, the body (donor) shard for a cross-shard split.
     pub fn resident_shard(&self, id: TaskId) -> Option<usize> {
-        self.resident.get(&id).and_then(|v| v.first().copied())
+        self.resident.get(&id).map(|holders| holders.shards[0])
     }
 
     /// Every shard currently holding a piece of the task, primary first.
     pub fn resident_shards(&self, id: TaskId) -> &[usize] {
-        self.resident.get(&id).map_or(&[], Vec::as_slice)
+        self.resident.get(&id).map_or(&[], Residency::as_slice)
     }
 
     /// Number of currently admitted tasks across all shards.
@@ -359,21 +387,19 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
 
     /// The service registry with every shard's mechanism and timing
     /// sections folded in ([`Registry::merge_where`], shard-index order).
-    /// Outcome counters and the [`DECISION_LATENCY`] histogram come
-    /// exclusively from the service's final-decision stream: a shard's
-    /// series describe per-shard `decide` attempts, a home rejection
-    /// retried on an overflow shard would double-count, and the service's
-    /// latency sample already spans the shard calls. So the histogram
-    /// holds one sample per `spms_events_total`. With one shard this
-    /// registry's deterministic section is byte-identical to the lone
-    /// controller's on the same events.
+    /// Outcome counters come exclusively from the service's final-decision
+    /// stream: a shard's series describe per-shard `decide` attempts, and a
+    /// home rejection retried on an overflow shard would double-count. The
+    /// service is also the one timer of a decision (shards record no
+    /// [`DECISION_LATENCY`](crate::metrics::DECISION_LATENCY) sample), so
+    /// that histogram holds one sample per `spms_events_total`. With one
+    /// shard this registry's deterministic section is byte-identical to
+    /// the lone controller's on the same events.
     pub fn merged_metrics_registry(&self) -> Registry {
         let mut merged = self.metrics.registry().clone();
         for shard in &self.shards {
             if let Some(registry) = shard.metrics_registry() {
-                merged.merge_where(registry, |name, class| {
-                    class != MetricClass::Outcome && name != DECISION_LATENCY
-                });
+                merged.merge_where(registry, |_, class| class != MetricClass::Outcome);
             }
         }
         merged
@@ -388,7 +414,8 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
     /// Handles one workload event: arrivals are offered to shards in
     /// router order (home first, then spare-descending overflow),
     /// departures go to the resident shard. Returns the service-level
-    /// decision.
+    /// decision, after recording its latency: the service is the one
+    /// timer of a decision.
     pub fn handle_event(&mut self, event: &WorkloadEvent) -> Decision {
         let started = Instant::now();
         let kind = match event {
@@ -408,12 +435,10 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
         // `finish_decision` also drains the stage spans the cross-shard
         // planner may have opened (the ring has capacity 0, so nothing is
         // retained — per-decision traces live in the shards).
-        self.metrics.finish_decision(
-            u64::from(decision.task.0),
-            &kind,
-            started.elapsed().as_nanos() as u64,
-            &Default::default(),
-        );
+        self.metrics
+            .finish_decision(u64::from(decision.task.0), &kind, &Default::default());
+        self.metrics
+            .record_decision_latency(started.elapsed().as_nanos() as u64);
         decision
     }
 
@@ -427,45 +452,15 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
                 reason: RejectionReason::DuplicateTask,
             };
         }
-        let spare = self.spare_utilizations();
-        let mut order = self.router.placement_order(task.id(), &spare);
-        // Stalled and down shards are out of the rotation. With every
-        // shard healthy (the fault-free case) this retains everything and
-        // the order — and therefore the decision log — is unchanged.
-        order.retain(|&idx| self.health[idx].accepts_placements());
-        let home = self.router.home_shard(task.id());
-        let event = WorkloadEvent::Arrive(task.clone());
-        let mut first_rejection: Option<RejectionReason> = None;
-        for shard_idx in order {
-            let shard_decision = self.shards[shard_idx].decide(&event);
-            match shard_decision.kind {
-                DecisionKind::Admitted { path, .. } => {
-                    assert_ne!(
-                        path,
-                        DecisionPath::CrossShardSplit,
-                        "a shard's own cascade cannot span shards"
-                    );
-                    self.resident.insert(task.id(), vec![shard_idx]);
-                    if shard_idx != home {
-                        self.metrics.record_overflow_admission();
-                    }
-                    return shard_decision.kind;
+        let first_rejection = match self.place_in_router_order(task) {
+            Ok((shard_idx, kind)) => {
+                if shard_idx != self.router.home_shard(task.id()) {
+                    self.metrics.record_overflow_admission();
                 }
-                DecisionKind::Rejected { reason } => {
-                    // The home shard's verdict names the service-level
-                    // reason; overflow shards only get a chance to accept.
-                    if first_rejection.is_none() {
-                        first_rejection = Some(reason);
-                    }
-                }
-                DecisionKind::Departed
-                | DecisionKind::DepartUnknown
-                | DecisionKind::RenewNoted
-                | DecisionKind::EvictedOnFailure => {
-                    unreachable!("an arrival cannot produce a departure, renewal, or eviction")
-                }
+                return kind;
             }
-        }
+            Err(first_rejection) => first_rejection,
+        };
         // Every shard rejected the task whole-or-split within its own
         // walls. The cross-shard planner gets the last word: split the
         // task across the two roomiest shards under one multi-partition
@@ -484,6 +479,79 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
         }
         DecisionKind::Rejected {
             reason: first_rejection.unwrap_or(RejectionReason::NoFeasiblePlacement),
+        }
+    }
+
+    /// Offers `task` to the placement-eligible shards in router order —
+    /// home first, then by descending spare utilization — until one admits
+    /// it, and records where it went. Returns the admitting shard and its
+    /// verdict, or the first rejection's reason (the home shard's, when it
+    /// is eligible): the service-level reason, since overflow shards only
+    /// get a chance to accept.
+    ///
+    /// The overflow order is computed only after the home shard rejects.
+    /// That is the order computed up front would have been: a rejection
+    /// leaves every shard's admitted set, and so its spare utilization,
+    /// as it was. Stalled and down shards are out of the rotation; with
+    /// every shard healthy (the fault-free case) nothing is skipped.
+    fn place_in_router_order(
+        &mut self,
+        task: &Task,
+    ) -> Result<(usize, DecisionKind), Option<RejectionReason>> {
+        let event = WorkloadEvent::Arrive(task.clone());
+        let home = self.router.home_shard(task.id());
+        let mut first_rejection = None;
+        if self.health[home].accepts_placements() {
+            if let Some(kind) = self.offer(home, &event, &mut first_rejection) {
+                return Ok((home, kind));
+            }
+        }
+        if self.shards.len() > 1 {
+            let spare = self.spare_utilizations();
+            let order = self.router.placement_order(task.id(), &spare);
+            for shard_idx in order.into_iter().skip(1) {
+                if !self.health[shard_idx].accepts_placements() {
+                    continue;
+                }
+                if let Some(kind) = self.offer(shard_idx, &event, &mut first_rejection) {
+                    return Ok((shard_idx, kind));
+                }
+            }
+        }
+        Err(first_rejection)
+    }
+
+    /// Offers one arrival to one shard: records the residency and returns
+    /// the verdict if the shard admits it, else notes the rejection's
+    /// reason unless an earlier shard's is already noted.
+    fn offer(
+        &mut self,
+        shard_idx: usize,
+        event: &WorkloadEvent,
+        first_rejection: &mut Option<RejectionReason>,
+    ) -> Option<DecisionKind> {
+        let kind = self.shards[shard_idx].decide(event).kind;
+        match kind {
+            DecisionKind::Admitted { path, .. } => {
+                assert_ne!(
+                    path,
+                    DecisionPath::CrossShardSplit,
+                    "a shard's own cascade cannot span shards"
+                );
+                self.resident
+                    .insert(event.task_id(), Residency::one(shard_idx));
+                Some(kind)
+            }
+            DecisionKind::Rejected { reason } => {
+                first_rejection.get_or_insert(reason);
+                None
+            }
+            DecisionKind::Departed
+            | DecisionKind::DepartUnknown
+            | DecisionKind::RenewNoted
+            | DecisionKind::EvictedOnFailure => {
+                unreachable!("an arrival cannot produce a departure, renewal, or eviction")
+            }
         }
     }
 
@@ -573,7 +641,8 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
             self.metrics.record_cross_shard_abort();
             return None;
         }
-        self.resident.insert(task.id(), vec![donor, receiver]);
+        self.resident
+            .insert(task.id(), Residency::two(donor, receiver));
         self.split_originals.insert(task.id(), task.clone());
         self.metrics.record_cross_shard_admission(2);
         Some(DecisionKind::Admitted {
@@ -592,7 +661,7 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
                 // piece(s). The primary shard's decision speaks for the
                 // service.
                 let mut kind = None;
-                for shard_idx in holders {
+                for &shard_idx in holders.as_slice() {
                     let shard_decision = self.shards[shard_idx].decide(&WorkloadEvent::Depart(id));
                     debug_assert_eq!(shard_decision.kind, DecisionKind::Departed);
                     kind.get_or_insert(shard_decision.kind);
@@ -611,21 +680,22 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
     /// no-op.
     pub fn rebalance(&mut self, max_moves: usize) -> usize {
         // Only placement-eligible shards participate; with every shard
-        // healthy this is the identity over all shard indices.
-        let eligible: Vec<usize> = (0..self.shards.len())
-            .filter(|&idx| self.health[idx].accepts_placements())
-            .collect();
-        if eligible.len() < 2 || max_moves == 0 {
+        // healthy this is the identity over all shard indices. Counting
+        // them first keeps the common no-op tick (one shard, or a zero
+        // budget) free of allocation.
+        let accepts = |idx: &usize| self.health[*idx].accepts_placements();
+        if max_moves == 0 || (0..self.shards.len()).filter(accepts).count() < 2 {
             self.metrics.record_rebalance_tick(0, Time::ZERO);
             return 0;
         }
+        let eligible: Vec<usize> = (0..self.shards.len()).filter(accepts).collect();
         // The rebalancer's planning probes run outside any shard's decide
         // scope; attribute their hot-counter activity to the service.
         let hot = scoped::thread_snapshot();
         let admitted: BTreeMap<TaskId, Task> = self
             .resident
             .iter()
-            .filter_map(|(id, holders)| self.shards[holders[0]].lookup_admitted(*id))
+            .filter_map(|(id, holders)| self.shards[holders.shards[0]].lookup_admitted(*id))
             .map(|task| (task.id(), task))
             .collect();
         let lookup = |id: TaskId| admitted.get(&id).cloned();
@@ -658,7 +728,7 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
                 .expect("rebalanced task must be admitted on its donor shard");
             inflation += cost_model.migration_charge(&task);
             self.shards[to].note_admitted(task);
-            self.resident.insert(mv.task, vec![to]);
+            self.resident.insert(mv.task, Residency::one(to));
         }
         self.metrics
             .record_rebalance_tick(moves.len() as u64, inflation);
@@ -791,11 +861,11 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
             return;
         }
         self.health[shard] = ShardHealth::Down;
-        let victims: Vec<(TaskId, Vec<usize>)> = self
+        let victims: Vec<(TaskId, Residency)> = self
             .resident
             .iter()
-            .filter(|(_, holders)| holders.contains(&shard))
-            .map(|(id, holders)| (*id, holders.clone()))
+            .filter(|(_, holders)| holders.as_slice().contains(&shard))
+            .map(|(id, holders)| (*id, *holders))
             .collect();
         let mut drained: Vec<Task> = Vec::new();
         for (id, holders) in victims {
@@ -805,12 +875,12 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
             let original = self
                 .split_originals
                 .remove(&id)
-                .or_else(|| self.shards[holders[0]].lookup_admitted(id));
+                .or_else(|| self.shards[holders.shards[0]].lookup_admitted(id));
             // The crash wipes the dead shard's residency; surviving
             // holders of cross-shard pieces drop their now-orphaned
             // pieces. Departing the dead shard too leaves it exactly as a
             // rebuild from the (now-empty) residency map would.
-            for &holder in &holders {
+            for &holder in holders.as_slice() {
                 let decision = self.shards[holder].decide(&WorkloadEvent::Depart(id));
                 debug_assert_eq!(decision.kind, DecisionKind::Departed);
             }
@@ -836,15 +906,8 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
     /// alone (the shards' own logs still record the placements).
     fn readmit(&mut self, task: &Task) -> bool {
         debug_assert!(!self.resident.contains_key(&task.id()));
-        let spare = self.spare_utilizations();
-        let mut order = self.router.placement_order(task.id(), &spare);
-        order.retain(|&idx| self.health[idx].accepts_placements());
-        let event = WorkloadEvent::Arrive(task.clone());
-        for shard_idx in order {
-            if self.shards[shard_idx].decide(&event).is_admission() {
-                self.resident.insert(task.id(), vec![shard_idx]);
-                return true;
-            }
+        if self.place_in_router_order(task).is_ok() {
+            return true;
         }
         if self.cross_shard {
             let stage = Instant::now();
@@ -866,7 +929,7 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
         debug_assert!(self
             .resident
             .values()
-            .all(|holders| !holders.contains(&shard)));
+            .all(|holders| !holders.as_slice().contains(&shard)));
         self.health[shard] = ShardHealth::Rejoining;
         self.metrics.record_fault_rejoin();
     }
@@ -892,7 +955,8 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
         self.next_event += 1;
         self.decisions.push(decision);
         self.metrics
-            .finish_decision(u64::from(id.0), &decision.kind, 0, &Default::default());
+            .finish_decision(u64::from(id.0), &decision.kind, &Default::default());
+        self.metrics.record_decision_latency(0);
     }
 }
 
@@ -911,6 +975,7 @@ fn two_shards_mut<S>(shards: &mut [S], a: usize, b: usize) -> (&mut S, &mut S) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::DECISION_LATENCY;
     use spms_task::Time;
 
     fn task(id: u32, wcet_ms: u64, period_ms: u64) -> Task {
@@ -1117,6 +1182,12 @@ mod tests {
             let mut svc = service(4, shards);
             for event in &events {
                 svc.handle_event(event);
+            }
+            // The service is the one timer: no shard samples a decision.
+            for shard in svc.shards() {
+                let registry = shard.metrics().registry();
+                let shard_samples = registry.histogram_by_name(DECISION_LATENCY);
+                assert_eq!(shard_samples.map(Histogram::count), Some(0));
             }
             let merged = svc.merged_metrics_registry();
             let latency_samples = merged

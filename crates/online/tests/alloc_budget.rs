@@ -1,0 +1,152 @@
+//! Heap-allocation budget of a fast-path decision.
+//!
+//! A counting global allocator wraps `System` and counts, per thread, every
+//! allocation and reallocation. A fast-path-shaped churn trace (8 cores,
+//! one shard, Poisson arrivals at normalized utilization 0.4, zero
+//! migration cost, repair bound 2, fallback on, a rebalance tick every
+//! 250 ms moving at most 4 tasks: the admission benchmark's `fastpath`
+//! workload at a smaller size) runs through the event loop, and an
+//! observer charges the allocations made since the previous decision to
+//! the decision just made (so a rebalance tick's land on the next one).
+//! Once the first 1 000 decisions have warmed every buffer up, an
+//! admission may allocate at most 2 times on average and a departure at
+//! most 0.25 times.
+//!
+//! Debug builds run cross-checks that allocate (for example the full
+//! re-ranking `renormalize_core_priorities` compares against), so the test
+//! only runs in release mode: `cargo test --release --test alloc_budget`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use spms_online::{
+    ChurnFamily, ChurnGenerator, DecisionKind, EventLoop, EventLoopConfig, OnlineConfig,
+    ShardedAdmission,
+};
+use spms_task::Time;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// `System`, counting this thread's allocations and reallocations.
+struct Counting;
+
+fn count() {
+    // `try_with`: the slot is gone while the thread is being torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` unchanged.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// Decisions left out of the budget while buffers grow to their working
+/// size.
+const WARM_UP: usize = 1_000;
+
+#[derive(Debug, Default)]
+struct Tally {
+    decisions: u64,
+    allocations: u64,
+}
+
+impl Tally {
+    fn per_decision(&self) -> f64 {
+        self.allocations as f64 / self.decisions as f64
+    }
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug cross-checks allocate; run in release"
+)]
+fn a_fast_path_decision_stays_within_its_allocation_budget() {
+    let trace = ChurnGenerator::new()
+        .cores(8)
+        .target_normalized_utilization(0.4)
+        .events(4_000)
+        .family(ChurnFamily::Poisson)
+        .seed(7)
+        .generate_timed()
+        .expect("valid churn configuration");
+    let config = OnlineConfig::builder()
+        .cores(8)
+        .max_repair_moves(2)
+        .fallback(true)
+        .build();
+    let mut service = ShardedAdmission::new(config, 1).expect("valid shard count");
+    let mut event_loop = EventLoop::new(
+        EventLoopConfig::new(7)
+            .with_rebalance_period(Some(Time::from_millis(250)))
+            .with_rebalance_max_moves(4),
+    );
+    event_loop.load_trace(&trace);
+
+    let (mut admitted, mut departed) = (Tally::default(), Tally::default());
+    let mut seen = 0usize;
+    let mut last = allocations();
+    event_loop.run_with(&mut service, |_, decision| {
+        let now = allocations();
+        let spent = now - last;
+        last = now;
+        seen += 1;
+        if seen <= WARM_UP {
+            return;
+        }
+        let tally = match decision.kind {
+            DecisionKind::Admitted { .. } => &mut admitted,
+            DecisionKind::Departed => &mut departed,
+            _ => return,
+        };
+        tally.decisions += 1;
+        tally.allocations += spent;
+    });
+
+    assert!(admitted.decisions > 1_000 && departed.decisions > 1_000);
+    assert_eq!(
+        service.stats().decisions.fast_whole as usize,
+        service
+            .decisions()
+            .iter()
+            .filter(|d| d.is_admission())
+            .count(),
+        "every admission takes the fast whole path"
+    );
+    assert!(
+        admitted.per_decision() <= 2.0,
+        "{:.2} allocations per admission ({admitted:?})",
+        admitted.per_decision()
+    );
+    assert!(
+        departed.per_decision() <= 0.25,
+        "{:.2} allocations per departure ({departed:?})",
+        departed.per_decision()
+    );
+}

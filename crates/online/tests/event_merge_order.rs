@@ -37,7 +37,7 @@ struct Recorder {
 impl Recorder {
     fn new() -> Self {
         Recorder {
-            event_loop: EventLoop::new(EventLoopConfig::new(SHUFFLE_SEED)),
+            event_loop: EventLoop::new(EventLoopConfig::new(SHUFFLE_SEED).with_event_log(true)),
             entries: Vec::new(),
             next_seq: 0,
             next_id: 0,

@@ -93,7 +93,8 @@ fn run_crashed(
         EventLoopConfig::new(seed)
             .with_rebalance_period(Some(Time::from_millis(250)))
             .with_rebalance_max_moves(4)
-            .with_audit_period(Some(Time::from_millis(100))),
+            .with_audit_period(Some(Time::from_millis(100)))
+            .with_event_log(true),
     );
     event_loop.load_trace(trace);
     event_loop.load_faults(plan);

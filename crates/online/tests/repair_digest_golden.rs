@@ -170,7 +170,8 @@ fn leased_fast_path_digests_are_pinned() {
         EventLoopConfig::new(SEED)
             .with_rebalance_period(Some(Time::from_millis(250)))
             .with_rebalance_max_moves(4)
-            .with_lease(Some(Time::from_millis(400))),
+            .with_lease(Some(Time::from_millis(400)))
+            .with_event_log(true),
     );
     event_loop.load_trace(&trace);
     event_loop.run(&mut service);

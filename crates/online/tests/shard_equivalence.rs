@@ -54,7 +54,8 @@ fn run_engine(trace: &[TimedEvent], seed: u64, shards: usize) -> (ShardedAdmissi
     let mut event_loop = EventLoop::new(
         EventLoopConfig::new(seed)
             .with_rebalance_period(Some(Time::from_millis(250)))
-            .with_rebalance_max_moves(4),
+            .with_rebalance_max_moves(4)
+            .with_event_log(true),
     );
     event_loop.load_trace(trace);
     event_loop.run(&mut engine);

@@ -63,22 +63,30 @@ impl TraceRing {
         }
     }
 
-    /// Records a trace, assigning and returning its sequence number; the
-    /// oldest trace is dropped once the ring is full.
-    pub fn record(&mut self, task: u64, label: &'static str, spans: Vec<StageSpan>) -> u64 {
+    /// Records a trace of the spans taken out of `spans`, assigning and
+    /// returning its sequence number; the oldest trace is dropped once the
+    /// ring is full. `spans` is left empty, holding the dropped trace's
+    /// buffer (or its own, when nothing is retained), so a caller that
+    /// reuses it allocates nothing once the ring is full.
+    pub fn record(&mut self, task: u64, label: &'static str, spans: &mut Vec<StageSpan>) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         if self.capacity == 0 {
+            spans.clear();
             return seq;
         }
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-        }
+        let recycled = if self.buf.len() == self.capacity {
+            self.buf.pop_front().map(|evicted| evicted.spans)
+        } else {
+            None
+        };
+        let mut buffer = recycled.unwrap_or_default();
+        buffer.clear();
         self.buf.push_back(StageTrace {
             seq,
             task,
             label,
-            spans,
+            spans: std::mem::replace(spans, buffer),
         });
         seq
     }
@@ -124,12 +132,13 @@ mod tests {
     #[test]
     fn the_ring_is_bounded_and_keeps_the_most_recent() {
         let mut ring = TraceRing::new(2);
+        let mut spans = Vec::new();
         for task in 0..5u64 {
-            ring.record(
-                task,
-                "admitted_fast_whole",
-                vec![span("fast_whole", SpanOutcome::Success)],
-            );
+            spans.push(span("fast_whole", SpanOutcome::Success));
+            ring.record(task, "admitted_fast_whole", &mut spans);
+            assert!(spans.is_empty());
+            // Once the ring is full, the evicted trace's buffer comes back.
+            assert_eq!(spans.capacity() > 0, task >= 2);
         }
         assert_eq!(ring.len(), 2);
         assert_eq!(ring.total_recorded(), 5);
@@ -141,8 +150,10 @@ mod tests {
     #[test]
     fn capacity_zero_counts_but_retains_nothing() {
         let mut ring = TraceRing::new(0);
-        assert_eq!(ring.record(7, "rejected", Vec::new()), 0);
-        assert_eq!(ring.record(8, "rejected", Vec::new()), 1);
+        let mut spans = vec![span("fast_whole", SpanOutcome::Failure)];
+        assert_eq!(ring.record(7, "rejected", &mut spans), 0);
+        assert!(spans.is_empty());
+        assert_eq!(ring.record(8, "rejected", &mut spans), 1);
         assert!(ring.is_empty());
         assert_eq!(ring.total_recorded(), 2);
     }
@@ -153,7 +164,7 @@ mod tests {
         ring.record(
             1,
             "admitted_repair",
-            vec![
+            &mut vec![
                 span("fast_whole", SpanOutcome::Failure),
                 span("fast_split", SpanOutcome::Failure),
                 span("repair", SpanOutcome::Success),
