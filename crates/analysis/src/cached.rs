@@ -330,12 +330,6 @@ impl CachedCoreAnalysis {
         true
     }
 
-    /// Whether the fault-injection hook has flipped a response on this core
-    /// since the last repairing or acquitting [`audit`](Self::audit).
-    pub fn corruption_marked(&self) -> bool {
-        self.corrupted
-    }
-
     /// Self-audit: re-derives the core's analysis from scratch and compares
     /// it against the memo. Returns `true` when the memo is bit-identical
     /// (the corruption mark, if any, is cleared — the core is acquitted);
@@ -1117,13 +1111,13 @@ mod tests {
     #[test]
     fn corrupt_then_audit_detects_and_rebuilds() {
         let mut cache = CachedCoreAnalysis::from_tasks(&[task(0, 1, 4, 2), task(1, 2, 10, 3)]);
-        assert!(!cache.corruption_marked());
+        assert!(!cache.corrupted);
         assert!(cache.corrupt_first_response());
-        assert!(cache.corruption_marked());
+        assert!(cache.corrupted);
         // The audit notices the flipped memo, quarantines it, and rebuilds
         // from scratch.
         assert!(!cache.audit());
-        assert!(!cache.corruption_marked());
+        assert!(!cache.corrupted);
         assert_matches_scratch(&cache);
         // A second audit on the repaired cache acquits it.
         assert!(cache.audit());
@@ -1133,7 +1127,7 @@ mod tests {
     fn corrupt_first_response_needs_a_positive_converged_response() {
         let mut empty = CachedCoreAnalysis::new();
         assert!(!empty.corrupt_first_response());
-        assert!(!empty.corruption_marked());
+        assert!(!empty.corrupted);
     }
 
     #[test]

@@ -229,13 +229,6 @@ impl OverheadModel {
             + self.cache_reload_migration
     }
 
-    /// The additional overhead of a tail subtask finishing: its task state is
-    /// returned to the sleep queue of the core hosting the first subtask (a
-    /// *remote* sleep-queue insertion).
-    pub fn tail_completion_overhead(&self) -> Time {
-        self.sleep_queue_add_remote
-    }
-
     /// Total per-job inflation for a task assigned whole to one core: its own
     /// release path, its first dispatch, the sleep-queue insertion when it
     /// finishes, and the preemption cost its release can inflict on the job
@@ -437,8 +430,6 @@ mod tests {
     fn migration_overhead_uses_remote_queue_costs() {
         let m = OverheadModel::paper_n4();
         assert!(m.migration_overhead() >= m.ready_queue_add_remote);
-        // Tail completion pays the remote sleep-queue insertion.
-        assert_eq!(m.tail_completion_overhead(), Time::from_nanos(2_900));
         // The analysis inflation of a split piece covers the preemption it
         // can inflict on the job it displaces on the destination core.
         assert!(m.body_piece_inflation() >= m.migration_overhead() + m.preemption_inflicted_cost());

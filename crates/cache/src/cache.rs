@@ -127,28 +127,6 @@ impl Cache {
         AccessResult::Miss { evicted }
     }
 
-    /// Installs a line without counting it as a demand access (used when a
-    /// lower level forwards an eviction upward is *not* modelled; this is for
-    /// warm-up in tests).
-    pub fn install(&mut self, addr: u64) {
-        let _ = self.access(addr);
-        self.hits = self.hits.saturating_sub(0);
-    }
-
-    /// Invalidates the line containing `addr` if resident, returning whether
-    /// it was present.
-    pub fn invalidate(&mut self, addr: u64) -> bool {
-        let line = self.line_of(addr);
-        let set_idx = self.set_of(line);
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|&l| l == line) {
-            set.remove(pos);
-            true
-        } else {
-            false
-        }
-    }
-
     fn line_of(&self, addr: u64) -> u64 {
         addr / self.config.line_bytes
     }
@@ -227,10 +205,9 @@ mod tests {
         let mut c = small();
         c.access(0);
         c.access(64);
-        assert!(c.invalidate(0));
-        assert!(!c.invalidate(0));
-        assert!(!c.contains(0));
+        assert!(c.contains(0));
         c.flush();
+        assert!(!c.contains(0));
         assert_eq!(c.resident_lines(), 0);
     }
 

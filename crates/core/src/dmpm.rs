@@ -92,12 +92,6 @@ impl SemiPartitionedDmPm {
         self
     }
 
-    /// Sets the smallest admissible piece budget (builder style).
-    pub fn with_min_split_budget(mut self, budget: Time) -> Self {
-        self.min_split_budget = budget;
-        self
-    }
-
     /// Priority level reserved for promoted tail subtasks.
     const TAIL_PRIORITY: Priority = crate::TAIL_PRIORITY;
 

@@ -214,12 +214,6 @@ impl SemiPartitionedFpTs {
         self
     }
 
-    /// Replaces the split-placement policy (builder style).
-    pub fn with_placement(mut self, placement: SplitPlacement) -> Self {
-        self.placement = placement;
-        self
-    }
-
     /// Sets the smallest admissible body-subtask budget (builder style).
     pub fn with_min_split_budget(mut self, budget: Time) -> Self {
         self.min_split_budget = budget;
@@ -637,7 +631,7 @@ mod tests {
         assert_eq!(p.validate(), Ok(()));
         assert!(p.is_schedulable(UniprocessorTest::ResponseTime));
         // One body piece plus one tail piece.
-        assert_eq!(p.migrations_per_hyperperiod_hint(), 1);
+        assert_eq!(p.iter().filter(|(_, placed)| placed.is_body()).count(), 1);
     }
 
     #[test]

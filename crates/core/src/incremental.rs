@@ -163,47 +163,30 @@ impl IncrementalPlacer {
     }
 
     /// The analysis task of a whole placement: WCET inflated by the
-    /// whole-job overhead. `None` when the task cannot absorb the overhead
-    /// within its deadline (such a task is unschedulable under this model on
-    /// any core).
-    pub fn whole_analysis_task(&self, task: &Task) -> Option<Task> {
-        self.whole_analysis_task_charged(task, Time::ZERO)
-    }
-
-    /// [`whole_analysis_task`](Self::whole_analysis_task) with an additional
-    /// per-migration `charge` folded into the WCET — the form used when the
-    /// task is being *relocated* (repair move, rebalance) rather than placed
-    /// fresh, so the placement must stay schedulable after absorbing the
-    /// cache-reload and context-switch cost of the move.
-    pub fn whole_analysis_task_charged(&self, task: &Task, charge: Time) -> Option<Task> {
+    /// whole-job overhead plus a per-migration `charge`. The charge is zero
+    /// for a fresh placement; a task being *relocated* (repair move,
+    /// rebalance) passes the cache-reload and context-switch cost of the
+    /// move, so the placement must stay schedulable after absorbing it.
+    /// `None` when the task cannot absorb the inflation within its deadline
+    /// (such a task is unschedulable under this model on any core).
+    pub fn whole_analysis_task(&self, task: &Task, charge: Time) -> Option<Task> {
         task.with_wcet(task.wcet() + self.overhead.whole_job_inflation() + charge)
             .ok()
     }
 
     /// Plans a whole-task placement: the first core (in index order, skipping
-    /// `exclude`) that stays schedulable with the task added. Does not
-    /// modify the partition.
+    /// `exclude`) that stays schedulable with the task added, its analysis
+    /// WCET inflated by `charge` (see
+    /// [`whole_analysis_task`](Self::whole_analysis_task)). Does not modify
+    /// the partition.
     pub fn plan_whole(
-        &self,
-        partition: &Partition,
-        task: &Task,
-        exclude: &[CoreId],
-    ) -> Option<PlacementPlan> {
-        self.plan_whole_charged(partition, task, exclude, Time::ZERO)
-    }
-
-    /// [`plan_whole`](Self::plan_whole) with a per-migration `charge`
-    /// inflating the analysis WCET (see
-    /// [`whole_analysis_task_charged`](Self::whole_analysis_task_charged)).
-    /// A zero charge is bit-identical to the uncharged plan.
-    pub fn plan_whole_charged(
         &self,
         partition: &Partition,
         task: &Task,
         exclude: &[CoreId],
         charge: Time,
     ) -> Option<PlacementPlan> {
-        let analysis_task = self.whole_analysis_task_charged(task, charge)?;
+        let analysis_task = self.whole_analysis_task(task, charge)?;
         let mut responses = Vec::new();
         let core = (0..partition.core_count()).map(CoreId).find(|c| {
             !exclude.contains(c) && whole_fits(partition, *c, &analysis_task, &mut responses)
@@ -225,26 +208,16 @@ impl IncrementalPlacer {
     /// still admits), and the tail lands on the first core that accepts
     /// what remains. Does not modify the partition.
     ///
+    /// Every piece after the first — each one reached by an intra-job
+    /// migration along the chain — must absorb the per-migration `charge`
+    /// on top of its split overhead, since the job pays the cache-reload
+    /// and context-switch cost on every hop, every period.
+    ///
     /// Returns `None` when no split placement exists under the constraints
     /// (one body and one tail per core at most, every piece on a distinct
     /// core, bodies no smaller than
     /// [`min_split_budget`](Self::min_split_budget)).
     pub fn plan_split(
-        &self,
-        partition: &Partition,
-        task: &Task,
-        exclude: &[CoreId],
-    ) -> Option<PlacementPlan> {
-        self.plan_split_charged(partition, task, exclude, Time::ZERO)
-    }
-
-    /// [`plan_split`](Self::plan_split) with a per-migration `charge`: every
-    /// piece after the first — each one reached by an intra-job migration
-    /// along the chain — must absorb the charge on top of its split
-    /// overhead, since the job pays the cache-reload and context-switch
-    /// cost on every hop, every period. A zero charge is bit-identical to
-    /// the uncharged plan.
-    pub fn plan_split_charged(
         &self,
         partition: &Partition,
         task: &Task,
@@ -372,7 +345,7 @@ impl IncrementalPlacer {
     /// ranked strictly below the blocker can never relieve it. With a
     /// converged analysis cache the probe is allocation-free.
     pub fn probe_whole(&self, partition: &Partition, core: CoreId, task: &Task) -> WholeProbe {
-        let Some(analysis_task) = self.whole_analysis_task(task) else {
+        let Some(analysis_task) = self.whole_analysis_task(task, Time::ZERO) else {
             return WholeProbe::Blocked { blocker: None };
         };
         match probe_analysis(partition, core, HotCounter::WholeProbes).probe_candidate(
@@ -396,7 +369,7 @@ impl IncrementalPlacer {
         task: &Task,
         removed: TaskId,
     ) -> bool {
-        let Some(analysis_task) = self.whole_analysis_task(task) else {
+        let Some(analysis_task) = self.whole_analysis_task(task, Time::ZERO) else {
             return false;
         };
         let evicted: f64 = partition
@@ -421,32 +394,21 @@ impl IncrementalPlacer {
         ) && exact()
     }
 
-    /// Plans whole-first, split-second: the admission fast path.
-    pub fn plan(
-        &self,
-        partition: &Partition,
-        task: &Task,
-        exclude: &[CoreId],
-    ) -> Option<PlacementPlan> {
-        self.plan_charged(partition, task, exclude, Time::ZERO)
-    }
-
-    /// [`plan`](Self::plan) with a per-migration `charge`: the form used
-    /// when an already-placed task is *relocated*. A whole placement on the
+    /// Plans whole-first, split-second. A nonzero `charge` is the form used
+    /// when an already-placed task is *relocated*: a whole placement on the
     /// new core absorbs one charge (the relocation reload); a split
     /// placement charges every piece after the first (the recurring
     /// intra-job hops — the one-time entry reload is dominated by them and
-    /// deliberately not double-charged). A zero charge is bit-identical to
-    /// the uncharged plan.
-    pub fn plan_charged(
+    /// deliberately not double-charged).
+    pub fn plan(
         &self,
         partition: &Partition,
         task: &Task,
         exclude: &[CoreId],
         charge: Time,
     ) -> Option<PlacementPlan> {
-        self.plan_whole_charged(partition, task, exclude, charge)
-            .or_else(|| self.plan_split_charged(partition, task, exclude, charge))
+        self.plan_whole(partition, task, exclude, charge)
+            .or_else(|| self.plan_split(partition, task, exclude, charge))
     }
 
     /// Commits a plan produced by [`plan_whole`](Self::plan_whole) /
@@ -795,12 +757,16 @@ mod tests {
     fn whole_placement_is_first_fit_in_core_order() {
         let mut partition = Partition::new(2);
         let t0 = task(0, 3, 10);
-        let plan = placer().plan_whole(&partition, &t0, &[]).unwrap();
+        let plan = placer()
+            .plan_whole(&partition, &t0, &[], Time::ZERO)
+            .unwrap();
         assert_eq!(plan.cores(), vec![CoreId(0)]);
         placer().commit(&mut partition, &t0, plan);
 
         let t1 = task(1, 3, 10);
-        let plan = placer().plan_whole(&partition, &t1, &[]).unwrap();
+        let plan = placer()
+            .plan_whole(&partition, &t1, &[], Time::ZERO)
+            .unwrap();
         assert_eq!(plan.cores(), vec![CoreId(0)], "first fit, not worst fit");
         placer().commit(&mut partition, &t1, plan);
         assert_eq!(partition.validate(), Ok(()));
@@ -811,7 +777,9 @@ mod tests {
     fn exclusion_skips_cores() {
         let partition = Partition::new(2);
         let t = task(0, 3, 10);
-        let plan = placer().plan_whole(&partition, &t, &[CoreId(0)]).unwrap();
+        let plan = placer()
+            .plan_whole(&partition, &t, &[CoreId(0)], Time::ZERO)
+            .unwrap();
         assert_eq!(plan.cores(), vec![CoreId(1)]);
     }
 
@@ -819,12 +787,14 @@ mod tests {
     fn oversubscribed_core_rejects_whole_placement() {
         let mut partition = Partition::new(1);
         let t0 = task(0, 7, 10);
-        let plan = placer().plan(&partition, &t0, &[]).unwrap();
+        let plan = placer().plan(&partition, &t0, &[], Time::ZERO).unwrap();
         placer().commit(&mut partition, &t0, plan);
         assert!(placer()
-            .plan_whole(&partition, &task(1, 7, 10), &[])
+            .plan_whole(&partition, &task(1, 7, 10), &[], Time::ZERO)
             .is_none());
-        assert!(placer().plan(&partition, &task(1, 7, 10), &[]).is_none());
+        assert!(placer()
+            .plan(&partition, &task(1, 7, 10), &[], Time::ZERO)
+            .is_none());
     }
 
     #[test]
@@ -841,8 +811,12 @@ mod tests {
             placer().commit(&mut partition, &t, plan);
         }
         let t2 = task(2, 6, 10);
-        assert!(placer().plan_whole(&partition, &t2, &[]).is_none());
-        let plan = placer().plan_split(&partition, &t2, &[]).unwrap();
+        assert!(placer()
+            .plan_whole(&partition, &t2, &[], Time::ZERO)
+            .is_none());
+        let plan = placer()
+            .plan_split(&partition, &t2, &[], Time::ZERO)
+            .unwrap();
         assert!(plan.is_split());
         let PlacementPlan::Split { pieces } = &plan else {
             unreachable!()
@@ -869,13 +843,15 @@ mod tests {
             placer().commit(&mut partition, &t, plan);
         }
         let t2 = task(2, 6, 10);
-        let plan = placer().plan_split(&partition, &t2, &[]).unwrap();
+        let plan = placer()
+            .plan_split(&partition, &t2, &[], Time::ZERO)
+            .unwrap();
         placer().commit(&mut partition, &t2, plan);
         // Both cores now carry a split piece; a second split task would need
         // a tail on a core that already has a body or tail, and each core
         // may host at most one of each.
         let t3 = task(3, 4, 10);
-        if let Some(plan) = placer().plan_split(&partition, &t3, &[]) {
+        if let Some(plan) = placer().plan_split(&partition, &t3, &[], Time::ZERO) {
             let PlacementPlan::Split { pieces } = &plan else {
                 unreachable!()
             };
@@ -920,8 +896,12 @@ mod tests {
         // 80% fits nowhere whole; the split must use cores 1 and 2 only,
         // carving the body on core 2 (the most spare capacity).
         let arrival = task(4, 8, 10);
-        assert!(placer().plan_whole(&partition, &arrival, &[]).is_none());
-        let plan = placer().plan_split(&partition, &arrival, &[]).unwrap();
+        assert!(placer()
+            .plan_whole(&partition, &arrival, &[], Time::ZERO)
+            .is_none());
+        let plan = placer()
+            .plan_split(&partition, &arrival, &[], Time::ZERO)
+            .unwrap();
         let cores = plan.cores();
         assert!(
             !cores.contains(&CoreId(0)),
@@ -937,28 +917,8 @@ mod tests {
         let partition = Partition::new(2);
         let t = task(0, 2, 10);
         let before = partition.clone();
-        let _ = placer().plan(&partition, &t, &[]);
+        let _ = placer().plan(&partition, &t, &[], Time::ZERO);
         assert_eq!(partition, before);
-    }
-
-    #[test]
-    fn zero_charge_plans_are_identical_to_uncharged_plans() {
-        let mut partition = Partition::new(2);
-        for (id, core) in [(0u32, 0usize), (1, 1)] {
-            let t = task(id, 6, 10);
-            let plan = PlacementPlan::Whole {
-                core: CoreId(core),
-                analysis_task: t.clone(),
-                proof: None,
-            };
-            placer().commit(&mut partition, &t, plan);
-        }
-        for probe in [task(2, 2, 10), task(3, 6, 10)] {
-            assert_eq!(
-                placer().plan(&partition, &probe, &[]),
-                placer().plan_charged(&partition, &probe, &[], Time::ZERO),
-            );
-        }
     }
 
     #[test]
@@ -967,7 +927,7 @@ mod tests {
         let partition = Partition::new(2);
         let t = task(0, 3, 10);
         let Some(PlacementPlan::Whole { analysis_task, .. }) =
-            placer().plan_whole_charged(&partition, &t, &[], charge)
+            placer().plan_whole(&partition, &t, &[], charge)
         else {
             panic!("whole placement expected");
         };
@@ -987,7 +947,7 @@ mod tests {
         }
         let t3 = task(3, 6, 10);
         let Some(PlacementPlan::Split { pieces }) =
-            placer().plan_split_charged(&partition, &t3, &[], charge)
+            placer().plan_split(&partition, &t3, &[], charge)
         else {
             panic!("split placement expected");
         };
@@ -1009,14 +969,14 @@ mod tests {
         let partition = Partition::new(2);
         let t = task(0, 6, 10);
         let charge = Time::from_millis(20);
-        assert!(placer().plan_charged(&partition, &t, &[], charge).is_none());
+        assert!(placer().plan(&partition, &t, &[], charge).is_none());
     }
 
     #[test]
     fn committed_whole_plan_matches_parent() {
         let mut partition = Partition::new(1);
         let t = task(4, 2, 10);
-        let plan = placer().plan(&partition, &t, &[]).unwrap();
+        let plan = placer().plan(&partition, &t, &[], Time::ZERO).unwrap();
         placer().commit(&mut partition, &t, plan);
         let placements = partition.placements_of(TaskId(4));
         assert_eq!(placements.len(), 1);

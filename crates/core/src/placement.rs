@@ -583,14 +583,8 @@ impl Partition {
         self.partial_chains = true;
     }
 
-    /// Whether partial split chains are allowed (see
-    /// [`allow_partial_chains`](Self::allow_partial_chains)).
-    pub fn partial_chains_allowed(&self) -> bool {
-        self.partial_chains
-    }
-
     /// Count of `Partition::clone()` calls **on the calling thread** since
-    /// it started (or the last [`reset_clone_count`](Self::reset_clone_count)).
+    /// it started.
     /// The journal-based rollback paths of the online admission cascade
     /// must not clone partitions; benches and regression tests read this
     /// counter around a decision stream to assert the repair/split hot
@@ -601,12 +595,6 @@ impl Partition {
     /// `spms_mech_partition_clones_total`).
     pub fn clone_count() -> u64 {
         scoped::thread_value(HotCounter::PartitionClones)
-    }
-
-    /// Resets the calling thread's [`clone_count`](Self::clone_count)
-    /// (bench/test support).
-    pub fn reset_clone_count() {
-        scoped::reset_thread(HotCounter::PartitionClones);
     }
 
     /// Opens a rollback scope: subsequent mutations record undo entries
@@ -870,11 +858,6 @@ impl Partition {
         }
     }
 
-    /// Whether an analysis cache is attached (converged or not).
-    pub fn analysis_cache_enabled(&self) -> bool {
-        self.cache.is_some()
-    }
-
     /// The converged cached analysis of one core, or `None` when no cache is
     /// attached or the core has been mutated since the last
     /// renormalization ([`core_analysis`](Self::core_analysis) then builds
@@ -1045,12 +1028,6 @@ impl Partition {
         parents.sort_unstable();
         parents.dedup();
         parents.len()
-    }
-
-    /// Number of migrations per period of split tasks: each body subtask
-    /// causes one migration of its parent each period.
-    pub fn migrations_per_hyperperiod_hint(&self) -> usize {
-        self.iter().filter(|(_, p)| p.is_body()).count()
     }
 
     /// Utilization assigned to each core (using the effective, possibly
@@ -1558,7 +1535,7 @@ mod tests {
         assert_eq!(p.core_count(), 2);
         assert_eq!(p.placement_count(), 4);
         assert_eq!(p.split_count(), 1);
-        assert_eq!(p.migrations_per_hyperperiod_hint(), 1);
+        assert_eq!(p.iter().filter(|(_, placed)| placed.is_body()).count(), 1);
         assert_eq!(p.core(CoreId(0)).len(), 2);
         let utils = p.core_utilizations();
         assert!((utils[0] - (0.2 + 0.15)).abs() < 1e-9);
@@ -1707,7 +1684,6 @@ mod tests {
     #[test]
     fn analysis_cache_tracks_mutations() {
         let mut p = two_core_partition_with_split();
-        assert!(!p.analysis_cache_enabled());
         assert!(p.cached_core(CoreId(0)).is_none());
         p.enable_analysis_cache();
         let cache = p.cached_core(CoreId(0)).expect("converged after enable");
@@ -1804,7 +1780,7 @@ mod tests {
         assert!(!json.contains("cache"));
         let back: Partition = serde_json::from_str(&json).unwrap();
         assert_eq!(back, p);
-        assert!(!back.analysis_cache_enabled());
+        assert!(back.cached_core(CoreId(0)).is_none());
     }
 
     /// Placement + cache equality: the journal must restore both, so tests

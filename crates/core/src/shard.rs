@@ -209,7 +209,7 @@ pub fn rebalance_partitions(
 
         for (id, task) in candidates {
             let charge = charge_of(&task);
-            if let Some(plan) = placer.plan_whole_charged(shards[receiver], &task, &[], charge) {
+            if let Some(plan) = placer.plan_whole(shards[receiver], &task, &[], charge) {
                 shards[donor].remove_parent(id);
                 placer.commit(shards[receiver], &task, plan);
                 moves.push(RebalanceMove {
@@ -308,7 +308,9 @@ mod tests {
         partition.enable_analysis_cache();
         let placer = IncrementalPlacer::new();
         for t in tasks {
-            let plan = placer.plan_whole(&partition, t, &[]).expect("fits");
+            let plan = placer
+                .plan_whole(&partition, t, &[], Time::ZERO)
+                .expect("fits");
             placer.commit(&mut partition, t, plan);
         }
         partition

@@ -121,12 +121,12 @@ fn build(placer: &IncrementalPlacer, cores: usize, ops: &[Op]) -> Partition {
                     .filter(|c| *c != core % cores)
                     .map(CoreId)
                     .collect();
-                let plan = placer.plan_whole_charged(&partition, &task, &others, us(*charge));
+                let plan = placer.plan_whole(&partition, &task, &others, us(*charge));
                 plan.map(|plan| (task, plan))
             }
             Op::Split(spec, charge) => {
                 let task = build_task(id as u32, *spec);
-                let plan = placer.plan_split_charged(&partition, &task, &[], us(*charge));
+                let plan = placer.plan_split(&partition, &task, &[], us(*charge));
                 plan.map(|plan| (task, plan))
             }
             Op::Depart(index) => {
@@ -207,7 +207,7 @@ fn expected_probe(candidate: TaskId, tasks: &[Task], responses: &[Option<Time>])
 /// Commits `candidate` whole on `core` the way the controller does.
 fn commit_whole(placer: &IncrementalPlacer, partition: &mut Partition, core: CoreId, task: &Task) {
     let analysis_task = placer
-        .whole_analysis_task(task)
+        .whole_analysis_task(task, Time::ZERO)
         .expect("zero overhead always fits");
     placer.commit(
         partition,
@@ -334,9 +334,9 @@ proptest! {
         let mut oracle = partition.clone();
         for (k, (spec, charge)) in candidates.iter().enumerate() {
             let task = build_task(10_000 + k as u32, *spec);
-            let plan = placer.plan_split_charged(&partition, &task, &[], us(*charge));
+            let plan = placer.plan_split(&partition, &task, &[], us(*charge));
             prop_assert_eq!(
-                &placer.plan_split_charged(&plain, &task, &[], us(*charge)),
+                &placer.plan_split(&plain, &task, &[], us(*charge)),
                 &plan,
                 "uncached split plan diverged"
             );
@@ -402,7 +402,7 @@ proptest! {
         let mut partition = build(&placer, cores, &ops);
         for (k, spec) in candidates.iter().enumerate() {
             let task = build_task(10_000 + k as u32, *spec);
-            let Some(plan) = placer.plan_whole(&partition, &task, &[]) else {
+            let Some(plan) = placer.plan_whole(&partition, &task, &[], Time::ZERO) else {
                 continue;
             };
             let PlacementPlan::Whole { core, proof, .. } = &plan else {
@@ -432,19 +432,25 @@ fn a_proof_taken_before_its_core_changed_is_never_installed() {
     let mut partition = Partition::new(1);
     partition.enable_analysis_cache();
     let low = task(0, 300, 10_000);
-    let plan = placer.plan_whole(&partition, &low, &[]).expect("fits");
+    let plan = placer
+        .plan_whole(&partition, &low, &[], Time::ZERO)
+        .expect("fits");
     placer.commit(&mut partition, &low, plan);
 
     // The proof for `mid` says what `mid` and `low` respond with beside
     // each other alone...
     let mid = task(1, 200, 5_000);
-    let stale_plan = placer.plan_whole(&partition, &mid, &[]).expect("fits");
+    let stale_plan = placer
+        .plan_whole(&partition, &mid, &[], Time::ZERO)
+        .expect("fits");
     let mut alone = partition.clone();
     placer.commit(&mut alone, &mid, stale_plan.clone());
 
     // ...but a higher-priority task joins the core before the commit.
     let high = task(2, 100, 1_000);
-    let plan = placer.plan_whole(&partition, &high, &[]).expect("fits");
+    let plan = placer
+        .plan_whole(&partition, &high, &[], Time::ZERO)
+        .expect("fits");
     placer.commit(&mut partition, &high, plan);
     placer.commit(&mut partition, &mid, stale_plan);
 
@@ -584,7 +590,9 @@ fn the_screen_passes_cores_exact_rta_fills_to_the_brim() {
     let tenth = task(9, 1);
     assert!(partition.core_utilization(core) + tenth.utilization() > 1.0);
     assert!(!partition.overloaded_with(core, tenth.utilization()));
-    assert!(placer.plan_whole(&partition, &tenth, &[]).is_some());
+    assert!(placer
+        .plan_whole(&partition, &tenth, &[], Time::ZERO)
+        .is_some());
     // A what-if eviction of the 40 % task for a 50 % candidate.
     assert!(placer.accepts_whole_without(&partition, core, &task(8, 5), TaskId(1)));
     // A 1 ms tail and a 1 ms body piece.
@@ -607,10 +615,14 @@ fn the_screen_passes_cores_exact_rta_fills_to_the_brim() {
     let half = task(9, 5);
     assert_eq!(partition.core_utilization(core) + half.utilization(), 1.0);
     assert!(!partition.overloaded_with(core, half.utilization()));
-    assert!(placer.plan_whole(&partition, &half, &[]).is_some());
+    assert!(placer
+        .plan_whole(&partition, &half, &[], Time::ZERO)
+        .is_some());
 
     // One nanosecond more is overloaded, and RTA agrees.
     let over = Task::new(9, Time::from_nanos(5_000_001), Time::from_millis(10)).expect("valid");
     assert!(partition.overloaded_with(core, over.utilization()));
-    assert!(placer.plan_whole(&partition, &over, &[]).is_none());
+    assert!(placer
+        .plan_whole(&partition, &over, &[], Time::ZERO)
+        .is_none());
 }

@@ -35,31 +35,6 @@ impl AlgorithmKind {
         vec![AlgorithmKind::FpTs, AlgorithmKind::Ffd, AlgorithmKind::Wfd]
     }
 
-    /// The extended line-up: the paper's three algorithms plus the other
-    /// semi-partitioned schemes and baselines implemented in this workspace.
-    pub fn extended_lineup() -> Vec<AlgorithmKind> {
-        vec![
-            AlgorithmKind::FpTs,
-            AlgorithmKind::FpTsNextFit,
-            AlgorithmKind::DmPm,
-            AlgorithmKind::Ffd,
-            AlgorithmKind::Wfd,
-            AlgorithmKind::Bfd,
-            AlgorithmKind::EdfFfd,
-        ]
-    }
-
-    /// Whether the algorithm may split tasks across cores.
-    pub fn is_semi_partitioned(&self) -> bool {
-        matches!(
-            self,
-            AlgorithmKind::FpTs
-                | AlgorithmKind::FpTsSpa1
-                | AlgorithmKind::FpTsNextFit
-                | AlgorithmKind::DmPm
-        )
-    }
-
     /// Display name used in tables and CSV headers.
     pub fn name(&self) -> &'static str {
         match self {

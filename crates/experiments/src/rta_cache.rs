@@ -32,7 +32,6 @@ use spms_task::{fnv1a_combine, FNV_OFFSET};
 
 use crate::progress::{NullProgress, ProgressSink};
 use crate::runner::SweepRunner;
-use crate::same_point;
 
 /// Deterministic per-trace outcome plus the (non-deterministic) timings.
 #[derive(Debug, Clone)]
@@ -92,14 +91,6 @@ impl RtaCacheResults {
     /// All sweep points, in increasing target-utilization order.
     pub fn points(&self) -> &[RtaCachePoint] {
         &self.points
-    }
-
-    /// The point matching `normalized_utilization` within the shared sweep
-    /// tolerance.
-    pub fn point_at(&self, normalized_utilization: f64) -> Option<&RtaCachePoint> {
-        self.points
-            .iter()
-            .find(|p| same_point(p.normalized_utilization, normalized_utilization))
     }
 
     /// Renders a markdown table plus the audit/timing summary.

@@ -80,15 +80,6 @@ impl GlobalReport {
     pub fn no_deadline_misses(&self) -> bool {
         self.deadline_misses.is_empty()
     }
-
-    /// Average processor utilization over the window (busy time divided by
-    /// `m · duration`).
-    pub fn average_utilization(&self, cores: usize) -> f64 {
-        if self.duration.is_zero() || cores == 0 {
-            return 0.0;
-        }
-        self.busy.ratio(self.duration) / cores as f64
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -354,7 +345,7 @@ mod tests {
         assert_eq!(report.jobs_completed, 10);
         assert_eq!(report.migrations, 0);
         assert_eq!(report.preemptions, 0);
-        assert!((report.average_utilization(1) - 0.2).abs() < 0.01);
+        assert!((report.busy.ratio(report.duration) - 0.2).abs() < 0.01);
     }
 
     #[test]

@@ -717,7 +717,9 @@ mod tests {
         let every = Time::from_millis(40);
         let renewed = inject_renewals(&trace, every);
         assert!(
-            renewed.iter().any(|t| t.event.is_renewal()),
+            renewed
+                .iter()
+                .any(|t| matches!(t.event, WorkloadEvent::Renew(_))),
             "lifetimes above 40 ms must produce heartbeats"
         );
         assert!(
@@ -728,11 +730,14 @@ mod tests {
         // their task's residency window.
         let originals: Vec<_> = renewed
             .iter()
-            .filter(|t| !t.event.is_renewal())
+            .filter(|t| !matches!(t.event, WorkloadEvent::Renew(_)))
             .cloned()
             .collect();
         assert_eq!(originals, trace);
-        for timed in renewed.iter().filter(|t| t.event.is_renewal()) {
+        for timed in renewed
+            .iter()
+            .filter(|t| matches!(t.event, WorkloadEvent::Renew(_)))
+        {
             let id = timed.event.task_id();
             let arrive = trace
                 .iter()

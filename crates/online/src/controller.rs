@@ -37,8 +37,9 @@
 //! placements, priorities and cache state in O(moves), so the whole
 //! cascade is clone-free (`Partition::clone_count` proves it). The cache
 //! is checked against independent scratch RTA of every core after every
-//! decision by `spms rtabench`. The one *policy* knob is the repair victim
-//! ranking ([`OnlineConfig::repair_ranking`], slack-guided by default).
+//! decision by `spms rtabench`. Repair ranks eviction victims by slack:
+//! it localizes the task the arrival blocks and evicts the smallest
+//! resident whose removal provably unblocks it.
 //!
 //! Every decision carries its path, the number of already-placed tasks it
 //! migrated, and (for rejections) a typed reason; the caller keeps the log
@@ -117,10 +118,6 @@ pub struct OnlineConfig {
     pub max_repair_moves: usize,
     /// Whether a failed repair may fall back to a full offline repartition.
     pub allow_fallback: bool,
-    /// How the bounded-repair pass ranks eviction victims. This is a
-    /// *policy* knob: the two rankings can make genuinely different (both
-    /// sound) admit/reject decisions.
-    pub repair_ranking: RepairRanking,
     /// What one migration costs a task in extra WCET. Every split hop,
     /// repair relocation and rebalance move must stay schedulable *after*
     /// the affected task's analysis WCET absorbs this charge. The default
@@ -138,32 +135,6 @@ pub struct OnlineConfig {
     pub cross_shard_split: bool,
 }
 
-/// Victim-ranking policy of the bounded-repair pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum RepairRanking {
-    /// Slack-guided (the default): localize the blocker — the task whose
-    /// `deadline − response` slack goes negative with the arrival added —
-    /// then evict the smallest task whose removal provably unblocks the
-    /// arrival (exact what-if probes, candidates that cannot relieve the
-    /// blocker pruned). Split chains are movable (chain-aware relocation).
-    /// Falls back to freeing the most capacity per move when no single
-    /// eviction opens the hole.
-    #[default]
-    Slack,
-    /// Largest utilization first (PR 3 behaviour): free the most capacity
-    /// per move, never touching split chains.
-    Utilization,
-}
-
-impl fmt::Display for RepairRanking {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RepairRanking::Slack => write!(f, "slack"),
-            RepairRanking::Utilization => write!(f, "utilization"),
-        }
-    }
-}
-
 impl Default for OnlineConfig {
     fn default() -> Self {
         OnlineConfig {
@@ -172,7 +143,6 @@ impl Default for OnlineConfig {
             min_split_budget: Time::from_micros(100),
             max_repair_moves: 2,
             allow_fallback: true,
-            repair_ranking: RepairRanking::Slack,
             cost_model: CostModelSpec::Zero,
             cross_shard_split: false,
         }
@@ -236,12 +206,6 @@ impl OnlineConfigBuilder {
     /// Enables or disables the full-repartition fallback.
     pub fn fallback(mut self, allow: bool) -> Self {
         self.config.allow_fallback = allow;
-        self
-    }
-
-    /// Sets the repair victim-ranking policy.
-    pub fn repair_ranking(mut self, ranking: RepairRanking) -> Self {
-        self.config.repair_ranking = ranking;
         self
     }
 
@@ -514,8 +478,6 @@ enum VictimEvidence {
     /// Slack pass 2: every remaining candidate was probed or provably
     /// pruned, and no single eviction unblocks the arrival.
     Insufficient,
-    /// The utilization ranking, which does not probe.
-    Unknown,
 }
 
 /// The slack-guided victim search of one repair target, valid for one
@@ -662,7 +624,7 @@ impl AdmissionController {
                 reason: RejectionReason::PlatformOverloaded,
             };
         }
-        if self.placer.whole_analysis_task(task).is_none() {
+        if self.placer.whole_analysis_task(task, Time::ZERO).is_none() {
             return DecisionKind::Rejected {
                 reason: RejectionReason::OverheadUnabsorbable,
             };
@@ -674,7 +636,10 @@ impl AdmissionController {
         // A whole placement crosses no core boundary at run time, so the
         // fast-whole path is charge-free under every cost model.
         let stage = Instant::now();
-        if let Some(plan) = self.placer.plan_whole(&self.partition, task, &[]) {
+        if let Some(plan) = self
+            .placer
+            .plan_whole(&self.partition, task, &[], Time::ZERO)
+        {
             self.placer.commit(&mut self.partition, task, plan);
             self.record_stage(DecisionPath::FastWhole, true, stage);
             return self.admit(task, DecisionPath::FastWhole, 0, Time::ZERO);
@@ -685,10 +650,7 @@ impl AdmissionController {
         // and the split is admitted only if it stays schedulable inflated.
         let stage = Instant::now();
         let charge = self.migration_charge(task);
-        if let Some(plan) = self
-            .placer
-            .plan_split_charged(&self.partition, task, &[], charge)
-        {
+        if let Some(plan) = self.placer.plan_split(&self.partition, task, &[], charge) {
             let inflation = plan_inflation(&plan, charge);
             self.placer.commit(&mut self.partition, task, plan);
             self.record_stage(DecisionPath::FastSplit, true, stage);
@@ -847,16 +809,16 @@ impl AdmissionController {
         let mut probe = Some(probe);
         let mut blocked = matches!(probe, Some(WholeProbe::Blocked { .. }));
         let mut search: Option<VictimSearch> = None;
+        // The arrival itself lands whole on the opened core — a fresh
+        // placement crossing no boundary, so it stays uncharged.
+        let plan_arrival = |c: &Self| c.placer.plan_whole(&c.partition, task, &others, Time::ZERO);
         loop {
-            // The arrival itself lands whole on the opened core — a fresh
-            // placement crossing no boundary, so it stays uncharged.
             if blocked {
                 debug_assert!(
-                    scoped::uncounted(|| self.placer.plan_whole(&self.partition, task, &others))
-                        .is_none(),
+                    scoped::uncounted(|| plan_arrival(self)).is_none(),
                     "the arrival skipped on {target} has a whole plan"
                 );
-            } else if let Some(plan) = self.placer.plan_whole(&self.partition, task, &others) {
+            } else if let Some(plan) = plan_arrival(self) {
                 self.placer.commit(&mut self.partition, task, plan);
                 return Some((moves, inflation));
             }
@@ -864,19 +826,11 @@ impl AdmissionController {
             if moves == k {
                 return None;
             }
-            let (victim, evidence) = match self.config.repair_ranking {
-                RepairRanking::Utilization => (
-                    self.pick_victim_by_utilization(target, &immovable)?,
-                    VictimEvidence::Unknown,
-                ),
-                RepairRanking::Slack => {
-                    let search = match &mut search {
-                        Some(search) => search,
-                        None => search.insert(self.victim_search(target, task, probe, &immovable)),
-                    };
-                    self.next_slack_victim(target, task, search)?
-                }
+            let open = match &mut search {
+                Some(open) => open,
+                None => search.insert(self.victim_search(target, task, probe, &immovable)),
             };
+            let (victim, evidence) = self.next_slack_victim(target, task, open)?;
             if moves + 1 == k && evidence == VictimEvidence::Insufficient {
                 return None;
             }
@@ -903,31 +857,6 @@ impl AdmissionController {
                 }
             }
         }
-    }
-
-    /// Largest utilization first (freeing the most capacity per move), ties
-    /// broken by id for determinism. Split parents are never victims here —
-    /// the historical PR 3 policy. Parents with remote pieces are never
-    /// victims either: relocating the local piece would orphan siblings on
-    /// other shards.
-    fn pick_victim_by_utilization(&self, target: CoreId, immovable: &[TaskId]) -> Option<TaskId> {
-        let mut candidates: Vec<(f64, TaskId)> = self
-            .partition
-            .core(target)
-            .iter()
-            .filter(|p| {
-                !p.is_split()
-                    && !immovable.contains(&p.parent)
-                    && !self.remote_parents.contains(&p.parent)
-            })
-            .map(|p| (p.task.utilization(), p.parent))
-            .collect();
-        candidates.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.1.cmp(&b.1))
-        });
-        candidates.first().map(|(_, id)| *id)
     }
 
     /// Opens the slack-guided victim search on `target` for the current
@@ -1109,7 +1038,7 @@ impl AdmissionController {
         let original = &self.admitted[&victim];
         let Some(plan) = self
             .placer
-            .plan_charged(&self.partition, original, &[target], charge)
+            .plan(&self.partition, original, &[target], charge)
         else {
             self.note_failed_relocation(victim, target, charge);
             return None;
@@ -1130,7 +1059,7 @@ impl AdmissionController {
         self.partition.remove_parent(victim);
         if let Some(plan) = self
             .placer
-            .plan_charged(&self.partition, original, &[target], charge)
+            .plan(&self.partition, original, &[target], charge)
         {
             let inflation = plan_inflation(&plan, charge);
             self.placer.commit(&mut self.partition, original, plan);
@@ -1153,7 +1082,7 @@ impl AdmissionController {
         self.partition.remove_parent(victim);
         let plan = self
             .placer
-            .plan_charged(&self.partition, original, &[target], charge);
+            .plan(&self.partition, original, &[target], charge);
         self.partition.rewind(inner);
         plan.is_none()
     }
@@ -1487,7 +1416,7 @@ impl crate::AdmissionShard for AdmissionController {
 /// `charge`: a charged whole placement absorbs one charge, a split chain
 /// one per piece after the first (the first piece never crosses a
 /// boundary). Mirrors the charging rule inside
-/// [`IncrementalPlacer::plan_charged`].
+/// [`IncrementalPlacer::plan`].
 fn plan_inflation(plan: &PlacementPlan, charge: Time) -> Time {
     match plan {
         PlacementPlan::Whole { .. } => charge,
@@ -1662,7 +1591,7 @@ mod tests {
             .generate()
             .unwrap();
         let mut c = AdmissionController::new(OnlineConfig::new(2)).unwrap();
-        assert!(c.partition().analysis_cache_enabled());
+        assert!(c.partition().cached_core(CoreId(0)).is_some());
         for (i, event) in events.iter().enumerate() {
             c.handle_event(event);
             assert_eq!(c.partition().scratch_audit(), Ok(()), "event {i}");
@@ -1684,7 +1613,7 @@ mod tests {
         arrive(&mut c, task(0, 9, 10));
         arrive(&mut c, task(1, 9, 10));
         let before = c.partition().clone();
-        assert!(before.analysis_cache_enabled());
+        assert!(before.cached_core(CoreId(0)).is_some());
         let kind = arrive(&mut c, task(2, 15, 100));
         assert_eq!(
             kind,
@@ -1769,7 +1698,7 @@ mod tests {
         arrive(&mut c, task(2, 65, 100));
         arrive(&mut c, task(3, 65, 100));
         assert_eq!(c.stats().full_repartitions, 1);
-        assert!(c.partition().analysis_cache_enabled());
+        assert!(c.partition().cached_core(CoreId(0)).is_some());
         for core in 0..2 {
             assert!(
                 c.partition().cached_core(CoreId(core)).is_some(),
@@ -1876,10 +1805,10 @@ mod tests {
         //
         // Only evicting SMALL unblocks P0 (M's blocker is M itself, and
         // SMALL is the interference above it — evicting BIG, ranked below
-        // M, frees nothing M can use). Utilization ranking evicts BIG
-        // first anyway: the move *succeeds* (BIG fits on P1), burns the
-        // single repair move, and M is still blocked — the arrival is
-        // rejected. Slack-guided ranking probes SMALL first (smallest
+        // M, frees nothing M can use). A largest-utilization-first ranking
+        // would evict BIG: the move *succeeds* (BIG fits on P1), burns the
+        // single repair move, and M is still blocked — the arrival would
+        // be rejected. Slack-guided ranking probes SMALL first (smallest
         // candidate that provably unblocks), relocates it to P1 and admits
         // M with the same single move.
         let constrained = |id: u32, wcet_ms: u64, deadline_ms: u64| {
@@ -1896,28 +1825,15 @@ mod tests {
             constrained(4, 30, 59),  // L → P0 rejected (BIG at 101) → P1
             constrained(9, 30, 50),  // M: the contested arrival
         ];
-        let config = two_cores_no_split().max_repair_moves(1).fallback(false);
-        let run = |ranking: RepairRanking| {
-            let mut c =
-                AdmissionController::new(config.clone().repair_ranking(ranking).build()).unwrap();
-            let decisions: Vec<DecisionKind> =
-                trace.iter().map(|t| arrive(&mut c, t.clone())).collect();
-            (decisions, c)
-        };
-
-        let (util_decisions, util) = run(RepairRanking::Utilization);
-        assert_eq!(
-            util_decisions[3],
-            DecisionKind::Rejected {
-                reason: RejectionReason::NoFeasiblePlacement
-            },
-            "utilization ranking should burn its move on BIG and reject M"
-        );
-        assert!(util
-            .partition()
-            .is_schedulable(UniprocessorTest::ResponseTime));
-
-        let (slack_decisions, slack) = run(RepairRanking::Slack);
+        let config = two_cores_no_split()
+            .max_repair_moves(1)
+            .fallback(false)
+            .build();
+        let mut slack = AdmissionController::new(config).unwrap();
+        let slack_decisions: Vec<DecisionKind> = trace
+            .iter()
+            .map(|t| arrive(&mut slack, t.clone()))
+            .collect();
         assert_eq!(
             slack_decisions[3],
             DecisionKind::Admitted {
@@ -1943,8 +1859,7 @@ mod tests {
     #[test]
     fn slack_ranking_relocates_split_chains() {
         // Chain-aware relocation: under slack ranking a split parent is a
-        // legal victim — its whole chain is removed and re-placed. The
-        // utilization ranking never touches split parents.
+        // legal victim — its whole chain is removed and re-placed.
         let mut c = AdmissionController::new(OnlineConfig::new(2)).unwrap();
         for id in 0..2 {
             arrive(&mut c, task(id, 6, 10));
@@ -2465,7 +2380,7 @@ mod tests {
         assert_eq!(first, two_pass_pick_from_scratch(&c, target, &x, &[]));
         assert!(
             c.placer
-                .plan_charged(&c.partition, &c.admitted[&TaskId(1)], &[target], Time::ZERO)
+                .plan(&c.partition, &c.admitted[&TaskId(1)], &[target], Time::ZERO)
                 .is_none(),
             "setup: B cannot be relocated"
         );

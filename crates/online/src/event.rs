@@ -37,11 +37,6 @@ impl WorkloadEvent {
     pub fn is_arrival(&self) -> bool {
         matches!(self, WorkloadEvent::Arrive(_))
     }
-
-    /// Whether this is a lease renewal.
-    pub fn is_renewal(&self) -> bool {
-        matches!(self, WorkloadEvent::Renew(_))
-    }
 }
 
 /// A [`WorkloadEvent`] stamped with its absolute occurrence time.
@@ -152,7 +147,7 @@ mod tests {
         assert_eq!(depart.task_id(), TaskId(7));
         let renew = WorkloadEvent::Renew(TaskId(5));
         assert!(!renew.is_arrival());
-        assert!(renew.is_renewal());
+        assert!(matches!(renew, WorkloadEvent::Renew(_)));
         assert_eq!(renew.task_id(), TaskId(5));
     }
 

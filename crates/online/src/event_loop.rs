@@ -556,7 +556,13 @@ mod tests {
         let log: Vec<(Time, bool, bool)> = event_loop
             .event_log()
             .iter()
-            .map(|e| (e.at, e.event.is_arrival(), e.event.is_renewal()))
+            .map(|e| {
+                (
+                    e.at,
+                    e.event.is_arrival(),
+                    matches!(e.event, WorkloadEvent::Renew(_)),
+                )
+            })
             .collect();
         assert_eq!(
             log,

@@ -83,7 +83,7 @@ mod service;
 pub use churn::{inject_renewals, ChurnFamily, ChurnGenerator};
 pub use controller::{
     decisions_digest, AdmissionController, Decision, DecisionKind, DecisionPath, OnlineConfig,
-    OnlineConfigBuilder, OnlineError, RejectionReason, RepairRanking,
+    OnlineConfigBuilder, OnlineError, RejectionReason,
 };
 pub use event::{parse_trace, TimedEvent, TraceError, WorkloadEvent};
 pub use event_loop::{EngineEvent, EventLoop, EventLoopConfig};

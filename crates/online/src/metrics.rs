@@ -191,7 +191,6 @@ struct Ids {
     // Timing.
     decision_latency: HistogramId,
     stage_latency: [HistogramId; 5],
-    decisions_per_sec: GaugeId,
 }
 
 /// One engine's metrics: registry and stage-trace ring. See the
@@ -270,8 +269,10 @@ impl EngineMetrics {
                     MetricClass::Timing,
                 )
             }),
-            decisions_per_sec: registry.gauge("spms_timing_decisions_per_sec", MetricClass::Timing),
         };
+        // Registered here so every export carries it; the soak driver sets
+        // it on its merged registry once it knows the wall-clock window.
+        registry.gauge("spms_timing_decisions_per_sec", MetricClass::Timing);
         EngineMetrics {
             registry,
             ids,
@@ -502,12 +503,6 @@ impl EngineMetrics {
             self.registry.inc(self.ids.audit_violations);
             self.registry.inc(self.ids.audit_repairs);
         }
-    }
-
-    /// Sets the decisions/sec throughput gauge (timing section; set by
-    /// drivers that know the wall-clock window).
-    pub fn set_decisions_per_sec(&mut self, value: u64) {
-        self.registry.set_gauge(self.ids.decisions_per_sec, value);
     }
 }
 

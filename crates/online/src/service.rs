@@ -320,11 +320,6 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
         &self.shards
     }
 
-    /// Whether the cross-shard split planner is enabled.
-    pub fn cross_shard_enabled(&self) -> bool {
-        self.cross_shard
-    }
-
     /// Enables or disables the cross-shard split planner (builder-less
     /// services built via [`from_shards`](Self::from_shards); shards must
     /// allow partial chains on their partitions when enabling).
@@ -336,11 +331,6 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
     /// a whole admission, the body (donor) shard for a cross-shard split.
     pub fn resident_shard(&self, id: TaskId) -> Option<usize> {
         self.resident.get(&id).map(|holders| holders.shards[0])
-    }
-
-    /// Every shard currently holding a piece of the task, primary first.
-    pub fn resident_shards(&self, id: TaskId) -> &[usize] {
-        self.resident.get(&id).map_or(&[], Residency::as_slice)
     }
 
     /// Number of currently admitted tasks across all shards.
@@ -986,6 +976,11 @@ mod tests {
         ShardedAdmission::new(OnlineConfig::new(cores), shards).unwrap()
     }
 
+    /// Every shard currently holding a piece of the task, primary first.
+    fn resident_shards(svc: &ShardedAdmission, id: TaskId) -> &[usize] {
+        svc.resident.get(&id).map_or(&[], Residency::as_slice)
+    }
+
     #[test]
     fn shard_counts_are_validated() {
         assert!(matches!(
@@ -1295,7 +1290,6 @@ mod tests {
 
         // Cross-shard: body on the donor, tail on the receiver.
         let (mut svc, arrival) = loaded_pair(true);
-        assert!(svc.cross_shard_enabled());
         let d = svc.handle_event(&WorkloadEvent::Arrive(arrival.clone()));
         assert_eq!(
             d.kind,
@@ -1305,7 +1299,7 @@ mod tests {
                 inflation: Time::ZERO,
             }
         );
-        assert_eq!(svc.resident_shards(arrival.id()), &[0, 1]);
+        assert_eq!(resident_shards(&svc, arrival.id()), &[0, 1]);
         assert_eq!(svc.stats().cross_shard_admissions, 1);
         for shard in svc.shards() {
             assert_eq!(shard.partition().validate(), Ok(()));
@@ -1376,7 +1370,7 @@ mod tests {
         assert!(svc
             .handle_event(&WorkloadEvent::Arrive(arrival.clone()))
             .is_admission());
-        assert_eq!(svc.resident_shards(arrival.id()).len(), 2);
+        assert_eq!(resident_shards(&svc, arrival.id()).len(), 2);
 
         // A duplicate arrival while the task is split across shards is
         // screened at the service before any shard sees it.
@@ -1391,7 +1385,7 @@ mod tests {
         // One departure clears every piece on every shard.
         let d = svc.handle_event(&WorkloadEvent::Depart(arrival.id()));
         assert_eq!(d.kind, DecisionKind::Departed);
-        assert_eq!(svc.resident_shards(arrival.id()), &[] as &[usize]);
+        assert_eq!(resident_shards(&svc, arrival.id()), &[] as &[usize]);
         for shard in svc.shards() {
             assert!(!shard.is_admitted(arrival.id()));
             assert!(shard.partition().placements_of(arrival.id()).is_empty());
@@ -1435,7 +1429,7 @@ mod tests {
             .find(|id| svc.resident_shard(TaskId(**id)) == Some(1))
             .expect("rebalance moved something to shard 1");
         // Residency is single-shard again after the move.
-        assert_eq!(svc.resident_shards(TaskId(migrant)), &[1]);
+        assert_eq!(resident_shards(&svc, TaskId(migrant)), &[1]);
         // A duplicate arrival of the migrant is still screened.
         let d = svc.handle_event(&WorkloadEvent::Arrive(task(migrant, 2, 10)));
         assert_eq!(
@@ -1489,7 +1483,7 @@ mod tests {
         assert_eq!(svc.admitted_count(), before);
         assert_eq!(svc.shards()[0].partition().placement_count(), 0);
         for id in 0..8u32 {
-            assert_eq!(svc.resident_shards(TaskId(id)), &[1]);
+            assert_eq!(resident_shards(&svc, TaskId(id)), &[1]);
         }
         // The rejoin brings the shard back empty and the next arrival
         // completes it.
@@ -1553,7 +1547,7 @@ mod tests {
             assert!(svc
                 .handle_event(&WorkloadEvent::Arrive(task(id, 1, 100)))
                 .is_admission());
-            assert_eq!(svc.resident_shards(TaskId(id)), &[1]);
+            assert_eq!(resident_shards(&svc, TaskId(id)), &[1]);
         }
         // Stalled shards keep their residents: no drain happened.
         assert_eq!(svc.fault_stats().drained, 0);
@@ -1563,7 +1557,7 @@ mod tests {
         let home = ShardRouter::new(2).home_shard(t.id());
         if home == 0 {
             assert!(svc.handle_event(&WorkloadEvent::Arrive(t)).is_admission());
-            assert_eq!(svc.resident_shards(TaskId(50)), &[0]);
+            assert_eq!(resident_shards(&svc, TaskId(50)), &[0]);
         }
     }
 
@@ -1636,13 +1630,13 @@ mod tests {
             // scenario is vacuous rather than failed.
             return;
         };
-        assert_eq!(svc.resident_shards(TaskId(split_id)).len(), 2);
-        let tail_holder = svc.resident_shards(TaskId(split_id))[1];
+        assert_eq!(resident_shards(&svc, TaskId(split_id)).len(), 2);
+        let tail_holder = resident_shards(&svc, TaskId(split_id))[1];
         svc.apply_fault(&FaultKind::ShardCrash {
             shard: tail_holder,
             down_ms: 50,
         });
-        let holders = svc.resident_shards(TaskId(split_id));
+        let holders = resident_shards(&svc, TaskId(split_id));
         if !holders.is_empty() {
             // Recovered: wherever it lives now, the admitted copy must
             // carry the original WCET (11 ms), not a piece budget.

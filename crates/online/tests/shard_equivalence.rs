@@ -187,7 +187,6 @@ proptest! {
     ) {
         let trace = trace(target, seed, events);
         let (engine, _) = run_engine(&trace, seed, shards);
-        prop_assert!(!engine.cross_shard_enabled());
         for d in engine.decisions() {
             prop_assert_eq!(json(d), pre_cross_shard_line(d));
         }

@@ -520,6 +520,10 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn count_of(trace: &Trace, kind: TraceEventKind) -> usize {
+        trace.events().iter().filter(|e| e.kind == kind).count()
+    }
     use spms_core::{PartitionOutcome, PartitionedFixedPriority, Partitioner, SemiPartitionedFpTs};
     use spms_task::{Priority, Task, TaskSet, TaskSetGenerator};
 
@@ -575,7 +579,7 @@ mod tests {
             "preemptions = {}",
             report.preemptions
         );
-        assert!(report.trace.of_kind(TraceEventKind::Preempt).count() >= 2);
+        assert!(count_of(&report.trace, TraceEventKind::Preempt) >= 2);
     }
 
     #[test]
@@ -706,9 +710,9 @@ mod tests {
             SimulationConfig::new(Time::from_millis(30)).with_trace(),
         )
         .run();
-        assert_eq!(report.trace.of_kind(TraceEventKind::Release).count(), 4);
-        assert_eq!(report.trace.of_kind(TraceEventKind::Dispatch).count(), 4);
-        assert_eq!(report.trace.of_kind(TraceEventKind::Complete).count(), 3);
+        assert_eq!(count_of(&report.trace, TraceEventKind::Release), 4);
+        assert_eq!(count_of(&report.trace, TraceEventKind::Dispatch), 4);
+        assert_eq!(count_of(&report.trace, TraceEventKind::Complete), 3);
         assert!(!report.trace.render_timeline().is_empty());
     }
 

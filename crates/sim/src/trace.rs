@@ -91,11 +91,6 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// Events of one kind.
-    pub fn of_kind(&self, kind: TraceEventKind) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(move |e| e.kind == kind)
-    }
-
     /// Events concerning one task.
     pub fn of_task(&self, task: TaskId) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter().filter(move |e| e.task == task)
@@ -153,7 +148,14 @@ mod tests {
         trace.push(event(1, TraceEventKind::Dispatch));
         trace.push(event(5, TraceEventKind::Complete));
         assert_eq!(trace.len(), 3);
-        assert_eq!(trace.of_kind(TraceEventKind::Dispatch).count(), 1);
+        assert_eq!(
+            trace
+                .events()
+                .iter()
+                .filter(|e| e.kind == TraceEventKind::Dispatch)
+                .count(),
+            1
+        );
         assert_eq!(trace.of_task(TaskId(1)).count(), 3);
         assert_eq!(trace.of_task(TaskId(9)).count(), 0);
     }

@@ -62,12 +62,6 @@ impl Priority {
     pub const fn lower(self) -> Priority {
         Priority(self.0.saturating_add(1))
     }
-
-    /// The next higher priority level (saturating at the highest level).
-    #[inline]
-    pub const fn higher(self) -> Priority {
-        Priority(self.0.saturating_sub(1))
-    }
 }
 
 impl fmt::Display for Priority {
@@ -129,10 +123,8 @@ mod tests {
 
     #[test]
     fn higher_and_lower_saturate() {
-        assert_eq!(Priority::HIGHEST.higher(), Priority::HIGHEST);
         assert_eq!(Priority::LOWEST.lower(), Priority::LOWEST);
         assert_eq!(Priority::new(3).lower(), Priority::new(4));
-        assert_eq!(Priority::new(3).higher(), Priority::new(2));
     }
 
     #[test]

@@ -160,12 +160,6 @@ impl Task {
         self.priority = None;
     }
 
-    /// Sets the modelled cache working-set size.
-    #[inline]
-    pub fn set_working_set_bytes(&mut self, bytes: u64) {
-        self.working_set_bytes = Some(bytes);
-    }
-
     /// Returns a copy of this task with a different worst-case execution time.
     ///
     /// This is the primitive used both by task splitting (a subtask is the

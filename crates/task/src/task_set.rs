@@ -83,11 +83,6 @@ impl TaskSet {
         self.tasks.iter().find(|t| t.id() == id)
     }
 
-    /// Looks a task up by identifier, mutably.
-    pub fn get_mut(&mut self, id: TaskId) -> Option<&mut Task> {
-        self.tasks.iter_mut().find(|t| t.id() == id)
-    }
-
     /// Sum of per-task utilizations `Σ C_i / T_i`.
     pub fn total_utilization(&self) -> f64 {
         self.tasks.iter().map(Task::utilization).sum()
@@ -96,11 +91,6 @@ impl TaskSet {
     /// The largest individual task utilization, or 0.0 for an empty set.
     pub fn max_utilization(&self) -> f64 {
         self.tasks.iter().map(Task::utilization).fold(0.0, f64::max)
-    }
-
-    /// Sum of per-task densities `Σ C_i / D_i`.
-    pub fn total_density(&self) -> f64 {
-        self.tasks.iter().map(Task::density).sum()
     }
 
     /// The hyperperiod (least common multiple of all periods), saturating at
@@ -288,7 +278,6 @@ mod tests {
         let ts = sample_set();
         assert!((ts.total_utilization() - (0.25 + 0.25 + 0.25)).abs() < 1e-12);
         assert!((ts.max_utilization() - 0.25).abs() < 1e-12);
-        assert!((ts.total_density() - ts.total_utilization()).abs() < 1e-12);
     }
 
     #[test]

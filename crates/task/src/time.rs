@@ -110,12 +110,6 @@ impl Time {
         self.0 as f64 / 1e9
     }
 
-    /// Value as fractional microseconds.
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Whether the value is exactly zero.
     #[inline]
     pub const fn is_zero(self) -> bool {

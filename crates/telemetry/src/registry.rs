@@ -186,19 +186,9 @@ impl Registry {
         self.counters[id.0].value += n;
     }
 
-    /// Current value of a counter.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0].value
-    }
-
     /// Sets a gauge.
     pub fn set_gauge(&mut self, id: GaugeId, value: u64) {
         self.gauges[id.0].value = value;
-    }
-
-    /// Current value of a gauge.
-    pub fn gauge_value(&self, id: GaugeId) -> u64 {
-        self.gauges[id.0].value
     }
 
     /// Records one sample into a histogram.
@@ -209,11 +199,6 @@ impl Registry {
     /// Borrows a histogram.
     pub fn histogram_ref(&self, id: HistogramId) -> &Histogram {
         &self.histograms[id.0].value
-    }
-
-    /// Mutably borrows a histogram (for bulk merges).
-    pub fn histogram_mut(&mut self, id: HistogramId) -> &mut Histogram {
-        &mut self.histograms[id.0].value
     }
 
     /// Looks a counter's value up by name (test/report convenience).
@@ -340,7 +325,6 @@ mod tests {
         let b = r.counter("spms_events_total", MetricClass::Outcome);
         assert_eq!(a, b);
         r.add(a, 3);
-        assert_eq!(r.counter_value(b), 3);
         assert_eq!(r.counter_by_name("spms_events_total"), Some(3));
     }
 

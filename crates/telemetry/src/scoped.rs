@@ -141,18 +141,6 @@ pub fn global_value(counter: HotCounter) -> u64 {
     GLOBALS[counter.index()].load(Ordering::Relaxed)
 }
 
-/// Zeroes this thread's total for `counter` (the process-wide twin keeps
-/// counting).
-pub fn reset_thread(counter: HotCounter) {
-    THREAD.with(|cells| cells[counter.index()].set(0));
-}
-
-/// Zeroes the process-wide total for `counter` (thread twins keep
-/// counting).
-pub fn reset_global(counter: HotCounter) {
-    GLOBALS[counter.index()].store(0, Ordering::Relaxed);
-}
-
 /// Runs `f` without counting: whatever `f` bumps is taken back from this
 /// thread's counters and the process-wide ones when it returns. For
 /// debug-build cross-checks, which must leave every work counter — and
@@ -192,7 +180,7 @@ pub fn thread_snapshot() -> HotDeltas {
 
 impl HotDeltas {
     /// What this thread has counted since `self` was snapshotted
-    /// (saturating, so an interleaved `reset_thread` cannot underflow).
+    /// (saturating at zero per counter).
     pub fn since(&self) -> HotDeltas {
         let now = thread_snapshot();
         let mut values = [0u64; HOT_COUNTER_COUNT];

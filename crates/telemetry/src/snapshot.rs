@@ -70,15 +70,6 @@ impl SnapshotValue {
     pub fn histogram(histogram: &Histogram) -> Self {
         SnapshotValue::Histogram(HistogramSummary::of(histogram))
     }
-
-    /// The exposition type tag: `counter`, `gauge`, or `histogram`.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            SnapshotValue::Counter(_) => "counter",
-            SnapshotValue::Gauge(_) => "gauge",
-            SnapshotValue::Histogram(_) => "histogram",
-        }
-    }
 }
 
 /// One named metric in a snapshot.
@@ -413,15 +404,5 @@ mod tests {
         assert!(Snapshot::from_prometheus("# TYPE spms_x counter\nspms_x nope").is_err());
         assert!(Snapshot::from_prometheus("# TYPE spms_x histogram\nspms_x 1").is_err());
         assert!(Snapshot::from_prometheus("# TYPE spms_x summary\nspms_x_sum 1").is_err());
-    }
-
-    #[test]
-    fn type_names_are_stable() {
-        assert_eq!(SnapshotValue::Counter(0).type_name(), "counter");
-        assert_eq!(SnapshotValue::Gauge(0).type_name(), "gauge");
-        assert_eq!(
-            SnapshotValue::histogram(&Histogram::new()).type_name(),
-            "histogram"
-        );
     }
 }

@@ -101,11 +101,6 @@ impl TraceRing {
         self.buf.is_empty()
     }
 
-    /// Total traces ever recorded (including dropped ones).
-    pub fn total_recorded(&self) -> u64 {
-        self.next_seq
-    }
-
     /// The ring's capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -141,7 +136,7 @@ mod tests {
             assert_eq!(spans.capacity() > 0, task >= 2);
         }
         assert_eq!(ring.len(), 2);
-        assert_eq!(ring.total_recorded(), 5);
+        assert_eq!(ring.next_seq, 5);
         let seqs: Vec<u64> = ring.iter().map(|t| t.seq).collect();
         assert_eq!(seqs, vec![3, 4]);
         assert_eq!(ring.iter().next().unwrap().task, 3);
@@ -155,7 +150,7 @@ mod tests {
         assert!(spans.is_empty());
         assert_eq!(ring.record(8, "rejected", &mut spans), 1);
         assert!(ring.is_empty());
-        assert_eq!(ring.total_recorded(), 2);
+        assert_eq!(ring.next_seq, 2);
     }
 
     #[test]
