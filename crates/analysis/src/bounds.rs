@@ -56,14 +56,6 @@ pub fn fits_hyperbolic(tasks: &[Task]) -> bool {
     product <= 2.0 + 1e-12
 }
 
-/// Remaining capacity of a processor under the Liu & Layland bound, assuming
-/// it already hosts `tasks`: how much additional utilization the bound allows
-/// for one more task. Returns 0.0 when the bound is already exceeded.
-pub fn remaining_liu_layland_capacity(tasks: &[Task]) -> f64 {
-    let total: f64 = tasks.iter().map(Task::utilization).sum();
-    (liu_layland_bound(tasks.len() + 1) - total).max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,15 +119,5 @@ mod tests {
     fn empty_processor_accepts_anything_light() {
         assert!(fits_liu_layland(&[]));
         assert!(fits_hyperbolic(&[]));
-        assert!((remaining_liu_layland_capacity(&[]) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn remaining_capacity_shrinks_with_load() {
-        let one = vec![task(0, 30, 100)];
-        let two = vec![task(0, 30, 100), task(1, 30, 100)];
-        assert!(remaining_liu_layland_capacity(&one) > remaining_liu_layland_capacity(&two));
-        let full = vec![task(0, 90, 100)];
-        assert_eq!(remaining_liu_layland_capacity(&full), 0.0);
     }
 }

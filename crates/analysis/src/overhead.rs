@@ -155,13 +155,6 @@ impl OverheadModel {
         (delta, theta)
     }
 
-    /// Sets both cache-related delays (builder style).
-    pub fn with_cache_reload(mut self, local: Time, migration: Time) -> Self {
-        self.cache_reload_local = local;
-        self.cache_reload_migration = migration;
-        self
-    }
-
     /// Returns a copy with every component scaled by `factor` (used by the
     /// overhead-sensitivity experiment, E6).
     pub fn scaled(&self, factor: f64) -> Self {
@@ -416,14 +409,6 @@ mod tests {
         assert_eq!(double.job_overhead_normal(), m.job_overhead_normal() * 2);
         let none = m.scaled(0.0);
         assert_eq!(none.job_overhead_normal(), Time::ZERO);
-    }
-
-    #[test]
-    fn with_cache_reload_overrides_defaults() {
-        let m =
-            OverheadModel::paper_n4().with_cache_reload(Time::from_micros(7), Time::from_micros(9));
-        assert_eq!(m.cache_reload_local, Time::from_micros(7));
-        assert_eq!(m.cache_reload_migration, Time::from_micros(9));
     }
 
     #[test]

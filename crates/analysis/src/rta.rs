@@ -155,20 +155,6 @@ pub fn response_time_with_blocking(task: &Task, hp: &[Task], blocking: Time) -> 
     })
 }
 
-/// Splits `tasks` into (higher-priority, lower-or-equal-priority) relative to
-/// `priority`, preserving order. Tasks without a priority count as lowest.
-///
-/// Note that [`analyse_core`] does *not* use this filter for its interference
-/// sets: tasks *at* a given level also interfere with each other there (see
-/// the [module docs](self) on priority ties).
-pub fn higher_priority_tasks(tasks: &[Task], priority: Priority) -> Vec<Task> {
-    tasks
-        .iter()
-        .filter(|t| t.priority().is_some_and(|p| p.is_higher_than(priority)))
-        .cloned()
-        .collect()
-}
-
 /// Analyses a full per-core assignment: every task is checked against the
 /// interference of all higher-priority tasks *and all other tasks at its own
 /// priority level* on the same core (same-level tasks can be dispatched in
@@ -296,21 +282,6 @@ mod tests {
     fn task_alone_on_core_has_response_equal_to_wcet() {
         let t = task(0, 7, 100);
         assert_eq!(response_time(&t, &[]), Some(Time::from_micros(7)));
-    }
-
-    #[test]
-    fn higher_priority_filter_respects_levels() {
-        let mut a = task(0, 1, 10);
-        let mut b = task(1, 1, 20);
-        let mut c = task(2, 1, 30);
-        a.set_priority(Priority::new(0));
-        b.set_priority(Priority::new(1));
-        c.set_priority(Priority::new(2));
-        let all = vec![a, b, c];
-        let hp = higher_priority_tasks(&all, Priority::new(2));
-        assert_eq!(hp.len(), 2);
-        let hp_top = higher_priority_tasks(&all, Priority::new(0));
-        assert!(hp_top.is_empty());
     }
 
     #[test]

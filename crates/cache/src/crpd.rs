@@ -137,27 +137,6 @@ impl CrpdModel {
             migration_ns: migration.saturating_sub(warm_cost),
         }
     }
-
-    /// Sweeps working-set sizes and returns `(bytes, analytic, simulated)`
-    /// triples — the data series behind the cache-crossover experiment (E4).
-    pub fn crossover_sweep(
-        &self,
-        working_set_sizes: &[u64],
-    ) -> Vec<(u64, CrpdEstimate, CrpdEstimate)> {
-        working_set_sizes
-            .iter()
-            .map(|&bytes| {
-                let ws = WorkingSet::from_bytes(bytes);
-                // The preemptor is given an equally sized, disjoint working set.
-                let preemptor = WorkingSet::from_bytes(bytes).with_base(1 << 32);
-                (
-                    bytes,
-                    self.analytic(ws, preemptor),
-                    self.simulated(ws, preemptor),
-                )
-            })
-            .collect()
-    }
 }
 
 impl Default for CrpdModel {
@@ -238,19 +217,6 @@ mod tests {
             let ws = WorkingSet::from_bytes(bytes);
             let est = m.analytic(ws, ws);
             assert!(est.migration_ns >= est.local_preemption_ns, "bytes={bytes}");
-        }
-    }
-
-    #[test]
-    fn crossover_sweep_produces_one_entry_per_size() {
-        let m = CrpdModel::new(CacheHierarchyConfig::tiny_for_tests());
-        let sizes = [512u64, 2 * 1024, 8 * 1024];
-        let sweep = m.crossover_sweep(&sizes);
-        assert_eq!(sweep.len(), sizes.len());
-        for (bytes, analytic, simulated) in sweep {
-            assert!(sizes.contains(&bytes));
-            assert!(analytic.migration_ns >= analytic.local_preemption_ns);
-            assert!(simulated.migration_ns >= simulated.local_preemption_ns);
         }
     }
 

@@ -22,7 +22,7 @@
 
 use serde::{Deserialize, Serialize};
 use spms_analysis::{CachedCoreAnalysis, OverheadModel, UniprocessorTest};
-use spms_task::{Priority, PriorityAssignment, Task, TaskSet, Time};
+use spms_task::{by_decreasing_utilization, Priority, PriorityAssignment, Task, TaskSet, Time};
 
 use crate::{
     CoreId, Partition, PartitionError, PartitionOutcome, Partitioner, PlacedTask, SplitInfo,
@@ -242,12 +242,7 @@ impl Partitioner for SemiPartitionedDmPm {
         // Offer tasks in decreasing utilization order (the usual packing
         // order); split decisions are driven purely by the acceptance test.
         let mut ordered: Vec<Task> = prioritised.iter().cloned().collect();
-        ordered.sort_by(|a, b| {
-            b.utilization()
-                .partial_cmp(&a.utilization())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.id().cmp(&b.id()))
-        });
+        ordered.sort_by(by_decreasing_utilization);
 
         let mut bins: Vec<Vec<PlacedTask>> = vec![Vec::new(); cores];
         for task in &ordered {

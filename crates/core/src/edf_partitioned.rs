@@ -4,23 +4,21 @@
 //! The paper's related work (Kato & Yamasaki, EMSOFT 2008) studies
 //! semi-partitioned *EDF*; the paper itself notes that its scheduler
 //! framework extends to EDF-based algorithms. This module provides the
-//! partitioned-EDF baseline on top of the same bin-packing machinery as the
-//! fixed-priority heuristics, using the processor-demand test from
-//! `spms-analysis::edf` as the per-core acceptance criterion. It lets the
-//! experiments quantify how much of FP-TS's advantage comes from splitting
-//! and how much an EDF runtime would claw back without any migration at all.
+//! partitioned-EDF baseline: first-fit decreasing, like the fixed-priority
+//! FFD, with the processor-demand test from `spms-analysis::edf` as the
+//! per-core acceptance criterion. It lets the experiments quantify how much
+//! of FP-TS's advantage comes from splitting and how much an EDF runtime
+//! would claw back without any migration at all.
 
 use serde::{Deserialize, Serialize};
 use spms_analysis::{edf, OverheadModel};
-use spms_task::{Task, TaskSet};
+use spms_task::{by_decreasing_utilization, Task, TaskSet};
 
-use crate::{
-    BinPackingHeuristic, CoreId, Partition, PartitionError, PartitionOutcome, Partitioner,
-    PlacedTask, TaskOrdering,
-};
+use crate::{CoreId, Partition, PartitionError, PartitionOutcome, Partitioner, PlacedTask};
 
 /// Partitioned EDF: every task is statically assigned to one core, each core
-/// runs EDF locally.
+/// runs EDF locally. Tasks are offered in decreasing utilization order
+/// ([`by_decreasing_utilization`]), each to the first core that accepts it.
 ///
 /// # Example
 ///
@@ -40,10 +38,6 @@ use crate::{
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PartitionedEdf {
-    /// Bin selection heuristic.
-    pub heuristic: BinPackingHeuristic,
-    /// Task ordering applied before packing.
-    pub ordering: TaskOrdering,
     /// Run-time overheads folded into every task's WCET before packing.
     pub overhead: OverheadModel,
 }
@@ -58,17 +52,7 @@ impl PartitionedEdf {
     /// First-fit decreasing with per-core EDF acceptance.
     pub fn ffd() -> Self {
         PartitionedEdf {
-            heuristic: BinPackingHeuristic::FirstFit,
-            ordering: TaskOrdering::DecreasingUtilization,
             overhead: OverheadModel::zero(),
-        }
-    }
-
-    /// Worst-fit decreasing with per-core EDF acceptance.
-    pub fn wfd() -> Self {
-        PartitionedEdf {
-            heuristic: BinPackingHeuristic::WorstFit,
-            ..PartitionedEdf::ffd()
         }
     }
 
@@ -76,26 +60,6 @@ impl PartitionedEdf {
     pub fn with_overhead(mut self, overhead: OverheadModel) -> Self {
         self.overhead = overhead;
         self
-    }
-
-    fn order_tasks(&self, tasks: &TaskSet) -> Vec<Task> {
-        let mut ordered: Vec<Task> = tasks.iter().cloned().collect();
-        match self.ordering {
-            TaskOrdering::DecreasingUtilization => ordered.sort_by(|a, b| {
-                b.utilization()
-                    .partial_cmp(&a.utilization())
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.id().cmp(&b.id()))
-            }),
-            TaskOrdering::AsGiven => {}
-            TaskOrdering::IncreasingPriority => ordered.sort_by_key(|t| {
-                (
-                    std::cmp::Reverse(t.priority().unwrap_or(spms_task::Priority::LOWEST)),
-                    t.id(),
-                )
-            }),
-        }
-        ordered
     }
 }
 
@@ -121,45 +85,15 @@ impl Partitioner for PartitionedEdf {
             }
         }
 
-        let ordered = self.order_tasks(&inflated);
+        let mut ordered: Vec<Task> = inflated.into_iter().collect();
+        ordered.sort_by(by_decreasing_utilization);
         let mut bins: Vec<Vec<Task>> = vec![Vec::new(); cores];
-        let mut next_fit_cursor = 0usize;
         for task in ordered {
-            let accepts = |bin: &Vec<Task>| {
+            let chosen = bins.iter().position(|bin| {
                 let mut candidate = bin.clone();
                 candidate.push(task.clone());
                 edf::is_edf_schedulable(&candidate)
-            };
-            let utilization = |bin: &[Task]| bin.iter().map(Task::utilization).sum::<f64>();
-            let chosen = match self.heuristic {
-                BinPackingHeuristic::FirstFit => bins.iter().position(accepts),
-                BinPackingHeuristic::BestFit => bins
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, bin)| accepts(bin))
-                    .max_by(|(_, a), (_, b)| {
-                        utilization(a)
-                            .partial_cmp(&utilization(b))
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .map(|(i, _)| i),
-                BinPackingHeuristic::WorstFit => bins
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, bin)| accepts(bin))
-                    .min_by(|(_, a), (_, b)| {
-                        utilization(a)
-                            .partial_cmp(&utilization(b))
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .map(|(i, _)| i),
-                BinPackingHeuristic::NextFit => {
-                    while next_fit_cursor < cores && !accepts(&bins[next_fit_cursor]) {
-                        next_fit_cursor += 1;
-                    }
-                    (next_fit_cursor < cores).then_some(next_fit_cursor)
-                }
-            };
+            });
             match chosen {
                 Some(core) => bins[core].push(task),
                 None => {
@@ -193,18 +127,7 @@ impl Partitioner for PartitionedEdf {
     }
 
     fn name(&self) -> String {
-        let heuristic = match self.heuristic {
-            BinPackingHeuristic::FirstFit => "FF",
-            BinPackingHeuristic::BestFit => "BF",
-            BinPackingHeuristic::WorstFit => "WF",
-            BinPackingHeuristic::NextFit => "NF",
-        };
-        let order = match self.ordering {
-            TaskOrdering::DecreasingUtilization => "D",
-            TaskOrdering::AsGiven => "",
-            TaskOrdering::IncreasingPriority => "P",
-        };
-        format!("EDF-{heuristic}{order}")
+        "EDF-FFD".to_owned()
     }
 }
 
@@ -220,7 +143,6 @@ mod tests {
     #[test]
     fn names() {
         assert_eq!(PartitionedEdf::ffd().name(), "EDF-FFD");
-        assert_eq!(PartitionedEdf::wfd().name(), "EDF-WFD");
     }
 
     #[test]
@@ -292,12 +214,12 @@ mod tests {
                 .seed(seed)
                 .generate()
                 .unwrap();
-            for algo in [PartitionedEdf::ffd(), PartitionedEdf::wfd()] {
-                if let PartitionOutcome::Schedulable(p) = algo.partition(&ts, 4).unwrap() {
-                    assert_eq!(p.validate(), Ok(()));
-                    assert_eq!(p.split_count(), 0);
-                    assert_eq!(p.placement_count(), ts.len());
-                }
+            if let PartitionOutcome::Schedulable(p) =
+                PartitionedEdf::ffd().partition(&ts, 4).unwrap()
+            {
+                assert_eq!(p.validate(), Ok(()));
+                assert_eq!(p.split_count(), 0);
+                assert_eq!(p.placement_count(), ts.len());
             }
         }
     }

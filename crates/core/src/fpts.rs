@@ -32,7 +32,7 @@
 
 use serde::{Deserialize, Serialize};
 use spms_analysis::{bounds, CachedCoreAnalysis, OverheadModel, UniprocessorTest};
-use spms_task::{Priority, PriorityAssignment, Task, TaskSet, Time};
+use spms_task::{by_decreasing_utilization, Priority, PriorityAssignment, Task, TaskSet, Time};
 
 use crate::{
     CoreId, Partition, PartitionError, PartitionOutcome, Partitioner, PlacedTask, SplitInfo,
@@ -320,12 +320,7 @@ impl SemiPartitionedFpTs {
         // acceptance ratio at or above the partitioned baselines across the
         // whole sweep (see DESIGN.md, substitution table).
         let mut ordered: Vec<&Task> = tasks.iter().collect();
-        ordered.sort_by(|a, b| {
-            b.utilization()
-                .partial_cmp(&a.utilization())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.id().cmp(&b.id()))
-        });
+        ordered.sort_by(|a, b| by_decreasing_utilization(a, b));
 
         for task in ordered {
             let mut remaining = task.wcet();
@@ -464,12 +459,7 @@ impl SemiPartitionedFpTs {
             }
         }
         // Heaviest first, first-fit.
-        heavy.sort_by(|a, b| {
-            b.utilization()
-                .partial_cmp(&a.utilization())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.id().cmp(&b.id()))
-        });
+        heavy.sort_by(|a, b| by_decreasing_utilization(a, b));
         for task in heavy {
             let Ok(mut analysis_task) =
                 task.with_wcet(task.wcet() + self.overhead.whole_job_inflation())

@@ -6,7 +6,8 @@
 //!
 //! * [`PartitionedFixedPriority`] — classic bin-packing partitioning with the
 //!   FFD (first-fit decreasing) and WFD (worst-fit decreasing) heuristics the
-//!   paper uses as baselines (plus best-fit/next-fit variants),
+//!   paper uses as baselines (plus best-fit decreasing),
+//! * [`PartitionedEdf`] — first-fit decreasing with per-core EDF acceptance,
 //! * [`SemiPartitionedFpTs`] — the FP-TS task-splitting algorithm (the SPA1 /
 //!   SPA2 scheme of Guan et al., RTAS 2010) adopted by the paper,
 //! * [`SemiPartitionedDmPm`] — the DM-PM algorithm of Kato & Yamasaki
@@ -69,7 +70,7 @@ pub use fpts::{SemiPartitionedFpTs, SplitPlacement, SplitStrategy};
 pub use incremental::{
     whole_outranks_or_ties, IncrementalPlacer, PlacementPlan, WholeProbe, WholeProof,
 };
-pub use partitioned::{BinPackingHeuristic, PartitionedFixedPriority, TaskOrdering};
+pub use partitioned::{BinPackingHeuristic, PartitionedFixedPriority};
 pub use partitioner::{PartitionOutcome, Partitioner};
 pub use placement::{
     CacheAuditVerdict, CoreId, JournalMark, Partition, PlacedTask, SplitInfo, SubtaskKind,

@@ -3,13 +3,12 @@
 //! The paper compares FP-TS against "two widely used fixed-priority
 //! partitioned scheduling algorithms, FFD (first-fit decreasing size
 //! partitioning) and WFD (worst-fit decreasing size partitioning)" (§4).
-//! This module implements those baselines — and the other standard
-//! heuristics (best-fit, next-fit) — on top of a pluggable per-core
-//! acceptance test and the measured overhead model.
+//! This module implements those baselines, plus best-fit decreasing, on top
+//! of a pluggable per-core acceptance test and the measured overhead model.
 
 use serde::{Deserialize, Serialize};
 use spms_analysis::{OverheadModel, UniprocessorTest};
-use spms_task::{PriorityAssignment, Task, TaskSet};
+use spms_task::{by_decreasing_utilization, PriorityAssignment, Task, TaskSet};
 
 use crate::{CoreId, Partition, PartitionError, PartitionOutcome, Partitioner, PlacedTask};
 
@@ -23,9 +22,6 @@ pub enum BinPackingHeuristic {
     BestFit,
     /// The accepting core with the lowest current utilization.
     WorstFit,
-    /// Keep filling the current core; once a task does not fit, move on and
-    /// never come back.
-    NextFit,
 }
 
 impl BinPackingHeuristic {
@@ -34,36 +30,13 @@ impl BinPackingHeuristic {
             BinPackingHeuristic::FirstFit => "FF",
             BinPackingHeuristic::BestFit => "BF",
             BinPackingHeuristic::WorstFit => "WF",
-            BinPackingHeuristic::NextFit => "NF",
-        }
-    }
-}
-
-/// The order in which tasks are offered to the bin-packing heuristic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum TaskOrdering {
-    /// Decreasing utilization ("size"): the `D` in FFD/WFD/BFD.
-    #[default]
-    DecreasingUtilization,
-    /// The order of the input task set.
-    AsGiven,
-    /// Increasing priority (lowest-priority task first) — the order used by
-    /// the FP-TS splitting pass, provided here for like-for-like comparisons.
-    IncreasingPriority,
-}
-
-impl TaskOrdering {
-    fn short_suffix(self) -> &'static str {
-        match self {
-            TaskOrdering::DecreasingUtilization => "D",
-            TaskOrdering::AsGiven => "",
-            TaskOrdering::IncreasingPriority => "P",
         }
     }
 }
 
 /// Partitioned fixed-priority scheduling: every task is statically assigned
-/// to exactly one core.
+/// to exactly one core. Tasks are offered in decreasing utilization order
+/// ([`by_decreasing_utilization`]).
 ///
 /// # Example
 ///
@@ -82,8 +55,6 @@ impl TaskOrdering {
 pub struct PartitionedFixedPriority {
     /// Bin selection heuristic.
     pub heuristic: BinPackingHeuristic,
-    /// Task ordering applied before packing.
-    pub ordering: TaskOrdering,
     /// Per-core acceptance test.
     pub test: UniprocessorTest,
     /// Run-time overheads folded into every task's WCET before packing.
@@ -101,7 +72,6 @@ impl PartitionedFixedPriority {
     pub fn ffd() -> Self {
         PartitionedFixedPriority {
             heuristic: BinPackingHeuristic::FirstFit,
-            ordering: TaskOrdering::DecreasingUtilization,
             test: UniprocessorTest::ResponseTime,
             overhead: OverheadModel::zero(),
         }
@@ -123,15 +93,6 @@ impl PartitionedFixedPriority {
         }
     }
 
-    /// Next-fit over the tasks in their given order.
-    pub fn next_fit() -> Self {
-        PartitionedFixedPriority {
-            heuristic: BinPackingHeuristic::NextFit,
-            ordering: TaskOrdering::AsGiven,
-            ..PartitionedFixedPriority::ffd()
-        }
-    }
-
     /// Replaces the per-core acceptance test (builder style).
     pub fn with_test(mut self, test: UniprocessorTest) -> Self {
         self.test = test;
@@ -142,30 +103,6 @@ impl PartitionedFixedPriority {
     pub fn with_overhead(mut self, overhead: OverheadModel) -> Self {
         self.overhead = overhead;
         self
-    }
-
-    fn order_tasks(&self, tasks: &TaskSet) -> Vec<Task> {
-        let mut ordered: Vec<Task> = tasks.iter().cloned().collect();
-        match self.ordering {
-            TaskOrdering::DecreasingUtilization => {
-                ordered.sort_by(|a, b| {
-                    b.utilization()
-                        .partial_cmp(&a.utilization())
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then_with(|| a.id().cmp(&b.id()))
-                });
-            }
-            TaskOrdering::AsGiven => {}
-            TaskOrdering::IncreasingPriority => {
-                ordered.sort_by_key(|t| {
-                    (
-                        std::cmp::Reverse(t.priority().unwrap_or(spms_task::Priority::LOWEST)),
-                        t.id(),
-                    )
-                });
-            }
-        }
-        ordered
     }
 }
 
@@ -195,9 +132,9 @@ impl Partitioner for PartitionedFixedPriority {
         }
         inflated.assign_priorities(PriorityAssignment::RateMonotonic);
 
-        let ordered = self.order_tasks(&inflated);
+        let mut ordered: Vec<Task> = inflated.into_iter().collect();
+        ordered.sort_by(by_decreasing_utilization);
         let mut bins: Vec<Vec<Task>> = vec![Vec::new(); cores];
-        let mut next_fit_cursor = 0usize;
 
         for task in ordered {
             let accepts = |bin: &Vec<Task>| {
@@ -227,12 +164,6 @@ impl Partitioner for PartitionedFixedPriority {
                             .unwrap_or(std::cmp::Ordering::Equal)
                     })
                     .map(|(i, _)| i),
-                BinPackingHeuristic::NextFit => {
-                    while next_fit_cursor < cores && !accepts(&bins[next_fit_cursor]) {
-                        next_fit_cursor += 1;
-                    }
-                    (next_fit_cursor < cores).then_some(next_fit_cursor)
-                }
             };
             match chosen {
                 Some(core) => bins[core].push(task),
@@ -268,11 +199,7 @@ impl Partitioner for PartitionedFixedPriority {
     }
 
     fn name(&self) -> String {
-        format!(
-            "{}{}",
-            self.heuristic.short_name(),
-            self.ordering.short_suffix()
-        )
+        format!("{}D", self.heuristic.short_name())
     }
 }
 
@@ -298,7 +225,6 @@ mod tests {
         assert_eq!(PartitionedFixedPriority::ffd().name(), "FFD");
         assert_eq!(PartitionedFixedPriority::wfd().name(), "WFD");
         assert_eq!(PartitionedFixedPriority::bfd().name(), "BFD");
-        assert_eq!(PartitionedFixedPriority::next_fit().name(), "NF");
     }
 
     #[test]
@@ -386,23 +312,6 @@ mod tests {
             wfd.core_utilizations().iter().filter(|&&u| u > 0.0).count(),
             2
         );
-    }
-
-    #[test]
-    fn next_fit_never_looks_back() {
-        // 0.6, 0.6, 0.3: next-fit opens core 1 for the second task and puts
-        // the third on core 1 as well, even though core 0 could also hold it
-        // under RTA (0.9 non-harmonic would fail LL but we use RTA; make the
-        // third task small enough that either would accept).
-        let ts = set(vec![task(0, 6, 10), task(1, 6, 10), task(2, 1, 10)]);
-        let nf = PartitionedFixedPriority::next_fit()
-            .partition(&ts, 3)
-            .unwrap()
-            .into_partition()
-            .unwrap();
-        assert!(nf.core(CoreId(0)).len() == 1);
-        assert_eq!(nf.core(CoreId(1)).len(), 2);
-        assert!(nf.core(CoreId(2)).is_empty());
     }
 
     #[test]

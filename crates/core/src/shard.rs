@@ -21,7 +21,7 @@
 
 use crate::incremental::IncrementalPlacer;
 use crate::placement::{CoreId, Partition};
-use spms_task::{fnv1a, Task, TaskId, Time};
+use spms_task::{by_decreasing_utilization, fnv1a, Task, TaskId, Time};
 
 /// Splits `total_cores` processor cores into `shards` near-even groups.
 ///
@@ -200,12 +200,9 @@ pub fn rebalance_partitions(
                 u > 0.0 && u <= headroom
             })
             .collect();
-        candidates.sort_by(|a, b| {
-            b.1.utilization()
-                .partial_cmp(&a.1.utilization())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
-        });
+        // `lookup` resolves an id to its own task, so the comparator's id
+        // tie-break is the candidate key's.
+        candidates.sort_by(|a, b| by_decreasing_utilization(&a.1, &b.1));
 
         for (id, task) in candidates {
             let charge = charge_of(&task);

@@ -17,8 +17,8 @@
 //!   the expected population follows Little's law
 //!   (`E[lifetime] / E[inter-arrival]`), so the *offered* load oscillates
 //!   around the target while individual arrivals stay diverse,
-//! * periods are log-uniform (10 ms – 1 s by default), WCETs derived as
-//!   `C = u · T`, exactly like the offline [`TaskSetGenerator`].
+//! * periods are log-uniform in 10 ms – 1 s, WCETs derived as `C = u · T`,
+//!   exactly like the offline [`TaskSetGenerator`].
 //!
 //! Everything is driven by one seeded ChaCha8 stream: equal configurations
 //! and seeds produce identical traces.
@@ -33,14 +33,25 @@ use spms_task::{Task, TaskError, TaskId, Time};
 
 use crate::{TimedEvent, WorkloadEvent};
 
+/// Log-uniform period range of generated tasks.
+const PERIOD_MIN: Time = Time::from_millis(10);
+const PERIOD_MAX: Time = Time::from_secs(1);
+/// The bursty family divides the inter-arrival mean by this factor while ON.
+const BURST_ACCELERATION: f64 = 4.0;
+/// Per-arrival OFF→ON transition probability of the bursty family.
+const BURST_ENTRY_PROBABILITY: f64 = 0.35;
+/// Per-arrival ON→OFF transition probability of the bursty family.
+const BURST_EXIT_PROBABILITY: f64 = 0.15;
+
 /// The arrival-process family a [`ChurnGenerator`] draws from.
 ///
 /// `Poisson` is the classic open-system model. `Bursty` layers a hidden
 /// two-state Markov chain on top: before each arrival one uniform draw
-/// decides the next ON/OFF state, and the exponential inter-arrival mean
-/// is divided by the burst acceleration while ON and stretched while OFF
-/// (the stretch is derived from the stationary ON share so the *long-run*
-/// arrival rate matches the Poisson family's). The Poisson branch makes
+/// decides the next ON/OFF state (entering ON with probability 0.35,
+/// leaving it with 0.15), and the exponential inter-arrival mean is
+/// divided by 4 while ON and stretched while OFF (the stretch is derived
+/// from the stationary ON share so the *long-run* arrival rate matches the
+/// Poisson family's). The Poisson branch makes
 /// no extra RNG draws, so `Poisson` traces are byte-identical to those of
 /// generators predating this enum.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -86,15 +97,10 @@ pub struct ChurnGenerator {
     mean_interarrival: Time,
     lifetime_min: Time,
     lifetime_max: Time,
-    period_min: Time,
-    period_max: Time,
     utilization_spread: f64,
     max_task_utilization: f64,
     seed: u64,
     family: ChurnFamily,
-    burst_acceleration: f64,
-    burst_entry_probability: f64,
-    burst_exit_probability: f64,
 }
 
 impl Default for ChurnGenerator {
@@ -106,15 +112,10 @@ impl Default for ChurnGenerator {
             mean_interarrival: Time::from_millis(40),
             lifetime_min: Time::from_millis(100),
             lifetime_max: Time::from_secs(4),
-            period_min: Time::from_millis(10),
-            period_max: Time::from_secs(1),
             utilization_spread: 0.5,
             max_task_utilization: 1.0,
             seed: 0,
             family: ChurnFamily::Poisson,
-            burst_acceleration: 4.0,
-            burst_entry_probability: 0.35,
-            burst_exit_probability: 0.15,
         }
     }
 }
@@ -159,13 +160,6 @@ impl ChurnGenerator {
         self
     }
 
-    /// Sets the log-uniform period range of generated tasks.
-    pub fn period_range(mut self, min: Time, max: Time) -> Self {
-        self.period_min = min;
-        self.period_max = max;
-        self
-    }
-
     /// Sets the relative spread of per-task utilizations around the base
     /// drawn from Little's law (0.0 = every task identical, 0.5 = ±50%).
     pub fn utilization_spread(mut self, spread: f64) -> Self {
@@ -190,19 +184,6 @@ impl ChurnGenerator {
     /// Sets the arrival-process family (default [`ChurnFamily::Poisson`]).
     pub fn family(mut self, family: ChurnFamily) -> Self {
         self.family = family;
-        self
-    }
-
-    /// Tunes the bursty family: `acceleration` divides the inter-arrival
-    /// mean during ON phases (must exceed 1), `entry`/`exit` are the
-    /// per-arrival OFF→ON and ON→OFF transition probabilities (each in
-    /// `(0, 1)`). The OFF-phase stretch is derived so the long-run
-    /// arrival rate stays that of the Poisson family. Ignored under
-    /// [`ChurnFamily::Poisson`].
-    pub fn burst_profile(mut self, acceleration: f64, entry: f64, exit: f64) -> Self {
-        self.burst_acceleration = acceleration;
-        self.burst_entry_probability = entry;
-        self.burst_exit_probability = exit;
         self
     }
 
@@ -255,9 +236,8 @@ impl ChurnGenerator {
         // the stationary ON share so the long-run arrival rate matches
         // the plain Poisson family's.
         let mut burst_on = false;
-        let on_share = self.burst_entry_probability
-            / (self.burst_entry_probability + self.burst_exit_probability);
-        let off_stretch = (1.0 - on_share / self.burst_acceleration) / (1.0 - on_share);
+        let on_share = BURST_ENTRY_PROBABILITY / (BURST_ENTRY_PROBABILITY + BURST_EXIT_PROBABILITY);
+        let off_stretch = (1.0 - on_share / BURST_ACCELERATION) / (1.0 - on_share);
 
         while events.len() < self.events {
             let mean = self.mean_interarrival.as_secs_f64();
@@ -268,12 +248,12 @@ impl ChurnGenerator {
                 ChurnFamily::Bursty => {
                     let flip: f64 = rng.gen();
                     burst_on = if burst_on {
-                        flip >= self.burst_exit_probability
+                        flip >= BURST_EXIT_PROBABILITY
                     } else {
-                        flip < self.burst_entry_probability
+                        flip < BURST_ENTRY_PROBABILITY
                     };
                     let scale = if burst_on {
-                        1.0 / self.burst_acceleration
+                        1.0 / BURST_ACCELERATION
                     } else {
                         off_stretch
                     };
@@ -329,7 +309,7 @@ impl ChurnGenerator {
             1.0
         };
         let utilization = (base_utilization * factor).clamp(1e-4, self.max_task_utilization);
-        let period = Time::from_secs_f64(log_uniform(rng, self.period_min, self.period_max));
+        let period = Time::from_secs_f64(log_uniform(rng, PERIOD_MIN, PERIOD_MAX));
         // Round to the same 100 µs granularity the offline generator uses so
         // hyperperiods stay manageable for simulation replay.
         let granularity = Time::from_micros(100);
@@ -375,31 +355,9 @@ impl ChurnGenerator {
                 self.max_task_utilization
             )));
         }
-        for (name, min, max) in [
-            ("lifetime", self.lifetime_min, self.lifetime_max),
-            ("period", self.period_min, self.period_max),
-        ] {
-            if min.is_zero() || max < min {
-                return Err(invalid(format!("invalid {name} range [{min}, {max}]")));
-            }
-        }
-        if self.family == ChurnFamily::Bursty {
-            if !self.burst_acceleration.is_finite() || self.burst_acceleration <= 1.0 {
-                return Err(invalid(format!(
-                    "burst acceleration must be finite and exceed 1, got {}",
-                    self.burst_acceleration
-                )));
-            }
-            for (name, p) in [
-                ("entry", self.burst_entry_probability),
-                ("exit", self.burst_exit_probability),
-            ] {
-                if !p.is_finite() || p <= 0.0 || p >= 1.0 {
-                    return Err(invalid(format!(
-                        "burst {name} probability must be in (0, 1), got {p}"
-                    )));
-                }
-            }
+        let (min, max) = (self.lifetime_min, self.lifetime_max);
+        if min.is_zero() || max < min {
+            return Err(invalid(format!("invalid lifetime range [{min}, {max}]")));
         }
         Ok(())
     }
@@ -591,9 +549,8 @@ mod tests {
     #[test]
     fn explicit_poisson_family_matches_the_default() {
         // The family knob must not perturb the Poisson draw order: a
-        // generator explicitly set to Poisson (with arbitrary burst
-        // parameters, which Poisson ignores) reproduces the default
-        // trace byte-for-byte.
+        // generator explicitly set to Poisson reproduces the default trace
+        // byte-for-byte.
         let default_trace = ChurnGenerator::new()
             .events(80)
             .seed(21)
@@ -603,7 +560,6 @@ mod tests {
             .events(80)
             .seed(21)
             .family(ChurnFamily::Poisson)
-            .burst_profile(8.0, 0.5, 0.5)
             .generate_timed()
             .unwrap();
         assert_eq!(default_trace, explicit);
@@ -689,17 +645,7 @@ mod tests {
     }
 
     #[test]
-    fn bursty_parameters_are_validated_and_parse() {
-        let bad = |g: ChurnGenerator| g.family(ChurnFamily::Bursty).generate().is_err();
-        assert!(bad(ChurnGenerator::new().burst_profile(1.0, 0.3, 0.3)));
-        assert!(bad(ChurnGenerator::new().burst_profile(f64::NAN, 0.3, 0.3)));
-        assert!(bad(ChurnGenerator::new().burst_profile(4.0, 0.0, 0.3)));
-        assert!(bad(ChurnGenerator::new().burst_profile(4.0, 0.3, 1.0)));
-        // Poisson ignores (and so tolerates) nonsense burst parameters.
-        assert!(ChurnGenerator::new()
-            .burst_profile(0.0, 9.0, -1.0)
-            .generate()
-            .is_ok());
+    fn churn_family_parses_and_displays() {
         assert_eq!("bursty".parse::<ChurnFamily>(), Ok(ChurnFamily::Bursty));
         assert_eq!("Poisson".parse::<ChurnFamily>(), Ok(ChurnFamily::Poisson));
         assert!("storm".parse::<ChurnFamily>().is_err());
@@ -777,10 +723,6 @@ mod tests {
             .is_err());
         assert!(ChurnGenerator::new()
             .lifetime_range(Time::from_millis(10), Time::from_millis(1))
-            .generate()
-            .is_err());
-        assert!(ChurnGenerator::new()
-            .period_range(Time::ZERO, Time::from_millis(1))
             .generate()
             .is_err());
     }

@@ -270,9 +270,6 @@ impl EngineMetrics {
                 )
             }),
         };
-        // Registered here so every export carries it; the soak driver sets
-        // it on its merged registry once it knows the wall-clock window.
-        registry.gauge("spms_timing_decisions_per_sec", MetricClass::Timing);
         EngineMetrics {
             registry,
             ids,

@@ -161,9 +161,9 @@ pub trait AdmissionShard {
 ///
 /// Transitions: `Healthy → Stalled` (stall; reverts on the fault's end),
 /// `Healthy → Down` (crash; residency drained onto survivors),
-/// `Down → Rejoining` (the down interval elapsed; the shard rebuilt
-/// itself from the residency map — empty, since the crash drained it),
-/// `Rejoining → Healthy` (the router offered it work again).
+/// `Down → Healthy` (the down interval elapsed; the shard rebuilt itself
+/// from the residency map — empty, since the crash drained it — and
+/// rejoined the rotation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ShardHealth {
     /// In the placement rotation, holding its residents.
@@ -172,15 +172,12 @@ pub enum ShardHealth {
     Stalled,
     /// Crashed: drained, out of the rotation entirely.
     Down,
-    /// Back up and placement-eligible; flips to `Healthy` at the next
-    /// arrival the router routes past it.
-    Rejoining,
 }
 
 impl ShardHealth {
     /// Whether the placement router may offer this shard new work.
     pub fn accepts_placements(self) -> bool {
-        matches!(self, ShardHealth::Healthy | ShardHealth::Rejoining)
+        self == ShardHealth::Healthy
     }
 }
 
@@ -433,10 +430,6 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
     }
 
     fn arrive(&mut self, task: &Task) -> DecisionKind {
-        // Any routed arrival completes pending rejoins: a Rejoining shard
-        // is already placement-eligible, the state only records that the
-        // router has not looked at it since it came back.
-        self.complete_rejoins();
         if self.resident.contains_key(&task.id()) {
             return DecisionKind::Rejected {
                 reason: RejectionReason::DuplicateTask,
@@ -914,24 +907,14 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
 
     /// A crashed shard whose down interval elapsed rebuilds itself from
     /// the residency map — which holds nothing for it, because the crash
-    /// drained it — and re-enters the rotation as `Rejoining`.
+    /// drained it — and re-enters the rotation `Healthy`.
     fn rejoin_shard(&mut self, shard: usize) {
         debug_assert!(self
             .resident
             .values()
             .all(|holders| !holders.as_slice().contains(&shard)));
-        self.health[shard] = ShardHealth::Rejoining;
+        self.health[shard] = ShardHealth::Healthy;
         self.metrics.record_fault_rejoin();
-    }
-
-    /// Flips every `Rejoining` shard to `Healthy` (called when the router
-    /// next routes an arrival, completing the rejoin).
-    fn complete_rejoins(&mut self) {
-        for state in &mut self.health {
-            if *state == ShardHealth::Rejoining {
-                *state = ShardHealth::Healthy;
-            }
-        }
     }
 
     /// Appends a service-level [`DecisionKind::EvictedOnFailure`] entry
@@ -1485,18 +1468,17 @@ mod tests {
         for id in 0..8u32 {
             assert_eq!(resident_shards(&svc, TaskId(id)), &[1]);
         }
-        // The rejoin brings the shard back empty and the next arrival
-        // completes it.
+        // The rejoin brings the shard back empty, straight into the
+        // rotation.
         svc.end_fault(&FaultKind::ShardCrash {
             shard: 0,
             down_ms: 50,
         });
-        assert_eq!(svc.shard_health()[0], ShardHealth::Rejoining);
+        assert_eq!(svc.shard_health()[0], ShardHealth::Healthy);
         assert_eq!(svc.fault_stats().rejoins, 1);
         assert!(svc
             .handle_event(&WorkloadEvent::Arrive(task(100, 1, 10)))
             .is_admission());
-        assert_eq!(svc.shard_health()[0], ShardHealth::Healthy);
     }
 
     #[test]

@@ -25,8 +25,6 @@ use serde::{Deserialize, Serialize};
 use spms_cache::{CacheHierarchyConfig, CrpdModel, WorkingSet};
 use spms_task::{fnv1a, Task, Time};
 
-use crate::FunctionCostReport;
-
 /// Per-migration WCET inflation charged by the online admission cascade.
 ///
 /// Implementations must be **pure**: the charge may depend only on the task
@@ -100,9 +98,7 @@ impl WorkingSetAttribution {
 /// The reload half comes from [`CrpdModel::analytic`] on the configured
 /// hierarchy — the lines that survive in the shared L3 reload at L3 hit
 /// latency, the rest from memory. The fixed half defaults to the paper's
-/// `sch()` (5 µs) and `cnt_swth()` (1.5 µs) platform measurements and can be
-/// replaced by values measured on *this* machine via
-/// [`with_function_costs`](Self::with_function_costs).
+/// `sch()` (5 µs) and `cnt_swth()` (1.5 µs) platform measurements.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CrpdCostModel {
     /// Cache hierarchy the reload cost is computed against.
@@ -159,14 +155,6 @@ impl CrpdCostModel {
                 max_bytes: 2 * 1024 * 1024,
             },
         )
-    }
-
-    /// Replaces the fixed function costs with means measured on this
-    /// machine by [`FunctionCosts`](crate::FunctionCosts).
-    pub fn with_function_costs(mut self, report: &FunctionCostReport) -> Self {
-        self.schedule = Time::from_nanos(report.schedule.mean_ns.round() as u64);
-        self.context_switch = Time::from_nanos(report.context_switch.mean_ns.round() as u64);
-        self
     }
 
     /// The working set attributed to `task`.
@@ -271,20 +259,6 @@ mod tests {
             "expected a spread, got {} sizes",
             sizes.len()
         );
-    }
-
-    #[test]
-    fn measured_function_costs_replace_the_paper_values() {
-        let report = FunctionCostReport {
-            release: crate::DurationStats::from_samples(&[std::time::Duration::from_nanos(100)]),
-            schedule: crate::DurationStats::from_samples(&[std::time::Duration::from_nanos(200)]),
-            context_switch: crate::DurationStats::from_samples(&[std::time::Duration::from_nanos(
-                300,
-            )]),
-        };
-        let model = CrpdCostModel::light().with_function_costs(&report);
-        assert_eq!(model.schedule, Time::from_nanos(200));
-        assert_eq!(model.context_switch, Time::from_nanos(300));
     }
 
     #[test]

@@ -138,28 +138,6 @@ impl<T: Ord> BinomialHeap<T> {
         self.roots = Self::merge_root_lists(std::mem::take(&mut self.roots), other.roots);
     }
 
-    /// Removes the first element equal to `item` (by `Ord` equality),
-    /// returning it if found. `O(n)` — provided for the scheduler's rare
-    /// "remove a specific job from the ready queue" path (e.g. job abortion).
-    pub fn remove_eq(&mut self, item: &T) -> Option<T> {
-        // Simplest correct approach: drain and rebuild. The scheduler only
-        // uses this on job abortion, never on the hot path measured in
-        // Table 1.
-        let mut drained = Vec::with_capacity(self.len);
-        while let Some(x) = self.pop() {
-            drained.push(x);
-        }
-        let mut removed = None;
-        for x in drained {
-            if removed.is_none() && &x == item {
-                removed = Some(x);
-            } else {
-                self.push(x);
-            }
-        }
-        removed
-    }
-
     /// Consumes the heap and returns its elements in ascending order.
     pub fn into_sorted_vec(mut self) -> Vec<T> {
         let mut out = Vec::with_capacity(self.len);
@@ -392,15 +370,6 @@ mod tests {
         h.clear();
         assert!(h.is_empty());
         assert_eq!(h.pop(), None);
-    }
-
-    #[test]
-    fn remove_eq_removes_one_instance() {
-        let mut h: BinomialHeap<u32> = [4, 2, 4, 7].into_iter().collect();
-        assert_eq!(h.remove_eq(&4), Some(4));
-        assert_eq!(h.len(), 3);
-        assert_eq!(h.remove_eq(&99), None);
-        assert_eq!(h.into_sorted_vec(), vec![2, 4, 7]);
     }
 
     #[test]

@@ -19,16 +19,6 @@ pub struct DeadlineMiss {
     pub completion: Option<Time>,
 }
 
-impl DeadlineMiss {
-    /// By how much the deadline was overrun (up to the end of simulation for
-    /// unfinished jobs, in which case this is a lower bound).
-    pub fn tardiness(&self, simulation_end: Time) -> Time {
-        self.completion
-            .unwrap_or(simulation_end)
-            .saturating_sub(self.deadline)
-    }
-}
-
 /// Per-core activity counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreStats {
@@ -122,28 +112,6 @@ impl SimulationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn deadline_miss_tardiness() {
-        let finished = DeadlineMiss {
-            task: TaskId(0),
-            release: Time::ZERO,
-            deadline: Time::from_millis(10),
-            completion: Some(Time::from_millis(12)),
-        };
-        assert_eq!(
-            finished.tardiness(Time::from_millis(100)),
-            Time::from_millis(2)
-        );
-        let unfinished = DeadlineMiss {
-            completion: None,
-            ..finished
-        };
-        assert_eq!(
-            unfinished.tardiness(Time::from_millis(100)),
-            Time::from_millis(90)
-        );
-    }
 
     #[test]
     fn core_stats_utilization() {

@@ -11,6 +11,7 @@
 //!   the workspace (the paper reports overheads in microseconds; nanoseconds
 //!   give enough headroom to express both overheads and hyperperiods),
 //! * [`Task`], [`TaskSet`] — the sporadic task model `τ_i = (C_i, T_i, D_i)`,
+//!   and [`by_decreasing_utilization`], the order every packer offers tasks in,
 //! * [`Priority`] and rate-/deadline-monotonic priority assignment,
 //! * [`generator`] — random task-set generation (UUniFast, UUniFast-discard,
 //!   log-uniform periods) used by the acceptance-ratio experiments,
@@ -47,6 +48,6 @@ pub use error::TaskError;
 pub use generator::{PeriodDistribution, TaskSetGenerator, UtilizationDistribution};
 pub use hash::{fnv1a, fnv1a_combine, FNV_OFFSET};
 pub use priority::{Priority, PriorityAssignment};
-pub use task::{Task, TaskBuilder, TaskId};
+pub use task::{by_decreasing_utilization, Task, TaskBuilder, TaskId};
 pub use task_set::TaskSet;
 pub use time::Time;

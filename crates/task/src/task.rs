@@ -1,5 +1,6 @@
 //! The sporadic task abstraction.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -187,6 +188,16 @@ impl Task {
     }
 }
 
+/// The decreasing-utilization order every packer offers tasks in (the `D`
+/// in FFD/WFD/BFD): utilization descending, ties by ascending id.
+#[inline]
+pub fn by_decreasing_utilization(a: &Task, b: &Task) -> Ordering {
+    b.utilization()
+        .partial_cmp(&a.utilization())
+        .unwrap_or(Ordering::Equal)
+        .then_with(|| a.id().cmp(&b.id()))
+}
+
 impl fmt::Display for Task {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -311,6 +322,19 @@ mod tests {
 
     fn task(wcet_us: u64, period_us: u64) -> Task {
         Task::new(0, Time::from_micros(wcet_us), Time::from_micros(period_us)).unwrap()
+    }
+
+    #[test]
+    fn decreasing_utilization_orders_ffd_style() {
+        let mut tasks: Vec<Task> = [(0, 1), (1, 5), (2, 3), (3, 5)]
+            .into_iter()
+            .map(|(id, wcet_us)| {
+                Task::new(id, Time::from_micros(wcet_us), Time::from_micros(10)).unwrap()
+            })
+            .collect();
+        tasks.sort_by(by_decreasing_utilization);
+        let ids: Vec<u32> = tasks.iter().map(|t| t.id().0).collect();
+        assert_eq!(ids, vec![1, 3, 2, 0], "equal utilizations tie by id");
     }
 
     #[test]

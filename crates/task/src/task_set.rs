@@ -6,7 +6,7 @@ use std::ops::Index;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Priority, PriorityAssignment, Task, TaskError, TaskId, Time};
+use crate::{Priority, PriorityAssignment, Task, TaskError, TaskId};
 
 /// An ordered collection of sporadic tasks.
 ///
@@ -93,28 +93,6 @@ impl TaskSet {
         self.tasks.iter().map(Task::utilization).fold(0.0, f64::max)
     }
 
-    /// The hyperperiod (least common multiple of all periods), saturating at
-    /// [`Time::MAX`] if the LCM overflows.
-    pub fn hyperperiod(&self) -> Time {
-        fn gcd(a: u64, b: u64) -> u64 {
-            if b == 0 {
-                a
-            } else {
-                gcd(b, a % b)
-            }
-        }
-        let mut lcm: u64 = 1;
-        for t in &self.tasks {
-            let p = t.period().as_nanos();
-            let g = gcd(lcm, p);
-            lcm = match (lcm / g).checked_mul(p) {
-                Some(v) => v,
-                None => return Time::MAX,
-            };
-        }
-        Time::from_nanos(lcm)
-    }
-
     /// Assigns fixed priorities to all tasks according to `policy`.
     ///
     /// Priorities are dense: the highest-priority task receives level 0, the
@@ -143,30 +121,12 @@ impl TaskSet {
         }
     }
 
-    /// Sorts the tasks in place by descending utilization (the order used by
-    /// the "decreasing" bin-packing heuristics FFD/WFD/BFD).
-    pub fn sort_by_utilization_desc(&mut self) {
-        self.tasks.sort_by(|a, b| {
-            b.utilization()
-                .partial_cmp(&a.utilization())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.id().cmp(&b.id()))
-        });
-    }
-
     /// Sorts the tasks in place by priority, highest first.
     ///
     /// Tasks without an assigned priority sort last.
     pub fn sort_by_priority(&mut self) {
         self.tasks
             .sort_by_key(|t| (t.priority().unwrap_or(Priority::LOWEST), t.id()));
-    }
-
-    /// Sorts the tasks in place by increasing priority (lowest first), the
-    /// assignment order used by the FP-TS / SPA splitting algorithms.
-    pub fn sort_by_priority_ascending(&mut self) {
-        self.sort_by_priority();
-        self.tasks.reverse();
     }
 
     /// Checks structural invariants of the set.
@@ -183,30 +143,6 @@ impl TaskSet {
             }
         }
         Ok(())
-    }
-
-    /// Returns a new task set with every WCET scaled by `factor`, clamped so a
-    /// task never exceeds its deadline. Used by overhead-sensitivity sweeps.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TaskError::NonFiniteParameter`] for a NaN or infinite
-    /// factor (a NaN would otherwise silently collapse every WCET to the
-    /// 1 ns floor).
-    pub fn scale_wcets(&self, factor: f64) -> Result<TaskSet, TaskError> {
-        if !factor.is_finite() {
-            return Err(TaskError::non_finite("wcet scale factor", factor));
-        }
-        let tasks = self
-            .tasks
-            .iter()
-            .map(|t| {
-                let scaled = t.wcet().scale(factor);
-                let clamped = scaled.min(t.deadline()).max(Time::from_nanos(1));
-                t.with_wcet(clamped)
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(TaskSet { tasks })
     }
 }
 
@@ -264,6 +200,7 @@ impl fmt::Display for TaskSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Time;
 
     fn t(id: u32, wcet_us: u64, period_us: u64) -> Task {
         Task::new(id, Time::from_micros(wcet_us), Time::from_micros(period_us)).unwrap()
@@ -286,13 +223,6 @@ mod tests {
         assert!(ts.is_empty());
         assert_eq!(ts.total_utilization(), 0.0);
         assert_eq!(ts.max_utilization(), 0.0);
-        assert_eq!(ts.hyperperiod(), Time::from_nanos(1));
-    }
-
-    #[test]
-    fn hyperperiod_is_lcm() {
-        let ts = sample_set();
-        assert_eq!(ts.hyperperiod(), Time::from_micros(24));
     }
 
     #[test]
@@ -367,25 +297,12 @@ mod tests {
     }
 
     #[test]
-    fn sort_by_utilization_desc_orders_ffd_style() {
-        let mut ts: TaskSet = [t(0, 1, 10), t(1, 5, 10), t(2, 3, 10)]
-            .into_iter()
-            .collect();
-        ts.sort_by_utilization_desc();
-        let ids: Vec<u32> = ts.iter().map(|t| t.id().0).collect();
-        assert_eq!(ids, vec![1, 2, 0]);
-    }
-
-    #[test]
     fn sort_by_priority_orders_highest_first() {
         let mut ts = sample_set();
         ts.assign_priorities(PriorityAssignment::RateMonotonic);
         ts.sort_by_priority();
         let levels: Vec<u32> = ts.iter().map(|t| t.priority().unwrap().level()).collect();
         assert_eq!(levels, vec![0, 1, 2]);
-        ts.sort_by_priority_ascending();
-        let levels: Vec<u32> = ts.iter().map(|t| t.priority().unwrap().level()).collect();
-        assert_eq!(levels, vec![2, 1, 0]);
     }
 
     #[test]
@@ -396,31 +313,6 @@ mod tests {
             TaskError::DuplicateTaskId { task: TaskId(0) }
         );
         assert!(sample_set().validate().is_ok());
-    }
-
-    #[test]
-    fn scale_wcets_clamps_to_deadline() {
-        let ts = sample_set();
-        let doubled = ts.scale_wcets(2.0).unwrap();
-        assert!(
-            (doubled.total_utilization() - 0.5 - 0.25).abs() < 1e-9
-                || doubled.total_utilization() > 0.0
-        );
-        let huge = ts.scale_wcets(100.0).unwrap();
-        for task in &huge {
-            assert!(task.wcet() <= task.deadline());
-        }
-    }
-
-    #[test]
-    fn scale_wcets_rejects_non_finite_factors() {
-        let ts = sample_set();
-        for factor in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            assert!(matches!(
-                ts.scale_wcets(factor),
-                Err(TaskError::NonFiniteParameter { .. })
-            ));
-        }
     }
 
     #[test]
