@@ -57,6 +57,10 @@ struct Entry {
     response: Option<Time>,
 }
 
+/// Tasks on a core up to which a frontier scan keeps its demand steps on
+/// the stack.
+const INLINE_STEPS: usize = 32;
+
 /// Canonical cache order: highest priority first, ties broken by task id so
 /// the order is total (ids are unique within a core).
 fn sort_key(task: &Task) -> (u32, TaskId) {
@@ -170,16 +174,17 @@ impl CachedCoreAnalysis {
 
     /// Adds one entry to the core **in place** while the surviving entries
     /// take the priorities `relabel` gives them — the single-placement
-    /// commit of a priority renormalization — and returns the
-    /// [`RefreshUndo`] that reverts it: empty, and built without a snapshot
-    /// of the prior state, unless `record` asks for one.
+    /// commit of a priority renormalization — and, given an `undo` log,
+    /// appends the records that revert it (see [`RefreshUndo`]). Returns
+    /// whether it applied.
     ///
     /// Only valid when the survivors keep their relative order (checked in
-    /// one pass; `None`, with the cache untouched, when they do not).
-    /// Entries ranked strictly above the new one keep their fixed points and
-    /// only have their numeric levels rewritten; nothing is re-sorted or
-    /// cloned. The new entry and those at or below its level take their
-    /// responses from `proof` — the responses an accepting
+    /// one pass; `false`, with the cache and the log untouched, when they
+    /// do not). Entries ranked strictly above the new one keep their fixed
+    /// points and only have their numeric levels rewritten; nothing is
+    /// re-sorted, cloned or allocated beyond the log's own growth. The new
+    /// entry and those at or below its level take their responses from
+    /// `proof` — the responses an accepting
     /// [`probe_candidate_with`](Self::probe_candidate_with) converged on this
     /// exact core, candidate first — or, without a proof (or one of the
     /// wrong length), re-converge warm as [`insert`](Self::insert) does.
@@ -188,32 +193,31 @@ impl CachedCoreAnalysis {
     pub fn insert_relabelled(
         &mut self,
         task: Task,
-        relabel: impl FnMut(&Task) -> Option<Priority>,
+        mut relabel: impl FnMut(&Task) -> Option<Priority>,
         proof: Option<&[Time]>,
-        record: bool,
-    ) -> Option<RefreshUndo> {
-        let prior = self.relabel(relabel, record)?;
+        mut undo: Option<&mut RefreshUndo>,
+    ) -> bool {
+        if !self.relabel_keeps_order(&mut relabel) {
+            return false;
+        }
         let added = task.id();
+        let from = undo.as_deref_mut().map(|undo| self.record_priors(undo));
+        self.relabel(&mut relabel);
         let (pos, first_affected) = self.place_entry(task);
         self.reconverge_after_insert(pos, first_affected, proof);
-        let undo = match prior {
-            Some(prior) => RefreshUndo {
-                removed: Vec::new(),
-                added: vec![added],
-                changed: self.changed_since(prior, Some(added)),
-            },
-            None => RefreshUndo::default(),
-        };
+        if let (Some(undo), Some(from)) = (undo, from) {
+            self.keep_changed(&mut undo.changed, from, Some(added));
+            undo.added.push(added);
+        }
         self.debug_assert_converged();
-        Some(undo)
+        true
     }
 
     /// Removes the entry with `id` **in place** while the survivors take
-    /// the priorities `relabel` gives them, and returns the
-    /// [`RefreshUndo`] that reverts it (empty unless `record`, as in
-    /// [`insert_relabelled`](Self::insert_relabelled)). `None`, with the
-    /// cache untouched, when `id` is not on the core or the survivors would
-    /// change their relative order.
+    /// the priorities `relabel` gives them, appending the records that
+    /// revert it to `undo` as [`insert_relabelled`](Self::insert_relabelled)
+    /// does. `false`, with the cache and the log untouched, when `id` is
+    /// not on the core or the survivors would change their relative order.
     ///
     /// Entries strictly above the removed level keep their fixed points.
     /// Each entry `i` at or below it restarts from `R_h + C_i`, where `h` is
@@ -225,25 +229,25 @@ impl CachedCoreAnalysis {
     pub fn remove_relabelled(
         &mut self,
         id: TaskId,
-        relabel: impl FnMut(&Task) -> Option<Priority>,
-        record: bool,
-    ) -> Option<RefreshUndo> {
-        let (pos, removed, first_affected) = self.take_entry(id)?;
-        let Some(prior) = self.relabel(relabel, record) else {
+        mut relabel: impl FnMut(&Task) -> Option<Priority>,
+        mut undo: Option<&mut RefreshUndo>,
+    ) -> bool {
+        let Some((pos, removed, first_affected)) = self.take_entry(id) else {
+            return false;
+        };
+        if !self.relabel_keeps_order(&mut relabel) {
             self.entries.insert(pos, removed);
-            return None;
-        };
+            return false;
+        }
+        let from = undo.as_deref_mut().map(|undo| self.record_priors(undo));
+        self.relabel(&mut relabel);
         self.reconverge_after_remove(first_affected);
-        let undo = match prior {
-            Some(prior) => RefreshUndo {
-                removed: vec![(removed.task, removed.response)],
-                added: Vec::new(),
-                changed: self.changed_since(prior, None),
-            },
-            None => RefreshUndo::default(),
-        };
+        if let (Some(undo), Some(from)) = (undo, from) {
+            self.keep_changed(&mut undo.changed, from, None);
+            undo.removed.push((removed.task, removed.response));
+        }
         self.debug_assert_converged();
-        Some(undo)
+        true
     }
 
     /// Resynchronizes the cache to an arbitrary new assignment (the
@@ -262,31 +266,34 @@ impl CachedCoreAnalysis {
         self.debug_assert_converged();
     }
 
-    /// [`refresh`](Self::refresh) that also returns a compact
-    /// [`RefreshUndo`] restoring the pre-refresh state bit-identically via
+    /// [`refresh`](Self::refresh) that also appends to `undo` the records
+    /// restoring the pre-refresh state bit-identically via
     /// [`apply_refresh_undo`](Self::apply_refresh_undo).
     ///
-    /// The undo record holds only the *differences* — entries the refresh
+    /// The records hold only the *differences* — entries the refresh
     /// dropped, ids it added, and `(priority, response)` pairs of surviving
     /// entries it changed — so a renormalization that shifts nothing (the
     /// common steady-state case) records nothing, and one that shifts `k`
     /// levels records `O(k)`, never a clone of the whole core. The diff is
     /// computed against the old entry vector the refresh already detaches
     /// internally, so building it performs no extra clones either.
-    pub fn refresh_with_undo(&mut self, tasks: &[Task]) -> RefreshUndo {
+    pub fn refresh_with_undo(&mut self, tasks: &[Task], undo: &mut RefreshUndo) {
         let old = self.refresh_general(tasks);
-        let undo = RefreshUndo::diff(old, &self.entries);
+        undo.record_diff(old, &self.entries);
         self.debug_assert_converged();
-        undo
     }
 
-    /// Restores the state a [`refresh_with_undo`](Self::refresh_with_undo)
-    /// call destroyed. Must be applied against the exact post-refresh state
-    /// the undo was recorded for (journal rewinds guarantee this by undoing
-    /// in LIFO order).
-    pub fn apply_refresh_undo(&mut self, undo: RefreshUndo) {
-        self.entries.retain(|e| !undo.added.contains(&e.task.id()));
-        for delta in undo.changed {
+    /// Restores the state the records `undo` holds after `mark` destroyed,
+    /// and drops those records from the log. Must be applied against the
+    /// exact state those records left (journal rewinds guarantee this by
+    /// undoing in LIFO order).
+    pub fn apply_refresh_undo(&mut self, undo: &mut RefreshUndo, mark: RefreshMark) {
+        let added = &undo.added[mark.added..];
+        if !added.is_empty() {
+            self.entries.retain(|e| !added.contains(&e.task.id()));
+        }
+        undo.added.truncate(mark.added);
+        for delta in undo.changed.drain(mark.changed..) {
             let entry = self
                 .entries
                 .iter_mut()
@@ -295,10 +302,10 @@ impl CachedCoreAnalysis {
             delta.restore_priority(&mut entry.task);
             entry.response = delta.response;
         }
-        for (task, response) in undo.removed {
+        for (task, response) in undo.removed.drain(mark.removed..) {
             self.entries.push(Entry { task, response });
         }
-        self.entries.sort_by_key(|e| sort_key(&e.task));
+        self.entries.sort_unstable_by_key(|e| sort_key(&e.task));
         self.debug_assert_converged();
     }
 
@@ -654,9 +661,18 @@ impl CachedCoreAnalysis {
             return None;
         }
 
-        let mut steps = Vec::with_capacity(self.entries.len());
+        // One demand step per interferer, on the stack for cores of up to
+        // `INLINE_STEPS` tasks: a scan allocates nothing there.
+        let mut inline = [0; INLINE_STEPS];
+        let mut heap = Vec::new();
+        let steps = if self.entries.len() <= INLINE_STEPS {
+            &mut inline[..]
+        } else {
+            heap.resize(self.entries.len(), 0);
+            &mut heap[..]
+        };
         for i in 0..self.entries.len() {
-            frontier = self.entry_frontier(i, period, floor, frontier, &mut steps);
+            frontier = self.entry_frontier(i, period, floor, frontier, steps);
             if frontier < floor {
                 return Some(Time::ZERO);
             }
@@ -668,14 +684,15 @@ impl CachedCoreAnalysis {
     /// [`max_prioritised_wcet`](Self::max_prioritised_wcet)): `bound` as
     /// soon as some point admits `bound`, and anything below `floor` once
     /// the entry cannot reach `floor`. The candidate has period `period`;
-    /// `steps` is scratch space for the interferers' next demand steps.
+    /// `steps` is scratch space for the interferers' next demand steps, at
+    /// least one slot per entry.
     fn entry_frontier(
         &self,
         i: usize,
         period: u64,
         floor: u64,
         bound: u64,
-        steps: &mut Vec<u64>,
+        steps: &mut [u64],
     ) -> u64 {
         let entry = &self.entries[i];
         let deadline = entry.task.deadline().as_nanos();
@@ -694,16 +711,16 @@ impl CachedCoreAnalysis {
         // The demand is recomputed rather than taken to be `start`, so a
         // response an injected fault nudged down still scans soundly.
         let mut demand = entry.task.wcet().as_nanos();
-        steps.clear();
-        for (j, e) in self.entries[..interferers].iter().enumerate() {
+        let steps = &mut steps[..interferers];
+        for (j, (step, e)) in steps.iter_mut().zip(&self.entries).enumerate() {
             if j == i {
-                steps.push(u64::MAX);
+                *step = u64::MAX;
                 continue;
             }
             let (wcet, t) = (e.task.wcet().as_nanos(), e.task.period().as_nanos());
             let jobs = start.div_ceil(t);
             demand = demand.saturating_add(wcet.saturating_mul(jobs));
-            steps.push(jobs.saturating_mul(t));
+            *step = jobs.saturating_mul(t);
         }
         let mut jobs = start.div_ceil(period);
         let mut next_job = jobs.saturating_mul(period);
@@ -796,44 +813,55 @@ impl CachedCoreAnalysis {
         Some((pos, removed, first_affected))
     }
 
-    /// Rewrites every entry's priority to `relabel(task)` in place, unless
-    /// the new priorities would reorder the entries: then nothing is
-    /// written and `None` is returned. With `record`, also returns each
-    /// entry's prior `(priority, response)`, in order.
-    fn relabel(
-        &mut self,
-        mut relabel: impl FnMut(&Task) -> Option<Priority>,
-        record: bool,
-    ) -> Option<Option<Vec<EntryDelta>>> {
+    /// Whether rewriting every entry's priority to `relabel(task)` keeps
+    /// the entries in their order.
+    fn relabel_keeps_order(&self, relabel: &mut impl FnMut(&Task) -> Option<Priority>) -> bool {
         let mut previous = None;
         for entry in &self.entries {
             let mut task = entry.task.clone();
             assign_priority(&mut task, relabel(&entry.task));
             let key = sort_key(&task);
             if previous.is_some_and(|previous| previous >= key) {
-                return None;
+                return false;
             }
             previous = Some(key);
         }
-        let prior = record.then(|| self.entries.iter().map(EntryDelta::of).collect());
+        true
+    }
+
+    /// Rewrites every entry's priority to `relabel(task)` in place.
+    fn relabel(&mut self, relabel: &mut impl FnMut(&Task) -> Option<Priority>) {
         for entry in &mut self.entries {
             let priority = relabel(&entry.task);
             assign_priority(&mut entry.task, priority);
         }
-        Some(prior)
     }
 
-    /// The deltas of `prior` (one per entry that was on the core before the
-    /// mutation, in order) whose entry's priority or response has changed
-    /// since; `added` names an entry the mutation inserted.
-    fn changed_since(&self, mut prior: Vec<EntryDelta>, added: Option<TaskId>) -> Vec<EntryDelta> {
+    /// Appends every entry's current `(priority, response)` to `undo`, in
+    /// order, and returns where they start.
+    fn record_priors(&self, undo: &mut RefreshUndo) -> usize {
+        let from = undo.changed.len();
+        undo.changed.extend(self.entries.iter().map(EntryDelta::of));
+        from
+    }
+
+    /// Keeps, of the deltas from `from` on (one per entry that was on the
+    /// core before the mutation, in order), those whose entry's priority
+    /// or response has changed since; `added` names an entry the mutation
+    /// inserted.
+    fn keep_changed(&self, changed: &mut Vec<EntryDelta>, from: usize, added: Option<TaskId>) {
         let mut survivors = self.entries.iter().filter(|e| Some(e.task.id()) != added);
-        prior.retain(|delta| {
+        let mut kept = from;
+        for i in from..changed.len() {
+            let delta = changed[i];
             let now = survivors.next().expect("one survivor per prior entry");
             debug_assert_eq!(now.task.id(), delta.id);
-            now.task.priority() != delta.priority || now.response != delta.response
-        });
-        prior
+            if now.task.priority() != delta.priority || now.response != delta.response {
+                changed[kept] = delta;
+                kept += 1;
+            }
+        }
+        changed.truncate(kept);
     }
 
     /// Re-converges after an insertion at `pos`: the new entry and every
@@ -951,16 +979,21 @@ fn assign_priority(task: &mut Task, priority: Option<Priority>) {
     }
 }
 
-/// Compact, per-entry undo record of one
-/// [`CachedCoreAnalysis::refresh_with_undo`] call: only what the refresh
-/// actually changed — `O(changed levels)`, never a clone of the whole core.
-/// Consumed by [`CachedCoreAnalysis::apply_refresh_undo`].
+/// A LIFO log of cache-refresh undo records, appended by
+/// [`CachedCoreAnalysis::insert_relabelled`],
+/// [`CachedCoreAnalysis::remove_relabelled`] and
+/// [`CachedCoreAnalysis::refresh_with_undo`] and unwound by
+/// [`CachedCoreAnalysis::apply_refresh_undo`] back to a [`mark`](Self::mark).
+/// Each refresh records only what it actually changed —
+/// `O(changed levels)`, never a clone of the whole core — and the log
+/// keeps its capacity when unwound, so a journal that owns one records and
+/// rewinds without allocating once it has grown to its working size.
 #[derive(Debug, Default)]
 pub struct RefreshUndo {
-    /// Entries the refresh dropped (or re-shaped beyond a priority shift):
+    /// Entries a refresh dropped (or re-shaped beyond a priority shift):
     /// full prior copies, reinserted on undo.
     removed: Vec<(Task, Option<Time>)>,
-    /// Ids the refresh added (or re-shaped): their entries are dropped on
+    /// Ids a refresh added (or re-shaped): their entries are dropped on
     /// undo before the `removed` copies come back.
     added: Vec<TaskId>,
     /// Surviving entries whose priority or response shifted: prior values,
@@ -968,37 +1001,60 @@ pub struct RefreshUndo {
     changed: Vec<EntryDelta>,
 }
 
+/// A position in a [`RefreshUndo`] log: everything recorded after it is
+/// undone together.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RefreshMark {
+    removed: usize,
+    added: usize,
+    changed: usize,
+}
+
 impl RefreshUndo {
-    /// Number of per-entry records the undo carries (test/bench support:
-    /// a no-op renormalization must record zero).
+    /// The current end of the log.
+    pub fn mark(&self) -> RefreshMark {
+        RefreshMark {
+            removed: self.removed.len(),
+            added: self.added.len(),
+            changed: self.changed.len(),
+        }
+    }
+
+    /// Number of per-entry records in the log (test/bench support: a no-op
+    /// renormalization must record zero).
     pub fn len(&self) -> usize {
         self.removed.len() + self.added.len() + self.changed.len()
     }
 
-    /// Whether the refresh changed nothing at all.
+    /// Whether the log holds no record.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Diffs the detached pre-refresh entries against the refreshed state.
-    /// `old` is consumed, so dropped entries move into the record without a
-    /// clone. A same-id entry whose task parameters changed shape (WCET,
-    /// period or deadline — possible through the general refresh after a
-    /// split re-carve) is treated as removed-plus-added.
-    fn diff(old: Vec<Entry>, new: &[Entry]) -> RefreshUndo {
+    /// Drops every record, keeping the capacity.
+    pub fn clear(&mut self) {
+        self.removed.clear();
+        self.added.clear();
+        self.changed.clear();
+    }
+
+    /// Records the diff of the detached pre-refresh entries against the
+    /// refreshed state. `old` is consumed, so dropped entries move into the
+    /// log without a clone. A same-id entry whose task parameters changed
+    /// shape (WCET, period or deadline — possible through the general
+    /// refresh after a split re-carve) is recorded as removed-plus-added.
+    fn record_diff(&mut self, old: Vec<Entry>, new: &[Entry]) {
         let same_shape = |a: &Task, b: &Task| {
             a.wcet() == b.wcet() && a.period() == b.period() && a.deadline() == b.deadline()
         };
-        let added = new
-            .iter()
-            .filter(|e| {
-                !old.iter()
-                    .any(|p| p.task.id() == e.task.id() && same_shape(&p.task, &e.task))
-            })
-            .map(|e| e.task.id())
-            .collect();
-        let mut removed = Vec::new();
-        let mut changed = Vec::new();
+        self.added.extend(
+            new.iter()
+                .filter(|e| {
+                    !old.iter()
+                        .any(|p| p.task.id() == e.task.id() && same_shape(&p.task, &e.task))
+                })
+                .map(|e| e.task.id()),
+        );
         for prev in old {
             match new
                 .iter()
@@ -1007,20 +1063,11 @@ impl RefreshUndo {
                 Some(now) => {
                     if prev.task.priority() != now.task.priority() || prev.response != now.response
                     {
-                        changed.push(EntryDelta {
-                            id: prev.task.id(),
-                            priority: prev.task.priority(),
-                            response: prev.response,
-                        });
+                        self.changed.push(EntryDelta::of(&prev));
                     }
                 }
-                None => removed.push((prev.task, prev.response)),
+                None => self.removed.push((prev.task, prev.response)),
             }
-        }
-        RefreshUndo {
-            removed,
-            added,
-            changed,
         }
     }
 }
@@ -1216,11 +1263,12 @@ mod tests {
         // record an empty undo — the journal's steady-state cost.
         let initial = [task(0, 1, 4, 2), task(1, 2, 10, 3), task(2, 3, 20, 4)];
         let mut cache = CachedCoreAnalysis::from_tasks(&initial);
-        let noop = cache.refresh_with_undo(&initial);
+        let mut undo = RefreshUndo::default();
+        cache.refresh_with_undo(&initial, &mut undo);
         assert!(
-            noop.is_empty(),
+            undo.is_empty(),
             "no-op refresh recorded {} deltas",
-            noop.len()
+            undo.len()
         );
 
         // An insertion-plus-shift refresh records only what changed, and
@@ -1232,20 +1280,27 @@ mod tests {
             task(1, 2, 10, 4),
             task(2, 3, 20, 5),
         ];
-        let undo = cache.refresh_with_undo(&grown);
+        cache.refresh_with_undo(&grown, &mut undo);
         assert!(!undo.is_empty());
         assert!(undo.len() <= grown.len(), "undo must stay per-entry");
         assert_matches_scratch(&cache);
-        cache.apply_refresh_undo(undo);
+        cache.apply_refresh_undo(&mut undo, RefreshMark::default());
         assert_eq!(cache, before);
+        assert!(undo.is_empty(), "an applied record leaves the log");
 
-        // Same round trip through a removal.
-        let before = cache.clone();
+        // Same round trip through a removal, stacked on the insertion: each
+        // unwinds to its own mark, last first.
+        let mid = undo.mark();
+        cache.refresh_with_undo(&grown, &mut undo);
+        let grown_state = cache.clone();
         let shrunk = [task(0, 1, 4, 2), task(2, 3, 20, 3)];
-        let undo = cache.refresh_with_undo(&shrunk);
-        assert!(!undo.is_empty());
+        let top = undo.mark();
+        cache.refresh_with_undo(&shrunk, &mut undo);
+        assert_ne!(undo.mark(), top);
         assert_matches_scratch(&cache);
-        cache.apply_refresh_undo(undo);
+        cache.apply_refresh_undo(&mut undo, top);
+        assert_eq!(cache, grown_state);
+        cache.apply_refresh_undo(&mut undo, mid);
         assert_eq!(cache, before);
     }
 
@@ -1270,31 +1325,47 @@ mod tests {
             cache.probe_candidate_with(&candidate, |t| t.id().0 >= 1, |_| false, |r| proof.push(r));
         assert_eq!(blocker, None);
         assert_eq!(proof.len(), 3, "the candidate plus the two it outranks");
-        let undo = cache
-            .insert_relabelled(candidate.clone(), dense(&[0, 3, 1, 2]), Some(&proof), true)
-            .expect("survivors keep their order");
+        let mut undo = RefreshUndo::default();
+        assert!(cache.insert_relabelled(
+            candidate.clone(),
+            dense(&[0, 3, 1, 2]),
+            Some(&proof),
+            Some(&mut undo)
+        ));
         assert_matches_scratch(&cache);
         assert_eq!(cache.response_of(TaskId(0)), before.response_of(TaskId(0)));
         // τ1 and τ2 shifted a level and gained interference; τ0 did not.
         assert_eq!(undo.len(), 3);
-        cache.apply_refresh_undo(undo);
+        cache.apply_refresh_undo(&mut undo, RefreshMark::default());
         assert_eq!(cache, before);
 
         // Without a proof, or with one of the wrong length, the same state
         // is re-derived warm.
         let mut proven = before.clone();
-        proven.insert_relabelled(candidate.clone(), dense(&[0, 3, 1, 2]), Some(&proof), true);
+        proven.insert_relabelled(
+            candidate.clone(),
+            dense(&[0, 3, 1, 2]),
+            Some(&proof),
+            Some(&mut undo),
+        );
         for bad_proof in [None, Some(&proof[..2])] {
             let mut derived = before.clone();
-            derived.insert_relabelled(candidate.clone(), dense(&[0, 3, 1, 2]), bad_proof, true);
+            derived.insert_relabelled(
+                candidate.clone(),
+                dense(&[0, 3, 1, 2]),
+                bad_proof,
+                Some(&mut undo),
+            );
             assert_eq!(derived, proven);
         }
-        // Unrecorded, the same state comes with an empty undo record.
+        // Unrecorded, the same state comes with no undo record.
         let mut unrecorded = before.clone();
-        let undo = unrecorded
-            .insert_relabelled(candidate.clone(), dense(&[0, 3, 1, 2]), Some(&proof), false)
-            .expect("survivors keep their order");
-        assert!(undo.is_empty());
+        assert!(unrecorded.insert_relabelled(
+            candidate.clone(),
+            dense(&[0, 3, 1, 2]),
+            Some(&proof),
+            None
+        ));
         assert_eq!(unrecorded, proven);
     }
 
@@ -1309,23 +1380,18 @@ mod tests {
         let mut cache = CachedCoreAnalysis::from_tasks(&initial);
         let before = cache.clone();
         let mut unrecorded = cache.clone();
-        let undo = cache
-            .remove_relabelled(TaskId(1), dense(&[0, 2, 3]), true)
-            .expect("on the core");
-        let empty = unrecorded
-            .remove_relabelled(TaskId(1), dense(&[0, 2, 3]), false)
-            .expect("on the core");
-        assert!(empty.is_empty());
+        let mut undo = RefreshUndo::default();
+        assert!(cache.remove_relabelled(TaskId(1), dense(&[0, 2, 3]), Some(&mut undo)));
+        assert!(unrecorded.remove_relabelled(TaskId(1), dense(&[0, 2, 3]), None));
         assert_eq!(unrecorded, cache);
         assert_matches_scratch(&cache);
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.response_of(TaskId(0)), before.response_of(TaskId(0)));
-        cache.apply_refresh_undo(undo);
+        cache.apply_refresh_undo(&mut undo, RefreshMark::default());
         assert_eq!(cache, before);
-        assert!(cache
-            .remove_relabelled(TaskId(9), dense(&[0, 1, 2, 3]), true)
-            .is_none());
+        assert!(!cache.remove_relabelled(TaskId(9), dense(&[0, 1, 2, 3]), Some(&mut undo)));
         assert_eq!(cache, before);
+        assert!(undo.is_empty());
     }
 
     #[test]
@@ -1334,16 +1400,23 @@ mod tests {
         let mut cache = CachedCoreAnalysis::from_tasks(&initial);
         let before = cache.clone();
         // τ2 would jump above τ1: the caller must run the general refresh.
+        let mut undo = RefreshUndo::default();
         for record in [true, false] {
-            assert!(cache
-                .insert_relabelled(task(3, 1, 50, 5), dense(&[0, 2, 1, 3]), None, record)
-                .is_none());
+            assert!(!cache.insert_relabelled(
+                task(3, 1, 50, 5),
+                dense(&[0, 2, 1, 3]),
+                None,
+                record.then_some(&mut undo)
+            ));
             assert_eq!(cache, before);
-            assert!(cache
-                .remove_relabelled(TaskId(0), dense(&[2, 1]), record)
-                .is_none());
+            assert!(!cache.remove_relabelled(
+                TaskId(0),
+                dense(&[2, 1]),
+                record.then_some(&mut undo)
+            ));
             assert_eq!(cache, before);
         }
+        assert!(undo.is_empty());
     }
 
     #[test]
@@ -1353,10 +1426,11 @@ mod tests {
         let mut cache = CachedCoreAnalysis::from_tasks(&[task(0, 1, 4, 2), task(1, 2, 10, 3)]);
         let before = cache.clone();
         let reshaped = [task(0, 2, 4, 2), task(1, 2, 10, 3)];
-        let undo = cache.refresh_with_undo(&reshaped);
+        let mut undo = RefreshUndo::default();
+        cache.refresh_with_undo(&reshaped, &mut undo);
         assert!(!undo.is_empty());
         assert_matches_scratch(&cache);
-        cache.apply_refresh_undo(undo);
+        cache.apply_refresh_undo(&mut undo, RefreshMark::default());
         assert_eq!(cache, before);
     }
 

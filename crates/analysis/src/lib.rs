@@ -50,6 +50,6 @@ mod overhead;
 pub mod rta;
 mod uniprocessor_test;
 
-pub use cached::{CachedCoreAnalysis, RefreshUndo};
+pub use cached::{CachedCoreAnalysis, RefreshMark, RefreshUndo};
 pub use overhead::{OverheadModel, OverheadScenario};
 pub use uniprocessor_test::UniprocessorTest;

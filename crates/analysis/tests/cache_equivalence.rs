@@ -26,7 +26,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use spms_analysis::{rta, CachedCoreAnalysis, RefreshUndo};
+use spms_analysis::{rta, CachedCoreAnalysis, RefreshMark, RefreshUndo};
 use spms_task::{Priority, Task, TaskId, Time};
 
 /// A compact task spec the strategies generate: `(wcet_us, extra_period_us,
@@ -154,15 +154,17 @@ fn assert_holds(cache: &CachedCoreAnalysis, tasks: &[Task]) {
     assert_matches_scratch(cache);
 }
 
-/// Applies `undo` to a copy of `cache` and asserts it restores `before`.
+/// Applies the log `undo` holds to a copy of `cache` and asserts it
+/// restores `before` and empties the log.
 fn assert_undo_restores(
     cache: &CachedCoreAnalysis,
-    undo: RefreshUndo,
+    mut undo: RefreshUndo,
     before: &CachedCoreAnalysis,
 ) {
     let mut rewound = cache.clone();
-    rewound.apply_refresh_undo(undo);
+    rewound.apply_refresh_undo(&mut undo, RefreshMark::default());
     prop_assert_eq!(&rewound, before, "undo did not restore the prior state");
+    prop_assert!(undo.is_empty(), "an applied record stayed in the log");
 }
 
 proptest! {
@@ -206,21 +208,21 @@ proptest! {
                         .is_none();
                     let relabel = |t: &Task| priority_in(&grown, t.id());
                     let mut derived = cache.clone();
-                    let undo = derived
-                        .insert_relabelled(task.clone(), relabel, None, true)
-                        .expect("ranking preserves the survivors' order");
+                    let mut undo = RefreshUndo::default();
+                    prop_assert!(
+                        derived.insert_relabelled(task.clone(), relabel, None, Some(&mut undo)),
+                        "ranking preserves the survivors' order"
+                    );
                     assert_holds(&derived, &grown);
                     assert_undo_restores(&derived, undo, &before);
                     let mut unrecorded = cache.clone();
-                    let undo = unrecorded
-                        .insert_relabelled(task.clone(), relabel, None, false)
-                        .expect("ranking preserves the survivors' order");
-                    prop_assert!(undo.is_empty());
+                    prop_assert!(unrecorded.insert_relabelled(task.clone(), relabel, None, None));
                     prop_assert_eq!(&unrecorded, &derived, "recording changed the result");
                     if accepted {
-                        let undo = cache
-                            .insert_relabelled(task, relabel, Some(&proof), true)
-                            .expect("ranking preserves the survivors' order");
+                        let mut undo = RefreshUndo::default();
+                        prop_assert!(
+                            cache.insert_relabelled(task, relabel, Some(&proof), Some(&mut undo))
+                        );
                         prop_assert_eq!(&cache, &derived, "the proof changed the result");
                         assert_undo_restores(&cache, undo, &before);
                     } else {
@@ -236,14 +238,21 @@ proptest! {
                     tasks.retain(|t| t.id() != id);
                     tasks = ranked(&tasks);
                     let mut unrecorded = cache.clone();
-                    let undo = cache
-                        .remove_relabelled(id, |t| priority_in(&tasks, t.id()), true)
-                        .expect("on the core, order preserved");
+                    let mut undo = RefreshUndo::default();
+                    prop_assert!(
+                        cache.remove_relabelled(
+                            id,
+                            |t| priority_in(&tasks, t.id()),
+                            Some(&mut undo)
+                        ),
+                        "on the core, order preserved"
+                    );
                     assert_holds(&cache, &tasks);
-                    let empty = unrecorded
-                        .remove_relabelled(id, |t| priority_in(&tasks, t.id()), false)
-                        .expect("on the core, order preserved");
-                    prop_assert!(empty.is_empty());
+                    prop_assert!(unrecorded.remove_relabelled(
+                        id,
+                        |t| priority_in(&tasks, t.id()),
+                        None
+                    ));
                     prop_assert_eq!(&unrecorded, &cache, "recording changed the result");
                     assert_undo_restores(&cache, undo, &before);
                 }

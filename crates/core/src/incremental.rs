@@ -48,8 +48,17 @@ use spms_analysis::{CachedCoreAnalysis, OverheadModel};
 use spms_task::{Task, TaskId, Time};
 use spms_telemetry::{scoped, HotCounter};
 
-use crate::placement::{has_reserved_level, whole_rank_key};
+use crate::placement::{has_reserved_level, whole_rank_key, UTILIZATION_SCREEN_MARGIN};
+use crate::scratch::InlineVec;
 use crate::{CoreId, Partition, PlacedTask, SplitInfo, SubtaskKind};
+
+/// Cores a split plan keeps its working state for on the stack; a plan on
+/// a larger partition moves it to the heap.
+const INLINE_CORES: usize = 16;
+
+/// Responses a whole probe records on the stack before moving them to the
+/// heap.
+const INLINE_RESPONSES: usize = 32;
 
 /// How an incrementally admitted task ended up in the partition.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -178,7 +187,7 @@ impl IncrementalPlacer {
     /// `exclude`) that stays schedulable with the task added, its analysis
     /// WCET inflated by `charge` (see
     /// [`whole_analysis_task`](Self::whole_analysis_task)). Does not modify
-    /// the partition.
+    /// the partition, and allocates only the plan it returns.
     pub fn plan_whole(
         &self,
         partition: &Partition,
@@ -187,13 +196,13 @@ impl IncrementalPlacer {
         charge: Time,
     ) -> Option<PlacementPlan> {
         let analysis_task = self.whole_analysis_task(task, charge)?;
-        let mut responses = Vec::new();
+        let mut responses = InlineVec::new();
         let core = (0..partition.core_count()).map(CoreId).find(|c| {
             !exclude.contains(c) && whole_fits(partition, *c, &analysis_task, &mut responses)
         })?;
         let proof = (!responses.is_empty()).then(|| WholeProof {
             generation: partition.core_generation(core),
-            responses,
+            responses: responses.to_vec(),
         });
         Some(PlacementPlan::Whole {
             core,
@@ -216,8 +225,92 @@ impl IncrementalPlacer {
     /// Returns `None` when no split placement exists under the constraints
     /// (one body and one tail per core at most, every piece on a distinct
     /// core, bodies no smaller than
-    /// [`min_split_budget`](Self::min_split_budget)).
+    /// [`min_split_budget`](Self::min_split_budget)). A task no chain can
+    /// carry ([`chain_exceeds_capacity`](Self::chain_exceeds_capacity)) is
+    /// turned away before any core is probed, counted as one
+    /// [`HotCounter::UtilizationScreens`]; debug builds then plan it anyway,
+    /// uncounted, and assert that no plan exists. A plan that fails
+    /// allocates nothing on partitions of up to 16 cores.
     pub fn plan_split(
+        &self,
+        partition: &Partition,
+        task: &Task,
+        exclude: &[CoreId],
+        charge: Time,
+    ) -> Option<PlacementPlan> {
+        if self.chain_exceeds_capacity(partition, task, exclude, charge) {
+            scoped::bump(HotCounter::UtilizationScreens);
+            debug_assert!(
+                scoped::uncounted(|| self.plan_chain(partition, task, exclude, charge)).is_none(),
+                "the chain-capacity screen rejected a split of {} that has a plan",
+                task.id()
+            );
+            return None;
+        }
+        self.plan_chain(partition, task, exclude, charge)
+    }
+
+    /// The chain-capacity screen in front of [`plan_split`](Self::plan_split):
+    /// whether no split chain of `task` can fit the spare utilization of
+    /// the cores it may use, so that planning one cannot succeed.
+    ///
+    /// A chain of `p ≥ 2` pieces carries the task's WCET `C` plus the
+    /// overhead and charge of each piece, so its utilization is
+    /// `u(p) = (C + o_first + (p − 2)(o_body + charge) + o_tail + charge) / T`.
+    /// Each piece lands on its own core, and a core accepts a piece only
+    /// if it is not overloaded with it ([`Partition::overloaded_with`]:
+    /// every piece and every resident has `D ≤ T`), so the piece's
+    /// utilization is at most the core's spare utilization plus the
+    /// screen's margin `m`. A core qualifies when it is not excluded and
+    /// lacks a body or a tail. So if, for every `p`, the `p` largest spare
+    /// utilizations of qualifying cores plus `p·m` fall short of `u(p)`,
+    /// no chain exists. Going from `p` to `p + 1` adds the next-largest
+    /// spare `s` and costs `(o_body + charge) / T`, and the spares fall,
+    /// so the best `p` adds exactly the cores whose `s + m` exceeds that
+    /// cost: one pass over the cores, no sort. One more `m` covers the
+    /// float error of the sums, so the screen never turns away a task
+    /// exact planning would split.
+    pub fn chain_exceeds_capacity(
+        &self,
+        partition: &Partition,
+        task: &Task,
+        exclude: &[CoreId],
+        charge: Time,
+    ) -> bool {
+        let margin = UTILIZATION_SCREEN_MARGIN;
+        let period = task.period().as_nanos() as f64;
+        let nanos = |t: Time| t.as_nanos() as f64;
+        let two_pieces = (nanos(task.wcet())
+            + nanos(self.overhead.first_piece_inflation())
+            + nanos(self.overhead.tail_piece_inflation())
+            + nanos(charge))
+            / period;
+        let per_body = (nanos(self.overhead.body_piece_inflation()) + nanos(charge)) / period;
+        // The two largest rooms (spare plus margin), and what every other
+        // core's room would add beyond the body it pays for.
+        let (mut first, mut second) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+        let mut beyond = 0.0;
+        for core in (0..partition.core_count()).map(CoreId) {
+            if exclude.contains(&core)
+                || (partition.core_has_body(core) && partition.core_has_tail(core))
+            {
+                continue;
+            }
+            let room = partition.spare_utilization(core) + margin;
+            let displaced = if room > first {
+                std::mem::replace(&mut second, std::mem::replace(&mut first, room))
+            } else if room > second {
+                std::mem::replace(&mut second, room)
+            } else {
+                room
+            };
+            beyond += (displaced - per_body).max(0.0);
+        }
+        second == f64::NEG_INFINITY || two_pieces > first + second + beyond + margin
+    }
+
+    /// [`plan_split`](Self::plan_split) without the chain-capacity screen.
+    fn plan_chain(
         &self,
         partition: &Partition,
         task: &Task,
@@ -227,54 +320,58 @@ impl IncrementalPlacer {
         let cores = partition.core_count();
         let mut remaining = task.wcet();
         let mut offset = Time::ZERO;
-        // (core, analysis piece, pure execution budget), in chain order.
-        let mut pieces: Vec<(CoreId, Task, Time)> = Vec::new();
+        // The bodies carved so far: (core, pure execution budget), in
+        // chain order.
+        let mut bodies: InlineVec<(CoreId, Time), INLINE_CORES> = InlineVec::new();
+        let mut candidates: InlineVec<CoreId, INLINE_CORES> = InlineVec::new();
+        let in_chain =
+            |bodies: &[(CoreId, Time)], core: CoreId| bodies.iter().any(|(c, _)| *c == core);
 
-        loop {
+        let (tail_core, tail) = loop {
             // With at least one body carved, try to finish with a tail. The
             // tail is always reached by a migration (chain index >= 1), so
             // it carries the full per-migration charge.
-            if !pieces.is_empty() {
+            if !bodies.is_empty() {
                 if let Some(tail) = self.make_tail_piece(task, remaining, offset, charge) {
                     let found = (0..cores).map(CoreId).find(|c| {
                         !exclude.contains(c)
-                            && !pieces.iter().any(|(pc, _, _)| pc == c)
+                            && !in_chain(&bodies, *c)
                             && !partition.core_has_tail(*c)
                             && piece_fits(partition, *c, &tail)
                     });
                     if let Some(core) = found {
-                        pieces.push((core, tail, remaining));
-                        break;
+                        break (core, tail);
                     }
                 }
             }
 
             // Carve the largest admissible body budget on the unused core
             // with the most residual utilization.
-            if pieces.len() + 1 >= cores {
+            if bodies.len() + 1 >= cores {
                 return None; // no room left for a tail on a distinct core
             }
-            let mut candidates: Vec<CoreId> = (0..cores)
-                .map(CoreId)
-                .filter(|c| {
-                    !exclude.contains(c)
-                        && !pieces.iter().any(|(pc, _, _)| pc == c)
-                        && !partition.core_has_body(*c)
-                })
-                .collect();
+            candidates.clear();
+            for core in (0..cores).map(CoreId) {
+                if !exclude.contains(&core)
+                    && !in_chain(&bodies, core)
+                    && !partition.core_has_body(core)
+                {
+                    candidates.push(core);
+                }
+            }
             // Rank by *clamped* spare capacity: an overhead-inflated,
             // overcommitted core reports a negative residual and must not
             // outrank an exactly full one (it ties at zero and falls back
             // to index order instead).
-            candidates.sort_by(|a, b| {
+            candidates.sort_unstable_by(|a, b| {
                 partition
                     .spare_utilization(*b)
                     .partial_cmp(&partition.spare_utilization(*a))
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then_with(|| a.0.cmp(&b.0))
             });
-            let piece_overhead =
-                self.body_piece_overhead(pieces.len()) + piece_charge(pieces.len(), charge);
+            let index = bodies.len();
+            let piece_overhead = self.body_piece_overhead(index) + piece_charge(index, charge);
             let deadline_room = task
                 .deadline()
                 .saturating_sub(offset)
@@ -285,34 +382,33 @@ impl IncrementalPlacer {
             if max_budget < self.min_split_budget {
                 return None;
             }
-            let mut carved = false;
-            for core in candidates {
-                let budget =
-                    self.max_body_budget(partition, core, task, max_budget, pieces.len(), charge);
+            let mut carved = None;
+            for &core in candidates.iter() {
+                let budget = self.max_body_budget(partition, core, task, max_budget, index, charge);
                 if budget >= self.min_split_budget && !budget.is_zero() {
                     let piece = crate::split_budget::body_piece(task, budget, piece_overhead)?;
-                    offset += piece.wcet();
-                    remaining -= budget;
-                    pieces.push((core, piece, budget));
-                    carved = true;
+                    carved = Some((core, budget, piece.wcet()));
                     break;
                 }
             }
-            if !carved {
-                return None;
-            }
-        }
+            let (core, budget, wcet) = carved?;
+            offset += wcet;
+            remaining -= budget;
+            bodies.push((core, budget));
+        };
 
-        // Materialise the chain with split metadata.
-        let count = pieces.len();
-        debug_assert!(count >= 2);
-        let first_core = pieces[0].0;
-        let core_sequence: Vec<CoreId> = pieces.iter().map(|(c, _, _)| *c).collect();
+        // Materialise the chain with split metadata; each body piece is
+        // rebuilt exactly as it was carved.
+        let count = bodies.len() + 1;
+        let first_core = bodies[0].0;
+        let next_core = |i: usize| bodies.get(i + 1).map_or(tail_core, |(c, _)| *c);
         let mut running_offset = Time::ZERO;
         let mut placed = Vec::with_capacity(count);
-        for (i, (core, piece, budget)) in pieces.into_iter().enumerate() {
-            let is_tail = i == count - 1;
-            let piece_wcet = piece.wcet();
+        for (i, &(core, budget)) in bodies.iter().enumerate() {
+            let overhead = self.body_piece_overhead(i) + piece_charge(i, charge);
+            let piece = crate::split_budget::body_piece(task, budget, overhead)
+                .expect("the body was carved from this piece");
+            let wcet = piece.wcet();
             placed.push((
                 core,
                 PlacedTask {
@@ -322,19 +418,31 @@ impl IncrementalPlacer {
                     split: Some(SplitInfo {
                         part_index: i,
                         part_count: count,
-                        kind: if is_tail {
-                            SubtaskKind::Tail
-                        } else {
-                            SubtaskKind::Body
-                        },
+                        kind: SubtaskKind::Body,
                         release_offset: running_offset,
-                        next_core: core_sequence.get(i + 1).copied(),
+                        next_core: Some(next_core(i)),
                         first_core,
                     }),
                 },
             ));
-            running_offset += piece_wcet;
+            running_offset += wcet;
         }
+        placed.push((
+            tail_core,
+            PlacedTask {
+                task: tail,
+                execution: remaining,
+                parent: task.id(),
+                split: Some(SplitInfo {
+                    part_index: count - 1,
+                    part_count: count,
+                    kind: SubtaskKind::Tail,
+                    release_offset: running_offset,
+                    next_core: None,
+                    first_core,
+                }),
+            },
+        ));
         Some(PlacementPlan::Split { pieces: placed })
     }
 
@@ -440,11 +548,12 @@ impl IncrementalPlacer {
                 partition.renormalize_installing(core, proof.as_ref().map(|p| &p.responses[..]));
             }
             PlacementPlan::Split { pieces } => {
-                let cores: Vec<CoreId> = pieces.iter().map(|(c, _)| *c).collect();
+                let mut cores: InlineVec<CoreId, INLINE_CORES> = InlineVec::new();
                 for (core, placed) in pieces {
                     partition.place(core, placed);
+                    cores.push(core);
                 }
-                for core in cores {
+                for &core in cores.iter() {
                     partition.renormalize_core_priorities(core);
                 }
             }
@@ -638,9 +747,9 @@ fn whole_fits(
     partition: &Partition,
     core: CoreId,
     candidate: &Task,
-    responses: &mut Vec<Time>,
+    responses: &mut InlineVec<Time, INLINE_RESPONSES>,
 ) -> bool {
-    let exact = || whole_fits_exact(partition, core, candidate, &mut Vec::new());
+    let exact = || whole_fits_exact(partition, core, candidate, &mut InlineVec::new());
     !screened(partition, core, candidate.utilization(), exact)
         && whole_fits_exact(partition, core, candidate, responses)
 }
@@ -650,7 +759,7 @@ fn whole_fits_exact(
     partition: &Partition,
     core: CoreId,
     candidate: &Task,
-    responses: &mut Vec<Time>,
+    responses: &mut InlineVec<Time, INLINE_RESPONSES>,
 ) -> bool {
     let analysis = probe_analysis(partition, core, HotCounter::WholeProbes);
     let cached = matches!(analysis, Cow::Borrowed(_));

@@ -59,6 +59,7 @@ mod incremental;
 mod partitioned;
 mod partitioner;
 mod placement;
+mod scratch;
 mod shard;
 mod split_budget;
 mod txn;
@@ -77,6 +78,7 @@ pub use placement::{
     BODY_PRIORITY, TAIL_PRIORITY, WHOLE_PRIORITY_BASE,
 };
 pub use shard::{
-    rebalance_partitions, shard_core_counts, stitch_partitions, RebalanceMove, ShardRouter,
+    plan_rebalance_move, shard_core_counts, stitch_partitions, RebalanceMove, RebalancePlan,
+    ShardRouter,
 };
 pub use txn::PlanTxn;

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use spms_analysis::{rta, CachedCoreAnalysis, RefreshUndo, UniprocessorTest};
+use spms_analysis::{rta, CachedCoreAnalysis, RefreshMark, RefreshUndo, UniprocessorTest};
 use spms_task::{Priority, Task, TaskId, Time};
 use spms_telemetry::{scoped, HotCounter};
 
@@ -75,7 +75,7 @@ fn bin_utilization(bin: &[PlacedTask]) -> f64 {
 /// Slack above 100 % a core's utilization may show before
 /// [`Partition::overloaded_with`] calls it overloaded: far above the float
 /// error of a utilization sum, far below any utilization a task has.
-const UTILIZATION_SCREEN_MARGIN: f64 = 1e-9;
+pub(crate) const UTILIZATION_SCREEN_MARGIN: f64 = 1e-9;
 
 /// Identifier of a processor core.
 #[derive(
@@ -355,22 +355,25 @@ enum JournalOp {
         core: CoreId,
         prev_staleness: Option<CacheStaleness>,
     },
-    /// [`Partition::remove_parent`] removed `removed` (original indices,
-    /// ascending) from `core` and escalated the staleness.
+    /// [`Partition::remove_parent`] removed placements from `core` and
+    /// escalated the staleness; the placements, with their original
+    /// indices (ascending), are the journal's `removed` log from `from` on.
     Remove {
         core: CoreId,
-        removed: Vec<(usize, PlacedTask)>,
+        from: usize,
         prev_staleness: Option<CacheStaleness>,
     },
     /// [`Partition::renormalize_core_priorities`] rewrote the priorities of
-    /// every placement on `core` (recorded in placement order) and refreshed
-    /// the cache slot. `cache_undo` carries the prior staleness marker plus
-    /// the per-entry deltas the refresh destroyed — O(changed levels), not a
-    /// clone of the whole slot.
+    /// every placement on `core` and refreshed the cache slot. The prior
+    /// priorities, in placement order, are the journal's `priorities` log
+    /// from `from` on. `cache_undo` carries the prior staleness marker plus
+    /// the mark of the journal's refresh log the refresh recorded after:
+    /// the per-entry deltas it destroyed — O(changed levels), not a clone
+    /// of the whole slot.
     Renormalize {
         core: CoreId,
-        priorities: Vec<Option<Priority>>,
-        cache_undo: Option<(CacheStaleness, RefreshUndo)>,
+        from: usize,
+        cache_undo: Option<(CacheStaleness, RefreshMark)>,
     },
     /// A mutator gave `core` a fresh generation; `prev` is the one it
     /// replaced (see [`Partition::core_generation`]) and `prev_util` the
@@ -388,9 +391,22 @@ enum JournalOp {
 /// least one rollback scope is open (`depth > 0`). Journals are
 /// instance-local derived state — they do not travel with `Clone`, do not
 /// serialize and do not participate in equality.
+///
+/// The ops' payloads live in three logs the journal owns, each a stack in
+/// step with `ops`: an op records where its payload starts, and its undo
+/// drains the log back to there. The logs keep their capacity across
+/// rewinds and scopes, so a warm journal records and rewinds without
+/// allocating.
 #[derive(Debug, Default)]
 struct Journal {
     ops: Vec<JournalOp>,
+    /// Placements [`Partition::remove_parent`] took out, with their
+    /// original indices.
+    removed: Vec<(usize, PlacedTask)>,
+    /// Priorities [`Partition::renormalize_core_priorities`] overwrote.
+    priorities: Vec<Option<Priority>>,
+    /// What the cache refreshes of renormalizations destroyed.
+    refresh: RefreshUndo,
     /// Number of open rollback scopes; recording stops and the log clears
     /// only when the outermost scope ends.
     depth: usize,
@@ -404,12 +420,23 @@ struct Journal {
     open: Vec<OpenScope>,
 }
 
+impl Journal {
+    /// Drops every recorded op and its payload, keeping the capacity.
+    fn clear(&mut self) {
+        self.ops.clear();
+        self.removed.clear();
+        self.priorities.clear();
+        self.refresh.clear();
+    }
+}
+
 /// One open rollback scope: its journal start position plus the shared
-/// abandonment token (see [`Journal::open`]).
+/// abandonment token (see [`Journal::open`]), made when an owner first
+/// asks for it: a scope its opener closes itself needs none.
 #[derive(Debug)]
 struct OpenScope {
     mark: usize,
-    abandoned: Arc<AtomicBool>,
+    abandoned: Option<Arc<AtomicBool>>,
 }
 
 /// A position in a partition's mutation journal, returned by
@@ -489,7 +516,9 @@ pub enum CacheAuditVerdict {
 pub struct Partition {
     cores: Vec<Vec<PlacedTask>>,
     cache: Option<Vec<CoreCacheSlot>>,
-    journal: Journal,
+    /// Boxed, so its logs do not enlarge every partition moved by value
+    /// (a `PartitionOutcome` carries one).
+    journal: Box<Journal>,
     /// One generation per core (see the [struct docs](Self#per-core-generations)).
     generations: Vec<u64>,
     /// One utilization per core, recomputed with every generation (see the
@@ -516,7 +545,7 @@ impl Clone for Partition {
         Partition {
             cores: self.cores.clone(),
             cache: self.cache.clone(),
-            journal: Journal::default(),
+            journal: Box::default(),
             generations: self.generations.clone(),
             utilizations: self.utilizations.clone(),
             next_generation: self.next_generation,
@@ -552,7 +581,7 @@ impl Deserialize for Partition {
             next_generation: 1,
             cores,
             cache: None,
-            journal: Journal::default(),
+            journal: Box::default(),
             partial_chains: false,
         })
     }
@@ -564,7 +593,7 @@ impl Partition {
         Partition {
             cores: vec![Vec::new(); cores],
             cache: None,
-            journal: Journal::default(),
+            journal: Box::default(),
             generations: vec![0; cores],
             utilizations: vec![bin_utilization(&[]); cores],
             next_generation: 1,
@@ -610,7 +639,7 @@ impl Partition {
         journal.depth += 1;
         journal.open.push(OpenScope {
             mark: journal.ops.len(),
-            abandoned: Arc::new(AtomicBool::new(false)),
+            abandoned: None,
         });
         JournalMark(journal.ops.len())
     }
@@ -623,9 +652,13 @@ impl Partition {
     /// # Panics
     ///
     /// Panics if no scope is open.
-    pub(crate) fn current_scope_guard(&self) -> Arc<AtomicBool> {
-        let scope = self.journal.open.last().expect("no open journal scope");
-        Arc::clone(&scope.abandoned)
+    pub(crate) fn current_scope_guard(&mut self) -> Arc<AtomicBool> {
+        let scope = self.journal.open.last_mut().expect("no open journal scope");
+        Arc::clone(
+            scope
+                .abandoned
+                .get_or_insert_with(|| Arc::new(AtomicBool::new(false))),
+        )
     }
 
     /// Auto-aborts every innermost open scope whose owner flagged it
@@ -643,7 +676,11 @@ impl Partition {
             let Some(top) = self.journal.open.last() else {
                 return closed;
             };
-            if !top.abandoned.load(Ordering::Relaxed) {
+            if !top
+                .abandoned
+                .as_ref()
+                .is_some_and(|abandoned| abandoned.load(Ordering::Relaxed))
+            {
                 return closed;
             }
             // An enclosing rewind may already have dropped past the
@@ -655,7 +692,7 @@ impl Partition {
             journal.open.pop();
             journal.depth = journal.depth.saturating_sub(1);
             if journal.depth == 0 {
-                journal.ops.clear();
+                journal.clear();
             }
             closed += 1;
         }
@@ -694,7 +731,7 @@ impl Partition {
         journal.depth = journal.depth.saturating_sub(1);
         journal.open.pop();
         if journal.depth == 0 {
-            journal.ops.clear();
+            journal.clear();
         }
         // Closing a live scope may expose an abandoned one underneath.
         self.reconcile_abandoned_scopes();
@@ -713,30 +750,33 @@ impl Partition {
             }
             JournalOp::Remove {
                 core,
-                removed,
+                from,
                 prev_staleness,
             } => {
                 // Ascending original indices: re-inserting in order puts
                 // every placement back where it was.
-                for (idx, placed) in removed {
-                    self.cores[core.0].insert(idx, placed);
+                let bin = &mut self.cores[core.0];
+                for (idx, placed) in self.journal.removed.drain(from..) {
+                    bin.insert(idx, placed);
                 }
                 self.restore_staleness(core, prev_staleness);
             }
             JournalOp::Renormalize {
                 core,
-                priorities,
+                from,
                 cache_undo,
             } => {
+                let priorities = self.journal.priorities.drain(from..);
                 for (placed, prev) in self.cores[core.0].iter_mut().zip(priorities) {
                     match prev {
                         Some(priority) => placed.task.set_priority(priority),
                         None => placed.task.clear_priority(),
                     }
                 }
-                if let (Some(slots), Some((staleness, undo))) = (&mut self.cache, cache_undo) {
+                if let (Some(slots), Some((staleness, mark))) = (&mut self.cache, cache_undo) {
                     let slot = &mut slots[core.0];
-                    slot.analysis.apply_refresh_undo(undo);
+                    slot.analysis
+                        .apply_refresh_undo(&mut self.journal.refresh, mark);
                     slot.staleness = staleness;
                 }
             }
@@ -1173,22 +1213,24 @@ impl Partition {
             }
             let core = CoreId(idx);
             if recording {
-                // Extract instead of retain so the undo entry keeps the
-                // original index of every removed placement.
-                let old = std::mem::take(bin);
-                let mut removed_here = Vec::new();
-                for (pos, placed) in old.into_iter().enumerate() {
-                    if placed.parent == parent {
-                        removed_here.push((pos, placed));
+                // Removed in place, each placement moving to the journal's
+                // log with its original index.
+                let log = &mut self.journal.removed;
+                let from = log.len();
+                let (mut pos, mut original) = (0, 0);
+                while pos < bin.len() {
+                    if bin[pos].parent == parent {
+                        log.push((original, bin.remove(pos)));
                     } else {
-                        bin.push(placed);
+                        pos += 1;
                     }
+                    original += 1;
                 }
-                removed += removed_here.len();
+                removed += log.len() - from;
                 let prev_staleness = self.cache.as_ref().map(|s| s[idx].staleness);
                 self.record(JournalOp::Remove {
                     core,
-                    removed: removed_here,
+                    from,
                     prev_staleness,
                 });
             } else {
@@ -1244,12 +1286,12 @@ impl Partition {
     /// installs those responses instead of re-deriving them.
     pub(crate) fn renormalize_installing(&mut self, core: CoreId, proof: Option<&[Time]>) {
         let recording = self.recording();
-        let priorities: Option<Vec<Option<Priority>>> = recording.then(|| {
-            self.cores[core.0]
-                .iter()
-                .map(|p| p.task.priority())
-                .collect()
-        });
+        let from = self.journal.priorities.len();
+        if recording {
+            self.journal
+                .priorities
+                .extend(self.cores[core.0].iter().map(|p| p.task.priority()));
+        }
         let change = self
             .cache
             .as_ref()
@@ -1274,23 +1316,30 @@ impl Partition {
         if let Some(slots) = &mut self.cache {
             let bin = &self.cores[core.0];
             let slot = &mut slots[core.0];
-            let in_place = change.and_then(|change| {
+            let log = &mut self.journal.refresh;
+            let mark = log.mark();
+            let mut undo = recording.then_some(log);
+            let in_place = change.is_some_and(|change| {
                 let relabel = |task: &Task| change.relabel(task);
                 match change {
                     SingleChange::Inserted { .. } => {
                         let added = bin.last().expect("one placement was added").task.clone();
                         slot.analysis
-                            .insert_relabelled(added, relabel, proof, recording)
+                            .insert_relabelled(added, relabel, proof, undo.as_deref_mut())
                     }
                     SingleChange::Removed { parent, .. } => {
-                        slot.analysis.remove_relabelled(parent, relabel, recording)
+                        slot.analysis
+                            .remove_relabelled(parent, relabel, undo.as_deref_mut())
                     }
                 }
             });
-            let undo = in_place.unwrap_or_else(|| {
+            if !in_place {
                 let tasks: Vec<Task> = bin.iter().map(|p| p.task.clone()).collect();
-                slot.analysis.refresh_with_undo(&tasks)
-            });
+                match undo {
+                    Some(log) => slot.analysis.refresh_with_undo(&tasks, log),
+                    None => slot.analysis.refresh(&tasks),
+                }
+            }
             debug_assert!(
                 slot.analysis.len() == bin.len()
                     && bin
@@ -1298,13 +1347,13 @@ impl Partition {
                         .all(|p| slot.analysis.tasks().any(|t| *t == p.task)),
                 "cache slot of {core} diverged from its placements"
             );
-            cache_undo = Some((slot.staleness, undo));
+            cache_undo = Some((slot.staleness, mark));
             slot.staleness = CacheStaleness::Fresh;
         }
-        if let Some(priorities) = priorities {
+        if recording {
             self.record(JournalOp::Renormalize {
                 core,
-                priorities,
+                from,
                 cache_undo,
             });
         }

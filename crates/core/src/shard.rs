@@ -10,16 +10,16 @@
 //! * [`ShardRouter`] — deterministic hash-based home-shard assignment plus a
 //!   utilization-aware overflow order for cross-shard placement when the
 //!   home shard rejects an arrival,
-//! * [`rebalance_partitions`] — the periodic work-stealing pass that moves
-//!   whole-placed tasks from the most-loaded shard to the most-spare one,
-//!   planning on the receiver before touching the donor so a
-//!   receiver-side rejection leaves both shards untouched,
+//! * [`plan_rebalance_move`] — one step of the periodic work-stealing pass
+//!   that moves whole-placed tasks from the most-loaded shard to the
+//!   most-spare one, planned on the receiver before the donor is touched,
+//!   so a receiver-side rejection leaves both shards untouched,
 //! * [`stitch_partitions`] — the inverse of sharding: a fleet-global
 //!   [`Partition`] with every shard's cores concatenated and cross-shard
 //!   split chains relinked, so a sharded deployment (including shard-spanning
 //!   splits) can be replayed through the single-machine simulator.
 
-use crate::incremental::IncrementalPlacer;
+use crate::incremental::{IncrementalPlacer, PlacementPlan};
 use crate::placement::{CoreId, Partition};
 use spms_task::{by_decreasing_utilization, fnv1a, Task, TaskId, Time};
 
@@ -107,7 +107,7 @@ impl ShardRouter {
     }
 }
 
-/// One task migration performed by [`rebalance_partitions`].
+/// One task migration of a rebalance pass (see [`plan_rebalance_move`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RebalanceMove {
     /// The migrated parent task.
@@ -118,6 +118,34 @@ pub struct RebalanceMove {
     pub to: usize,
 }
 
+/// A rebalance migration planned on the receiver but not yet made: the
+/// move, the task with its original parameters, and its placement on the
+/// receiver. [`apply`](Self::apply) makes it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RebalancePlan {
+    /// The migration.
+    pub step: RebalanceMove,
+    /// The migrated task, with its original (un-inflated) parameters.
+    pub task: Task,
+    plan: PlacementPlan,
+}
+
+impl RebalancePlan {
+    /// Makes the migration: removes the task from `donor` (the shard
+    /// `step.from`) and commits its planned placement on `receiver` (the
+    /// shard `step.to`), which must be the partitions it was planned on,
+    /// unchanged since.
+    pub fn apply(
+        self,
+        donor: &mut Partition,
+        receiver: &mut Partition,
+        placer: &IncrementalPlacer,
+    ) {
+        donor.remove_parent(self.step.task);
+        placer.commit(receiver, &self.task, self.plan);
+    }
+}
+
 /// Total spare utilization of one shard (sum over its cores).
 fn shard_spare(partition: &Partition) -> f64 {
     (0..partition.core_count())
@@ -125,103 +153,78 @@ fn shard_spare(partition: &Partition) -> f64 {
         .sum()
 }
 
-/// Work-steals spare utilization between shards: repeatedly moves a
-/// whole-placed task from the most-loaded shard (least spare utilization)
-/// to the most-spare one, until `max_moves` migrations have been performed
-/// or no migration still improves the balance.
+/// Plans the next migration of a work-stealing rebalance pass over
+/// `shards` (`(shard index, partition)` pairs, ascending indices): a
+/// whole-placed task from the most-loaded shard (least spare utilization,
+/// lowest index on ties) to the most-spare one (lowest index on ties).
+/// `None` when no migration still improves the balance. A pass applies
+/// plans one at a time ([`RebalancePlan::apply`]) until `None` or its move
+/// budget runs out.
 ///
 /// Only migrations that keep the receiver at least as spare as the donor
-/// afterwards are attempted (`u <= (spare_to - spare_from) / 2`), which
-/// rules out oscillation across successive rebalance ticks. Among the
-/// eligible candidates the largest utilization is tried first (steal the
-/// most imbalance per move), smallest id on ties. Split tasks never move:
-/// their placements encode cross-core precedence that a whole-placement
-/// steal cannot preserve.
+/// afterwards are planned (`u <= (spare_to - spare_from) / 2`), which rules
+/// out oscillation across successive rebalance ticks. Among the eligible
+/// candidates the largest utilization is tried first (steal the most
+/// imbalance per move), smallest id on ties. Split tasks never move: their
+/// placements encode cross-core precedence that a whole-placement steal
+/// cannot preserve.
 ///
-/// Each attempt plans a whole placement on the receiver and removes the
-/// candidate from the donor only once the plan succeeds. A rejected
-/// candidate therefore needs no rollback scope: donor and receiver are
-/// distinct partitions, so the donor's state cannot affect the plan.
+/// Each candidate is planned whole on the receiver; nothing is mutated, so
+/// a rejected candidate needs no rollback: donor and receiver are distinct
+/// partitions, so the donor's state cannot affect the plan.
 ///
 /// `lookup` maps a parent id back to the original (un-inflated) task; ids
 /// it cannot resolve are skipped. `charge_of` is the per-migration WCET
 /// charge the receiver-side placement must absorb (the admission cost
-/// model; `&|_| Time::ZERO` for free moves) — a candidate whose charged
+/// model; `|_| Time::ZERO` for free moves) — a candidate whose charged
 /// placement the receiver's RTA rejects is skipped like any other
 /// rejection, so rebalancing never trades balance for schedulability.
-/// Returns the migrations performed, in order.
-pub fn rebalance_partitions(
-    shards: &mut [&mut Partition],
+pub fn plan_rebalance_move<'a>(
+    shards: impl Iterator<Item = (usize, &'a Partition)> + Clone,
     placer: &IncrementalPlacer,
-    lookup: &dyn Fn(TaskId) -> Option<Task>,
-    charge_of: &dyn Fn(&Task) -> Time,
-    max_moves: usize,
-) -> Vec<RebalanceMove> {
-    let mut moves = Vec::new();
-    if shards.len() < 2 {
-        return moves;
+    lookup: impl Fn(TaskId) -> Option<Task>,
+    charge_of: impl Fn(&Task) -> Time,
+) -> Option<RebalancePlan> {
+    let spare = |a: f64, b: f64| a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal);
+    let spares = shards.map(|(idx, partition)| (idx, shard_spare(partition), partition));
+    let (from, donor_spare, donor) = spares
+        .clone()
+        .min_by(|a, b| spare(a.1, b.1).then_with(|| a.0.cmp(&b.0)))?;
+    let (to, receiver_spare, receiver) =
+        spares.max_by(|a, b| spare(a.1, b.1).then_with(|| b.0.cmp(&a.0)))?;
+    if from == to {
+        return None;
     }
-    'pass: while moves.len() < max_moves {
-        let spares: Vec<f64> = shards.iter().map(|p| shard_spare(p)).collect();
-        let donor = (0..spares.len())
-            .min_by(|a, b| {
-                spares[*a]
-                    .partial_cmp(&spares[*b])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.cmp(b))
-            })
-            .expect("at least two shards");
-        let receiver = (0..spares.len())
-            .max_by(|a, b| {
-                spares[*a]
-                    .partial_cmp(&spares[*b])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| b.cmp(a))
-            })
-            .expect("at least two shards");
-        if donor == receiver {
-            return moves;
-        }
-        let headroom = (spares[receiver] - spares[donor]) / 2.0;
-        if headroom <= 0.0 {
-            return moves;
-        }
-
-        let mut candidates: Vec<(TaskId, Task)> = shards[donor]
-            .parent_ids()
-            .into_iter()
-            .filter(|id| {
-                let placements = shards[donor].placements_of(*id);
-                placements.len() == 1 && !placements[0].1.is_split()
-            })
-            .filter_map(|id| lookup(id).map(|task| (id, task)))
-            .filter(|(_, task)| {
-                let u = task.utilization();
-                u > 0.0 && u <= headroom
-            })
-            .collect();
-        // `lookup` resolves an id to its own task, so the comparator's id
-        // tie-break is the candidate key's.
-        candidates.sort_by(|a, b| by_decreasing_utilization(&a.1, &b.1));
-
-        for (id, task) in candidates {
-            let charge = charge_of(&task);
-            if let Some(plan) = placer.plan_whole(shards[receiver], &task, &[], charge) {
-                shards[donor].remove_parent(id);
-                placer.commit(shards[receiver], &task, plan);
-                moves.push(RebalanceMove {
-                    task: id,
-                    from: donor,
-                    to: receiver,
-                });
-                continue 'pass;
-            }
-        }
-        // No candidate on the most-loaded shard fits the most-spare one:
-        // further passes would pick the same pair, so the rebalance is done.
-        return moves;
+    let headroom = (receiver_spare - donor_spare) / 2.0;
+    if headroom <= 0.0 {
+        return None;
     }
-    moves
+
+    let placed_once = |id: TaskId| donor.iter().filter(|(_, p)| p.parent == id).count() == 1;
+    let mut candidates: Vec<Task> = donor
+        .iter()
+        .filter(|(_, p)| !p.is_split() && placed_once(p.parent))
+        .filter_map(|(_, p)| lookup(p.parent))
+        .filter(|task| {
+            let u = task.utilization();
+            u > 0.0 && u <= headroom
+        })
+        .collect();
+    // A whole task has one placement, so ids are distinct and the order is
+    // total: an unstable sort (which never allocates) gives the stable one.
+    candidates.sort_unstable_by(by_decreasing_utilization);
+    candidates.into_iter().find_map(|task| {
+        let plan = placer.plan_whole(receiver, &task, &[], charge_of(&task))?;
+        Some(RebalancePlan {
+            step: RebalanceMove {
+                task: task.id(),
+                from,
+                to,
+            },
+            task,
+            plan,
+        })
+    })
 }
 
 /// Stitches a sharded deployment back into one fleet-global [`Partition`]:
@@ -362,6 +365,31 @@ mod tests {
         assert_eq!(order.len(), 4);
     }
 
+    /// A rebalance pass over `shards`: plans and applies migrations until
+    /// none is left or `max_moves` are made.
+    fn rebalance(
+        shards: &mut [&mut Partition],
+        placer: &IncrementalPlacer,
+        lookup: &dyn Fn(TaskId) -> Option<Task>,
+        charge_of: &dyn Fn(&Task) -> Time,
+        max_moves: usize,
+    ) -> Vec<RebalanceMove> {
+        let mut moves = Vec::new();
+        while moves.len() < max_moves {
+            let shared = shards.iter().map(|p| &**p).enumerate();
+            let Some(plan) = plan_rebalance_move(shared, placer, lookup, charge_of) else {
+                break;
+            };
+            let step = plan.step;
+            let [donor, receiver] = shards
+                .get_disjoint_mut([step.from, step.to])
+                .expect("distinct shards");
+            plan.apply(donor, receiver, placer);
+            moves.push(step);
+        }
+        moves
+    }
+
     #[test]
     fn rebalance_moves_load_toward_the_spare_shard() {
         // Donor shard: one core at 0.9 utilization; receiver: one core,
@@ -375,7 +403,7 @@ mod tests {
         let lookup = |id: TaskId| tasks.iter().find(|t| t.id() == id).cloned();
 
         let mut shards = [&mut donor, &mut receiver];
-        let moves = rebalance_partitions(&mut shards, &placer, &lookup, &|_| Time::ZERO, 4);
+        let moves = rebalance(&mut shards, &placer, &lookup, &|_| Time::ZERO, 4);
 
         assert_eq!(
             moves,
@@ -389,7 +417,7 @@ mod tests {
         assert_eq!(receiver.placements_of(TaskId(1)).len(), 1);
         // Balanced enough that a second pass does nothing.
         let mut shards = [&mut donor, &mut receiver];
-        assert!(rebalance_partitions(&mut shards, &placer, &lookup, &|_| Time::ZERO, 4).is_empty());
+        assert!(rebalance(&mut shards, &placer, &lookup, &|_| Time::ZERO, 4).is_empty());
     }
 
     #[test]
@@ -414,15 +442,14 @@ mod tests {
         let mut shards = [&mut donor, &mut receiver];
         // A charge that pushes the 3 ms placement past what the 80% core
         // absorbs within the 20 ms deadline.
-        let charged =
-            rebalance_partitions(&mut shards, &placer, &lookup, &|_| Time::from_millis(5), 4);
+        let charged = rebalance(&mut shards, &placer, &lookup, &|_| Time::from_millis(5), 4);
         assert!(charged.is_empty(), "charged move should be rejected");
         assert_eq!(donor.placements_of(TaskId(1)).len(), 1);
         assert!(receiver.placements_of(TaskId(1)).is_empty());
 
         let (mut donor, mut receiver) = build();
         let mut shards = [&mut donor, &mut receiver];
-        let free = rebalance_partitions(&mut shards, &placer, &lookup, &|_| Time::ZERO, 4);
+        let free = rebalance(&mut shards, &placer, &lookup, &|_| Time::ZERO, 4);
         assert_eq!(free.len(), 1, "the free move fits");
         assert_eq!(receiver.placements_of(TaskId(1)).len(), 1);
     }
@@ -517,6 +544,6 @@ mod tests {
         let lookup = |id: TaskId| (id == light.id()).then(|| light.clone());
         // spare(a) = 0.9, spare(b) = 1.0: headroom 0.05 < u, so no move.
         let mut shards = [&mut a, &mut b];
-        assert!(rebalance_partitions(&mut shards, &placer, &lookup, &|_| Time::ZERO, 8).is_empty());
+        assert!(rebalance(&mut shards, &placer, &lookup, &|_| Time::ZERO, 8).is_empty());
     }
 }

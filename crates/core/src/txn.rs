@@ -1,9 +1,10 @@
 //! Multi-partition planning transactions.
 //!
 //! A [`PlanTxn`] owns one speculative rollback scope per participating
-//! [`Partition`] — the admission cascade's repair attempts open one scope
-//! on the controller's own partition, while the cross-shard split planner
-//! opens one scope on *each* shard it speculates on. The transaction is
+//! [`Partition`]: the cross-shard split planner opens one scope on *each*
+//! shard it speculates on. (The admission cascade's repair attempts, which
+//! speculate on one partition and close every scope they open, use plain
+//! journal scopes.) The transaction is
 //! two-phase: every participant must accept its pieces before any scope
 //! commits, and an abort rewinds the scopes in LIFO order (last partition
 //! begun is restored first), so nested single-partition transactions keep

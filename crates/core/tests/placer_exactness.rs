@@ -42,12 +42,23 @@
 //! the brim, where the float sum overshoots 1, the screen must stay
 //! silent.
 //!
+//! A split question has a screen of its own: the chain-capacity screen
+//! (`IncrementalPlacer::chain_exceeds_capacity`) turns a task away from
+//! `plan_split` when no chain of its pieces fits the spare utilization of
+//! the cores it may use. On random partitions, overheads, charges and
+//! exclusions, whenever it fires `plan_split` must find no plan (debug
+//! builds also plan without the screen and assert that no plan exists),
+//! its verdict must equal the screen's definition evaluated directly —
+//! for every chain length `p`, the `p` largest spares fall short — and it
+//! must fire on at least a tenth of the questions, so the check is not
+//! vacuous.
+//!
 //! The vendored proptest runner is deterministically seeded, so failures
 //! reproduce identically.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use spms_analysis::rta;
+use spms_analysis::{rta, OverheadModel};
 use spms_core::{
     CoreId, IncrementalPlacer, Partition, PlacedTask, PlacementPlan, SplitInfo, SubtaskKind,
     WholeProbe, BODY_PRIORITY, TAIL_PRIORITY,
@@ -625,4 +636,95 @@ fn the_screen_passes_cores_exact_rta_fills_to_the_brim() {
     assert!(placer
         .plan_whole(&partition, &over, &[], Time::ZERO)
         .is_none());
+}
+
+/// The chain-capacity screen by its definition: a chain of `p ≥ 2` pieces
+/// on distinct qualifying cores (not excluded, lacking a body or a tail)
+/// has utilization `u(p)`, and it is screened when, for every `p`, the `p`
+/// largest spares plus `p + 1` margins fall short of `u(p)`.
+fn screen_by_definition(
+    placer: &IncrementalPlacer,
+    partition: &Partition,
+    task: &Task,
+    exclude: &[CoreId],
+    charge: Time,
+) -> bool {
+    const MARGIN: f64 = 1e-9;
+    let mut spares: Vec<f64> = (0..partition.core_count())
+        .map(CoreId)
+        .filter(|c| {
+            let full = partition.core_has_body(*c) && partition.core_has_tail(*c);
+            !exclude.contains(c) && !full
+        })
+        .map(|c| partition.spare_utilization(c))
+        .collect();
+    spares.sort_by(|a, b| b.partial_cmp(a).expect("spares are numbers"));
+    let overhead = placer.overhead;
+    let chain = |p: u64| {
+        let wcet = task.wcet()
+            + overhead.first_piece_inflation()
+            + (overhead.body_piece_inflation() + charge) * (p - 2)
+            + overhead.tail_piece_inflation()
+            + charge;
+        wcet.ratio(task.period())
+    };
+    (2..=spares.len()).all(|p| {
+        let room: f64 = spares[..p].iter().sum::<f64>() + (p + 1) as f64 * MARGIN;
+        chain(p as u64) > room
+    })
+}
+
+/// Whenever the chain-capacity screen fires, no split plan exists; the
+/// screen answers as its definition does; and it fires on at least a
+/// tenth of the questions.
+#[test]
+fn the_chain_screen_only_fires_where_no_split_exists() {
+    let mut rng = TestRng::deterministic();
+    let case = (
+        2usize..7,
+        vec(op(), 4..24),
+        0u64..20,
+        vec((heavy_spec(), 0u64..300, 0usize..8), 1..8),
+    );
+    let (mut questions, mut fired, mut planned) = (0, 0, 0);
+    for _ in 0..96 {
+        let (cores, ops, overhead_tenths, candidates) = case.new_value(&mut rng);
+        let overhead = OverheadModel::paper_n4().scaled(overhead_tenths as f64 / 10.0);
+        let placer = IncrementalPlacer::new().with_overhead(overhead);
+        let partition = build(&placer, cores, &ops);
+        for (k, (spec, charge, excluded)) in candidates.into_iter().enumerate() {
+            let task = build_task(10_000 + k as u32, spec);
+            let exclude: Vec<CoreId> = (excluded < cores)
+                .then_some(CoreId(excluded))
+                .into_iter()
+                .collect();
+            let charge = us(charge);
+            let screened = placer.chain_exceeds_capacity(&partition, &task, &exclude, charge);
+            assert_eq!(
+                screened,
+                screen_by_definition(&placer, &partition, &task, &exclude, charge),
+                "the one-pass screen disagrees with its definition for {}",
+                task.id()
+            );
+            let plan = spms_telemetry::scoped::uncounted(|| {
+                placer.plan_split(&partition, &task, &exclude, charge)
+            });
+            questions += 1;
+            if screened {
+                fired += 1;
+                assert!(
+                    plan.is_none(),
+                    "a screened split of {} has a plan",
+                    task.id()
+                );
+            } else if plan.is_some() {
+                planned += 1;
+            }
+        }
+    }
+    assert!(
+        fired * 10 >= questions,
+        "the screen fired on {fired} of {questions} questions"
+    );
+    assert!(planned > 0, "no question was answered with a plan");
 }

@@ -118,7 +118,7 @@ fn overhead_smoke_grid_is_pinned() {
     assert_golden(
         "overhead metrics",
         metrics_digest(&run.metrics),
-        0xe6f2_7874_a0a8_975a,
+        0x0124_4d6b_80b3_3934,
     );
 }
 

@@ -58,8 +58,8 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 use spms_analysis::OverheadModel;
 use spms_core::{
-    CoreId, IncrementalPlacer, Partition, PartitionOutcome, Partitioner, PlacementPlan, PlanTxn,
-    SemiPartitionedFpTs, WholeProbe,
+    CoreId, IncrementalPlacer, JournalMark, Partition, PartitionOutcome, Partitioner,
+    PlacementPlan, SemiPartitionedFpTs, WholeProbe,
 };
 use spms_overhead::{CostModel, CostModelSpec};
 use spms_task::{Task, TaskId, TaskSet, Time};
@@ -452,7 +452,29 @@ pub struct AdmissionController {
     /// when the fallback adopts a new partition (whose generations are not
     /// comparable with the old one's).
     failed_relocations: HashMap<TaskId, FailedRelocation>,
+    /// Buffers bounded repair reuses from one attempt to the next.
+    scratch: RepairScratch,
 }
+
+/// The working lists of bounded repair, kept on the controller and
+/// cleared, not freed, between attempts: once they have grown to their
+/// working size, a repair attempt that fails allocates nothing.
+#[derive(Debug, Clone, Default)]
+struct RepairScratch {
+    /// The repair targets with their probes, in try order (see
+    /// [`AdmissionController::repair_target_order`]).
+    targets: Vec<RepairTarget>,
+    /// Every core but the current target.
+    others: Vec<CoreId>,
+    /// Victims the current attempt found it cannot relocate.
+    immovable: Vec<TaskId>,
+    /// The candidate list of the victim search not currently open.
+    candidates: Vec<(f64, TaskId)>,
+}
+
+/// One repair target: whether its probe failed to localize a blocker, the
+/// arrival's deficit on it, the core and the probe.
+type RepairTarget = (bool, f64, CoreId, WholeProbe);
 
 /// A relocation whose placement plan came back empty: the core the victim
 /// was to leave, the migration charge it was planned with, and the
@@ -529,6 +551,7 @@ impl AdmissionController {
             metrics: EngineMetrics::default(),
             next_event: 0,
             failed_relocations: HashMap::new(),
+            scratch: RepairScratch::default(),
         })
     }
 
@@ -723,17 +746,20 @@ impl AdmissionController {
         if self.config.max_repair_moves == 0 {
             return None;
         }
-        for (target, probe) in self.repair_target_order(task) {
+        let mut targets = std::mem::take(&mut self.scratch.targets);
+        self.repair_target_order(task, &mut targets);
+        let mut repaired = None;
+        for &(_, _, target, probe) in &targets {
             let rollback = self.begin_rollback();
-            match self.repair_on(target, task, probe) {
-                Some(outcome) => {
-                    self.commit_rollback(rollback);
-                    return Some(outcome);
-                }
-                None => self.abort_rollback(rollback),
+            repaired = self.repair_on(target, task, probe);
+            if repaired.is_some() {
+                self.commit_rollback();
+                break;
             }
+            self.abort_rollback(rollback);
         }
-        None
+        self.scratch.targets = targets;
+        repaired
     }
 
     /// Candidate repair targets, most repairable first, instead of raw
@@ -748,30 +774,27 @@ impl AdmissionController {
     /// independent of the pure-mechanism cache knob. Each target comes
     /// with its probe, which stays true until the repair attempt on it
     /// mutates the partition (attempts on earlier targets are rewound).
-    fn repair_target_order(&self, task: &Task) -> Vec<(CoreId, WholeProbe)> {
-        let mut scored: Vec<(bool, f64, CoreId, WholeProbe)> = (0..self.config.cores)
-            .map(CoreId)
-            .map(|core| {
-                let probe = self.placer.probe_whole(&self.partition, core, task);
-                let localized = match probe {
-                    // Unreachable in practice: repair runs after first-fit
-                    // failed on every core. Rank it first defensively.
-                    WholeProbe::Accepted => true,
-                    WholeProbe::Blocked { blocker } => blocker.is_some(),
-                };
-                let deficit = self.partition.core_utilization(core) + task.utilization() - 1.0;
-                (!localized, deficit, core, probe)
-            })
-            .collect();
-        scored.sort_by(|a, b| {
+    /// The targets replace what `targets` held.
+    fn repair_target_order(&self, task: &Task, targets: &mut Vec<RepairTarget>) {
+        targets.clear();
+        targets.extend((0..self.config.cores).map(CoreId).map(|core| {
+            let probe = self.placer.probe_whole(&self.partition, core, task);
+            let localized = match probe {
+                // Unreachable in practice: repair runs after first-fit
+                // failed on every core. Rank it first defensively.
+                WholeProbe::Accepted => true,
+                WholeProbe::Blocked { blocker } => blocker.is_some(),
+            };
+            let deficit = self.partition.core_utilization(core) + task.utilization() - 1.0;
+            (!localized, deficit, core, probe)
+        }));
+        // Core indices are distinct, so the order is total and an unstable
+        // sort (which never allocates) gives the stable one.
+        targets.sort_unstable_by(|a, b| {
             a.0.cmp(&b.0)
                 .then_with(|| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
                 .then_with(|| a.2.cmp(&b.2))
         });
-        scored
-            .into_iter()
-            .map(|(_, _, core, probe)| (core, probe))
-            .collect()
     }
 
     /// One repair attempt against a fixed `target` core, whose
@@ -796,22 +819,41 @@ impl AdmissionController {
         task: &Task,
         probe: WholeProbe,
     ) -> Option<(usize, Time)> {
+        let mut others = std::mem::take(&mut self.scratch.others);
+        others.clear();
+        others.extend((0..self.config.cores).map(CoreId).filter(|c| *c != target));
+        let mut immovable = std::mem::take(&mut self.scratch.immovable);
+        immovable.clear();
+        let mut search = None;
+        let repaired = self.repair_moves(target, task, probe, &others, &mut immovable, &mut search);
+        self.scratch.others = others;
+        self.scratch.immovable = immovable;
+        self.recycle(search);
+        repaired
+    }
+
+    /// The move loop of [`repair_on`](Self::repair_on), over its reusable
+    /// lists: `others` holds every core but the target, `immovable` and
+    /// `search` start empty.
+    fn repair_moves(
+        &mut self,
+        target: CoreId,
+        task: &Task,
+        probe: WholeProbe,
+        others: &[CoreId],
+        immovable: &mut Vec<TaskId>,
+        search: &mut Option<VictimSearch>,
+    ) -> Option<(usize, Time)> {
         let k = self.config.max_repair_moves;
-        let others: Vec<CoreId> = (0..self.config.cores)
-            .map(CoreId)
-            .filter(|c| *c != target)
-            .collect();
         let mut moves = 0usize;
         let mut inflation = Time::ZERO;
-        let mut immovable: Vec<TaskId> = Vec::new();
         // What the arrival's probe on the target says about the current
         // partition state, while that is known.
         let mut probe = Some(probe);
         let mut blocked = matches!(probe, Some(WholeProbe::Blocked { .. }));
-        let mut search: Option<VictimSearch> = None;
         // The arrival itself lands whole on the opened core — a fresh
         // placement crossing no boundary, so it stays uncharged.
-        let plan_arrival = |c: &Self| c.placer.plan_whole(&c.partition, task, &others, Time::ZERO);
+        let plan_arrival = |c: &Self| c.placer.plan_whole(&c.partition, task, others, Time::ZERO);
         loop {
             if blocked {
                 debug_assert!(
@@ -826,9 +868,12 @@ impl AdmissionController {
             if moves == k {
                 return None;
             }
-            let open = match &mut search {
+            let open = match search {
                 Some(open) => open,
-                None => search.insert(self.victim_search(target, task, probe, &immovable)),
+                None => {
+                    let candidates = std::mem::take(&mut self.scratch.candidates);
+                    search.insert(self.victim_search(target, task, probe, immovable, candidates))
+                }
             };
             let (victim, evidence) = self.next_slack_victim(target, task, open)?;
             if moves + 1 == k && evidence == VictimEvidence::Insufficient {
@@ -844,7 +889,8 @@ impl AdmissionController {
                     inflation += added;
                     probe = None;
                     blocked = false;
-                    search = None;
+                    let spent = search.take();
+                    self.recycle(spent);
                 }
                 None => {
                     #[cfg(debug_assertions)]
@@ -859,27 +905,43 @@ impl AdmissionController {
         }
     }
 
+    /// Keeps the candidate list of a victim search that is done with, for
+    /// the next search to fill.
+    fn recycle(&mut self, search: Option<VictimSearch>) {
+        if let Some(search) = search {
+            self.scratch.candidates = search.candidates;
+        }
+    }
+
     /// Opens the slack-guided victim search on `target` for the current
     /// partition state: every resident not yet found `immovable` is a
     /// candidate (split parents too — chain-aware relocation evicts the
     /// whole chain; never parents with remote pieces), and the blocker
     /// comes from the arrival's `probe` on the target when it is known,
-    /// else from a fresh one.
+    /// else from a fresh one. The candidates replace what `candidates`
+    /// held.
     fn victim_search(
         &self,
         target: CoreId,
         arrival: &Task,
         probe: Option<WholeProbe>,
         immovable: &[TaskId],
+        mut candidates: Vec<(f64, TaskId)>,
     ) -> VictimSearch {
-        let mut candidates: Vec<(f64, TaskId)> = self
-            .partition
-            .core(target)
-            .iter()
-            .filter(|p| !immovable.contains(&p.parent) && !self.remote_parents.contains(&p.parent))
-            .map(|p| (p.task.utilization(), p.parent))
-            .collect();
-        candidates.sort_by(|a, b| {
+        candidates.clear();
+        candidates.extend(
+            self.partition
+                .core(target)
+                .iter()
+                .filter(|p| {
+                    !immovable.contains(&p.parent) && !self.remote_parents.contains(&p.parent)
+                })
+                .map(|p| (p.task.utilization(), p.parent)),
+        );
+        // A core holds one placement per parent, so ids are distinct, the
+        // order is total and an unstable sort (which never allocates)
+        // gives the stable one.
+        candidates.sort_unstable_by(|a, b| {
             a.0.partial_cmp(&b.0)
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then_with(|| a.1.cmp(&b.1))
@@ -1088,17 +1150,22 @@ impl AdmissionController {
     }
 
     /// Memoizes a failed relocation under the current generations of every
-    /// core but `target` (see [`FailedRelocation`]).
+    /// core but `target` (see [`FailedRelocation`]), in the victim's slot;
+    /// a slot that already exists keeps its buffer.
     fn note_failed_relocation(&mut self, victim: TaskId, target: CoreId, charge: Time) {
-        let generations = self.generations_except(target).collect();
-        self.failed_relocations.insert(
-            victim,
-            FailedRelocation {
+        let slot = self
+            .failed_relocations
+            .entry(victim)
+            .or_insert_with(|| FailedRelocation {
                 target,
                 charge,
-                generations,
-            },
-        );
+                generations: Vec::new(),
+            });
+        slot.target = target;
+        slot.charge = charge;
+        slot.generations.clear();
+        slot.generations
+            .extend(generations_except(&self.partition, target));
     }
 
     /// Whether relocating `victim` off `target` with `charge` already
@@ -1112,43 +1179,35 @@ impl AdmissionController {
                     .generations
                     .iter()
                     .copied()
-                    .eq(self.generations_except(target))
+                    .eq(generations_except(&self.partition, target))
         })
-    }
-
-    /// The generations of every core but `target`, in index order.
-    fn generations_except(&self, target: CoreId) -> impl Iterator<Item = u64> + '_ {
-        (0..self.config.cores)
-            .map(CoreId)
-            .filter(move |c| *c != target)
-            .map(|c| self.partition.core_generation(c))
     }
 
     // ------------------------------------------------------------------
     // rollback plumbing
     // ------------------------------------------------------------------
     //
-    // Repair scopes run on the shared [`PlanTxn`] abstraction from
-    // `spms-core` — the same transaction type the sharded service spans
-    // across several partitions for cross-shard split planning. A solo
-    // controller always opens single-scope transactions on its own
-    // partition's journal.
+    // A repair attempt is one journal scope on the controller's own
+    // partition. `try_repair` closes every scope it opens, on every path
+    // (nothing between begin and commit or abort returns early), so the
+    // drop guard of a [`PlanTxn`](spms_core::PlanTxn) — which the sharded
+    // service spans across several partitions for cross-shard split
+    // planning — is not needed here, and neither is its allocation.
 
     /// Opens a speculative scope around one repair attempt.
-    fn begin_rollback(&mut self) -> PlanTxn {
-        let mut txn = PlanTxn::new();
-        txn.begin(&mut self.partition);
-        txn
+    fn begin_rollback(&mut self) -> JournalMark {
+        self.partition.journal_begin()
     }
 
     /// Keeps the speculative mutations (the attempt succeeded).
-    fn commit_rollback(&mut self, txn: PlanTxn) {
-        txn.commit(std::slice::from_mut(&mut &mut self.partition));
+    fn commit_rollback(&mut self) {
+        self.partition.journal_end();
     }
 
     /// Discards the speculative mutations (the attempt failed).
-    fn abort_rollback(&mut self, txn: PlanTxn) {
-        txn.abort(std::slice::from_mut(&mut &mut self.partition));
+    fn abort_rollback(&mut self, mark: JournalMark) {
+        self.partition.rewind(mark);
+        self.partition.journal_end();
     }
 
     // ------------------------------------------------------------------
@@ -1412,6 +1471,15 @@ impl crate::AdmissionShard for AdmissionController {
     }
 }
 
+/// The generations of every core of `partition` but `target`, in index
+/// order.
+fn generations_except(partition: &Partition, target: CoreId) -> impl Iterator<Item = u64> + '_ {
+    (0..partition.core_count())
+        .map(CoreId)
+        .filter(move |c| *c != target)
+        .map(|c| partition.core_generation(c))
+}
+
 /// Total WCET inflation a committed plan carries for one per-migration
 /// `charge`: a charged whole placement absorbs one charge, a split chain
 /// one per piece after the first (the first piece never crosses a
@@ -1542,11 +1610,9 @@ mod tests {
         let mut c = AdmissionController::new(two_cores_no_split().build()).unwrap();
         arrive(&mut c, task(0, 85, 100));
         arrive(&mut c, task(1, 55, 100));
-        let order: Vec<CoreId> = c
-            .repair_target_order(&task(2, 50, 100))
-            .into_iter()
-            .map(|(core, _)| core)
-            .collect();
+        let mut targets = vec![(false, 0.0, CoreId(7), WholeProbe::Accepted)];
+        c.repair_target_order(&task(2, 50, 100), &mut targets);
+        let order: Vec<CoreId> = targets.iter().map(|&(_, _, core, _)| core).collect();
         assert_eq!(
             order,
             vec![CoreId(1), CoreId(0)],
@@ -2374,7 +2440,7 @@ mod tests {
         let x = constrained(6, 25, 100);
         let target = CoreId(0);
         let probe = c.placer.probe_whole(&c.partition, target, &x);
-        let mut search = c.victim_search(target, &x, Some(probe), &[]);
+        let mut search = c.victim_search(target, &x, Some(probe), &[], Vec::new());
         let first = c.next_slack_victim(target, &x, &mut search);
         assert_eq!(first, Some((TaskId(1), VictimEvidence::Unblocks)));
         assert_eq!(first, two_pass_pick_from_scratch(&c, target, &x, &[]));

@@ -15,7 +15,7 @@
 //! placement*). Departures go straight to the task's resident shard. A
 //! periodic [`rebalance`](ShardedAdmission::rebalance) pass work-steals
 //! whole-placed tasks from the most-loaded shard to the most-spare one
-//! (see [`rebalance_partitions`]), keeping overflow rare as churn skews
+//! (see [`plan_rebalance_move`]), keeping overflow rare as churn skews
 //! the load.
 //!
 //! With one shard the service adds no policy at all: every event reaches
@@ -29,7 +29,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 use spms_core::{
-    rebalance_partitions, shard_core_counts, CacheAuditVerdict, CoreId, IncrementalPlacer,
+    plan_rebalance_move, shard_core_counts, CacheAuditVerdict, CoreId, IncrementalPlacer,
     Partition, PlacedTask, PlanTxn, ShardRouter, SplitInfo, SubtaskKind,
 };
 use spms_faults::FaultKind;
@@ -657,70 +657,67 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
 
     /// One work-stealing rebalance pass: migrates up to `max_moves`
     /// whole-placed tasks from the most-loaded shard to the most-spare
-    /// one (see [`rebalance_partitions`] for the policy), then patches
-    /// both shards' admission bookkeeping and the resident map. Returns
-    /// the number of migrations performed. A single-shard service is a
-    /// no-op.
+    /// one, a move at a time (see [`plan_rebalance_move`] for the policy),
+    /// patching both shards' admission bookkeeping and the resident map
+    /// after each. Returns the number of migrations performed. A
+    /// single-shard service is a no-op.
+    ///
+    /// The planner looks each candidate up as it comes to it, through the
+    /// resident map, so a tick that moves nothing copies no task.
     pub fn rebalance(&mut self, max_moves: usize) -> usize {
         // Only placement-eligible shards participate; with every shard
-        // healthy this is the identity over all shard indices. Counting
-        // them first keeps the common no-op tick (one shard, or a zero
-        // budget) free of allocation.
+        // healthy this is the identity over all shard indices.
         let accepts = |idx: &usize| self.health[*idx].accepts_placements();
         if max_moves == 0 || (0..self.shards.len()).filter(accepts).count() < 2 {
             self.metrics.record_rebalance_tick(0, Time::ZERO);
             return 0;
         }
-        let eligible: Vec<usize> = (0..self.shards.len()).filter(accepts).collect();
         // The rebalancer's planning probes run outside any shard's decide
         // scope; attribute their hot-counter activity to the service.
         let hot = scoped::thread_snapshot();
-        let admitted: BTreeMap<TaskId, Task> = self
-            .resident
-            .iter()
-            .filter_map(|(id, holders)| self.shards[holders.shards[0]].lookup_admitted(*id))
-            .map(|task| (task.id(), task))
-            .collect();
-        let lookup = |id: TaskId| admitted.get(&id).cloned();
+        // Every shard runs the same configuration, so shard 0's placer and
+        // cost model speak for the fleet: a stolen task must stay
+        // schedulable on the receiver with one migration charge folded
+        // into its WCET.
         let placer = self.shards[0].placer().clone();
-        // Every shard runs the same configuration, so shard 0's cost model
-        // speaks for the fleet: a stolen task must stay schedulable on the
-        // receiver with one migration charge folded into its WCET.
         let cost_model = self.shards[0].cost_model();
-        let moves = {
-            let charge_model = cost_model.clone();
-            let charge_of = move |t: &Task| charge_model.migration_charge(t);
-            // Move indices returned by the rebalancer are positions in
-            // this (eligible-only) slice; map them back through
-            // `eligible` below.
-            let health = &self.health;
-            let mut partitions: Vec<&mut Partition> = self
-                .shards
-                .iter_mut()
+        let (mut moves, mut inflation) = (0, Time::ZERO);
+        while moves < max_moves {
+            let (shards, health, resident) = (&self.shards, &self.health, &self.resident);
+            let eligible = shards
+                .iter()
                 .enumerate()
                 .filter(|(idx, _)| health[*idx].accepts_placements())
-                .map(|(_, shard)| shard.partition_mut())
-                .collect();
-            rebalance_partitions(&mut partitions, &placer, &lookup, &charge_of, max_moves)
-        };
-        let mut inflation = Time::ZERO;
-        for mv in &moves {
-            let (from, to) = (eligible[mv.from], eligible[mv.to]);
-            let task = self.shards[from]
-                .forget_admitted(mv.task)
+                .map(|(idx, shard)| (idx, shard.partition()));
+            let lookup = |id: TaskId| {
+                let holders = resident.get(&id)?;
+                shards[holders.shards[0]].lookup_admitted(id)
+            };
+            let charge_of = |task: &Task| cost_model.migration_charge(task);
+            let Some(plan) = plan_rebalance_move(eligible, &placer, lookup, charge_of) else {
+                break;
+            };
+            let step = plan.step;
+            let [donor, receiver] = self
+                .shards
+                .get_disjoint_mut([step.from, step.to])
+                .expect("a rebalance move joins two distinct shards");
+            plan.apply(donor.partition_mut(), receiver.partition_mut(), &placer);
+            let task = donor
+                .forget_admitted(step.task)
                 .expect("rebalanced task must be admitted on its donor shard");
             inflation += cost_model.migration_charge(&task);
-            self.shards[to].note_admitted(task);
-            self.resident.insert(mv.task, Residency::one(to));
+            receiver.note_admitted(task);
+            self.resident.insert(step.task, Residency::one(step.to));
+            moves += 1;
         }
-        self.metrics
-            .record_rebalance_tick(moves.len() as u64, inflation);
+        self.metrics.record_rebalance_tick(moves as u64, inflation);
         self.metrics.fold_hot(&hot.since());
         debug_assert!(self
             .shards
             .iter()
             .all(|s| s.partition().validate() == Ok(())));
-        moves.len()
+        moves
     }
 
     // ------------------------------------------------------------------

@@ -1,28 +1,44 @@
-//! Heap-allocation budget of a fast-path decision.
+//! Heap-allocation budgets of the admission service.
 //!
 //! A counting global allocator wraps `System` and counts, per thread, every
-//! allocation and reallocation. A fast-path-shaped churn trace (8 cores,
-//! one shard, Poisson arrivals at normalized utilization 0.4, zero
-//! migration cost, repair bound 2, fallback on, a rebalance tick every
-//! 250 ms moving at most 4 tasks: the admission benchmark's `fastpath`
-//! workload at a smaller size) runs through the event loop, and an
-//! observer charges the allocations made since the previous decision to
-//! the decision just made (so a rebalance tick's land on the next one).
-//! Once the first 1 000 decisions have warmed every buffer up, an
-//! admission may allocate at most 2 times on average and a departure at
-//! most 0.25 times.
+//! allocation and reallocation. Three budgets are pinned:
+//!
+//! * **A fast-path decision.** A fast-path-shaped churn trace (8 cores,
+//!   one shard, Poisson arrivals at normalized utilization 0.4, zero
+//!   migration cost, repair bound 2, fallback on, a rebalance tick every
+//!   250 ms moving at most 4 tasks: the admission benchmark's `fastpath`
+//!   workload at a smaller size) runs through the event loop, and an
+//!   observer charges the allocations made since the previous decision to
+//!   the decision just made (so a rebalance tick's land on the next one).
+//!   Once the first 1 000 decisions have warmed every buffer up, an
+//!   admission may allocate at most 2 times on average and a departure at
+//!   most 0.25 times.
+//! * **A rejected arrival.** A saturated-shaped trace (8 cores, one shard,
+//!   bursty arrivals at 0.9, heavy cache-reload migration cost, repair
+//!   bound 2) with the full-repartition fallback off, so a rejection has
+//!   run fast whole, fast split and bounded repair, and nothing else.
+//!   After the warm-up, such a rejection may allocate at most 30 times on
+//!   average: the failing plans, victim searches and journal rewinds of
+//!   repair reuse their buffers.
+//! * **A rebalance tick.** A fleet-shaped service (16 cores, 4 shards,
+//!   Poisson arrivals at 0.85, cross-shard splits on) is rebalanced with a
+//!   budget of 4 moves after every 20th event. A tick may allocate at most
+//!   4 times on average: it looks tasks up as it needs them instead of
+//!   copying the resident set first.
 //!
 //! Debug builds run cross-checks that allocate (for example the full
-//! re-ranking `renormalize_core_priorities` compares against), so the test
-//! only runs in release mode: `cargo test --release --test alloc_budget`.
+//! re-ranking `renormalize_core_priorities` compares against), so the
+//! tests only run in release mode: `cargo test --release --test
+//! alloc_budget`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use spms_online::{
     ChurnFamily, ChurnGenerator, DecisionKind, EventLoop, EventLoopConfig, OnlineConfig,
-    ShardedAdmission,
+    RejectionReason, ShardedAdmission,
 };
+use spms_overhead::{CostModelSpec, CrpdCostModel};
 use spms_task::Time;
 
 thread_local! {
@@ -148,5 +164,109 @@ fn a_fast_path_decision_stays_within_its_allocation_budget() {
         departed.per_decision() <= 0.25,
         "{:.2} allocations per departure ({departed:?})",
         departed.per_decision()
+    );
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug cross-checks allocate; run in release"
+)]
+fn a_rejected_arrival_stays_within_its_allocation_budget() {
+    let trace = ChurnGenerator::new()
+        .cores(8)
+        .target_normalized_utilization(0.9)
+        .events(6_000)
+        .family(ChurnFamily::Bursty)
+        .seed(7)
+        .generate_timed()
+        .expect("valid churn configuration");
+    let config = OnlineConfig::builder()
+        .cores(8)
+        .max_repair_moves(2)
+        .fallback(false)
+        .cost_model(CostModelSpec::Crpd(CrpdCostModel::heavy()))
+        .build();
+    let mut service = ShardedAdmission::new(config, 1).expect("valid shard count");
+    let mut event_loop = EventLoop::new(
+        EventLoopConfig::new(7)
+            .with_rebalance_period(Some(Time::from_millis(250)))
+            .with_rebalance_max_moves(4),
+    );
+    event_loop.load_trace(&trace);
+
+    let mut rejected = Tally::default();
+    let mut seen = 0usize;
+    let mut last = allocations();
+    event_loop.run_with(&mut service, |_, decision| {
+        let now = allocations();
+        let spent = now - last;
+        last = now;
+        seen += 1;
+        if seen > WARM_UP
+            && decision.kind
+                == (DecisionKind::Rejected {
+                    reason: RejectionReason::NoFeasiblePlacement,
+                })
+        {
+            rejected.decisions += 1;
+            rejected.allocations += spent;
+        }
+    });
+
+    let stats = service.stats().decisions;
+    assert!(
+        rejected.decisions > 300 && stats.repairs > 0,
+        "the trace must reject after repair and repair must succeed too ({rejected:?})"
+    );
+    assert!(
+        rejected.per_decision() <= 30.0,
+        "{:.2} allocations per rejected arrival ({rejected:?})",
+        rejected.per_decision()
+    );
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug cross-checks allocate; run in release"
+)]
+fn a_rebalance_tick_stays_within_its_allocation_budget() {
+    let events = ChurnGenerator::new()
+        .cores(16)
+        .target_normalized_utilization(0.85)
+        .events(8_000)
+        .family(ChurnFamily::Poisson)
+        .seed(101)
+        .generate()
+        .expect("valid churn configuration");
+    let config = OnlineConfig::builder()
+        .cores(16)
+        .max_repair_moves(2)
+        .fallback(true)
+        .cross_shard_split(true)
+        .build();
+    let mut service = ShardedAdmission::new(config, 4).expect("valid shard count");
+
+    let mut ticks = Tally::default();
+    let mut moves = 0;
+    for (i, event) in events.iter().enumerate() {
+        service.handle_event(event);
+        if (i + 1) % 20 != 0 {
+            continue;
+        }
+        let before = allocations();
+        moves += service.rebalance(4);
+        if i >= WARM_UP {
+            ticks.decisions += 1;
+            ticks.allocations += allocations() - before;
+        }
+    }
+
+    assert!(moves > 0, "the fleet must rebalance at least once");
+    assert!(
+        ticks.per_decision() <= 4.0,
+        "{:.2} allocations per rebalance tick ({ticks:?})",
+        ticks.per_decision()
     );
 }
