@@ -21,7 +21,7 @@
 //! measured overhead into the state-of-the-art analyses.
 
 use serde::{Deserialize, Serialize};
-use spms_task::{Task, TaskError, TaskSet, Time};
+use spms_task::{Task, TaskError, Time};
 
 /// How a job interacts with the scheduler, which determines which overheads
 /// it pays (see the four `cnt2` cases in the paper).
@@ -305,16 +305,6 @@ impl OverheadModel {
     ) -> Result<Task, TaskError> {
         task.with_wcet(task.wcet() + self.job_overhead(scenario))
     }
-
-    /// Inflates every task of a set (normal-task scenario).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first inflation failure; the caller usually maps this to
-    /// "task set unschedulable under this overhead model".
-    pub fn inflate_task_set(&self, tasks: &TaskSet) -> Result<TaskSet, TaskError> {
-        tasks.iter().map(|t| self.inflate_task(t)).collect()
-    }
 }
 
 impl Default for OverheadModel {
@@ -326,6 +316,7 @@ impl Default for OverheadModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spms_task::TaskSet;
 
     #[test]
     fn paper_values_match_table_1() {
@@ -389,12 +380,12 @@ mod tests {
     }
 
     #[test]
-    fn inflate_task_set_applies_to_all() {
+    fn inflating_every_task_of_a_set_grows_each_wcet() {
         let m = OverheadModel::paper_n4();
         let ts: TaskSet = (0..4)
             .map(|i| Task::new(i, Time::from_millis(1), Time::from_millis(50)).unwrap())
             .collect();
-        let inflated = m.inflate_task_set(&ts).unwrap();
+        let inflated: TaskSet = ts.iter().map(|t| m.inflate_task(t).unwrap()).collect();
         assert_eq!(inflated.len(), 4);
         for (orig, infl) in ts.iter().zip(inflated.iter()) {
             assert!(infl.wcet() > orig.wcet());

@@ -216,8 +216,9 @@ mod tests {
     fn prioritised(tasks: Vec<Task>) -> Vec<Task> {
         let mut ts: TaskSet = tasks.into_iter().collect();
         ts.assign_priorities(PriorityAssignment::RateMonotonic);
-        ts.sort_by_priority();
-        ts.into_iter().collect()
+        let mut tasks: Vec<Task> = ts.into_iter().collect();
+        tasks.sort_by_key(|t| (t.priority(), t.id()));
+        tasks
     }
 
     #[test]

@@ -73,8 +73,8 @@ pub enum SplitPlacement {
 /// test is the exact RTA — one incremental [`CachedCoreAnalysis`] per bin,
 /// so every acceptance probe reuses the converged response times of the
 /// tasks ranked above the candidate instead of cloning and re-analysing the
-/// whole core (the splitting pass binary-searches body budgets, so probes
-/// dominate its cost). Probe verdicts are bit-identical to the from-scratch
+/// whole core (the splitting pass probes every candidate core for its
+/// largest body budget, so probes dominate its cost). Probe verdicts are bit-identical to the from-scratch
 /// fallback, which keeps partitioning output unchanged.
 struct Bins {
     bins: Vec<Vec<PlacedTask>>,

@@ -323,76 +323,29 @@ impl IncrementalPlacer {
         // The bodies carved so far: (core, pure execution budget), in
         // chain order.
         let mut bodies: InlineVec<(CoreId, Time), INLINE_CORES> = InlineVec::new();
-        let mut candidates: InlineVec<CoreId, INLINE_CORES> = InlineVec::new();
-        let in_chain =
-            |bodies: &[(CoreId, Time)], core: CoreId| bodies.iter().any(|(c, _)| *c == core);
 
         let (tail_core, tail) = loop {
+            let skip =
+                |core: CoreId| exclude.contains(&core) || bodies.iter().any(|(c, _)| *c == core);
             // With at least one body carved, try to finish with a tail. The
             // tail is always reached by a migration (chain index >= 1), so
             // it carries the full per-migration charge.
             if !bodies.is_empty() {
-                if let Some(tail) = self.make_tail_piece(task, remaining, offset, charge) {
-                    let found = (0..cores).map(CoreId).find(|c| {
-                        !exclude.contains(c)
-                            && !in_chain(&bodies, *c)
-                            && !partition.core_has_tail(*c)
-                            && piece_fits(partition, *c, &tail)
-                    });
-                    if let Some(core) = found {
-                        break (core, tail);
-                    }
+                if let Some(found) =
+                    self.place_tail(partition, task, remaining, offset, charge, skip)
+                {
+                    break found;
                 }
             }
-
-            // Carve the largest admissible body budget on the unused core
-            // with the most residual utilization.
+            // Otherwise carve the next body.
             if bodies.len() + 1 >= cores {
                 return None; // no room left for a tail on a distinct core
             }
-            candidates.clear();
-            for core in (0..cores).map(CoreId) {
-                if !exclude.contains(&core)
-                    && !in_chain(&bodies, core)
-                    && !partition.core_has_body(core)
-                {
-                    candidates.push(core);
-                }
-            }
-            // Rank by *clamped* spare capacity: an overhead-inflated,
-            // overcommitted core reports a negative residual and must not
-            // outrank an exactly full one (it ties at zero and falls back
-            // to index order instead).
-            candidates.sort_unstable_by(|a, b| {
-                partition
-                    .spare_utilization(*b)
-                    .partial_cmp(&partition.spare_utilization(*a))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.0.cmp(&b.0))
-            });
             let index = bodies.len();
-            let piece_overhead = self.body_piece_overhead(index) + piece_charge(index, charge);
-            let deadline_room = task
-                .deadline()
-                .saturating_sub(offset)
-                .saturating_sub(piece_overhead);
-            let max_budget = remaining
-                .saturating_sub(Time::from_nanos(1))
-                .min(deadline_room);
-            if max_budget < self.min_split_budget {
-                return None;
-            }
-            let mut carved = None;
-            for &core in candidates.iter() {
-                let budget = self.max_body_budget(partition, core, task, max_budget, index, charge);
-                if budget >= self.min_split_budget && !budget.is_zero() {
-                    let piece = crate::split_budget::body_piece(task, budget, piece_overhead)?;
-                    carved = Some((core, budget, piece.wcet()));
-                    break;
-                }
-            }
-            let (core, budget, wcet) = carved?;
-            offset += wcet;
+            let overhead = self.body_piece_overhead(index) + piece_charge(index, charge);
+            let (core, budget, piece) =
+                self.carve_body(partition, task, skip, offset, remaining, overhead)?;
+            offset += piece.wcet();
             remaining -= budget;
             bodies.push((core, budget));
         };
@@ -574,32 +527,68 @@ impl IncrementalPlacer {
         }
     }
 
-    /// The largest body budget (pure execution) `core` still admits,
-    /// bounded by `max_budget`; `Time::ZERO` when not even the minimum
-    /// budget fits. The piece construction and the frontier
-    /// search are shared with the offline passes (`split_budget` module).
-    fn max_body_budget(
+    /// Carves the body piece at `offset` into the chain, `remaining` pure
+    /// execution still to place and `overhead` its analysis overhead: the
+    /// largest admissible budget on the first core, by most *clamped* spare
+    /// capacity (ties by index), that `skip` does not rule out and that
+    /// holds no body yet. Returns the core, the budget and the analysis
+    /// piece (promoted to body priority, `C = D`); `None` when no core
+    /// admits a body of at least [`min_split_budget`](Self::min_split_budget).
+    fn carve_body(
         &self,
         partition: &Partition,
-        core: CoreId,
-        template: &Task,
-        max_budget: Time,
-        piece_index: usize,
-        charge: Time,
-    ) -> Time {
-        let overhead = self.body_piece_overhead(piece_index) + piece_charge(piece_index, charge);
-        self.max_body_budget_with_overhead(partition, core, template, max_budget, overhead)
+        task: &Task,
+        skip: impl Fn(CoreId) -> bool,
+        offset: Time,
+        remaining: Time,
+        overhead: Time,
+    ) -> Option<(CoreId, Time, Task)> {
+        let deadline_room = task
+            .deadline()
+            .saturating_sub(offset)
+            .saturating_sub(overhead);
+        let max_budget = remaining
+            .saturating_sub(Time::from_nanos(1))
+            .min(deadline_room);
+        if max_budget < self.min_split_budget {
+            return None;
+        }
+        let mut candidates: InlineVec<CoreId, INLINE_CORES> = InlineVec::new();
+        for core in (0..partition.core_count()).map(CoreId) {
+            if !skip(core) && !partition.core_has_body(core) {
+                candidates.push(core);
+            }
+        }
+        // An overhead-inflated, overcommitted core reports a negative
+        // residual and must not outrank an exactly full one (it ties at
+        // zero and falls back to index order instead).
+        candidates.sort_unstable_by(|a, b| {
+            partition
+                .spare_utilization(*b)
+                .partial_cmp(&partition.spare_utilization(*a))
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.0.cmp(&b.0))
+        });
+        for &core in candidates.iter() {
+            let budget = self.max_body_budget(partition, core, task, max_budget, overhead);
+            if budget >= self.min_split_budget && !budget.is_zero() {
+                let piece = crate::split_budget::body_piece(task, budget, overhead)?;
+                return Some((core, budget, piece));
+            }
+        }
+        None
     }
 
-    /// [`max_body_budget`](Self::max_body_budget) with the piece's analysis
-    /// overhead already resolved — the form the cross-shard planner uses,
-    /// whose charging rule (every cross-shard piece absorbs one charge)
-    /// differs from the intra-shard chain rule.
+    /// The largest body budget (pure execution) `core` still admits for a
+    /// piece with analysis `overhead`, bounded by `max_budget`;
+    /// `Time::ZERO` when not even the minimum budget fits. The piece
+    /// construction and the frontier search are shared with the offline
+    /// passes (`split_budget` module).
     ///
     /// The budget is one frontier scan of the core's converged analysis,
     /// counted as one split probe — unless the utilization screen shows
     /// that not even the smallest body piece fits.
-    fn max_body_budget_with_overhead(
+    fn max_body_budget(
         &self,
         partition: &Partition,
         core: CoreId,
@@ -628,13 +617,44 @@ impl IncrementalPlacer {
         exact()
     }
 
+    /// The tail piece closing a chain with `budget` pure execution left,
+    /// released `offset` after the parent and absorbing `charge`, on the
+    /// first core that `skip` does not rule out, holds no tail yet and
+    /// accepts the piece. Returns the core and the analysis piece; `None`
+    /// also when the piece cannot meet what is left of the deadline.
+    fn place_tail(
+        &self,
+        partition: &Partition,
+        task: &Task,
+        budget: Time,
+        offset: Time,
+        charge: Time,
+        skip: impl Fn(CoreId) -> bool,
+    ) -> Option<(CoreId, Task)> {
+        let wcet = budget + self.overhead.tail_piece_inflation() + charge;
+        let deadline = task.deadline().checked_sub(offset)?;
+        if deadline > task.period() || wcet > deadline {
+            return None;
+        }
+        let tail = Task::builder(task.id())
+            .wcet(wcet)
+            .period(task.period())
+            .deadline(deadline)
+            .priority(crate::TAIL_PRIORITY)
+            .build()
+            .ok()?;
+        let core = (0..partition.core_count()).map(CoreId).find(|c| {
+            !skip(*c) && !partition.core_has_tail(*c) && piece_fits(partition, *c, &tail)
+        })?;
+        Some((core, tail))
+    }
+
     /// Plans the **body half** of a shard-spanning split on this (donor)
-    /// partition: the largest admissible single body piece, carved on the
-    /// core with the most clamped spare capacity (ties by index), exactly
-    /// as the intra-shard split pass ranks candidates. Unlike chain index
-    /// 0 of a local split, a cross-shard body is reached by a
-    /// shard-boundary migration every job, so it absorbs one per-migration
-    /// `charge` on top of its first-piece overhead. Returns the hosting
+    /// partition: [`plan_split`](Self::plan_split)'s body step at chain
+    /// offset 0 with the whole WCET remaining. Unlike chain index 0 of a
+    /// local split, a cross-shard body is reached by a shard-boundary
+    /// migration every job, so it absorbs one per-migration `charge` on
+    /// top of its first-piece overhead. Returns the hosting
     /// core, the analysis piece (promoted to body priority, `C = D`), and
     /// the pure execution budget it covers. Does not modify the partition.
     pub fn plan_remote_body(
@@ -644,40 +664,21 @@ impl IncrementalPlacer {
         charge: Time,
     ) -> Option<(CoreId, Task, Time)> {
         let overhead = self.overhead.first_piece_inflation() + charge;
-        let deadline_room = task.deadline().saturating_sub(overhead);
-        let max_budget = task
-            .wcet()
-            .saturating_sub(Time::from_nanos(1))
-            .min(deadline_room);
-        if max_budget < self.min_split_budget {
-            return None;
-        }
-        let mut candidates: Vec<CoreId> = (0..partition.core_count())
-            .map(CoreId)
-            .filter(|c| !partition.core_has_body(*c))
-            .collect();
-        candidates.sort_by(|a, b| {
-            partition
-                .spare_utilization(*b)
-                .partial_cmp(&partition.spare_utilization(*a))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
-        });
-        for core in candidates {
-            let budget =
-                self.max_body_budget_with_overhead(partition, core, task, max_budget, overhead);
-            if budget >= self.min_split_budget && !budget.is_zero() {
-                let piece = crate::split_budget::body_piece(task, budget, overhead)?;
-                return Some((core, piece, budget));
-            }
-        }
-        None
+        let (core, budget, piece) = self.carve_body(
+            partition,
+            task,
+            |_| false,
+            Time::ZERO,
+            task.wcet(),
+            overhead,
+        )?;
+        Some((core, piece, budget))
     }
 
     /// Plans the **tail half** of a shard-spanning split on this (receiver)
-    /// partition: the remaining `budget` of pure execution, released
-    /// `offset` after the parent (the donor body's analysis WCET), landing
-    /// on the first core without a tail that accepts the piece. Like every
+    /// partition: [`plan_split`](Self::plan_split)'s tail step with no core
+    /// excluded, for the remaining `budget` of pure execution released
+    /// `offset` after the parent (the donor body's analysis WCET). Like every
     /// cross-shard piece it absorbs one per-migration `charge`. Returns the
     /// hosting core and the analysis piece. Does not modify the partition.
     pub fn plan_remote_tail(
@@ -688,35 +689,7 @@ impl IncrementalPlacer {
         offset: Time,
         charge: Time,
     ) -> Option<(CoreId, Task)> {
-        let tail = self.make_tail_piece(task, budget, offset, charge)?;
-        let core = (0..partition.core_count())
-            .map(CoreId)
-            .find(|c| !partition.core_has_tail(*c) && piece_fits(partition, *c, &tail))?;
-        Some((core, tail))
-    }
-
-    /// The tail piece of a split chain with `budget` pure execution left,
-    /// released `offset` after the parent, absorbing `charge` per-migration
-    /// cost. `None` when the piece cannot meet what is left of the deadline.
-    fn make_tail_piece(
-        &self,
-        task: &Task,
-        budget: Time,
-        offset: Time,
-        charge: Time,
-    ) -> Option<Task> {
-        let wcet = budget + self.overhead.tail_piece_inflation() + charge;
-        let deadline = task.deadline().checked_sub(offset)?;
-        if deadline > task.period() || wcet > deadline {
-            return None;
-        }
-        Task::builder(task.id())
-            .wcet(wcet)
-            .period(task.period())
-            .deadline(deadline)
-            .priority(crate::TAIL_PRIORITY)
-            .build()
-            .ok()
+        self.place_tail(partition, task, budget, offset, charge, |_| false)
     }
 }
 

@@ -62,7 +62,6 @@ mod placement;
 mod scratch;
 mod shard;
 mod split_budget;
-mod txn;
 
 pub use dmpm::SemiPartitionedDmPm;
 pub use edf_partitioned::PartitionedEdf;
@@ -81,4 +80,3 @@ pub use shard::{
     plan_rebalance_move, shard_core_counts, stitch_partitions, RebalanceMove, RebalancePlan,
     ShardRouter,
 };
-pub use txn::PlanTxn;

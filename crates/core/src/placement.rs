@@ -2,8 +2,6 @@
 
 use std::borrow::Cow;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use spms_analysis::{rta, CachedCoreAnalysis, RefreshMark, RefreshUndo, UniprocessorTest};
@@ -388,7 +386,7 @@ enum JournalOp {
 
 /// The mutation journal behind [`Partition::journal_begin`] /
 /// [`Partition::rewind`]: a LIFO log of [`JournalOp`]s recorded while at
-/// least one rollback scope is open (`depth > 0`). Journals are
+/// least one rollback scope is open (`scopes > 0`). Journals are
 /// instance-local derived state — they do not travel with `Clone`, do not
 /// serialize and do not participate in equality.
 ///
@@ -409,15 +407,7 @@ struct Journal {
     refresh: RefreshUndo,
     /// Number of open rollback scopes; recording stops and the log clears
     /// only when the outermost scope ends.
-    depth: usize,
-    /// One entry per open scope, innermost last. Each carries the scope's
-    /// start position and an abandonment token shared with whoever opened
-    /// the scope (a [`PlanTxn`](crate::PlanTxn) holds the other end): a
-    /// scope whose token was flipped without a matching
-    /// [`Partition::journal_end`] is auto-aborted at the partition's next
-    /// journal interaction. See
-    /// [`Partition::reconcile_abandoned_scopes`].
-    open: Vec<OpenScope>,
+    scopes: usize,
 }
 
 impl Journal {
@@ -428,15 +418,6 @@ impl Journal {
         self.priorities.clear();
         self.refresh.clear();
     }
-}
-
-/// One open rollback scope: its journal start position plus the shared
-/// abandonment token (see [`Journal::open`]), made when an owner first
-/// asks for it: a scope its opener closes itself needs none.
-#[derive(Debug)]
-struct OpenScope {
-    mark: usize,
-    abandoned: Option<Arc<AtomicBool>>,
 }
 
 /// A position in a partition's mutation journal, returned by
@@ -633,69 +614,9 @@ impl Partition {
     /// mark to [`rewind`](Self::rewind) to. See the
     /// [struct docs](Self#the-mutation-journal).
     pub fn journal_begin(&mut self) -> JournalMark {
-        self.reconcile_abandoned_scopes();
         scoped::bump(HotCounter::JournalBegins);
-        let journal = &mut self.journal;
-        journal.depth += 1;
-        journal.open.push(OpenScope {
-            mark: journal.ops.len(),
-            abandoned: None,
-        });
-        JournalMark(journal.ops.len())
-    }
-
-    /// The abandonment token of the innermost open rollback scope, shared
-    /// with the scope's owner so a dropped-without-close owner (an early
-    /// return or unwinding [`PlanTxn`](crate::PlanTxn)) can flag the scope
-    /// for auto-abort.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no scope is open.
-    pub(crate) fn current_scope_guard(&mut self) -> Arc<AtomicBool> {
-        let scope = self.journal.open.last_mut().expect("no open journal scope");
-        Arc::clone(
-            scope
-                .abandoned
-                .get_or_insert_with(|| Arc::new(AtomicBool::new(false))),
-        )
-    }
-
-    /// Auto-aborts every innermost open scope whose owner flagged it
-    /// abandoned (a [`PlanTxn`](crate::PlanTxn) dropped without `commit()`
-    /// or `abort()`, e.g. on an early-return or panic path): the scope is
-    /// rewound to its begin position and closed, exactly as an explicit
-    /// abort would have. Runs automatically at the start of every journal
-    /// interaction and recording mutator, so an abandoned transaction can
-    /// never leak journal marks or leave speculative mutations behind once
-    /// the partition is touched again. Returns the number of scopes
-    /// auto-aborted (almost always 0).
-    pub fn reconcile_abandoned_scopes(&mut self) -> usize {
-        let mut closed = 0;
-        loop {
-            let Some(top) = self.journal.open.last() else {
-                return closed;
-            };
-            if !top
-                .abandoned
-                .as_ref()
-                .is_some_and(|abandoned| abandoned.load(Ordering::Relaxed))
-            {
-                return closed;
-            }
-            // An enclosing rewind may already have dropped past the
-            // abandoned scope's start; clamp so the rewind below only ever
-            // undoes what is still recorded.
-            let mark = top.mark.min(self.journal.ops.len());
-            self.rewind(JournalMark(mark));
-            let journal = &mut self.journal;
-            journal.open.pop();
-            journal.depth = journal.depth.saturating_sub(1);
-            if journal.depth == 0 {
-                journal.clear();
-            }
-            closed += 1;
-        }
+        self.journal.scopes += 1;
+        JournalMark(self.journal.ops.len())
     }
 
     /// The current journal position, for nested rollback points inside an
@@ -728,13 +649,10 @@ impl Partition {
     /// outer scope's log intact, so its marks stay rewindable.
     pub fn journal_end(&mut self) {
         let journal = &mut self.journal;
-        journal.depth = journal.depth.saturating_sub(1);
-        journal.open.pop();
-        if journal.depth == 0 {
+        journal.scopes = journal.scopes.saturating_sub(1);
+        if journal.scopes == 0 {
             journal.clear();
         }
-        // Closing a live scope may expose an abandoned one underneath.
-        self.reconcile_abandoned_scopes();
     }
 
     /// Applies one undo entry. The undo writes fields directly (never
@@ -797,13 +715,15 @@ impl Partition {
         }
     }
 
-    /// Whether the journal is currently recording (an open rollback scope).
-    fn recording(&self) -> bool {
-        self.journal.depth > 0
+    /// Whether a rollback scope is open (the journal is recording). Every
+    /// scope is closed by the code that opened it, so this is `false`
+    /// between admission decisions.
+    pub fn in_journal_scope(&self) -> bool {
+        self.journal.scopes > 0
     }
 
     fn record(&mut self, op: JournalOp) {
-        if self.recording() {
+        if self.in_journal_scope() {
             self.journal.ops.push(op);
         }
     }
@@ -878,7 +798,7 @@ impl Partition {
     /// restore the pre-attachment state (debug builds assert this).
     pub fn enable_analysis_cache(&mut self) {
         debug_assert!(
-            !self.recording(),
+            !self.in_journal_scope(),
             "enable_analysis_cache inside an open journal scope cannot be rewound"
         );
         self.cache = Some(
@@ -979,7 +899,7 @@ impl Partition {
     /// the pre-audit memo (debug builds assert this).
     pub fn audit_cached_core(&mut self, core: CoreId) -> Option<CacheAuditVerdict> {
         debug_assert!(
-            !self.recording(),
+            !self.in_journal_scope(),
             "audit_cached_core inside an open journal scope cannot be rewound"
         );
         let fresh = {
@@ -1028,8 +948,7 @@ impl Partition {
     ///
     /// Panics if the core id is out of range.
     pub fn place(&mut self, core: CoreId, placed: PlacedTask) {
-        self.reconcile_abandoned_scopes();
-        if self.recording() {
+        if self.in_journal_scope() {
             let prev_staleness = self.cache.as_ref().map(|s| s[core.0].staleness);
             self.record(JournalOp::Place {
                 core,
@@ -1200,8 +1119,7 @@ impl Partition {
     /// stays schedulable. Every touched core gets a fresh generation (via
     /// its renormalization).
     pub fn remove_parent(&mut self, parent: TaskId) -> usize {
-        self.reconcile_abandoned_scopes();
-        let recording = self.recording();
+        let recording = self.in_journal_scope();
         let mut removed = 0;
         // Each core is finished (removal, staleness, renormalization) before
         // the next is looked at; cores are independent, so this is the
@@ -1285,7 +1203,7 @@ impl Partition {
     /// [`CachedCoreAnalysis::insert_relabelled`]): the in-place insert
     /// installs those responses instead of re-deriving them.
     pub(crate) fn renormalize_installing(&mut self, core: CoreId, proof: Option<&[Time]>) {
-        let recording = self.recording();
+        let recording = self.in_journal_scope();
         let from = self.journal.priorities.len();
         if recording {
             self.journal
@@ -1924,6 +1842,59 @@ mod tests {
         p.journal_end();
         assert_eq!(p.placement_count(), 0);
         assert!(p.cached_core(CoreId(0)).unwrap().is_empty());
+    }
+
+    /// A speculation over two partitions (a cross-shard split) is one
+    /// scope on each; rewinding and closing them, the later one first,
+    /// restores both.
+    #[test]
+    fn scopes_on_two_partitions_rewind_both() {
+        let mut a = Partition::new(1);
+        let mut b = Partition::new(1);
+        for (p, id) in [(&mut a, 0), (&mut b, 1)] {
+            p.enable_analysis_cache();
+            p.place(CoreId(0), PlacedTask::whole(task(id, 1, 10, 0)));
+            p.renormalize_core_priorities(CoreId(0));
+        }
+        let (snap_a, snap_b) = (a.clone(), b.clone());
+        let mark_a = a.journal_begin();
+        let mark_b = b.journal_begin();
+        for (p, id) in [(&mut a, 2), (&mut b, 3)] {
+            p.place(CoreId(0), PlacedTask::whole(task(id, 1, 10, 0)));
+            p.renormalize_core_priorities(CoreId(0));
+        }
+        b.rewind(mark_b);
+        b.journal_end();
+        a.rewind(mark_a);
+        a.journal_end();
+        assert_fully_equal(&a, &snap_a);
+        assert_fully_equal(&b, &snap_b);
+        assert!(!a.in_journal_scope() && !b.in_journal_scope());
+    }
+
+    #[test]
+    fn closing_scopes_on_two_partitions_keeps_both() {
+        let mut a = Partition::new(1);
+        let mut b = Partition::new(1);
+        a.enable_analysis_cache();
+        b.enable_analysis_cache();
+        a.journal_begin();
+        b.journal_begin();
+        assert!(a.in_journal_scope() && b.in_journal_scope());
+        for (p, id) in [(&mut a, 0), (&mut b, 1)] {
+            p.place(CoreId(0), PlacedTask::whole(task(id, 1, 10, 0)));
+            p.renormalize_core_priorities(CoreId(0));
+        }
+        a.journal_end();
+        b.journal_end();
+        assert_eq!(a.placement_count(), 1);
+        assert_eq!(b.placement_count(), 1);
+        // Both scopes are closed: the undo logs are cleared and each
+        // journal position is back at a fresh journal's origin.
+        for p in [&a, &b] {
+            assert!(!p.in_journal_scope());
+            assert_eq!(p.journal_mark(), Partition::new(1).journal_mark());
+        }
     }
 
     #[test]

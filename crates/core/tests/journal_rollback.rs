@@ -30,8 +30,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use spms_analysis::CachedCoreAnalysis;
 use spms_core::{
-    CacheAuditVerdict, CoreId, Partition, PlacedTask, PlanTxn, SplitInfo, SubtaskKind,
-    BODY_PRIORITY, TAIL_PRIORITY,
+    CacheAuditVerdict, CoreId, Partition, PlacedTask, SplitInfo, SubtaskKind, BODY_PRIORITY,
+    TAIL_PRIORITY,
 };
 use spms_task::{Priority, Task, Time};
 
@@ -117,8 +117,8 @@ fn place_split(
     extra: u64,
 ) {
     let parent = build_task(id, spec);
-    let wcet = parent.wcet().as_micros().max(2);
-    let deadline = parent.deadline().as_micros();
+    let wcet = (parent.wcet().as_nanos() / 1_000).max(2);
+    let deadline = parent.deadline().as_nanos() / 1_000;
     let extra = extra.min(deadline.saturating_sub(wcet) / 2);
     let budget = wcet / 2;
     let body_wcet = budget + extra;
@@ -557,9 +557,10 @@ proptest! {
         assert_fully_equal(&build(true), &build(false));
     }
 
-    /// A multi-partition [`PlanTxn`] abort restores *every* participant —
-    /// placements, priorities and RTA caches — bit-identically. This is
-    /// the two-phase contract the cross-shard split planner leans on.
+    /// A planning transaction over two partitions — one journal scope on
+    /// each, rewound and closed in reverse order — restores *both*:
+    /// placements, priorities and RTA caches, bit-identically. This is the
+    /// contract the cross-shard split planner leans on.
     #[test]
     fn plan_txn_abort_restores_both_partitions(
         cores_a in 1usize..4,
@@ -583,16 +584,18 @@ proptest! {
         let snapshot_a = a.clone();
         let snapshot_b = b.clone();
 
-        let mut txn = PlanTxn::new();
-        txn.begin(&mut a);
-        txn.begin(&mut b);
+        let mark_a = a.journal_begin();
+        let mark_b = b.journal_begin();
         for op in &spec_a {
             apply(&mut a, op, &mut next_id);
         }
         for op in &spec_b {
             apply(&mut b, op, &mut next_id);
         }
-        txn.abort(&mut [&mut a, &mut b]);
+        b.rewind(mark_b);
+        b.journal_end();
+        a.rewind(mark_a);
+        a.journal_end();
 
         assert_restored(&a, &snapshot_a);
         assert_restored(&b, &snapshot_b);
@@ -600,10 +603,9 @@ proptest! {
         prop_assert_eq!(b.validate(), Ok(()));
     }
 
-    /// Committing a multi-partition transaction keeps the speculated work
-    /// on every participant and leaves every participant ready for
-    /// the next scope (a later single-partition abort still rewinds only
-    /// its own scope).
+    /// Closing both scopes of a two-partition planning transaction keeps
+    /// the speculated work on both and leaves each ready for the next
+    /// scope (a later single-partition rewind undoes only its own scope).
     #[test]
     fn plan_txn_commit_keeps_both_and_later_scopes_stay_isolated(
         cores_a in 1usize..4,
@@ -618,26 +620,26 @@ proptest! {
         a.enable_analysis_cache();
         b.enable_analysis_cache();
 
-        let mut txn = PlanTxn::new();
-        txn.begin(&mut a);
-        txn.begin(&mut b);
+        a.journal_begin();
+        b.journal_begin();
         for op in &spec_a {
             apply(&mut a, op, &mut next_id);
         }
         for op in &spec_b {
             apply(&mut b, op, &mut next_id);
         }
-        txn.commit(&mut [&mut a, &mut b]);
+        a.journal_end();
+        b.journal_end();
         let committed_a = a.clone();
 
-        // A later aborted scope on `a` alone must not disturb the
+        // A later rewound scope on `a` alone must not disturb the
         // committed cross-partition work.
-        let mut solo = PlanTxn::new();
-        solo.begin(&mut a);
+        let solo = a.journal_begin();
         for op in &later {
             apply(&mut a, op, &mut next_id);
         }
-        solo.abort(std::slice::from_mut(&mut &mut a));
+        a.rewind(solo);
+        a.journal_end();
         assert_restored(&a, &committed_a);
         prop_assert_eq!(a.validate(), Ok(()));
         prop_assert_eq!(b.validate(), Ok(()));

@@ -9,12 +9,14 @@
 //!   builds it for the CI smoke invocation (`rtabench` with its wall-clock
 //!   `timing` object zeroed; the 120-event `online --cost-model crpd`
 //!   grid must charge at least one migration);
-//! * FNV-1a of the deterministic section (outcome and mechanism metrics)
-//!   of the telemetry registry `online` and `overhead` export with
-//!   `--metrics`.
+//! * FNV-1a of the outcome metrics (what was decided) and, apart from it,
+//!   of the mechanism metrics (the work deciding took: probes, screens,
+//!   cache hits) of the telemetry registry `online` and `overhead` export
+//!   with `--metrics`.
 //!
 //! A change that moves a digest on purpose updates the constant and
-//! explains the move in CHANGES.md.
+//! explains the move in CHANGES.md. A change that only cuts work moves the
+//! mechanism digest alone; one that moves an outcome changes decisions.
 
 use serde::Serialize;
 use spms_experiments::{
@@ -22,7 +24,7 @@ use spms_experiments::{
 };
 use spms_overhead::{CostModelSpec, CrpdCostModel};
 use spms_task::fnv1a;
-use spms_telemetry::{Registry, SnapshotFilter};
+use spms_telemetry::{MetricClass, Registry, SnapshotFilter};
 
 fn digest<T: Serialize>(value: &T) -> u64 {
     fnv1a(
@@ -32,13 +34,27 @@ fn digest<T: Serialize>(value: &T) -> u64 {
     )
 }
 
-fn metrics_digest(registry: &Registry) -> u64 {
-    fnv1a(
-        registry
-            .snapshot(SnapshotFilter::Deterministic)
-            .render_prometheus()
-            .as_bytes(),
+/// The (outcome, mechanism) digests of a registry's deterministic section.
+fn metrics_digests(registry: &Registry) -> (u64, u64) {
+    let outcome = registry.snapshot(SnapshotFilter::ShardInvariant);
+    let mut mechanism = registry.snapshot(SnapshotFilter::Deterministic);
+    mechanism
+        .entries
+        .retain(|entry| MetricClass::of_name(&entry.name) == Some(MetricClass::Mechanism));
+    (
+        fnv1a(outcome.render_prometheus().as_bytes()),
+        fnv1a(mechanism.render_prometheus().as_bytes()),
     )
+}
+
+fn assert_metrics_golden(what: &str, registry: &Registry, outcome: u64, mechanism: u64) {
+    let (got_outcome, got_mechanism) = metrics_digests(registry);
+    assert_golden(&format!("{what} outcome metrics"), got_outcome, outcome);
+    assert_golden(
+        &format!("{what} mechanism metrics"),
+        got_mechanism,
+        mechanism,
+    );
 }
 
 fn assert_golden(what: &str, got: u64, want: u64) {
@@ -62,10 +78,11 @@ fn online_smoke_grid_is_pinned() {
         digest(&run.results),
         0x7465_5ae2_ae05_800a,
     );
-    assert_golden(
-        "online metrics",
-        metrics_digest(&run.metrics),
-        0xb906_7c2d_8664_a435,
+    assert_metrics_golden(
+        "online",
+        &run.metrics,
+        0xa200_bfa0_b734_8fa0,
+        0xdde4_b1b7_9c57_6e1a,
     );
     // `--cost-model crpd`: every arrival of this grid is admitted whole on
     // the fast path, so no migration is ever charged and the charged run
@@ -74,7 +91,10 @@ fn online_smoke_grid_is_pinned() {
         .cost_model(CostModelSpec::Crpd(CrpdCostModel::mixed()))
         .run_full_with_progress(&NullProgress);
     assert_eq!(digest(&crpd.results), digest(&run.results));
-    assert_eq!(metrics_digest(&crpd.metrics), metrics_digest(&run.metrics));
+    assert_eq!(
+        metrics_digests(&crpd.metrics),
+        metrics_digests(&run.metrics)
+    );
 }
 
 /// `spms online --events 120 --sets-per-point 2 --points 0.6,0.8
@@ -115,10 +135,11 @@ fn overhead_smoke_grid_is_pinned() {
         digest(&run.results),
         0x3f80_86b6_7bfd_276e,
     );
-    assert_golden(
-        "overhead metrics",
-        metrics_digest(&run.metrics),
-        0x0124_4d6b_80b3_3934,
+    assert_metrics_golden(
+        "overhead",
+        &run.metrics,
+        0x4dc2_fe87_b74b_e7bf,
+        0x8b6f_1f97_7c77_ff60,
     );
 }
 

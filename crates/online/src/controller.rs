@@ -58,8 +58,8 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 use spms_analysis::OverheadModel;
 use spms_core::{
-    CoreId, IncrementalPlacer, JournalMark, Partition, PartitionOutcome, Partitioner,
-    PlacementPlan, SemiPartitionedFpTs, WholeProbe,
+    CoreId, IncrementalPlacer, Partition, PartitionOutcome, Partitioner, PlacementPlan,
+    SemiPartitionedFpTs, WholeProbe,
 };
 use spms_overhead::{CostModel, CostModelSpec};
 use spms_task::{Task, TaskId, TaskSet, Time};
@@ -748,16 +748,17 @@ impl AdmissionController {
         }
         let mut targets = std::mem::take(&mut self.scratch.targets);
         self.repair_target_order(task, &mut targets);
-        let mut repaired = None;
-        for &(_, _, target, probe) in &targets {
-            let rollback = self.begin_rollback();
-            repaired = self.repair_on(target, task, probe);
-            if repaired.is_some() {
-                self.commit_rollback();
-                break;
+        // Each attempt is one journal scope on the partition, closed on
+        // every path: kept on success, rewound on failure.
+        let repaired = targets.iter().find_map(|&(_, _, target, probe)| {
+            let mark = self.partition.journal_begin();
+            let repaired = self.repair_on(target, task, probe);
+            if repaired.is_none() {
+                self.partition.rewind(mark);
             }
-            self.abort_rollback(rollback);
-        }
+            self.partition.journal_end();
+            repaired
+        });
         self.scratch.targets = targets;
         repaired
     }
@@ -1181,33 +1182,6 @@ impl AdmissionController {
                     .copied()
                     .eq(generations_except(&self.partition, target))
         })
-    }
-
-    // ------------------------------------------------------------------
-    // rollback plumbing
-    // ------------------------------------------------------------------
-    //
-    // A repair attempt is one journal scope on the controller's own
-    // partition. `try_repair` closes every scope it opens, on every path
-    // (nothing between begin and commit or abort returns early), so the
-    // drop guard of a [`PlanTxn`](spms_core::PlanTxn) — which the sharded
-    // service spans across several partitions for cross-shard split
-    // planning — is not needed here, and neither is its allocation.
-
-    /// Opens a speculative scope around one repair attempt.
-    fn begin_rollback(&mut self) -> JournalMark {
-        self.partition.journal_begin()
-    }
-
-    /// Keeps the speculative mutations (the attempt succeeded).
-    fn commit_rollback(&mut self) {
-        self.partition.journal_end();
-    }
-
-    /// Discards the speculative mutations (the attempt failed).
-    fn abort_rollback(&mut self, mark: JournalMark) {
-        self.partition.rewind(mark);
-        self.partition.journal_end();
     }
 
     // ------------------------------------------------------------------

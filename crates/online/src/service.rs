@@ -30,7 +30,7 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 use spms_core::{
     plan_rebalance_move, shard_core_counts, CacheAuditVerdict, CoreId, IncrementalPlacer,
-    Partition, PlacedTask, PlanTxn, ShardRouter, SplitInfo, SubtaskKind,
+    Partition, PlacedTask, ShardRouter, SplitInfo, SubtaskKind,
 };
 use spms_faults::FaultKind;
 use spms_overhead::{CostModel, CostModelSpec};
@@ -109,10 +109,11 @@ pub trait AdmissionShard {
     // cross-shard split planning (piece-level entry points)
     // --------------------------------------------------------------
 
-    /// Plans the *body* piece of a shard-spanning split on this shard:
-    /// binary-searches the largest schedulable body budget over this
-    /// shard's cores (most-spare first), with `charge` — the cross-shard
-    /// migration cost — folded into the piece's analysis WCET. Pure: the
+    /// Plans the *body* piece of a shard-spanning split on this shard: the
+    /// largest schedulable body budget on the first of this shard's cores
+    /// (most-spare first) that admits one, found by one frontier scan per
+    /// core, with `charge` — the cross-shard migration cost — folded into
+    /// the piece's analysis WCET. Pure: the
     /// partition is not mutated. Returns the hosting core, the analysis
     /// piece and the chosen runtime budget.
     fn plan_remote_body(&self, task: &Task, charge: Time) -> Option<(CoreId, Task, Time)> {
@@ -136,9 +137,7 @@ pub trait AdmissionShard {
     }
 
     /// Places one planned cross-shard piece on this shard's partition and
-    /// renormalizes the core's priorities. The caller wraps donor and
-    /// receiver in one [`PlanTxn`] so a refused piece rewinds every
-    /// participant.
+    /// renormalizes the core's priorities.
     fn commit_remote_piece(&mut self, core: CoreId, placed: PlacedTask) {
         self.partition_mut().place(core, placed);
         self.partition_mut().renormalize_core_priorities(core);
@@ -419,6 +418,15 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
         };
         self.next_event += 1;
         self.decisions.push(decision);
+        // Every journal scope is closed by the code that opened it; one
+        // left open would keep recording and fold into a later rewind.
+        debug_assert!(
+            self.shards
+                .iter()
+                .all(|shard| !shard.partition().in_journal_scope()),
+            "decision {} left a journal scope open",
+            decision.event_index
+        );
         // `finish_decision` also drains the stage spans the cross-shard
         // planner may have opened (the ring has capacity 0, so nothing is
         // retained — per-decision traces live in the shards).
@@ -541,9 +549,9 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
     /// Plans and (two-phase) commits a shard-spanning split: the body on
     /// the highest-spare donor shard, the tail on the runner-up receiver,
     /// with the cost model's migration charge folded into *both* pieces'
-    /// analysis WCETs. Planning is pure; the commit opens one [`PlanTxn`]
-    /// scope per participant and aborts — rewinding both partitions
-    /// bit-identically — unless both shards accept their pieces.
+    /// analysis WCETs. Planning is pure; the commit opens one journal scope
+    /// on each participant and rewinds both — restoring both partitions
+    /// bit-identically — unless both still validate with their pieces.
     fn try_cross_shard(&mut self, task: &Task) -> Option<DecisionKind> {
         self.metrics.record_cross_shard_attempt();
         // Donor = most spare, receiver = runner-up; ties break on the
@@ -575,7 +583,7 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
         let remaining = task.wcet().saturating_sub(budget);
         let (tail_core, tail_piece) =
             self.shards[receiver].plan_remote_tail(task, remaining, offset, charge)?;
-        // Phase 2 — place both pieces under one planning transaction.
+        // Phase 2 — place both pieces inside one journal scope per shard.
         let body_placed = PlacedTask {
             task: body_piece.clone(),
             execution: budget,
@@ -604,19 +612,21 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
         };
         let committed = {
             let (donor_shard, receiver_shard) = two_shards_mut(&mut self.shards, donor, receiver);
-            let mut txn = PlanTxn::new();
-            txn.begin(donor_shard.partition_mut());
-            txn.begin(receiver_shard.partition_mut());
+            let donor_mark = donor_shard.partition_mut().journal_begin();
+            let receiver_mark = receiver_shard.partition_mut().journal_begin();
             donor_shard.commit_remote_piece(body_core, body_placed);
             receiver_shard.commit_remote_piece(tail_core, tail_placed);
             let accepted = donor_shard.partition().validate().is_ok()
                 && receiver_shard.partition().validate().is_ok();
+            if !accepted {
+                receiver_shard.partition_mut().rewind(receiver_mark);
+                donor_shard.partition_mut().rewind(donor_mark);
+            }
+            receiver_shard.partition_mut().journal_end();
+            donor_shard.partition_mut().journal_end();
             if accepted {
-                txn.commit(&mut [donor_shard.partition_mut(), receiver_shard.partition_mut()]);
                 donor_shard.note_remote_admitted(body_piece);
                 receiver_shard.note_remote_admitted(tail_piece);
-            } else {
-                txn.abort(&mut [donor_shard.partition_mut(), receiver_shard.partition_mut()]);
             }
             accepted
         };
@@ -833,7 +843,7 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
     /// on it (ascending task id, so recovery is deterministic), and
     /// re-admits the drained tasks onto the survivors through the normal
     /// placement order — falling back to the cross-shard planner, whose
-    /// [`PlanTxn`] rewinds the survivors bit-identically when a recovery
+    /// journal scopes rewind the survivors bit-identically when a recovery
     /// placement fails. Unrecoverable tasks surface as
     /// [`DecisionKind::EvictedOnFailure`] entries in the service log.
     fn crash_shard(&mut self, shard: usize) {
@@ -1335,6 +1345,47 @@ mod tests {
         let merged = svc.merged_metrics_registry();
         assert_eq!(
             merged.counter_by_name("spms_mech_cross_shard_attempts_total"),
+            Some(1)
+        );
+        assert_eq!(
+            merged.counter_by_name("spms_mech_cross_shard_admissions_total"),
+            Some(0)
+        );
+        assert_eq!(svc.resident_shard(TaskId(1000)), None);
+    }
+
+    #[test]
+    fn a_refused_cross_shard_commit_rewinds_both_shards() {
+        // Controllers built without partial chains refuse the donor's
+        // lone body (`next_core: None`) at `validate()`, after both pieces
+        // are placed: the commit must rewind both partitions.
+        let shards = (0..2)
+            .map(|_| AdmissionController::new(OnlineConfig::new(1)).unwrap())
+            .collect();
+        let mut svc = ShardedAdmission::from_shards(shards);
+        svc.set_cross_shard_split(true);
+        for resident in [task(id_homed_on(0), 5, 10), task(id_homed_on(1), 8, 16)] {
+            assert!(svc
+                .handle_event(&WorkloadEvent::Arrive(resident))
+                .is_admission());
+        }
+        let before: Vec<_> = svc.shards().iter().map(|s| s.partition().clone()).collect();
+        let d = svc.handle_event(&WorkloadEvent::Arrive(task(1000, 11, 20)));
+        assert!(!d.is_admission(), "{:?}", d.kind);
+        for (shard, before) in svc.shards().iter().zip(&before) {
+            let partition = shard.partition();
+            assert_eq!(partition, before);
+            for core in (0..partition.core_count()).map(CoreId) {
+                assert_eq!(partition.cached_core(core), before.cached_core(core));
+            }
+        }
+        let merged = svc.merged_metrics_registry();
+        assert_eq!(
+            merged.counter_by_name("spms_mech_cross_shard_attempts_total"),
+            Some(1)
+        );
+        assert_eq!(
+            merged.counter_by_name("spms_mech_cross_shard_aborts_total"),
             Some(1)
         );
         assert_eq!(

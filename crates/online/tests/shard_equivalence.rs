@@ -179,8 +179,8 @@ proptest! {
     /// (d) Cross-shard split disabled (the default): the decision log is
     /// byte-identical to the hand-reconstructed pre-cross-shard grammar,
     /// and the deterministic telemetry's cross-shard mechanism counters
-    /// never move — the refactor onto planning transactions must be
-    /// invisible until the flag is thrown.
+    /// never move — the cross-shard planner must be invisible until the
+    /// flag is thrown.
     #[test]
     fn disabled_cross_shard_runs_stay_in_the_legacy_grammar(
         (target, seed, events, shards) in engine_config()

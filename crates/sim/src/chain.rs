@@ -37,11 +37,6 @@ pub struct Chain {
 }
 
 impl Chain {
-    /// Total execution demand across all pieces.
-    pub fn total_budget(&self) -> Time {
-        self.pieces.iter().map(|p| p.budget).sum()
-    }
-
     /// Whether the chain was split across more than one core.
     pub fn is_split(&self) -> bool {
         self.pieces.len() > 1
@@ -147,7 +142,8 @@ mod tests {
     fn split_chain_budget_equals_parent_wcet() {
         let chains = Chain::from_partition(&split_partition());
         for chain in &chains {
-            assert_eq!(chain.total_budget(), Time::from_millis(6));
+            let budget: Time = chain.pieces.iter().map(|p| p.budget).sum();
+            assert_eq!(budget, Time::from_millis(6));
             assert_eq!(chain.period, Time::from_millis(10));
             assert_eq!(chain.deadline, Time::from_millis(10));
         }

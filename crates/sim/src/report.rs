@@ -85,18 +85,6 @@ impl SimulationReport {
         &self.per_core[core.0]
     }
 
-    /// Average observed utilisation across all cores.
-    pub fn average_utilization(&self) -> f64 {
-        if self.per_core.is_empty() {
-            return 0.0;
-        }
-        self.per_core
-            .iter()
-            .map(|c| c.utilization(self.duration))
-            .sum::<f64>()
-            / self.per_core.len() as f64
-    }
-
     /// Fraction of all charged core time that was scheduler overhead.
     pub fn overhead_fraction(&self) -> f64 {
         let busy: Time = self.per_core.iter().map(|c| c.busy).sum();
@@ -145,7 +133,13 @@ mod tests {
             ..SimulationReport::default()
         };
         assert!(report.no_deadline_misses());
-        assert!((report.average_utilization() - 0.45).abs() < 1e-12);
+        let average = report
+            .per_core
+            .iter()
+            .map(|c| c.utilization(report.duration))
+            .sum::<f64>()
+            / report.per_core.len() as f64;
+        assert!((average - 0.45).abs() < 1e-12);
         assert!((report.overhead_fraction() - 10.0 / 90.0).abs() < 1e-12);
         assert_eq!(report.core(CoreId(1)).busy, Time::from_millis(30));
     }

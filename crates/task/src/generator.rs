@@ -244,25 +244,6 @@ impl TaskSetGenerator {
         self.generate_with(&mut rng)
     }
 
-    /// Generates `count` task sets, each with a distinct derived seed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first generation error encountered.
-    pub fn generate_many(&self, count: usize) -> Result<Vec<TaskSet>, TaskError> {
-        (0..count)
-            .map(|i| {
-                let cfg = self.clone().seed(
-                    self.seed
-                        .wrapping_add(i as u64)
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        .wrapping_add(i as u64),
-                );
-                cfg.generate()
-            })
-            .collect()
-    }
-
     /// Generates a task set using a caller-provided random-number generator.
     ///
     /// # Errors
@@ -635,8 +616,16 @@ mod tests {
     }
 
     #[test]
-    fn generate_many_produces_distinct_sets() {
-        let sets = TaskSetGenerator::new().seed(23).generate_many(5).unwrap();
+    fn distinct_seeds_produce_distinct_sets() {
+        let sets: Vec<TaskSet> = (0..5u64)
+            .map(|i| {
+                let seed = 23u64
+                    .wrapping_add(i)
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .wrapping_add(i);
+                TaskSetGenerator::new().seed(seed).generate().unwrap()
+            })
+            .collect();
         assert_eq!(sets.len(), 5);
         for w in sets.windows(2) {
             assert_ne!(w[0], w[1]);

@@ -121,14 +121,6 @@ impl TaskSet {
         }
     }
 
-    /// Sorts the tasks in place by priority, highest first.
-    ///
-    /// Tasks without an assigned priority sort last.
-    pub fn sort_by_priority(&mut self) {
-        self.tasks
-            .sort_by_key(|t| (t.priority().unwrap_or(Priority::LOWEST), t.id()));
-    }
-
     /// Checks structural invariants of the set.
     ///
     /// # Errors
@@ -297,11 +289,11 @@ mod tests {
     }
 
     #[test]
-    fn sort_by_priority_orders_highest_first() {
+    fn rate_monotonic_levels_sort_dense_from_highest() {
         let mut ts = sample_set();
         ts.assign_priorities(PriorityAssignment::RateMonotonic);
-        ts.sort_by_priority();
-        let levels: Vec<u32> = ts.iter().map(|t| t.priority().unwrap().level()).collect();
+        let mut levels: Vec<u32> = ts.iter().map(|t| t.priority().unwrap().level()).collect();
+        levels.sort_unstable();
         assert_eq!(levels, vec![0, 1, 2]);
     }
 

@@ -92,12 +92,6 @@ impl Time {
         self.0
     }
 
-    /// Value in microseconds (integer division).
-    #[inline]
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Value in milliseconds (integer division).
     #[inline]
     pub const fn as_millis(self) -> u64 {

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use spms::analysis::{rta, OverheadModel, UniprocessorTest};
 use spms::core::{PartitionOutcome, PartitionedFixedPriority, Partitioner, SemiPartitionedFpTs};
 use spms::sim::{Chain, SimulationConfig, Simulator};
-use spms::task::{Task, TaskSetGenerator, Time};
+use spms::task::{Priority, Task, TaskSet, TaskSetGenerator, Time};
 
 /// Strategy: a feasible task-set configuration (count, total utilization,
 /// seed) for a 4-core platform. The utilization is kept at or below roughly
@@ -42,14 +42,14 @@ proptest! {
     /// monotonically with added interference.
     #[test]
     fn response_times_bound_below_by_wcet((n, u, seed) in task_set_config()) {
-        let mut ts = TaskSetGenerator::new()
+        let ts = TaskSetGenerator::new()
             .task_count(n)
             .total_utilization(u)
             .seed(seed)
             .generate()
             .expect("reachable configuration");
-        ts.sort_by_priority();
-        let tasks: Vec<Task> = ts.iter().cloned().collect();
+        let mut tasks: Vec<Task> = ts.iter().cloned().collect();
+        tasks.sort_by_key(|t| (t.priority().unwrap_or(Priority::LOWEST), t.id()));
         for (i, task) in tasks.iter().enumerate() {
             let hp = &tasks[..i];
             if let Some(r) = rta::response_time(task, hp) {
@@ -154,7 +154,7 @@ proptest! {
             .generate()
             .expect("reachable configuration");
         let model = OverheadModel::paper_n4();
-        if let Ok(inflated) = model.inflate_task_set(&ts) {
+        if let Ok(inflated) = ts.iter().map(|t| model.inflate_task(t)).collect::<Result<TaskSet, _>>() {
             for (orig, infl) in ts.iter().zip(inflated.iter()) {
                 prop_assert_eq!(infl.wcet(), orig.wcet() + model.job_overhead_normal());
                 prop_assert_eq!(infl.period(), orig.period());
@@ -185,7 +185,7 @@ proptest! {
                     .expect("every task has a chain");
                 prop_assert_eq!(chain.period, task.period());
                 prop_assert_eq!(chain.deadline, task.deadline());
-                prop_assert!(chain.total_budget() >= task.wcet());
+                prop_assert!(chain.pieces.iter().map(|p| p.budget).sum::<Time>() >= task.wcet());
             }
         }
     }
