@@ -26,7 +26,9 @@
 //!
 //! A probe that accepts a candidate has already converged every response
 //! the committed core needs; [`probe_candidate_with`] hands them out, and
-//! [`insert_relabelled`] installs them instead of re-deriving them.
+//! [`insert_relabelled`] (or, without a relabel,
+//! [`insert_proven`](CachedCoreAnalysis::insert_proven)) installs
+//! them instead of re-deriving them.
 //!
 //! The converged responses also make split carving a single read:
 //! [`max_prioritised_wcet`] scans each entry's time demand once and returns
@@ -158,6 +160,25 @@ impl CachedCoreAnalysis {
     pub fn insert(&mut self, task: Task) {
         let (pos, first_affected) = self.place_entry(task);
         self.reconverge_after_insert(pos, first_affected, None);
+    }
+
+    /// [`insert`](Self::insert) that installs `proof` — the responses an
+    /// accepting [`probe_candidate_with`](Self::probe_candidate_with) of
+    /// `task` converged on this exact core, candidate first — instead of
+    /// re-converging the levels at or below the insertion point. The
+    /// caller vouches that the probe ranked `task` by its own level (as
+    /// [`accepts_prioritised`](Self::accepts_prioritised) does) and was
+    /// taken on the core's current state; debug builds check the result
+    /// against a from-scratch analysis.
+    pub fn insert_proven(&mut self, task: Task, proof: &[Time]) {
+        let (pos, first_affected) = self.place_entry(task);
+        debug_assert_eq!(
+            proof.len(),
+            self.entries.len() - first_affected,
+            "the proof does not cover the levels the insertion invalidates"
+        );
+        self.reconverge_after_insert(pos, first_affected, Some(proof));
+        self.debug_assert_converged();
     }
 
     /// Removes the task with `id`, re-converging the levels at or below it.

@@ -30,10 +30,17 @@
 //! destination, migration cache reload), and the tail subtask pays the
 //! remote sleep-queue insertion when it finishes.
 
-use serde::{Deserialize, Serialize};
-use spms_analysis::{bounds, CachedCoreAnalysis, OverheadModel, UniprocessorTest};
-use spms_task::{by_decreasing_utilization, Priority, PriorityAssignment, Task, TaskSet, Time};
+use std::cmp::Reverse;
+use std::ops::Range;
 
+use serde::{Deserialize, Serialize};
+use spms_analysis::{bounds, rta, CachedCoreAnalysis, OverheadModel, UniprocessorTest};
+use spms_task::{
+    by_decreasing_utilization, Priority, PriorityAssignment, Task, TaskId, TaskSet, Time,
+};
+use spms_telemetry::{scoped, HotCounter};
+
+use crate::placement::UTILIZATION_SCREEN_MARGIN;
 use crate::{
     CoreId, Partition, PartitionError, PartitionOutcome, Partitioner, PlacedTask, SplitInfo,
     SubtaskKind,
@@ -69,43 +76,193 @@ pub enum SplitPlacement {
     NextFit,
 }
 
-/// The per-core bins an assignment pass fills, plus — when the acceptance
-/// test is the exact RTA — one incremental [`CachedCoreAnalysis`] per bin,
-/// so every acceptance probe reuses the converged response times of the
-/// tasks ranked above the candidate instead of cloning and re-analysing the
-/// whole core (the splitting pass probes every candidate core for its
-/// largest body budget, so probes dominate its cost). Probe verdicts are bit-identical to the from-scratch
-/// fallback, which keeps partitioning output unchanged.
+/// The per-core bins an assignment pass fills, with what lets each
+/// placement question be answered once and cheaply.
+///
+/// * **Exact analysis.** Under the exact RTA every bin carries an
+///   incremental [`CachedCoreAnalysis`], so a probe reuses the converged
+///   responses of the tasks ranked above the candidate instead of
+///   re-analysing the whole core, and a body budget is one frontier scan
+///   ([`CachedCoreAnalysis::max_prioritised_wcet`]). Other tests analyse
+///   the bin's tasks from scratch.
+/// * **Screen.** Each bin keeps its utilization: the bin-order sum of its
+///   placements' (inflated) utilizations, seeded `-0.0` like
+///   [`Partition::core_utilization`]. A candidate that would lift it above
+///   `1 + 1e-9` is rejected without a probe: every task here has `D ≤ T`,
+///   and then `U > 1` fails exact RTA (see
+///   [`Partition::overloaded_with`]) and both utilization bounds
+///   (Liu–Layland's is at most 1, and `Π(1 + U_i) ≥ 1 + ΣU > 2`), so one
+///   code path serves every [`UniprocessorTest`]. The smallest body piece
+///   is screened the same way before a budget scan: a bin that cannot take
+///   it takes no budget. Debug builds re-run the exact test on every hit
+///   and assert that it rejects.
+/// * **Proof.** An exact probe that accepts a whole task or a tail piece
+///   hands its converged responses to a buffer the bins reuse; pushing
+///   that same piece onto that same bin installs them
+///   ([`CachedCoreAnalysis::insert_proven`]) instead of re-converging the
+///   core. Body pieces have no probe and are inserted warm.
+/// * **Counters.** Exact whole/tail probes, screen hits and body-budget
+///   scans (plus any bisection probes behind a declined scan) are tallied
+///   in plain fields and handed to the hot counters once per pass
+///   ([`report_work`](Self::report_work)) as [`HotCounter::WholeProbes`],
+///   [`HotCounter::UtilizationScreens`] and [`HotCounter::SplitProbes`]:
+///   a per-probe bump would be a process-wide atomic add, and offline
+///   sweeps run FP-TS on several threads.
+///
+/// Probe verdicts are bit-identical to the from-scratch test, so none of
+/// this changes a placement.
 struct Bins {
+    test: UniprocessorTest,
     bins: Vec<Vec<PlacedTask>>,
     caches: Option<Vec<CachedCoreAnalysis>>,
+    utilizations: Vec<f64>,
+    /// The responses the last accepting exact probe converged, and the
+    /// `(bin, task)` they were taken for; any other push onto that bin
+    /// voids them.
+    proof: Vec<Time>,
+    proven: Option<(usize, TaskId)>,
+    whole_probes: u64,
+    screens: u64,
+    split_probes: u64,
 }
 
 impl Bins {
     fn new(cores: usize, test: UniprocessorTest) -> Self {
         Bins {
+            test,
             bins: vec![Vec::new(); cores],
             caches: (test == UniprocessorTest::ResponseTime)
                 .then(|| vec![CachedCoreAnalysis::new(); cores]),
+            utilizations: vec![-0.0; cores],
+            proof: Vec::new(),
+            proven: None,
+            whole_probes: 0,
+            screens: 0,
+            split_probes: 0,
         }
     }
 
-    /// Whether `core` still passes `test` with `candidate` added. Every
-    /// candidate in the offline passes carries its final priority, so the
-    /// cached probe ranks it by its explicit level.
-    fn accepts(&self, test: UniprocessorTest, core: usize, candidate: &Task) -> bool {
+    fn len(&self) -> usize {
+        self.bins.len()
+    }
+
+    /// The first of `cores` that `skip` does not rule out and that still
+    /// passes the test with `candidate` added. Each core is asked the
+    /// screen, then one counted exact probe, whose acceptance leaves its
+    /// proof for [`push`](Self::push). Every candidate in the offline
+    /// passes carries its final priority, so the probe ranks it by its
+    /// explicit level.
+    fn first_accepting(
+        &mut self,
+        mut cores: Range<usize>,
+        candidate: &Task,
+        skip: impl Fn(&Self, usize) -> bool,
+    ) -> Option<usize> {
+        let u = candidate.utilization();
+        cores.find(|&core| {
+            !skip(self, core) && !self.screened(core, candidate, u) && self.probe(core, candidate)
+        })
+    }
+
+    /// One counted exact probe of `candidate` on `core`.
+    fn probe(&mut self, core: usize, candidate: &Task) -> bool {
+        self.whole_probes += 1;
+        self.proven = None;
+        let Some(caches) = &self.caches else {
+            return self.exact_accepts(core, candidate);
+        };
+        let proof = &mut self.proof;
+        proof.clear();
+        let level = rta::effective_priority(candidate).level();
+        let accepted = caches[core]
+            .probe_candidate_with(
+                candidate,
+                |t| rta::effective_priority(t).level() > level,
+                |t| rta::effective_priority(t).level() == level,
+                |r| proof.push(r),
+            )
+            .is_none();
+        if accepted {
+            self.proven = Some((core, candidate.id()));
+        }
+        accepted
+    }
+
+    /// Whether the utilization screen rejects `candidate`, of utilization
+    /// `u`, on `core` (counted as a screen hit).
+    fn screened(&mut self, core: usize, candidate: &Task, u: f64) -> bool {
+        if !self.overloaded_with(core, u) {
+            return false;
+        }
+        self.screens += 1;
+        debug_assert!(
+            !scoped::uncounted(|| self.exact_accepts(core, candidate)),
+            "the utilization screen rejected what the exact test accepts on P{core}"
+        );
+        true
+    }
+
+    /// Whether adding utilization `u` to `core` provably overloads it.
+    fn overloaded_with(&self, core: usize, u: f64) -> bool {
+        self.utilizations[core] + u > 1.0 + UTILIZATION_SCREEN_MARGIN
+    }
+
+    /// The test's verdict on `core` with `candidate` added, uncounted and
+    /// unscreened.
+    fn exact_accepts(&self, core: usize, candidate: &Task) -> bool {
         if let Some(caches) = &self.caches {
             return caches[core].accepts_prioritised(candidate);
         }
         let mut tasks: Vec<Task> = self.bins[core].iter().map(|p| p.task.clone()).collect();
         tasks.push(candidate.clone());
-        test.accepts(&tasks)
+        self.test.accepts(&tasks)
     }
 
-    fn push(&mut self, core: usize, placed: PlacedTask) {
-        if let Some(caches) = &mut self.caches {
-            caches[core].insert(placed.task.clone());
+    /// The largest body budget (pure execution, `overhead` on top) in
+    /// `[min_split_budget, max_budget]` that `core` still admits for a
+    /// piece shaped like `template`, or [`Time::ZERO`] — at once when the
+    /// screen rejects even the smallest piece.
+    fn max_body_budget(
+        &mut self,
+        core: usize,
+        template: &Task,
+        overhead: Time,
+        min_split_budget: Time,
+        max_budget: Time,
+    ) -> Time {
+        let smallest =
+            crate::split_budget::smallest_body_piece(template, overhead, min_split_budget);
+        if smallest.is_some_and(|piece| self.screened(core, &piece, piece.utilization())) {
+            return Time::ZERO;
         }
+        let mut probes = 1;
+        let budget = crate::split_budget::max_body_budget(
+            self.caches.as_ref().map(|caches| &caches[core]),
+            template,
+            overhead,
+            min_split_budget,
+            max_budget,
+            |piece| {
+                probes += 1;
+                self.exact_accepts(core, piece)
+            },
+        );
+        self.split_probes += probes;
+        budget
+    }
+
+    /// Places `placed` on `core`, installing the proof its accepting probe
+    /// left when there is one.
+    fn push(&mut self, core: usize, placed: PlacedTask) {
+        let proven = self.proven.take_if(|(bin, _)| *bin == core);
+        if let Some(caches) = &mut self.caches {
+            if proven == Some((core, placed.task.id())) {
+                caches[core].insert_proven(placed.task.clone(), &self.proof);
+            } else {
+                caches[core].insert(placed.task.clone());
+            }
+        }
+        self.utilizations[core] += placed.task.utilization();
         self.bins[core].push(placed);
     }
 
@@ -113,8 +270,15 @@ impl Bins {
         self.bins[core].iter().any(|p| p.is_tail())
     }
 
-    fn into_partition(self, cores: usize) -> Partition {
-        let mut partition = Partition::new(cores);
+    /// Adds this pass's tallies to the hot counters.
+    fn report_work(&self) {
+        scoped::add(HotCounter::WholeProbes, self.whole_probes);
+        scoped::add(HotCounter::UtilizationScreens, self.screens);
+        scoped::add(HotCounter::SplitProbes, self.split_probes);
+    }
+
+    fn into_partition(self) -> Partition {
+        let mut partition = Partition::new(self.bins.len());
         for (core, bin) in self.bins.into_iter().enumerate() {
             for placed in bin {
                 partition.place(CoreId(core), placed);
@@ -249,29 +413,6 @@ impl SemiPartitionedFpTs {
         }
     }
 
-    /// The largest body budget (pure execution, excluding any overhead) that
-    /// the acceptance test still admits on `core`, bounded by `max_budget`.
-    /// Returns `Time::ZERO` when not even the smallest budget fits. The
-    /// `C = D` piece construction and the exact frontier search are shared
-    /// with the online incremental placer (`split_budget` module).
-    fn max_body_budget(
-        &self,
-        bins: &Bins,
-        core: usize,
-        template: &Task,
-        max_budget: Time,
-        piece_index: usize,
-    ) -> Time {
-        crate::split_budget::max_body_budget(
-            bins.caches.as_ref().map(|caches| &caches[core]),
-            template,
-            self.body_piece_overhead(piece_index),
-            self.min_split_budget,
-            max_budget,
-            |piece| bins.accepts(self.test, core, piece),
-        )
-    }
-
     /// Builds the analysis task for the final (tail or whole) placement of
     /// `task` with `budget` pure execution remaining, released `offset` after
     /// the original task. Returns `None` if the piece cannot meet what is
@@ -308,25 +449,19 @@ impl SemiPartitionedFpTs {
     }
 
     /// The SPA assignment pass over `tasks` (original parameters, carrying RM
-    /// priorities), starting from the existing `bins`.
-    fn spa1_pass(&self, tasks: &[Task], bins: &mut Bins, cores: usize) -> Result<(), String> {
+    /// priorities, in the order they are offered), starting from the
+    /// existing `bins`.
+    fn spa1_pass(&self, tasks: &[Task], bins: &mut Bins) -> Result<(), String> {
+        let cores = bins.len();
         let mut current = 0usize;
-        // Tasks are offered in decreasing utilization order. Guan's SPA1
-        // assigns in increasing priority order because its utilization-bound
-        // argument needs it; with an explicit per-core RTA acceptance test
-        // (and explicit priority promotion of split pieces) the order is only
-        // a packing heuristic, and decreasing utilization — the same order the
-        // FFD/WFD baselines use — packs measurably better, keeping FP-TS's
-        // acceptance ratio at or above the partitioned baselines across the
-        // whole sweep (see DESIGN.md, substitution table).
-        let mut ordered: Vec<&Task> = tasks.iter().collect();
-        ordered.sort_by(|a, b| by_decreasing_utilization(a, b));
+        // The pieces of the task being placed: (core, analysis piece, pure
+        // execution budget). One buffer serves every task.
+        let mut pieces: Vec<(usize, Task, Time)> = Vec::new();
 
-        for task in ordered {
+        for task in tasks {
             let mut remaining = task.wcet();
             let mut offset = Time::ZERO;
-            // (core, analysis piece, pure execution budget)
-            let mut pieces: Vec<(usize, Task, Time)> = Vec::new();
+            pieces.clear();
 
             loop {
                 if current >= cores {
@@ -345,19 +480,18 @@ impl SemiPartitionedFpTs {
                     self.make_final_piece(task, remaining, offset, !pieces.is_empty())
                 {
                     let is_tail = !pieces.is_empty();
-                    let used: Vec<usize> = pieces.iter().map(|(c, _, _)| *c).collect();
-                    let candidates: Vec<usize> = match self.placement {
-                        SplitPlacement::FirstFit => (0..cores).collect(),
-                        SplitPlacement::NextFit => vec![current],
+                    let candidates = match self.placement {
+                        SplitPlacement::FirstFit => 0..cores,
+                        SplitPlacement::NextFit => current..current + 1,
                     };
-                    let accepted_core = candidates
-                        .into_iter()
-                        .filter(|c| !used.contains(c))
-                        // A tail piece runs at the promoted tail priority, and
-                        // at most one tail may live on a core (stacked pieces
-                        // on one level would charge each other's full budget).
-                        .filter(|&c| !is_tail || !bins.has_tail(c))
-                        .find(|&c| bins.accepts(self.test, c, &final_piece));
+                    let accepted_core =
+                        bins.first_accepting(candidates, &final_piece, |bins, c| {
+                            // A tail piece runs at the promoted tail priority, and
+                            // at most one tail may live on a core (stacked pieces
+                            // on one level would charge each other's full budget).
+                            pieces.iter().any(|(used, _, _)| *used == c)
+                                || (is_tail && bins.has_tail(c))
+                        });
                     if let Some(core) = accepted_core {
                         pieces.push((core, final_piece, remaining));
                         break;
@@ -377,7 +511,13 @@ impl SemiPartitionedFpTs {
                     .saturating_sub(Time::from_nanos(1))
                     .min(deadline_room);
                 let budget = if !already_hosts_piece && max_budget >= self.min_split_budget {
-                    self.max_body_budget(bins, current, task, max_budget, pieces.len())
+                    bins.max_body_budget(
+                        current,
+                        task,
+                        piece_overhead,
+                        self.min_split_budget,
+                        max_budget,
+                    )
                 } else {
                     Time::ZERO
                 };
@@ -400,93 +540,100 @@ impl SemiPartitionedFpTs {
 
             // Materialise the placements.
             let count = pieces.len();
-            if count == 1 {
-                let (core, piece, budget) = pieces.into_iter().next().expect("one piece");
+            let first_core = CoreId(pieces[0].0);
+            let mut running_offset = Time::ZERO;
+            for i in 0..count {
+                let (core, ref piece, budget) = pieces[i];
+                let split = (count > 1).then(|| SplitInfo {
+                    part_index: i,
+                    part_count: count,
+                    kind: if i == count - 1 {
+                        SubtaskKind::Tail
+                    } else {
+                        SubtaskKind::Body
+                    },
+                    release_offset: running_offset,
+                    next_core: pieces.get(i + 1).map(|(c, _, _)| CoreId(*c)),
+                    first_core,
+                });
+                running_offset += piece.wcet();
                 bins.push(
                     core,
                     PlacedTask {
-                        task: piece,
+                        task: piece.clone(),
                         execution: budget,
                         parent: task.id(),
-                        split: None,
+                        split,
                     },
                 );
-            } else {
-                let first_core = CoreId(pieces[0].0);
-                let core_sequence: Vec<usize> = pieces.iter().map(|(c, _, _)| *c).collect();
-                let mut running_offset = Time::ZERO;
-                for (i, (core, piece, budget)) in pieces.into_iter().enumerate() {
-                    let is_tail = i == count - 1;
-                    let piece_wcet = piece.wcet();
-                    bins.push(
-                        core,
-                        PlacedTask {
-                            task: piece,
-                            execution: budget,
-                            parent: task.id(),
-                            split: Some(SplitInfo {
-                                part_index: i,
-                                part_count: count,
-                                kind: if is_tail {
-                                    SubtaskKind::Tail
-                                } else {
-                                    SubtaskKind::Body
-                                },
-                                release_offset: running_offset,
-                                next_core: core_sequence.get(i + 1).copied().map(CoreId),
-                                first_core,
-                            }),
-                        },
-                    );
-                    running_offset += piece_wcet;
-                }
             }
         }
         Ok(())
     }
 
-    /// SPA2 pre-assignment: place every heavy task whole, first-fit, before
-    /// the splitting pass.
-    fn preassign_heavy(&self, tasks: &[Task], bins: &mut Bins) -> Result<Vec<Task>, String> {
+    /// Gives `tasks` (the input's own copy, each able to absorb the
+    /// whole-task overhead) rate-monotonic priorities and runs the
+    /// assignment over them: SPA2's heavy pre-assignment, then the
+    /// splitting pass. Returns the bins and the splitting pass's verdict.
+    fn fill_bins(&self, mut tasks: TaskSet, cores: usize) -> (Bins, Result<(), String>) {
+        tasks.assign_priorities(PriorityAssignment::RateMonotonic);
+        // Tasks are offered in decreasing utilization order. Guan's SPA1
+        // assigns in increasing priority order because its utilization-bound
+        // argument needs it; with an explicit per-core RTA acceptance test
+        // (and explicit priority promotion of split pieces) the order is only
+        // a packing heuristic, and decreasing utilization — the same order the
+        // FFD/WFD baselines use — packs measurably better, keeping FP-TS's
+        // acceptance ratio at or above the partitioned baselines across the
+        // whole sweep (see DESIGN.md, substitution table). The order is
+        // total (ids are unique), and SPA2's heavy tasks are its prefix.
+        let mut tasks: Vec<Task> = tasks.into_iter().collect();
+        // `by_decreasing_utilization`, dividing once per task: the bits of
+        // a positive float order as its value does.
+        tasks.sort_by_cached_key(|task| (Reverse(task.utilization().to_bits()), task.id()));
+        debug_assert!(tasks.is_sorted_by(|a, b| by_decreasing_utilization(a, b).is_lt()));
+
+        let mut bins = Bins::new(cores, self.test);
+        if self.strategy == SplitStrategy::Spa2 {
+            self.preassign_heavy(&mut tasks, &mut bins);
+        }
+        let pass = self.spa1_pass(&tasks, &mut bins);
+        (bins, pass)
+    }
+
+    /// SPA2 pre-assignment: place every heavy task of `tasks` (offered in
+    /// decreasing utilization order, so heaviest first) whole, first-fit,
+    /// before the splitting pass, and leave only the rest in `tasks`. A
+    /// heavy task that fits nowhere whole is left to the splitting pass
+    /// instead of declaring failure outright.
+    fn preassign_heavy(&self, tasks: &mut Vec<Task>, bins: &mut Bins) {
         let threshold = bounds::heavy_task_threshold(tasks.len().max(1));
-        let mut light = Vec::with_capacity(tasks.len());
-        let mut heavy: Vec<&Task> = Vec::new();
-        for t in tasks {
-            if t.utilization() > threshold {
-                heavy.push(t);
-            } else {
-                light.push(t.clone());
-            }
-        }
-        // Heaviest first, first-fit.
-        heavy.sort_by(|a, b| by_decreasing_utilization(a, b));
-        for task in heavy {
-            let Ok(mut analysis_task) =
-                task.with_wcet(task.wcet() + self.overhead.whole_job_inflation())
-            else {
-                // A heavy task that cannot absorb the overhead is handed to
-                // the splitting pass, which will report it if it fits nowhere.
-                light.push(task.clone());
-                continue;
-            };
-            analysis_task.set_priority(Self::shifted_priority(task));
-            let slot = (0..bins.bins.len()).find(|&c| bins.accepts(self.test, c, &analysis_task));
-            match slot {
-                Some(c) => bins.push(
-                    c,
-                    PlacedTask {
-                        task: analysis_task,
-                        execution: task.wcet(),
-                        parent: task.id(),
-                        split: None,
-                    },
-                ),
-                // A heavy task that fits nowhere whole is handed to the
-                // splitting pass instead of declaring failure outright.
-                None => light.push(task.clone()),
-            }
-        }
-        Ok(light)
+        tasks.retain(|task| !(task.utilization() > threshold && self.place_whole(task, bins)));
+    }
+
+    /// Places `task` whole on the first bin that accepts it; whether one
+    /// did.
+    fn place_whole(&self, task: &Task, bins: &mut Bins) -> bool {
+        // A task that cannot absorb the overhead is handed to the splitting
+        // pass, which will report it if it fits nowhere.
+        let Ok(mut analysis_task) =
+            task.with_wcet(task.wcet() + self.overhead.whole_job_inflation())
+        else {
+            return false;
+        };
+        analysis_task.set_priority(Self::shifted_priority(task));
+        let Some(core) = bins.first_accepting(0..bins.len(), &analysis_task, |_, _| false) else {
+            return false;
+        };
+        bins.push(
+            core,
+            PlacedTask {
+                task: analysis_task,
+                execution: task.wcet(),
+                parent: task.id(),
+                split: None,
+            },
+        );
+        true
     }
 }
 
@@ -514,23 +661,13 @@ impl Partitioner for SemiPartitionedFpTs {
             }
             prioritised.push(task.clone());
         }
-        prioritised.assign_priorities(PriorityAssignment::RateMonotonic);
-        let all: Vec<Task> = prioritised.iter().cloned().collect();
-
-        let mut bins = Bins::new(cores, self.test);
-        let to_split: Vec<Task> = match self.strategy {
-            SplitStrategy::Spa1 => all,
-            SplitStrategy::Spa2 => match self.preassign_heavy(&all, &mut bins) {
-                Ok(light) => light,
-                Err(reason) => return Ok(PartitionOutcome::Unschedulable { reason }),
-            },
-        };
-
-        if let Err(reason) = self.spa1_pass(&to_split, &mut bins, cores) {
+        let (bins, pass) = self.fill_bins(prioritised, cores);
+        bins.report_work();
+        if let Err(reason) = pass {
             return Ok(PartitionOutcome::Unschedulable { reason });
         }
 
-        let partition = bins.into_partition(cores);
+        let partition = bins.into_partition();
         debug_assert_eq!(partition.validate(), Ok(()));
 
         // Final safety net: every core must pass the acceptance test with the
@@ -567,6 +704,72 @@ mod tests {
 
     fn set(tasks: Vec<Task>) -> TaskSet {
         tasks.into_iter().collect()
+    }
+
+    /// A generated set of `n` tasks at total utilization `u`; with
+    /// `constrained`, deadlines spread between each task's WCET and its
+    /// period.
+    fn random_set(n: usize, u: f64, seed: u64, constrained: bool) -> TaskSet {
+        let ts = TaskSetGenerator::new()
+            .task_count(n)
+            .total_utilization(u)
+            .seed(seed)
+            .generate()
+            .unwrap();
+        if !constrained {
+            return ts;
+        }
+        ts.iter()
+            .enumerate()
+            .map(|(i, t)| {
+                let slack = (t.period() - t.wcet()).as_nanos();
+                Task::builder(t.id())
+                    .wcet(t.wcet())
+                    .period(t.period())
+                    .deadline(t.wcet() + Time::from_nanos(slack * (i % 4) as u64 / 4))
+                    .build()
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_pass_leaves_each_bin_analysis_exact() {
+        let (mut screened, mut with_heavy, mut without_heavy) = (false, false, false);
+        for constrained in [false, true] {
+            for overhead in [OverheadModel::zero(), OverheadModel::paper_n4()] {
+                // Few tasks at high utilization carry SPA2-heavy tasks; many
+                // tasks at the same utilization carry none.
+                for (n, u) in [(6, 3.3), (24, 3.4)] {
+                    for seed in 0..6 {
+                        let ts = random_set(n, u, 300 + seed, constrained);
+                        if ts.iter().any(|t| overhead.inflate_task(t).is_err()) {
+                            continue;
+                        }
+                        let threshold = bounds::heavy_task_threshold(n);
+                        if ts.iter().any(|t| t.utilization() > threshold) {
+                            with_heavy = true;
+                        } else {
+                            without_heavy = true;
+                        }
+                        for fpts in [SemiPartitionedFpTs::spa1(), SemiPartitionedFpTs::spa2()] {
+                            let (bins, _) = fpts.with_overhead(overhead).fill_bins(ts.clone(), 4);
+                            let caches = bins.caches.as_ref().expect("RTA keeps a cache per bin");
+                            for (bin, cache) in bins.bins.iter().zip(caches) {
+                                let tasks: Vec<Task> = bin.iter().map(|p| p.task.clone()).collect();
+                                assert_eq!(*cache, CachedCoreAnalysis::from_tasks(&tasks));
+                            }
+                            screened |= bins.screens > 0;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(screened, "no pass hit the utilization screen");
+        assert!(
+            with_heavy && without_heavy,
+            "the sets must include and omit heavy tasks"
+        );
     }
 
     #[test]

@@ -17,6 +17,22 @@
 //!    [`SemiPartitionedFpTs`] over the admitted set plus the arrival and
 //!    adopt its partition wholesale.
 //!
+//! The fallback is the one stage whose cost grows with the whole admitted
+//! set rather than with the arrival: every attempt runs a full FP-TS pass
+//! (a failing one gives up only near its last task), and on the
+//! `saturated` admission benchmark most attempts fail. So the pass asks
+//! each question once. A bin whose running utilization would exceed
+//! `1 + 1e-9` rejects a piece without a probe (most of the pass's
+//! questions), an accepted whole task or tail piece is inserted with the
+//! responses its probe converged, and the probes, screen hits and body
+//! scans it does run are added to the same hot counters the placer feeds.
+//! Adoption then counts the moved parents in one sorted pass over both
+//! partitions, re-ranks each core deadline-monotonically and rebuilds the
+//! analysis cache; handing the bins' rate-monotonic caches over instead
+//! would save only that rebuild, a few microseconds per adoption. The
+//! offline pass's final from-scratch schedulability sweep stays as the
+//! independent check on what is adopted.
+//!
 //! A task is rejected only when every strategy fails; rejection leaves the
 //! partition untouched. Departures free capacity immediately and can never
 //! invalidate the partition (per-core demand only shrinks).
@@ -1467,22 +1483,32 @@ fn plan_inflation(plan: &PlacementPlan, charge: Time) -> Time {
 }
 
 /// Counts the parents (other than `arriving`) whose placement — the set of
-/// `(core, piece index)` pairs — differs between `old` and `new`.
+/// `(core, piece index)` pairs — differs between `old` and `new`: both
+/// partitions' `(parent, core, piece index)` triples are sorted once and
+/// walked side by side, one parent's group at a time.
 fn moved_parents(old: &Partition, new: &Partition, arriving: TaskId) -> usize {
-    let signature = |p: &Partition, parent: TaskId| -> Vec<(usize, usize)> {
-        let mut sig: Vec<(usize, usize)> = p
-            .placements_of(parent)
-            .into_iter()
-            .map(|(core, placed)| (core.0, placed.split.as_ref().map_or(0, |s| s.part_index)))
+    let sorted_triples = |p: &Partition| {
+        let mut triples: Vec<(TaskId, usize, usize)> = p
+            .iter()
+            .map(|(core, placed)| {
+                let part = placed.split.as_ref().map_or(0, |s| s.part_index);
+                (placed.parent, core.0, part)
+            })
             .collect();
-        sig.sort_unstable();
-        sig
+        triples.sort_unstable();
+        triples
     };
-    old.parent_ids()
-        .into_iter()
-        .filter(|parent| *parent != arriving)
-        .filter(|parent| signature(old, *parent) != signature(new, *parent))
-        .count()
+    let (old, new) = (sorted_triples(old), sorted_triples(new));
+    let mut new_groups = new.chunk_by(|a, b| a.0 == b.0).peekable();
+    let mut moved = 0;
+    for group in old.chunk_by(|a, b| a.0 == b.0) {
+        let parent = group[0].0;
+        while new_groups.next_if(|g| g[0].0 < parent).is_some() {}
+        if parent != arriving && new_groups.peek() != Some(&group) {
+            moved += 1;
+        }
+    }
+    moved
 }
 
 #[cfg(test)]
@@ -1668,6 +1694,56 @@ mod tests {
                 "cache state diverged on core {core} after rollback"
             );
         }
+    }
+
+    #[test]
+    fn moved_parents_counts_every_parent_whose_pieces_moved() {
+        // The definition: a parent moved when its sorted (core, piece
+        // index) signature differs between the two partitions.
+        let by_signature = |old: &Partition, new: &Partition, arriving: TaskId| {
+            let signature = |p: &Partition, parent: TaskId| {
+                let mut sig: Vec<(usize, usize)> = p
+                    .placements_of(parent)
+                    .into_iter()
+                    .map(|(core, placed)| {
+                        (core.0, placed.split.as_ref().map_or(0, |s| s.part_index))
+                    })
+                    .collect();
+                sig.sort_unstable();
+                sig
+            };
+            old.parent_ids()
+                .into_iter()
+                .filter(|parent| *parent != arriving)
+                .filter(|parent| signature(old, *parent) != signature(new, *parent))
+                .count()
+        };
+        let fpts = SemiPartitionedFpTs::default();
+        let (mut compared, mut moved) = (0, 0);
+        for seed in 0..40 {
+            let all = spms_task::TaskSetGenerator::new()
+                .task_count(10)
+                .total_utilization(3.3)
+                .seed(seed)
+                .generate()
+                .unwrap();
+            let before: TaskSet = all.iter().take(9).cloned().collect();
+            let (Ok(PartitionOutcome::Schedulable(old)), Ok(PartitionOutcome::Schedulable(new))) =
+                (fpts.partition(&before, 4), fpts.partition(&all, 4))
+            else {
+                continue;
+            };
+            let arriving = all[9].id();
+            let count = moved_parents(&old, &new, arriving);
+            assert_eq!(count, by_signature(&old, &new, arriving), "seed {seed}");
+            assert_eq!(moved_parents(&old, &old, arriving), 0);
+            compared += 1;
+            moved += count;
+        }
+        assert!(
+            compared > 10 && moved > 0,
+            "{compared} pairs, {moved} moves"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Heap-allocation budgets of the admission service.
 //!
 //! A counting global allocator wraps `System` and counts, per thread, every
-//! allocation and reallocation. Three budgets are pinned:
+//! allocation and reallocation. Four budgets are pinned:
 //!
 //! * **A fast-path decision.** A fast-path-shaped churn trace (8 cores,
 //!   one shard, Poisson arrivals at normalized utilization 0.4, zero
@@ -20,6 +20,14 @@
 //!   After the warm-up, such a rejection may allocate at most 30 times on
 //!   average: the failing plans, victim searches and journal rewinds of
 //!   repair reuse their buffers.
+//! * **A rejection after a full repartition.** The same saturated-shaped
+//!   trace with the fallback on, so every rejection for want of a
+//!   placement has also run the offline FP-TS pass over the admitted set
+//!   plus the arrival and seen it fail. After the warm-up, such a
+//!   rejection may allocate at most 60 times on average: the pass copies
+//!   its input once, reuses one buffer for the pieces of every task and
+//!   offers cores by range instead of collecting candidate lists, so what
+//!   is left is mostly the bins and per-core analyses each pass builds.
 //! * **A rebalance tick.** A fleet-shaped service (16 cores, 4 shards,
 //!   Poisson arrivals at 0.85, cross-shard splits on) is rebalanced with a
 //!   budget of 4 moves after every 20th event. A tick may allocate at most
@@ -222,6 +230,67 @@ fn a_rejected_arrival_stays_within_its_allocation_budget() {
     assert!(
         rejected.per_decision() <= 30.0,
         "{:.2} allocations per rejected arrival ({rejected:?})",
+        rejected.per_decision()
+    );
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug cross-checks allocate; run in release"
+)]
+fn a_rejection_after_a_full_repartition_stays_within_its_allocation_budget() {
+    let trace = ChurnGenerator::new()
+        .cores(8)
+        .target_normalized_utilization(0.9)
+        .events(6_000)
+        .family(ChurnFamily::Bursty)
+        .seed(7)
+        .generate_timed()
+        .expect("valid churn configuration");
+    let config = OnlineConfig::builder()
+        .cores(8)
+        .max_repair_moves(2)
+        .fallback(true)
+        .cost_model(CostModelSpec::Crpd(CrpdCostModel::heavy()))
+        .build();
+    let mut service = ShardedAdmission::new(config, 1).expect("valid shard count");
+    let mut event_loop = EventLoop::new(
+        EventLoopConfig::new(7)
+            .with_rebalance_period(Some(Time::from_millis(250)))
+            .with_rebalance_max_moves(4),
+    );
+    event_loop.load_trace(&trace);
+
+    // One shard holds no cross-shard parents, so the fallback is never
+    // withheld: every rejection for want of a placement ran FP-TS.
+    let mut rejected = Tally::default();
+    let mut seen = 0usize;
+    let mut last = allocations();
+    event_loop.run_with(&mut service, |_, decision| {
+        let now = allocations();
+        let spent = now - last;
+        last = now;
+        seen += 1;
+        if seen > WARM_UP
+            && decision.kind
+                == (DecisionKind::Rejected {
+                    reason: RejectionReason::NoFeasiblePlacement,
+                })
+        {
+            rejected.decisions += 1;
+            rejected.allocations += spent;
+        }
+    });
+
+    let stats = service.stats().decisions;
+    assert!(
+        rejected.decisions > 300 && stats.full_repartitions > 0,
+        "the trace must reject after the fallback and the fallback must admit too ({rejected:?})"
+    );
+    assert!(
+        rejected.per_decision() <= 60.0,
+        "{:.2} allocations per rejection after a full repartition ({rejected:?})",
         rejected.per_decision()
     );
 }
