@@ -4,12 +4,10 @@
 //! algorithm the paper implements — is built around Liu & Layland's
 //! utilization bound `Θ(n) = n(2^{1/n} − 1)`: a processor hosting `n`
 //! rate-monotonic tasks is schedulable if its total utilization does not
-//! exceed `Θ(n)`. This module provides that bound, its limit `ln 2`, the
-//! hyperbolic bound of Bini & Buttazzo (a strictly better sufficient test),
-//! and the "light task" threshold used by SPA2 to decide which tasks must be
-//! pre-assigned.
-
-use spms_task::Task;
+//! exceed `Θ(n)`. This module provides that bound, its limit `ln 2`, and the
+//! "light task" threshold used by SPA2 to decide which tasks must be
+//! pre-assigned. Whether a core actually fits is always decided by the exact
+//! response-time analysis in [`rta`](crate::rta).
 
 /// Liu & Layland's rate-monotonic utilization bound for `n` tasks:
 /// `Θ(n) = n(2^{1/n} − 1)`, with `Θ(0) = 1` by convention.
@@ -41,29 +39,9 @@ pub fn heavy_task_threshold(n: usize) -> f64 {
     theta / (1.0 + theta)
 }
 
-/// Sufficient rate-monotonic test by total utilization: the `tasks` fit on
-/// one processor if `ΣU_i ≤ Θ(n)`.
-pub fn fits_liu_layland(tasks: &[Task]) -> bool {
-    let total: f64 = tasks.iter().map(Task::utilization).sum();
-    total <= liu_layland_bound(tasks.len()) + 1e-12
-}
-
-/// The hyperbolic bound (Bini & Buttazzo 2003): the `tasks` are
-/// rate-monotonic schedulable on one processor if `Π (U_i + 1) ≤ 2`.
-/// Strictly dominates the Liu & Layland test.
-pub fn fits_hyperbolic(tasks: &[Task]) -> bool {
-    let product: f64 = tasks.iter().map(|t| t.utilization() + 1.0).product();
-    product <= 2.0 + 1e-12
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spms_task::{Task, Time};
-
-    fn task(id: u32, wcet_us: u64, period_us: u64) -> Task {
-        Task::new(id, Time::from_micros(wcet_us), Time::from_micros(period_us)).unwrap()
-    }
 
     #[test]
     fn bound_values_match_the_literature() {
@@ -87,37 +65,5 @@ mod tests {
         let th = heavy_task_threshold(100);
         assert!(th > 0.40 && th < 0.42, "threshold {th}");
         assert!((heavy_task_threshold(1) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn liu_layland_accepts_and_rejects() {
-        // Two tasks at 0.4 each: total 0.8 < 0.828 — accepted.
-        let ok = vec![task(0, 4, 10), task(1, 4, 10)];
-        assert!(fits_liu_layland(&ok));
-        // Two tasks at 0.45 each: total 0.9 > 0.828 — rejected by the bound
-        // (although an exact test may still accept them).
-        let reject = vec![task(0, 45, 100), task(1, 45, 100)];
-        assert!(!fits_liu_layland(&reject));
-    }
-
-    #[test]
-    fn hyperbolic_dominates_liu_layland() {
-        // 0.5 and 0.33: LL total 0.83 > 0.828 rejects, hyperbolic
-        // (1.5)(1.33) = 1.995 ≤ 2 accepts.
-        let tasks = vec![task(0, 50, 100), task(1, 33, 100)];
-        assert!(!fits_liu_layland(&tasks));
-        assert!(fits_hyperbolic(&tasks));
-    }
-
-    #[test]
-    fn hyperbolic_rejects_overload() {
-        let tasks = vec![task(0, 60, 100), task(1, 60, 100)];
-        assert!(!fits_hyperbolic(&tasks));
-    }
-
-    #[test]
-    fn empty_processor_accepts_anything_light() {
-        assert!(fits_liu_layland(&[]));
-        assert!(fits_hyperbolic(&[]));
     }
 }

@@ -2,22 +2,22 @@
 //!
 //! Fixed-priority schedulability analysis for the SPMS workspace:
 //!
-//! * [`bounds`] — Liu & Layland and hyperbolic utilization bounds,
+//! * [`bounds`] — the Liu & Layland utilization bound and the SPA2 heavy-task
+//!   threshold derived from it,
 //! * [`rta`] — exact response-time analysis for constrained-deadline
-//!   fixed-priority tasks on one processor,
+//!   fixed-priority tasks on one processor, the per-core acceptance test of
+//!   every partitioning algorithm in `spms-core`,
 //! * [`CachedCoreAnalysis`] — incremental per-core RTA: memoized response
 //!   times with insert/remove invalidating only the priority levels at or
 //!   below the mutation point, allocation-free what-if probes for the
 //!   online admission fast path, and the exact split-budget frontier,
 //! * [`OverheadModel`] — the paper's measured run-time overheads (§3,
-//!   Table 1) and their integration into the analysis via WCET inflation,
-//! * [`UniprocessorTest`] — the pluggable per-core acceptance test used by
-//!   the partitioning algorithms in `spms-core`.
+//!   Table 1) and their integration into the analysis via WCET inflation.
 //!
 //! # Example
 //!
 //! ```
-//! use spms_analysis::{rta, OverheadModel, UniprocessorTest};
+//! use spms_analysis::{rta, OverheadModel};
 //! use spms_task::{Task, Time, Priority};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,10 +30,9 @@
 //! let r = rta::response_time(&low, &[high.clone()]).expect("converges");
 //! assert_eq!(r, Time::from_millis(3)); // 2ms own + one 1ms preemption
 //!
-//! // The same test with the paper's measured overheads folded in.
+//! // The whole core passes; the paper's measured overheads inflate each WCET.
+//! assert!(rta::is_core_schedulable(&[high, low.clone()]));
 //! let overheads = OverheadModel::paper_n4();
-//! let test = UniprocessorTest::ResponseTime;
-//! assert!(test.accepts(&[high, low.clone()]));
 //! let inflated = overheads.inflate_task(&low).expect("still fits");
 //! assert!(inflated.wcet() > low.wcet());
 //! # Ok(())
@@ -45,11 +44,8 @@
 
 pub mod bounds;
 mod cached;
-pub mod edf;
 mod overhead;
 pub mod rta;
-mod uniprocessor_test;
 
 pub use cached::{CachedCoreAnalysis, RefreshMark, RefreshUndo};
 pub use overhead::{OverheadModel, OverheadScenario};
-pub use uniprocessor_test::UniprocessorTest;

@@ -78,8 +78,8 @@ fn bench_sleep_queue(c: &mut Criterion) {
     group.finish();
 }
 
-/// DESIGN.md ablation choice 1: binomial heap (the paper) vs pairing heap vs
-/// the standard library's binary heap as the ready-queue structure.
+/// The ready-queue structure: binomial heap (the paper) vs pairing heap vs
+/// the standard library's binary heap.
 fn bench_heap_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("ready_queue_ablation");
     let workload: Vec<u32> = (0..64u32).map(|i| (i * 2_654_435_761) % 1_000).collect();

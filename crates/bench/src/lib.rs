@@ -1,8 +1,7 @@
 //! # spms-bench
 //!
 //! Criterion benchmarks that regenerate every table and figure of the
-//! paper's evaluation. Each bench target corresponds to one experiment of
-//! the index in DESIGN.md:
+//! paper's evaluation. Each bench target corresponds to one experiment:
 //!
 //! | bench | experiment |
 //! |---|---|

@@ -21,7 +21,7 @@
 //! analysis, the simulator and the experiments.
 
 use serde::{Deserialize, Serialize};
-use spms_analysis::{CachedCoreAnalysis, OverheadModel, UniprocessorTest};
+use spms_analysis::{rta, CachedCoreAnalysis, OverheadModel};
 use spms_task::{by_decreasing_utilization, Priority, PriorityAssignment, Task, TaskSet, Time};
 
 use crate::{
@@ -54,9 +54,6 @@ use crate::{
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SemiPartitionedDmPm {
-    /// Per-core acceptance test used both for whole tasks and for split
-    /// pieces.
-    pub test: UniprocessorTest,
     /// Run-time overheads; split pieces additionally pay the migration /
     /// remote-queue costs.
     pub overhead: OverheadModel,
@@ -67,7 +64,6 @@ pub struct SemiPartitionedDmPm {
 impl Default for SemiPartitionedDmPm {
     fn default() -> Self {
         SemiPartitionedDmPm {
-            test: UniprocessorTest::ResponseTime,
             overhead: OverheadModel::zero(),
             min_split_budget: Time::from_micros(100),
         }
@@ -75,15 +71,9 @@ impl Default for SemiPartitionedDmPm {
 }
 
 impl SemiPartitionedDmPm {
-    /// DM-PM with the default exact per-core acceptance test and no overhead.
+    /// DM-PM with no overhead.
     pub fn new() -> Self {
         SemiPartitionedDmPm::default()
-    }
-
-    /// Replaces the per-core acceptance test (builder style).
-    pub fn with_test(mut self, test: UniprocessorTest) -> Self {
-        self.test = test;
-        self
     }
 
     /// Replaces the overhead model (builder style).
@@ -111,9 +101,9 @@ impl SemiPartitionedDmPm {
         }
     }
 
-    /// Largest pure execution budget the acceptance test still admits as a
-    /// promoted body piece on a core currently holding `core_tasks` (the
-    /// exact frontier, shared with FP-TS through the `split_budget` module).
+    /// Largest pure execution budget exact RTA still admits as a promoted
+    /// body piece on a core currently holding `core_tasks` (the exact
+    /// frontier, shared with FP-TS through the `split_budget` module).
     fn max_body_budget(
         &self,
         core_tasks: &[Task],
@@ -121,10 +111,8 @@ impl SemiPartitionedDmPm {
         max_budget: Time,
         piece_index: usize,
     ) -> Time {
-        let exact = (self.test == UniprocessorTest::ResponseTime)
-            .then(|| CachedCoreAnalysis::from_tasks(core_tasks));
         crate::split_budget::max_body_budget(
-            exact.as_ref(),
+            &CachedCoreAnalysis::from_tasks(core_tasks),
             template,
             self.body_piece_overhead(piece_index),
             self.min_split_budget,
@@ -132,7 +120,7 @@ impl SemiPartitionedDmPm {
             |piece| {
                 let mut candidate = core_tasks.to_vec();
                 candidate.push(piece.clone());
-                self.test.accepts(&candidate)
+                rta::is_core_schedulable(&candidate)
             },
         )
     }
@@ -177,7 +165,7 @@ impl SemiPartitionedDmPm {
                 if let Some(tail) = self.make_tail_piece(task, remaining, offset) {
                     let mut candidate = core_tasks.clone();
                     candidate.push(tail.clone());
-                    if self.test.accepts(&candidate) {
+                    if rta::is_core_schedulable(&candidate) {
                         pieces.push((core, tail, remaining));
                         return Ok(pieces);
                     }
@@ -258,7 +246,7 @@ impl Partitioner for SemiPartitionedDmPm {
                 (0..cores).find(|&c| {
                     let mut candidate: Vec<Task> = bins[c].iter().map(|p| p.task.clone()).collect();
                     candidate.push(analysis_task.clone());
-                    self.test.accepts(&candidate)
+                    rta::is_core_schedulable(&candidate)
                 })
             });
             if let (Some(core), Some(analysis_task)) = (whole_slot, analysis) {
@@ -311,7 +299,7 @@ impl Partitioner for SemiPartitionedDmPm {
             }
         }
         debug_assert_eq!(partition.validate(), Ok(()));
-        if !partition.is_schedulable(self.test) {
+        if !partition.is_schedulable() {
             return Ok(PartitionOutcome::Unschedulable {
                 reason: "final per-core acceptance test failed".to_owned(),
             });
@@ -378,7 +366,7 @@ mod tests {
             .expect("schedulable by splitting");
         assert_eq!(p.split_count(), 1);
         assert_eq!(p.validate(), Ok(()));
-        assert!(p.is_schedulable(UniprocessorTest::ResponseTime));
+        assert!(p.is_schedulable());
     }
 
     #[test]
@@ -452,7 +440,7 @@ mod tests {
                 SemiPartitionedDmPm::new().partition(&ts, 4).unwrap()
             {
                 assert_eq!(p.validate(), Ok(()));
-                assert!(p.is_schedulable(UniprocessorTest::ResponseTime));
+                assert!(p.is_schedulable());
             }
         }
     }

@@ -18,11 +18,12 @@
 //!   the Kato/Yamasaki semi-partitioned schedulers (RTAS 2009) and makes the
 //!   split pieces analysable with standard constrained-deadline RTA; Guan's
 //!   original SPA analysis bounds the tail interference more precisely but
-//!   needs a bespoke analysis — the substitution is documented in DESIGN.md;
+//!   needs a bespoke analysis, while the promotion lets one exact RTA judge
+//!   every core, whole tasks and pieces alike;
 //! * SPA2 additionally **pre-assigns heavy tasks** (utilization above
 //!   `Θ(n)/(1+Θ(n))`) whole, first-fit, so that heavy tasks are never split;
 //!   heavy tasks that do not fit whole anywhere fall back to the splitting
-//!   pass.
+//!   pass. FP-TS always runs SPA2.
 //!
 //! Splitting overhead is charged where the paper's measurements say it
 //! arises: every body subtask pays the migration path (scheduling decision,
@@ -34,7 +35,7 @@ use std::cmp::Reverse;
 use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
-use spms_analysis::{bounds, rta, CachedCoreAnalysis, OverheadModel, UniprocessorTest};
+use spms_analysis::{bounds, rta, CachedCoreAnalysis, OverheadModel};
 use spms_task::{
     by_decreasing_utilization, Priority, PriorityAssignment, Task, TaskId, TaskSet, Time,
 };
@@ -46,21 +47,10 @@ use crate::{
     SubtaskKind,
 };
 
-/// Which SPA variant drives the assignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum SplitStrategy {
-    /// Plain next-fit filling with splitting (SPA1). Matches the Liu &
-    /// Layland bound only for light task sets.
-    Spa1,
-    /// Heavy tasks are pre-assigned with first-fit before the SPA1 pass over
-    /// the remaining light tasks (SPA2) — the full FP-TS configuration.
-    #[default]
-    Spa2,
-}
-
 /// Where a task that still fits whole (or whose final tail piece fits) is
-/// placed during the splitting pass — DESIGN.md's ablation choice between the
-/// packing-oriented hybrid and Guan's original next-fit scheme.
+/// placed during the splitting pass: the packing-oriented hybrid, or Guan's
+/// original next-fit scheme, which splits far more often and so shows the
+/// migration overhead the paper measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum SplitPlacement {
     /// Try to finish the task on *any* processor (first-fit) before splitting
@@ -79,24 +69,21 @@ pub enum SplitPlacement {
 /// The per-core bins an assignment pass fills, with what lets each
 /// placement question be answered once and cheaply.
 ///
-/// * **Exact analysis.** Under the exact RTA every bin carries an
-///   incremental [`CachedCoreAnalysis`], so a probe reuses the converged
-///   responses of the tasks ranked above the candidate instead of
-///   re-analysing the whole core, and a body budget is one frontier scan
-///   ([`CachedCoreAnalysis::max_prioritised_wcet`]). Other tests analyse
-///   the bin's tasks from scratch.
+/// * **Exact analysis.** Every bin carries an incremental
+///   [`CachedCoreAnalysis`], so a probe reuses the converged responses of
+///   the tasks ranked above the candidate instead of re-analysing the whole
+///   core, and a body budget is one frontier scan
+///   ([`CachedCoreAnalysis::max_prioritised_wcet`]).
 /// * **Screen.** Each bin keeps its utilization: the bin-order sum of its
 ///   placements' (inflated) utilizations, seeded `-0.0` like
 ///   [`Partition::core_utilization`]. A candidate that would lift it above
 ///   `1 + 1e-9` is rejected without a probe: every task here has `D ≤ T`,
 ///   and then `U > 1` fails exact RTA (see
-///   [`Partition::overloaded_with`]) and both utilization bounds
-///   (Liu–Layland's is at most 1, and `Π(1 + U_i) ≥ 1 + ΣU > 2`), so one
-///   code path serves every [`UniprocessorTest`]. The smallest body piece
-///   is screened the same way before a budget scan: a bin that cannot take
-///   it takes no budget. Debug builds re-run the exact test on every hit
-///   and assert that it rejects.
-/// * **Proof.** An exact probe that accepts a whole task or a tail piece
+///   [`Partition::overloaded_with`]). The smallest body piece is screened
+///   the same way before a budget scan: a bin that cannot take it takes no
+///   budget. Debug builds re-run the exact test on every hit and assert
+///   that it rejects.
+/// * **Proof.** A probe that accepts a whole task or a tail piece
 ///   hands its converged responses to a buffer the bins reuse; pushing
 ///   that same piece onto that same bin installs them
 ///   ([`CachedCoreAnalysis::insert_proven`]) instead of re-converging the
@@ -112,9 +99,8 @@ pub enum SplitPlacement {
 /// Probe verdicts are bit-identical to the from-scratch test, so none of
 /// this changes a placement.
 struct Bins {
-    test: UniprocessorTest,
     bins: Vec<Vec<PlacedTask>>,
-    caches: Option<Vec<CachedCoreAnalysis>>,
+    caches: Vec<CachedCoreAnalysis>,
     utilizations: Vec<f64>,
     /// The responses the last accepting exact probe converged, and the
     /// `(bin, task)` they were taken for; any other push onto that bin
@@ -127,12 +113,10 @@ struct Bins {
 }
 
 impl Bins {
-    fn new(cores: usize, test: UniprocessorTest) -> Self {
+    fn new(cores: usize) -> Self {
         Bins {
-            test,
             bins: vec![Vec::new(); cores],
-            caches: (test == UniprocessorTest::ResponseTime)
-                .then(|| vec![CachedCoreAnalysis::new(); cores]),
+            caches: vec![CachedCoreAnalysis::new(); cores],
             utilizations: vec![-0.0; cores],
             proof: Vec::new(),
             proven: None,
@@ -168,13 +152,10 @@ impl Bins {
     fn probe(&mut self, core: usize, candidate: &Task) -> bool {
         self.whole_probes += 1;
         self.proven = None;
-        let Some(caches) = &self.caches else {
-            return self.exact_accepts(core, candidate);
-        };
         let proof = &mut self.proof;
         proof.clear();
         let level = rta::effective_priority(candidate).level();
-        let accepted = caches[core]
+        let accepted = self.caches[core]
             .probe_candidate_with(
                 candidate,
                 |t| rta::effective_priority(t).level() > level,
@@ -207,15 +188,10 @@ impl Bins {
         self.utilizations[core] + u > 1.0 + UTILIZATION_SCREEN_MARGIN
     }
 
-    /// The test's verdict on `core` with `candidate` added, uncounted and
+    /// The exact verdict on `core` with `candidate` added, uncounted and
     /// unscreened.
     fn exact_accepts(&self, core: usize, candidate: &Task) -> bool {
-        if let Some(caches) = &self.caches {
-            return caches[core].accepts_prioritised(candidate);
-        }
-        let mut tasks: Vec<Task> = self.bins[core].iter().map(|p| p.task.clone()).collect();
-        tasks.push(candidate.clone());
-        self.test.accepts(&tasks)
+        self.caches[core].accepts_prioritised(candidate)
     }
 
     /// The largest body budget (pure execution, `overhead` on top) in
@@ -237,7 +213,7 @@ impl Bins {
         }
         let mut probes = 1;
         let budget = crate::split_budget::max_body_budget(
-            self.caches.as_ref().map(|caches| &caches[core]),
+            &self.caches[core],
             template,
             overhead,
             min_split_budget,
@@ -255,12 +231,10 @@ impl Bins {
     /// left when there is one.
     fn push(&mut self, core: usize, placed: PlacedTask) {
         let proven = self.proven.take_if(|(bin, _)| *bin == core);
-        if let Some(caches) = &mut self.caches {
-            if proven == Some((core, placed.task.id())) {
-                caches[core].insert_proven(placed.task.clone(), &self.proof);
-            } else {
-                caches[core].insert(placed.task.clone());
-            }
+        if proven == Some((core, placed.task.id())) {
+            self.caches[core].insert_proven(placed.task.clone(), &self.proof);
+        } else {
+            self.caches[core].insert(placed.task.clone());
         }
         self.utilizations[core] += placed.task.utilization();
         self.bins[core].push(placed);
@@ -313,14 +287,9 @@ impl Bins {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SemiPartitionedFpTs {
-    /// SPA1 or SPA2 (heavy-task pre-assignment).
-    pub strategy: SplitStrategy,
     /// Whether whole tasks / tail pieces are placed first-fit over all cores
     /// or only on the processor currently being filled (Guan's next-fit).
     pub placement: SplitPlacement,
-    /// Per-core acceptance test used both for whole tasks and for split
-    /// pieces.
-    pub test: UniprocessorTest,
     /// Run-time overheads; split pieces additionally pay the migration /
     /// remote-queue costs.
     pub overhead: OverheadModel,
@@ -332,9 +301,7 @@ pub struct SemiPartitionedFpTs {
 impl Default for SemiPartitionedFpTs {
     fn default() -> Self {
         SemiPartitionedFpTs {
-            strategy: SplitStrategy::Spa2,
             placement: SplitPlacement::FirstFit,
-            test: UniprocessorTest::ResponseTime,
             overhead: OverheadModel::zero(),
             min_split_budget: Time::from_micros(100),
         }
@@ -342,19 +309,6 @@ impl Default for SemiPartitionedFpTs {
 }
 
 impl SemiPartitionedFpTs {
-    /// FP-TS with the SPA1 assignment pass.
-    pub fn spa1() -> Self {
-        SemiPartitionedFpTs {
-            strategy: SplitStrategy::Spa1,
-            ..SemiPartitionedFpTs::default()
-        }
-    }
-
-    /// FP-TS with the SPA2 assignment pass (heavy-task pre-assignment).
-    pub fn spa2() -> Self {
-        SemiPartitionedFpTs::default()
-    }
-
     /// FP-TS with the next-fit splitting pass of Guan's original SPA scheme:
     /// tasks are only offered to the processor currently being filled, so
     /// splits occur whenever a processor fills up — the configuration with
@@ -364,12 +318,6 @@ impl SemiPartitionedFpTs {
             placement: SplitPlacement::NextFit,
             ..SemiPartitionedFpTs::default()
         }
-    }
-
-    /// Replaces the per-core acceptance test (builder style).
-    pub fn with_test(mut self, test: UniprocessorTest) -> Self {
-        self.test = test;
-        self
     }
 
     /// Replaces the overhead model (builder style).
@@ -451,7 +399,7 @@ impl SemiPartitionedFpTs {
     /// The SPA assignment pass over `tasks` (original parameters, carrying RM
     /// priorities, in the order they are offered), starting from the
     /// existing `bins`.
-    fn spa1_pass(&self, tasks: &[Task], bins: &mut Bins) -> Result<(), String> {
+    fn splitting_pass(&self, tasks: &[Task], bins: &mut Bins) -> Result<(), String> {
         let cores = bins.len();
         let mut current = 0usize;
         // The pieces of the task being placed: (core, analysis piece, pure
@@ -584,19 +532,17 @@ impl SemiPartitionedFpTs {
         // a packing heuristic, and decreasing utilization — the same order the
         // FFD/WFD baselines use — packs measurably better, keeping FP-TS's
         // acceptance ratio at or above the partitioned baselines across the
-        // whole sweep (see DESIGN.md, substitution table). The order is
-        // total (ids are unique), and SPA2's heavy tasks are its prefix.
+        // whole sweep. The order is total (ids are unique), and SPA2's
+        // heavy tasks are its prefix.
         let mut tasks: Vec<Task> = tasks.into_iter().collect();
         // `by_decreasing_utilization`, dividing once per task: the bits of
         // a positive float order as its value does.
         tasks.sort_by_cached_key(|task| (Reverse(task.utilization().to_bits()), task.id()));
         debug_assert!(tasks.is_sorted_by(|a, b| by_decreasing_utilization(a, b).is_lt()));
 
-        let mut bins = Bins::new(cores, self.test);
-        if self.strategy == SplitStrategy::Spa2 {
-            self.preassign_heavy(&mut tasks, &mut bins);
-        }
-        let pass = self.spa1_pass(&tasks, &mut bins);
+        let mut bins = Bins::new(cores);
+        self.preassign_heavy(&mut tasks, &mut bins);
+        let pass = self.splitting_pass(&tasks, &mut bins);
         (bins, pass)
     }
 
@@ -673,7 +619,7 @@ impl Partitioner for SemiPartitionedFpTs {
         // Final safety net: every core must pass the acceptance test with the
         // complete assignment (the incremental checks already guarantee this,
         // but the partition is the contract handed to the simulator).
-        if !partition.is_schedulable(self.test) {
+        if !partition.is_schedulable() {
             return Ok(PartitionOutcome::Unschedulable {
                 reason: "final per-core acceptance test failed".to_owned(),
             });
@@ -682,14 +628,11 @@ impl Partitioner for SemiPartitionedFpTs {
     }
 
     fn name(&self) -> String {
-        let base = match self.strategy {
-            SplitStrategy::Spa1 => "FP-TS(SPA1)",
-            SplitStrategy::Spa2 => "FP-TS",
-        };
         match self.placement {
-            SplitPlacement::FirstFit => base.to_owned(),
-            SplitPlacement::NextFit => format!("{base}/NF"),
+            SplitPlacement::FirstFit => "FP-TS",
+            SplitPlacement::NextFit => "FP-TS/NF",
         }
+        .to_owned()
     }
 }
 
@@ -752,10 +695,12 @@ mod tests {
                         } else {
                             without_heavy = true;
                         }
-                        for fpts in [SemiPartitionedFpTs::spa1(), SemiPartitionedFpTs::spa2()] {
+                        for fpts in [
+                            SemiPartitionedFpTs::default(),
+                            SemiPartitionedFpTs::next_fit_splitting(),
+                        ] {
                             let (bins, _) = fpts.with_overhead(overhead).fill_bins(ts.clone(), 4);
-                            let caches = bins.caches.as_ref().expect("RTA keeps a cache per bin");
-                            for (bin, cache) in bins.bins.iter().zip(caches) {
+                            for (bin, cache) in bins.bins.iter().zip(&bins.caches) {
                                 let tasks: Vec<Task> = bin.iter().map(|p| p.task.clone()).collect();
                                 assert_eq!(*cache, CachedCoreAnalysis::from_tasks(&tasks));
                             }
@@ -774,8 +719,8 @@ mod tests {
 
     #[test]
     fn names() {
-        assert_eq!(SemiPartitionedFpTs::spa1().name(), "FP-TS(SPA1)");
-        assert_eq!(SemiPartitionedFpTs::spa2().name(), "FP-TS");
+        assert_eq!(SemiPartitionedFpTs::default().name(), "FP-TS");
+        assert_eq!(SemiPartitionedFpTs::next_fit_splitting().name(), "FP-TS/NF");
     }
 
     #[test]
@@ -822,7 +767,7 @@ mod tests {
             .expect("schedulable by splitting");
         assert_eq!(p.split_count(), 1);
         assert_eq!(p.validate(), Ok(()));
-        assert!(p.is_schedulable(UniprocessorTest::ResponseTime));
+        assert!(p.is_schedulable());
         // One body piece plus one tail piece.
         assert_eq!(p.iter().filter(|(_, placed)| placed.is_body()).count(), 1);
     }
@@ -900,7 +845,7 @@ mod tests {
             task(2, 2_000, 10_000),
             task(3, 2_000, 10_000),
         ]);
-        let p = SemiPartitionedFpTs::spa2()
+        let p = SemiPartitionedFpTs::default()
             .partition(&ts, 2)
             .unwrap()
             .into_partition()
@@ -963,7 +908,7 @@ mod tests {
             assert_eq!(a, b);
             if let PartitionOutcome::Schedulable(p) = a {
                 assert_eq!(p.validate(), Ok(()));
-                assert!(p.is_schedulable(UniprocessorTest::ResponseTime));
+                assert!(p.is_schedulable());
             }
         }
     }
@@ -1021,19 +966,5 @@ mod tests {
                 assert!(placed.task.wcet() >= Time::from_micros(500));
             }
         }
-    }
-
-    #[test]
-    fn spa1_and_spa2_agree_on_light_sets() {
-        let ts = TaskSetGenerator::new()
-            .task_count(10)
-            .total_utilization(2.0)
-            .seed(42)
-            .generate()
-            .unwrap();
-        let spa1 = SemiPartitionedFpTs::spa1().partition(&ts, 4).unwrap();
-        let spa2 = SemiPartitionedFpTs::spa2().partition(&ts, 4).unwrap();
-        assert!(spa1.is_schedulable());
-        assert!(spa2.is_schedulable());
     }
 }

@@ -599,7 +599,7 @@ impl IncrementalPlacer {
         let exact = || {
             let analysis = probe_analysis(partition, core, HotCounter::SplitProbes);
             crate::split_budget::max_body_budget(
-                Some(&analysis),
+                &analysis,
                 template,
                 overhead,
                 self.min_split_budget,
@@ -824,7 +824,6 @@ pub fn whole_outranks_or_ties(a: &Task, b: &Task) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spms_analysis::UniprocessorTest;
     use spms_task::TaskId;
 
     fn task(id: u32, wcet_ms: u64, period_ms: u64) -> Task {
@@ -852,7 +851,7 @@ mod tests {
         assert_eq!(plan.cores(), vec![CoreId(0)], "first fit, not worst fit");
         placer().commit(&mut partition, &t1, plan);
         assert_eq!(partition.validate(), Ok(()));
-        assert!(partition.is_schedulable(UniprocessorTest::ResponseTime));
+        assert!(partition.is_schedulable());
     }
 
     #[test]
@@ -908,7 +907,7 @@ mod tests {
         assert_eq!(total, Time::from_millis(6));
         placer().commit(&mut partition, &t2, plan);
         assert_eq!(partition.validate(), Ok(()));
-        assert!(partition.is_schedulable(UniprocessorTest::ResponseTime));
+        assert!(partition.is_schedulable());
         assert_eq!(partition.split_count(), 1);
     }
 

@@ -6,10 +6,9 @@
 //!
 //! * [`PartitionedFixedPriority`] — classic bin-packing partitioning with the
 //!   FFD (first-fit decreasing) and WFD (worst-fit decreasing) heuristics the
-//!   paper uses as baselines (plus best-fit decreasing),
-//! * [`PartitionedEdf`] — first-fit decreasing with per-core EDF acceptance,
-//! * [`SemiPartitionedFpTs`] — the FP-TS task-splitting algorithm (the SPA1 /
-//!   SPA2 scheme of Guan et al., RTAS 2010) adopted by the paper,
+//!   paper uses as baselines,
+//! * [`SemiPartitionedFpTs`] — the FP-TS task-splitting algorithm (the SPA2
+//!   scheme of Guan et al., RTAS 2010) adopted by the paper,
 //! * [`SemiPartitionedDmPm`] — the DM-PM algorithm of Kato & Yamasaki
 //!   (RTAS 2009), the related-work semi-partitioned scheme,
 //! * [`Partition`], [`PlacedTask`], [`SplitInfo`] — the result of a
@@ -17,6 +16,9 @@
 //!   discrete-event simulator in `spms-sim`,
 //! * [`Partitioner`] — the common trait the acceptance-ratio experiments
 //!   iterate over.
+//!
+//! Every algorithm judges a core with the exact response-time analysis of
+//! `spms-analysis`.
 //!
 //! # Example
 //!
@@ -52,7 +54,6 @@
 #![warn(missing_docs)]
 
 mod dmpm;
-mod edf_partitioned;
 mod error;
 mod fpts;
 mod incremental;
@@ -64,9 +65,8 @@ mod shard;
 mod split_budget;
 
 pub use dmpm::SemiPartitionedDmPm;
-pub use edf_partitioned::PartitionedEdf;
 pub use error::PartitionError;
-pub use fpts::{SemiPartitionedFpTs, SplitPlacement, SplitStrategy};
+pub use fpts::{SemiPartitionedFpTs, SplitPlacement};
 pub use incremental::{
     whole_outranks_or_ties, IncrementalPlacer, PlacementPlan, WholeProbe, WholeProof,
 };

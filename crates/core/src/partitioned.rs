@@ -3,23 +3,22 @@
 //! The paper compares FP-TS against "two widely used fixed-priority
 //! partitioned scheduling algorithms, FFD (first-fit decreasing size
 //! partitioning) and WFD (worst-fit decreasing size partitioning)" (§4).
-//! This module implements those baselines, plus best-fit decreasing, on top
-//! of a pluggable per-core acceptance test and the measured overhead model.
+//! This module implements those two baselines on top of the exact per-core
+//! response-time analysis and the measured overhead model.
 
 use serde::{Deserialize, Serialize};
-use spms_analysis::{OverheadModel, UniprocessorTest};
+use spms_analysis::{rta, OverheadModel};
 use spms_task::{by_decreasing_utilization, PriorityAssignment, Task, TaskSet};
 
 use crate::{CoreId, Partition, PartitionError, PartitionOutcome, Partitioner, PlacedTask};
 
-/// Which bin is chosen for a task among those whose acceptance test passes.
+/// Which bin is chosen for a task among those that still pass exact RTA
+/// with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum BinPackingHeuristic {
     /// The lowest-indexed core that accepts the task.
     #[default]
     FirstFit,
-    /// The accepting core with the highest current utilization.
-    BestFit,
     /// The accepting core with the lowest current utilization.
     WorstFit,
 }
@@ -28,7 +27,6 @@ impl BinPackingHeuristic {
     fn short_name(self) -> &'static str {
         match self {
             BinPackingHeuristic::FirstFit => "FF",
-            BinPackingHeuristic::BestFit => "BF",
             BinPackingHeuristic::WorstFit => "WF",
         }
     }
@@ -55,8 +53,6 @@ impl BinPackingHeuristic {
 pub struct PartitionedFixedPriority {
     /// Bin selection heuristic.
     pub heuristic: BinPackingHeuristic,
-    /// Per-core acceptance test.
-    pub test: UniprocessorTest,
     /// Run-time overheads folded into every task's WCET before packing.
     pub overhead: OverheadModel,
 }
@@ -72,7 +68,6 @@ impl PartitionedFixedPriority {
     pub fn ffd() -> Self {
         PartitionedFixedPriority {
             heuristic: BinPackingHeuristic::FirstFit,
-            test: UniprocessorTest::ResponseTime,
             overhead: OverheadModel::zero(),
         }
     }
@@ -83,20 +78,6 @@ impl PartitionedFixedPriority {
             heuristic: BinPackingHeuristic::WorstFit,
             ..PartitionedFixedPriority::ffd()
         }
-    }
-
-    /// Best-fit decreasing.
-    pub fn bfd() -> Self {
-        PartitionedFixedPriority {
-            heuristic: BinPackingHeuristic::BestFit,
-            ..PartitionedFixedPriority::ffd()
-        }
-    }
-
-    /// Replaces the per-core acceptance test (builder style).
-    pub fn with_test(mut self, test: UniprocessorTest) -> Self {
-        self.test = test;
-        self
     }
 
     /// Replaces the overhead model (builder style).
@@ -140,20 +121,10 @@ impl Partitioner for PartitionedFixedPriority {
             let accepts = |bin: &Vec<Task>| {
                 let mut candidate = bin.clone();
                 candidate.push(task.clone());
-                self.test.accepts(&candidate)
+                rta::is_core_schedulable(&candidate)
             };
             let chosen = match self.heuristic {
                 BinPackingHeuristic::FirstFit => bins.iter().position(accepts),
-                BinPackingHeuristic::BestFit => bins
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, bin)| accepts(bin))
-                    .max_by(|(_, a), (_, b)| {
-                        utilization(a)
-                            .partial_cmp(&utilization(b))
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .map(|(i, _)| i),
                 BinPackingHeuristic::WorstFit => bins
                     .iter()
                     .enumerate()
@@ -170,10 +141,9 @@ impl Partitioner for PartitionedFixedPriority {
                 None => {
                     return Ok(PartitionOutcome::Unschedulable {
                         reason: format!(
-                            "task {} (U={:.3}) does not fit on any of the {cores} cores under the {} test",
+                            "task {} (U={:.3}) does not fit on any of the {cores} cores under the rta test",
                             task.id(),
                             task.utilization(),
-                            self.test
                         ),
                     })
                 }
@@ -224,7 +194,6 @@ mod tests {
     fn names_follow_the_literature() {
         assert_eq!(PartitionedFixedPriority::ffd().name(), "FFD");
         assert_eq!(PartitionedFixedPriority::wfd().name(), "WFD");
-        assert_eq!(PartitionedFixedPriority::bfd().name(), "BFD");
     }
 
     #[test]
@@ -289,32 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn bfd_prefers_the_fullest_accepting_core() {
-        // Tasks of 50%, 30% and 20% with a common period: best-fit keeps
-        // stacking the fullest core and ends with one core at 100%, while
-        // worst-fit would spread onto a second core.
-        let ts = set(vec![task(0, 5, 10), task(1, 3, 10), task(2, 2, 10)]);
-        let bfd = PartitionedFixedPriority::bfd()
-            .partition(&ts, 2)
-            .unwrap()
-            .into_partition()
-            .unwrap();
-        let utils = bfd.core_utilizations();
-        assert!(utils.iter().any(|&u| (u - 1.0).abs() < 1e-9), "{utils:?}");
-        assert_eq!(utils.iter().filter(|&&u| u > 0.0).count(), 1);
-
-        let wfd = PartitionedFixedPriority::wfd()
-            .partition(&ts, 2)
-            .unwrap()
-            .into_partition()
-            .unwrap();
-        assert_eq!(
-            wfd.core_utilizations().iter().filter(|&&u| u > 0.0).count(),
-            2
-        );
-    }
-
-    #[test]
     fn overhead_inflation_reduces_capacity() {
         // Ten 9.3%-utilization tasks with 1 ms period: without overhead they
         // fit on one core, with the measured overhead (~40 µs per job) they do
@@ -346,15 +289,12 @@ mod tests {
     }
 
     #[test]
-    fn utilization_bound_test_is_more_conservative_than_rta() {
+    fn ffd_fills_a_harmonic_core_to_full_utilization() {
+        // 50% + 50% with harmonic periods: above every utilization bound,
+        // yet exact RTA packs both onto one core.
         let ts = set(vec![task(0, 5, 10), task(1, 10, 20)]);
-        let rta = PartitionedFixedPriority::ffd().partition(&ts, 1).unwrap();
-        assert!(rta.is_schedulable());
-        let ll = PartitionedFixedPriority::ffd()
-            .with_test(UniprocessorTest::LiuLayland)
-            .partition(&ts, 1)
-            .unwrap();
-        assert!(!ll.is_schedulable());
+        let outcome = PartitionedFixedPriority::ffd().partition(&ts, 1).unwrap();
+        assert!(outcome.is_schedulable());
     }
 
     #[test]
@@ -369,12 +309,11 @@ mod tests {
             for algo in [
                 PartitionedFixedPriority::ffd(),
                 PartitionedFixedPriority::wfd(),
-                PartitionedFixedPriority::bfd(),
             ] {
                 if let PartitionOutcome::Schedulable(p) = algo.partition(&ts, 4).unwrap() {
                     assert_eq!(p.validate(), Ok(()));
                     assert_eq!(p.placement_count(), ts.len());
-                    assert!(p.is_schedulable(algo.test));
+                    assert!(p.is_schedulable());
                     assert_eq!(p.split_count(), 0, "partitioned algorithms never split");
                 }
             }

@@ -4,7 +4,7 @@ use std::borrow::Cow;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-use spms_analysis::{rta, CachedCoreAnalysis, RefreshMark, RefreshUndo, UniprocessorTest};
+use spms_analysis::{rta, CachedCoreAnalysis, RefreshMark, RefreshUndo};
 use spms_task::{Priority, Task, TaskId, Time};
 use spms_telemetry::{scoped, HotCounter};
 
@@ -593,6 +593,12 @@ impl Partition {
         self.partial_chains = true;
     }
 
+    /// Whether this partition hosts partial split chains (see
+    /// [`allow_partial_chains`](Self::allow_partial_chains)).
+    pub fn allows_partial_chains(&self) -> bool {
+        self.partial_chains
+    }
+
     /// Count of `Partition::clone()` calls **on the calling thread** since
     /// it started.
     /// The journal-based rollback paths of the online admission cascade
@@ -1003,17 +1009,14 @@ impl Partition {
         self.cores[core.0].iter().map(|p| p.task.clone()).collect()
     }
 
-    /// Runs the given uniprocessor test on every core. Cores with a
-    /// converged analysis cache answer from the cache when the test is the
-    /// exact RTA (bit-identical to the from-scratch run by construction).
-    pub fn is_schedulable(&self, test: UniprocessorTest) -> bool {
-        (0..self.core_count()).all(|c| {
-            if test == UniprocessorTest::ResponseTime {
-                if let Some(cache) = self.cached_core(CoreId(c)) {
-                    return cache.is_schedulable();
-                }
-            }
-            test.accepts(&self.core_tasks(CoreId(c)))
+    /// Whether every core passes exact response-time analysis. A core with
+    /// a converged analysis cache answers from the cache (bit-identical to
+    /// the from-scratch run by construction), any other from
+    /// [`rta::is_core_schedulable`].
+    pub fn is_schedulable(&self) -> bool {
+        (0..self.core_count()).all(|c| match self.cached_core(CoreId(c)) {
+            Some(cache) => cache.is_schedulable(),
+            None => rta::is_core_schedulable(&self.core_tasks(CoreId(c))),
         })
     }
 
@@ -1566,7 +1569,7 @@ mod tests {
     #[test]
     fn schedulability_and_response_times() {
         let p = two_core_partition_with_split();
-        assert!(p.is_schedulable(UniprocessorTest::ResponseTime));
+        assert!(p.is_schedulable());
         let rts = p.response_times();
         assert_eq!(rts.len(), 2);
         assert!(rts.iter().flatten().all(Option::is_some));
@@ -1697,9 +1700,9 @@ mod tests {
     #[test]
     fn cached_is_schedulable_matches_scratch() {
         let mut p = two_core_partition_with_split();
-        let scratch = p.is_schedulable(UniprocessorTest::ResponseTime);
+        let scratch = p.is_schedulable();
         p.enable_analysis_cache();
-        assert_eq!(p.is_schedulable(UniprocessorTest::ResponseTime), scratch);
+        assert_eq!(p.is_schedulable(), scratch);
     }
 
     #[test]

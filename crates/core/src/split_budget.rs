@@ -3,12 +3,12 @@
 //! The offline FP-TS and DM-PM passes ([`SemiPartitionedFpTs`],
 //! [`SemiPartitionedDmPm`]) and the online [`IncrementalPlacer`] carve body
 //! subtasks the same way: a `C = D` piece at the promoted body priority,
-//! sized to the largest budget the per-core acceptance test still admits.
-//! This module is the single implementation all three call. Under the
-//! exact RTA the budget is read off the core's analysis in one time-demand
-//! scan ([`CachedCoreAnalysis::max_prioritised_wcet`]); other tests search
-//! the monotone acceptance frontier by bisection. Both return the exact
-//! frontier, so which one runs never changes a plan.
+//! sized to the largest budget the core's exact RTA still admits. This
+//! module is the single implementation all three call. The budget is read
+//! off the core's analysis in one time-demand scan
+//! ([`CachedCoreAnalysis::max_prioritised_wcet`]); when the scan declines,
+//! the monotone acceptance frontier is bisected instead. Both return the
+//! exact frontier, so which one runs never changes a plan.
 //!
 //! [`SemiPartitionedFpTs`]: crate::SemiPartitionedFpTs
 //! [`SemiPartitionedDmPm`]: crate::SemiPartitionedDmPm
@@ -52,12 +52,11 @@ pub(crate) fn smallest_body_piece(
 /// whose body piece (`template`'s period, `overhead` on top) the core still
 /// admits, or [`Time::ZERO`] when not even the minimum fits.
 ///
-/// `exact` is the core's converged RTA state when the acceptance test is
-/// the exact RTA: the budget is then the frontier its scan reports. Without
-/// it, or when the scan declines, the frontier is bisected to the
+/// `core` is the core's converged RTA state: the budget is the frontier its
+/// scan reports. When the scan declines, the frontier is bisected to the
 /// nanosecond with `accepts` probing one body piece per step.
 pub(crate) fn max_body_budget(
-    exact: Option<&CachedCoreAnalysis>,
+    core: &CachedCoreAnalysis,
     template: &Task,
     overhead: Time,
     min_split_budget: Time,
@@ -71,9 +70,7 @@ pub(crate) fn max_body_budget(
     let Some(smallest) = smallest_body_piece(template, overhead, min_split_budget) else {
         return Time::ZERO;
     };
-    if let Some(wcet) =
-        exact.and_then(|core| core.max_prioritised_wcet(&smallest, max_budget + overhead))
-    {
+    if let Some(wcet) = core.max_prioritised_wcet(&smallest, max_budget + overhead) {
         return wcet.saturating_sub(overhead);
     }
     max_accepted_budget(floor, max_budget, |budget| {
@@ -157,9 +154,10 @@ mod tests {
             Time::from_millis(9),
         ] {
             let min = Time::from_micros(100);
-            let scanned =
-                max_body_budget(Some(&cache), &template, overhead, min, max_budget, accepts);
-            let bisected = max_body_budget(None, &template, overhead, min, max_budget, accepts);
+            let scanned = max_body_budget(&cache, &template, overhead, min, max_budget, accepts);
+            let bisected = max_accepted_budget(min, max_budget, |budget| {
+                body_piece(&template, budget, overhead).is_some_and(|piece| accepts(&piece))
+            });
             assert_eq!(scanned, bisected, "max budget {max_budget}");
             assert!(!scanned.is_zero());
         }

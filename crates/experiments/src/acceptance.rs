@@ -7,7 +7,7 @@
 //! ratio than FFD and WFD even after the measured overheads are folded in.
 
 use serde::{Deserialize, Serialize};
-use spms_analysis::{OverheadModel, UniprocessorTest};
+use spms_analysis::OverheadModel;
 use spms_task::{PeriodDistribution, TaskSetGenerator, Time, UtilizationDistribution};
 
 use crate::progress::{NullProgress, ProgressSink};
@@ -125,7 +125,6 @@ pub struct AcceptanceRatioExperiment {
     utilization_points: Vec<f64>,
     sets_per_point: usize,
     algorithms: Vec<AlgorithmKind>,
-    test: UniprocessorTest,
     overhead: OverheadModel,
     period_min: Time,
     period_max: Time,
@@ -141,7 +140,6 @@ impl Default for AcceptanceRatioExperiment {
             utilization_points: (10..=20).map(|i| i as f64 * 0.05).collect(),
             sets_per_point: 100,
             algorithms: AlgorithmKind::paper_lineup(),
-            test: UniprocessorTest::ResponseTime,
             overhead: OverheadModel::zero(),
             period_min: Time::from_millis(10),
             period_max: Time::from_secs(1),
@@ -190,12 +188,6 @@ impl AcceptanceRatioExperiment {
         self
     }
 
-    /// Sets the per-core acceptance test used by every algorithm.
-    pub fn test(mut self, test: UniprocessorTest) -> Self {
-        self.test = test;
-        self
-    }
-
     /// Sets the overhead model folded into every algorithm's analysis.
     pub fn overhead(mut self, overhead: OverheadModel) -> Self {
         self.overhead = overhead;
@@ -236,7 +228,7 @@ impl AcceptanceRatioExperiment {
         let partitioners: Vec<(AlgorithmKind, Box<dyn spms_core::Partitioner + Send + Sync>)> =
             self.algorithms
                 .iter()
-                .map(|a| (*a, a.build(self.test, self.overhead)))
+                .map(|a| (*a, a.build(self.overhead)))
                 .collect();
         let grid = SweepRunner::new()
             .threads(self.threads)

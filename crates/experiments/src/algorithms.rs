@@ -1,18 +1,14 @@
 //! The partitioning algorithms compared by the experiments.
 
 use serde::{Deserialize, Serialize};
-use spms_analysis::{OverheadModel, UniprocessorTest};
-use spms_core::{
-    PartitionedEdf, PartitionedFixedPriority, Partitioner, SemiPartitionedDmPm, SemiPartitionedFpTs,
-};
+use spms_analysis::OverheadModel;
+use spms_core::{PartitionedFixedPriority, Partitioner, SemiPartitionedDmPm, SemiPartitionedFpTs};
 
 /// Which algorithm a data series belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum AlgorithmKind {
     /// Semi-partitioned FP-TS (SPA2 with heavy-task pre-assignment).
     FpTs,
-    /// Semi-partitioned FP-TS restricted to the SPA1 pass.
-    FpTsSpa1,
     /// Semi-partitioned FP-TS with Guan's next-fit splitting pass (splits on
     /// every processor boundary — the most migration-heavy configuration).
     FpTsNextFit,
@@ -22,11 +18,6 @@ pub enum AlgorithmKind {
     Ffd,
     /// Worst-fit decreasing partitioning (paper baseline).
     Wfd,
-    /// Best-fit decreasing partitioning (extra baseline).
-    Bfd,
-    /// Partitioned EDF with first-fit decreasing (dynamic-priority baseline;
-    /// the paper's related-work line of Kato & Yamasaki).
-    EdfFfd,
 }
 
 impl AlgorithmKind {
@@ -39,62 +30,23 @@ impl AlgorithmKind {
     pub fn name(&self) -> &'static str {
         match self {
             AlgorithmKind::FpTs => "FP-TS",
-            AlgorithmKind::FpTsSpa1 => "FP-TS(SPA1)",
             AlgorithmKind::FpTsNextFit => "FP-TS/NF",
             AlgorithmKind::DmPm => "DM-PM",
             AlgorithmKind::Ffd => "FFD",
             AlgorithmKind::Wfd => "WFD",
-            AlgorithmKind::Bfd => "BFD",
-            AlgorithmKind::EdfFfd => "EDF-FFD",
         }
     }
 
-    /// Instantiates the algorithm with the given acceptance test and
-    /// overhead model.
-    pub fn build(
-        &self,
-        test: UniprocessorTest,
-        overhead: OverheadModel,
-    ) -> Box<dyn Partitioner + Send + Sync> {
+    /// Instantiates the algorithm with the given overhead model.
+    pub fn build(&self, overhead: OverheadModel) -> Box<dyn Partitioner + Send + Sync> {
         match self {
-            AlgorithmKind::FpTs => Box::new(
-                SemiPartitionedFpTs::spa2()
-                    .with_test(test)
-                    .with_overhead(overhead),
-            ),
-            AlgorithmKind::FpTsSpa1 => Box::new(
-                SemiPartitionedFpTs::spa1()
-                    .with_test(test)
-                    .with_overhead(overhead),
-            ),
-            AlgorithmKind::FpTsNextFit => Box::new(
-                SemiPartitionedFpTs::next_fit_splitting()
-                    .with_test(test)
-                    .with_overhead(overhead),
-            ),
-            AlgorithmKind::DmPm => Box::new(
-                SemiPartitionedDmPm::new()
-                    .with_test(test)
-                    .with_overhead(overhead),
-            ),
-            AlgorithmKind::Ffd => Box::new(
-                PartitionedFixedPriority::ffd()
-                    .with_test(test)
-                    .with_overhead(overhead),
-            ),
-            AlgorithmKind::Wfd => Box::new(
-                PartitionedFixedPriority::wfd()
-                    .with_test(test)
-                    .with_overhead(overhead),
-            ),
-            AlgorithmKind::Bfd => Box::new(
-                PartitionedFixedPriority::bfd()
-                    .with_test(test)
-                    .with_overhead(overhead),
-            ),
-            // EDF decides by processor demand, not by fixed priorities, so
-            // the per-core test parameter does not apply.
-            AlgorithmKind::EdfFfd => Box::new(PartitionedEdf::ffd().with_overhead(overhead)),
+            AlgorithmKind::FpTs => Box::new(SemiPartitionedFpTs::default().with_overhead(overhead)),
+            AlgorithmKind::FpTsNextFit => {
+                Box::new(SemiPartitionedFpTs::next_fit_splitting().with_overhead(overhead))
+            }
+            AlgorithmKind::DmPm => Box::new(SemiPartitionedDmPm::new().with_overhead(overhead)),
+            AlgorithmKind::Ffd => Box::new(PartitionedFixedPriority::ffd().with_overhead(overhead)),
+            AlgorithmKind::Wfd => Box::new(PartitionedFixedPriority::wfd().with_overhead(overhead)),
         }
     }
 }
@@ -129,13 +81,12 @@ mod tests {
             .unwrap();
         for kind in [
             AlgorithmKind::FpTs,
-            AlgorithmKind::FpTsSpa1,
+            AlgorithmKind::FpTsNextFit,
+            AlgorithmKind::DmPm,
             AlgorithmKind::Ffd,
             AlgorithmKind::Wfd,
-            AlgorithmKind::Bfd,
-            AlgorithmKind::EdfFfd,
         ] {
-            let algo = kind.build(UniprocessorTest::ResponseTime, OverheadModel::zero());
+            let algo = kind.build(OverheadModel::zero());
             let outcome = algo.partition(&tasks, 4).unwrap();
             assert!(outcome.is_schedulable(), "{kind} rejected a light set");
             assert!(!algo.name().is_empty());

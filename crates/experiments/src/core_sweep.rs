@@ -8,7 +8,7 @@
 //! utilization is held constant).
 
 use serde::{Deserialize, Serialize};
-use spms_analysis::{OverheadModel, UniprocessorTest};
+use spms_analysis::OverheadModel;
 use spms_task::{PeriodDistribution, TaskSetGenerator, Time, UtilizationDistribution};
 
 use crate::progress::{NullProgress, ProgressSink};
@@ -111,7 +111,6 @@ pub struct CoreCountSweepExperiment {
     normalized_utilization: f64,
     sets_per_point: usize,
     algorithms: Vec<AlgorithmKind>,
-    test: UniprocessorTest,
     overhead: OverheadModel,
     seed: u64,
     threads: usize,
@@ -125,7 +124,6 @@ impl Default for CoreCountSweepExperiment {
             normalized_utilization: 0.85,
             sets_per_point: 100,
             algorithms: AlgorithmKind::paper_lineup(),
-            test: UniprocessorTest::ResponseTime,
             overhead: OverheadModel::zero(),
             seed: 0,
             threads: 1,
@@ -171,12 +169,6 @@ impl CoreCountSweepExperiment {
         self
     }
 
-    /// Sets the per-core acceptance test.
-    pub fn test(mut self, test: UniprocessorTest) -> Self {
-        self.test = test;
-        self
-    }
-
     /// Sets the overhead model folded into every algorithm's analysis.
     pub fn overhead(mut self, overhead: OverheadModel) -> Self {
         self.overhead = overhead;
@@ -205,7 +197,7 @@ impl CoreCountSweepExperiment {
         let partitioners: Vec<(AlgorithmKind, Box<dyn spms_core::Partitioner + Send + Sync>)> =
             self.algorithms
                 .iter()
-                .map(|a| (*a, a.build(self.test, self.overhead)))
+                .map(|a| (*a, a.build(self.overhead)))
                 .collect();
         let grid = SweepRunner::new()
             .threads(self.threads)

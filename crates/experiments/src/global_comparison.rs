@@ -8,7 +8,7 @@
 //! of `spms-core`, over the same random task sets.
 
 use serde::{Deserialize, Serialize};
-use spms_analysis::{OverheadModel, UniprocessorTest};
+use spms_analysis::OverheadModel;
 use spms_global::GlobalSchedulabilityTest;
 use spms_task::{
     PeriodDistribution, PriorityAssignment, TaskSetGenerator, Time, UtilizationDistribution,
@@ -151,7 +151,6 @@ pub struct GlobalComparisonExperiment {
     utilization_points: Vec<f64>,
     sets_per_point: usize,
     series: Vec<ComparisonSeries>,
-    test: UniprocessorTest,
     overhead: OverheadModel,
     seed: u64,
     threads: usize,
@@ -171,7 +170,6 @@ impl Default for GlobalComparisonExperiment {
                 ComparisonSeries::Global(GlobalSchedulabilityTest::BclFixedPriority),
                 ComparisonSeries::Global(GlobalSchedulabilityTest::RmUs),
             ],
-            test: UniprocessorTest::ResponseTime,
             overhead: OverheadModel::zero(),
             seed: 0,
             threads: 1,
@@ -251,9 +249,7 @@ impl GlobalComparisonExperiment {
             .series
             .iter()
             .map(|s| match s {
-                ComparisonSeries::Partitioned(kind) => {
-                    (*s, Some(kind.build(self.test, self.overhead)))
-                }
+                ComparisonSeries::Partitioned(kind) => (*s, Some(kind.build(self.overhead))),
                 ComparisonSeries::Global(_) => (*s, None),
             })
             .collect();

@@ -4,7 +4,7 @@
 //!
 //! * [`AcceptanceRatioExperiment`] — the §4 comparison: acceptance ratio of
 //!   FP-TS vs. FFD vs. WFD over randomly generated task sets, with and
-//!   without the measured overheads (experiment E5 in DESIGN.md),
+//!   without the measured overheads (E5),
 //! * [`OverheadSensitivityExperiment`] — how much acceptance ratio is lost as
 //!   the overhead magnitude is scaled up (E6),
 //! * [`CacheCrossoverExperiment`] — local context switch vs. migration cache

@@ -10,7 +10,7 @@
 //! processor time spent inside the scheduler are recorded.
 
 use serde::{Deserialize, Serialize};
-use spms_analysis::{OverheadModel, UniprocessorTest};
+use spms_analysis::OverheadModel;
 use spms_sim::{SimulationConfig, Simulator};
 use spms_task::{PeriodDistribution, TaskSetGenerator, Time, UtilizationDistribution};
 
@@ -112,7 +112,6 @@ pub struct RuntimeCostExperiment {
     utilization_points: Vec<f64>,
     sets_per_point: usize,
     algorithms: Vec<AlgorithmKind>,
-    test: UniprocessorTest,
     overhead: OverheadModel,
     simulation_window: Time,
     seed: u64,
@@ -141,7 +140,6 @@ impl Default for RuntimeCostExperiment {
                 AlgorithmKind::FpTsNextFit,
                 AlgorithmKind::Ffd,
             ],
-            test: UniprocessorTest::ResponseTime,
             overhead: OverheadModel::paper_n4(),
             simulation_window: Time::from_secs(1),
             seed: 0,
@@ -228,7 +226,7 @@ impl RuntimeCostExperiment {
         let partitioners: Vec<(AlgorithmKind, Box<dyn spms_core::Partitioner + Send + Sync>)> =
             self.algorithms
                 .iter()
-                .map(|a| (*a, a.build(self.test, self.overhead)))
+                .map(|a| (*a, a.build(self.overhead)))
                 .collect();
         let grid = SweepRunner::new()
             .threads(self.threads)

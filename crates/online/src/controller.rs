@@ -1514,7 +1514,6 @@ fn moved_parents(old: &Partition, new: &Partition, arriving: TaskId) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spms_analysis::UniprocessorTest;
 
     fn task(id: u32, wcet_ms: u64, period_ms: u64) -> Task {
         Task::new(id, Time::from_millis(wcet_ms), Time::from_millis(period_ms)).unwrap()
@@ -1557,7 +1556,7 @@ mod tests {
         }
         assert_eq!(c.admitted_count(), 4);
         assert_eq!(c.stats().fast_whole, 4);
-        assert!(c.partition().is_schedulable(UniprocessorTest::ResponseTime));
+        assert!(c.partition().is_schedulable());
     }
 
     #[test]
@@ -1576,7 +1575,7 @@ mod tests {
             }
         );
         assert_eq!(c.partition().split_count(), 1);
-        assert!(c.partition().is_schedulable(UniprocessorTest::ResponseTime));
+        assert!(c.partition().is_schedulable());
     }
 
     #[test]
@@ -1599,7 +1598,7 @@ mod tests {
         );
         assert_eq!(c.stats().repairs, 1);
         assert_eq!(c.stats().migrations_caused, 1);
-        assert!(c.partition().is_schedulable(UniprocessorTest::ResponseTime));
+        assert!(c.partition().is_schedulable());
     }
 
     #[test]
@@ -1639,7 +1638,7 @@ mod tests {
                 inflation: Time::ZERO
             }
         );
-        assert!(c.partition().is_schedulable(UniprocessorTest::ResponseTime));
+        assert!(c.partition().is_schedulable());
         // Everything the controller admitted is still placed.
         assert_eq!(c.partition().parent_ids().len(), 4);
     }
@@ -1959,9 +1958,7 @@ mod tests {
             },
             "slack ranking should evict SMALL and admit M"
         );
-        assert!(slack
-            .partition()
-            .is_schedulable(UniprocessorTest::ResponseTime));
+        assert!(slack.partition().is_schedulable());
         // Soundness: every core of the slack-admitted partition passes a
         // from-scratch exact RTA (not the cache, not the offline heuristic
         // — whose first-fit search cannot find this arrangement and proves
@@ -1988,7 +1985,7 @@ mod tests {
         // partition.
         arrive(&mut c, task(3, 3, 10));
         assert_eq!(c.partition().validate(), Ok(()));
-        assert!(c.partition().is_schedulable(UniprocessorTest::ResponseTime));
+        assert!(c.partition().is_schedulable());
     }
 
     #[test]
@@ -2241,7 +2238,7 @@ mod tests {
             "inflation must be a whole number of per-hop charges"
         );
         assert_eq!(c.stats().inflation_charged_ns, inflation.as_nanos());
-        assert!(c.partition().is_schedulable(UniprocessorTest::ResponseTime));
+        assert!(c.partition().is_schedulable());
     }
 
     #[test]
@@ -2288,9 +2285,7 @@ mod tests {
         );
         // The rejected arrival left no inflated residue behind.
         assert_eq!(charged_c.stats().inflation_charged_ns, 0);
-        assert!(charged_c
-            .partition()
-            .is_schedulable(UniprocessorTest::ResponseTime));
+        assert!(charged_c.partition().is_schedulable());
     }
 
     #[test]

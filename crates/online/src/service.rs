@@ -262,7 +262,6 @@ impl ShardedAdmission<AdmissionController> {
                 cores: config.cores,
             });
         }
-        let cross_shard = config.cross_shard_split && shard_count > 1;
         let shards = shard_core_counts(config.cores, shard_count)
             .into_iter()
             .map(|cores| {
@@ -273,7 +272,7 @@ impl ShardedAdmission<AdmissionController> {
             })
             .collect::<Result<Vec<_>, _>>()?;
         let mut service = ShardedAdmission::from_shards(shards);
-        service.cross_shard = cross_shard;
+        service.set_cross_shard_split(config.cross_shard_split);
         Ok(service)
     }
 }
@@ -317,10 +316,28 @@ impl<S: AdmissionShard> ShardedAdmission<S> {
     }
 
     /// Enables or disables the cross-shard split planner (builder-less
-    /// services built via [`from_shards`](Self::from_shards); shards must
-    /// allow partial chains on their partitions when enabling).
+    /// services built via [`from_shards`](Self::from_shards)). A one-shard
+    /// service has no other shard to split across, so there the planner
+    /// stays off.
+    ///
+    /// # Panics
+    ///
+    /// Panics when enabling the planner on a multi-shard service whose
+    /// shard partitions do not allow partial chains (build the shards with
+    /// [`OnlineConfig::cross_shard_split`] on): such a partition refuses
+    /// every piece the planner commits, so the service could never admit
+    /// across shards.
     pub fn set_cross_shard_split(&mut self, enabled: bool) {
-        self.cross_shard = enabled && self.shards.len() > 1;
+        let enabled = enabled && self.shards.len() > 1;
+        assert!(
+            !enabled
+                || self
+                    .shards
+                    .iter()
+                    .all(|shard| shard.partition().allows_partial_chains()),
+            "the cross-shard split planner needs shards that allow partial chains"
+        );
+        self.cross_shard = enabled;
     }
 
     /// The *primary* shard a task currently lives on: the only shard for
@@ -1354,13 +1371,91 @@ mod tests {
         assert_eq!(svc.resident_shard(TaskId(1000)), None);
     }
 
+    /// A controller that miscounts the chains of the cross-shard tails it
+    /// receives (one piece more than the chain has), so its partition
+    /// refuses them at `validate()`, after both pieces are placed.
+    struct MiscountsTails(AdmissionController);
+
+    impl AdmissionShard for MiscountsTails {
+        fn decide(&mut self, event: &WorkloadEvent) -> Decision {
+            self.0.decide(event)
+        }
+        fn resident(&self, id: TaskId) -> bool {
+            self.0.resident(id)
+        }
+        fn admitted_utilization(&self) -> f64 {
+            AdmissionShard::admitted_utilization(&self.0)
+        }
+        fn core_count(&self) -> usize {
+            self.0.core_count()
+        }
+        fn partition(&self) -> &Partition {
+            self.0.partition()
+        }
+        fn partition_mut(&mut self) -> &mut Partition {
+            self.0.partition_mut()
+        }
+        fn lookup_admitted(&self, id: TaskId) -> Option<Task> {
+            self.0.lookup_admitted(id)
+        }
+        fn forget_admitted(&mut self, id: TaskId) -> Option<Task> {
+            self.0.forget_admitted(id)
+        }
+        fn note_admitted(&mut self, task: Task) {
+            self.0.note_admitted(task);
+        }
+        fn note_remote_admitted(&mut self, piece: Task) {
+            self.0.note_remote_admitted(piece);
+        }
+        fn placer(&self) -> &IncrementalPlacer {
+            self.0.placer()
+        }
+        fn metrics_registry(&self) -> Option<&Registry> {
+            self.0.metrics_registry()
+        }
+        fn commit_remote_piece(&mut self, core: CoreId, mut placed: PlacedTask) {
+            if let Some(split) = placed
+                .split
+                .as_mut()
+                .filter(|s| s.kind == SubtaskKind::Tail)
+            {
+                split.part_count += 1;
+            }
+            self.0.commit_remote_piece(core, placed);
+        }
+    }
+
     #[test]
-    fn a_refused_cross_shard_commit_rewinds_both_shards() {
-        // Controllers built without partial chains refuse the donor's
-        // lone body (`next_core: None`) at `validate()`, after both pieces
-        // are placed: the commit must rewind both partitions.
+    #[should_panic(expected = "allow partial chains")]
+    fn cross_shard_split_is_refused_on_shards_without_partial_chains() {
+        // Without partial chains every committed piece pair fails
+        // `validate()` and is rewound: the planner could never admit.
         let shards = (0..2)
             .map(|_| AdmissionController::new(OnlineConfig::new(1)).unwrap())
+            .collect();
+        ShardedAdmission::from_shards(shards).set_cross_shard_split(true);
+    }
+
+    #[test]
+    fn a_one_shard_service_ignores_the_cross_shard_switch() {
+        let shards = vec![AdmissionController::new(OnlineConfig::new(2)).unwrap()];
+        let mut svc = ShardedAdmission::from_shards(shards);
+        svc.set_cross_shard_split(true);
+        assert!(!svc.cross_shard);
+    }
+
+    #[test]
+    fn a_refused_cross_shard_commit_rewinds_both_shards() {
+        // Both shards allow partial chains, but each miscounts the chain
+        // of a tail it receives: the receiver refuses the tail at
+        // `validate()`, after both pieces are placed, and the commit must
+        // rewind both partitions.
+        let config = OnlineConfig::builder()
+            .cores(1)
+            .cross_shard_split(true)
+            .build();
+        let shards = (0..2)
+            .map(|_| MiscountsTails(AdmissionController::new(config.clone()).unwrap()))
             .collect();
         let mut svc = ShardedAdmission::from_shards(shards);
         svc.set_cross_shard_split(true);

@@ -10,10 +10,10 @@ struct Node<T> {
 
 /// A mergeable min-heap implemented as a pairing heap.
 ///
-/// Included as the ablation alternative for the ready queue (DESIGN.md,
-/// design choice 1): pairing heaps have excellent practical performance and a
-/// simpler structure than binomial heaps, which the `queue_ops` benchmark uses
-/// to put the paper's binomial-heap numbers in context.
+/// Included as the alternative ready-queue structure: pairing heaps have
+/// excellent practical performance and a simpler structure than binomial
+/// heaps, which the `queue_ops` benchmark uses to put the paper's
+/// binomial-heap numbers in context.
 ///
 /// # Example
 ///

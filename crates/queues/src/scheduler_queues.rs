@@ -13,7 +13,8 @@ use crate::{BinomialHeap, PairingHeap, RbTree};
 /// Which heap implementation backs a [`ReadyQueue`].
 ///
 /// The paper uses a binomial heap; the pairing-heap and sorted-`BTreeMap`-like
-/// alternatives exist for the ablation benchmark (DESIGN.md, choice 1).
+/// alternatives exist so the `queue_ops` benchmark can put the paper's
+/// ready-queue costs next to other structures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ReadyQueueKind {
     /// Binomial heap (the paper's choice).

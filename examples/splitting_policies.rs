@@ -1,5 +1,4 @@
-//! Ablation of the task-splitting policy (DESIGN.md ablation 1, experiments
-//! E5/E8): FP-TS with the packing-oriented first-fit placement, FP-TS with
+//! Ablation of the task-splitting policy (experiments E5/E8): FP-TS with the packing-oriented first-fit placement, FP-TS with
 //! Guan's original next-fit splitting pass, and the DM-PM algorithm of
 //! Kato & Yamasaki, compared on acceptance ratio and on the run-time costs
 //! (splits, migrations, scheduler overhead) of the partitions they produce.

@@ -1,7 +1,7 @@
 //! End-to-end pipeline tests across all workspace crates: generation →
 //! partitioning → analysis → simulation → experiment reporting.
 
-use spms::analysis::{OverheadModel, UniprocessorTest};
+use spms::analysis::OverheadModel;
 use spms::core::{PartitionOutcome, PartitionedFixedPriority, Partitioner, SemiPartitionedFpTs};
 use spms::experiments::{
     AcceptanceRatioExperiment, AlgorithmKind, CacheCrossoverExperiment, PreemptionAnatomy,
@@ -31,7 +31,7 @@ fn full_pipeline_fpts_with_overheads() {
         }
     };
     partition.validate().expect("well-formed partition");
-    assert!(partition.is_schedulable(UniprocessorTest::ResponseTime));
+    assert!(partition.is_schedulable());
     assert_eq!(partition.core_count(), 4);
     // Every original task is placed (split tasks appear once per piece).
     assert!(partition.placement_count() >= tasks.len());

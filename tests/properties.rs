@@ -2,7 +2,7 @@
 //! randomly generated task set, not just the hand-picked examples.
 
 use proptest::prelude::*;
-use spms::analysis::{rta, OverheadModel, UniprocessorTest};
+use spms::analysis::{rta, OverheadModel};
 use spms::core::{PartitionOutcome, PartitionedFixedPriority, Partitioner, SemiPartitionedFpTs};
 use spms::sim::{Chain, SimulationConfig, Simulator};
 use spms::task::{Priority, Task, TaskSet, TaskSetGenerator, Time};
@@ -82,7 +82,7 @@ proptest! {
             let outcome = algorithm.partition(&ts, 4).expect("valid input");
             if let PartitionOutcome::Schedulable(partition) = outcome {
                 prop_assert_eq!(partition.validate(), Ok(()));
-                prop_assert!(partition.is_schedulable(UniprocessorTest::ResponseTime));
+                prop_assert!(partition.is_schedulable());
                 if !may_split {
                     prop_assert_eq!(partition.split_count(), 0);
                     prop_assert_eq!(partition.placement_count(), ts.len());
