@@ -520,54 +520,61 @@ impl CachedCoreAnalysis {
         None
     }
 
-    /// What-if probe for one repair eviction: would the core accept
-    /// `candidate` with the entry `removed` evicted first? Nothing is
+    /// What-if probe for repair evictions: would the core accept
+    /// `candidate` with every entry in `removed` evicted first? Nothing is
     /// cloned; the verdict is bit-identical to re-running
     /// [`rta::analyse_core`] over the committed (evicted + admitted) core.
     ///
     /// The `outranked` / `peer` predicates describe the candidate's rank
     /// exactly as in [`accepts_candidate`](Self::accepts_candidate) (they
     /// are only consulted for surviving entries). Entries above both the
-    /// candidate and the removed entry keep their memoized responses;
+    /// candidate and every removed entry keep their memoized responses;
     /// entries that only gain the candidate's interference re-converge from
-    /// warm starts; entries that lose the removed entry's interference
-    /// re-converge cold (their cached responses are upper bounds there).
-    /// Falls back to [`accepts_candidate`](Self::accepts_candidate) when
-    /// `removed` is not on this core.
+    /// warm starts; entries at or below the lowest removed level lose some
+    /// interference and re-converge cold (their cached responses are upper
+    /// bounds there). Ids in `removed` that are not on this core are
+    /// ignored; when none is, this is
+    /// [`accepts_candidate`](Self::accepts_candidate).
     pub fn accepts_candidate_without(
         &self,
         candidate: &Task,
-        removed: TaskId,
+        removed: &[TaskId],
         outranked: impl Fn(&Task) -> bool,
         peer: impl Fn(&Task) -> bool,
     ) -> bool {
-        let Some(removed_idx) = self.entries.iter().position(|e| e.task.id() == removed) else {
+        let is_removed = |e: &Entry| removed.contains(&e.task.id());
+        // Entries are in canonical order, so the first removed one holds
+        // the lowest removed level.
+        let Some(removed_level) = self
+            .entries
+            .iter()
+            .find(|e| is_removed(e))
+            .map(|e| sort_key(&e.task).0)
+        else {
             return self.accepts_candidate(candidate, outranked, peer);
         };
-        let removed_level = sort_key(&self.entries[removed_idx].task).0;
         // The candidate sees every *surviving* entry it does not outrank.
         let candidate_response = rta::converge(candidate.wcet(), candidate.deadline(), None, |r| {
             self.entries
                 .iter()
-                .enumerate()
-                .filter(|(j, e)| *j != removed_idx && !outranked(&e.task))
-                .map(|(_, e)| interference_term(&e.task, r))
+                .filter(|e| !is_removed(e) && !outranked(&e.task))
+                .map(|e| interference_term(&e.task, r))
                 .sum()
         });
         if candidate_response.is_none() {
             return false;
         }
         for (i, entry) in self.entries.iter().enumerate() {
-            if i == removed_idx {
+            if is_removed(entry) {
                 continue;
             }
             let gains = outranked(&entry.task) || peer(&entry.task);
-            // The removed entry interfered with everything at or below its
+            // A removed entry interfered with everything at or below its
             // level (peers included): those entries shrink and must run
             // cold — a cached response is an upper bound after a removal.
             let loses = sort_key(&entry.task).0 >= removed_level;
             let response = match (gains, loses) {
-                // Unaffected: above both the candidate and the removal.
+                // Unaffected: above both the candidate and every removal.
                 (false, false) => entry.response,
                 // Only gains the candidate: the cached response is a valid
                 // warm start.
@@ -575,10 +582,7 @@ impl CachedCoreAnalysis {
                     entry.task.wcet(),
                     entry.task.deadline(),
                     entry.response,
-                    |r| {
-                        self.interference_without(i, removed_idx, r)
-                            + interference_term(candidate, r)
-                    },
+                    |r| self.interference_without(i, removed, r) + interference_term(candidate, r),
                 ),
                 (gains, true) => {
                     rta::converge(entry.task.wcet(), entry.task.deadline(), None, |r| {
@@ -587,7 +591,7 @@ impl CachedCoreAnalysis {
                         } else {
                             Time::ZERO
                         };
-                        self.interference_without(i, removed_idx, r) + candidate_term
+                        self.interference_without(i, removed, r) + candidate_term
                     })
                 }
             };
@@ -954,15 +958,15 @@ impl CachedCoreAnalysis {
             .sum()
     }
 
-    /// [`own_interference`](Self::own_interference) with entry
-    /// `removed_idx` evicted from the core.
-    fn interference_without(&self, i: usize, removed_idx: usize, r: Time) -> Time {
+    /// [`own_interference`](Self::own_interference) with the entries in
+    /// `removed` evicted from the core.
+    fn interference_without(&self, i: usize, removed: &[TaskId], r: Time) -> Time {
         let level = sort_key(&self.entries[i].task).0;
         self.entries
             .iter()
             .enumerate()
             .take_while(|(_, e)| sort_key(&e.task).0 <= level)
-            .filter(|(j, _)| *j != i && *j != removed_idx)
+            .filter(|(j, e)| *j != i && !removed.contains(&e.task.id()))
             .map(|(_, e)| interference_term(&e.task, r))
             .sum()
     }
@@ -1547,36 +1551,40 @@ mod tests {
 
     #[test]
     fn eviction_probe_matches_scratch() {
-        // Three tasks; probing "remove one, add candidate" must agree with
-        // a from-scratch analysis of the modified core for every victim.
+        // Three tasks; probing "remove a set, add candidate" must agree
+        // with a from-scratch analysis of the modified core for every
+        // victim and every victim pair.
         let tasks = [task(0, 1, 4, 2), task(1, 3, 10, 3), task(2, 4, 20, 4)];
         let cache = CachedCoreAnalysis::from_tasks(&tasks);
+        let sets: Vec<Vec<TaskId>> = (0..3)
+            .map(|a| vec![TaskId(a)])
+            .chain([(0, 1), (0, 2), (1, 2)].map(|(a, b)| vec![TaskId(a), TaskId(b)]))
+            .collect();
         for candidate in [task(7, 5, 20, 5), task(8, 11, 20, 5), task(9, 2, 8, 1)] {
             let level = rta::effective_priority(&candidate).level();
-            for victim in &tasks {
+            for removed in &sets {
                 let mut modified: Vec<Task> = tasks
                     .iter()
-                    .filter(|t| t.id() != victim.id())
+                    .filter(|t| !removed.contains(&t.id()))
                     .cloned()
                     .collect();
                 modified.push(candidate.clone());
                 assert_eq!(
                     cache.accepts_candidate_without(
                         &candidate,
-                        victim.id(),
+                        removed,
                         |t| rta::effective_priority(t).level() > level,
                         |t| rta::effective_priority(t).level() == level,
                     ),
                     rta::is_core_schedulable(&modified),
-                    "eviction probe diverged for candidate {} victim {}",
+                    "eviction probe diverged for candidate {} removing {removed:?}",
                     candidate.id(),
-                    victim.id()
                 );
             }
         }
-        // Unknown victim falls back to the plain probe.
+        // Unknown victims fall back to the plain probe.
         assert_eq!(
-            cache.accepts_candidate_without(&task(7, 5, 20, 5), TaskId(42), |_| true, |_| false),
+            cache.accepts_candidate_without(&task(7, 5, 20, 5), &[TaskId(42)], |_| true, |_| false),
             cache.accepts_candidate(&task(7, 5, 20, 5), |_| true, |_| false)
         );
     }

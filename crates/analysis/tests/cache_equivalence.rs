@@ -327,8 +327,9 @@ proptest! {
     }
 
     /// The eviction what-if probe (`accepts_candidate_without`) answers
-    /// exactly what a scratch analysis of the core minus the victim plus
-    /// the candidate answers, for every victim.
+    /// exactly what a scratch analysis of the core minus the removed
+    /// entries plus the candidate answers, for every removal set of one,
+    /// two and three residents.
     #[test]
     fn eviction_probe_equals_scratch(
         existing in vec(spec(), 1..8),
@@ -342,24 +343,34 @@ proptest! {
         let cache = CachedCoreAnalysis::from_tasks(&tasks);
         let candidate = build_task(1000, candidate);
         let level = rta::effective_priority(&candidate).level();
-        for victim in &tasks {
+        let ids: Vec<TaskId> = tasks.iter().map(Task::id).collect();
+        let n = ids.len();
+        let sets = (0..n).flat_map(|a| {
+            let ids = &ids;
+            std::iter::once(vec![ids[a]])
+                .chain((a + 1..n).map(move |b| vec![ids[a], ids[b]]))
+                .chain((a + 1..n).flat_map(move |b| {
+                    (b + 1..n).map(move |c| vec![ids[a], ids[b], ids[c]])
+                }))
+        });
+        for removed in sets {
             let probed = cache.accepts_candidate_without(
                 &candidate,
-                victim.id(),
+                &removed,
                 |t| rta::effective_priority(t).level() > level,
                 |t| rta::effective_priority(t).level() == level,
             );
             let mut modified: Vec<Task> = tasks
                 .iter()
-                .filter(|t| t.id() != victim.id())
+                .filter(|t| !removed.contains(&t.id()))
                 .cloned()
                 .collect();
             modified.push(candidate.clone());
             prop_assert_eq!(
                 probed,
-                rta::is_core_schedulable(&modified),
-                "eviction probe diverged for victim {}",
-                victim.id()
+                rta::analyse_core(&modified).schedulable,
+                "eviction probe diverged removing {:?}",
+                removed
             );
         }
     }

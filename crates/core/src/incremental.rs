@@ -419,16 +419,17 @@ impl IncrementalPlacer {
         }
     }
 
-    /// What-if probe for one repair eviction: would `core` accept `task`
-    /// whole with every placement of parent `removed` evicted from it
-    /// first? Allocation-free with a converged analysis cache; the
-    /// candidate is ranked exactly as the commit will rank it.
+    /// What-if probe for repair evictions: would `core` accept `task`
+    /// whole with every placement of each parent in `removed` evicted from
+    /// it first? The utilization screen subtracts everything the set
+    /// evicts from the core. Allocation-free with a converged analysis
+    /// cache; the candidate is ranked exactly as the commit will rank it.
     pub fn accepts_whole_without(
         &self,
         partition: &Partition,
         core: CoreId,
         task: &Task,
-        removed: TaskId,
+        removed: &[TaskId],
     ) -> bool {
         let Some(analysis_task) = self.whole_analysis_task(task, Time::ZERO) else {
             return false;
@@ -436,7 +437,7 @@ impl IncrementalPlacer {
         let evicted: f64 = partition
             .core(core)
             .iter()
-            .filter(|p| p.parent == removed)
+            .filter(|p| removed.contains(&p.parent))
             .map(|p| p.task.utilization())
             .sum();
         let exact = || {

@@ -20,7 +20,9 @@
 //!   whole placement passes scratch RTA, and its blocker is the first
 //!   failing task in (candidate, then (level, id)) order;
 //! * [`IncrementalPlacer::accepts_whole_without`] equals scratch RTA of the
-//!   committed state with the removed parent gone;
+//!   committed state with the removed parent — or pair of parents — gone,
+//!   and equals `probe_whole` of the state with them evicted in a journal
+//!   scope;
 //! * every [`IncrementalPlacer::plan_split`] piece passes scratch RTA after
 //!   commit, and a body 1 ns larger fails it unless the chain capped it.
 //!
@@ -301,23 +303,48 @@ proptest! {
 
                 let residents: Vec<TaskId> =
                     partition.core(core).iter().map(|p| p.parent).collect();
-                for removed in residents.into_iter().chain([TaskId(9_999)]) {
+                let singles = residents
+                    .iter()
+                    .chain(&[TaskId(9_999)])
+                    .map(|&removed| vec![removed]);
+                let pairs = residents.iter().enumerate().flat_map(|(i, &a)| {
+                    residents[i + 1..].iter().map(move |&b| vec![a, b])
+                });
+                for removed in singles.chain(pairs) {
                     let (_, responses) = committed_core(&mut oracle, core, |p| {
-                        p.remove_parent(removed);
+                        for &parent in &removed {
+                            p.remove_parent(parent);
+                        }
                         commit_whole(&placer, p, core, &task);
                     });
                     let expected = responses.iter().all(Option::is_some);
                     prop_assert_eq!(
-                        placer.accepts_whole_without(&partition, core, &task, removed),
+                        placer.accepts_whole_without(&partition, core, &task, &removed),
                         expected,
-                        "cached eviction probe of {} on {}",
+                        "cached eviction probe of {:?} on {}",
                         removed,
                         core
                     );
                     prop_assert_eq!(
-                        placer.accepts_whole_without(&plain, core, &task, removed),
+                        placer.accepts_whole_without(&plain, core, &task, &removed),
                         expected,
-                        "uncached eviction probe of {} on {}",
+                        "uncached eviction probe of {:?} on {}",
+                        removed,
+                        core
+                    );
+                    // The evicted state itself, probed through the
+                    // journal, agrees with the what-if.
+                    let mark = oracle.journal_begin();
+                    for &parent in &removed {
+                        oracle.remove_parent(parent);
+                    }
+                    let evicted = placer.probe_whole(&oracle, core, &task);
+                    oracle.rewind(mark);
+                    oracle.journal_end();
+                    prop_assert_eq!(
+                        evicted == WholeProbe::Accepted,
+                        expected,
+                        "probe after evicting {:?} on {}",
                         removed,
                         core
                     );
@@ -605,7 +632,7 @@ fn the_screen_passes_cores_exact_rta_fills_to_the_brim() {
         .plan_whole(&partition, &tenth, &[], Time::ZERO)
         .is_some());
     // A what-if eviction of the 40 % task for a 50 % candidate.
-    assert!(placer.accepts_whole_without(&partition, core, &task(8, 5), TaskId(1)));
+    assert!(placer.accepts_whole_without(&partition, core, &task(8, 5), &[TaskId(1)]));
     // A 1 ms tail and a 1 ms body piece.
     assert!(placer
         .plan_remote_tail(

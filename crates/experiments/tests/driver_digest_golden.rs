@@ -139,7 +139,7 @@ fn overhead_smoke_grid_is_pinned() {
         "overhead",
         &run.metrics,
         0x4dc2_fe87_b74b_e7bf,
-        0x974c_ca3d_463d_eaa2,
+        0xb07e_0476_8856_3a31,
     );
 }
 

@@ -55,7 +55,12 @@
 //! is checked against independent scratch RTA of every core after every
 //! decision by `spms rtabench`. Repair ranks eviction victims by slack:
 //! it localizes the task the arrival blocks and evicts the smallest
-//! resident whose removal provably unblocks it.
+//! resident whose removal provably unblocks it. When no single eviction
+//! does, repair looks one move ahead before it moves anything: a victim
+//! that no partner eviction can complete (one exact what-if probe of the
+//! pair each) is never moved, so an attempt that cannot succeed fails
+//! before its first mutation instead of relocating, searching and
+//! rewinding.
 //!
 //! Every decision carries its path, the number of already-placed tasks it
 //! migrated, and (for rejections) a typed reason; the caller keeps the log
@@ -827,9 +832,9 @@ impl AdmissionController {
     /// relocations, which leave the partition unchanged.
     ///
     /// The last move slot only goes to a victim whose eviction provably
-    /// unblocks the arrival: when slack ranking has shown that no single
-    /// eviction does, relocating one more task cannot end in success, so
-    /// the attempt gives up before mutating.
+    /// unblocks the arrival, and the slot before it only to a victim some
+    /// last move can follow (see [`repair_moves`](Self::repair_moves)):
+    /// an attempt that cannot end in success gives up before mutating.
     fn repair_on(
         &mut self,
         target: CoreId,
@@ -852,6 +857,28 @@ impl AdmissionController {
     /// The move loop of [`repair_on`](Self::repair_on), over its reusable
     /// lists: `others` holds every core but the target, `immovable` and
     /// `search` start empty.
+    ///
+    /// A victim picked with [`VictimEvidence::Insufficient`] (no single
+    /// eviction unblocks the arrival) is never moved into the last slot.
+    /// Into the penultimate one (`moves + 2 == k`) it is moved only after
+    /// a look-ahead: if no candidate still in the search unblocks the
+    /// arrival together with it (one pair what-if probe each,
+    /// [`IncrementalPlacer::accepts_whole_without`]), moving it would
+    /// leave a last move that cannot succeed. Then, if no pair of the
+    /// remaining candidates unblocks the arrival either, no later pick can
+    /// succeed and the attempt fails at once; otherwise the victim is only
+    /// asked whether it could move ([`can_relocate`](Self::can_relocate),
+    /// which commits nothing): if it could, the attempt fails, and if not,
+    /// it is immovable and the search goes on.
+    ///
+    /// The look-ahead is exact, so no decision changes. A relocation's
+    /// plan excludes the target, so wherever the victim lands, the target
+    /// afterwards is the target minus the victim; the victim search opened
+    /// on it then has exactly the remaining candidates (every resident not
+    /// immovable), and its pass 1 asks of each one the question the pair
+    /// probe asked. Without a partner, the move would be followed by an
+    /// `Insufficient` pick in the last slot, or by no pick at all, and the
+    /// attempt would fail after mutating and rewinding.
     fn repair_moves(
         &mut self,
         target: CoreId,
@@ -893,8 +920,21 @@ impl AdmissionController {
                 }
             };
             let (victim, evidence) = self.next_slack_victim(target, task, open)?;
-            if moves + 1 == k && evidence == VictimEvidence::Insufficient {
-                return None;
+            if evidence == VictimEvidence::Insufficient {
+                if moves + 1 == k {
+                    return None;
+                }
+                // The penultimate move looks one move ahead (see above).
+                if moves + 2 == k && !self.some_partner_unblocks(target, task, victim, open, others)
+                {
+                    if !self.some_pair_unblocks(target, task, open, others)
+                        || self.can_relocate(victim, target)
+                    {
+                        return None;
+                    }
+                    immovable.push(victim);
+                    continue;
+                }
             }
             #[cfg(debug_assertions)]
             let before: Vec<u64> = (0..self.config.cores)
@@ -1001,7 +1041,7 @@ impl AdmissionController {
             if !pruned
                 && self
                     .placer
-                    .accepts_whole_without(&self.partition, target, arrival, id)
+                    .accepts_whole_without(&self.partition, target, arrival, &[id])
             {
                 search.candidates.remove(search.cursor);
                 return Some((id, VictimEvidence::Unblocks));
@@ -1077,6 +1117,73 @@ impl AdmissionController {
         level(victim_placed) <= level(blocker_placed)
     }
 
+    /// Whether evicting `victim` together with some candidate still in
+    /// `search` lets the arrival onto `target`: whether a last move can
+    /// follow the victim's. See [`repair_moves`](Self::repair_moves).
+    fn some_partner_unblocks(
+        &mut self,
+        target: CoreId,
+        arrival: &Task,
+        victim: TaskId,
+        search: &VictimSearch,
+        others: &[CoreId],
+    ) -> bool {
+        search
+            .candidates
+            .iter()
+            .any(|&(_, partner)| self.pair_unblocks(target, arrival, [victim, partner], others))
+    }
+
+    /// Whether evicting some two candidates still in `search` lets the
+    /// arrival onto `target`. See [`repair_moves`](Self::repair_moves).
+    fn some_pair_unblocks(
+        &mut self,
+        target: CoreId,
+        arrival: &Task,
+        search: &VictimSearch,
+        others: &[CoreId],
+    ) -> bool {
+        let candidates = &search.candidates;
+        candidates.iter().enumerate().any(|(i, &(_, a))| {
+            candidates[i + 1..]
+                .iter()
+                .any(|&(_, b)| self.pair_unblocks(target, arrival, [a, b], others))
+        })
+    }
+
+    /// Whether evicting both of `pair` from `target` lets the arrival on,
+    /// by the exact what-if probe. Debug builds check every rejection by
+    /// evicting both through the journal and planning the arrival onto
+    /// `target` alone (uncounted, rewound).
+    fn pair_unblocks(
+        &mut self,
+        target: CoreId,
+        arrival: &Task,
+        pair: [TaskId; 2],
+        others: &[CoreId],
+    ) -> bool {
+        let unblocks = self
+            .placer
+            .accepts_whole_without(&self.partition, target, arrival, &pair);
+        debug_assert!(
+            unblocks
+                || scoped::uncounted(|| {
+                    let inner = self.partition.journal_mark();
+                    for parent in pair {
+                        self.partition.remove_parent(parent);
+                    }
+                    let plan = self
+                        .placer
+                        .plan_whole(&self.partition, arrival, others, Time::ZERO);
+                    self.partition.rewind(inner);
+                    plan.is_none()
+                }),
+            "evicting {pair:?} from {target} unblocks {} after all",
+            arrival.id()
+        );
+        unblocks
+    }
+
     /// Moves `victim` off `target`, whole-first-fit over the other cores and
     /// re-splitting it across them if it fits nowhere whole. The victim is
     /// re-planned from its *pristine* admitted copy with one migration
@@ -1098,20 +1205,10 @@ impl AdmissionController {
     /// before any eviction.
     fn relocate(&mut self, victim: TaskId, target: CoreId) -> Option<Time> {
         let charge = self.migration_charge(self.admitted.get(&victim)?);
-        if self.relocation_known_to_fail(victim, target, charge) {
-            scoped::bump(HotCounter::RelocationMemoHits);
-            debug_assert!(
-                scoped::uncounted(|| self.no_plan_after_eviction(victim, target, charge)),
-                "memoized relocation failure of {victim} off {target} has a plan"
-            );
+        if self.memo_says_immovable(victim, target, charge) {
             return None;
         }
-        let whole_on_target = self
-            .partition
-            .core(target)
-            .iter()
-            .any(|p| p.parent == victim && !p.is_split());
-        if !whole_on_target {
+        if !self.whole_on(target, victim) {
             return self.relocate_split(victim, target, charge);
         }
         let original = &self.admitted[&victim];
@@ -1150,20 +1247,66 @@ impl AdmissionController {
         }
     }
 
-    /// Whether relocating `victim` off `target` with `charge` has no plan
-    /// on the current partition with the victim evicted. The eviction
-    /// runs inside an inner journal mark and is rewound, so the partition
-    /// is left as it was. The debug-build cross-check of the
-    /// failed-relocation memo.
-    fn no_plan_after_eviction(&mut self, victim: TaskId, target: CoreId, charge: Time) -> bool {
+    /// [`relocate`](Self::relocate) without the commit: whether `victim`
+    /// has a relocation plan off `target`. The partition is left as it
+    /// was, and a failure is memoized exactly as `relocate` memoizes it.
+    fn can_relocate(&mut self, victim: TaskId, target: CoreId) -> bool {
+        let Some(original) = self.admitted.get(&victim) else {
+            return false;
+        };
+        let charge = self.migration_charge(original);
+        if self.memo_says_immovable(victim, target, charge) {
+            return false;
+        }
+        let movable = self.has_relocation_plan(victim, target, charge);
+        if !movable {
+            self.note_failed_relocation(victim, target, charge);
+        }
+        movable
+    }
+
+    /// Whether the failed-relocation memo already knows that `victim`
+    /// cannot move off `target` with `charge` (counted as a memo hit).
+    fn memo_says_immovable(&mut self, victim: TaskId, target: CoreId, charge: Time) -> bool {
+        if !self.relocation_known_to_fail(victim, target, charge) {
+            return false;
+        }
+        scoped::bump(HotCounter::RelocationMemoHits);
+        debug_assert!(
+            !scoped::uncounted(|| self.has_relocation_plan(victim, target, charge)),
+            "memoized relocation failure of {victim} off {target} has a plan"
+        );
+        true
+    }
+
+    /// Whether `victim` has a relocation plan off `target` with `charge`,
+    /// committing nothing. A victim placed whole on `target` is planned in
+    /// place (the plan excludes the only core its eviction changes); a
+    /// split victim is evicted inside an inner journal mark, planned and
+    /// rewound, so the partition is left as it was either way.
+    fn has_relocation_plan(&mut self, victim: TaskId, target: CoreId, charge: Time) -> bool {
         let original = &self.admitted[&victim];
+        if self.whole_on(target, victim) {
+            return self
+                .placer
+                .plan(&self.partition, original, &[target], charge)
+                .is_some();
+        }
         let inner = self.partition.journal_mark();
         self.partition.remove_parent(victim);
         let plan = self
             .placer
             .plan(&self.partition, original, &[target], charge);
         self.partition.rewind(inner);
-        plan.is_none()
+        plan.is_some()
+    }
+
+    /// Whether `parent` is placed whole on `core`.
+    fn whole_on(&self, core: CoreId, parent: TaskId) -> bool {
+        self.partition
+            .core(core)
+            .iter()
+            .any(|p| p.parent == parent && !p.is_split())
     }
 
     /// Memoizes a failed relocation under the current generations of every
@@ -1517,6 +1660,16 @@ mod tests {
 
     fn task(id: u32, wcet_ms: u64, period_ms: u64) -> Task {
         Task::new(id, Time::from_millis(wcet_ms), Time::from_millis(period_ms)).unwrap()
+    }
+
+    /// A task with period 100 ms and a constrained deadline.
+    fn constrained(id: u32, wcet_ms: u64, deadline_ms: u64) -> Task {
+        Task::builder(id)
+            .wcet(Time::from_millis(wcet_ms))
+            .period(Time::from_millis(100))
+            .deadline(Time::from_millis(deadline_ms))
+            .build()
+            .unwrap()
     }
 
     fn arrive(c: &mut AdmissionController, t: Task) -> DecisionKind {
@@ -1926,14 +2079,6 @@ mod tests {
         // be rejected. Slack-guided ranking probes SMALL first (smallest
         // candidate that provably unblocks), relocates it to P1 and admits
         // M with the same single move.
-        let constrained = |id: u32, wcet_ms: u64, deadline_ms: u64| {
-            Task::builder(id)
-                .wcet(Time::from_millis(wcet_ms))
-                .period(Time::from_millis(100))
-                .deadline(Time::from_millis(deadline_ms))
-                .build()
-                .unwrap()
-        };
         let trace = [
             constrained(0, 46, 100), // BIG → P0
             constrained(1, 25, 40),  // SMALL → P0
@@ -2414,7 +2559,7 @@ mod tests {
             });
             if !pruned
                 && c.placer
-                    .accepts_whole_without(&c.partition, target, arrival, id)
+                    .accepts_whole_without(&c.partition, target, arrival, &[id])
             {
                 return Some((id, VictimEvidence::Unblocks));
             }
@@ -2443,44 +2588,24 @@ mod tests {
         // cannot move: on P1, D outranks it and pushes it to 30 > 21. The
         // search resumes after B and probes C alone; C moves to P1 (98 %)
         // and X is admitted.
-        let constrained = |id: u32, wcet_ms: u64, deadline_ms: u64| {
-            Task::builder(id)
-                .wcet(Time::from_millis(wcet_ms))
-                .period(Time::from_millis(100))
-                .deadline(Time::from_millis(deadline_ms))
-                .build()
-                .unwrap()
-        };
         let config = two_cores_no_split()
             .max_repair_moves(2)
             .fallback(false)
             .build();
         let mut c = AdmissionController::new(config).unwrap();
-        for (id, wcet, deadline) in [
-            (0, 10, 100),
-            (1, 20, 21),
-            (2, 20, 100),
-            (3, 45, 100),
-            (4, 10, 20),
-            (5, 68, 100),
-        ] {
-            assert!(matches!(
-                arrive(&mut c, constrained(id, wcet, deadline)),
-                DecisionKind::Admitted {
-                    path: DecisionPath::FastWhole,
-                    ..
-                }
-            ));
-        }
-        let residents = |c: &AdmissionController, core: usize| -> Vec<u32> {
-            c.partition()
-                .core(CoreId(core))
-                .iter()
-                .map(|p| p.parent.0)
-                .collect()
-        };
-        assert_eq!(residents(&c, 0), [0, 1, 2, 3]);
-        assert_eq!(residents(&c, 1), [4, 5]);
+        admit_whole(
+            &mut c,
+            [
+                (0, 10, 100),
+                (1, 20, 21),
+                (2, 20, 100),
+                (3, 45, 100),
+                (4, 10, 20),
+                (5, 68, 100),
+            ]
+            .map(|(id, wcet, deadline)| constrained(id, wcet, deadline)),
+        );
+        assert_eq!(residents(&c), [vec![0, 1, 2, 3], vec![4, 5]]);
 
         let x = constrained(6, 25, 100);
         let target = CoreId(0);
@@ -2520,9 +2645,192 @@ mod tests {
                 inflation: Time::ZERO
             }
         );
-        assert_eq!(residents(&c, 0), [0, 1, 3, 6]);
-        assert_eq!(residents(&c, 1), [4, 5, 2]);
+        assert_eq!(residents(&c), [vec![0, 1, 3, 6], vec![4, 5, 2]]);
         assert_eq!(c.partition().scratch_audit(), Ok(()));
+    }
+
+    /// The residents of every core, by parent id in placement order.
+    fn residents(c: &AdmissionController) -> Vec<Vec<u32>> {
+        (0..c.config.cores)
+            .map(|core| {
+                c.partition()
+                    .core(CoreId(core))
+                    .iter()
+                    .map(|p| p.parent.0)
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn generations(c: &AdmissionController) -> Vec<u64> {
+        (0..c.config.cores)
+            .map(|core| c.partition().core_generation(CoreId(core)))
+            .collect()
+    }
+
+    /// What one repair attempt returned, and the residents and core
+    /// generations it left behind before its scope was rewound.
+    struct Attempt {
+        outcome: Option<(usize, Time)>,
+        residents: Vec<Vec<u32>>,
+        generations: Vec<u64>,
+    }
+
+    /// One repair attempt of `arrival` on `target`, in a journal scope as
+    /// `try_repair` opens it.
+    fn attempt_on(c: &mut AdmissionController, target: CoreId, arrival: &Task) -> Attempt {
+        let probe = c.placer.probe_whole(&c.partition, target, arrival);
+        let mark = c.partition.journal_begin();
+        let attempt = Attempt {
+            outcome: c.repair_on(target, arrival, probe),
+            residents: residents(c),
+            generations: generations(c),
+        };
+        c.partition.rewind(mark);
+        c.partition.journal_end();
+        attempt
+    }
+
+    /// Admits `tasks` in order, each on the fast whole path.
+    fn admit_whole(c: &mut AdmissionController, tasks: impl IntoIterator<Item = Task>) {
+        for t in tasks {
+            assert!(matches!(
+                arrive(c, t),
+                DecisionKind::Admitted {
+                    path: DecisionPath::FastWhole,
+                    ..
+                }
+            ));
+        }
+    }
+
+    /// Three cores, no splitting, no fallback, all periods 100 ms (so a
+    /// core accepts exactly up to 100 %): P0 holds W (40 %), R (25 %),
+    /// S (15 %) and T (10 %); P1 and P2 hold 55 % each.
+    fn three_cores_w_r_s_t(k: usize) -> AdmissionController {
+        let config = OnlineConfig::builder()
+            .cores(3)
+            .min_split_budget(Time::from_secs(10))
+            .max_repair_moves(k)
+            .fallback(false)
+            .build();
+        let mut c = AdmissionController::new(config).unwrap();
+        admit_whole(
+            &mut c,
+            [(0, 40), (1, 25), (2, 15), (3, 10), (4, 55), (5, 55)]
+                .map(|(id, pct)| task(id, pct, 100)),
+        );
+        assert_eq!(residents(&c), [vec![0, 1, 2, 3], vec![4], vec![5]]);
+        c
+    }
+
+    #[test]
+    fn a_victim_no_last_move_can_follow_is_never_moved() {
+        // P0 holds W (40 %), R (20 %), S and T (15 % each); P1 and P2
+        // hold 55 % each. X (71 %) must shed 61 % of P0's 90 %. No single
+        // eviction does, so W (the largest) is the penultimate pick. W
+        // could move to P1 (95 %), but no pair frees more than 60 %, so
+        // the attempt gives up before asking.
+        let config = OnlineConfig::builder()
+            .cores(3)
+            .min_split_budget(Time::from_secs(10))
+            .fallback(false)
+            .build();
+        let mut c = AdmissionController::new(config).unwrap();
+        admit_whole(
+            &mut c,
+            [(0, 40), (1, 20), (2, 15), (3, 15), (4, 55), (5, 55)]
+                .map(|(id, pct)| task(id, pct, 100)),
+        );
+        assert!(c
+            .placer
+            .plan(
+                &c.partition,
+                &c.admitted[&TaskId(0)],
+                &[CoreId(0)],
+                Time::ZERO
+            )
+            .is_some());
+        let (before, generations_before) = (residents(&c), generations(&c));
+        let x = task(6, 71, 100);
+        let attempt = attempt_on(&mut c, CoreId(0), &x);
+        assert_eq!(attempt.outcome, None);
+        assert_eq!(attempt.residents, before, "the attempt moved nothing");
+        assert_eq!(attempt.generations, generations_before);
+        assert_eq!(
+            arrive(&mut c, x),
+            DecisionKind::Rejected {
+                reason: RejectionReason::NoFeasiblePlacement
+            }
+        );
+    }
+
+    #[test]
+    fn a_movable_victim_without_a_partner_is_never_moved() {
+        // All periods 100 ms. P0 holds a (15, D = 20), b (15, D = 30) and
+        // V (45, D = 100); P1 holds h (20, D = 20). X (45, D = 55) misses
+        // on both cores: on P0 it answers at 75, behind a and b. Evicting
+        // both a and b opens P0, but V ranks below X and relieves nothing,
+        // so V — the largest, hence the penultimate pick — has no partner.
+        // V could move to P1, so the look-ahead gives up: moving V would
+        // leave a last move that cannot succeed.
+        let mut c = AdmissionController::new(two_cores_no_split().fallback(false).build()).unwrap();
+        admit_whole(
+            &mut c,
+            [(0, 15, 20), (1, 15, 30), (2, 45, 100), (3, 20, 20)]
+                .map(|(id, wcet, deadline)| constrained(id, wcet, deadline)),
+        );
+        assert_eq!(residents(&c), [vec![0, 1, 2], vec![3]]);
+        let x = constrained(4, 45, 55);
+        let target = CoreId(0);
+        assert!(c
+            .placer
+            .accepts_whole_without(&c.partition, target, &x, &[TaskId(0), TaskId(1)]));
+        let (before, generations_before) = (residents(&c), generations(&c));
+        let attempt = attempt_on(&mut c, target, &x);
+        assert_eq!(attempt.outcome, None);
+        assert_eq!(attempt.residents, before, "the attempt moved nothing");
+        assert_eq!(attempt.generations, generations_before);
+    }
+
+    #[test]
+    fn a_victim_with_a_partner_still_moves() {
+        // X (70 %) must shed 60 % of P0's 90 %: W (40 %) is the
+        // penultimate pick and R (25 %) its partner. W moves to P1, R to
+        // P2, and X lands on P0.
+        let mut c = three_cores_w_r_s_t(2);
+        let x = task(6, 70, 100);
+        let attempt = attempt_on(&mut c, CoreId(0), &x);
+        assert_eq!(attempt.outcome, Some((2, Time::ZERO)));
+        assert_eq!(attempt.residents, [vec![2, 3, 6], vec![4, 0], vec![5, 1]]);
+        assert_eq!(
+            arrive(&mut c, x),
+            DecisionKind::Admitted {
+                path: DecisionPath::Repair,
+                migrations: 2,
+                inflation: Time::ZERO
+            }
+        );
+        assert_eq!(c.partition().scratch_audit(), Ok(()));
+    }
+
+    #[test]
+    fn with_three_moves_the_look_ahead_guards_the_second() {
+        // k = 3: the first Insufficient pick (W) moves unguarded; the
+        // second (R) is the penultimate one. X (85 %) needs W, R and one
+        // more: R's partner S exists, so R moves, and T finishes.
+        let mut c = three_cores_w_r_s_t(3);
+        let x = task(6, 85, 100);
+        let attempt = attempt_on(&mut c, CoreId(0), &x);
+        assert_eq!(attempt.outcome, Some((3, Time::ZERO)));
+        assert_eq!(attempt.residents, [vec![2, 6], vec![4, 0], vec![5, 1, 3]]);
+        // X (95 %) needs all four: after W moves, neither R nor any pair
+        // of R, S and T frees enough, so the attempt gives up with R, S
+        // and T still on P0.
+        let x = task(7, 95, 100);
+        let attempt = attempt_on(&mut c, CoreId(0), &x);
+        assert_eq!(attempt.outcome, None);
+        assert_eq!(attempt.residents, [vec![1, 2, 3], vec![4, 0], vec![5]]);
     }
 
     #[test]

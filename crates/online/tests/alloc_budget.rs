@@ -19,7 +19,9 @@
 //!   run fast whole, fast split and bounded repair, and nothing else.
 //!   After the warm-up, such a rejection may allocate at most 30 times on
 //!   average: the failing plans, victim searches and journal rewinds of
-//!   repair reuse their buffers.
+//!   repair reuse their buffers. It measures 3.78 (2 299 allocations over
+//!   608 rejections), down from 7.22 before repair looked one move ahead
+//!   and stopped relocating victims that no partner eviction can complete.
 //! * **A rejection after a full repartition.** The same saturated-shaped
 //!   trace with the fallback on, so every rejection for want of a
 //!   placement has also run the offline FP-TS pass over the admitted set
@@ -28,6 +30,9 @@
 //!   its input once, reuses one buffer for the pieces of every task and
 //!   offers cores by range instead of collecting candidate lists, so what
 //!   is left is mostly the bins and per-core analyses each pass builds.
+//!   It measures 39.83 (21 471 over 539), down from 46.13: the repair
+//!   look-ahead above, and a duplicate-id check that no longer builds a
+//!   hash set on every pass.
 //! * **A rebalance tick.** A fleet-shaped service (16 cores, 4 shards,
 //!   Poisson arrivals at 0.85, cross-shard splits on) is rebalanced with a
 //!   budget of 4 moves after every 20th event. A tick may allocate at most

@@ -1,6 +1,5 @@
 //! Collections of tasks and priority-assignment over them.
 
-use std::collections::HashSet;
 use std::fmt;
 use std::ops::Index;
 
@@ -125,14 +124,21 @@ impl TaskSet {
     ///
     /// # Errors
     ///
-    /// Returns [`TaskError::DuplicateTaskId`] if two tasks share an id. Task
-    /// parameter validity is enforced at construction time by [`Task`].
+    /// Returns [`TaskError::DuplicateTaskId`] if two tasks share an id,
+    /// naming the id whose second occurrence comes first. Task parameter
+    /// validity is enforced at construction time by [`Task`].
+    ///
+    /// Allocation-free: an id above every earlier one cannot repeat any,
+    /// so a set in ascending id order (the usual shape) is checked in one
+    /// pass, and only an id that is not scans the tasks before it.
     pub fn validate(&self) -> Result<(), TaskError> {
-        let mut seen = HashSet::with_capacity(self.tasks.len());
-        for t in &self.tasks {
-            if !seen.insert(t.id()) {
-                return Err(TaskError::DuplicateTaskId { task: t.id() });
+        let mut highest = None;
+        for (i, t) in self.tasks.iter().enumerate() {
+            let id = t.id();
+            if highest.is_some_and(|h| id <= h) && self.tasks[..i].iter().any(|u| u.id() == id) {
+                return Err(TaskError::DuplicateTaskId { task: id });
             }
+            highest = highest.max(Some(id));
         }
         Ok(())
     }
@@ -305,6 +311,23 @@ mod tests {
             TaskError::DuplicateTaskId { task: TaskId(0) }
         );
         assert!(sample_set().validate().is_ok());
+    }
+
+    #[test]
+    fn validate_reports_the_earliest_second_occurrence() {
+        let ids = |ids: &[u32]| -> TaskSet { ids.iter().map(|&id| t(id, 1, 10)).collect() };
+        let reported = |set: TaskSet| match set.validate() {
+            Err(TaskError::DuplicateTaskId { task }) => Some(task),
+            _ => None,
+        };
+        // Id 1 repeats at index 3, before id 3 repeats at index 4.
+        assert_eq!(reported(ids(&[3, 1, 2, 1, 3])), Some(TaskId(1)));
+        // Id 9 repeats at index 2, before id 2 repeats at index 3.
+        assert_eq!(reported(ids(&[2, 9, 9, 2])), Some(TaskId(9)));
+        // An arrival appended below the highest id is checked too.
+        assert_eq!(reported(ids(&[1, 4, 6, 4])), Some(TaskId(4)));
+        assert_eq!(reported(ids(&[1, 4, 6, 5])), None);
+        assert_eq!(reported(ids(&[])), None);
     }
 
     #[test]
