@@ -15,19 +15,21 @@
 //!   exactly its budget at the head of the schedule and the task's migration
 //!   instants are deterministic.
 //!
-//! The priority promotion, synthetic deadlines and overhead accounting reuse
-//! the same machinery as [`SemiPartitionedFpTs`](crate::SemiPartitionedFpTs),
-//! so partitions produced by either algorithm are interchangeable for the
-//! analysis, the simulator and the experiments.
+//! DM-PM fills the same bin store as
+//! [`SemiPartitionedFpTs`](crate::SemiPartitionedFpTs) (the crate's `bins`
+//! module): whole placement is its first-fit probe, and a split asks each
+//! processor in turn the screened tail probe, then the exact body-budget
+//! frontier. The priority promotion, synthetic deadlines, overhead
+//! accounting and chain metadata are FP-TS's too, so partitions produced by
+//! either algorithm are interchangeable for the analysis, the simulator and
+//! the experiments.
 
 use serde::{Deserialize, Serialize};
-use spms_analysis::{rta, CachedCoreAnalysis, OverheadModel};
-use spms_task::{by_decreasing_utilization, Priority, PriorityAssignment, Task, TaskSet, Time};
+use spms_analysis::OverheadModel;
+use spms_task::{by_decreasing_utilization, PriorityAssignment, Task, TaskSet, Time};
 
-use crate::{
-    CoreId, Partition, PartitionError, PartitionOutcome, Partitioner, PlacedTask, SplitInfo,
-    SubtaskKind,
-};
+use crate::bins::{self, reserve_split_levels, Bins, Chain, Packer, Unplaced};
+use crate::{PartitionError, PartitionOutcome, Partitioner};
 
 /// The DM-PM semi-partitioned partitioning algorithm.
 ///
@@ -82,229 +84,66 @@ impl SemiPartitionedDmPm {
         self
     }
 
-    /// Priority level reserved for promoted tail subtasks.
-    const TAIL_PRIORITY: Priority = crate::TAIL_PRIORITY;
-
-    fn shifted_priority(task: &Task) -> Priority {
-        Priority::new(
-            task.priority()
-                .map_or(u32::MAX, |p| p.level())
-                .saturating_add(2),
-        )
-    }
-
-    fn body_piece_overhead(&self, piece_index: usize) -> Time {
-        if piece_index == 0 {
-            self.overhead.first_piece_inflation()
-        } else {
-            self.overhead.body_piece_inflation()
-        }
-    }
-
-    /// Largest pure execution budget exact RTA still admits as a promoted
-    /// body piece on a core currently holding `core_tasks` (the exact
-    /// frontier, shared with FP-TS through the `split_budget` module).
-    fn max_body_budget(
-        &self,
-        core_tasks: &[Task],
-        template: &Task,
-        max_budget: Time,
-        piece_index: usize,
-    ) -> Time {
-        crate::split_budget::max_body_budget(
-            &CachedCoreAnalysis::from_tasks(core_tasks),
-            template,
-            self.body_piece_overhead(piece_index),
-            self.min_split_budget,
-            max_budget,
-            |piece| {
-                let mut candidate = core_tasks.to_vec();
-                candidate.push(piece.clone());
-                rta::is_core_schedulable(&candidate)
-            },
-        )
-    }
-
-    /// Analysis task for the final (tail) piece of a split task.
-    fn make_tail_piece(&self, task: &Task, budget: Time, offset: Time) -> Option<Task> {
-        let wcet = budget + self.overhead.tail_piece_inflation();
-        let deadline = task.deadline().checked_sub(offset)?;
-        if deadline > task.period() || wcet > deadline {
-            return None;
-        }
-        Task::builder(task.id())
-            .wcet(wcet)
-            .period(task.period())
-            .deadline(deadline)
-            .priority(Self::TAIL_PRIORITY)
-            .build()
-            .ok()
-    }
-
     /// Splits `task` (original parameters) across the processors with spare
-    /// capacity. Returns the pieces as `(core, analysis task, budget)` or an
-    /// error message when the demand cannot be covered.
-    fn split_task(
-        &self,
-        task: &Task,
-        bins: &[Vec<PlacedTask>],
-        cores: usize,
-    ) -> Result<Vec<(usize, Task, Time)>, String> {
-        let mut remaining = task.wcet();
-        let mut offset = Time::ZERO;
-        let mut pieces: Vec<(usize, Task, Time)> = Vec::new();
-
-        for (core, bin) in bins.iter().enumerate().take(cores) {
+    /// capacity, leaving its pieces in `chain`, or names what is left
+    /// unplaced when the demand cannot be covered.
+    fn split_task(&self, task: &Task, bins: &mut Bins, chain: &mut Chain) -> Result<(), Unplaced> {
+        chain.start(task);
+        for core in 0..bins.len() {
             // Keep the promotion analysable: one body and one tail per core.
-            let hosts_body = bin.iter().any(PlacedTask::is_body);
-            let hosts_tail = bin.iter().any(PlacedTask::is_tail);
-            let core_tasks: Vec<Task> = bin.iter().map(|p| p.task.clone()).collect();
-
             // Try to finish the task here with a tail piece.
-            if !hosts_tail {
-                if let Some(tail) = self.make_tail_piece(task, remaining, offset) {
-                    let mut candidate = core_tasks.clone();
-                    candidate.push(tail.clone());
-                    if rta::is_core_schedulable(&candidate) {
-                        pieces.push((core, tail, remaining));
-                        return Ok(pieces);
+            if !bins.has_tail(core) {
+                if let Some(tail) = chain.tail(task, &self.overhead) {
+                    if bins
+                        .first_accepting(core..core + 1, &tail, |_, _| false)
+                        .is_some()
+                    {
+                        chain.close(core, tail);
+                        return Ok(());
                     }
                 }
             }
-
             // Otherwise carve the largest body piece this processor accepts.
-            if hosts_body {
-                continue;
+            if !bins.has_body(core) {
+                bins.carve_body(core, task, chain, &self.overhead, self.min_split_budget);
             }
-            let piece_overhead = self.body_piece_overhead(pieces.len());
-            let deadline_room = task
-                .deadline()
-                .saturating_sub(offset)
-                .saturating_sub(piece_overhead);
-            let max_budget = remaining
-                .saturating_sub(Time::from_nanos(1))
-                .min(deadline_room);
-            if max_budget < self.min_split_budget {
-                continue;
-            }
-            let budget = self.max_body_budget(&core_tasks, task, max_budget, pieces.len());
-            if budget < self.min_split_budget || budget.is_zero() {
-                continue;
-            }
-            let piece = crate::split_budget::body_piece(task, budget, piece_overhead)
-                .ok_or_else(|| format!("internal error building body subtask of {}", task.id()))?;
-            offset += piece.wcet();
-            remaining -= budget;
-            pieces.push((core, piece, budget));
         }
-        Err(format!(
-            "task {} could not be split across {cores} processors ({} of {} still unplaced)",
-            task.id(),
-            remaining,
-            task.wcet()
-        ))
+        Err(Unplaced::Unsplit {
+            task: task.id(),
+            remaining: chain.remaining(),
+            wcet: task.wcet(),
+        })
+    }
+}
+
+impl Packer for SemiPartitionedDmPm {
+    const PRIORITIES: PriorityAssignment = PriorityAssignment::DeadlineMonotonic;
+
+    fn overhead(&self) -> &OverheadModel {
+        &self.overhead
+    }
+
+    fn pass(&self, bins: &mut Bins, mut tasks: Vec<Task>) -> Result<(), Unplaced> {
+        reserve_split_levels(&mut tasks);
+        // Offer tasks in decreasing utilization order (the usual packing
+        // order); split decisions are driven purely by the acceptance test.
+        tasks.sort_by(by_decreasing_utilization);
+        let mut chain = Chain::default();
+        for task in &tasks {
+            if bins.place_whole_first_fit(task, &self.overhead) {
+                continue;
+            }
+            // The task fits nowhere whole: split it across the processors.
+            self.split_task(task, bins, &mut chain)?;
+            bins.push_chain(task.id(), &chain);
+        }
+        Ok(())
     }
 }
 
 impl Partitioner for SemiPartitionedDmPm {
     fn partition(&self, tasks: &TaskSet, cores: usize) -> Result<PartitionOutcome, PartitionError> {
-        if cores == 0 {
-            return Err(PartitionError::NoCores);
-        }
-        tasks.validate()?;
-
-        let mut prioritised = TaskSet::with_capacity(tasks.len());
-        for task in tasks {
-            if self.overhead.inflate_task(task).is_err() {
-                return Ok(PartitionOutcome::Unschedulable {
-                    reason: format!(
-                        "task {} cannot absorb the scheduling overhead within its deadline",
-                        task.id()
-                    ),
-                });
-            }
-            prioritised.push(task.clone());
-        }
-        prioritised.assign_priorities(PriorityAssignment::DeadlineMonotonic);
-
-        // Offer tasks in decreasing utilization order (the usual packing
-        // order); split decisions are driven purely by the acceptance test.
-        let mut ordered: Vec<Task> = prioritised.iter().cloned().collect();
-        ordered.sort_by(by_decreasing_utilization);
-
-        let mut bins: Vec<Vec<PlacedTask>> = vec![Vec::new(); cores];
-        for task in &ordered {
-            // First-fit whole placement with the whole-job overhead.
-            let analysis = task
-                .with_wcet(task.wcet() + self.overhead.whole_job_inflation())
-                .ok()
-                .map(|mut t| {
-                    t.set_priority(Self::shifted_priority(task));
-                    t
-                });
-            let whole_slot = analysis.as_ref().and_then(|analysis_task| {
-                (0..cores).find(|&c| {
-                    let mut candidate: Vec<Task> = bins[c].iter().map(|p| p.task.clone()).collect();
-                    candidate.push(analysis_task.clone());
-                    rta::is_core_schedulable(&candidate)
-                })
-            });
-            if let (Some(core), Some(analysis_task)) = (whole_slot, analysis) {
-                bins[core].push(PlacedTask {
-                    task: analysis_task,
-                    execution: task.wcet(),
-                    parent: task.id(),
-                    split: None,
-                });
-                continue;
-            }
-
-            // The task fits nowhere whole: split it across the processors.
-            let pieces = match self.split_task(task, &bins, cores) {
-                Ok(pieces) => pieces,
-                Err(reason) => return Ok(PartitionOutcome::Unschedulable { reason }),
-            };
-            let count = pieces.len();
-            let first_core = CoreId(pieces[0].0);
-            let core_sequence: Vec<usize> = pieces.iter().map(|(c, _, _)| *c).collect();
-            let mut running_offset = Time::ZERO;
-            for (i, (core, piece, budget)) in pieces.into_iter().enumerate() {
-                let is_tail = i == count - 1;
-                let piece_wcet = piece.wcet();
-                bins[core].push(PlacedTask {
-                    task: piece,
-                    execution: budget,
-                    parent: task.id(),
-                    split: Some(SplitInfo {
-                        part_index: i,
-                        part_count: count,
-                        kind: if is_tail {
-                            SubtaskKind::Tail
-                        } else {
-                            SubtaskKind::Body
-                        },
-                        release_offset: running_offset,
-                        next_core: core_sequence.get(i + 1).copied().map(CoreId),
-                        first_core,
-                    }),
-                });
-                running_offset += piece_wcet;
-            }
-        }
-
-        let mut partition = Partition::new(cores);
-        for (core, bin) in bins.into_iter().enumerate() {
-            for placed in bin {
-                partition.place(CoreId(core), placed);
-            }
-        }
-        debug_assert_eq!(partition.validate(), Ok(()));
-        if !partition.is_schedulable() {
-            return Ok(PartitionOutcome::Unschedulable {
-                reason: "final per-core acceptance test failed".to_owned(),
-            });
-        }
-        Ok(PartitionOutcome::Schedulable(partition))
+        bins::outcome(self, tasks, cores)
     }
 
     fn name(&self) -> String {

@@ -48,9 +48,12 @@ use spms_analysis::{CachedCoreAnalysis, OverheadModel};
 use spms_task::{Task, TaskId, Time};
 use spms_telemetry::{scoped, HotCounter};
 
-use crate::placement::{has_reserved_level, whole_rank_key, UTILIZATION_SCREEN_MARGIN};
+use crate::placement::{
+    chain_placements, has_reserved_level, whole_rank_key, UTILIZATION_SCREEN_MARGIN,
+};
 use crate::scratch::InlineVec;
-use crate::{CoreId, Partition, PlacedTask, SplitInfo, SubtaskKind};
+use crate::split_budget::{body_piece, body_piece_overhead, tail_piece};
+use crate::{CoreId, Partition, PlacedTask};
 
 /// Cores a split plan keeps its working state for on the stack; a plan on
 /// a larger partition moves it to the heap.
@@ -342,7 +345,7 @@ impl IncrementalPlacer {
                 return None; // no room left for a tail on a distinct core
             }
             let index = bodies.len();
-            let overhead = self.body_piece_overhead(index) + piece_charge(index, charge);
+            let overhead = body_piece_overhead(&self.overhead, index) + piece_charge(index, charge);
             let (core, budget, piece) =
                 self.carve_body(partition, task, skip, offset, remaining, overhead)?;
             offset += piece.wcet();
@@ -353,48 +356,17 @@ impl IncrementalPlacer {
         // Materialise the chain with split metadata; each body piece is
         // rebuilt exactly as it was carved.
         let count = bodies.len() + 1;
-        let first_core = bodies[0].0;
-        let next_core = |i: usize| bodies.get(i + 1).map_or(tail_core, |(c, _)| *c);
-        let mut running_offset = Time::ZERO;
+        let bodies = bodies.iter().enumerate().map(|(i, &(core, budget))| {
+            let overhead = body_piece_overhead(&self.overhead, i) + piece_charge(i, charge);
+            let piece =
+                body_piece(task, budget, overhead).expect("the body was carved from this piece");
+            (core, piece, budget)
+        });
         let mut placed = Vec::with_capacity(count);
-        for (i, &(core, budget)) in bodies.iter().enumerate() {
-            let overhead = self.body_piece_overhead(i) + piece_charge(i, charge);
-            let piece = crate::split_budget::body_piece(task, budget, overhead)
-                .expect("the body was carved from this piece");
-            let wcet = piece.wcet();
-            placed.push((
-                core,
-                PlacedTask {
-                    task: piece,
-                    execution: budget,
-                    parent: task.id(),
-                    split: Some(SplitInfo {
-                        part_index: i,
-                        part_count: count,
-                        kind: SubtaskKind::Body,
-                        release_offset: running_offset,
-                        next_core: Some(next_core(i)),
-                        first_core,
-                    }),
-                },
-            ));
-            running_offset += wcet;
-        }
-        placed.push((
-            tail_core,
-            PlacedTask {
-                task: tail,
-                execution: remaining,
-                parent: task.id(),
-                split: Some(SplitInfo {
-                    part_index: count - 1,
-                    part_count: count,
-                    kind: SubtaskKind::Tail,
-                    release_offset: running_offset,
-                    next_core: None,
-                    first_core,
-                }),
-            },
+        placed.extend(chain_placements(
+            task.id(),
+            count,
+            bodies.chain(std::iter::once((tail_core, tail, remaining))),
         ));
         Some(PlacementPlan::Split { pieces: placed })
     }
@@ -518,16 +490,6 @@ impl IncrementalPlacer {
     // internals
     // ------------------------------------------------------------------
 
-    /// The analysis overhead charged to a body piece at `piece_index` in its
-    /// chain (mirrors `SemiPartitionedFpTs`).
-    fn body_piece_overhead(&self, piece_index: usize) -> Time {
-        if piece_index == 0 {
-            self.overhead.first_piece_inflation()
-        } else {
-            self.overhead.body_piece_inflation()
-        }
-    }
-
     /// Carves the body piece at `offset` into the chain, `remaining` pure
     /// execution still to place and `overhead` its analysis overhead: the
     /// largest admissible budget on the first core, by most *clamped* spare
@@ -573,7 +535,7 @@ impl IncrementalPlacer {
         for &core in candidates.iter() {
             let budget = self.max_body_budget(partition, core, task, max_budget, overhead);
             if budget >= self.min_split_budget && !budget.is_zero() {
-                let piece = crate::split_budget::body_piece(task, budget, overhead)?;
+                let piece = body_piece(task, budget, overhead)?;
                 return Some((core, budget, piece));
             }
         }
@@ -632,18 +594,12 @@ impl IncrementalPlacer {
         charge: Time,
         skip: impl Fn(CoreId) -> bool,
     ) -> Option<(CoreId, Task)> {
-        let wcet = budget + self.overhead.tail_piece_inflation() + charge;
-        let deadline = task.deadline().checked_sub(offset)?;
-        if deadline > task.period() || wcet > deadline {
-            return None;
-        }
-        let tail = Task::builder(task.id())
-            .wcet(wcet)
-            .period(task.period())
-            .deadline(deadline)
-            .priority(crate::TAIL_PRIORITY)
-            .build()
-            .ok()?;
+        let tail = tail_piece(
+            task,
+            budget,
+            offset,
+            self.overhead.tail_piece_inflation() + charge,
+        )?;
         let core = (0..partition.core_count()).map(CoreId).find(|c| {
             !skip(*c) && !partition.core_has_tail(*c) && piece_fits(partition, *c, &tail)
         })?;

@@ -18,7 +18,12 @@
 //!   iterate over.
 //!
 //! Every algorithm judges a core with the exact response-time analysis of
-//! `spms-analysis`.
+//! `spms-analysis`. The three offline packer families (FFD/WFD, FP-TS,
+//! DM-PM) share one bin store: one cached analysis per bin, a utilization
+//! screen in front of every probe and installed proofs, with one front door
+//! (core count, set validation, the overhead precheck, the final RTA check)
+//! and one chain builder for split tasks. They differ only in the order
+//! they offer tasks, the priorities they give them and the cores they ask.
 //!
 //! # Example
 //!
@@ -53,6 +58,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bins;
 mod dmpm;
 mod error;
 mod fpts;

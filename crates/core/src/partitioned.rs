@@ -3,14 +3,19 @@
 //! The paper compares FP-TS against "two widely used fixed-priority
 //! partitioned scheduling algorithms, FFD (first-fit decreasing size
 //! partitioning) and WFD (worst-fit decreasing size partitioning)" (§4).
-//! This module implements those two baselines on top of the exact per-core
-//! response-time analysis and the measured overhead model.
+//! This module implements those two baselines on the bin store every
+//! offline packer shares (the crate's `bins` module): each task, its WCET
+//! inflated by the whole-job overhead, is offered to the cores in the
+//! heuristic's order — index order for FFD, `(bin utilization, index)`
+//! order for WFD — and lands on the first whose exact RTA still passes.
+//! No task is ever split.
 
 use serde::{Deserialize, Serialize};
-use spms_analysis::{rta, OverheadModel};
+use spms_analysis::OverheadModel;
 use spms_task::{by_decreasing_utilization, PriorityAssignment, Task, TaskSet};
 
-use crate::{CoreId, Partition, PartitionError, PartitionOutcome, Partitioner, PlacedTask};
+use crate::bins::{self, Bins, Packer, Unplaced};
+use crate::{PartitionError, PartitionOutcome, Partitioner, PlacedTask};
 
 /// Which bin is chosen for a task among those that still pass exact RTA
 /// with it.
@@ -87,94 +92,62 @@ impl PartitionedFixedPriority {
     }
 }
 
+impl Packer for PartitionedFixedPriority {
+    /// Dense rate-monotonic levels; overhead inflation never changes a
+    /// period, so the inflated set ranks the same way.
+    const PRIORITIES: PriorityAssignment = PriorityAssignment::RateMonotonic;
+
+    fn overhead(&self) -> &OverheadModel {
+        &self.overhead
+    }
+
+    fn pass(&self, bins: &mut Bins, tasks: Vec<Task>) -> Result<(), Unplaced> {
+        // Fold the per-job overhead into every task; the analysis task
+        // carries the inflated WCET, the placement executes the original.
+        let mut placements: Vec<PlacedTask> = tasks
+            .iter()
+            .map(|task| {
+                let analysis = self
+                    .overhead
+                    .inflate_task(task)
+                    .expect("every task absorbs the overhead past the front door");
+                PlacedTask::whole(analysis).with_execution(task.wcet())
+            })
+            .collect();
+        placements.sort_by(|a, b| by_decreasing_utilization(&a.task, &b.task));
+
+        // The cores in the order the heuristic offers them. Worst fit takes
+        // the accepting core of least utilization, the lowest index among
+        // equals: the first accepting core in `(utilization, index)` order.
+        let mut order: Vec<usize> = (0..bins.len()).collect();
+        for placed in placements {
+            if self.heuristic == BinPackingHeuristic::WorstFit {
+                order.sort_by(|&a, &b| {
+                    bins.utilization(a)
+                        .total_cmp(&bins.utilization(b))
+                        .then(a.cmp(&b))
+                });
+            }
+            let core = bins
+                .first_accepting(order.iter().copied(), &placed.task, |_, _| false)
+                .ok_or_else(|| Unplaced::NoFit {
+                    task: placed.task.id(),
+                    utilization: placed.task.utilization(),
+                })?;
+            bins.push(core, placed);
+        }
+        Ok(())
+    }
+}
+
 impl Partitioner for PartitionedFixedPriority {
     fn partition(&self, tasks: &TaskSet, cores: usize) -> Result<PartitionOutcome, PartitionError> {
-        if cores == 0 {
-            return Err(PartitionError::NoCores);
-        }
-        tasks.validate()?;
-
-        // Fold the per-job overhead into every task, then (re)assign dense
-        // rate-monotonic priorities; overhead inflation never changes periods
-        // so the priority order is the same as for the original set.
-        let mut inflated = TaskSet::with_capacity(tasks.len());
-        for task in tasks {
-            match self.overhead.inflate_task(task) {
-                Ok(t) => inflated.push(t),
-                Err(_) => {
-                    return Ok(PartitionOutcome::Unschedulable {
-                        reason: format!(
-                            "task {} cannot absorb the scheduling overhead within its deadline",
-                            task.id()
-                        ),
-                    })
-                }
-            }
-        }
-        inflated.assign_priorities(PriorityAssignment::RateMonotonic);
-
-        let mut ordered: Vec<Task> = inflated.into_iter().collect();
-        ordered.sort_by(by_decreasing_utilization);
-        let mut bins: Vec<Vec<Task>> = vec![Vec::new(); cores];
-
-        for task in ordered {
-            let accepts = |bin: &Vec<Task>| {
-                let mut candidate = bin.clone();
-                candidate.push(task.clone());
-                rta::is_core_schedulable(&candidate)
-            };
-            let chosen = match self.heuristic {
-                BinPackingHeuristic::FirstFit => bins.iter().position(accepts),
-                BinPackingHeuristic::WorstFit => bins
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, bin)| accepts(bin))
-                    .min_by(|(_, a), (_, b)| {
-                        utilization(a)
-                            .partial_cmp(&utilization(b))
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .map(|(i, _)| i),
-            };
-            match chosen {
-                Some(core) => bins[core].push(task),
-                None => {
-                    return Ok(PartitionOutcome::Unschedulable {
-                        reason: format!(
-                            "task {} (U={:.3}) does not fit on any of the {cores} cores under the rta test",
-                            task.id(),
-                            task.utilization(),
-                        ),
-                    })
-                }
-            }
-        }
-
-        let mut partition = Partition::new(cores);
-        for (core, bin) in bins.into_iter().enumerate() {
-            for task in bin {
-                // The analysis task carries the inflated WCET; the runtime
-                // execution budget is the original task's WCET.
-                let execution = tasks
-                    .iter()
-                    .find(|t| t.id() == task.id())
-                    .map_or(task.wcet(), Task::wcet);
-                partition.place(
-                    CoreId(core),
-                    PlacedTask::whole(task).with_execution(execution),
-                );
-            }
-        }
-        Ok(PartitionOutcome::Schedulable(partition))
+        bins::outcome(self, tasks, cores)
     }
 
     fn name(&self) -> String {
         format!("{}D", self.heuristic.short_name())
     }
-}
-
-fn utilization(bin: &[Task]) -> f64 {
-    bin.iter().map(Task::utilization).sum()
 }
 
 #[cfg(test)]

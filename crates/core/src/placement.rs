@@ -133,6 +133,46 @@ pub struct SplitInfo {
     pub first_core: CoreId,
 }
 
+/// Lays out the split chain of `parent`: its `count` pieces, given in chain
+/// order as `(core, analysis piece, pure execution budget)`, become its
+/// placements with their split metadata. The last piece is the tail, and
+/// each piece is released once the analysis budgets of the earlier ones
+/// have elapsed. The offline packers and the online placer lay out every
+/// chain they split through this.
+pub(crate) fn chain_placements(
+    parent: TaskId,
+    count: usize,
+    pieces: impl Iterator<Item = (CoreId, Task, Time)>,
+) -> impl Iterator<Item = (CoreId, PlacedTask)> {
+    let mut pieces = pieces.enumerate().peekable();
+    let mut first_core = None;
+    let mut release_offset = Time::ZERO;
+    std::iter::from_fn(move || {
+        let (part_index, (core, task, execution)) = pieces.next()?;
+        let next_core = pieces.peek().map(|(_, (next, _, _))| *next);
+        let split = SplitInfo {
+            part_index,
+            part_count: count,
+            kind: if next_core.is_some() {
+                SubtaskKind::Body
+            } else {
+                SubtaskKind::Tail
+            },
+            release_offset,
+            next_core,
+            first_core: *first_core.get_or_insert(core),
+        };
+        release_offset += task.wcet();
+        let placed = PlacedTask {
+            task,
+            execution,
+            parent,
+            split: Some(split),
+        };
+        Some((core, placed))
+    })
+}
+
 /// A task (or subtask) as placed on a specific core by a partitioning
 /// algorithm.
 ///

@@ -1,11 +1,15 @@
-//! Shared body-piece construction and budget search for task splitting.
+//! Shared piece construction and body-budget search for task splitting.
 //!
 //! The offline FP-TS and DM-PM passes ([`SemiPartitionedFpTs`],
-//! [`SemiPartitionedDmPm`]) and the online [`IncrementalPlacer`] carve body
-//! subtasks the same way: a `C = D` piece at the promoted body priority,
-//! sized to the largest budget the core's exact RTA still admits. This
-//! module is the single implementation all three call. The budget is read
-//! off the core's analysis in one time-demand scan
+//! [`SemiPartitionedDmPm`], both through the bin store's
+//! `Bins::carve_body`) and the online [`IncrementalPlacer`] build split
+//! pieces the same way, and this module is the single implementation all
+//! three call: the overhead a body piece is charged by its chain index
+//! ([`body_piece_overhead`]), the `C = D` body piece at the promoted body
+//! priority ([`body_piece`]), the tail piece that finishes a chain
+//! ([`tail_piece`]), and the largest body budget the core's exact RTA
+//! still admits ([`max_body_budget`]). The budget is read off the core's
+//! analysis in one time-demand scan
 //! ([`CachedCoreAnalysis::max_prioritised_wcet`]); when the scan declines,
 //! the monotone acceptance frontier is bisected instead. Both return the
 //! exact frontier, so which one runs never changes a plan.
@@ -14,8 +18,19 @@
 //! [`SemiPartitionedDmPm`]: crate::SemiPartitionedDmPm
 //! [`IncrementalPlacer`]: crate::IncrementalPlacer
 
-use spms_analysis::CachedCoreAnalysis;
+use spms_analysis::{CachedCoreAnalysis, OverheadModel};
 use spms_task::{Task, Time};
+
+/// The analysis overhead charged to a body piece at `piece_index` within
+/// its chain: the first piece pays the release path, later pieces pay the
+/// migration-in path.
+pub(crate) fn body_piece_overhead(overhead: &OverheadModel, piece_index: usize) -> Time {
+    if piece_index == 0 {
+        overhead.first_piece_inflation()
+    } else {
+        overhead.body_piece_inflation()
+    }
+}
 
 /// Builds the analysis task of a body piece: `budget` pure execution plus
 /// the charged `overhead`, a deadline equal to its own demand (the paper's
@@ -28,6 +43,25 @@ pub(crate) fn body_piece(template: &Task, budget: Time, overhead: Time) -> Optio
         .period(template.period())
         .deadline(wcet.min(template.period()))
         .priority(crate::BODY_PRIORITY)
+        .build()
+        .ok()
+}
+
+/// Builds the analysis task of the tail piece that finishes a chain:
+/// `budget` pure execution plus the charged `overhead`, released `offset`
+/// after the parent, with what is left of the parent's deadline and the
+/// promoted tail priority. `None` when the piece cannot meet that deadline.
+pub(crate) fn tail_piece(
+    template: &Task,
+    budget: Time,
+    offset: Time,
+    overhead: Time,
+) -> Option<Task> {
+    Task::builder(template.id())
+        .wcet(budget + overhead)
+        .period(template.period())
+        .deadline(template.deadline().checked_sub(offset)?)
+        .priority(crate::TAIL_PRIORITY)
         .build()
         .ok()
 }

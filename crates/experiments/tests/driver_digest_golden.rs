@@ -34,26 +34,40 @@ fn digest<T: Serialize>(value: &T) -> u64 {
     )
 }
 
-/// The (outcome, mechanism) digests of a registry's deterministic section.
-fn metrics_digests(registry: &Registry) -> (u64, u64) {
+/// The (outcome, mechanism) sections of a registry's deterministic
+/// snapshot, rendered as Prometheus text.
+fn metrics_rendered(registry: &Registry) -> (String, String) {
     let outcome = registry.snapshot(SnapshotFilter::ShardInvariant);
     let mut mechanism = registry.snapshot(SnapshotFilter::Deterministic);
     mechanism
         .entries
         .retain(|entry| MetricClass::of_name(&entry.name) == Some(MetricClass::Mechanism));
-    (
-        fnv1a(outcome.render_prometheus().as_bytes()),
-        fnv1a(mechanism.render_prometheus().as_bytes()),
-    )
+    (outcome.render_prometheus(), mechanism.render_prometheus())
 }
 
+/// The (outcome, mechanism) digests of a registry's deterministic section.
+fn metrics_digests(registry: &Registry) -> (u64, u64) {
+    let (outcome, mechanism) = metrics_rendered(registry);
+    (fnv1a(outcome.as_bytes()), fnv1a(mechanism.as_bytes()))
+}
+
+/// Pins both sections; a mismatch prints the rendered section, so the
+/// failure names the counter that moved.
 fn assert_metrics_golden(what: &str, registry: &Registry, outcome: u64, mechanism: u64) {
-    let (got_outcome, got_mechanism) = metrics_digests(registry);
-    assert_golden(&format!("{what} outcome metrics"), got_outcome, outcome);
-    assert_golden(
+    let (got_outcome, got_mechanism) = metrics_rendered(registry);
+    assert_rendered_golden(&format!("{what} outcome metrics"), &got_outcome, outcome);
+    assert_rendered_golden(
         &format!("{what} mechanism metrics"),
-        got_mechanism,
+        &got_mechanism,
         mechanism,
+    );
+}
+
+fn assert_rendered_golden(what: &str, rendered: &str, want: u64) {
+    let got = fnv1a(rendered.as_bytes());
+    assert_eq!(
+        got, want,
+        "{what}: digest {got:#018x}, pinned {want:#018x}; rendered:\n{rendered}"
     );
 }
 

@@ -79,8 +79,7 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 use spms_analysis::OverheadModel;
 use spms_core::{
-    CoreId, IncrementalPlacer, Partition, PartitionOutcome, Partitioner, PlacementPlan,
-    SemiPartitionedFpTs, WholeProbe,
+    CoreId, IncrementalPlacer, Partition, PlacementPlan, SemiPartitionedFpTs, WholeProbe,
 };
 use spms_overhead::{CostModel, CostModelSpec};
 use spms_task::{Task, TaskId, TaskSet, Time};
@@ -1363,36 +1362,32 @@ impl AdmissionController {
         }
         let mut all = self.admitted_tasks();
         all.push(task.clone());
-        let outcome = self
+        // A failing pass renders no reason: nothing here would read it.
+        let mut new = self
             .offline_partitioner()
-            .partition(&all, self.config.cores);
-        match outcome {
-            Ok(PartitionOutcome::Schedulable(mut new)) => {
-                let migrations = moved_parents(&self.partition, &new, task.id());
-                // The offline pass ranks whole tasks by global rate-monotonic
-                // levels; every later probe and commit assumes the per-core
-                // deadline-monotonic discipline. Renormalize before adopting
-                // so the stored priorities (and the cache snapshot below)
-                // match what the placer's candidate ranking expects — for
-                // constrained deadlines the two orders genuinely differ.
-                // DM is optimal among fixed-priority assignments, so a
-                // schedulable adoption stays schedulable.
-                for core in 0..new.core_count() {
-                    new.renormalize_core_priorities(CoreId(core));
-                }
-                // The adopted partition is a fresh object: re-attach the
-                // incremental analysis cache the cascade threads through
-                // every later decision.
-                new.enable_analysis_cache();
-                if self.config.cross_shard_split {
-                    new.allow_partial_chains();
-                }
-                self.partition = new;
-                self.failed_relocations.clear();
-                Some(migrations)
-            }
-            _ => None,
+            .schedulable_partition(&all, self.config.cores)?;
+        let migrations = moved_parents(&self.partition, &new, task.id());
+        // The offline pass ranks whole tasks by global rate-monotonic
+        // levels; every later probe and commit assumes the per-core
+        // deadline-monotonic discipline. Renormalize before adopting so the
+        // stored priorities (and the cache snapshot below) match what the
+        // placer's candidate ranking expects — for constrained deadlines
+        // the two orders genuinely differ. DM is optimal among
+        // fixed-priority assignments, so a schedulable adoption stays
+        // schedulable.
+        for core in 0..new.core_count() {
+            new.renormalize_core_priorities(CoreId(core));
         }
+        // The adopted partition is a fresh object: re-attach the
+        // incremental analysis cache the cascade threads through every
+        // later decision.
+        new.enable_analysis_cache();
+        if self.config.cross_shard_split {
+            new.allow_partial_chains();
+        }
+        self.partition = new;
+        self.failed_relocations.clear();
+        Some(migrations)
     }
 
     /// The offline algorithm the fallback (and the no-over-admission
@@ -1657,6 +1652,7 @@ fn moved_parents(old: &Partition, new: &Partition, arriving: TaskId) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spms_core::{PartitionOutcome, Partitioner};
 
     fn task(id: u32, wcet_ms: u64, period_ms: u64) -> Task {
         Task::new(id, Time::from_millis(wcet_ms), Time::from_millis(period_ms)).unwrap()

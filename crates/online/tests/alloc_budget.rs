@@ -30,9 +30,10 @@
 //!   its input once, reuses one buffer for the pieces of every task and
 //!   offers cores by range instead of collecting candidate lists, so what
 //!   is left is mostly the bins and per-core analyses each pass builds.
-//!   It measures 39.83 (21 471 over 539), down from 46.13: the repair
-//!   look-ahead above, and a duplicate-id check that no longer builds a
-//!   hash set on every pass.
+//!   It measures 38.83 (20 932 over 539), down from 39.83: the failing
+//!   pass no longer formats a reason the fallback never reads (46.13
+//!   before the repair look-ahead above and a duplicate-id check that no
+//!   longer builds a hash set on every pass).
 //! * **A rebalance tick.** A fleet-shaped service (16 cores, 4 shards,
 //!   Poisson arrivals at 0.85, cross-shard splits on) is rebalanced with a
 //!   budget of 4 moves after every 20th event. A tick may allocate at most
